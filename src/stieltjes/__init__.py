@@ -10,7 +10,7 @@ from .core import (ConvergenceError, DomainError, SeriesValue,
 from .gamma import (RationalArg, gamma1_alt, gamma1_rational, gamma_diff,
                     gamma_n, gamma_recurrence_check, incgamma_int,
                     stieltjes_integral)
-from .logpoly import LogPoly, bernoulli, em_tail, logpoly_diff
+from .logpoly import LogPoly, bernoulli, em_tail
 from .quadrature import QuadratureError, quad_gl
 from .related import (PowerSeries, VonMangoldtTable, delta, digamma,
                       digamma_rational, dilcher_log_gamma_k, dilcher_power_series,
@@ -30,7 +30,7 @@ __all__ = [
     "SeriesValue", "LogPoly", "RationalArg",
     "PowerSeries", "VonMangoldtTable", "SubCheck", "VerifyReport",
     "accelerate_alternating", "bernoulli", "comp_sum", "default_tol",
-    "em_tail", "find_root_bisect", "harmonic", "logpoly_diff", "quad_gl",
+    "em_tail", "find_root_bisect", "harmonic", "quad_gl",
     "hurwitz_em", "hurwitz_hasse", "zeta_deriv0_const", "zeta_deriv0_diff",
     "zeta_prime_int", "gamma_n", "gamma_diff", "gamma_recurrence_check",
     "gamma1_rational", "gamma1_alt", "incgamma_int", "stieltjes_integral",

@@ -46,6 +46,19 @@ def working_dps(tol) -> int:
     return max(mp.dps, 2 * tol_digits(tol)) + GUARD_DIGITS
 
 
+def rounding_floor(value) -> mpf:
+    """Rounding dust of a value assembled at the current working precision."""
+    return (abs(value) + 1) * mpf(2) ** (-mp.prec + 6)
+
+
+def tail_claim(err, value) -> mpf:
+    """Claimed bound for a value whose truncation error is estimated by the
+    first omitted Euler-Maclaurin correction ``err``: the remainder can reach
+    that correction itself, so pad it by a quarter, then add the rounding
+    floor."""
+    return 5 * err / 4 + rounding_floor(value)
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """Result of a series evaluation.
@@ -149,3 +162,10 @@ def accelerate_alternating(a, K: int) -> SeriesValue:
     rate = (3 + 2 * sqrt(2)) ** (-K)
     return SeriesValue(value=s / d, abs_err=3 * rate * wsum / d,
                        terms_used=K, method="cvz")
+
+
+def cvz_terms(tol) -> int:
+    """Term count at which the Cohen-Rodriguez Villegas-Zagier acceleration
+    reaches ``tol``: its rate is (3+sqrt 8)^-K, plus six spare terms."""
+    digits = -mp.log10(mpf(tol))
+    return int(mp.ceil(digits * mp.log(10) / mp.log(3 + 2 * sqrt(2)))) + 6

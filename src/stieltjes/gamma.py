@@ -32,7 +32,8 @@ from math import factorial, gcd
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 
 from .core import (DomainError, SeriesValue, accelerate_alternating, comp_sum,
-                   default_tol, working_dps)
+                   cvz_terms, default_tol, rounding_floor, tail_claim,
+                   working_dps)
 from .logpoly import LogPoly, em_start_for, em_tail, pow_diff
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
@@ -58,15 +59,6 @@ class RationalArg:
 
     def as_mpf(self) -> mpf:
         return mpf(self.p) / self.q
-
-
-def _rounding_floor(value) -> mpf:
-    return (abs(value) + 1) * mpf(2) ** (-mp.prec + 6)
-
-
-def _tail_claim(tail, value) -> mpf:
-    # the remainder can reach the first omitted correction itself, so pad it
-    return 5 * tail.abs_err / 4 + _rounding_floor(value)
 
 
 def _validate(n: int, x) -> mpf:
@@ -116,6 +108,11 @@ def _gamma_limit(n: int, x, N: int) -> SeriesValue:
     return SeriesValue(value, mp.inf, N + 1, "limit")
 
 
+def _lattice_K(f: LogPoly, x, tol, start: int) -> int:
+    """Partial-sum length K whose lattice tail of f at K + x claims < tol/4."""
+    return em_start_for(lambda K: em_tail(f, K + x).abs_err, tol / 4, start)
+
+
 def _logpow_delta(n_lo, x_lo, n_hi, x_hi, q: int) -> mpf:
     """log^q(n_hi + x_hi) - log^q(n_lo + x_lo) without large-minus-large loss."""
     la = log(n_lo + x_lo)
@@ -128,12 +125,12 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = em_start_for(f, x, tol, start_min=32)
+        K = _lattice_K(f, x, tol, 32)
         terms = (f(k + x) - _logpow_delta(k, x, k + 1, x, q) / q for k in range(K))
         partial = comp_sum(terms)
         tail = em_tail(f, K + x)
         value = -log(x) ** q / q + partial + tail.value
-        return SeriesValue(value, _tail_claim(tail, value), K, "series_b")
+        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_b")
 
 
 def _gamma_series_c(n: int, x, tol) -> SeriesValue:
@@ -142,12 +139,12 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         f = LogPoly.single(1, n, 1)
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
-        K = em_start_for(f, x, tol, start_min=48)
+        K = _lattice_K(f, x, tol, 48)
         terms = (f(k + x) - _logpow_delta(k + 1, 0, k + 2, 0, q) / q for k in range(K))
         partial = comp_sum(terms)
         tail = em_tail(f, K + x)
         value = partial + tail.value + _logpow_delta(K, x, K + 1, 0, q) / q
-        return SeriesValue(value, _tail_claim(tail, value), K, "series_c")
+        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
 
 
 def incgamma_int(n: int, t) -> mpf:
@@ -178,13 +175,13 @@ def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = max(em_start_for(f, x, tol, start_min=32), m + 4)
+        K = max(_lattice_K(f, x, tol, 32), m + 4)
         head = comp_sum(f(k + x) for k in range(m + 1))
         partial = comp_sum(_coffey_panel(n, j, x, q) for j in range(m, K))
         tail = em_tail(f, K + x)
         value = (head - log(m + x) ** q / q - f(m + x) / 2
                  + partial + tail.value - f(K + x) / 2)
-        return SeriesValue(value, _tail_claim(tail, value), K, "coffey")
+        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
 
 
 def _coffey_panel(n: int, j: int, x, q: int) -> mpf:
@@ -212,13 +209,13 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = em_start_for(f, min(x, y), tol, start_min=32)
+        K = _lattice_K(f, min(x, y), tol, 32)
         partial = comp_sum(f(k + x) - f(k + y) for k in range(K))
         tx = em_tail(f, K + x)
         ty = em_tail(f, K + y)
         boundary = -_logpow_delta(K, y, K, x, q) / q
         value = partial + tx.value - ty.value + boundary
-        err = (5 * (tx.abs_err + ty.abs_err)) / 4 + _rounding_floor(value)
+        err = tail_claim(tx.abs_err + ty.abs_err, value)
         return SeriesValue(value, err, K, "difference")
 
 
@@ -286,42 +283,47 @@ def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
                 err += pi * abs(s) * lg.abs_err
                 terms += lg.terms_used
         value += log(q) ** 2 / 2 + log(q) * log(2 * pi)
-        return SeriesValue(value, err + _rounding_floor(value), terms, "rational_closed_form")
+        return SeriesValue(value, err + rounding_floor(value), terms, "rational_closed_form")
 
 
-def gamma1_alt(tol=None) -> SeriesValue:
-    """gamma_1 = sum_{n>=1} (-1)^n/(n+1) [H_n zeta(n+1) + zeta'(n+1)],
-    summed by alternating-series acceleration.
+def _harmonic_prefix(H: list, n: int) -> mpf:
+    """Extend H = [H_0, H_1, ...] through H_n and return H_n."""
+    while len(H) <= n:
+        H.append(H[-1] + mpf(1) / len(H))
+    return H[n]
+
+
+def _gamma1_bracket(n: int, H: list, inner_tol) -> mpf:
+    """[H_n zeta(n+1) + zeta'(n+1)]/(n+1), the n-th coefficient of the
+    alternating gamma_1 series; H caches the harmonic numbers.
 
     The bracket is positive for every n >= 1; a sign failure would indicate a
     zeta' defect, so it aborts loudly.
     """
+    z = hurwitz_em(n + 1, 1, inner_tol)
+    zp = zeta_prime_int(n + 1, inner_tol)
+    val = (_harmonic_prefix(H, n) * z.value + zp.value) / (n + 1)
+    if not val > 0:
+        raise ArithmeticError(
+            f"gamma1_alt: bracket H_n zeta + zeta' not positive at n={n}; "
+            "this indicates a zeta' defect")
+    return val
+
+
+def gamma1_alt(tol=None) -> SeriesValue:
+    """gamma_1 = sum_{n>=1} (-1)^n/(n+1) [H_n zeta(n+1) + zeta'(n+1)],
+    summed by alternating-series acceleration."""
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        digits = -mp.log10(tol)
-        K = int(mp.ceil(digits * mp.log(10) / mp.log(3 + 2 * mp.sqrt(2)))) + 6
-        hcache = [mpf(0)]
-        for m in range(1, K + 2):
-            hcache.append(hcache[-1] + mpf(1) / m)
+        K = cvz_terms(tol)
         inner_tol = tol / (1000 * K)
-
-        def a(k: int) -> mpf:
-            n = k + 1
-            z = hurwitz_em(n + 1, 1, inner_tol)
-            zp = zeta_prime_int(n + 1, inner_tol)
-            val = (hcache[n] * z.value + zp.value) / (n + 1)
-            if not val > 0:
-                raise ArithmeticError(
-                    f"gamma1_alt: bracket H_n zeta + zeta' not positive at n={n}; "
-                    "this indicates a zeta' defect")
-            return val
-
-        acc = accelerate_alternating(a, K)
+        H = [mpf(0)]
+        acc = accelerate_alternating(lambda k: _gamma1_bracket(k + 1, H, inner_tol), K)
         value = -acc.value
         # the combination weights sum to K/sqrt(2); each bracket carries up to
         # (H_K + 2) * inner_tol of claimed error
-        propagated = K * mp.sqrt(2) / 2 * (hcache[K + 1] + 2) * inner_tol
-        return SeriesValue(value, acc.abs_err + propagated + _rounding_floor(value),
+        propagated = K * mp.sqrt(2) / 2 * (_harmonic_prefix(H, K + 1) + 2) * inner_tol
+        return SeriesValue(value, acc.abs_err + propagated + rounding_floor(value),
                            acc.terms_used, "alternating")
 
 

@@ -13,7 +13,9 @@ a short partial sum plus Bernoulli-weighted endpoint corrections:
 
 with |R_J| estimated by the first omitted correction.  The same corrections
 apply to summands built from log powers at several shifted arguments
-(ShiftedLogSum below), where only the closed-form integral differs.
+(ShiftedLogSum below), where only the closed-form integral differs.  Every
+series route picks its partial-sum length K from the one ladder
+em_start_for and takes its corrections from the one loop em_tail_shifted.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb, factorial
 
 from mpmath import log, mpf
 
-from .core import DomainError, SeriesValue
+from .core import ConvergenceError, DomainError, SeriesValue
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
@@ -115,11 +117,6 @@ class LogPoly:
         return "LogPoly(" + " + ".join(bits) + ")"
 
 
-def logpoly_diff(f: LogPoly) -> LogPoly:
-    """Term-by-term derivative, canonicalized (like terms merged)."""
-    return f.diff()
-
-
 def logpow_antiderivative(q: int, u) -> mpf:
     """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
     u = mpf(u)
@@ -163,6 +160,9 @@ def logpoly_integral_to_inf(f: LogPoly, a) -> mpf:
     return total
 
 
+K_CAP = 10 ** 6
+
+
 def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
@@ -177,21 +177,9 @@ def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
         raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
     if J > 8:
         raise DomainError("em_tail: correction order J must be <= 8")
-    start = mpf(start)
-    if start < 2:
+    if mpf(start) < 2:
         raise DomainError("em_tail: start must be >= 2")
-    value = f(start) / 2
-    d = f
-    order = 0
-    for j in range(1, J + 1):
-        while order < 2 * j - 1:
-            d = d.diff()
-            order += 1
-        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * d(start)
-    while order < 2 * J + 1:
-        d = d.diff()
-        order += 1
-    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * d(start))
+    value, err = em_tail_shifted(f.diff(), f(start), 0, start, J)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
@@ -215,12 +203,13 @@ class ShiftedLogSum:
         return total
 
 
-def em_tail_shifted(v_prime: ShiftedLogSum, v_at_start, integral, start,
+def em_tail_shifted(v_prime, v_at_start, integral, start,
                     J: int = 4) -> tuple[mpf, mpf]:
     """sum_{k>=0} v(start + k) where the caller supplies v(start), the
-    closed-form int_start^inf v(t) dt, and v' as a ShiftedLogSum.
+    closed-form int_start^inf v(t) dt, and v' as a LogPoly or ShiftedLogSum.
 
-    Returns (value, err) with the same correction/err policy as em_tail.
+    Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
+    corrections of order j <= J, and the magnitude of the first omitted one.
     """
     start = mpf(start)
     value = mpf(integral) + mpf(v_at_start) / 2
@@ -238,17 +227,18 @@ def em_tail_shifted(v_prime: ShiftedLogSum, v_at_start, integral, start,
     return value, err
 
 
-def em_start_for(f: LogPoly, shift, tol, start_min: int = 16,
-                 factor: int = 4, J: int = 4) -> int:
-    """Smallest K in the geometric ladder start_min * factor^i such that the
-    claimed em_tail error at K + shift is below tol/4."""
-    shift = mpf(shift)
-    tol = mpf(tol)
-    K = start_min
+def em_start_for(err_at, bound, start: int, factor: int = 4) -> int:
+    """First rung K of the ladder start * factor^i whose claimed tail error
+    err_at(K) is below bound.
+
+    Raises ConvergenceError once a rung past K_CAP fails: the partial sum
+    would need more terms than the library spends on one series.
+    """
+    K = start
     while True:
-        probe = em_tail(f, K + shift, J)
-        if probe.abs_err < tol / 4:
+        if err_at(K) < bound:
             return K
-        if K > 10 ** 7:
-            raise DomainError("em_start_for: tolerance unreachable; raise tol")
+        if K > K_CAP:
+            raise ConvergenceError(
+                f"tolerance unreachable within {K_CAP} series terms; raise tol")
         K *= factor

@@ -24,24 +24,20 @@ integrals over [K, inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 
-from .core import (DomainError, SeriesValue, accelerate_alternating, comp_sum,
-                   default_tol, working_dps)
-from .gamma import RationalArg, gamma_n
-from .logpoly import (LogPoly, ShiftedLogSum, em_tail_shifted,
+from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
+                   rounding_floor, tail_claim, working_dps)
+from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
+from .logpoly import (LogPoly, ShiftedLogSum, em_start_for, em_tail_shifted,
                       logpow_antiderivative, pow_diff)
-from .zeta import hurwitz_em, zeta_prime_int
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
-
-
-def _rounding_floor(value) -> mpf:
-    return (abs(value) + 1) * mpf(2) ** (-mp.prec + 6)
 
 
 def _cot_pi(frac) -> mpf:
@@ -200,7 +196,7 @@ def _eta_from_gamma(n: int, tol) -> SeriesValue:
             bumped[j] += vals[j].abs_err
             err += abs(_eta_coeff_from(bumped, n) - value)
         terms = sum(v.terms_used for v in vals)
-        return SeriesValue(value, err + _rounding_floor(value), terms, "from_gamma")
+        return SeriesValue(value, err + rounding_floor(value), terms, "from_gamma")
 
 
 def _eta_series(n: int, K: int) -> SeriesValue:
@@ -219,27 +215,20 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     pending = sorted(set(int(c) for c in checkpoints))
     if pending[0] < 1:
         raise DomainError("mangoldt_gap_sums: checkpoints must be >= 1")
-    N = pending[-1]
-    table = von_mangoldt(N)
+    table = von_mangoldt(pending[-1])
     out: dict[int, mpf] = {}
+
+    def term(k: int) -> mpf:
+        weight = log(k) ** n / k if n else mpf(1) / k
+        return (table.value(k) - 1) * weight
+
     with workdps(mp.dps + 8):
-        s = mpf(0)
-        c = mpf(0)
-        powers = table.powers
-        for k in range(1, N + 1):
-            entry = powers.get(k)
-            lam = log(entry[0]) if entry else mpf(0)
-            weight = log(k) ** n / k if n else mpf(1) / k
-            term = (lam - 1) * weight
-            y = term - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            if k == pending[0]:
-                out[k] = s + c
-                pending.pop(0)
-                if not pending:
-                    break
+        total = mpf(0)
+        lo = 1
+        for hi in pending:
+            total = comp_sum(chain([total], (term(k) for k in range(lo, hi + 1))))
+            out[hi] = total
+            lo = hi + 1
     return out
 
 
@@ -261,26 +250,15 @@ def delta(n: int, N: int = 10000, J: int = 4) -> SeriesValue:
         partial = comp_sum(log(k) ** n for k in range(2, N + 1))
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
-        gprime = ShiftedLogSum([(1, 0, LogPoly.single(1, n, 0).diff())])
+        gprime = LogPoly.single(1, n, 0).diff()
         correction, err = em_tail_shifted(gprime, 0, 0, N, J)
         value += correction
-        return SeriesValue(value, 5 * err / 4 + _rounding_floor(value), N, "em_corrected")
+        return SeriesValue(value, tail_claim(err, value), N, "em_corrected")
 
 
 # ---------------------------------------------------------------------------
 # digamma / log gamma
 # ---------------------------------------------------------------------------
-
-def _choose_K(vprime: ShiftedLogSum, tol, start: int = 16) -> int:
-    K = start
-    while True:
-        _, err = em_tail_shifted(vprime, 0, 0, K)
-        if err < tol / 4:
-            return K
-        if K > 10 ** 6:
-            raise DomainError("tolerance unreachable for this summand")
-        K *= 4
-
 
 def digamma(x, tol=None) -> SeriesValue:
     """psi(x) from psi(1+x) = log(1+x) - sum_{k>=1} [1/(k+x) - log(1+1/(k+x))],
@@ -292,15 +270,17 @@ def digamma(x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         inv = LogPoly.single(1, 0, 1)
         hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
-        K = _choose_K(hprime, tol)
-        partial = comp_sum(
-            mpf(1) / (k + x) - log(1 + 1 / (k + x)) for k in range(1, K))
-        h0 = mpf(1) / (K + x) - log(1 + 1 / (K + x))
+        K = em_start_for(lambda K: em_tail_shifted(hprime, 0, 0, K)[1], tol / 4, 16)
+
+        def h(k):
+            return mpf(1) / (k + x) - log(1 + 1 / (k + x))
+
+        partial = comp_sum(h(k) for k in range(1, K))
         integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
                     - logpow_antiderivative(1, K + x))
-        tail, err = em_tail_shifted(hprime, h0, integral, K)
+        tail, err = em_tail_shifted(hprime, h(K), integral, K)
         value = log(1 + x) - (partial + tail) - 1 / x
-        return SeriesValue(value, 5 * err / 4 + _rounding_floor(value), K, "log_series")
+        return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
 
 def log_gamma(x, tol=None) -> SeriesValue:
@@ -311,24 +291,21 @@ def log_gamma(x, tol=None) -> SeriesValue:
         raise DomainError("log_gamma: x must be > 0")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        series, err, K = _log_gamma1p(x, tol)
-        value = series - log(x)
-        return SeriesValue(value, 5 * err / 4 + _rounding_floor(value), K, "log_series")
+        inv = LogPoly.single(1, 0, 1)
+        hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
+        K = em_start_for(lambda K: em_tail_shifted(hprime, 0, 0, K)[1], tol / 4,
+                         max(16, int(2 * abs(x)) + 2))
 
+        def h(k):
+            return x * log(1 + mpf(1) / k) - log(1 + x / k)
 
-def _log_gamma1p(x, tol):
-    """log Gamma(x+1) by the product-form series; returns (value, err, K)."""
-    inv = LogPoly.single(1, 0, 1)
-    hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
-    K = _choose_K(hprime, tol, start=max(16, int(2 * abs(x)) + 2))
-    partial = comp_sum(
-        x * log(1 + mpf(1) / k) - log(1 + x / k) for k in range(1, K))
-    h0 = x * log(1 + mpf(1) / K) - log(1 + x / K)
-    integral = (logpow_antiderivative(1, K + x)
-                - (1 - x) * logpow_antiderivative(1, mpf(K))
-                - x * logpow_antiderivative(1, mpf(K + 1)))
-    tail, err = em_tail_shifted(hprime, h0, integral, K)
-    return partial + tail, err, K
+        partial = comp_sum(h(k) for k in range(1, K))
+        integral = (logpow_antiderivative(1, K + x)
+                    - (1 - x) * logpow_antiderivative(1, mpf(K))
+                    - x * logpow_antiderivative(1, mpf(K + 1)))
+        tail, err = em_tail_shifted(hprime, h(K), integral, K)
+        value = partial + tail - log(x)
+        return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
 
 def digamma_rational(r: RationalArg, tol=None) -> SeriesValue:
@@ -357,7 +334,7 @@ def digamma_rational(r: RationalArg, tol=None) -> SeriesValue:
                 value -= 2 * c * lg.value
                 err += 2 * abs(c) * lg.abs_err
                 terms += lg.terms_used
-        err += _rounding_floor(value)
+        err += rounding_floor(value)
         direct = digamma(r.as_mpf(), tol)
         if abs(value - direct.value) > err + direct.abs_err:
             raise ArithmeticError(
@@ -390,16 +367,19 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
             return SeriesValue(mpf(0), mpf(0), 1, "log_series")
         fk = LogPoly.single(1, k, 1)
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
-        K = _choose_K(wprime, tol, start=max(16, int(2 * abs(x)) + 2))
-        partial = comp_sum(
-            x * fk(j) - _lgk_delta(j, x, q) / q for j in range(1, K))
-        w0 = x * fk(K) - _lgk_delta(K, x, q) / q
+        K = em_start_for(lambda K: em_tail_shifted(wprime, 0, 0, K)[1], tol / 4,
+                         max(16, int(2 * abs(x)) + 2))
+
+        def h(j):
+            return x * fk(j) - _lgk_delta(j, x, q) / q
+
+        partial = comp_sum(h(j) for j in range(1, K))
         integral = (-x * log(K) ** q / q
                     + (logpow_antiderivative(q, K + x)
                        - logpow_antiderivative(q, mpf(K))) / q)
-        tail, err = em_tail_shifted(wprime, w0, integral, K)
+        tail, err = em_tail_shifted(wprime, h(K), integral, K)
         value = -gk.value * x + partial + tail
-        err = 5 * err / 4 + abs(x) * gk.abs_err + _rounding_floor(value)
+        err = tail_claim(err, value) + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
 
 
@@ -415,8 +395,9 @@ def dilcher_power_series(x, tol=None) -> SeriesValue:
 
         sum_{n>=1} (-1)^n/(n+1) [H_n zeta(n+1) + zeta'(n+1)] x^(n+1)
 
-    for |x| <= 1; the boundary x = 1 goes through alternating-series
-    acceleration.  x = -1 is outside the domain (log Gamma_1(0) diverges).
+    for |x| <= 1.  At the boundary x = 1 the series is gamma_1's alternating
+    series, so gamma1_alt sums it.  x = -1 is outside the domain
+    (log Gamma_1(0) diverges).
     """
     x = mpf(x)
     if abs(x) > 1:
@@ -426,39 +407,21 @@ def dilcher_power_series(x, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     if x == 0:
         return SeriesValue(mpf(0), mpf(0), 1, "power_series")
+    if x == 1:
+        return replace(gamma1_alt(tol), method="power_series")
     with workdps(working_dps(tol)):
-        hcache = [mpf(0)]
-        K = _cvz_terms(tol)
-        inner_tol = tol / (1000 * K)
-
-        def bracket(n: int) -> mpf:
-            while len(hcache) <= n:
-                hcache.append(hcache[-1] + mpf(1) / len(hcache))
-            z = hurwitz_em(n + 1, 1, inner_tol)
-            zp = zeta_prime_int(n + 1, inner_tol)
-            return (hcache[n] * z.value + zp.value) / (n + 1)
-
-        if abs(x) == 1:
-            acc = accelerate_alternating(lambda kk: bracket(kk + 1), K)
-            value = -acc.value
-            propagated = K * mp.sqrt(2) / 2 * (mp.log(K + 2) + 3) * inner_tol
-            return SeriesValue(value, acc.abs_err + propagated + _rounding_floor(value),
-                               acc.terms_used, "power_series")
+        H = [mpf(0)]
+        inner_tol = tol / (1000 * cvz_terms(tol))
         total = mpf(0)
         n = 1
         while True:
-            term = (-1) ** n * bracket(n) * x ** (n + 1)
+            term = (-1) ** n * _gamma1_bracket(n, H, inner_tol) * x ** (n + 1)
             total += term
             # the bracket decays like log n / n, so x^(n+1) rules the tail
             bound = abs(term) * abs(x) / (1 - abs(x))
             if abs(term) < tol / 8 and bound < tol / 2:
-                return SeriesValue(total, bound + tol / 8 + _rounding_floor(total),
+                return SeriesValue(total, bound + tol / 8 + rounding_floor(total),
                                    n, "power_series")
             if n > 4000:
                 raise DomainError("dilcher_power_series: slow convergence; |x| too close to 1")
             n += 1
-
-
-def _cvz_terms(tol) -> int:
-    digits = -mp.log10(mpf(tol))
-    return int(mp.ceil(digits * mp.log(10) / mp.log(3 + 2 * mp.sqrt(2)))) + 6

@@ -190,14 +190,15 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     hprime = ShiftedLogSum([(q, x, f), (-q, 1, f),
                             (-q * (x - 1), 1, f.diff())])
     K = 64
-    G = lambda u: log(u) ** q
-    partial = comp_sum(
-        G(k + x) - G(k + 1) - q * (x - 1) * f(k + 1) for k in range(K))
-    h0 = G(K + x) - G(K + 1) - q * (x - 1) * f(K + 1)
+
+    def h(k):
+        return log(k + x) ** q - log(k + 1) ** q - q * (x - 1) * f(k + 1)
+
+    partial = comp_sum(h(k) for k in range(K))
     integral = (-logpow_antiderivative(q, K + x)
                 + logpow_antiderivative(q, mpf(K + 1))
-                + (x - 1) * G(K + 1))
-    tail, err = em_tail_shifted(hprime, h0, integral, K)
+                + (x - 1) * log(K + 1) ** q)
+    tail, err = em_tail_shifted(hprime, h(K), integral, K)
     return partial + tail, err
 
 

@@ -32,18 +32,14 @@ from __future__ import annotations
 
 from math import factorial
 
-from mpmath import log, mp, mpf, pi, workdps
+from mpmath import log, mpf, pi, workdps
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
-                   default_tol, working_dps)
-from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_tail_shifted,
-                      logpow_antiderivative, pow_diff)
+                   default_tol, rounding_floor, tail_claim, working_dps)
+from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_start_for,
+                      em_tail_shifted, logpow_antiderivative, pow_diff)
 
 POLE_EXCLUSION = mpf("1e-6")
-
-
-def _rounding_floor(value) -> mpf:
-    return (abs(value) + 1) * mpf(2) ** (-mp.prec + 6)
 
 
 def _validate_x(x) -> mpf:
@@ -63,15 +59,10 @@ def hurwitz_em(s, x, tol=None, J: int = 6) -> SeriesValue:
         raise DomainError(f"hurwitz_em: needs s > -(2J-1) = {-(2 * J - 1)}")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        N = max(8, int(abs(s)) + 2 * J + 2)
-        while True:
-            a = N + x
-            err = _em_zeta_correction_err(s, a, J)
-            if err < tol / 2 or N > 10 ** 7:
-                break
-            N *= 4
-        if err > tol / 2:
-            raise ConvergenceError("hurwitz_em: tolerance unreachable")
+        N = em_start_for(lambda N: _em_zeta_correction_err(s, N + x, J), tol / 2,
+                         max(8, int(abs(s)) + 2 * J + 2))
+        a = N + x
+        err = _em_zeta_correction_err(s, a, J)
         terms = [(k + x) ** (-s) for k in range(N)]
         total = comp_sum(terms)
         boundary = a ** (1 - s) / (s - 1)
@@ -80,8 +71,8 @@ def hurwitz_em(s, x, tol=None, J: int = 6) -> SeriesValue:
             rf = _rising(s, 2 * j - 1)
             total += bernoulli_mpf(2 * j) / factorial(2 * j) * rf * a ** (-s - 2 * j + 1)
         # for s < 0 the power sum dwarfs the result; dust scales with it
-        scale = max(abs(terms[-1]), abs(boundary), abs(total)) + 1
-        return SeriesValue(total, err + scale * mpf(2) ** (-mp.prec + 8), N, "em")
+        scale = max(abs(terms[-1]), abs(boundary), abs(total))
+        return SeriesValue(total, err + 4 * rounding_floor(scale), N, "em")
 
 
 def _rising(s, m: int) -> mpf:
@@ -139,7 +130,7 @@ def _hasse_attempt(s, x, tol, budget):
             consec += 1
             if consec >= 5 and tail_est <= scale * tol:
                 value = total / (s - 1)
-                return SeriesValue(value, tail_est / scale + _rounding_floor(value),
+                return SeriesValue(value, tail_est / scale + rounding_floor(value),
                                    n + 1, "hasse")
         else:
             consec = 0
@@ -158,14 +149,7 @@ def zeta_deriv0_diff(k: int, x, tol=None, J: int = 4) -> SeriesValue:
     with workdps(working_dps(tol) + 8):
         gprime = LogPoly.single(q, q - 1, 1)
         vprime = ShiftedLogSum([(1, x, gprime), (x - 1, 0, gprime), (-x, 1, gprime)])
-        K = 32
-        while True:
-            _, err = em_tail_shifted(vprime, 0, 0, K, J)
-            if err < tol / 4 or K > 10 ** 6:
-                break
-            K *= 4
-        if err > tol / 4:
-            raise ConvergenceError("zeta_deriv0_diff: tolerance unreachable")
+        K = em_start_for(lambda K: em_tail_shifted(vprime, 0, 0, K, J)[1], tol / 4, 32)
         lx = log(x)
         total = lx ** q + comp_sum(_deriv_summand(n, x, q) for n in range(1, K))
         v0 = _deriv_summand(K, x, q)
@@ -175,8 +159,7 @@ def zeta_deriv0_diff(k: int, x, tol=None, J: int = 4) -> SeriesValue:
         tail, err = em_tail_shifted(vprime, v0, integral, K, J)
         total += tail
         value = (-1) ** (k + 1) * total
-        # remainders can reach the first omitted correction; pad the claim
-        return SeriesValue(value, 5 * err / 4 + _rounding_floor(value), K, "log_series")
+        return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
 
 def _deriv_summand(n: int, x, q: int) -> mpf:
@@ -198,7 +181,7 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
         return SeriesValue(mpf(-1) / 2, mpf(0), 1, "closed_form")
     if n == 1:
         value = -log(2 * pi) / 2
-        return SeriesValue(value, _rounding_floor(value), 1, "closed_form")
+        return SeriesValue(value, rounding_floor(value), 1, "closed_form")
     if n == 2:
         from .gamma import gamma_n  # lazy: gamma imports this module
         g0 = gamma_n(0, 1, tol=tol / 8)
@@ -206,7 +189,7 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
         with workdps(working_dps(tol)):
             value = (g1.value + g0.value ** 2 / 2 - pi ** 2 / 24
                      - log(2 * pi) ** 2 / 2)
-            err = g1.abs_err + abs(g0.value) * 2 * g0.abs_err + _rounding_floor(value)
+            err = g1.abs_err + abs(g0.value) * 2 * g0.abs_err + rounding_floor(value)
         return SeriesValue(value, err, g0.terms_used + g1.terms_used, "closed_form")
     raise DomainError("zeta_deriv0_const: only n <= 2 has a provided constant")
 
@@ -223,14 +206,8 @@ def zeta_prime_int(s, tol=None, J: int = 4) -> SeriesValue:
         raise DomainError("zeta_prime_int: needs s > 1")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        K = 8
-        while True:
-            err = _zp_tail_err(s, K, J)
-            if err < tol / 2 or K > 10 ** 6:
-                break
-            K *= 2
-        if err > tol / 2:
-            raise ConvergenceError("zeta_prime_int: tolerance unreachable")
+        K = em_start_for(lambda K: _zp_tail_err(s, K, J), tol / 2, 8, factor=2)
+        err = _zp_tail_err(s, K, J)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
         Km = mpf(K)
         tail = Km ** (1 - s) * (log(Km) / (s - 1) + (s - 1) ** (-2))
@@ -243,7 +220,7 @@ def zeta_prime_int(s, tol=None, J: int = 4) -> SeriesValue:
                 m += 1
             tail -= bernoulli_mpf(2 * j) / factorial(2 * j) * (a * log(Km) + b) * Km ** (-s - m)
         value = -(partial + tail)
-        return SeriesValue(value, 5 * err / 4 + _rounding_floor(value), K, "log_series")
+        return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
 
 def _zp_tail_err(s, K, J: int) -> mpf:

@@ -5,10 +5,14 @@ from hypothesis import given, settings, strategies as st
 from mpmath import log, mpf, workdps
 
 import oracles
-from stieltjes.core import DomainError, comp_sum
-from stieltjes.logpoly import (LogPoly, bernoulli, em_tail,
-                               logpoly_integral_to_inf, logpoly_diff,
+from stieltjes.core import ConvergenceError, DomainError, comp_sum
+from stieltjes.gamma import gamma_n
+from stieltjes.logpoly import (K_CAP, LogPoly, bernoulli,
+                               em_start_for, em_tail, em_tail_shifted,
+                               logpoly_integral_to_inf,
                                logpow_antiderivative)
+from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
+from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
 
 
 def test_bernoulli_pinned_values():
@@ -26,18 +30,18 @@ def test_bernoulli_cache_order_invariant():
 
 
 def test_diff_of_constant_is_zero():
-    assert logpoly_diff(LogPoly.single(1, 0, 0)).is_zero()
+    assert LogPoly.single(1, 0, 0).diff().is_zero()
 
 
 def test_diff_product_rule():
-    got = logpoly_diff(LogPoly.single(1, 1, 1))
+    got = LogPoly.single(1, 1, 1).diff()
     want = LogPoly({(0, 2): mpf(1), (1, 2): mpf(-1)})
     assert got == want
 
 
 def test_double_diff_matches_finite_difference():
     f = LogPoly.single(1, 2, 1)  # log^2 t / t
-    d2 = logpoly_diff(logpoly_diff(f))
+    d2 = f.diff().diff()
     t = mpf(10)
     with workdps(40):
         h = mpf("1e-8")
@@ -56,8 +60,8 @@ term_st = st.tuples(st.integers(0, 3), st.integers(0, 3))
 def test_diff_linearity_exact(f_terms, g_terms, a, b):
     f = LogPoly({k: mpf(c) for k, c in f_terms.items()})
     g = LogPoly({k: mpf(c) for k, c in g_terms.items()})
-    lhs = logpoly_diff(f.scaled(a) + g.scaled(b))
-    rhs = logpoly_diff(f).scaled(a) + logpoly_diff(g).scaled(b)
+    lhs = (f.scaled(a) + g.scaled(b)).diff()
+    rhs = f.diff().scaled(a) + g.diff().scaled(b)
     assert lhs == rhs
 
 
@@ -94,6 +98,58 @@ def test_em_tail_inverse_t_vs_exact_harmonic():
 def test_em_tail_logt2_vs_brute_oracle():
     sv = em_tail(LogPoly.single(1, 1, 2), 10**4)
     assert abs(sv.value - mpf(oracles.EM_TAIL_LOGT2_1E4)) < mpf("1e-18")
+
+
+@pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
+def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
+    f = LogPoly.single(1, m, p)
+    a = mpf(a)
+    sv = em_tail(f, a)
+    value, err = em_tail_shifted(f.diff(), f(a), 0, a)
+    assert (sv.value, sv.abs_err) == (value, err)
+
+
+def test_em_start_for_returns_smallest_passing_rung():
+    probes = []
+
+    def err_at(K):
+        probes.append(K)
+        return mpf(1) / K
+
+    assert em_start_for(err_at, mpf(1) / 1000, 16) == 1024
+    assert probes == [16, 64, 256, 1024]
+    # the bound is strict: a rung whose error equals it does not pass
+    assert em_start_for(err_at, mpf(1) / 256, 16) == 1024
+    assert em_start_for(err_at, mpf(1) / 1000, 8, factor=2) == 1024
+
+
+def test_em_start_for_raises_past_the_budget():
+    probes = []
+
+    def err_at(K):
+        probes.append(K)
+        return mpf(1)
+
+    with pytest.raises(ConvergenceError):
+        em_start_for(err_at, mpf("1e-10"), 16)
+    # the first rung past the cap is still probed, then the ladder stops
+    assert probes[-2] <= K_CAP < probes[-1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_n(1, 1, "series_b", mpf("1e-200")),
+    lambda: gamma_n(1, 1, "series_c", mpf("1e-200")),
+    lambda: gamma_n(1, 1, "coffey", mpf("1e-200")),
+    lambda: digamma(mpf("0.5"), mpf("1e-70")),
+    lambda: log_gamma(mpf("0.5"), mpf("1e-70")),
+    lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-70")),
+    lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-70")),
+    lambda: hurwitz_em(2, mpf("0.5"), mpf("1e-200")),
+], ids=["series_b", "series_c", "coffey", "digamma", "log_gamma",
+        "dilcher_log_gamma_k", "zeta_deriv0_diff", "hurwitz_em"])
+def test_unreachable_tolerance_raises_convergence_error(call):
+    with pytest.raises(ConvergenceError):
+        call()
 
 
 def test_integral_to_inf_closed_form():
