@@ -21,6 +21,10 @@ The trapezoid-defect representation ("coffey") rewrites each panel defect with
 integer-order incomplete gamma functions, using log^n u/u = Gamma(n+1, log u)
 - n Gamma(n, log u); its tail telescopes to the same lattice sum minus half
 the first summand.
+
+All four lattice sums (the three routes and gamma_diff) take their
+partial-sum length K and Euler-Maclaurin order J from _lattice_plan: J rises
+above 4 with the digits asked for, and only where that order is certified.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, accelerate_alternating, comp_sum,
                    cvz_terms, default_tol, rounding_floor, tail_claim,
                    working_dps)
-from .logpoly import LogPoly, em_start_for, em_tail, pow_diff
+from .logpoly import LogPoly, em_order_for, em_start_for, em_tail, pow_diff
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -108,9 +112,20 @@ def _gamma_limit(n: int, x, N: int) -> SeriesValue:
     return SeriesValue(value, mp.inf, N + 1, "limit")
 
 
-def _lattice_K(f: LogPoly, x, tol, start: int) -> int:
-    """Partial-sum length K whose lattice tail of f at K + x claims < tol/4."""
-    return em_start_for(lambda K: em_tail(f, K + x).abs_err, tol / 4, start)
+def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
+    """(K, tail) for the lattice sum of f = log^n t / t from K + x: the first
+    rung K of em_start_for's ladder whose tail claims < tol/4, and that
+    rung's em_tail, taken at the order em_order_for picks there."""
+    f = LogPoly.single(1, n, 1)
+    bound = tol / 4
+    probes = {}
+
+    def err_at(K):
+        probes[K] = em_tail(f, K + x, em_order_for(n, K + x, bound))
+        return probes[K].abs_err
+
+    K = em_start_for(err_at, bound, start)
+    return K, probes[K]
 
 
 def _logpow_delta(n_lo, x_lo, n_hi, x_hi, q: int) -> mpf:
@@ -125,10 +140,9 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = _lattice_K(f, x, tol, 32)
+        K, tail = _lattice_plan(n, x, tol, 32)
         terms = (f(k + x) - _logpow_delta(k, x, k + 1, x, q) / q for k in range(K))
         partial = comp_sum(terms)
-        tail = em_tail(f, K + x)
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_b")
 
@@ -139,10 +153,9 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         f = LogPoly.single(1, n, 1)
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
-        K = _lattice_K(f, x, tol, 48)
+        K, tail = _lattice_plan(n, x, tol, 48)
         terms = (f(k + x) - _logpow_delta(k + 1, 0, k + 2, 0, q) / q for k in range(K))
         partial = comp_sum(terms)
-        tail = em_tail(f, K + x)
         value = partial + tail.value + _logpow_delta(K, x, K + 1, 0, q) / q
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
 
@@ -175,10 +188,13 @@ def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = max(_lattice_K(f, x, tol, 32), m + 4)
+        K, tail = _lattice_plan(n, x, tol, 32)
+        if K < m + 4:
+            # a later start keeps the plan's order certified and its error
+            K = m + 4
+            tail = em_tail(f, K + x, tail.terms_used)
         head = comp_sum(f(k + x) for k in range(m + 1))
         partial = comp_sum(_coffey_panel(n, j, x, q) for j in range(m, K))
-        tail = em_tail(f, K + x)
         value = (head - log(m + x) ** q / q - f(m + x) / 2
                  + partial + tail.value - f(K + x) / 2)
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
@@ -209,10 +225,12 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
-        K = _lattice_K(f, min(x, y), tol, 32)
+        K, tail = _lattice_plan(n, min(x, y), tol, 32)
         partial = comp_sum(f(k + x) - f(k + y) for k in range(K))
-        tx = em_tail(f, K + x)
-        ty = em_tail(f, K + y)
+        # the plan was made at the smaller argument; its order stays certified
+        # at the larger one
+        other = em_tail(f, K + max(x, y), tail.terms_used)
+        tx, ty = (tail, other) if x < y else (other, tail)
         boundary = -_logpow_delta(K, y, K, x, q) / q
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value)

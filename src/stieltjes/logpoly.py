@@ -16,14 +16,19 @@ apply to summands built from log powers at several shifted arguments
 (ShiftedLogSum below), where only the closed-form integral differs.  Every
 series route picks its partial-sum length K from the one ladder
 em_start_for and takes its corrections from the one loop em_tail_shifted.
+On the gamma_n series, gamma_diff and the s = 0 derivative series,
+em_order_for raises the order J with the digits asked for, above 4 only
+where that order is certified.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
-from mpmath import log, mpf
+from mpmath import log, mpf, workprec
 
 from .core import ConvergenceError, DomainError, SeriesValue
 
@@ -161,22 +166,27 @@ def logpoly_integral_to_inf(f: LogPoly, a) -> mpf:
 
 
 K_CAP = 10 ** 6
+# Largest correction order em_tail accepts: well past the orders any series
+# route plans (J_PLAN_MAX), while B_2J+2 from a cold cache stays a few
+# milliseconds' work.
+EM_ORDER_MAX = 32
 
 
 def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); abs_err is the
-    magnitude of the first omitted correction (alternating-envelope bound).
-    start may be any real >= 2 (unit-step lattice starting there); every term
-    of f must have inv_power >= 1 or the paired tail diverges.
+    magnitude of the first omitted correction (alternating-envelope bound);
+    terms_used is J.  start may be any real >= 2 (unit-step lattice starting
+    there); every term of f must have inv_power >= 1 or the paired tail
+    diverges.
     """
     if f.is_zero():
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
     if f.min_inv_power < 1:
         raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
-    if J > 8:
-        raise DomainError("em_tail: correction order J must be <= 8")
+    if J > EM_ORDER_MAX:
+        raise DomainError(f"em_tail: correction order J must be <= {EM_ORDER_MAX}")
     if mpf(start) < 2:
         raise DomainError("em_tail: start must be >= 2")
     value, err = em_tail_shifted(f.diff(), f(start), 0, start, J)
@@ -242,3 +252,104 @@ def em_start_for(err_at, bound, start: int, factor: int = 4) -> int:
             raise ConvergenceError(
                 f"tolerance unreachable within {K_CAP} series terms; raise tol")
         K *= factor
+
+
+# Largest Euler-Maclaurin order em_order_for picks.  J = 13 is the smallest
+# order that takes a 50-digit gamma_1 to the second rung (K = 128).  The cap
+# also sets where the term budget ends: past about 1e-175 no rung up to K_CAP
+# reaches tol/4 and the gamma routes raise ConvergenceError (about 1e-65 at
+# J = 4 alone).
+J_PLAN_MAX = 13
+# certified starts are searched on the grid log t = i / _GRID
+_GRID = 64
+
+
+def em_order_for(n: int, a, bound, d: int = 0) -> int:
+    """Smallest order J whose first omitted correction at a is estimated
+    below bound, among J = 4 and the orders certified at a; 4 if none is.
+
+    The summand v has v^(m) close to f^(m+d) for f = log^n t / t near a,
+    up to a factor the caller takes out of bound.  d = 0 is the lattice sum
+    of f.  d = 1 is a second difference v(t) = g(t+x) + (x-1) g(t) - x g(t+1)
+    with g' = f: v^(m)(t) = x(x-1) g^(m)[t, t+1, t+x], a divided difference,
+    which is x(x-1)/2 times a weighted mean of f^(m+1) over [t, t+max(1, x)]
+    with a nonnegative weight.
+
+    An order J > 4 is certified at a when f^(2J+2+d) and f^(2J+4+d) keep one
+    sign on [a, inf); then so do v^(2J+2) and v^(2J+4), and the
+    Euler-Maclaurin remainder is theta times the first omitted correction
+    with 0 <= theta <= 1 (Graham, Knuth, Patashnik, Concrete Mathematics,
+    eq. 9.78), so em_tail_shifted's err is a bound.  The estimate only
+    picks J; em_start_for tests the tail's own err.
+    """
+    L = float(log(a))
+    lb = float(log(bound))
+    for J, (lw, coeffs, t_J) in enumerate(_order_table(n, d), 4):
+        if J > 4 and a < t_J:
+            break
+        p = abs(sum(c * L ** m for m, c in enumerate(coeffs)))
+        if p == 0 or lw + math.log(p) - (2 * J + 2 + d) * L < lb:
+            return J
+    return 4
+
+
+@lru_cache(maxsize=None)
+def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...], float], ...]:
+    """For J = 4..J_PLAN_MAX: log(|B_2J+2|/(2J+2)), the coefficients of
+    P/(2J+1)! where f^(2J+1+d)(t) = P(log t)/t^(2J+2+d), and the certified
+    start t_J of order J (unused at J = 4, which keeps its uncertified plans).
+
+    The estimated first omitted correction at a is
+    exp(lw) |P(log a)/(2J+1)!| a^-(2J+2+d).
+    """
+    with workprec(512):  # exact: every coefficient is below (n + 2J + 5)!
+        g = LogPoly.single(1, n, 1)
+        polys = []
+        for k in range(1, 2 * J_PLAN_MAX + 5 + d):
+            g = g.diff()
+            polys.append([int(g.terms.get((m, k + 1), 0)) for m in range(n + 1)])
+    sign = (-1) ** d  # f^(m) is eventually of sign (-1)^m
+    table = []
+    for J in range(4, J_PLAN_MAX + 1):
+        b = bernoulli(2 * J + 2)
+        lw = math.log(abs(b.numerator)) - math.log(b.denominator) - math.log(2 * J + 2)
+        coeffs = tuple(c / factorial(2 * J + 1) for c in polys[2 * J + d])
+        i = _descartes_start([sign * c for c in polys[2 * J + 1 + d]],
+                             [sign * c for c in polys[2 * J + 3 + d]])
+        # rounded up, so that a >= t_J implies log a >= i / _GRID
+        table.append((lw, coeffs, math.exp(i / _GRID) * (1 + 1e-12)))
+    return tuple(table)
+
+
+def _descartes_start(*polys) -> int:
+    """Smallest i >= 0 at which every polynomial P (integer coefficients,
+    low degree first) has no negative Taylor coefficient about
+    L = i / _GRID.
+
+    Such a P stays >= 0 for L >= i / _GRID (Descartes' rule of signs), and
+    the property persists for every larger i, so bisection finds the first.
+    """
+    def nonneg_at(i):
+        for P in polys:
+            deg = len(P) - 1
+            # Taylor shift of R(w) = _GRID^deg P(w / _GRID) to w = i, in integers
+            r = [c * _GRID ** (deg - m) for m, c in enumerate(P)]
+            for j in range(deg):
+                for m in range(deg - 1, j - 1, -1):
+                    r[m] += i * r[m + 1]
+            if any(c < 0 for c in r):
+                return False
+        return True
+
+    if nonneg_at(0):
+        return 0
+    lo, hi = 0, 1
+    while not nonneg_at(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if nonneg_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

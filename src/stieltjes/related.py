@@ -213,6 +213,8 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     """Partial sums of sum_{k<=N} (Lambda(k) - 1) log^n k / k at each
     checkpoint, the trend quantity behind (-1)^n n! eta_n - gamma_n."""
     pending = sorted(set(int(c) for c in checkpoints))
+    if not pending:
+        raise DomainError("mangoldt_gap_sums: need at least one checkpoint")
     if pending[0] < 1:
         raise DomainError("mangoldt_gap_sums: checkpoints must be >= 1")
     table = von_mangoldt(pending[-1])
@@ -359,12 +361,12 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     x = mpf(x)
     if not x > -1:
         raise DomainError("dilcher_log_gamma_k: x must be > -1")
+    if x == 0:
+        return SeriesValue(mpf(0), mpf(0), 1, "log_series")
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
     gk = gamma_n(k, 1, "series_b", tol / 4)
     with workdps(working_dps(tol)):
-        if x == 0:
-            return SeriesValue(mpf(0), mpf(0), 1, "log_series")
         fk = LogPoly.single(1, k, 1)
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
         K = em_start_for(lambda K: em_tail_shifted(wprime, 0, 0, K)[1], tol / 4,

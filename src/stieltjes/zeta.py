@@ -36,8 +36,9 @@ from mpmath import log, mpf, pi, workdps
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, working_dps)
-from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_start_for,
-                      em_tail_shifted, logpow_antiderivative, pow_diff)
+from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
+                      em_start_for, em_tail_shifted, logpow_antiderivative,
+                      pow_diff)
 
 POLE_EXCLUSION = mpf("1e-6")
 
@@ -139,8 +140,13 @@ def _hasse_attempt(s, x, tol, budget):
     return None
 
 
-def zeta_deriv0_diff(k: int, x, tol=None, J: int = 4) -> SeriesValue:
-    """zeta^(k+1)(0, x) - zeta^(k+1)(0) from the logarithmic series."""
+def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
+    """zeta^(k+1)(0, x) - zeta^(k+1)(0) from the logarithmic series.
+
+    em_order_for picks the Euler-Maclaurin order at each rung.  The summand
+    is a second difference of g = log^q t, so its corrections are about
+    q |x(x-1)|/2 times those of log^k t / t.
+    """
     if not 0 <= k <= 6:
         raise DomainError("zeta_deriv0_diff: need 0 <= k <= 6")
     x = _validate_x(x)
@@ -149,14 +155,22 @@ def zeta_deriv0_diff(k: int, x, tol=None, J: int = 4) -> SeriesValue:
     with workdps(working_dps(tol) + 8):
         gprime = LogPoly.single(q, q - 1, 1)
         vprime = ShiftedLogSum([(1, x, gprime), (x - 1, 0, gprime), (-x, 1, gprime)])
-        K = em_start_for(lambda K: em_tail_shifted(vprime, 0, 0, K, J)[1], tol / 4, 32)
+        scale = q * abs(x * (x - 1)) / 2
+        orders = {}
+
+        def err_at(K):
+            # at x = 1 the summand vanishes
+            orders[K] = em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
+            return em_tail_shifted(vprime, 0, 0, K, orders[K])[1]
+
+        K = em_start_for(err_at, tol / 4, 32)
         lx = log(x)
         total = lx ** q + comp_sum(_deriv_summand(n, x, q) for n in range(1, K))
         v0 = _deriv_summand(K, x, q)
         integral = (-logpow_antiderivative(q, K + x)
                     + (1 - x) * logpow_antiderivative(q, mpf(K))
                     + x * logpow_antiderivative(q, mpf(K + 1)))
-        tail, err = em_tail_shifted(vprime, v0, integral, K, J)
+        tail, err = em_tail_shifted(vprime, v0, integral, K, orders[K])
         total += tail
         value = (-1) ** (k + 1) * total
         return SeriesValue(value, tail_claim(err, value), K, "log_series")

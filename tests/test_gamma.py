@@ -1,12 +1,17 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import e as e_const, exp, log, mp, mpf, quad, workdps
+from mpmath import e as e_const, exp, log, mp, mpf, quad, stieltjes, workdps
 
 import oracles
-from stieltjes.core import DomainError
-from stieltjes.gamma import (RationalArg, gamma1_alt, gamma1_rational,
-                             gamma_diff, gamma_n, gamma_recurrence_check,
-                             incgamma_int, stieltjes_integral)
+from stieltjes.core import DomainError, working_dps
+from stieltjes.gamma import (RationalArg, _lattice_plan,
+                             gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
+                             gamma_recurrence_check, incgamma_int,
+                             stieltjes_integral)
+from stieltjes.logpoly import LogPoly, _order_table
 from stieltjes.quadrature import quad_gl
 from stieltjes.zeta import zeta_deriv0_diff
 
@@ -160,6 +165,66 @@ class TestGammaDiff:
         b = gamma_n(n, y, "series_c", mpf("1e-13"))
         assert abs(d.value - (a.value - b.value)) <= \
             d.abs_err + a.abs_err + b.abs_err + mpf("1e-20")
+
+
+class TestLatticePlan:
+    """The (K, J) plan of the lattice routes: orders above 4 only where
+    certified, and there the claimed error bounds the true one."""
+
+    @pytest.mark.parametrize("n,J", [(0, 13), (1, 5), (1, 13), (2, 9),
+                                     (3, 7), (5, 6), (8, 5)])
+    def test_certified_orders_keep_one_sign(self, n, J):
+        t_J = mpf(_order_table(n)[J - 4][2])
+        with workdps(80):
+            d = LogPoly.single(1, n, 1)
+            for _ in range(2 * J + 2):
+                d = d.diff()
+            for g in (d, d.diff().diff()):  # f^(2J+2), f^(2J+4)
+                for i in range(81):
+                    assert g(t_J * exp(mpf(i) / 8)) > 0
+
+    def test_claims_bound_the_true_error(self):
+        # orders above 4 at tolerances past point-evaluation sizes; plans of
+        # more than 512 terms are left out to keep the audit short
+        rng = random.Random(20190203)
+        audited = 0
+        for digits in (25, 30, 40, 50):
+            tol = mpf(10) ** -digits
+            for _ in range(6):
+                n = rng.randint(0, 8)
+                x = mpf(math.exp(rng.uniform(math.log(0.05), math.log(8))))
+                routes = []
+                for route, start in (("series_b", 32), ("series_c", 48), ("coffey", 32)):
+                    with workdps(2 * digits), workdps(working_dps(tol)):
+                        K, tail = _lattice_plan(n, x, tol, start)
+                    if tail.terms_used > 4 and K <= 512:
+                        routes.append(route)
+                if not routes:
+                    continue
+                with workdps(digits + 20):
+                    ref = stieltjes(n, x)
+                with workdps(2 * digits):
+                    for route in routes:
+                        sv = gamma_n(n, x, route, tol)
+                        assert abs(sv.value - ref) <= sv.abs_err <= tol, (n, x, route, digits)
+                        audited += 1
+        assert audited >= 12
+
+    def test_fifty_digit_gamma1_plan_is_short(self):
+        with workdps(100):
+            sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-50"))
+        assert sv.terms_used <= 1024
+
+    @pytest.mark.parametrize("n,x,y", [(0, "0.5", "4.2"), (1, "0.3", "1.7"),
+                                       (2, "2.9", "1.1")])
+    def test_gamma_diff_at_40_digits(self, n, x, y):
+        x, y = mpf(x), mpf(y)
+        tol = mpf("1e-40")
+        with workdps(80):
+            sv = gamma_diff(n, x, y, tol)
+        with workdps(60):
+            ref = stieltjes(n, x) - stieltjes(n, y)
+        assert abs(sv.value - ref) <= sv.abs_err <= tol
 
 
 class TestIncGamma:

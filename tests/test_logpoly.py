@@ -7,7 +7,7 @@ from mpmath import log, mpf, workdps
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import (K_CAP, LogPoly, bernoulli,
+from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoly, bernoulli,
                                em_start_for, em_tail, em_tail_shifted,
                                logpoly_integral_to_inf,
                                logpow_antiderivative)
@@ -82,8 +82,11 @@ def test_em_tail_rejects_divergent():
 
 
 def test_em_tail_rejects_large_order():
+    # the limit sits past every order the gamma planner uses
+    assert J_PLAN_MAX < EM_ORDER_MAX
+    assert em_tail(LogPoly.single(1, 0, 1), 10, J=EM_ORDER_MAX).terms_used == EM_ORDER_MAX
     with pytest.raises(DomainError):
-        em_tail(LogPoly.single(1, 0, 1), 10, J=9)
+        em_tail(LogPoly.single(1, 0, 1), 10, J=EM_ORDER_MAX + 1)
 
 
 def test_em_tail_inverse_t_vs_exact_harmonic():
@@ -143,7 +146,7 @@ def test_em_start_for_raises_past_the_budget():
     lambda: digamma(mpf("0.5"), mpf("1e-70")),
     lambda: log_gamma(mpf("0.5"), mpf("1e-70")),
     lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-70")),
-    lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-70")),
+    lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-200")),
     lambda: hurwitz_em(2, mpf("0.5"), mpf("1e-200")),
 ], ids=["series_b", "series_c", "coffey", "digamma", "log_gamma",
         "dilcher_log_gamma_k", "zeta_deriv0_diff", "hurwitz_em"])

@@ -4,7 +4,7 @@ import pytest
 from mpmath import exp, log, mp, mpf, pi
 
 import oracles
-from stieltjes.core import DomainError
+from stieltjes.core import DomainError, SeriesValue
 from stieltjes.gamma import RationalArg
 from stieltjes.quadrature import quad_gl
 from stieltjes.related import (PowerSeries, delta, digamma, digamma_rational,
@@ -84,6 +84,10 @@ class TestEta:
         # approaches -2 gamma from one side, shrinking each decade
         assert abs(gaps[2]) < abs(gaps[1]) < abs(gaps[0])
         assert abs(gaps[2]) < mpf("0.05")
+
+    def test_mangoldt_gap_sums_needs_a_checkpoint(self):
+        with pytest.raises(DomainError):
+            mangoldt_gap_sums(0, [])
 
 
 class TestDelta:
@@ -193,6 +197,16 @@ class TestDilcher:
             assert dilcher_log_gamma_k(k, 0, TOL).value == 0
             one = dilcher_log_gamma_k(k, 1, TOL)
             assert abs(one.value) <= one.abs_err + TOL
+
+    def test_zero_returns_before_gamma_k(self, monkeypatch):
+        import stieltjes.related as related
+
+        def no_gamma_n(*args, **kwargs):
+            raise AssertionError("gamma_n called for x = 0")
+
+        monkeypatch.setattr(related, "gamma_n", no_gamma_n)
+        sv = dilcher_log_gamma_k(4, 0, mpf("1e-20"))
+        assert sv == SeriesValue(mpf(0), mpf(0), 1, "log_series")
 
     def test_series61_zero(self):
         assert dilcher_power_series(0).value == 0

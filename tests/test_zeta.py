@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import e as e_const, log, mpf, pi, workdps
+from mpmath import e as e_const, exp, log, mpf, pi, workdps, zeta
 
 import oracles
 from stieltjes.core import ConvergenceError, DomainError
 from stieltjes.gamma import gamma_n
+from stieltjes.logpoly import LogPoly, _order_table
 from stieltjes.zeta import (hurwitz_em, hurwitz_hasse, zeta_deriv0_const,
                             zeta_deriv0_diff, zeta_prime_int)
 
@@ -137,6 +138,37 @@ class TestDeriv0Diff:
     def test_order_cap(self):
         with pytest.raises(DomainError):
             zeta_deriv0_diff(7, 1)
+
+    @pytest.mark.parametrize("k,J", [(0, 13), (1, 5), (1, 13), (2, 8), (4, 6), (6, 5)])
+    def test_certified_orders_keep_one_sign(self, k, J):
+        # the summand is a second difference of log^(k+1) t, certified through
+        # f^(2J+3) and f^(2J+5) of f = log^k t / t, both negative far out
+        t_J = mpf(_order_table(k, 1)[J - 4][2])
+        with workdps(80):
+            d = LogPoly.single(1, k, 1)
+            for _ in range(2 * J + 3):
+                d = d.diff()
+            for g in (d, d.diff().diff()):
+                for i in range(81):
+                    assert g(t_J * exp(mpf(i) / 8)) < 0
+
+    @pytest.mark.parametrize("k,x,digits", [(0, "0.3", 40), (1, "1.5", 30),
+                                            (1, "0.05", 40), (2, "3.7", 30),
+                                            (3, "1.2", 30)])
+    def test_claims_bound_the_true_error(self, k, x, digits):
+        x, tol = mpf(x), mpf(10) ** -digits
+        with workdps(2 * digits):
+            sv = zeta_deriv0_diff(k, x, tol)
+        with workdps(digits + 20):
+            ref = zeta(0, x, k + 1) - zeta(0, 1, k + 1)
+        assert abs(sv.value - ref) <= sv.abs_err <= tol
+
+    def test_thirty_digit_plan_is_short_across_x(self):
+        # the order rises with the digits, so the plan stays on one short rung
+        # where a fixed order needed 512 to 2048 terms depending on x
+        with workdps(60):
+            for x in ("1.1", "1.5", "1.9"):
+                assert zeta_deriv0_diff(1, mpf(x), mpf("1e-30")).terms_used == 128
 
 
 class TestDeriv0Const:
