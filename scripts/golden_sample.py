@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Write, or compare against, a fixed golden sample of library outputs.
+
+Every entry records repr(value), repr(abs_err), terms_used and method, so two
+checkouts can be compared bit for bit:
+
+- gamma_n for n 0..8 by series_b, series_c and coffey, x in
+  {0.05, 0.2546, 0.5, 1, 1.5, 3.7, 8, 500}, tol in {1e-12, 1e-15, 1e-20},
+  at mp.dps 15 and 34;
+- gamma_diff, zeta_deriv0_diff, digamma, log_gamma, dilcher_log_gamma_k and
+  em_tail at mp.dps 34;
+- the `stieltjes verify --suite all` report, without its elapsed_s fields.
+
+Usage (from the root of a checkout):
+    PYTHONPATH=src python scripts/golden_sample.py --out golden.txt
+    PYTHONPATH=src python scripts/golden_sample.py --compare golden.txt
+
+--compare exits with status 1 when any entry differs or is missing.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from mpmath import mp, mpf
+
+from stieltjes import (LogPoly, digamma, dilcher_log_gamma_k, em_tail,
+                       gamma_diff, gamma_n, log_gamma, zeta_deriv0_diff)
+from stieltjes.cli import main as cli_main
+
+XS = ("0.05", "0.2546", "0.5", "1", "1.5", "3.7", "8", "500")
+TOLS = ("1e-12", "1e-15", "1e-20")
+ROUTES = ("series_b", "series_c", "coffey")
+DIFF_PAIRS = (("0.5", "1"), ("1.5", "0.2546"), ("3.7", "8"), ("0.05", "2"))
+
+
+def _record(sv) -> str:
+    return f"{sv.value!r}\t{sv.abs_err!r}\t{sv.terms_used}\t{sv.method}"
+
+
+def _series_entries():
+    for dps in (15, 34):
+        mp.dps = dps
+        for n in range(9):
+            for route in ROUTES:
+                for x in XS:
+                    for tol in TOLS:
+                        sv = gamma_n(n, mpf(x), route, mpf(tol))
+                        yield f"gamma_n({n},{x},{route},{tol})@{dps}", _record(sv)
+    mp.dps = 34
+    for n in range(9):
+        for x, y in DIFF_PAIRS:
+            for tol in TOLS:
+                sv = gamma_diff(n, mpf(x), mpf(y), mpf(tol))
+                yield f"gamma_diff({n},{x},{y},{tol})", _record(sv)
+    for k in range(7):
+        for x in XS:
+            for tol in TOLS + ("1e-30",):
+                sv = zeta_deriv0_diff(k, mpf(x), mpf(tol))
+                yield f"zeta_deriv0_diff({k},{x},{tol})", _record(sv)
+    for x in XS:
+        for tol in TOLS:
+            yield f"digamma({x},{tol})", _record(digamma(mpf(x), mpf(tol)))
+            yield f"log_gamma({x},{tol})", _record(log_gamma(mpf(x), mpf(tol)))
+    for k in range(5):
+        for x in XS:
+            for tol in TOLS:
+                sv = dilcher_log_gamma_k(k, mpf(x), mpf(tol))
+                yield f"dilcher_log_gamma_k({k},{x},{tol})", _record(sv)
+    for n in range(9):
+        for J in (4, 13):
+            sv = em_tail(LogPoly.single(1, n, 1), mpf("32.2546"), J)
+            yield f"em_tail({n},32.2546,{J})", _record(sv)
+
+
+def _verify_entries():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["verify", "--suite", "all", "--report", path])
+        with open(path) as fh:
+            reports = json.load(fh)
+    for i, report in enumerate(reports):
+        report.pop("elapsed_s", None)
+        yield f"verify[{i}]", json.dumps(report, sort_keys=True)
+
+
+def sample() -> dict[str, str]:
+    saved = mp.dps
+    try:
+        out = dict(_series_entries())
+        out.update(_verify_entries())
+    finally:
+        mp.dps = saved
+    return out
+
+
+def _load(path) -> dict[str, str]:
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split("\t", 1) for line in fh if line.strip())
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="write the sample to this file")
+    group.add_argument("--compare", help="compare the sample with this file")
+    args = ap.parse_args()
+    got = sample()
+    if args.out:
+        with open(args.out, "w") as fh:
+            for key, rec in got.items():
+                fh.write(f"{key}\t{rec}\n")
+        print(f"{len(got)} entries written to {args.out}")
+        return 0
+    want = _load(args.compare)
+    diffs = [key for key in sorted(want.keys() | got.keys())
+             if want.get(key) != got.get(key)]
+    for key in diffs:
+        print(f"DIFF {key}\n  want {want.get(key)}\n  got  {got.get(key)}")
+    print(f"{len(got)} entries, {len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

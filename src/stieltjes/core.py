@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, fadd, sqrt
 
 GUARD_DIGITS = 8
+# Precisions a PrecTable holds at once.  A request mix runs its lattice
+# routes at a few working precisions (a gamma_1 ladder from 12 to 50 digits
+# uses seven); past the cap the least recently used precision is dropped.
+PREC_TABLES_MAX = 8
 
 
 class DomainError(ValueError):
@@ -57,6 +61,34 @@ def tail_claim(err, value) -> mpf:
     that correction itself, so pad it by a quarter, then add the rounding
     floor."""
     return 5 * err / 4 + rounding_floor(value)
+
+
+class PrecTable:
+    """Values that depend only on a key and the working precision mp.prec.
+
+    Callers fill the table of the current precision lazily, with the same
+    computation at the same precision they would otherwise repeat, so a
+    cached value has the bits of a fresh one.  Tables of at most
+    PREC_TABLES_MAX precisions are held.
+    """
+
+    __slots__ = ("_by_prec",)
+
+    def __init__(self):
+        self._by_prec: dict[int, dict] = {}
+
+    def at_prec(self) -> dict:
+        """The table of the current working precision."""
+        table = self._by_prec.pop(mp.prec, None)
+        if table is None:
+            table = {}
+            if len(self._by_prec) >= PREC_TABLES_MAX:
+                del self._by_prec[next(iter(self._by_prec))]
+        self._by_prec[mp.prec] = table
+        return table
+
+    def clear(self) -> None:
+        self._by_prec.clear()
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,13 @@ import time
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
+from mpmath import cospi, exp, log, mp, mpf, pi, sinpi, workdps
 
-from .core import (DomainError, SeriesValue, accelerate_alternating, comp_sum,
-                   cvz_terms, default_tol, rounding_floor, tail_claim,
+from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
+                   comp_sum, cvz_terms, default_tol, rounding_floor, tail_claim,
                    working_dps)
-from .logpoly import LogPoly, em_order_for, em_start_for, em_tail, pow_diff
+from .logpoly import (LogPoint, LogPoly, em_order_for, em_start_for, em_tail,
+                      pow_diff)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -130,10 +131,26 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
 
 def _logpow_delta(n_lo, x_lo, n_hi, x_hi, q: int) -> mpf:
     """log^q(n_hi + x_hi) - log^q(n_lo + x_lo) without large-minus-large loss."""
-    la = log(n_lo + x_lo)
-    ratio = (mpf(n_hi) + x_hi) / (n_lo + x_lo)
-    delta = log(ratio)
+    lo = n_lo + x_lo
+    return _logpow_step(log(lo), lo, mpf(n_hi) + x_hi, q)
+
+
+def _logpow_step(la, a, b, q: int) -> mpf:
+    """log^q b - log^q a, given la = log a."""
+    delta = log(b / a)
     return pow_diff(la, la + delta, delta, q)
+
+
+# q -> [(log^q(k+2) - log^q(k+1))/q for k = 0, 1, ...], series_c's x-free
+# half of each summand
+_SERIES_C_STEPS = PrecTable()
+
+
+def _series_c_steps(q: int, K: int) -> list:
+    steps = _SERIES_C_STEPS.at_prec().setdefault(q, [])
+    for k in range(len(steps), K):
+        steps.append(_logpow_delta(k + 1, 0, k + 2, 0, q) / q)
+    return steps
 
 
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
@@ -141,8 +158,12 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
-        terms = (f(k + x) - _logpow_delta(k, x, k + 1, x, q) / q for k in range(K))
-        partial = comp_sum(terms)
+
+        def term(k):
+            a = LogPoint(k + x)
+            return a.eval(f) - _logpow_step(a.lu, a.u, mpf(k + 1) + x, q) / q
+
+        partial = comp_sum(term(k) for k in range(K))
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_b")
 
@@ -154,8 +175,8 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
-        terms = (f(k + x) - _logpow_delta(k + 1, 0, k + 2, 0, q) / q for k in range(K))
-        partial = comp_sum(terms)
+        steps = _series_c_steps(q, K)
+        partial = comp_sum(f(k + x) - steps[k] for k in range(K))
         value = partial + tail.value + _logpow_delta(K, x, K + 1, 0, q) / q
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
 
@@ -167,9 +188,17 @@ def incgamma_int(n: int, t) -> mpf:
     t = mpf(t)
     if t < 0:
         raise DomainError("incgamma_int: t must be >= 0")
-    from mpmath import exp
     inner = comp_sum(t ** m / factorial(m) for m in range(n))
     return factorial(n - 1) * exp(-t) * inner
+
+
+def _incgamma_pair(n: int, t) -> tuple[mpf, mpf]:
+    """(Gamma(n, t), Gamma(n+1, t)), each with the bits of incgamma_int: the
+    two share exp(-t) and the terms t^m/m!."""
+    terms = [t ** m / factorial(m) for m in range(n + 1)]
+    e = exp(-t)
+    return (factorial(n - 1) * e * comp_sum(terms[:n]),
+            factorial(n) * e * comp_sum(terms))
 
 
 def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
@@ -194,22 +223,40 @@ def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
             K = m + 4
             tail = em_tail(f, K + x, tail.terms_used)
         head = comp_sum(f(k + x) for k in range(m + 1))
-        partial = comp_sum(_coffey_panel(n, j, x, q) for j in range(m, K))
+        partial = comp_sum(_coffey_panels(n, x, m, K))
         value = (head - log(m + x) ** q / q - f(m + x) / 2
                  + partial + tail.value - f(K + x) / 2)
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
 
 
-def _coffey_panel(n: int, j: int, x, q: int) -> mpf:
-    a = j + x
-    b = j + 1 + x
-    la, lb = log(a), log(b)
-    dlog = _logpow_delta(j, x, j + 1, x, q) / q
-    if a >= 1:
-        dGn = incgamma_int(n, la) - incgamma_int(n, lb)
-        dGn1 = incgamma_int(n + 1, la) - incgamma_int(n + 1, lb)
-        return (lb ** n - la ** n) - dlog - (a + mpf(1) / 2) * (n * dGn - dGn1)
-    return (la ** n / a + lb ** n / b) / 2 - dlog
+def _coffey_panels(n: int, x, m: int, K: int):
+    """The panel defects D_j for j = m..K-1, in order.
+
+    Panel j's b = j + 1 + x has the bits of panel j+1's a, so log b, log^n b
+    and the incomplete gammas at log b carry into the next panel.  The
+    incomplete gammas start afresh at the first panel with a >= 1.
+    """
+    q = n + 1
+    a = m + x
+    la = log(a)
+    la_n = la ** n
+    gammas_a = None
+    for j in range(m, K):
+        b = j + 1 + x
+        lb = log(b)
+        lb_n = lb ** n
+        dlog = _logpow_step(la, a, b, q) / q
+        if a >= 1:
+            if gammas_a is None:
+                gammas_a = _incgamma_pair(n, la)
+            gammas_b = _incgamma_pair(n, lb)
+            dGn = gammas_a[0] - gammas_b[0]
+            dGn1 = gammas_a[1] - gammas_b[1]
+            yield (lb_n - la_n) - dlog - (a + mpf(1) / 2) * (n * dGn - dGn1)
+            gammas_a = gammas_b
+        else:
+            yield (la_n / a + lb_n / b) / 2 - dlog
+        a, la, la_n = b, lb, lb_n
 
 
 def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:

@@ -15,8 +15,11 @@ with |R_J| estimated by the first omitted correction.  The same corrections
 apply to summands built from log powers at several shifted arguments
 (ShiftedLogSum below), where only the closed-form integral differs.  Every
 series route picks its partial-sum length K from the one ladder
-em_start_for and takes its corrections from the one loop em_tail_shifted.
-On the gamma_n series, gamma_diff and the s = 0 derivative series,
+em_start_for and takes its corrections from the one loop em_corrections,
+which evaluates every order from one logarithm per shifted point and keeps
+each summand's derivative chain per working precision.  The routes that
+probe the ladder with em_corrections keep the winning probe's corrections
+(em_shifted_plan).  On the gamma_n series, gamma_diff and the s = 0 derivative series,
 em_order_for raises the order J with the digits asked for, above 4 only
 where that order is certified.
 """
@@ -30,7 +33,7 @@ from math import comb, factorial
 
 from mpmath import log, mpf, workprec
 
-from .core import ConvergenceError, DomainError, SeriesValue
+from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
 
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
@@ -122,6 +125,32 @@ class LogPoly:
         return "LogPoly(" + " + ".join(bits) + ")"
 
 
+class LogPoint:
+    """A point u with log u taken once; the powers of u and log u that the
+    terms ask for are kept, so several LogPolys are evaluated from them."""
+
+    __slots__ = ("u", "lu", "upow", "lpow")
+
+    def __init__(self, u):
+        self.u = u
+        self.lu = log(u)
+        self.upow: dict[int, mpf] = {}
+        self.lpow: dict[int, mpf] = {}
+
+    def eval(self, poly: LogPoly) -> mpf:
+        """poly(u), with the bits of LogPoly.__call__."""
+        total = mpf(0)
+        for (m, p), c in poly.terms.items():
+            lm = self.lpow.get(m)
+            if lm is None:
+                lm = self.lpow[m] = self.lu ** m
+            up = self.upow.get(p)
+            if up is None:
+                up = self.upow[p] = self.u ** p
+            total += c * lm / up
+        return total
+
+
 def logpow_antiderivative(q: int, u) -> mpf:
     """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
     u = mpf(u)
@@ -202,15 +231,62 @@ class ShiftedLogSum:
     def __init__(self, parts):
         self.parts = tuple((mpf(c), mpf(sh), poly) for c, sh, poly in parts)
 
-    def diff(self) -> "ShiftedLogSum":
-        return ShiftedLogSum((c, sh, poly.diff()) for c, sh, poly in self.parts)
 
-    def __call__(self, t) -> mpf:
-        t = mpf(t)
+# tuple(poly.terms.items()) -> [poly, poly', poly'', ...] at one precision
+_CHAINS = PrecTable()
+
+
+def _derivatives(poly: LogPoly, order: int) -> list[LogPoly]:
+    """poly and its derivatives through the given order, each built by
+    LogPoly.diff() once per working precision."""
+    chains = _CHAINS.at_prec()
+    key = tuple(poly.terms.items())
+    chain = chains.get(key)
+    if chain is None:
+        chain = chains[key] = [poly]
+    while len(chain) <= order:
+        chain.append(chain[-1].diff())
+    return chain
+
+
+def em_corrections(v_prime, start, J: int = 4) -> tuple[list[mpf], mpf]:
+    """The Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) for j = 1..J, and
+    the magnitude of the first omitted one, for v' a LogPoly or a
+    ShiftedLogSum.
+
+    Each distinct point start + shift takes its logarithm once, and every
+    order is evaluated from it.
+    """
+    start = mpf(start)
+    if isinstance(v_prime, LogPoly):
+        v_prime = ShiftedLogSum([(1, 0, v_prime)])
+    points: dict[mpf, LogPoint] = {}
+    parts = []
+    for c, sh, poly in v_prime.parts:
+        point = points.get(sh)
+        if point is None:
+            point = points[sh] = LogPoint(start + sh)
+        parts.append((c, point, _derivatives(poly, 2 * J)))
+
+    def at(i):  # v^(i+1)(start)
         total = mpf(0)
-        for c, sh, poly in self.parts:
-            total += c * poly(t + sh)
+        for c, point, chain in parts:
+            total += c * point.eval(chain[i])
         return total
+
+    corrections = [bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 2)
+                   for j in range(1, J + 1)]
+    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J))
+    return corrections, err
+
+
+def em_tail_sum(integral, v_at_start, corrections) -> mpf:
+    """sum_{k>=0} v(start + k): the integral plus v(start)/2 minus each
+    correction of em_corrections, in order."""
+    value = mpf(integral) + mpf(v_at_start) / 2
+    for c in corrections:
+        value -= c
+    return value
 
 
 def em_tail_shifted(v_prime, v_at_start, integral, start,
@@ -221,20 +297,23 @@ def em_tail_shifted(v_prime, v_at_start, integral, start,
     Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
     corrections of order j <= J, and the magnitude of the first omitted one.
     """
-    start = mpf(start)
-    value = mpf(integral) + mpf(v_at_start) / 2
-    d = v_prime
-    order = 1
-    for j in range(1, J + 1):
-        while order < 2 * j - 1:
-            d = d.diff()
-            order += 1
-        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * d(start)
-    while order < 2 * J + 1:
-        d = d.diff()
-        order += 1
-    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * d(start))
-    return value, err
+    corrections, err = em_corrections(v_prime, start, J)
+    return em_tail_sum(integral, v_at_start, corrections), err
+
+
+def em_shifted_plan(v_prime, bound, start: int,
+                    order=lambda K: 4) -> tuple[int, list[mpf], mpf]:
+    """(K, corrections, err) for a lattice sum from K: the first rung of
+    em_start_for's ladder whose em_corrections at order(K) claim below bound,
+    and that probe's corrections, which em_tail_sum turns into the tail."""
+    probes = {}
+
+    def err_at(K):
+        probes[K] = em_corrections(v_prime, K, order(K))
+        return probes[K][1]
+
+    K = em_start_for(err_at, bound, start)
+    return (K, *probes[K])
 
 
 def em_start_for(err_at, bound, start: int, factor: int = 4) -> int:

@@ -33,8 +33,8 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (LogPoly, ShiftedLogSum, em_start_for, em_tail_shifted,
-                      logpow_antiderivative, pow_diff)
+from .logpoly import (LogPoly, ShiftedLogSum, em_shifted_plan, em_tail_shifted,
+                      em_tail_sum, logpow_antiderivative, pow_diff)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -255,7 +255,10 @@ def delta(n: int, N: int = 10000, J: int = 4) -> SeriesValue:
         gprime = LogPoly.single(1, n, 0).diff()
         correction, err = em_tail_shifted(gprime, 0, 0, N, J)
         value += correction
-        return SeriesValue(value, tail_claim(err, value), N, "em_corrected")
+        # the partial sum and the integral are each about N log^n N, and
+        # their terms' rounding, not the value's, sets the floor
+        err = tail_claim(err, value) + rounding_floor(abs(partial) + abs(integral))
+        return SeriesValue(value, err, N, "em_corrected")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +275,7 @@ def digamma(x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         inv = LogPoly.single(1, 0, 1)
         hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
-        K = em_start_for(lambda K: em_tail_shifted(hprime, 0, 0, K)[1], tol / 4, 16)
+        K, corrections, err = em_shifted_plan(hprime, tol / 4, 16)
 
         def h(k):
             return mpf(1) / (k + x) - log(1 + 1 / (k + x))
@@ -280,7 +283,7 @@ def digamma(x, tol=None) -> SeriesValue:
         partial = comp_sum(h(k) for k in range(1, K))
         integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
                     - logpow_antiderivative(1, K + x))
-        tail, err = em_tail_shifted(hprime, h(K), integral, K)
+        tail = em_tail_sum(integral, h(K), corrections)
         value = log(1 + x) - (partial + tail) - 1 / x
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
@@ -295,8 +298,8 @@ def log_gamma(x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         inv = LogPoly.single(1, 0, 1)
         hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
-        K = em_start_for(lambda K: em_tail_shifted(hprime, 0, 0, K)[1], tol / 4,
-                         max(16, int(2 * abs(x)) + 2))
+        K, corrections, err = em_shifted_plan(hprime, tol / 4,
+                                              max(16, int(2 * abs(x)) + 2))
 
         def h(k):
             return x * log(1 + mpf(1) / k) - log(1 + x / k)
@@ -305,7 +308,7 @@ def log_gamma(x, tol=None) -> SeriesValue:
         integral = (logpow_antiderivative(1, K + x)
                     - (1 - x) * logpow_antiderivative(1, mpf(K))
                     - x * logpow_antiderivative(1, mpf(K + 1)))
-        tail, err = em_tail_shifted(hprime, h(K), integral, K)
+        tail = em_tail_sum(integral, h(K), corrections)
         value = partial + tail - log(x)
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
@@ -369,8 +372,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         fk = LogPoly.single(1, k, 1)
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
-        K = em_start_for(lambda K: em_tail_shifted(wprime, 0, 0, K)[1], tol / 4,
-                         max(16, int(2 * abs(x)) + 2))
+        K, corrections, err = em_shifted_plan(wprime, tol / 4,
+                                              max(16, int(2 * abs(x)) + 2))
 
         def h(j):
             return x * fk(j) - _lgk_delta(j, x, q) / q
@@ -379,7 +382,7 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         integral = (-x * log(K) ** q / q
                     + (logpow_antiderivative(q, K + x)
                        - logpow_antiderivative(q, mpf(K))) / q)
-        tail, err = em_tail_shifted(wprime, h(K), integral, K)
+        tail = em_tail_sum(integral, h(K), corrections)
         value = -gk.value * x + partial + tail
         err = tail_claim(err, value) + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")

@@ -34,11 +34,12 @@ from math import factorial
 
 from mpmath import log, mpf, pi, workdps
 
-from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
-                   default_tol, rounding_floor, tail_claim, working_dps)
+from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
+                   comp_sum, default_tol, rounding_floor, tail_claim,
+                   working_dps)
 from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
-                      em_start_for, em_tail_shifted, logpow_antiderivative,
-                      pow_diff)
+                      em_shifted_plan, em_start_for, em_tail_sum,
+                      logpow_antiderivative, pow_diff)
 
 POLE_EXCLUSION = mpf("1e-6")
 
@@ -156,32 +157,44 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         gprime = LogPoly.single(q, q - 1, 1)
         vprime = ShiftedLogSum([(1, x, gprime), (x - 1, 0, gprime), (-x, 1, gprime)])
         scale = q * abs(x * (x - 1)) / 2
-        orders = {}
 
-        def err_at(K):
+        def order(K):
             # at x = 1 the summand vanishes
-            orders[K] = em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
-            return em_tail_shifted(vprime, 0, 0, K, orders[K])[1]
+            return em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
 
-        K = em_start_for(err_at, tol / 4, 32)
+        K, corrections, err = em_shifted_plan(vprime, tol / 4, 32, order)
+        logs, steps = _deriv_tables(q, K)
+
+        def summand(n):
+            """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free."""
+            d1 = log(1 + x / n)
+            return pow_diff(logs[n], logs[n] + d1, d1, q) - x * steps[n]
+
         lx = log(x)
-        total = lx ** q + comp_sum(_deriv_summand(n, x, q) for n in range(1, K))
-        v0 = _deriv_summand(K, x, q)
+        total = lx ** q + comp_sum(summand(n) for n in range(1, K))
         integral = (-logpow_antiderivative(q, K + x)
                     + (1 - x) * logpow_antiderivative(q, mpf(K))
                     + x * logpow_antiderivative(q, mpf(K + 1)))
-        tail, err = em_tail_shifted(vprime, v0, integral, K, orders[K])
-        total += tail
+        total += em_tail_sum(integral, summand(K), corrections)
         value = (-1) ** (k + 1) * total
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
 
-def _deriv_summand(n: int, x, q: int) -> mpf:
-    """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free."""
-    ln = log(n)
-    d1 = log(1 + x / n)
-    d2 = log(1 + mpf(1) / n)
-    return pow_diff(ln, ln + d1, d1, q) - x * pow_diff(ln, ln + d2, d2, q)
+# 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the
+# x-free halves of zeta_deriv0_diff's summand
+_DERIV_TABLES = PrecTable()
+
+
+def _deriv_tables(q: int, K: int) -> tuple[list, list]:
+    tables = _DERIV_TABLES.at_prec()
+    logs = tables.setdefault(0, [None])
+    steps = tables.setdefault(q, [None])
+    for n in range(len(logs), K + 1):
+        logs.append(log(n))
+    for n in range(len(steps), K + 1):
+        d2 = log(1 + mpf(1) / n)
+        steps.append(pow_diff(logs[n], logs[n] + d2, d2, q))
+    return logs, steps
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,10 @@ from mpmath import log, mpf, workdps
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoly, bernoulli,
-                               em_start_for, em_tail, em_tail_shifted,
-                               logpoly_integral_to_inf,
+from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
+                               ShiftedLogSum, bernoulli, bernoulli_mpf,
+                               em_corrections, em_shifted_plan, em_start_for,
+                               em_tail, em_tail_shifted, logpoly_integral_to_inf,
                                logpow_antiderivative)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
@@ -110,6 +112,66 @@ def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
     sv = em_tail(f, a)
     value, err = em_tail_shifted(f.diff(), f(a), 0, a)
     assert (sv.value, sv.abs_err) == (value, err)
+
+
+def test_log_point_has_the_bits_of_a_call():
+    u = mpf("33.25")
+    point = LogPoint(u)
+    f = LogPoly({(0, 1): 2, (3, 1): 1, (2, 3): -5})
+    for poly in (f, f.diff(), f.diff().diff().diff(), LogPoly.single(1, 0, 2)):
+        assert point.eval(poly) == poly(u)
+
+
+def _reference_tail(v_prime, v0, integral, start, J):
+    """The correction loop with every derivative re-derived and every order
+    evaluated afresh, one logarithm per part and order."""
+    start = mpf(start)
+    single = isinstance(v_prime, LogPoly)
+    parts = [(1, 0, v_prime)] if single else list(v_prime.parts)
+
+    def at(polys):
+        if single:
+            return polys[0](start)
+        total = mpf(0)
+        for (c, sh, _), poly in zip(parts, polys):
+            total += c * poly(start + sh)
+        return total
+
+    polys = [poly for _, _, poly in parts]
+    value = mpf(integral) + mpf(v0) / 2
+    order = 1
+    for j in range(1, J + 1):
+        while order < 2 * j - 1:
+            polys = [poly.diff() for poly in polys]
+            order += 1
+        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * at(polys)
+    while order < 2 * J + 1:
+        polys = [poly.diff() for poly in polys]
+        order += 1
+    return value, abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(polys))
+
+
+@pytest.mark.parametrize("J", [4, 9])
+def test_em_tail_shifted_matches_the_fresh_loop(J):
+    x = mpf("0.3")
+    inv = LogPoly.single(1, 0, 1)
+    f = LogPoly.single(1, 3, 1)
+    # digamma's summand derivative: two parts share the shift x
+    hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
+    for v_prime, start in ((hprime, 40), (f.diff(), mpf("32.75"))):
+        for _ in range(2):  # a cold and a cached derivative chain
+            got = em_tail_shifted(v_prime, mpf("0.125"), mpf("0.5"), start, J)
+            assert got == _reference_tail(v_prime, mpf("0.125"), mpf("0.5"), start, J)
+
+
+def test_em_shifted_plan_keeps_the_winning_probe():
+    x = mpf("0.3")
+    inv = LogPoly.single(1, 0, 1)
+    hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
+    bound = mpf("1e-22")
+    K, corrections, err = em_shifted_plan(hprime, bound, 16)
+    assert K > 16 and em_corrections(hprime, K // 4)[1] >= bound > err
+    assert (corrections, err) == em_corrections(hprime, K)
 
 
 def test_em_start_for_returns_smallest_passing_rung():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from mpmath import exp, log, mp, mpf, pi
+from mpmath import exp, factorial, log, mp, mpf, pi, workdps, zeta
 
 import oracles
 from stieltjes.core import DomainError, SeriesValue
@@ -110,6 +110,18 @@ class TestDelta:
         assert mpf("-1.2") < zp0 / 1 < mpf("-0.8")
         zpp0 = delta(2).value - 2
         assert mpf("-1.2") < zpp0 / 2 < mpf("-0.8")
+
+    @pytest.mark.parametrize("dps", [15, 34, 50])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_claim_is_a_bound(self, n, dps):
+        # the partial sum and the integral are about 1e5; their rounding
+        # must be inside the claim, not just the value's
+        mp.dps = dps
+        sv = delta(n)
+        with workdps(dps + 40):
+            ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
+            assert abs(sv.value - ref) <= sv.abs_err
+        assert abs(sv.value - ref) < mpf("1e-12")
 
     def test_caps(self):
         with pytest.raises(DomainError):
