@@ -9,6 +9,11 @@ checkouts can be compared bit for bit:
   at mp.dps 15 and 34;
 - gamma_diff, zeta_deriv0_diff, digamma, log_gamma, dilcher_log_gamma_k and
   em_tail at mp.dps 34;
+- hurwitz_em for s in {-2.5, -1, 0, 0.5, 1.5, 2, 3, 4.5, 10},
+  x in {0.0584302, 0.25, 1, 3.7, 8}, tol in {1e-12, 1e-20, 1e-30}, and
+  zeta_prime_int, gamma1_alt, dilcher_power_series, gamma1_rational,
+  digamma_rational and eta at mp.dps 34;
+- delta for n 0..2 at mp.dps 15, 34 and 50;
 - the `stieltjes verify --suite all` report, without its elapsed_s fields.
 
 Usage (from the root of a checkout):
@@ -28,14 +33,20 @@ import tempfile
 
 from mpmath import mp, mpf
 
-from stieltjes import (LogPoly, digamma, dilcher_log_gamma_k, em_tail,
-                       gamma_diff, gamma_n, log_gamma, zeta_deriv0_diff)
+from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
+                       dilcher_log_gamma_k, dilcher_power_series, em_tail, eta,
+                       gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
+                       hurwitz_em, log_gamma, zeta_deriv0_diff, zeta_prime_int)
 from stieltjes.cli import main as cli_main
 
 XS = ("0.05", "0.2546", "0.5", "1", "1.5", "3.7", "8", "500")
 TOLS = ("1e-12", "1e-15", "1e-20")
 ROUTES = ("series_b", "series_c", "coffey")
 DIFF_PAIRS = (("0.5", "1"), ("1.5", "0.2546"), ("3.7", "8"), ("0.05", "2"))
+ZETA_S = ("-2.5", "-1", "0", "0.5", "1.5", "2", "3", "4.5", "10")
+ZETA_XS = ("0.0584302", "0.25", "1", "3.7", "8")
+ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
+RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
 
 
 def _record(sv) -> str:
@@ -77,6 +88,37 @@ def _series_entries():
             yield f"em_tail({n},32.2546,{J})", _record(sv)
 
 
+def _zeta_entries():
+    mp.dps = 34
+    for s in ZETA_S:
+        for x in ZETA_XS:
+            for tol in ZETA_TOLS:
+                sv = hurwitz_em(mpf(s), mpf(x), mpf(tol))
+                yield f"hurwitz_em({s},{x},{tol})", _record(sv)
+    for s in ("1.5", "2", "3", "4.5", "10", "25"):
+        for tol in ZETA_TOLS:
+            sv = zeta_prime_int(mpf(s), mpf(tol))
+            yield f"zeta_prime_int({s},{tol})", _record(sv)
+    for tol in ("1e-12", "1e-20"):
+        yield f"gamma1_alt({tol})", _record(gamma1_alt(mpf(tol)))
+    for x in ("-0.5", "0.3", "0.7", "1"):
+        sv = dilcher_power_series(mpf(x), mpf("1e-12"))
+        yield f"dilcher_power_series({x},1e-12)", _record(sv)
+    for p, q in RATIONALS:
+        sv = gamma1_rational(RationalArg(p, q), mpf("1e-12"))
+        yield f"gamma1_rational({p}/{q},1e-12)", _record(sv)
+        sv = digamma_rational(RationalArg(p, q), mpf("1e-12"))
+        yield f"digamma_rational({p}/{q},1e-12)", _record(sv)
+    for n in range(7):
+        yield f"eta({n},from_gamma,1e-12)", _record(eta(n, tol=mpf("1e-12")))
+    for n in (0, 1, 2):
+        yield f"eta({n},series,K=1000)", _record(eta(n, "series", K=1000))
+    for dps in (15, 34, 50):
+        mp.dps = dps
+        for n in range(3):
+            yield f"delta({n})@{dps}", _record(delta(n))
+
+
 def _verify_entries():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
@@ -93,6 +135,7 @@ def sample() -> dict[str, str]:
     saved = mp.dps
     try:
         out = dict(_series_entries())
+        out.update(_zeta_entries())
         out.update(_verify_entries())
     finally:
         mp.dps = saved

@@ -77,10 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--p", type=int, default=None, help="rational numerator")
     comp.add_argument("--q", type=int, default=None, help="rational denominator")
     comp.add_argument("--method", default=None,
-                      help="gamma: limit|series-b|series-c|coffey; "
+                      help="gamma: series-b|series-c|coffey; "
                            "eta: from-gamma|series")
     comp.add_argument("--terms", type=int, default=None,
-                      help="term budget for limit/series routes")
+                      help="term budget: K of the eta series route, N of delta")
 
     ver = sub.add_parser("verify", help="run identity checks", parents=[common])
     ver.add_argument("--suite", default="all",
@@ -122,7 +122,7 @@ def _compute_one(constant: str, cfg: CliConfig, n, x, p, q, method, terms) -> tu
             if x is None:
                 raise UsageError("gamma needs --x (or --p/--q)")
             m = (method or "series-b").replace("-", "_")
-            result = gamma_n(n or 0, mpf(x), m, tol, limit_N=terms)
+            result = gamma_n(n or 0, mpf(x), m, tol)
             params = {"n": n or 0, "x": x, "method": m}
     elif constant == "zeta_deriv0":
         if n is None:

@@ -46,7 +46,7 @@ from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_e
 MAX_ORDER = 8
 SERIES_B_MIN_X = mpf("1e-6")
 
-METHODS = ("limit", "series_b", "series_c", "coffey")
+METHODS = ("series_b", "series_c", "coffey")
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,15 @@ def _validate(n: int, x) -> mpf:
     return x
 
 
-def gamma_n(n: int, x, method: str = "series_b", tol=None,
-            limit_N: int | None = None, coffey_m: int = 0) -> SeriesValue:
+def gamma_n(n: int, x, method: str = "series_b", tol=None) -> SeriesValue:
     """gamma_n(x) by the chosen representation.
 
-    limit: raw partial sum at caller-supplied limit_N, abs_err = inf (oracle
-    and debugging use only).  coffey at n = 0 delegates to series_b, since the
-    order-0 incomplete gamma would be the exponential integral; coffey_m sets
-    how many leading terms are taken plainly before the panel rewrite starts.
+    coffey at n = 0 delegates to series_b, since the order-0 incomplete gamma
+    would be the exponential integral.
     """
     x = _validate(n, x)
     if method not in METHODS:
         raise DomainError(f"gamma_n: unknown method {method!r}")
-    if method == "limit":
-        return _gamma_limit(n, x, limit_N or 10000)
     tol = default_tol() if tol is None else mpf(tol)
     if method == "series_b":
         if x < SERIES_B_MIN_X:
@@ -100,17 +95,7 @@ def gamma_n(n: int, x, method: str = "series_b", tol=None,
         return _gamma_series_c(n, x, tol)
     if n == 0:
         return _gamma_series_b(n, x, tol)
-    if coffey_m < 0:
-        raise DomainError("gamma_n: coffey_m must be >= 0")
-    return _gamma_coffey(n, x, tol, coffey_m)
-
-
-def _gamma_limit(n: int, x, N: int) -> SeriesValue:
-    with workdps(mp.dps + 8):
-        f = LogPoly.single(1, n, 1)
-        partial = comp_sum(f(k + x) for k in range(N + 1))
-        value = partial - log(N + x) ** (n + 1) / (n + 1)
-    return SeriesValue(value, mp.inf, N + 1, "limit")
+    return _gamma_coffey(n, x, tol)
 
 
 def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
@@ -119,14 +104,13 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     rung's em_tail, taken at the order em_order_for picks there."""
     f = LogPoly.single(1, n, 1)
     bound = tol / 4
-    probes = {}
 
-    def err_at(K):
-        probes[K] = em_tail(f, K + x, em_order_for(n, K + x, bound))
-        return probes[K].abs_err
+    def probe(K):
+        tail = em_tail(f, K + x, em_order_for(n, K + x, bound))
+        return tail, tail.abs_err
 
-    K = em_start_for(err_at, bound, start)
-    return K, probes[K]
+    K, tail, _ = em_start_for(probe, bound, start)
+    return K, tail
 
 
 def _logpow_delta(n_lo, x_lo, n_hi, x_hi, q: int) -> mpf:
@@ -201,11 +185,10 @@ def _incgamma_pair(n: int, t) -> tuple[mpf, mpf]:
             factorial(n) * e * comp_sum(terms))
 
 
-def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
+def _gamma_coffey(n: int, x, tol) -> SeriesValue:
     """Trapezoid-defect form with the incomplete-gamma panel rewrite:
 
-        gamma_n(x) = sum_{k<=m} f(k+x) - log^(n+1)(m+x)/(n+1) - f(m+x)/2
-                     + sum_{j>=m} D_j
+        gamma_n(x) = f(x)/2 - log^(n+1) x/(n+1) + sum_{j>=0} D_j
 
     Panel defect over [j, j+1], a = j+x, b = j+1+x:
         D_j = (log^n b - log^n a) - (log^(n+1) b - log^(n+1) a)/(n+1)
@@ -218,30 +201,26 @@ def _gamma_coffey(n: int, x, tol, m: int = 0) -> SeriesValue:
     with workdps(working_dps(tol)):
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
-        if K < m + 4:
-            # a later start keeps the plan's order certified and its error
-            K = m + 4
-            tail = em_tail(f, K + x, tail.terms_used)
-        head = comp_sum(f(k + x) for k in range(m + 1))
-        partial = comp_sum(_coffey_panels(n, x, m, K))
-        value = (head - log(m + x) ** q / q - f(m + x) / 2
+        fx = f(x)
+        partial = comp_sum(_coffey_panels(n, x, K))
+        value = (fx - log(x) ** q / q - fx / 2
                  + partial + tail.value - f(K + x) / 2)
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
 
 
-def _coffey_panels(n: int, x, m: int, K: int):
-    """The panel defects D_j for j = m..K-1, in order.
+def _coffey_panels(n: int, x, K: int):
+    """The panel defects D_j for j = 0..K-1, in order.
 
     Panel j's b = j + 1 + x has the bits of panel j+1's a, so log b, log^n b
     and the incomplete gammas at log b carry into the next panel.  The
     incomplete gammas start afresh at the first panel with a >= 1.
     """
     q = n + 1
-    a = m + x
+    a = x
     la = log(a)
     la_n = la ** n
     gammas_a = None
-    for j in range(m, K):
+    for j in range(K):
         b = j + 1 + x
         lb = log(b)
         lb_n = lb ** n

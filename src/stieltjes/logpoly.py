@@ -13,15 +13,17 @@ a short partial sum plus Bernoulli-weighted endpoint corrections:
 
 with |R_J| estimated by the first omitted correction.  The same corrections
 apply to summands built from log powers at several shifted arguments
-(ShiftedLogSum below), where only the closed-form integral differs.  Every
-series route picks its partial-sum length K from the one ladder
-em_start_for and takes its corrections from the one loop em_corrections,
-which evaluates every order from one logarithm per shifted point and keeps
-each summand's derivative chain per working precision.  The routes that
-probe the ladder with em_corrections keep the winning probe's corrections
-(em_shifted_plan).  On the gamma_n series, gamma_diff and the s = 0 derivative series,
-em_order_for raises the order J with the digits asked for, above 4 only
-where that order is certified.
+(ShiftedLogSum below), where only the closed-form integral differs.
+
+Every series route is one probe function, probe(K) -> (result, err): the
+claimed tail error at a partial-sum length K and, in most routes, the tail
+itself.  The one ladder em_start_for walks K through start * factor^i, calls
+the probe once per rung, and returns the first passing rung with that
+probe's result, so no route evaluates its chosen K a second time.  The correction loop em_tail_shifted
+evaluates every order from one logarithm per shifted point and keeps each
+summand's derivative chain per working precision.  On the gamma_n series,
+gamma_diff and the s = 0 derivative series, em_order_for raises the order J
+with the digits asked for, above 4 only where that order is certified.
 """
 
 from __future__ import annotations
@@ -249,13 +251,15 @@ def _derivatives(poly: LogPoly, order: int) -> list[LogPoly]:
     return chain
 
 
-def em_corrections(v_prime, start, J: int = 4) -> tuple[list[mpf], mpf]:
-    """The Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) for j = 1..J, and
-    the magnitude of the first omitted one, for v' a LogPoly or a
-    ShiftedLogSum.
+def em_tail_shifted(v_prime, v_at_start, integral, start,
+                    J: int = 4) -> tuple[mpf, mpf]:
+    """sum_{k>=0} v(start + k) where the caller supplies v(start), the
+    closed-form int_start^inf v(t) dt, and v' as a LogPoly or ShiftedLogSum.
 
-    Each distinct point start + shift takes its logarithm once, and every
-    order is evaluated from it.
+    Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
+    corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, and the magnitude
+    of the first omitted one.  Each distinct point start + shift takes its
+    logarithm once, and every order is evaluated from it.
     """
     start = mpf(start)
     if isinstance(v_prime, LogPoly):
@@ -274,59 +278,26 @@ def em_corrections(v_prime, start, J: int = 4) -> tuple[list[mpf], mpf]:
             total += c * point.eval(chain[i])
         return total
 
-    corrections = [bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 2)
-                   for j in range(1, J + 1)]
-    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J))
-    return corrections, err
-
-
-def em_tail_sum(integral, v_at_start, corrections) -> mpf:
-    """sum_{k>=0} v(start + k): the integral plus v(start)/2 minus each
-    correction of em_corrections, in order."""
     value = mpf(integral) + mpf(v_at_start) / 2
-    for c in corrections:
-        value -= c
-    return value
+    for j in range(1, J + 1):
+        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 2)
+    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J))
+    return value, err
 
 
-def em_tail_shifted(v_prime, v_at_start, integral, start,
-                    J: int = 4) -> tuple[mpf, mpf]:
-    """sum_{k>=0} v(start + k) where the caller supplies v(start), the
-    closed-form int_start^inf v(t) dt, and v' as a LogPoly or ShiftedLogSum.
+def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
+    """(K, result, err) for the first rung K of the ladder start * factor^i
+    whose probe(K) = (result, err) claims err below bound.
 
-    Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
-    corrections of order j <= J, and the magnitude of the first omitted one.
-    """
-    corrections, err = em_corrections(v_prime, start, J)
-    return em_tail_sum(integral, v_at_start, corrections), err
-
-
-def em_shifted_plan(v_prime, bound, start: int,
-                    order=lambda K: 4) -> tuple[int, list[mpf], mpf]:
-    """(K, corrections, err) for a lattice sum from K: the first rung of
-    em_start_for's ladder whose em_corrections at order(K) claim below bound,
-    and that probe's corrections, which em_tail_sum turns into the tail."""
-    probes = {}
-
-    def err_at(K):
-        probes[K] = em_corrections(v_prime, K, order(K))
-        return probes[K][1]
-
-    K = em_start_for(err_at, bound, start)
-    return (K, *probes[K])
-
-
-def em_start_for(err_at, bound, start: int, factor: int = 4) -> int:
-    """First rung K of the ladder start * factor^i whose claimed tail error
-    err_at(K) is below bound.
-
-    Raises ConvergenceError once a rung past K_CAP fails: the partial sum
-    would need more terms than the library spends on one series.
+    Each rung is probed once, and the winning probe's result is returned
+    with its K.  Raises ConvergenceError once a rung past K_CAP fails: the
+    partial sum would need more terms than the library spends on one series.
     """
     K = start
     while True:
-        if err_at(K) < bound:
-            return K
+        result, err = probe(K)
+        if err < bound:
+            return K, result, err
         if K > K_CAP:
             raise ConvergenceError(
                 f"tolerance unreachable within {K_CAP} series terms; raise tol")

@@ -33,11 +33,13 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (LogPoly, ShiftedLogSum, em_shifted_plan, em_tail_shifted,
-                      em_tail_sum, logpow_antiderivative, pow_diff)
+from .logpoly import (K_CAP, LogPoly, ShiftedLogSum, em_start_for,
+                      em_tail_shifted, logpow_antiderivative, pow_diff)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
+# Euler-Maclaurin correction order of delta's endpoint corrections
+DELTA_EM_ORDER = 4
 
 
 def _cot_pi(frac) -> mpf:
@@ -238,13 +240,15 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 # delta constants
 # ---------------------------------------------------------------------------
 
-def delta(n: int, N: int = 10000, J: int = 4) -> SeriesValue:
+def delta(n: int, N: int = 10000) -> SeriesValue:
     """delta_n = (-1)^n [zeta^(n)(0) + n!], by the endpoint-corrected
     evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2."""
     if not 0 <= n <= 2:
         raise DomainError("delta: order must be 0, 1 or 2")
     if N < 10:
         raise DomainError("delta: need N >= 10")
+    if N > K_CAP:
+        raise DomainError(f"delta: N must be <= {K_CAP}")
     with workdps(mp.dps + 8):
         if n == 0:
             # every term of the corrected form cancels identically
@@ -253,7 +257,7 @@ def delta(n: int, N: int = 10000, J: int = 4) -> SeriesValue:
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
         gprime = LogPoly.single(1, n, 0).diff()
-        correction, err = em_tail_shifted(gprime, 0, 0, N, J)
+        correction, err = em_tail_shifted(gprime, 0, 0, N, DELTA_EM_ORDER)
         value += correction
         # the partial sum and the integral are each about N log^n N, and
         # their terms' rounding, not the value's, sets the floor
@@ -275,15 +279,17 @@ def digamma(x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         inv = LogPoly.single(1, 0, 1)
         hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
-        K, corrections, err = em_shifted_plan(hprime, tol / 4, 16)
 
         def h(k):
             return mpf(1) / (k + x) - log(1 + 1 / (k + x))
 
+        def probe(K):
+            integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
+                        - logpow_antiderivative(1, K + x))
+            return em_tail_shifted(hprime, h(K), integral, K)
+
+        K, tail, err = em_start_for(probe, tol / 4, 16)
         partial = comp_sum(h(k) for k in range(1, K))
-        integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
-                    - logpow_antiderivative(1, K + x))
-        tail = em_tail_sum(integral, h(K), corrections)
         value = log(1 + x) - (partial + tail) - 1 / x
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
@@ -298,17 +304,18 @@ def log_gamma(x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         inv = LogPoly.single(1, 0, 1)
         hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
-        K, corrections, err = em_shifted_plan(hprime, tol / 4,
-                                              max(16, int(2 * abs(x)) + 2))
 
         def h(k):
             return x * log(1 + mpf(1) / k) - log(1 + x / k)
 
+        def probe(K):
+            integral = (logpow_antiderivative(1, K + x)
+                        - (1 - x) * logpow_antiderivative(1, mpf(K))
+                        - x * logpow_antiderivative(1, mpf(K + 1)))
+            return em_tail_shifted(hprime, h(K), integral, K)
+
+        K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(k) for k in range(1, K))
-        integral = (logpow_antiderivative(1, K + x)
-                    - (1 - x) * logpow_antiderivative(1, mpf(K))
-                    - x * logpow_antiderivative(1, mpf(K + 1)))
-        tail = em_tail_sum(integral, h(K), corrections)
         value = partial + tail - log(x)
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
@@ -372,17 +379,18 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         fk = LogPoly.single(1, k, 1)
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
-        K, corrections, err = em_shifted_plan(wprime, tol / 4,
-                                              max(16, int(2 * abs(x)) + 2))
 
         def h(j):
             return x * fk(j) - _lgk_delta(j, x, q) / q
 
+        def probe(K):
+            integral = (-x * log(K) ** q / q
+                        + (logpow_antiderivative(q, K + x)
+                           - logpow_antiderivative(q, mpf(K))) / q)
+            return em_tail_shifted(wprime, h(K), integral, K)
+
+        K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(j) for j in range(1, K))
-        integral = (-x * log(K) ** q / q
-                    + (logpow_antiderivative(q, K + x)
-                       - logpow_antiderivative(q, mpf(K))) / q)
-        tail = em_tail_sum(integral, h(K), corrections)
         value = -gk.value * x + partial + tail
         err = tail_claim(err, value) + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")

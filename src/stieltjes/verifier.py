@@ -283,12 +283,12 @@ CHECKS = {
 }
 
 
-def run_suite(selection, tol_policy: dict | None = None) -> list[VerifyReport]:
+def run_suite(selection) -> list[VerifyReport]:
     """Run the selected checks over their default grids.
 
     selection is an iterable of check ids (or the string "all"); report order
     is canonical (sorted by check id, then inputs) regardless of execution
-    order.  tol_policy optionally scales tolerances per check id.
+    order.
     """
     if selection == "all":
         ids = sorted(CHECKS)
@@ -299,15 +299,6 @@ def run_suite(selection, tol_policy: dict | None = None) -> list[VerifyReport]:
             raise UnknownCheckError(f"unknown check ids: {', '.join(unknown)}")
     reports: list[VerifyReport] = []
     for cid in ids:
-        batch = CHECKS[cid]()
-        scale = mpf((tol_policy or {}).get(cid, 1))
-        if scale != 1:
-            batch = [
-                VerifyReport.build(r.check_id, r.inputs, r.residual,
-                                   r.tolerance * scale, r.elapsed,
-                                   subchecks=r.subchecks, notes=r.notes)
-                for r in batch
-            ]
-        reports.extend(batch)
+        reports.extend(CHECKS[cid]())
     reports.sort(key=lambda r: r.sort_key())
     return reports

@@ -38,10 +38,13 @@ from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
                    comp_sum, default_tol, rounding_floor, tail_claim,
                    working_dps)
 from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
-                      em_shifted_plan, em_start_for, em_tail_sum,
-                      logpow_antiderivative, pow_diff)
+                      em_start_for, em_tail_shifted, logpow_antiderivative,
+                      pow_diff)
 
 POLE_EXCLUSION = mpf("1e-6")
+# Euler-Maclaurin correction orders of hurwitz_em and zeta_prime_int
+HURWITZ_EM_ORDER = 6
+ZETA_PRIME_ORDER = 4
 
 
 def _validate_x(x) -> mpf:
@@ -51,42 +54,42 @@ def _validate_x(x) -> mpf:
     return x
 
 
-def hurwitz_em(s, x, tol=None, J: int = 6) -> SeriesValue:
+def hurwitz_em(s, x, tol=None) -> SeriesValue:
     """zeta(s, x) by power sum plus Euler-Maclaurin corrections."""
     s = mpf(s)
     x = _validate_x(x)
+    J = HURWITZ_EM_ORDER
     if s == 1:
         raise DomainError("hurwitz_em: pole at s = 1")
     if s <= -(2 * J - 1):
         raise DomainError(f"hurwitz_em: needs s > -(2J-1) = {-(2 * J - 1)}")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        N = em_start_for(lambda N: _em_zeta_correction_err(s, N + x, J), tol / 2,
-                         max(8, int(abs(s)) + 2 * J + 2))
+        # B_2j/(2j)! (s)_(2j-1) for j = 1..J+1, the rising factorials (s)_m
+        # taken as one prefix product; the last weight is the first omitted
+        # correction's
+        weights, rf, m = [], mpf(1), 0
+        for j in range(1, J + 2):
+            while m < 2 * j - 1:
+                rf *= s + m
+                m += 1
+            weights.append(bernoulli_mpf(2 * j) / factorial(2 * j) * rf)
+        omitted = weights.pop()
+
+        def probe(N):
+            return None, abs(omitted * (N + x) ** (-s - 2 * J - 1))
+
+        N, _, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 2 * J + 2))
         a = N + x
-        err = _em_zeta_correction_err(s, a, J)
         terms = [(k + x) ** (-s) for k in range(N)]
         total = comp_sum(terms)
         boundary = a ** (1 - s) / (s - 1)
         total += boundary + a ** (-s) / 2
-        for j in range(1, J + 1):
-            rf = _rising(s, 2 * j - 1)
-            total += bernoulli_mpf(2 * j) / factorial(2 * j) * rf * a ** (-s - 2 * j + 1)
+        for j, w in enumerate(weights, 1):
+            total += w * a ** (-s - 2 * j + 1)
         # for s < 0 the power sum dwarfs the result; dust scales with it
         scale = max(abs(terms[-1]), abs(boundary), abs(total))
         return SeriesValue(total, err + 4 * rounding_floor(scale), N, "em")
-
-
-def _rising(s, m: int) -> mpf:
-    out = mpf(1)
-    for i in range(m):
-        out *= s + i
-    return out
-
-
-def _em_zeta_correction_err(s, a, J: int) -> mpf:
-    rf = _rising(s, 2 * J + 1)
-    return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * rf * a ** (-s - 2 * J - 1))
 
 
 def hurwitz_hasse(s, x, tol=None, n_cap: int = 4000) -> SeriesValue:
@@ -158,24 +161,29 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         vprime = ShiftedLogSum([(1, x, gprime), (x - 1, 0, gprime), (-x, 1, gprime)])
         scale = q * abs(x * (x - 1)) / 2
 
-        def order(K):
-            # at x = 1 the summand vanishes
-            return em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
-
-        K, corrections, err = em_shifted_plan(vprime, tol / 4, 32, order)
-        logs, steps = _deriv_tables(q, K)
-
-        def summand(n):
-            """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free."""
+        def summand(n, ln, step):
+            """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free,
+            given ln = log n and step = log^q(n+1) - log^q n."""
             d1 = log(1 + x / n)
-            return pow_diff(logs[n], logs[n] + d1, d1, q) - x * steps[n]
+            return pow_diff(ln, ln + d1, d1, q) - x * step
 
+        def probe(K):
+            # at x = 1 the summand vanishes
+            J = em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
+            integral = (-logpow_antiderivative(q, K + x)
+                        + (1 - x) * logpow_antiderivative(q, mpf(K))
+                        + x * logpow_antiderivative(q, mpf(K + 1)))
+            # v(K) from a fresh log K, not the tables: a rung past K_CAP
+            # that fails must not fill them first
+            lK = log(K)
+            v_K = summand(K, lK, _log_step(lK, K, q))
+            return em_tail_shifted(vprime, v_K, integral, K, J)
+
+        K, tail, err = em_start_for(probe, tol / 4, 32)
+        logs, steps = _deriv_tables(q, K - 1)
         lx = log(x)
-        total = lx ** q + comp_sum(summand(n) for n in range(1, K))
-        integral = (-logpow_antiderivative(q, K + x)
-                    + (1 - x) * logpow_antiderivative(q, mpf(K))
-                    + x * logpow_antiderivative(q, mpf(K + 1)))
-        total += em_tail_sum(integral, summand(K), corrections)
+        total = lx ** q + comp_sum(summand(n, logs[n], steps[n]) for n in range(1, K))
+        total += tail
         value = (-1) ** (k + 1) * total
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
 
@@ -192,9 +200,14 @@ def _deriv_tables(q: int, K: int) -> tuple[list, list]:
     for n in range(len(logs), K + 1):
         logs.append(log(n))
     for n in range(len(steps), K + 1):
-        d2 = log(1 + mpf(1) / n)
-        steps.append(pow_diff(logs[n], logs[n] + d2, d2, q))
+        steps.append(_log_step(logs[n], n, q))
     return logs, steps
+
+
+def _log_step(ln, n: int, q: int) -> mpf:
+    """log^q(n+1) - log^q n, given ln = log n."""
+    d2 = log(1 + mpf(1) / n)
+    return pow_diff(ln, ln + d2, d2, q)
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
@@ -221,7 +234,7 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
     raise DomainError("zeta_deriv0_const: only n <= 2 has a provided constant")
 
 
-def zeta_prime_int(s, tol=None, J: int = 4) -> SeriesValue:
+def zeta_prime_int(s, tol=None) -> SeriesValue:
     """zeta'(s) = -sum_{k>=2} log k / k^s for s > 1, tail-accelerated.
 
     Derivatives of log(t) t^-s follow (a log t + b) t^(-s-m) with
@@ -232,28 +245,30 @@ def zeta_prime_int(s, tol=None, J: int = 4) -> SeriesValue:
     if not s > 1:
         raise DomainError("zeta_prime_int: needs s > 1")
     tol = default_tol() if tol is None else mpf(tol)
+    J = ZETA_PRIME_ORDER
     with workdps(working_dps(tol)):
-        K = em_start_for(lambda K: _zp_tail_err(s, K, J), tol / 2, 8, factor=2)
-        err = _zp_tail_err(s, K, J)
-        partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
-        Km = mpf(K)
-        tail = Km ** (1 - s) * (log(Km) / (s - 1) + (s - 1) ** (-2))
-        tail += log(Km) * Km ** (-s) / 2
-        a, b = mpf(1), mpf(0)
-        m = 0
-        for j in range(1, J + 1):
+        # the m-th derivative of log(t) t^-s is (a_m log t + b_m) t^(-s-m);
+        # (B_2j/(2j)!, a_m, b_m) at m = 2j-1 for j = 1..J+1, the last for the
+        # first omitted correction
+        coeffs, a, b, m = [], mpf(1), mpf(0), 0
+        for j in range(1, J + 2):
             while m < 2 * j - 1:
                 a, b = -(s + m) * a, a - (s + m) * b
                 m += 1
-            tail -= bernoulli_mpf(2 * j) / factorial(2 * j) * (a * log(Km) + b) * Km ** (-s - m)
+            coeffs.append((bernoulli_mpf(2 * j) / factorial(2 * j), a, b))
+        omitted = coeffs.pop()
+
+        def probe(K):
+            w, a, b = omitted
+            lK = log(mpf(K))
+            return lK, abs(w * (a * lK + b) * mpf(K) ** (-s - 2 * J - 1))
+
+        K, lK, err = em_start_for(probe, tol / 2, 8, factor=2)
+        partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
+        Km = mpf(K)
+        tail = Km ** (1 - s) * (lK / (s - 1) + (s - 1) ** (-2))
+        tail += lK * Km ** (-s) / 2
+        for j, (w, a, b) in enumerate(coeffs, 1):
+            tail -= w * (a * lK + b) * Km ** (-s - (2 * j - 1))
         value = -(partial + tail)
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
-
-
-def _zp_tail_err(s, K, J: int) -> mpf:
-    a, b = mpf(1), mpf(0)
-    for m in range(2 * J + 1):
-        a, b = -(s + m) * a, a - (s + m) * b
-    Km = mpf(K)
-    return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
-               * (a * log(Km) + b) * Km ** (-s - 2 * J - 1))

@@ -94,6 +94,17 @@ def solve_linear(rows, rhs):
     return x
 
 
+def gamma_n_partial_sum(n: int, x, N: int) -> mpf:
+    """The defining limit of gamma_n(x) stopped at N:
+    sum_{k<=N} log^n(k+x)/(k+x) - log^(n+1)(N+x)/(n+1), summed plainly.
+    It carries no bound; its defect is about log^n(N+x)/(2(N+x))."""
+    x = mpf(x)
+    s = mpf(0)
+    for k in range(N + 1):
+        s += log(k + x) ** n / (k + x)
+    return s - log(N + x) ** (n + 1) / (n + 1)
+
+
 def ln2_alternating_oracle(N: int = 4000, levels: int = 24) -> tuple[mpf, mpf]:
     """ln 2 from partial sums of sum (-1)^k/(k+1) with repeated Richardson
     averaging: each averaging of adjacent partial sums kills one order of the

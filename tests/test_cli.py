@@ -5,6 +5,7 @@ import json
 from mpmath import log, mpf
 
 from stieltjes.cli import main
+from stieltjes.logpoly import K_CAP
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,13 @@ def test_compute_invalid_order_exits_2(capsys):
     code, _, err = run_cli(capsys, "compute", "gamma", "--n", "99", "--x", "1")
     assert code == 2
     assert "order" in err
+
+
+def test_delta_term_budget_past_the_cap_exits_2(capsys):
+    code, _, err = run_cli(capsys, "compute", "delta", "--n", "1",
+                           "--terms", str(K_CAP + 1))
+    assert code == 2
+    assert "delta" in err
 
 
 def test_precision_tolerance_invariant_exits_2(capsys):

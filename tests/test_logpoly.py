@@ -10,9 +10,8 @@ from stieltjes.core import ConvergenceError, DomainError, comp_sum
 from stieltjes.gamma import gamma_n
 from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
                                ShiftedLogSum, bernoulli, bernoulli_mpf,
-                               em_corrections, em_shifted_plan, em_start_for,
-                               em_tail, em_tail_shifted, logpoly_integral_to_inf,
-                               logpow_antiderivative)
+                               em_start_for, em_tail, em_tail_shifted,
+                               logpoly_integral_to_inf, logpow_antiderivative)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
 
@@ -164,39 +163,48 @@ def test_em_tail_shifted_matches_the_fresh_loop(J):
             assert got == _reference_tail(v_prime, mpf("0.125"), mpf("0.5"), start, J)
 
 
-def test_em_shifted_plan_keeps_the_winning_probe():
+def test_em_start_for_keeps_the_winning_shifted_probe():
+    # log-gamma's summand derivative, its whole tail probed at each rung
     x = mpf("0.3")
     inv = LogPoly.single(1, 0, 1)
     hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
     bound = mpf("1e-22")
-    K, corrections, err = em_shifted_plan(hprime, bound, 16)
-    assert K > 16 and em_corrections(hprime, K // 4)[1] >= bound > err
-    assert (corrections, err) == em_corrections(hprime, K)
+
+    def probe(K):
+        return em_tail_shifted(hprime, mpf(1) / K, mpf(2) / K, K)
+
+    K, value, err = em_start_for(probe, bound, 16)
+    assert K > 16 and probe(K // 4)[1] >= bound > err
+    assert (value, err) == probe(K)
 
 
 def test_em_start_for_returns_smallest_passing_rung():
     probes = []
 
-    def err_at(K):
+    def probe(K):
         probes.append(K)
-        return mpf(1) / K
+        return f"tail at {K}", mpf(1) / K
 
-    assert em_start_for(err_at, mpf(1) / 1000, 16) == 1024
+    # the winning rung comes back with its own probe's result and error,
+    # and every rung is probed exactly once
+    assert em_start_for(probe, mpf(1) / 1000, 16) == (1024, "tail at 1024", mpf(1) / 1024)
     assert probes == [16, 64, 256, 1024]
     # the bound is strict: a rung whose error equals it does not pass
-    assert em_start_for(err_at, mpf(1) / 256, 16) == 1024
-    assert em_start_for(err_at, mpf(1) / 1000, 8, factor=2) == 1024
+    assert em_start_for(probe, mpf(1) / 256, 16)[0] == 1024
+    probes.clear()
+    assert em_start_for(probe, mpf(1) / 1000, 8, factor=2)[0] == 1024
+    assert probes == [8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def test_em_start_for_raises_past_the_budget():
     probes = []
 
-    def err_at(K):
+    def probe(K):
         probes.append(K)
-        return mpf(1)
+        return None, mpf(1)
 
     with pytest.raises(ConvergenceError):
-        em_start_for(err_at, mpf("1e-10"), 16)
+        em_start_for(probe, mpf("1e-10"), 16)
     # the first rung past the cap is still probed, then the ladder stops
     assert probes[-2] <= K_CAP < probes[-1]
 

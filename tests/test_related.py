@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from mpmath import exp, factorial, log, mp, mpf, pi, workdps, zeta
@@ -6,6 +7,7 @@ from mpmath import exp, factorial, log, mp, mpf, pi, workdps, zeta
 import oracles
 from stieltjes.core import DomainError, SeriesValue
 from stieltjes.gamma import RationalArg
+from stieltjes.logpoly import K_CAP
 from stieltjes.quadrature import quad_gl
 from stieltjes.related import (PowerSeries, delta, digamma, digamma_rational,
                                dilcher_log_gamma_k, dilcher_power_series, eta,
@@ -128,6 +130,14 @@ class TestDelta:
             delta(3)
         with pytest.raises(DomainError):
             delta(1, N=5)
+
+    def test_term_budget_is_capped(self):
+        # past the budget it raises before summing a single logarithm
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            delta(1, N=K_CAP + 1)
+        assert time.perf_counter() - t0 < 1
+        assert delta(0, N=K_CAP).value == mpf(1) / 2
 
 
 class TestDigamma:

@@ -8,7 +8,7 @@ from mpmath import log, mp, mpf, workdps, workprec
 from stieltjes.core import PREC_TABLES_MAX, PrecTable, comp_sum, working_dps
 from stieltjes.gamma import (_SERIES_C_STEPS, _coffey_panels, _lattice_plan,
                              _series_c_steps, gamma_diff, gamma_n, incgamma_int)
-from stieltjes.logpoly import _CHAINS, LogPoly, em_tail, pow_diff
+from stieltjes.logpoly import _CHAINS, LogPoly, pow_diff
 from stieltjes.related import digamma
 from stieltjes.zeta import _DERIV_TABLES, _deriv_tables, zeta_deriv0_diff
 
@@ -116,23 +116,19 @@ def _reference_panel(n, j, x, q):
     return (la ** n / a + lb ** n / b) / 2 - dlog
 
 
-@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("x", ["0.05", "1.5"])
 @pytest.mark.parametrize("n", [1, 4])
-def test_coffey_carry_matches_fresh_panels(n, m):
-    # x = 0.05 with m = 0 switches from the a < 1 form to the incomplete
-    # gammas at the second panel; m = 3 starts past the switch
-    x = mpf("0.05")
+def test_coffey_carry_matches_fresh_panels(n, x):
+    # x = 0.05 switches from the a < 1 form to the incomplete gammas at the
+    # second panel; x = 1.5 starts them at the first
+    x = mpf(x)
     q = n + 1
     with workdps(working_dps(TOL)):
-        assert list(_coffey_panels(n, x, m, m + 12)) == [
-            _reference_panel(n, j, x, q) for j in range(m, m + 12)]
+        assert list(_coffey_panels(n, x, 12)) == [
+            _reference_panel(n, j, x, q) for j in range(12)]
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, TOL, 32)
-        if K < m + 4:
-            K = m + 4
-            tail = em_tail(f, K + x, tail.terms_used)
-        head = comp_sum(f(k + x) for k in range(m + 1))
-        partial = comp_sum(_reference_panel(n, j, x, q) for j in range(m, K))
-        want = (head - log(m + x) ** q / q - f(m + x) / 2
+        partial = comp_sum(_reference_panel(n, j, x, q) for j in range(K))
+        want = (f(x) - log(x) ** q / q - f(x) / 2
                 + partial + tail.value - f(K + x) / 2)
-    assert gamma_n(n, x, "coffey", TOL, coffey_m=m).value == want
+    assert gamma_n(n, x, "coffey", TOL).value == want

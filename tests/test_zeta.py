@@ -1,11 +1,14 @@
+from math import factorial
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import e as e_const, exp, log, mpf, pi, workdps, zeta
 
 import oracles
-from stieltjes.core import ConvergenceError, DomainError
+from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
+                            rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import LogPoly, _order_table
+from stieltjes.logpoly import LogPoly, _order_table, bernoulli_mpf
 from stieltjes.zeta import (hurwitz_em, hurwitz_hasse, zeta_deriv0_const,
                             zeta_deriv0_diff, zeta_prime_int)
 
@@ -42,7 +45,78 @@ class TestHasse:
             hurwitz_hasse(2, mpf("0.25"), mpf("1e-10"), n_cap=256)
 
 
+def _rising(s, m):
+    out = mpf(1)
+    for i in range(m):
+        out *= s + i
+    return out
+
+
+def _hurwitz_reference(s, x, tol, J=6):
+    """hurwitz_em with each rising factorial and each correction built
+    afresh, and the winning rung's error computed a second time."""
+    def err_at(N):
+        return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
+                   * _rising(s, 2 * J + 1) * (N + x) ** (-s - 2 * J - 1))
+
+    with workdps(working_dps(tol)):
+        N = max(8, int(abs(s)) + 2 * J + 2)
+        while not err_at(N) < tol / 2:
+            N *= 4
+        a = N + x
+        err = err_at(N)
+        terms = [(k + x) ** (-s) for k in range(N)]
+        total = comp_sum(terms)
+        boundary = a ** (1 - s) / (s - 1)
+        total += boundary + a ** (-s) / 2
+        for j in range(1, J + 1):
+            total += (bernoulli_mpf(2 * j) / factorial(2 * j) * _rising(s, 2 * j - 1)
+                      * a ** (-s - 2 * j + 1))
+        scale = max(abs(terms[-1]), abs(boundary), abs(total))
+        return total, err + 4 * rounding_floor(scale), N
+
+
+def _zeta_prime_reference(s, tol, J=4):
+    """zeta_prime_int with the derivative recurrence run afresh for the
+    error of every rung and once more for the corrections."""
+    def err_at(K):
+        a, b = mpf(1), mpf(0)
+        for m in range(2 * J + 1):
+            a, b = -(s + m) * a, a - (s + m) * b
+        Km = mpf(K)
+        return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
+                   * (a * log(Km) + b) * Km ** (-s - 2 * J - 1))
+
+    with workdps(working_dps(tol)):
+        K = 8
+        while not err_at(K) < tol / 2:
+            K *= 2
+        err = err_at(K)
+        partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
+        Km = mpf(K)
+        tail = Km ** (1 - s) * (log(Km) / (s - 1) + (s - 1) ** (-2))
+        tail += log(Km) * Km ** (-s) / 2
+        a, b = mpf(1), mpf(0)
+        m = 0
+        for j in range(1, J + 1):
+            while m < 2 * j - 1:
+                a, b = -(s + m) * a, a - (s + m) * b
+                m += 1
+            tail -= (bernoulli_mpf(2 * j) / factorial(2 * j) * (a * log(Km) + b)
+                     * Km ** (-s - m))
+        value = -(partial + tail)
+        return value, tail_claim(err, value), K
+
+
 class TestHurwitzEM:
+    @pytest.mark.parametrize("s", ["-2.5", "-1", "0.3", "2", "2.1", "7.3"])
+    @pytest.mark.parametrize("x", ["0.07", "1", "3.3"])
+    def test_bits_of_the_fresh_correction_loop(self, s, x):
+        s, x = mpf(s), mpf(x)
+        for tol in (mpf("1e-12"), mpf("1e-25")):
+            sv = hurwitz_em(s, x, tol)
+            assert (sv.value, sv.abs_err, sv.terms_used) == _hurwitz_reference(s, x, tol)
+
     def test_zeta2_half(self):
         # zeta(2, 1/2) = 3 zeta(2) by even/odd splitting of the brute sum
         sv = hurwitz_em(2, mpf("0.5"))
@@ -192,6 +266,13 @@ class TestDeriv0Const:
 
 
 class TestZetaPrime:
+    @pytest.mark.parametrize("s", ["1.1", "1.5", "2", "3.3", "10"])
+    def test_bits_of_the_fresh_correction_loop(self, s):
+        s = mpf(s)
+        for tol in (mpf("1e-12"), mpf("1e-25")):
+            sv = zeta_prime_int(s, tol)
+            assert (sv.value, sv.abs_err, sv.terms_used) == _zeta_prime_reference(s, tol)
+
     def test_large_s_bound(self):
         sv = zeta_prime_int(10)
         assert abs(sv.value) < 2 * log(2) / 2**10
