@@ -110,6 +110,10 @@ def _config_from(args) -> CliConfig:
 def _compute_one(constant: str, cfg: CliConfig, n, x, p, q, method, terms) -> tuple[dict, SeriesValue]:
     tol = cfg.tol
     params: dict = {}
+    if terms is not None and not (constant == "delta" or (
+            constant == "eta" and (method or "").replace("-", "_") == "series")):
+        raise UsageError("--terms sets K of eta --method series or N of delta; "
+                         f"{constant} does not read it")
     if constant == "gamma":
         if p is not None or q is not None:
             if n not in (None, 1):

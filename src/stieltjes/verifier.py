@@ -4,20 +4,28 @@ rest on becomes a residual check with an explicit tolerance.
 Cross-representation checks use the sum of the claimed error bounds (plus any
 stated slack) as their tolerance, so a failure indicts a claimed bound rather
 than merely a value.
+
+The integrand checks sample each function once: gamma_n on [1, 2] and the
+regular part of zeta^(k)(0, t) on [0, 1] become one Chebyshev model each
+(quadrature.chebyshev_model), built from library values and their claims.
+The gamma_n model is kept per (n, precision) and shared by
+vanishing_integrals and zero_structure.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
 
-from .core import DomainError, comp_sum, find_root_bisect
+from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
+                   find_root_bisect, rounding_floor)
 from .gamma import gamma_n
 from .logpoly import (LogPoly, ShiftedLogSum, em_tail, em_tail_shifted,
                       logpow_antiderivative)
-from .quadrature import quad_gl
+from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, log_gamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff
@@ -46,11 +54,12 @@ def check_lemma31(n: int, x, N: int) -> VerifyReport:
         raise DomainError("check_lemma31: need x >= 0")
     t0 = time.perf_counter()
     q = n + 1
-    lhs = log(N + x) ** q
-    integral = (log(N + 1 + x) ** q - log(N + x) ** q) / q
-    telescoped = comp_sum(
-        log(k + 1 + x) ** q - log(k + x) ** q for k in range(1, N + 1))
-    rhs = log(1 + x) ** q - q * integral + telescoped
+    # powers[i] = log^q(i + 1 + x), each logarithm taken once
+    powers = [log(k + x) ** q for k in range(1, N + 2)]
+    lhs = powers[N - 1]
+    integral = (powers[N] - powers[N - 1]) / q
+    telescoped = comp_sum(powers[i + 1] - powers[i] for i in range(N))
+    rhs = powers[0] - q * integral + telescoped
     residual = abs(lhs - rhs)
     return VerifyReport.build(
         check_id="lemma31",
@@ -102,26 +111,52 @@ def check_cotangent(x, tol=None) -> VerifyReport:
     )
 
 
-_UNIT_INTEGRAL_CACHE: dict[tuple[str, int], tuple[mpf, mpf]] = {}
+# order -> SeriesValue of int_0^1 zeta^(order)(0, t) dt
+_UNIT_INTEGRAL_CACHE = PrecTable()
+# n -> ChebyshevModel of gamma_n(n, t, "series_c", GAMMA_MODEL_TOL) on [1, 2]
+_GAMMA_MODELS = PrecTable()
+GAMMA_MODEL_TOL = mpf("1e-12")
 
 
-def _unit_deriv_integral(order: int) -> tuple[mpf, mpf]:
-    """int_0^1 zeta^(order)(0, x) dx with geometric grading toward 0."""
-    key = ("unit", order, mp.prec)
-    cached = _UNIT_INTEGRAL_CACHE.get(key)
+def _unit_deriv_integral(order: int) -> SeriesValue:
+    """int_0^1 zeta^(order)(0, t) dt.
+
+    zeta(s, t) = t^-s + zeta(s, t+1), so zeta^(order)(0, t) - (-log t)^order
+    is zeta^(order)(0, t+1), analytic on [0, 1].  The model integrates that
+    difference of library values, and int_0^1 (-log t)^order dt = order! is
+    added back.
+    """
+    integrals = _UNIT_INTEGRAL_CACHE.at_prec()
+    cached = integrals.get(order)
     if cached is not None:
         return cached
     const = zeta_deriv0_const(order, mpf("1e-14"))
     tol = mpf("1e-12")
 
-    def integrand(t):
-        return zeta_deriv0_diff(order - 1, t, tol).value + const.value
+    def regular(t):
+        d = zeta_deriv0_diff(order - 1, t, tol)
+        singular = (-log(t)) ** order
+        return SeriesValue(d.value + const.value - singular,
+                           d.abs_err + const.abs_err + rounding_floor(singular),
+                           d.terms_used, d.method)
 
-    q = quad_gl(integrand, mpf(0), mpf(1), panels=18, nodes_per_panel=12,
-                singular_left=True)
-    result = (q.value, q.abs_err)
-    _UNIT_INTEGRAL_CACHE[key] = result
+    q = chebyshev_model(regular, 0, 1).integral
+    value = q.value + factorial(order)
+    result = SeriesValue(value, q.abs_err + rounding_floor(value), q.terms_used,
+                         q.method)
+    integrals[order] = result
     return result
+
+
+def _gamma_model(n: int) -> ChebyshevModel:
+    """The shared Chebyshev model of gamma_n on [1, 2]."""
+    models = _GAMMA_MODELS.at_prec()
+    model = models.get(n)
+    if model is None:
+        model = chebyshev_model(
+            lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL), 1, 2)
+        models[n] = model
+    return model
 
 
 def check_vanishing_integrals(n: int) -> VerifyReport:
@@ -130,14 +165,14 @@ def check_vanishing_integrals(n: int) -> VerifyReport:
     if not 0 <= n <= 3:
         raise DomainError("check_vanishing_integrals: need n <= 3")
     t0 = time.perf_counter()
-    tol = mpf("1e-12")
-    q = quad_gl(lambda t: gamma_n(n, t, "series_c", tol).value,
-                mpf(1), mpf(2), panels=4, nodes_per_panel=20)
+    q = _gamma_model(n).integral
     subs = [SubCheck("gamma_over_unit_interval", abs(q.value), q.abs_err + mpf("1e-8"))]
-    v1, e1 = _unit_deriv_integral(1)
-    subs.append(SubCheck("zeta_prime0_over_unit", abs(v1), e1 + mpf("1e-8")))
-    v2, e2 = _unit_deriv_integral(2)
-    subs.append(SubCheck("zeta_second0_over_unit", abs(v2), e2 + mpf("1e-7")))
+    u1 = _unit_deriv_integral(1)
+    subs.append(SubCheck("zeta_prime0_over_unit", abs(u1.value),
+                         u1.abs_err + mpf("1e-8")))
+    u2 = _unit_deriv_integral(2)
+    subs.append(SubCheck("zeta_second0_over_unit", abs(u2.value),
+                         u2.abs_err + mpf("1e-7")))
     return VerifyReport.from_subchecks(
         check_id="vanishing_integrals",
         inputs={"n": n},
@@ -147,6 +182,29 @@ def check_vanishing_integrals(n: int) -> VerifyReport:
 
 
 ALPHA_DIGAMMA_ZERO = mpf("1.461632144968")
+ROOT_STEP = mpf("1e-11")
+
+
+def _gamma_roots(n: int) -> list[mpf]:
+    """Roots of gamma_n on [1, 2]: sign changes of the model on a 256-point
+    grid, bisected on the model to ROOT_STEP.  A root r counts only when the
+    library values at r - ROOT_STEP and r + ROOT_STEP have opposite signs and
+    each exceeds its claimed error in magnitude."""
+    model = _gamma_model(n)
+    grid = 256
+    pts = [1 + mpf(i) / (grid - 1) for i in range(grid)]
+    vals = [model(t) for t in pts]
+    roots = []
+    for i in range(grid - 1):
+        if (vals[i] > 0) == (vals[i + 1] > 0):
+            continue
+        r = find_root_bisect(model, pts[i], pts[i + 1], ROOT_STEP)
+        lo, hi = (gamma_n(n, r + s, "series_c", GAMMA_MODEL_TOL)
+                  for s in (-ROOT_STEP, ROOT_STEP))
+        if ((lo.value > 0) != (hi.value > 0) and abs(lo.value) > lo.abs_err
+                and abs(hi.value) > hi.abs_err):
+            roots.append(r)
+    return roots
 
 
 def check_zero_structure(n: int) -> VerifyReport:
@@ -155,23 +213,13 @@ def check_zero_structure(n: int) -> VerifyReport:
     if not 0 <= n <= 3:
         raise DomainError("check_zero_structure: need n <= 3")
     t0 = time.perf_counter()
-    tol = mpf("1e-12")
-    grid = 256
-
-    def g(t):
-        return gamma_n(n, t, "series_c", tol).value
-
-    pts = [1 + mpf(i) / (grid - 1) for i in range(grid)]
-    vals = [g(t) for t in pts]
-    brackets = [(pts[i], pts[i + 1]) for i in range(grid - 1)
-                if (vals[i] > 0) != (vals[i + 1] > 0)]
-    roots = [find_root_bisect(g, lo, hi, mpf("1e-11")) for lo, hi in brackets]
+    roots = _gamma_roots(n)
     notes = "sign changes at ~" + ", ".join(mp.nstr(r, 12) for r in roots)
     if n == 0:
         residual = abs(roots[0] - ALPHA_DIGAMMA_ZERO) if roots else mpf(1)
         tolerance = mpf("1e-9")
     else:
-        residual = mpf(max(0, 2 - len(brackets)))
+        residual = mpf(max(0, 2 - len(roots)))
         tolerance = mpf(0)
     return VerifyReport.build(
         check_id="zero_structure",

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import pytest
 from mpmath import log, mpf
 
 from stieltjes.cli import main
@@ -70,6 +71,29 @@ def test_delta_term_budget_past_the_cap_exits_2(capsys):
                            "--terms", str(K_CAP + 1))
     assert code == 2
     assert "delta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--n", "1", "--x", "1"),
+    ("eta", "--n", "1"),
+    ("eta", "--n", "1", "--method", "from-gamma"),
+    ("digamma", "--x", "1"),
+])
+def test_terms_on_a_constant_that_ignores_it_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "compute", *argv, "--terms", "5")
+    assert code == 2
+    assert "--terms" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("eta", "--n", "0", "--method", "series"),
+    ("delta", "--n", "1"),
+])
+def test_terms_on_eta_series_and_delta_still_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", *argv,
+                           "--terms", "100")
+    assert code == 0
+    assert json.loads(out)["terms_used"] >= 1
 
 
 def test_precision_tolerance_invariant_exits_2(capsys):

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import log, mpf, workdps
+from mpmath import log, mpf, workdps, zeta
 
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum
@@ -251,18 +251,34 @@ def _self_consistency_cases(count=20, seed=20190201):
             for _ in range(count)]
 
 
-@pytest.mark.slow
+def _tail_reference(f, m, p, N):
+    """sum_{k>=N} log^m k / k^p = (-1)^m zeta^(m)(p, N), by mpmath at 60
+    digits, less the closed-form integral from N."""
+    with workdps(60):
+        return (-1) ** m * zeta(p, N, m) - logpoly_integral_to_inf(f, mpf(N))
+
+
 @pytest.mark.parametrize("m,p,N", _self_consistency_cases())
 def test_em_tail_self_consistency(m, p, N):
-    # oracle: brute partial to M, closed integral remainder, trapezoid term
-    # and the hand-written first endpoint correction -f'(M)/12; the leftover
-    # is ~|f'''(M)| ~ 1e-20, far below 10x any claimed bound here
     f = LogPoly.single(1, m, p)
     sv = em_tail(f, N)
+    want = _tail_reference(f, m, p, N)
+    assert abs(sv.value - want) <= 10 * sv.abs_err + mpf("1e-19")
+
+
+@pytest.mark.slow
+def test_em_tail_reference_against_brute_force():
+    # cross-check of the mpmath reference on the first case: brute partial to
+    # M, closed integral remainder, trapezoid term and the hand-written first
+    # endpoint correction -f'(M)/12; the leftover is ~|f'''(M)| ~ 1e-20
+    m, p, N = _self_consistency_cases()[0]
+    f = LogPoly.single(1, m, p)
     M = mpf(10**5)
     brute = comp_sum(f(k) for k in range(N, 10**5))
     lM = log(M)
     fprime_M = m * lM ** (m - 1) / M ** (p + 1) - p * lM ** m / M ** (p + 1)
     rest = logpoly_integral_to_inf(f, M) + f(M) / 2 - fprime_M / 12
     want = brute + rest - logpoly_integral_to_inf(f, mpf(N))
+    assert abs(_tail_reference(f, m, p, N) - want) <= mpf("1e-19")
+    sv = em_tail(f, N)
     assert abs(sv.value - want) <= 10 * sv.abs_err + mpf("1e-19")

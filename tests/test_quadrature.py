@@ -1,10 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import log, mp, mpf
+from mpmath import e, exp, log, mp, mpf
 
 import oracles
-from stieltjes.core import DomainError
-from stieltjes.quadrature import QuadratureError, legendre_rule, quad_gl
+from stieltjes.core import (ConvergenceError, DomainError, SeriesValue,
+                            find_root_bisect, rounding_floor)
+from stieltjes.gamma import gamma_n
+from stieltjes.quadrature import (MODEL_POINTS, QuadratureError,
+                                  chebyshev_model, legendre_rule, quad_gl)
+from stieltjes.verifier import GAMMA_MODEL_TOL, _gamma_model, _gamma_roots
 
 
 def test_polynomial_exact():
@@ -65,3 +69,90 @@ def test_gauss_exact_for_low_degree(coeffs):
     # rounding scale: |f| on [1,2] is at most sum |c_i| 2^i, times node count
     fmax = sum(abs(mpf(c)) * mpf(2) ** i for i, c in enumerate(coeffs)) + 1
     assert abs(sv.value - want) <= 2 * 8 * fmax * mpf(2) ** (-mp.prec + 2)
+
+
+def _exact(f):
+    """An integrand whose node values are exact to rounding."""
+    def g(t):
+        v = f(t)
+        return SeriesValue(v, rounding_floor(v), 1, "exact")
+    return g
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=MODEL_POINTS))
+def test_model_reproduces_polynomials(coeffs):
+    # degree <= 40 = MODEL_POINTS - 1: the interpolant is the polynomial and
+    # Fejer's first rule integrates it exactly; a per-node claim of 1e-9 sits
+    # above the tail estimate, which reads the last two coefficients
+    def p(x):
+        acc = mpf(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    model = chebyshev_model(lambda t: SeriesValue(p(t), mpf("1e-9"), 1, "poly"), 1, 2)
+    fmax = sum(abs(mpf(c)) * mpf(2) ** i for i, c in enumerate(coeffs)) + 1
+    dust = 4 * MODEL_POINTS ** 2 * fmax * mpf(2) ** (-mp.prec)
+    for t in ("1", "1.03", "1.37", "1.5", "1.81", "2"):
+        assert abs(model(mpf(t)) - p(mpf(t))) <= dust
+    want = sum(mpf(c) * (mpf(2) ** (i + 1) - 1) / (i + 1) for i, c in enumerate(coeffs))
+    assert abs(model.integral.value - want) <= dust
+
+
+def test_model_integral_of_exp_within_claim():
+    sv = chebyshev_model(_exact(exp), 0, 1).integral
+    assert abs(sv.value - (e - 1)) <= sv.abs_err
+    assert sv.abs_err < mpf("1e-30")
+
+
+def test_model_claim_carries_node_claims():
+    err = mpf("1e-20")
+    sv = chebyshev_model(lambda t: SeriesValue(t * t, err, 1, "x"), 1, 3).integral
+    assert sv.abs_err >= 2 * err
+    assert abs(sv.value - mpf(26) / 3) <= sv.abs_err
+
+
+def test_model_never_samples_endpoints():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return SeriesValue(log(t), rounding_floor(log(t)), 1, "log")
+
+    with pytest.raises(ConvergenceError):  # log t is singular at 0
+        chebyshev_model(f, 0, 1)
+    assert len(seen) == MODEL_POINTS and all(0 < t < 1 for t in seen)
+
+
+def test_model_raises_on_unresolved_integrand():
+    with pytest.raises(ConvergenceError):
+        chebyshev_model(_exact(lambda t: 1 / ((t - mpf("1.5")) ** 2 + mpf("1e-6"))), 1, 2)
+
+
+def test_model_rejects_bad_interval():
+    with pytest.raises(DomainError):
+        chebyshev_model(_exact(lambda t: t), 1, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_gamma_roots_match_direct_bisection(n):
+    # the verifier's roots come from the model; bisect gamma_n itself around
+    # each one and compare
+    roots = _gamma_roots(n)
+    assert len(roots) == (1 if n == 0 else 2)
+
+    def g(t):
+        return gamma_n(n, t, "series_c", GAMMA_MODEL_TOL).value
+
+    for r in roots:
+        direct = find_root_bisect(g, r - mpf("1e-4"), r + mpf("1e-4"), mpf("1e-11"))
+        assert abs(r - direct) <= mpf("2e-11")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_model_integral_agrees_with_gauss_legendre(n):
+    sv = _gamma_model(n).integral
+    q = quad_gl(lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL).value,
+                1, 2, panels=1, nodes_per_panel=24)
+    assert abs(sv.value - q.value) <= sv.abs_err
