@@ -25,6 +25,8 @@ the first summand.
 All four lattice sums (the three routes and gamma_diff) take their
 partial-sum length K and Euler-Maclaurin order J from _lattice_plan: J rises
 above 4 with the digits asked for, and only where that order is certified.
+Every log-power difference is logpoly.pow_step, and series_c reads its
+x-free steps from logpoly.log_steps, the table zeta_deriv0_diff shares.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from math import factorial, gcd
 
 from mpmath import cospi, exp, log, mp, mpf, pi, sinpi, workdps
 
-from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
+from .core import (DomainError, SeriesValue, accelerate_alternating,
                    comp_sum, cvz_terms, default_tol, rounding_floor, tail_claim,
                    working_dps)
 from .logpoly import (LogPoint, LogPoly, em_order_for, em_start_for, em_tail,
-                      pow_diff)
+                      log_steps, pow_step)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -113,30 +115,6 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     return K, tail
 
 
-def _logpow_delta(n_lo, x_lo, n_hi, x_hi, q: int) -> mpf:
-    """log^q(n_hi + x_hi) - log^q(n_lo + x_lo) without large-minus-large loss."""
-    lo = n_lo + x_lo
-    return _logpow_step(log(lo), lo, mpf(n_hi) + x_hi, q)
-
-
-def _logpow_step(la, a, b, q: int) -> mpf:
-    """log^q b - log^q a, given la = log a."""
-    delta = log(b / a)
-    return pow_diff(la, la + delta, delta, q)
-
-
-# q -> [(log^q(k+2) - log^q(k+1))/q for k = 0, 1, ...], series_c's x-free
-# half of each summand
-_SERIES_C_STEPS = PrecTable()
-
-
-def _series_c_steps(q: int, K: int) -> list:
-    steps = _SERIES_C_STEPS.at_prec().setdefault(q, [])
-    for k in range(len(steps), K):
-        steps.append(_logpow_delta(k + 1, 0, k + 2, 0, q) / q)
-    return steps
-
-
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
@@ -145,7 +123,7 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
 
         def term(k):
             a = LogPoint(k + x)
-            return a.eval(f) - _logpow_step(a.lu, a.u, mpf(k + 1) + x, q) / q
+            return a.eval(f) - pow_step(a.lu, a.u, mpf(k + 1) + x, q) / q
 
         partial = comp_sum(term(k) for k in range(K))
         value = -log(x) ** q / q + partial + tail.value
@@ -159,9 +137,9 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
-        steps = _series_c_steps(q, K)
-        partial = comp_sum(f(k + x) - steps[k] for k in range(K))
-        value = partial + tail.value + _logpow_delta(K, x, K + 1, 0, q) / q
+        _, steps = log_steps(q, K)
+        partial = comp_sum(f(k + x) - steps[k + 1] / q for k in range(K))
+        value = partial + tail.value + pow_step(log(K + x), K + x, mpf(K + 1), q) / q
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
 
 
@@ -224,7 +202,7 @@ def _coffey_panels(n: int, x, K: int):
         b = j + 1 + x
         lb = log(b)
         lb_n = lb ** n
-        dlog = _logpow_step(la, a, b, q) / q
+        dlog = pow_step(la, a, b, q) / q
         if a >= 1:
             if gammas_a is None:
                 gammas_a = _incgamma_pair(n, la)
@@ -257,7 +235,7 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
         # at the larger one
         other = em_tail(f, K + max(x, y), tail.terms_used)
         tx, ty = (tail, other) if x < y else (other, tail)
-        boundary = -_logpow_delta(K, y, K, x, q) / q
+        boundary = -pow_step(log(K + y), K + y, K + x, q) / q
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value)
         return SeriesValue(value, err, K, "difference")

@@ -24,6 +24,10 @@ evaluates every order from one logarithm per shifted point and keeps each
 summand's derivative chain per working precision.  On the gamma_n series,
 gamma_diff and the s = 0 derivative series, em_order_for raises the order J
 with the digits asked for, above 4 only where that order is certified.
+
+The lattice routes' differences log^q b - log^q a of nearby points are all
+pow_step, and their x-free steps log^q(n+1) - log^q n, with log n, sit in
+the one per-precision table of log_steps.
 """
 
 from __future__ import annotations
@@ -163,17 +167,30 @@ def logpow_antiderivative(q: int, u) -> mpf:
     return u * total
 
 
-def pow_diff(la, lb, delta, q: int) -> mpf:
-    """lb^q - la^q evaluated as delta * sum_{i<q} lb^i la^(q-1-i).
+def pow_step(la, a, b, q: int) -> mpf:
+    """log^q b - log^q a, given la = log a, without large-minus-large loss:
+    delta * sum_{i<q} (la + delta)^i la^(q-1-i) with delta = log(b/a)."""
+    delta = log(b / a)
+    lb = la + delta
+    return delta * sum(lb ** i * la ** (q - 1 - i) for i in range(q))
 
-    delta must equal lb - la; passing it separately lets callers supply it in
-    a cancellation-free form such as log1p of a small ratio.
-    """
-    la, lb, delta = mpf(la), mpf(lb), mpf(delta)
-    total = mpf(0)
-    for i in range(q):
-        total += lb ** i * la ** (q - 1 - i)
-    return delta * total
+
+# 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the
+# x-free integer steps of the lattice routes
+_LOG_STEPS = PrecTable()
+
+
+def log_steps(q: int, K: int) -> tuple[list, list]:
+    """(logs, steps): log n and pow_step(log n, n, n + 1, q) for 1 <= n <= K,
+    kept per working precision (index 0 is unused)."""
+    tables = _LOG_STEPS.at_prec()
+    logs = tables.setdefault(0, [None])
+    steps = tables.setdefault(q, [None])
+    for n in range(len(logs), K + 1):
+        logs.append(log(n))
+    for n in range(len(steps), K + 1):
+        steps.append(pow_step(logs[n], n, mpf(n + 1), q))
+    return logs, steps
 
 
 def logpoly_integral_to_inf(f: LogPoly, a) -> mpf:

@@ -9,8 +9,8 @@
   the integral's claim carries the integrand's claims (Trefethen,
   *Approximation Theory and Approximation Practice*, chs. 3, 8 and 19).
 
-Rules are computed at the working precision plus guard digits and cached per
-(point count, binary precision); the caches are write-once and
+Rules are computed at the working precision plus guard digits and kept per
+point count in a core.PrecTable; the tables are write-once and
 result-invariant.
 """
 
@@ -20,15 +20,18 @@ from math import cos, pi as _pi
 
 from mpmath import isfinite, mp, mpf, pi, workdps
 
-from .core import ConvergenceError, DomainError, SeriesValue, rounding_floor
+from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
+                   rounding_floor)
 
-_RULE_CACHE: dict[tuple[int, int], tuple[tuple[mpf, mpf], ...]] = {}
+# n -> Gauss-Legendre (node, weight) pairs
+_RULE_CACHE = PrecTable()
 # Chebyshev points of a model.  An integrand analytic inside the Bernstein
 # ellipse of parameter rho has coefficients of order rho^-k; gamma_n on [1, 2]
 # and zeta^(k)(0, t+1) on [0, 1] have their singularity at u = -3 of the
 # reference interval, rho = 3 + sqrt 8, so 41 points resolve them to ~1e-30.
 MODEL_POINTS = 41
-_CHEB_CACHE: dict[tuple[int, int], tuple] = {}
+# n -> (nodes, cosines, weights) of _chebyshev_rule
+_CHEB_CACHE = PrecTable()
 
 
 class QuadratureError(ArithmeticError):
@@ -37,13 +40,13 @@ class QuadratureError(ArithmeticError):
 
 def legendre_rule(n: int) -> tuple[tuple[mpf, mpf], ...]:
     """Gauss-Legendre nodes and weights on [-1, 1] at the ambient precision."""
-    key = (n, mp.prec)
-    rule = _RULE_CACHE.get(key)
-    if rule is not None:
-        return rule
+    rules = _RULE_CACHE.at_prec()
+    if n in rules:
+        return rules[n]
     pairs = []
+    # at the ambient precision: Newton stalls above a stop taken inside
+    stop = mpf(10) ** (-(mp.dps + 5))
     with workdps(mp.dps + 10):
-        stop = mpf(10) ** (-(mp.dps + 5))
         for i in range(1, n + 1):
             x = mpf(cos(_pi * (i - 0.25) / (n + 0.5)))
             dp = mpf(1)
@@ -58,8 +61,7 @@ def legendre_rule(n: int) -> tuple[tuple[mpf, mpf], ...]:
                     break
             w = 2 / ((1 - x * x) * dp * dp)
             pairs.append((x, w))
-    rule = tuple(pairs)
-    _RULE_CACHE[key] = rule
+    rule = rules[n] = tuple(pairs)
     return rule
 
 
@@ -112,10 +114,9 @@ def _chebyshev_rule(n: int) -> tuple:
     """Chebyshev points of the first kind x_j = cos(theta_j), theta_j =
     pi (2j+1)/(2n), with cos(pi m/(2n)) for m < 4n (so cos(k theta_j) is entry
     k(2j+1) mod 4n) and Fejer's first-rule weights on [-1, 1]."""
-    key = (n, mp.prec)
-    rule = _CHEB_CACHE.get(key)
-    if rule is not None:
-        return rule
+    rules = _CHEB_CACHE.at_prec()
+    if n in rules:
+        return rules[n]
     with workdps(mp.dps + 10):
         cosines = tuple(mp.cos(pi * m / (2 * n)) for m in range(4 * n))
         nodes = tuple(cosines[2 * j + 1] for j in range(n))
@@ -123,8 +124,7 @@ def _chebyshev_rule(n: int) -> tuple:
             2 * (1 - 2 * sum(cosines[(2 * k * (2 * j + 1)) % (4 * n)]
                              / (4 * k * k - 1) for k in range(1, n // 2 + 1))) / n
             for j in range(n))
-    rule = (nodes, cosines, weights)
-    _CHEB_CACHE[key] = rule
+    rule = rules[n] = (nodes, cosines, weights)
     return rule
 
 

@@ -34,7 +34,7 @@ from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
 from .logpoly import (K_CAP, LogPoly, ShiftedLogSum, em_start_for,
-                      em_tail_shifted, logpow_antiderivative, pow_diff)
+                      em_tail_shifted, logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -381,7 +381,7 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
 
         def h(j):
-            return x * fk(j) - _lgk_delta(j, x, q) / q
+            return x * fk(j) - pow_step(log(j), j, j + x, q) / q
 
         def probe(K):
             integral = (-x * log(K) ** q / q
@@ -394,13 +394,6 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         value = -gk.value * x + partial + tail
         err = tail_claim(err, value) + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
-
-
-def _lgk_delta(j: int, x, q: int) -> mpf:
-    """log^q(j+x) - log^q j without large-minus-large loss."""
-    lj = log(j)
-    d = log(1 + x / j)
-    return pow_diff(lj, lj + d, d, q)
 
 
 def dilcher_power_series(x, tol=None) -> SeriesValue:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from mpmath import mpf, nstr
 
+REPORT_DIGITS = 20  # significant digits of residuals and tolerances in as_dict
+
 
 @dataclass(frozen=True)
 class SubCheck:
@@ -52,19 +54,19 @@ class VerifyReport:
         return cls.build(check_id, inputs, worst, mpf(1), elapsed,
                          subchecks=subchecks, notes=notes)
 
-    def as_dict(self, digits: int = 20) -> dict:
+    def as_dict(self) -> dict:
         out = {
             "check_id": self.check_id,
             "inputs": self.inputs,
-            "residual": nstr(self.residual, digits),
-            "tolerance": nstr(self.tolerance, digits),
+            "residual": nstr(self.residual, REPORT_DIGITS),
+            "tolerance": nstr(self.tolerance, REPORT_DIGITS),
             "passed": self.passed,
             "elapsed_s": round(self.elapsed, 4),
         }
         if self.subchecks:
             out["subchecks"] = [
-                {"label": s.label, "residual": nstr(s.residual, digits),
-                 "tolerance": nstr(s.tolerance, digits), "passed": s.passed}
+                {"label": s.label, "residual": nstr(s.residual, REPORT_DIGITS),
+                 "tolerance": nstr(s.tolerance, REPORT_DIGITS), "passed": s.passed}
                 for s in self.subchecks
             ]
         if self.notes:

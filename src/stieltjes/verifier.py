@@ -31,6 +31,8 @@ from .reporting import SubCheck, VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff
 
 LEMMA_SEED = 20190201
+# series tolerance of the values the cotangent and g-function checks compare
+CHECK_TOL = mpf("1e-12")
 
 
 class UnknownCheckError(KeyError):
@@ -70,7 +72,7 @@ def check_lemma31(n: int, x, N: int) -> VerifyReport:
     )
 
 
-def check_cotangent(x, tol=None) -> VerifyReport:
+def check_cotangent(x) -> VerifyReport:
     """pi cot(pi x) against both the digamma reflection psi(1-x) - psi(x) and
     the partial-fraction sum 1/x + sum 2x/(x^2 - n^2).
 
@@ -80,13 +82,12 @@ def check_cotangent(x, tol=None) -> VerifyReport:
     x = mpf(x)
     if not 0 < x < 1:
         raise DomainError("check_cotangent: need 0 < x < 1")
-    tol = mpf("1e-12") if tol is None else mpf(tol)
     t0 = time.perf_counter()
     with workdps(mp.dps + 8):
         target = pi * _cot_pi(x)
 
-        da = digamma(1 - x, tol)
-        db = digamma(x, tol)
+        da = digamma(1 - x, CHECK_TOL)
+        db = digamma(x, CHECK_TOL)
         res_psi = abs(target - (da.value - db.value))
         tol_psi = mpf("1e-10") + da.abs_err + db.abs_err
 
@@ -250,7 +251,7 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     return partial + tail, err
 
 
-def check_g_functions(x, tol=None) -> VerifyReport:
+def check_g_functions(x) -> VerifyReport:
     """The integrated zeta'(2, x) and zeta''(2, x) antiderivatives two ways:
     once from zeta-derivative closed forms, once from their direct series.
 
@@ -260,24 +261,23 @@ def check_g_functions(x, tol=None) -> VerifyReport:
     x = mpf(x)
     if not x > 0:
         raise DomainError("check_g_functions: need x > 0")
-    tol = mpf("1e-12") if tol is None else mpf(tol)
     t0 = time.perf_counter()
     with workdps(mp.dps + 8):
-        g0 = gamma_n(0, 1, "series_b", tol)
-        g1c = gamma_n(1, 1, "series_b", tol)
-        g2c = gamma_n(2, 1, "series_b", tol)
-        lg = log_gamma(x, tol)
+        g0 = gamma_n(0, 1, "series_b", CHECK_TOL)
+        g1c = gamma_n(1, 1, "series_b", CHECK_TOL)
+        g2c = gamma_n(2, 1, "series_b", CHECK_TOL)
+        lg = log_gamma(x, CHECK_TOL)
         base = lg.value + (x - 1) * g0.value
-        zd1 = zeta_deriv0_diff(1, x, tol)
+        zd1 = zeta_deriv0_diff(1, x, CHECK_TOL)
         g1_closed = zd1.value / 2 - (x - 1) * g1c.value - base
-        s1, e1 = _g_series(2, x, tol)
+        s1, e1 = _g_series(2, x, CHECK_TOL)
         g1_series = s1 / 2 - base
         res1 = abs(g1_closed - g1_series)
         tol1 = zd1.abs_err / 2 + abs(x - 1) * g1c.abs_err + e1 / 2 + mpf("1e-9")
 
-        zd2 = zeta_deriv0_diff(2, x, tol)
+        zd2 = zeta_deriv0_diff(2, x, CHECK_TOL)
         g2_closed = -zd2.value / 3 - (x - 1) * g2c.value - 2 * g1_closed
-        s2, e2 = _g_series(3, x, tol)
+        s2, e2 = _g_series(3, x, CHECK_TOL)
         g2_series = s2 / 3 - 2 * g1_closed
         res2 = abs(g2_closed - g2_series)
         tol2 = zd2.abs_err / 3 + abs(x - 1) * g2c.abs_err + e2 / 3 + mpf("1e-9")

@@ -25,7 +25,9 @@ logarithmic series
           + sum_{n>=1} [log^(k+1)(n+x) - log^(k+1) n
                         - x (log^(k+1)(n+1) - log^(k+1) n)]
 
-accelerated by Euler-Maclaurin corrections on the summand.
+accelerated by Euler-Maclaurin corrections on the summand.  Both of its
+log-power differences are logpoly.pow_step; log n and the x-free one come
+from logpoly.log_steps, the table series_c shares.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ from math import factorial
 
 from mpmath import log, mpf, pi, workdps
 
-from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
-                   comp_sum, default_tol, rounding_floor, tail_claim,
-                   working_dps)
+from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
+                   default_tol, rounding_floor, tail_claim, working_dps)
 from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
-                      em_start_for, em_tail_shifted, logpow_antiderivative,
-                      pow_diff)
+                      em_start_for, em_tail_shifted, log_steps,
+                      logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
 # Euler-Maclaurin correction orders of hurwitz_em and zeta_prime_int
 HURWITZ_EM_ORDER = 6
 ZETA_PRIME_ORDER = 4
+# outer terms hurwitz_hasse spends before it raises ConvergenceError
+HASSE_TERM_CAP = 4000
 
 
 def _validate_x(x) -> mpf:
@@ -92,7 +95,7 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
         return SeriesValue(total, err + 4 * rounding_floor(scale), N, "em")
 
 
-def hurwitz_hasse(s, x, tol=None, n_cap: int = 4000) -> SeriesValue:
+def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
     """zeta(s, x) by the globally convergent binomial double sum.
 
     Stops once five consecutive outer terms fall below tol/10 and the
@@ -111,11 +114,11 @@ def hurwitz_hasse(s, x, tol=None, n_cap: int = 4000) -> SeriesValue:
             result = _hasse_attempt(s, x, tol, budget)
         if result is not None:
             return result
-        if budget >= n_cap:
+        if budget >= HASSE_TERM_CAP:
             raise ConvergenceError(
-                f"hurwitz_hasse: tol {tol} unreachable within {n_cap} outer terms "
+                f"hurwitz_hasse: tol {tol} unreachable in {HASSE_TERM_CAP} outer terms "
                 "(convergence is polynomial of order x; use hurwitz_em or loosen tol)")
-        budget = min(2 * budget, n_cap)
+        budget = min(2 * budget, HASSE_TERM_CAP)
 
 
 def _hasse_attempt(s, x, tol, budget):
@@ -164,8 +167,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         def summand(n, ln, step):
             """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free,
             given ln = log n and step = log^q(n+1) - log^q n."""
-            d1 = log(1 + x / n)
-            return pow_diff(ln, ln + d1, d1, q) - x * step
+            return pow_step(ln, n, n + x, q) - x * step
 
         def probe(K):
             # at x = 1 the summand vanishes
@@ -176,38 +178,16 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
             # v(K) from a fresh log K, not the tables: a rung past K_CAP
             # that fails must not fill them first
             lK = log(K)
-            v_K = summand(K, lK, _log_step(lK, K, q))
+            v_K = summand(K, lK, pow_step(lK, K, mpf(K + 1), q))
             return em_tail_shifted(vprime, v_K, integral, K, J)
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
-        logs, steps = _deriv_tables(q, K - 1)
+        logs, steps = log_steps(q, K - 1)
         lx = log(x)
         total = lx ** q + comp_sum(summand(n, logs[n], steps[n]) for n in range(1, K))
         total += tail
         value = (-1) ** (k + 1) * total
         return SeriesValue(value, tail_claim(err, value), K, "log_series")
-
-
-# 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the
-# x-free halves of zeta_deriv0_diff's summand
-_DERIV_TABLES = PrecTable()
-
-
-def _deriv_tables(q: int, K: int) -> tuple[list, list]:
-    tables = _DERIV_TABLES.at_prec()
-    logs = tables.setdefault(0, [None])
-    steps = tables.setdefault(q, [None])
-    for n in range(len(logs), K + 1):
-        logs.append(log(n))
-    for n in range(len(steps), K + 1):
-        steps.append(_log_step(logs[n], n, q))
-    return logs, steps
-
-
-def _log_step(ln, n: int, q: int) -> mpf:
-    """log^q(n+1) - log^q n, given ln = log n."""
-    d2 = log(1 + mpf(1) / n)
-    return pow_diff(ln, ln + d2, d2, q)
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:

@@ -1,6 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import e, exp, log, mp, mpf
+from mpmath import e, exp, legendre, log, mp, mpf, workdps
 
 import oracles
 from stieltjes.core import (ConvergenceError, DomainError, SeriesValue,
@@ -44,6 +44,19 @@ def test_nonfinite_integrand_names_node():
 def test_rule_weights_sum_to_two():
     rule = legendre_rule(20)
     assert abs(sum(w for _, w in rule) - 2) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("n", [6, 24, 32])
+def test_rule_nodes_are_legendre_roots(n):
+    # the Newton step |P_n(x)/P_n'(x)| at each node, with
+    # P_n'(x) = n (x P_n(x) - P_(n-1)(x)) / (x^2 - 1)
+    bound = mpf(10) ** -(mp.dps + 3)
+    rule = legendre_rule(n)
+    with workdps(mp.dps + 20):
+        for x, _ in rule:
+            p = legendre(n, x)
+            dp = n * (x * p - legendre(n - 1, x)) / (x * x - 1)
+            assert abs(p / dp) <= bound
 
 
 def test_rule_cache_write_once():

@@ -1,16 +1,16 @@
-"""The per-precision tables of x-free summand halves and derivative chains,
-and the coffey panel carry: each returns the bits a fresh computation
-returns."""
+"""The per-precision table of x-free log steps, the derivative chains and
+the coffey panel carry: each returns the bits a fresh computation returns.
+Also the accuracy of the log-power step they rest on."""
 
 import pytest
 from mpmath import log, mp, mpf, workdps, workprec
 
 from stieltjes.core import PREC_TABLES_MAX, PrecTable, comp_sum, working_dps
-from stieltjes.gamma import (_SERIES_C_STEPS, _coffey_panels, _lattice_plan,
-                             _series_c_steps, gamma_diff, gamma_n, incgamma_int)
-from stieltjes.logpoly import _CHAINS, LogPoly, pow_diff
+from stieltjes.gamma import (_coffey_panels, _lattice_plan, gamma_diff, gamma_n,
+                             incgamma_int)
+from stieltjes.logpoly import _CHAINS, _LOG_STEPS, LogPoly, log_steps, pow_step
 from stieltjes.related import digamma
-from stieltjes.zeta import _DERIV_TABLES, _deriv_tables, zeta_deriv0_diff
+from stieltjes.zeta import zeta_deriv0_diff
 
 TOL = mpf("1e-15")
 
@@ -25,12 +25,13 @@ CALLS = {
 
 
 def _clear():
-    for table in (_CHAINS, _SERIES_C_STEPS, _DERIV_TABLES):
+    for table in (_CHAINS, _LOG_STEPS):
         table.clear()
 
 
 def _bits(sv):
-    return repr(sv.value), repr(sv.abs_err), sv.terms_used
+    # the exact binary values: repr rounds to the ambient precision
+    return sv.value._mpf_, sv.abs_err._mpf_, sv.terms_used
 
 
 @pytest.fixture(autouse=True)
@@ -71,16 +72,40 @@ def test_tables_are_keyed_by_precision():
 def test_table_entries_are_the_fresh_computation():
     with workdps(42):
         q = 4
-        steps = _series_c_steps(q, 40)
-        for k in (0, 1, 17, 39):
-            la = log(k + 1)
-            delta = log((mpf(k + 2) + 0) / (k + 1))
-            assert steps[k] == pow_diff(la, la + delta, delta, q) / q
-        logs, diffs = _deriv_tables(q, 40)
+        logs, steps = log_steps(q, 40)
         for n in (1, 2, 17, 40):
-            d2 = log(1 + mpf(1) / n)
             assert logs[n] == log(n)
-            assert diffs[n] == pow_diff(log(n), log(n) + d2, d2, q)
+            assert steps[n] == pow_step(log(n), n, mpf(n + 1), q)
+
+
+def test_series_c_fill_serves_zeta_deriv0_diff():
+    # at 34 digits both calls work at 50: series_c at 1e-21, and
+    # zeta_deriv0_diff, which adds 8 guard digits, at 1e-15; gamma_2 and
+    # zeta^(3)(0, x) both step log^3
+    tol_c, tol_z = mpf("1e-21"), mpf("1e-15")
+    assert working_dps(tol_c) == working_dps(tol_z) + 8 == 50
+    x = mpf("0.7")
+    cold = _bits(zeta_deriv0_diff(2, x, tol_z))
+    _clear()
+    K_c = gamma_n(2, x, "series_c", tol_c).terms_used
+    with workdps(50):
+        assert len(_LOG_STEPS.at_prec()[3]) == K_c + 1
+    assert _bits(zeta_deriv0_diff(2, x, tol_z)) == cold
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 9])
+def test_pow_step_is_accurate(q):
+    # the ratio b/a rounds once, so the step is relative-accurate up to the
+    # condition a/(b - a) of log(b/a)
+    for a in ("0.05", "0.7", "1", "3", "1e3", "1e6"):
+        for h in ("0.2546", "1", "3.7", "500"):
+            a_ = mpf(a)
+            b_ = a_ + mpf(h)
+            got = pow_step(log(a_), a_, b_, q)
+            with workdps(90):
+                want = log(b_) ** q - log(a_) ** q
+                rel = abs(got - want) / abs(want)
+            assert rel <= mpf(2) ** (6 - mp.prec) * (1 + a_ / (b_ - a_)), (a, h)
 
 
 def test_prec_table_holds_the_most_recent_precisions():
@@ -107,8 +132,7 @@ def _reference_panel(n, j, x, q):
     a = j + x
     b = j + 1 + x
     la, lb = log(a), log(b)
-    delta = log((mpf(j + 1) + x) / (j + x))
-    dlog = pow_diff(la, la + delta, delta, q) / q
+    dlog = pow_step(la, a, mpf(j + 1) + x, q) / q
     if a >= 1:
         dGn = incgamma_int(n, la) - incgamma_int(n, lb)
         dGn1 = incgamma_int(n + 1, la) - incgamma_int(n + 1, lb)

@@ -40,9 +40,10 @@ class TestHasse:
         with pytest.raises(DomainError):
             hurwitz_hasse(2, 0, TOL8)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr("stieltjes.zeta.HASSE_TERM_CAP", 256)
         with pytest.raises(ConvergenceError):
-            hurwitz_hasse(2, mpf("0.25"), mpf("1e-10"), n_cap=256)
+            hurwitz_hasse(2, mpf("0.25"), mpf("1e-10"))
 
 
 def _rising(s, m):
