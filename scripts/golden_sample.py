@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Write, or compare against, a fixed golden sample of library outputs.
 
-Every entry records repr(value), repr(abs_err), terms_used and method, so two
-checkouts can be compared bit for bit:
+Every entry records repr(value), repr(abs_err), terms_used and method, and
+then the exact binary value and abs_err (their _mpf_ sign, mantissa and
+exponent): repr rounds to the ambient mp.dps, while a route returns its value
+at its working precision.  So two checkouts can be compared both in the
+ambient digits and bit for bit:
 
 - gamma_n for n 0..8 by series_b, series_c and coffey, x in
   {0.05, 0.2546, 0.5, 1, 1.5, 3.7, 8, 500}, tol in {1e-12, 1e-15, 1e-20},
@@ -20,7 +23,11 @@ Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/golden_sample.py --out golden.txt
     PYTHONPATH=src python scripts/golden_sample.py --compare golden.txt
 
---compare exits with status 1 when any entry differs or is missing.
+--compare lists the entries that differ in the ambient digits (DIFF) and
+those that differ only in the exact bits (EXACT), each changed value with its
+move as a fraction of the sample's abs_err, and exits with status 1 when any
+entry differs in either way or is missing.  Write both samples with the same
+version of this script.
 """
 
 import argparse
@@ -31,7 +38,8 @@ import os
 import sys
 import tempfile
 
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
                        dilcher_log_gamma_k, dilcher_power_series, em_tail, eta,
@@ -49,8 +57,38 @@ ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
 RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
 
 
+def _exact(v) -> str:
+    sign, man, exp, _ = v._mpf_
+    return f"{'-' if sign else ''}{int(man):x}p{exp}"
+
+
+def _from_exact(text) -> mpf:
+    man, exp = text.split("p")
+    return mpf(from_man_exp(int(man, 16), int(exp)))
+
+
 def _record(sv) -> str:
-    return f"{sv.value!r}\t{sv.abs_err!r}\t{sv.terms_used}\t{sv.method}"
+    return (f"{sv.value!r}\t{sv.abs_err!r}\t{sv.terms_used}\t{sv.method}"
+            f"\t{_exact(sv.value)} {_exact(sv.abs_err)}")
+
+
+def _ambient(rec) -> str:
+    # the first four fields; a verify report is one JSON field
+    return "\t".join(rec.split("\t")[:4])
+
+
+def _move(want, got) -> str:
+    """' (moved r of abs_err)', r = |got - want| / want's abs_err from the
+    exact fields, or '' when an entry has none."""
+    try:
+        (v0, e0), (v1, _) = (rec.split("\t")[4].split() for rec in (want, got))
+    except (AttributeError, IndexError):
+        return ""
+    with workprec(4096):  # exact: mantissas are far shorter
+        moved, err = abs(_from_exact(v1) - _from_exact(v0)), _from_exact(e0)
+        if not err:
+            return f" (moved {mp.nstr(moved, 3)}, abs_err 0)"
+        return f" (moved {mp.nstr(moved / err, 3)} of abs_err)"
 
 
 def _series_entries():
@@ -163,9 +201,17 @@ def main() -> int:
     want = _load(args.compare)
     diffs = [key for key in sorted(want.keys() | got.keys())
              if want.get(key) != got.get(key)]
+    ambient = 0
     for key in diffs:
-        print(f"DIFF {key}\n  want {want.get(key)}\n  got  {got.get(key)}")
-    print(f"{len(got)} entries, {len(diffs)} differ")
+        w, g = want.get(key), got.get(key)
+        if w is None or g is None or _ambient(w) != _ambient(g):
+            ambient += 1
+            print(f"DIFF {key}{_move(w, g)}"
+                  f"\n  want {w}\n  got  {g}")
+        else:
+            print(f"EXACT {key}{_move(w, g)}")
+    print(f"{len(got)} entries, {ambient} differ in the ambient digits, "
+          f"{len(diffs)} in the exact bits")
     return 1 if diffs else 0
 
 

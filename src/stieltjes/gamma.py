@@ -20,7 +20,8 @@ series_c carries the extra boundary piece
 The trapezoid-defect representation ("coffey") rewrites each panel defect with
 integer-order incomplete gamma functions, using log^n u/u = Gamma(n+1, log u)
 - n Gamma(n, log u); its tail telescopes to the same lattice sum minus half
-the first summand.
+the first summand.  Both orders come from one running sum of t^m/m!
+(_incgamma_pair).
 
 All four lattice sums (the three routes and gamma_diff) take their
 partial-sum length K and Euler-Maclaurin order J from _lattice_plan: J rises
@@ -150,17 +151,22 @@ def incgamma_int(n: int, t) -> mpf:
     t = mpf(t)
     if t < 0:
         raise DomainError("incgamma_int: t must be >= 0")
-    inner = comp_sum(t ** m / factorial(m) for m in range(n))
-    return factorial(n - 1) * exp(-t) * inner
+    return _incgamma_pair(n, t)[0]
 
 
 def _incgamma_pair(n: int, t) -> tuple[mpf, mpf]:
-    """(Gamma(n, t), Gamma(n+1, t)), each with the bits of incgamma_int: the
-    two share exp(-t) and the terms t^m/m!."""
-    terms = [t ** m / factorial(m) for m in range(n + 1)]
+    """(Gamma(n, t), Gamma(n+1, t)) from one forward running sum of the terms
+    t^m/m!, term = term * t / m: Gamma(n, t) takes the prefix through
+    m = n-1 and Gamma(n+1, t) one term more.  Every term is >= 0 for t >= 0,
+    so the plain sum is within about 2n ulps.  Gamma(n+1, t) has the bits
+    of incgamma_int(n+1, t)."""
+    term = total = mpf(1)
+    for m in range(1, n):
+        term = term * t / m
+        total += term
     e = exp(-t)
-    return (factorial(n - 1) * e * comp_sum(terms[:n]),
-            factorial(n) * e * comp_sum(terms))
+    return (factorial(n - 1) * e * total,
+            factorial(n) * e * (total + term * t / n))
 
 
 def _gamma_coffey(n: int, x, tol) -> SeriesValue:
@@ -173,7 +179,9 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
               - (a + 1/2) (n dGn - dGn1),
     dGq = Gamma(q, log a) - Gamma(q, log b).  Panels with a < 1 fall back to
     the algebraically identical direct defect (f(a)+f(b))/2 - integral, since
-    the incomplete gammas would need negative second argument.
+    the incomplete gammas would need negative second argument.  Gamma(n, t)
+    and Gamma(n+1, t) at each panel end share one running sum of t^m/m!,
+    and log b and both gammas carry into the next panel.
     """
     q = n + 1
     with workdps(working_dps(tol)):

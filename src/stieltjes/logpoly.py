@@ -26,8 +26,9 @@ gamma_diff and the s = 0 derivative series, em_order_for raises the order J
 with the digits asked for, above 4 only where that order is certified.
 
 The lattice routes' differences log^q b - log^q a of nearby points are all
-pow_step, and their x-free steps log^q(n+1) - log^q n, with log n, sit in
-the one per-precision table of log_steps.
+pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
+and their x-free steps log^q(n+1) - log^q n, with log n, sit in the one
+per-precision table of log_steps.
 """
 
 from __future__ import annotations
@@ -169,10 +170,19 @@ def logpow_antiderivative(q: int, u) -> mpf:
 
 def pow_step(la, a, b, q: int) -> mpf:
     """log^q b - log^q a, given la = log a, without large-minus-large loss:
-    delta * sum_{i<q} (la + delta)^i la^(q-1-i) with delta = log(b/a)."""
+    delta * sum_{i<q} lb^i la^(q-1-i) with delta = log(b/a), lb = la + delta.
+
+    The sum is Horner's rule in lb, s = s*lb + la^i, with the powers of la
+    kept as a running product: q - 1 multiply-adds.  For q <= 2 the bits are
+    those of the sum written out term by term.
+    """
     delta = log(b / a)
     lb = la + delta
-    return delta * sum(lb ** i * la ** (q - 1 - i) for i in range(q))
+    s = p = 1
+    for _ in range(q - 1):
+        p *= la
+        s = s * lb + p
+    return delta * s
 
 
 # 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the

@@ -33,7 +33,7 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoly, ShiftedLogSum, em_start_for,
+from .logpoly import (K_CAP, LogPoint, LogPoly, ShiftedLogSum, em_start_for,
                       em_tail_shifted, logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
@@ -381,7 +381,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
 
         def h(j):
-            return x * fk(j) - pow_step(log(j), j, j + x, q) / q
+            a = LogPoint(mpf(j))
+            return x * a.eval(fk) - pow_step(a.lu, a.u, j + x, q) / q
 
         def probe(K):
             integral = (-x * log(K) ** q / q

@@ -3,11 +3,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import e as e_const, exp, log, mp, mpf, quad, stieltjes, workdps
+from mpmath import (e as e_const, exp, gammainc, log, mp, mpf, quad, stieltjes,
+                    workdps)
 
 import oracles
 from stieltjes.core import DomainError, working_dps
-from stieltjes.gamma import (RationalArg, _lattice_plan,
+from stieltjes.gamma import (RationalArg, _incgamma_pair, _lattice_plan,
                              gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                              gamma_recurrence_check, incgamma_int,
                              stieltjes_integral)
@@ -223,6 +224,21 @@ class TestLatticePlan:
         assert abs(sv.value - ref) <= sv.abs_err <= tol
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_k512_plans_keep_their_claims(n):
+    # the plans whose partial sums run longest at tol 1e-20 (K = 512 at 34
+    # digits): the claim bounds the true error and meets tol
+    tol = mpf("1e-20")
+    for x in ("0.2546", "3.7"):
+        x = mpf(x)
+        with workdps(mp.dps + 30):
+            ref = stieltjes(n, x)
+        for route in ("series_b", "coffey"):
+            sv = gamma_n(n, x, route, tol)
+            assert sv.terms_used == 512
+            assert abs(sv.value - ref) <= sv.abs_err <= tol, (route, x)
+
+
 class TestIncGamma:
     def test_order_one(self):
         assert incgamma_int(1, 0) == 1
@@ -238,6 +254,30 @@ class TestIncGamma:
             incgamma_int(0, 1)
         with pytest.raises(DomainError):
             incgamma_int(2, -1)
+
+    T_GRID = ("0", "0.3", "1", "log500")
+
+    @staticmethod
+    def _t(t):
+        return log(500) if t == "log500" else mpf(t)
+
+    @pytest.mark.parametrize("t", T_GRID)
+    def test_pair_has_the_bits_of_incgamma_int(self, t):
+        # coffey's panels take both orders from one running sum
+        t = self._t(t)
+        for n in range(1, 10):
+            assert _incgamma_pair(n, t) == (incgamma_int(n, t),
+                                            incgamma_int(n + 1, t)), n
+
+    @pytest.mark.parametrize("t", T_GRID)
+    def test_within_4n_ulps_of_mpmath(self, t):
+        t = self._t(t)
+        ulp = mpf(2) ** (1 - mp.prec)
+        for n in range(1, 10):
+            got = incgamma_int(n, t)
+            with workdps(mp.dps + 40):
+                ref = gammainc(n, t)
+                assert abs(got - ref) <= 4 * n * ulp * abs(ref), n
 
 
 class TestRationalClosedForm:

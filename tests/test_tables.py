@@ -108,6 +108,26 @@ def test_pow_step_is_accurate(q):
             assert rel <= mpf(2) ** (6 - mp.prec) * (1 + a_ / (b_ - a_)), (a, h)
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_pow_step_short_sums_keep_their_bits(q):
+    # the step as the term-by-term sum it replaced; at q <= 2 the
+    # recurrence rounds exactly as that sum does
+    def written_out(la, a, b, q):
+        delta = log(b / a)
+        lb = la + delta
+        return delta * sum(lb ** i * la ** (q - 1 - i) for i in range(q))
+
+    for dps in (15, 34, 50):
+        with workdps(dps):
+            for a in ("0.05", "0.7", "1", "3", "17", "1e3", "1e6"):
+                for h in ("1e-3", "0.2546", "1", "3.7", "500"):
+                    a_ = mpf(a)
+                    b_ = a_ + mpf(h)
+                    got = pow_step(log(a_), a_, b_, q)
+                    want = written_out(log(a_), a_, b_, q)
+                    assert got._mpf_ == want._mpf_, (dps, a, h)
+
+
 def test_prec_table_holds_the_most_recent_precisions():
     table = PrecTable()
     precs = list(range(100, 100 + PREC_TABLES_MAX + 2))
