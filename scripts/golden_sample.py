@@ -22,12 +22,20 @@ ambient digits and bit for bit:
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/golden_sample.py --out golden.txt
     PYTHONPATH=src python scripts/golden_sample.py --compare golden.txt
+    PYTHONPATH=src python scripts/golden_sample.py --audit
 
 --compare lists the entries that differ in the ambient digits (DIFF) and
 those that differ only in the exact bits (EXACT), each changed value with its
 move as a fraction of the sample's abs_err, and exits with status 1 when any
 entry differs in either way or is missing.  Write both samples with the same
 version of this script.
+
+--audit checks every gamma_n and gamma_diff entry's claim against
+mpmath.stieltjes at 80 digits, taken at the entry's binary x (and y): it
+prints each entry whose gap |value - ref| exceeds its abs_err with the ratio
+gap/claim, then the worst ratio, and exits with status 1 when any ratio is
+above 1.  A comparison of two checkouts cannot show a claim that was never a
+bound; the audit can.
 """
 
 import argparse
@@ -38,7 +46,7 @@ import os
 import sys
 import tempfile
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf, stieltjes, workdps, workprec
 from mpmath.libmp import from_man_exp
 
 from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
@@ -91,21 +99,31 @@ def _move(want, got) -> str:
         return f" (moved {mp.nstr(moved / err, 3)} of abs_err)"
 
 
-def _series_entries():
+def _gamma_values():
+    """(key, SeriesValue, n, args) for the gamma_n and gamma_diff entries,
+    args being the binary x (and y) each call was made at."""
     for dps in (15, 34):
         mp.dps = dps
         for n in range(9):
             for route in ROUTES:
                 for x in XS:
                     for tol in TOLS:
-                        sv = gamma_n(n, mpf(x), route, mpf(tol))
-                        yield f"gamma_n({n},{x},{route},{tol})@{dps}", _record(sv)
+                        args = (mpf(x),)
+                        sv = gamma_n(n, *args, route, mpf(tol))
+                        yield f"gamma_n({n},{x},{route},{tol})@{dps}", sv, n, args
     mp.dps = 34
     for n in range(9):
         for x, y in DIFF_PAIRS:
             for tol in TOLS:
-                sv = gamma_diff(n, mpf(x), mpf(y), mpf(tol))
-                yield f"gamma_diff({n},{x},{y},{tol})", _record(sv)
+                args = (mpf(x), mpf(y))
+                sv = gamma_diff(n, *args, mpf(tol))
+                yield f"gamma_diff({n},{x},{y},{tol})", sv, n, args
+
+
+def _series_entries():
+    for key, sv, _, _ in _gamma_values():
+        yield key, _record(sv)
+    mp.dps = 34
     for k in range(7):
         for x in XS:
             for tol in TOLS + ("1e-30",):
@@ -180,6 +198,37 @@ def sample() -> dict[str, str]:
     return out
 
 
+def audit() -> int:
+    """Check every gamma_n and gamma_diff entry against mpmath.stieltjes at
+    80 digits, at the entry's binary arguments; print each entry whose gap
+    |value - ref| exceeds its abs_err, and the worst gap/claim.  Returns 1
+    when any does."""
+    saved = mp.dps
+    refs = {}
+    worst, worst_key, bad, count = mpf(0), None, 0, 0
+    try:
+        for key, sv, n, args in _gamma_values():
+            with workdps(80):
+                for arg in args:
+                    if (n, arg) not in refs:
+                        refs[n, arg] = stieltjes(n, arg)
+                ref = refs[n, args[0]] - (refs[n, args[1]] if len(args) > 1 else 0)
+                gap = abs(sv.value - ref)
+                ratio = gap / sv.abs_err if sv.abs_err else (mp.inf if gap else mpf(0))
+            count += 1
+            if ratio > 1:
+                bad += 1
+                print(f"VIOLATION {key}: gap {mp.nstr(gap, 3)}, abs_err "
+                      f"{mp.nstr(sv.abs_err, 3)}, gap/claim {mp.nstr(ratio, 3)}")
+            if ratio >= worst:
+                worst, worst_key = ratio, key
+    finally:
+        mp.dps = saved
+    print(f"{count} gamma_n and gamma_diff entries audited, {bad} with gap/claim "
+          f"above 1; worst {mp.nstr(worst, 3)} at {worst_key}")
+    return 1 if bad else 0
+
+
 def _load(path) -> dict[str, str]:
     with open(path) as fh:
         return dict(line.rstrip("\n").split("\t", 1) for line in fh if line.strip())
@@ -190,7 +239,12 @@ def main() -> int:
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--out", help="write the sample to this file")
     group.add_argument("--compare", help="compare the sample with this file")
+    group.add_argument("--audit", action="store_true",
+                       help="check the gamma_n and gamma_diff entries' claims "
+                            "against mpmath.stieltjes")
     args = ap.parse_args()
+    if args.audit:
+        return audit()
     got = sample()
     if args.out:
         with open(args.out, "w") as fh:

@@ -11,9 +11,10 @@ a short partial sum plus Bernoulli-weighted endpoint corrections:
     sum_{k>=0} f(a+k) - int_a^inf f(t) dt
         = f(a)/2 - sum_{j=1..J} B_2j/(2j)! f^(2j-1)(a) + R_J
 
-with |R_J| estimated by the first omitted correction.  The same corrections
-apply to summands built from log powers at several shifted arguments
-(ShiftedLogSum below), where only the closed-form integral differs.
+with |R_J| at most 2 |B_2J+2|/(2J+2)! int_a^inf |f^(2J+2)| (Johansson,
+arXiv:1309.2877).  The same corrections apply to summands built from log
+powers at several shifted arguments (ShiftedLogSum below), where only the
+closed-form integral differs.
 
 Every series route is one probe function, probe(K) -> (result, err): the
 claimed tail error at a partial-sum length K and, in most routes, the tail
@@ -23,7 +24,10 @@ probe's result, so no route evaluates its chosen K a second time.  The correctio
 evaluates every order from one logarithm per shifted point and keeps each
 summand's derivative chain per working precision.  On the gamma_n series,
 gamma_diff and the s = 0 derivative series, em_order_for raises the order J
-with the digits asked for, above 4 only where that order is certified.
+with the digits asked for, and em_tail_error certifies the remainder at every
+order and start: from the total variation of f^(2J+1), whose extrema are
+the roots of an integer polynomial in log t that _root_table isolates once
+per (n, J, d).
 
 The lattice routes' differences log^q b - log^q a of nearby points are all
 pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
@@ -38,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from mpmath import log, mpf, workprec
+from mpmath import iv, log, mp, mpf
 
 from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
 
@@ -234,7 +238,9 @@ def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); abs_err is the
-    magnitude of the first omitted correction (alternating-envelope bound);
+    magnitude of the first omitted correction, an estimate that is a bound
+    only where f^(2J+2) and f^(2J+4) keep one sign from start on
+    (em_tail_error certifies the tail of f = log^n t / t at every start);
     terms_used is J.  start may be any real >= 2 (unit-step lattice starting
     there); every term of f must have inv_power >= 1 or the paired tail
     diverges.
@@ -339,63 +345,202 @@ def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
 J_PLAN_MAX = 13
 # certified starts are searched on the grid log t = i / _GRID
 _GRID = 64
+# the isolating interval of each root is refined to this width in log t
+_ROOT_WIDTH = Fraction(1, 2 ** 16)
 
 
-def em_order_for(n: int, a, bound, d: int = 0) -> int:
-    """Smallest order J whose first omitted correction at a is estimated
-    below bound, among J = 4 and the orders certified at a; 4 if none is.
+def em_order_for(n: int, a, bound, d: int = 0) -> int | None:
+    """Smallest order J in 4..J_PLAN_MAX whose certified remainder bound
+    at a (em_tail_error) is estimated in floats below bound; None when no
+    order is.
 
     The summand v has v^(m) close to f^(m+d) for f = log^n t / t near a,
     up to a factor the caller takes out of bound.  d = 0 is the lattice sum
     of f.  d = 1 is a second difference v(t) = g(t+x) + (x-1) g(t) - x g(t+1)
     with g' = f: v^(m)(t) = x(x-1) g^(m)[t, t+1, t+x], a divided difference,
     which is x(x-1)/2 times a weighted mean of f^(m+1) over [t, t+max(1, x)]
-    with a nonnegative weight.
-
-    An order J > 4 is certified at a when f^(2J+2+d) and f^(2J+4+d) keep one
-    sign on [a, inf); then so do v^(2J+2) and v^(2J+4), and the
-    Euler-Maclaurin remainder is theta times the first omitted correction
-    with 0 <= theta <= 1 (Graham, Knuth, Patashnik, Concrete Mathematics,
-    eq. 9.78), so em_tail_shifted's err is a bound.  The estimate only
-    picks J; em_start_for tests the tail's own err.
+    with a nonnegative weight.  So int_a^inf |v^(2J+2)| is at most
+    |x(x-1)|/2 times int_a^inf |f^(2J+3)|, the total variation of f^(2J+2) on
+    [a, inf).  The estimate only picks J; em_start_for tests the tail's own
+    error.
     """
     L = float(log(a))
     lb = float(log(bound))
     for J, (lw, coeffs, t_J) in enumerate(_order_table(n, d), 4):
-        if J > 4 and a < t_J:
-            break
-        p = abs(sum(c * L ** m for m, c in enumerate(coeffs)))
-        if p == 0 or lw + math.log(p) - (2 * J + 2 + d) * L < lb:
+        q = abs(sum(c * L ** m for m, c in enumerate(coeffs)))
+        logs = [math.log(q) - (2 * J + 2 + d) * L] if q else []
+        if a < t_J:
+            # 2 (|g(a)| + 2 sum |g(r)|), g = f^(2J+1+d), over (2J+1)!
+            logs = [math.log(2) + lg for lg in logs]
+            logs += [math.log(4) + lg - math.lgamma(2 * J + 2)
+                     for hi, _, lg in _root_table(n, J, d) if hi >= L]
+        if not logs or lw + _log_sum(logs) < lb:
             return J
-    return 4
+    return None
+
+
+def _log_sum(logs: list[float]) -> float:
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
+    """Certified bound on the remainder of the order-J Euler-Maclaurin tail
+    at a whose first omitted correction is omitted, for the summands of
+    em_order_for (f = log^n t / t; d and scale as there).
+
+    Where a >= t_J, f^(2J+2+d) and f^(2J+4+d) keep one sign on [a, inf), so
+    do v^(2J+2) and v^(2J+4), and the remainder is theta times the first
+    omitted correction with 0 <= theta <= 1 (Graham, Knuth, Patashnik,
+    Concrete Mathematics, eq. 9.78): the bound is omitted itself.
+
+    Below t_J it is the integral bound |R_J| <= 2 |B_2J+2|/(2J+2)!
+    int_a^inf |v^(2J+2)| (Johansson, arXiv:1309.2877), with the integral at
+    most scale times the total variation of g = f^(2J+1+d) on [a, inf).  g
+    is monotone between the roots of f^(2J+2+d), so that variation is at
+    most |g(a)| + 2 sum |g(r)| over those roots r >= a, each |g(r)| taken
+    from _root_table's enclosure.
+    """
+    t_J = _order_table(n, d)[J - 4][2]
+    if a >= t_J:
+        return omitted
+    La = log(a)
+    g_a = mpf(0)
+    for c in reversed(_log_polys(n)[2 * J + 1 + d]):
+        g_a = g_a * La + c
+    tv = abs(g_a) / mpf(a) ** (2 * J + 2 + d)
+    # float(La) is within half an ulp of log a, and each hi was rounded up
+    # past its root by at least that much, so no root r >= a is missed
+    L = float(La)
+    tv += 2 * sum(g for hi, g, _ in _root_table(n, J, d) if hi >= L)
+    b = bernoulli(2 * J + 2)
+    return scale * tv * (2 * abs(b.numerator)) / (b.denominator * factorial(2 * J + 2))
+
+
+@lru_cache(maxsize=None)
+def _log_polys(n: int) -> tuple[tuple[int, ...], ...]:
+    """P_k for k = 0..2 J_PLAN_MAX + 5, integer coefficients low degree
+    first, with f^(k)(t) = P_k(log t)/t^(k+1) for f = log^n t / t:
+    d/dt [P(L)/t^(k+1)] = (P'(L) - (k+1) P(L))/t^(k+2)."""
+    P = (0,) * n + (1,)
+    polys = [P]
+    for k in range(2 * J_PLAN_MAX + 5):
+        P = tuple((m + 1) * P[m + 1] - (k + 1) * P[m] for m in range(n)) \
+            + (-(k + 1) * P[n],)
+        polys.append(P)
+    return tuple(polys)
 
 
 @lru_cache(maxsize=None)
 def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...], float], ...]:
     """For J = 4..J_PLAN_MAX: log(|B_2J+2|/(2J+2)), the coefficients of
     P/(2J+1)! where f^(2J+1+d)(t) = P(log t)/t^(2J+2+d), and the certified
-    start t_J of order J (unused at J = 4, which keeps its uncertified plans).
+    start t_J of order J, past the last sign change of f^(2J+2+d) and
+    f^(2J+4+d).
 
     The estimated first omitted correction at a is
     exp(lw) |P(log a)/(2J+1)!| a^-(2J+2+d).
     """
-    with workprec(512):  # exact: every coefficient is below (n + 2J + 5)!
-        g = LogPoly.single(1, n, 1)
-        polys = []
-        for k in range(1, 2 * J_PLAN_MAX + 5 + d):
-            g = g.diff()
-            polys.append([int(g.terms.get((m, k + 1), 0)) for m in range(n + 1)])
+    polys = _log_polys(n)
     sign = (-1) ** d  # f^(m) is eventually of sign (-1)^m
     table = []
     for J in range(4, J_PLAN_MAX + 1):
         b = bernoulli(2 * J + 2)
         lw = math.log(abs(b.numerator)) - math.log(b.denominator) - math.log(2 * J + 2)
-        coeffs = tuple(c / factorial(2 * J + 1) for c in polys[2 * J + d])
-        i = _descartes_start([sign * c for c in polys[2 * J + 1 + d]],
-                             [sign * c for c in polys[2 * J + 3 + d]])
+        coeffs = tuple(c / factorial(2 * J + 1) for c in polys[2 * J + 1 + d])
+        i = _descartes_start([sign * c for c in polys[2 * J + 2 + d]],
+                             [sign * c for c in polys[2 * J + 4 + d]])
         # rounded up, so that a >= t_J implies log a >= i / _GRID
         table.append((lw, coeffs, math.exp(i / _GRID) * (1 + 1e-12)))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf, float], ...]:
+    """One entry (hi, g_max, log g_max) per real root r > 1 of f^(2J+2+d),
+    f = log^n t / t: log r <= hi, and g_max >= |f^(2J+1+d)| on the root's
+    isolating interval [lo, hi] of log t.
+
+    With g = f^(2J+1+d) = Q(L)/t^p, L = log t, p = 2J+2+d: on [lo, hi],
+    |Q(lo + h)| <= sum_j |q_j| (hi - lo)^j from Q's exact Taylor
+    coefficients q_j at lo, and t^-p <= exp(-p lo), taken in interval
+    arithmetic and rounded up.  Independent of x and of the precision.
+    """
+    polys = _log_polys(n)
+    Q = polys[2 * J + 1 + d]
+    p = 2 * J + 2 + d
+    saved = iv.prec
+    iv.prec = 53
+    try:
+        table = []
+        for lo, hi in _real_roots(polys[2 * J + 2 + d]):
+            q_max = sum(abs(q) * (hi - lo) ** j
+                        for j, q in enumerate(_taylor_shift(Q, lo)))
+            enc = (iv.mpf(q_max.numerator) / q_max.denominator
+                   * iv.exp(-p * iv.mpf(lo.numerator) / lo.denominator))
+            g_max = mp.make_mpf(enc._mpi_[1])
+            _, man, exp2, _ = g_max._mpf_
+            table.append((math.nextafter(float(hi), math.inf), g_max,
+                          math.log(man) + exp2 * math.log(2)))
+        return tuple(table)
+    finally:
+        iv.prec = saved
+
+
+def _taylor_shift(P, c) -> list:
+    """Coefficients of P(w + c), low degree first: exact for integer or
+    Fraction c and coefficients."""
+    r = list(P)
+    deg = len(r) - 1
+    for j in range(deg):
+        for m in range(deg - 1, j - 1, -1):
+            r[m] += c * r[m + 1]
+    return r
+
+
+def _sign_changes(P) -> int:
+    signs = [c > 0 for c in P if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals [lo, hi] of the real roots L > 0 of the
+    squarefree integer polynomial P (low degree first), in increasing order,
+    each of width at most _ROOT_WIDTH; an exact dyadic root gets lo = hi.
+
+    Descartes bisection in integers: a node is the interval
+    (c, c+1) / 2^k of the scaled variable, held as S(z) = 2^(k deg) P0((c +
+    z)/2^k) for z in (0, 1), where P0(y) = P(2^s y) puts every positive root
+    below y = 1.  The sign changes of (1+z)^deg S(1/(1+z)) bound its number
+    of roots in (0, 1) with the same parity: 0 means none and 1 exactly
+    one, and for squarefree P every small enough interval reads 0 or 1
+    (Vincent's theorem).  Halves are 2^deg S(z/2) and its shift by 1.
+    """
+    deg = len(P) - 1
+    if deg < 1:
+        return []
+    bound = 1 + max(abs(Fraction(c, P[-1])) for c in P)  # Cauchy
+    s = math.ceil(bound).bit_length()
+    roots = []
+
+    def visit(S, c, k):
+        lo, width = Fraction(c << s, 1 << k), Fraction(1 << s, 1 << k)
+        while S[0] == 0:  # a root at lo itself
+            roots.append((lo, lo))
+            S = S[1:]
+        count = _sign_changes(_taylor_shift(S[::-1], 1))
+        if count == 0:
+            return
+        if count == 1 and width <= _ROOT_WIDTH:
+            roots.append((lo, lo + width))
+            return
+        m = len(S) - 1
+        left = [v << (m - i) for i, v in enumerate(S)]
+        visit(left, 2 * c, k + 1)
+        visit(_taylor_shift(left, 1), 2 * c + 1, k + 1)
+
+    visit([v << (s * i) for i, v in enumerate(P)], 0, 0)
+    return [r for r in roots if r[1] > 0]
 
 
 def _descartes_start(*polys) -> int:
@@ -409,11 +554,8 @@ def _descartes_start(*polys) -> int:
     def nonneg_at(i):
         for P in polys:
             deg = len(P) - 1
-            # Taylor shift of R(w) = _GRID^deg P(w / _GRID) to w = i, in integers
-            r = [c * _GRID ** (deg - m) for m, c in enumerate(P)]
-            for j in range(deg):
-                for m in range(deg - 1, j - 1, -1):
-                    r[m] += i * r[m + 1]
+            # Taylor shift of R(w) = _GRID^deg P(w / _GRID) to w = i
+            r = _taylor_shift([c * _GRID ** (deg - m) for m, c in enumerate(P)], i)
             if any(c < 0 for c in r):
                 return False
         return True

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from math import factorial
 
-from mpmath import log, mpf, pi, workdps
+from mpmath import log, mp, mpf, pi, workdps
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, working_dps)
 from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
-                      em_start_for, em_tail_shifted, log_steps,
+                      em_start_for, em_tail_error, em_tail_shifted, log_steps,
                       logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
@@ -152,7 +152,10 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
 
     em_order_for picks the Euler-Maclaurin order at each rung.  The summand
     is a second difference of g = log^q t, so its corrections are about
-    q |x(x-1)|/2 times those of log^k t / t.
+    scale = q |x(x-1)|/2 times those of f = log^k t / t, and its remainder
+    is certified by em_tail_error with d = 1: scale times the total
+    variation of f^(2J+2) on [K, inf), or the first omitted correction past
+    the certified start of J.
     """
     if not 0 <= k <= 6:
         raise DomainError("zeta_deriv0_diff: need 0 <= k <= 6")
@@ -172,6 +175,8 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         def probe(K):
             # at x = 1 the summand vanishes
             J = em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
+            if J is None:
+                return None, mp.inf
             integral = (-logpow_antiderivative(q, K + x)
                         + (1 - x) * logpow_antiderivative(q, mpf(K))
                         + x * logpow_antiderivative(q, mpf(K + 1)))
@@ -179,7 +184,8 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
             # that fails must not fill them first
             lK = log(K)
             v_K = summand(K, lK, pow_step(lK, K, mpf(K + 1), q))
-            return em_tail_shifted(vprime, v_K, integral, K, J)
+            tail, omitted = em_tail_shifted(vprime, v_K, integral, K, J)
+            return tail, em_tail_error(k, K, J, omitted, 1, scale)
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
         logs, steps = log_steps(q, K - 1)

@@ -3,12 +3,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import (e as e_const, exp, gammainc, log, mp, mpf, quad, stieltjes,
-                    workdps)
+from mpmath import (e as e_const, exp, gammainc, log, mp, mpf, polyroots, quad,
+                    stieltjes, workdps)
 
 import oracles
 from stieltjes.core import DomainError, working_dps
-from stieltjes.gamma import (RationalArg, _incgamma_pair, _lattice_plan,
+from stieltjes.gamma import (METHODS, RationalArg, _incgamma_pair, _lattice_plan,
                              gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                              gamma_recurrence_check, incgamma_int,
                              stieltjes_integral)
@@ -225,9 +225,11 @@ class TestLatticePlan:
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_k512_plans_keep_their_claims(n):
-    # the plans whose partial sums run longest at tol 1e-20 (K = 512 at 34
-    # digits): the claim bounds the true error and meets tol
+def test_tol_1e20_plans_stop_at_the_first_rung(n):
+    # at tol 1e-20, n = 6..8 need J > 4 at K = 32, far below that order's
+    # certified start t_J; the remainder bound certifies it there, so the
+    # plan stays at K = 32 where it used to climb to K = 512.  The claim
+    # bounds the true error and meets tol
     tol = mpf("1e-20")
     for x in ("0.2546", "3.7"):
         x = mpf(x)
@@ -235,8 +237,45 @@ def test_k512_plans_keep_their_claims(n):
             ref = stieltjes(n, x)
         for route in ("series_b", "coffey"):
             sv = gamma_n(n, x, route, tol)
-            assert sv.terms_used == 512
+            assert sv.terms_used == 32
             assert abs(sv.value - ref) <= sv.abs_err <= tol, (route, x)
+
+
+def _roots_of_f9(n):
+    """The roots t > 1 of f^(9), f = log^n t / t, from mpmath.polyroots at 60
+    digits on the log-polynomial of LogPoly.diff (f^(9) = P(log t)/t^10)."""
+    with workdps(60):
+        g = LogPoly.single(1, n, 1)
+        for _ in range(9):
+            g = g.diff()
+        coeffs = [int(g.terms.get((m, 10), 0)) for m in range(n + 1)]
+        roots = polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+        return [exp(r.real) for r in roots
+                if abs(r.imag) < mpf(10) ** -40 and r.real > 0]
+
+
+def test_claims_hold_in_the_root_windows():
+    # at K + x = r, a root of f^(9), the first omitted order-4 correction
+    # vanishes, and an estimate built on it claims the rounding floor.  x =
+    # r - K for the rungs K of the routes' ladders (32, 128 for series_b and
+    # coffey; 48 for series_c) puts a tail start there; every route is run
+    # at each such x.  Every claim bounds the true error and meets tol
+    cases = 0
+    for n in range(2, 9):
+        for r in _roots_of_f9(n):
+            for K in (32, 48, 128):
+                if not 0 < r - K <= 200:
+                    continue
+                x = +(r - K)
+                with workdps(mp.dps + 30):
+                    ref = stieltjes(n, x)
+                for tol in (mpf("1e-12"), mpf("1e-15"), mpf("1e-20")):
+                    for route in METHODS:
+                        sv = gamma_n(n, x, route, tol)
+                        assert abs(sv.value - ref) <= sv.abs_err <= tol, \
+                            (n, x, route, tol)
+                        cases += 1
+    assert cases == 117
 
 
 class TestIncGamma:

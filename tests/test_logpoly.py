@@ -3,14 +3,16 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import log, mpf, workdps, zeta
+from mpmath import exp, log, mpf, polyroots, quad, workdps, zeta
 
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum
 from stieltjes.gamma import gamma_n
 from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
-                               ShiftedLogSum, bernoulli, bernoulli_mpf,
-                               em_start_for, em_tail, em_tail_shifted,
+                               ShiftedLogSum, _log_polys, _order_table,
+                               _real_roots, _root_table, bernoulli,
+                               bernoulli_mpf, em_order_for, em_start_for,
+                               em_tail, em_tail_error, em_tail_shifted,
                                logpoly_integral_to_inf, logpow_antiderivative)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
@@ -282,3 +284,102 @@ def test_em_tail_reference_against_brute_force():
     assert abs(_tail_reference(f, m, p, N) - want) <= mpf("1e-19")
     sv = em_tail(f, N)
     assert abs(sv.value - want) <= 10 * sv.abs_err + mpf("1e-19")
+
+
+# (n, J, d): the root table of f^(2J+2+d), f = log^n t / t, and the
+# enclosures of f^(2J+1+d) at its roots
+ROOT_CASES = [(1, 4, 1), (2, 4, 0), (5, 4, 0), (8, 4, 0), (6, 9, 0), (3, 6, 1),
+              (8, 13, 1)]
+
+
+def _derivative(n, k):
+    """f^(k) for f = log^n t / t by LogPoly.diff, at the caller's precision."""
+    g = LogPoly.single(1, n, 1)
+    for _ in range(k):
+        g = g.diff()
+    return g
+
+
+def _fraction_mpf(q):
+    return mpf(q.numerator) / q.denominator
+
+
+def _positive_roots(n, k):
+    """The real roots L > 0 of P with f^(k)(t) = P(log t)/t^(k+1), by
+    mpmath.polyroots at 60 digits on LogPoly.diff's coefficients."""
+    with workdps(60):
+        terms = _derivative(n, k).terms
+        coeffs = [int(terms.get((m, k + 1), 0)) for m in range(n + 1)]
+        roots = polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+        return sorted(r.real for r in roots
+                      if abs(r.imag) < mpf(10) ** -40 and r.real > 0)
+
+
+@pytest.mark.parametrize("n,J,d", ROOT_CASES)
+def test_root_intervals_isolate_one_root_each(n, J, d):
+    intervals = _real_roots(_log_polys(n)[2 * J + 2 + d])
+    roots = _positive_roots(n, 2 * J + 2 + d)
+    assert len(intervals) == len(roots) == n
+    with workdps(60):
+        for lo, hi in intervals:
+            assert 0 < hi - lo <= Fraction(1, 2 ** 16)
+            inside = [r for r in roots if _fraction_mpf(lo) <= r <= _fraction_mpf(hi)]
+            assert len(inside) == 1
+    # the table keeps each interval's upper end, rounded up
+    table = _root_table(n, J, d)
+    assert len(table) == len(intervals)
+    assert all(h >= hi for (h, _, _), (_, hi) in zip(table, intervals))
+
+
+@pytest.mark.parametrize("n,J,d", ROOT_CASES)
+def test_root_enclosures_bound_g_across_the_interval(n, J, d):
+    with workdps(60):
+        g = _derivative(n, 2 * J + 1 + d)
+        for (lo, hi), (_, g_max, lg) in zip(_real_roots(_log_polys(n)[2 * J + 2 + d]),
+                                           _root_table(n, J, d)):
+            samples = [abs(g(exp(_fraction_mpf(lo + (hi - lo) * Fraction(i, 16)))))
+                       for i in range(17)]
+            # an upper bound, and a tight one: the interval is 2^-16 wide
+            assert max(samples) <= g_max <= (1 + mpf("1e-3")) * max(samples)
+            assert abs(lg - float(log(g_max))) < 1e-9
+
+
+@pytest.mark.parametrize("n,J,d,a", [(5, 4, 0, "32.2546"), (2, 4, 0, "58.5"),
+                                     (8, 4, 0, "169.25"), (6, 7, 0, "40"),
+                                     (1, 4, 1, "8"), (3, 5, 1, "32"),
+                                     (5, 4, 1, "32"), (8, 13, 1, "128")])
+def test_certified_variation_bounds_the_integral(n, J, d, a):
+    # em_tail_error below t_J is 2|B_2J+2|/(2J+2)! times a bound on the
+    # total variation of f^(2J+1+d) on [a, inf), which is the integral of
+    # |f^(2J+2+d)| there, taken by quadrature split at its roots
+    a = mpf(a)
+    assert a < _order_table(n, d)[J - 4][2]
+    weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
+    tv = em_tail_error(n, a, J, mpf(0), d) / weight
+    with workdps(40):
+        h = _derivative(n, 2 * J + 2 + d)
+        cuts = [exp(L) for L in _positive_roots(n, 2 * J + 2 + d) if exp(L) > a]
+        integral = quad(lambda t: abs(h(t)), [a] + cuts + [mpf("inf")])
+    assert tv >= integral > 0
+    # past t_J the theta-bound is the first omitted correction itself
+    t_J = mpf(_order_table(n, d)[J - 4][2])
+    assert em_tail_error(n, 2 * t_J, J, mpf("1e-30"), d) == mpf("1e-30")
+
+
+def test_no_order_qualifies_and_the_rung_is_not_evaluated(monkeypatch):
+    import stieltjes.gamma as gamma_mod
+
+    assert em_order_for(1, mpf("33.5"), mpf("1e-60")) is None
+    assert em_order_for(1, mpf("33.5"), mpf("1e-12")) == 4
+    calls = []
+    real = gamma_mod.em_tail
+
+    def counted(f, start, J=4):
+        calls.append(start)
+        return real(f, start, J)
+
+    monkeypatch.setattr(gamma_mod, "em_tail", counted)
+    with workdps(100):
+        sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-50"))
+    # K = 32 has no order below tol/4; only the winning rung takes a tail
+    assert sv.terms_used == 128 and calls == [128 + mpf("1.5")]

@@ -238,12 +238,26 @@ class TestDeriv0Diff:
             ref = zeta(0, x, k + 1) - zeta(0, 1, k + 1)
         assert abs(sv.value - ref) <= sv.abs_err <= tol
 
+    @pytest.mark.parametrize("x", ["78.8754769771", "78.87548", "78.875"])
+    def test_claims_hold_in_a_root_window(self, x):
+        # at x = 78.8754769771, k = 5, the order-4 correction x(x-1)
+        # g^(9)[32, 33, 32+x] of g = log^6 t changes sign, so the first
+        # omitted correction at K = 32 vanishes; every claim bounds the true
+        # error and meets tol
+        x = mpf(x)
+        with workdps(64):
+            ref = zeta(0, x, 6) - zeta(0, 1, 6)
+        for tol in (mpf("1e-12"), mpf("1e-15"), mpf("1e-20")):
+            sv = zeta_deriv0_diff(5, x, tol)
+            assert abs(sv.value - ref) <= sv.abs_err <= tol, tol
+
     def test_thirty_digit_plan_is_short_across_x(self):
-        # the order rises with the digits, so the plan stays on one short rung
-        # where a fixed order needed 512 to 2048 terms depending on x
+        # the order rises with the digits and the remainder bound certifies
+        # it at any K, so the plan stays on the first rung, where a fixed
+        # order needed 512 to 2048 terms depending on x
         with workdps(60):
             for x in ("1.1", "1.5", "1.9"):
-                assert zeta_deriv0_diff(1, mpf(x), mpf("1e-30")).terms_used == 128
+                assert zeta_deriv0_diff(1, mpf(x), mpf("1e-30")).terms_used == 32
 
 
 class TestDeriv0Const:
