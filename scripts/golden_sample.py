@@ -16,7 +16,8 @@ ambient digits and bit for bit:
   x in {0.0584302, 0.25, 1, 3.7, 8}, tol in {1e-12, 1e-20, 1e-30}, and
   zeta_prime_int, gamma1_alt, dilcher_power_series, gamma1_rational,
   digamma_rational and eta at mp.dps 34;
-- delta for n 0..2 at mp.dps 15, 34 and 50;
+- delta for n 0..2 at mp.dps 15, 34 and 50, at the default N and at
+  N in {10, 97, 9973, 10^5};
 - the `stieltjes verify --suite all` report, without its elapsed_s fields.
 
 Usage (from the root of a checkout):
@@ -63,6 +64,7 @@ ZETA_S = ("-2.5", "-1", "0", "0.5", "1.5", "2", "3", "4.5", "10")
 ZETA_XS = ("0.0584302", "0.25", "1", "3.7", "8")
 ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
 RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
+DELTA_NS = (10, 97, 9973, 10 ** 5)
 
 
 def _exact(v) -> str:
@@ -173,6 +175,8 @@ def _zeta_entries():
         mp.dps = dps
         for n in range(3):
             yield f"delta({n})@{dps}", _record(delta(n))
+            for N in DELTA_NS:
+                yield f"delta({n},{N})@{dps}", _record(delta(n, N))
 
 
 def _verify_entries():

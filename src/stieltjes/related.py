@@ -24,8 +24,9 @@ integrals over [K, inf).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
@@ -33,8 +34,9 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoint, LogPoly, ShiftedLogSum, em_start_for,
-                      em_tail_shifted, logpow_antiderivative, pow_step)
+from .logpoly import (K_CAP, LogPoint, LogPoly, ShiftedLogSum, em_order_for,
+                      em_start_for, em_tail, em_tail_shifted,
+                      logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -69,6 +71,20 @@ class VonMangoldtTable:
         for k in sorted(self.powers):
             p, m = self.powers[k]
             yield k, p, m
+
+    def iter_log_powers(self):
+        """(k, log p, m) for every prime power k = p^m <= limit, ascending in
+        k, taking log p once per prime (log k is m log p)."""
+        logs: dict[int, mpf] = {}
+        root = isqrt(self.limit)
+        for k, p, m in self.iter_powers():
+            if m == 1:
+                lp = log(p)
+                if p <= root:
+                    logs[p] = lp
+            else:
+                lp = logs[p]
+            yield k, lp, m
 
     def prime_exponents(self) -> dict[int, int]:
         """p -> largest m with p^m <= limit (the lcm(1..limit) factorization)."""
@@ -206,14 +222,27 @@ def _eta_series(n: int, K: int) -> SeriesValue:
     telescopes to log^(n+1)(K+1)/(n+1) exactly."""
     table = von_mangoldt(K)
     with workdps(mp.dps + 8):
-        acc = comp_sum(log(p) * log(k) ** n / k for k, p, _ in table.iter_powers())
+        acc = comp_sum(lp * (m * lp) ** n / k for k, lp, m in table.iter_log_powers())
         value = (-1) ** n * (acc - log(K + 1) ** (n + 1) / (n + 1)) / factorial(n)
     return SeriesValue(value, mp.inf, K, "mangoldt_series")
 
 
 def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     """Partial sums of sum_{k<=N} (Lambda(k) - 1) log^n k / k at each
-    checkpoint, the trend quantity behind (-1)^n n! eta_n - gamma_n."""
+    checkpoint, the trend quantity behind (-1)^n n! eta_n - gamma_n.
+
+    The Lambda part runs over the prime powers k = p^m <= N only, with
+    log k = m log p and log p taken once per prime.  The other part,
+    sum_{k<=N} log^n k / k, is a head of direct terms below a, plus the
+    Euler-Maclaurin tails of f = log^n t / t at a and at N + 1, plus the
+    closed-form int_a^(N+1) f = [log^(n+1)(N+1) - log^(n+1) a]/(n+1).
+    a is the first rung of 16 * 4^i at which an order J <= J_PLAN_MAX
+    estimates the tail below 2^-prec (prec: the working bits), or the first
+    past the last checkpoint, where every sum is direct.  The same J serves
+    at N + 1 > a, whose remainder integral is part of a's.  No gamma_n
+    value enters, so these sums stay an independent check on the eta and
+    gamma routes.
+    """
     pending = sorted(set(int(c) for c in checkpoints))
     if not pending:
         raise DomainError("mangoldt_gap_sums: need at least one checkpoint")
@@ -221,18 +250,29 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         raise DomainError("mangoldt_gap_sums: checkpoints must be >= 1")
     table = von_mangoldt(pending[-1])
     out: dict[int, mpf] = {}
-
-    def term(k: int) -> mpf:
-        weight = log(k) ** n / k if n else mpf(1) / k
-        return (table.value(k) - 1) * weight
-
     with workdps(mp.dps + 8):
-        total = mpf(0)
-        lo = 1
-        for hi in pending:
-            total = comp_sum(chain([total], (term(k) for k in range(lo, hi + 1))))
-            out[hi] = total
-            lo = hi + 1
+        parts = [mpf(0)] * len(pending)
+        powers = groupby(table.iter_log_powers(), lambda e: bisect_left(pending, e[0]))
+        for i, group in powers:
+            parts[i] = comp_sum(lp * (m * lp) ** n / k for k, lp, m in group)
+        lam = accumulate(parts, lambda s, t: comp_sum([s, t]))
+
+        f = LogPoly.single(1, n, 1)
+        bound = mpf(2) ** -mp.prec
+        a = 16
+        while a <= pending[-1] and (J := em_order_for(n, a, bound)) is None:
+            a *= 4
+        terms = [f(k) for k in range(1, min(a, pending[-1] + 1))]
+        if a <= pending[-1]:
+            la = log(a)
+            head = comp_sum(chain(terms, [em_tail(f, a, J).value]))
+        for N, lam_N in zip(pending, lam):
+            if N < a:
+                harmonic = comp_sum(terms[:N])
+            else:
+                harmonic = comp_sum([head, -em_tail(f, N + 1, J).value,
+                                     pow_step(la, a, mpf(N + 1), n + 1) / (n + 1)])
+            out[N] = lam_N - harmonic
     return out
 
 
@@ -240,9 +280,71 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 # delta constants
 # ---------------------------------------------------------------------------
 
+# a running product of consecutive integers is turned into one logarithm
+# once it passes this many times the working precision in bits
+LOG_PRODUCT_PRECS = 8
+# below this N, prime powers are most of 2..N and S_2(N) is cheaper summed
+# term by term
+LAMBDA_SUM_FROM = 64
+
+
+def _log_factorials(ms) -> dict[int, mpf]:
+    """log M! for every M >= 1 in ms, from one ascending pass of exact
+    integer products of consecutive integers.
+
+    A product is rounded to the working precision and its logarithm taken
+    once it passes LOG_PRODUCT_PRECS * mp.prec bits, and at each M; the
+    logarithms are summed with comp_sum.  Each is within about an ulp of
+    itself, so log M! carries the rounding error of a sum of M rounded
+    logarithms, from far fewer of them.
+    """
+    limit = LOG_PRODUCT_PRECS * mp.prec
+    out: dict[int, mpf] = {}
+    total = mpf(0)
+    start = 2
+    for M in sorted(set(ms)):
+        logs = []
+        prod = 1
+        for k in range(start, M + 1):
+            prod *= k
+            if prod.bit_length() > limit:
+                logs.append(log(prod))
+                prod = 1
+        start = M + 1
+        if prod > 1:
+            logs.append(log(prod))
+        total = comp_sum(chain([total], logs))
+        out[M] = total
+    return out
+
+
+def _log_power_sum(n: int, N: int) -> mpf:
+    """S_n(N) = sum_{k<=N} log^n k for n = 1 or 2, at the working precision.
+
+    S_1(N) = log N!.  For n = 2, log k = sum_{d | k} Lambda(d) gives
+    S_2(N) = sum over prime powers p^i <= N of log p (i M log p + log M!),
+    M = floor(N / p^i): log p is taken once per prime, and log M! at the
+    about 2 sqrt(N) distinct values of M from one pass of _log_factorials.
+    Every term is positive, so the sum keeps the relative accuracy of its
+    terms.  Below LAMBDA_SUM_FROM, S_2(N) is summed term by term.
+    """
+    if n == 1:
+        return _log_factorials([N])[N]
+    if N < LAMBDA_SUM_FROM:
+        return comp_sum(log(k) ** 2 for k in range(2, N + 1))
+    table = von_mangoldt(N)
+    log_fact = _log_factorials(N // k for k in table.powers)
+    return comp_sum(lp * (m * (N // k) * lp + log_fact[N // k])
+                    for k, lp, m in table.iter_log_powers())
+
+
 def delta(n: int, N: int = 10000) -> SeriesValue:
     """delta_n = (-1)^n [zeta^(n)(0) + n!], by the endpoint-corrected
-    evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2."""
+    evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2.
+
+    The partial sum S_n(N) comes from exact integer products and prime
+    powers (_log_power_sum), not from N logarithms.
+    """
     if not 0 <= n <= 2:
         raise DomainError("delta: order must be 0, 1 or 2")
     if N < 10:
@@ -253,7 +355,7 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         if n == 0:
             # every term of the corrected form cancels identically
             return SeriesValue(mpf(1) / 2, mpf(0), N, "em_corrected")
-        partial = comp_sum(log(k) ** n for k in range(2, N + 1))
+        partial = _log_power_sum(n, N)
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
         gprime = LogPoly.single(1, n, 0).diff()

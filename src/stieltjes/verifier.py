@@ -1,9 +1,9 @@
 """Executable identity suite: every structural identity the library's series
 rest on becomes a residual check with an explicit tolerance.
 
-Cross-representation checks use the sum of the claimed error bounds (plus any
-stated slack) as their tolerance, so a failure indicts a claimed bound rather
-than merely a value.
+Cross-representation checks (cotangent, vanishing_integrals, g_functions)
+use the sum of the claimed error bounds as their tolerance, with no fixed
+slack, so a failure indicts a claimed bound rather than merely a value.
 
 The integrand checks sample each function once: gamma_n on [1, 2] and the
 regular part of zeta^(k)(0, t) on [0, 1] become one Chebyshev model each
@@ -89,7 +89,7 @@ def check_cotangent(x) -> VerifyReport:
         da = digamma(1 - x, CHECK_TOL)
         db = digamma(x, CHECK_TOL)
         res_psi = abs(target - (da.value - db.value))
-        tol_psi = mpf("1e-10") + da.abs_err + db.abs_err
+        tol_psi = da.abs_err + db.abs_err
 
         inv = LogPoly.single(1, 0, 1)
         K = 64
@@ -98,7 +98,7 @@ def check_cotangent(x) -> VerifyReport:
         tm = em_tail(inv, K - x)
         pf = partial + tp.value - tm.value + log((K - x) / (K + x))
         res_pf = abs(target - pf)
-        tol_pf = mpf("1e-10") + tp.abs_err + tm.abs_err
+        tol_pf = tp.abs_err + tm.abs_err
     subs = [
         SubCheck("digamma_reflection", res_psi, tol_psi),
         SubCheck("partial_fractions", res_pf, tol_pf),
@@ -167,13 +167,11 @@ def check_vanishing_integrals(n: int) -> VerifyReport:
         raise DomainError("check_vanishing_integrals: need n <= 3")
     t0 = time.perf_counter()
     q = _gamma_model(n).integral
-    subs = [SubCheck("gamma_over_unit_interval", abs(q.value), q.abs_err + mpf("1e-8"))]
+    subs = [SubCheck("gamma_over_unit_interval", abs(q.value), q.abs_err)]
     u1 = _unit_deriv_integral(1)
-    subs.append(SubCheck("zeta_prime0_over_unit", abs(u1.value),
-                         u1.abs_err + mpf("1e-8")))
+    subs.append(SubCheck("zeta_prime0_over_unit", abs(u1.value), u1.abs_err))
     u2 = _unit_deriv_integral(2)
-    subs.append(SubCheck("zeta_second0_over_unit", abs(u2.value),
-                         u2.abs_err + mpf("1e-7")))
+    subs.append(SubCheck("zeta_second0_over_unit", abs(u2.value), u2.abs_err))
     return VerifyReport.from_subchecks(
         check_id="vanishing_integrals",
         inputs={"n": n},
@@ -273,14 +271,14 @@ def check_g_functions(x) -> VerifyReport:
         s1, e1 = _g_series(2, x, CHECK_TOL)
         g1_series = s1 / 2 - base
         res1 = abs(g1_closed - g1_series)
-        tol1 = zd1.abs_err / 2 + abs(x - 1) * g1c.abs_err + e1 / 2 + mpf("1e-9")
+        tol1 = zd1.abs_err / 2 + abs(x - 1) * g1c.abs_err + e1 / 2
 
         zd2 = zeta_deriv0_diff(2, x, CHECK_TOL)
         g2_closed = -zd2.value / 3 - (x - 1) * g2c.value - 2 * g1_closed
         s2, e2 = _g_series(3, x, CHECK_TOL)
         g2_series = s2 / 3 - 2 * g1_closed
         res2 = abs(g2_closed - g2_series)
-        tol2 = zd2.abs_err / 3 + abs(x - 1) * g2c.abs_err + e2 / 3 + mpf("1e-9")
+        tol2 = zd2.abs_err / 3 + abs(x - 1) * g2c.abs_err + e2 / 3
     subs = [SubCheck("g1_routes", res1, tol1), SubCheck("g2_routes", res2, tol2)]
     return VerifyReport.from_subchecks(
         check_id="g_functions",

@@ -1,20 +1,50 @@
 import math
 import time
+from functools import lru_cache
 
 import pytest
-from mpmath import exp, factorial, log, mp, mpf, pi, workdps, zeta
+from mpmath import exp, factorial, fsum, log, mp, mpf, pi, workdps, zeta
 
 import oracles
-from stieltjes.core import DomainError, SeriesValue
+from stieltjes.core import DomainError, SeriesValue, rounding_floor
 from stieltjes.gamma import RationalArg
 from stieltjes.logpoly import K_CAP
 from stieltjes.quadrature import quad_gl
-from stieltjes.related import (PowerSeries, delta, digamma, digamma_rational,
-                               dilcher_log_gamma_k, dilcher_power_series, eta,
-                               log_gamma, mangoldt_gap_sums, von_mangoldt)
+from stieltjes.related import (PowerSeries, _log_power_sum, delta, digamma,
+                               digamma_rational, dilcher_log_gamma_k,
+                               dilcher_power_series, eta, log_gamma,
+                               mangoldt_gap_sums, von_mangoldt)
 from stieltjes.zeta import zeta_deriv0_const, zeta_deriv0_diff
 
 TOL = mpf("1e-14")
+# references for the log-power sums: log k at 90 digits, 40 past the
+# highest precision the tests run at
+REF_DPS = 90
+REF_N = 10 ** 4
+
+
+@lru_cache(maxsize=None)
+def _ref_logs() -> tuple:
+    """log k for 0 < k <= REF_N at REF_DPS digits (index 0 unused)."""
+    with workdps(REF_DPS):
+        return (None,) + tuple(log(k) for k in range(1, REF_N + 1))
+
+
+def _ref_lambda(k: int) -> mpf:
+    """Lambda(k) by trial division, independent of the library's sieve."""
+    p = next(d for d in range(2, k + 1) if k % d == 0) if k > 1 else 1
+    while k > 1 and k % p == 0:
+        k //= p
+    return _ref_logs()[p] if p > 1 and k == 1 else mpf(0)
+
+
+@lru_cache(maxsize=None)
+def _ref_gap_terms(n: int) -> tuple:
+    """(Lambda(k) - 1) log^n k / k for 0 < k <= REF_N at REF_DPS digits."""
+    logs = _ref_logs()
+    with workdps(REF_DPS):
+        return tuple((_ref_lambda(k) - 1) * logs[k] ** n / k
+                     for k in range(1, REF_N + 1))
 
 
 class TestVonMangoldt:
@@ -91,6 +121,20 @@ class TestEta:
         with pytest.raises(DomainError):
             mangoldt_gap_sums(0, [])
 
+    @pytest.mark.parametrize("dps", [15, 34, 50])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_mangoldt_gap_sums_match_term_by_term(self, n, dps):
+        # prime powers plus Euler-Maclaurin tails against every term summed
+        # at 90 digits, at checkpoints inside and past the direct head
+        mp.dps = dps
+        checkpoints = (1, 7, 97, 500, REF_N)
+        got = mangoldt_gap_sums(n, checkpoints)
+        terms = _ref_gap_terms(n)
+        with workdps(REF_DPS):
+            for N in checkpoints:
+                ref = fsum(terms[:N])
+                assert abs(got[N] - ref) < mpf(10) ** -(dps + 4)
+
 
 class TestDelta:
     def test_order_zero_exact(self):
@@ -124,6 +168,32 @@ class TestDelta:
             ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
             assert abs(sv.value - ref) <= sv.abs_err
         assert abs(sv.value - ref) < mpf("1e-12")
+
+    @pytest.mark.parametrize("dps", [15, 34, 50])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [10, 9973, 10 ** 5])
+    def test_claim_is_a_bound_at_other_N(self, N, n, dps):
+        mp.dps = dps
+        sv = delta(n, N)
+        with workdps(dps + 40):
+            ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
+            assert abs(sv.value - ref) <= sv.abs_err
+
+    @pytest.mark.parametrize("dps", [15, 34, 50])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("N", [10, 11, 97, 128, 9973, REF_N])
+    def test_log_power_sum_within_rounding_floor(self, N, n, dps):
+        # log N! from integer products, and the Lambda identity for n = 2,
+        # against sum log^n k term by term at 90 digits; N = 97 is a prime
+        # and N = 128 a prime power
+        mp.dps = dps
+        with workdps(dps + 8):
+            got = _log_power_sum(n, N)
+            floor = rounding_floor(got)
+        logs = _ref_logs()
+        with workdps(REF_DPS):
+            ref = fsum(logs[k] ** n for k in range(2, N + 1))
+            assert abs(got - ref) <= floor
 
     def test_caps(self):
         with pytest.raises(DomainError):
