@@ -27,9 +27,10 @@ Usage (from the root of a checkout):
 
 --compare lists the entries that differ in the ambient digits (DIFF) and
 those that differ only in the exact bits (EXACT), each changed value with its
-move as a fraction of the sample's abs_err, and exits with status 1 when any
-entry differs in either way or is missing.  Write both samples with the same
-version of this script.
+move as a fraction of the sample's abs_err, then the worst such move, and
+exits with status 1 when any entry differs in either way or is missing.  An
+infinite or nan value or abs_err is written and read back as inf, -inf or
+nan.  Write both samples with the same version of this script.
 
 --audit checks every gamma_n and gamma_diff entry's claim against
 mpmath.stieltjes at 80 digits, taken at the entry's binary x (and y): it
@@ -67,12 +68,21 @@ RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
 DELTA_NS = (10, 97, 9973, 10 ** 5)
 
 
+NONFINITE = ("inf", "-inf", "nan")
+
+
 def _exact(v) -> str:
+    if mp.isnan(v):
+        return "nan"
+    if mp.isinf(v):
+        return "-inf" if v < 0 else "inf"
     sign, man, exp, _ = v._mpf_
     return f"{'-' if sign else ''}{int(man):x}p{exp}"
 
 
 def _from_exact(text) -> mpf:
+    if text in NONFINITE:
+        return mpf(text)
     man, exp = text.split("p")
     return mpf(from_man_exp(int(man, 16), int(exp)))
 
@@ -87,18 +97,21 @@ def _ambient(rec) -> str:
     return "\t".join(rec.split("\t")[:4])
 
 
-def _move(want, got) -> str:
-    """' (moved r of abs_err)', r = |got - want| / want's abs_err from the
-    exact fields, or '' when an entry has none."""
+def _move(want, got) -> tuple[str, mpf | None]:
+    """(' (moved r of abs_err)', r) with r = |got - want| / want's abs_err
+    from the exact fields; r is inf for a move against an abs_err of 0, and
+    ('', None) is returned when an entry has no exact fields."""
     try:
         (v0, e0), (v1, _) = (rec.split("\t")[4].split() for rec in (want, got))
     except (AttributeError, IndexError):
-        return ""
+        return "", None
     with workprec(4096):  # exact: mantissas are far shorter
         moved, err = abs(_from_exact(v1) - _from_exact(v0)), _from_exact(e0)
         if not err:
-            return f" (moved {mp.nstr(moved, 3)}, abs_err 0)"
-        return f" (moved {mp.nstr(moved / err, 3)} of abs_err)"
+            ratio = mp.inf if moved else mpf(0)
+            return f" (moved {mp.nstr(moved, 3)}, abs_err 0)", ratio
+        ratio = moved / err
+        return f" (moved {mp.nstr(ratio, 3)} of abs_err)", ratio
 
 
 def _gamma_values():
@@ -260,16 +273,21 @@ def main() -> int:
     diffs = [key for key in sorted(want.keys() | got.keys())
              if want.get(key) != got.get(key)]
     ambient = 0
+    worst, worst_key = None, None
     for key in diffs:
         w, g = want.get(key), got.get(key)
+        note, ratio = _move(w, g)
+        if ratio is not None and (worst is None or ratio > worst):
+            worst, worst_key = ratio, key
         if w is None or g is None or _ambient(w) != _ambient(g):
             ambient += 1
-            print(f"DIFF {key}{_move(w, g)}"
-                  f"\n  want {w}\n  got  {g}")
+            print(f"DIFF {key}{note}\n  want {w}\n  got  {g}")
         else:
-            print(f"EXACT {key}{_move(w, g)}")
+            print(f"EXACT {key}{note}")
     print(f"{len(got)} entries, {ambient} differ in the ambient digits, "
           f"{len(diffs)} in the exact bits")
+    if worst is not None:
+        print(f"worst move {mp.nstr(worst, 3)} of abs_err at {worst_key}")
     return 1 if diffs else 0
 
 

@@ -13,21 +13,24 @@ a short partial sum plus Bernoulli-weighted endpoint corrections:
 
 with |R_J| at most 2 |B_2J+2|/(2J+2)! int_a^inf |f^(2J+2)| (Johansson,
 arXiv:1309.2877).  The same corrections apply to summands built from log
-powers at several shifted arguments (ShiftedLogSum below), where only the
-closed-form integral differs.
+powers at several shifted arguments, c log^m(t + shift) / (t + shift)^p,
+where only the closed-form integral differs.
 
 Every series route is one probe function, probe(K) -> (result, err): the
 claimed tail error at a partial-sum length K and, in most routes, the tail
 itself.  The one ladder em_start_for walks K through start * factor^i, calls
 the probe once per rung, and returns the first passing rung with that
-probe's result, so no route evaluates its chosen K a second time.  The correction loop em_tail_shifted
-evaluates every order from one logarithm per shifted point and keeps each
-summand's derivative chain per working precision.  On the gamma_n series,
-gamma_diff and the s = 0 derivative series, em_order_for raises the order J
-with the digits asked for, and em_tail_error certifies the remainder at every
-order and start: from the total variation of f^(2J+1), whose extrema are
-the roots of an integer polynomial in log t that _root_table isolates once
-per (n, J, d).
+probe's result, so no route evaluates its chosen K a second time.
+
+Every derivative the engine reads comes from one exact table, _log_polys(m,
+p): the integer polynomials P_k with (d/dt)^k [log^m t / t^p] =
+P_k(log t)/t^(p+k), independent of the precision.  The correction loop
+em_tail_shifted evaluates each order from it by Horner's rule, from one
+logarithm per shifted point.  On the gamma_n series, gamma_diff and the
+s = 0 derivative series, em_order_for raises the order J with the digits
+asked for, and em_tail_error certifies the remainder at every order and
+start: from the total variation of f^(2J+1), whose extrema are the roots of
+an integer polynomial in log t that _root_table isolates once per (n, J, d).
 
 The lattice routes' differences log^q b - log^q a of nearby points are all
 pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
@@ -138,7 +141,7 @@ class LogPoly:
 
 class LogPoint:
     """A point u with log u taken once; the powers of u and log u that the
-    terms ask for are kept, so several LogPolys are evaluated from them."""
+    terms ask for are kept, so several terms are evaluated from them."""
 
     __slots__ = ("u", "lu", "upow", "lpow")
 
@@ -148,6 +151,12 @@ class LogPoint:
         self.upow: dict[int, mpf] = {}
         self.lpow: dict[int, mpf] = {}
 
+    def _upow(self, p: int) -> mpf:
+        up = self.upow.get(p)
+        if up is None:
+            up = self.upow[p] = self.u ** p
+        return up
+
     def eval(self, poly: LogPoly) -> mpf:
         """poly(u), with the bits of LogPoly.__call__."""
         total = mpf(0)
@@ -155,11 +164,12 @@ class LogPoint:
             lm = self.lpow.get(m)
             if lm is None:
                 lm = self.lpow[m] = self.lu ** m
-            up = self.upow.get(p)
-            if up is None:
-                up = self.upow[p] = self.u ** p
-            total += c * lm / up
+            total += c * lm / self._upow(p)
         return total
+
+    def ratio(self, P, p: int) -> mpf:
+        """P(log u) / u^p for integer coefficients P, low degree first."""
+        return _horner(P, self.lu) / self._upow(p)
 
 
 def logpow_antiderivative(q: int, u) -> mpf:
@@ -253,68 +263,43 @@ def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
         raise DomainError(f"em_tail: correction order J must be <= {EM_ORDER_MAX}")
     if mpf(start) < 2:
         raise DomainError("em_tail: start must be >= 2")
-    value, err = em_tail_shifted(f.diff(), f(start), 0, start, J)
+    parts = [(c, 0, m, p) for (m, p), c in f.terms.items()]
+    value, err = em_tail_shifted(parts, f(start), 0, start, J)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
-class ShiftedLogSum:
-    """Sum of coeff * poly(t + shift) parts; the summand shape of series whose
-    terms mix log powers at several shifted arguments."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple((mpf(c), mpf(sh), poly) for c, sh, poly in parts)
-
-
-# tuple(poly.terms.items()) -> [poly, poly', poly'', ...] at one precision
-_CHAINS = PrecTable()
-
-
-def _derivatives(poly: LogPoly, order: int) -> list[LogPoly]:
-    """poly and its derivatives through the given order, each built by
-    LogPoly.diff() once per working precision."""
-    chains = _CHAINS.at_prec()
-    key = tuple(poly.terms.items())
-    chain = chains.get(key)
-    if chain is None:
-        chain = chains[key] = [poly]
-    while len(chain) <= order:
-        chain.append(chain[-1].diff())
-    return chain
-
-
-def em_tail_shifted(v_prime, v_at_start, integral, start,
+def em_tail_shifted(v, v_at_start, integral, start,
                     J: int = 4) -> tuple[mpf, mpf]:
-    """sum_{k>=0} v(start + k) where the caller supplies v(start), the
-    closed-form int_start^inf v(t) dt, and v' as a LogPoly or ShiftedLogSum.
+    """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
+    v(t) = sum c log^m(t + shift) / (t + shift)^p, where the caller supplies
+    v(start) and the closed-form int_start^inf v(t) dt.
 
     Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
     corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, and the magnitude
-    of the first omitted one.  Each distinct point start + shift takes its
-    logarithm once, and every order is evaluated from it.
+    of the first omitted one.  Each distinct point u = start + shift takes
+    its logarithm once; every order i of a part is then c P_i(log u)/u^(p+i),
+    one Horner's rule over the integer row P_i of _log_polys(m, p).
     """
     start = mpf(start)
-    if isinstance(v_prime, LogPoly):
-        v_prime = ShiftedLogSum([(1, 0, v_prime)])
     points: dict[mpf, LogPoint] = {}
-    parts = []
-    for c, sh, poly in v_prime.parts:
+    terms = []
+    for c, sh, m, p in v:
+        sh = mpf(sh)
         point = points.get(sh)
         if point is None:
             point = points[sh] = LogPoint(start + sh)
-        parts.append((c, point, _derivatives(poly, 2 * J)))
+        terms.append((mpf(c), point, _log_polys(m, p), p))
 
-    def at(i):  # v^(i+1)(start)
+    def at(i):  # v^(i)(start)
         total = mpf(0)
-        for c, point, chain in parts:
-            total += c * point.eval(chain[i])
+        for c, point, rows, p in terms:
+            total += c * point.ratio(rows[i], p + i)
         return total
 
     value = mpf(integral) + mpf(v_at_start) / 2
     for j in range(1, J + 1):
-        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 2)
-    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J))
+        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
+    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J + 1))
     return value, err
 
 
@@ -405,9 +390,7 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     if a >= t_J:
         return omitted
     La = log(a)
-    g_a = mpf(0)
-    for c in reversed(_log_polys(n)[2 * J + 1 + d]):
-        g_a = g_a * La + c
+    g_a = _horner(_log_polys(n, 1)[2 * J + 1 + d], La)
     tv = abs(g_a) / mpf(a) ** (2 * J + 2 + d)
     # float(La) is within half an ulp of log a, and each hi was rounded up
     # past its root by at least that much, so no root r >= a is missed
@@ -418,17 +401,25 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
 
 
 @lru_cache(maxsize=None)
-def _log_polys(n: int) -> tuple[tuple[int, ...], ...]:
-    """P_k for k = 0..2 J_PLAN_MAX + 5, integer coefficients low degree
-    first, with f^(k)(t) = P_k(log t)/t^(k+1) for f = log^n t / t:
-    d/dt [P(L)/t^(k+1)] = (P'(L) - (k+1) P(L))/t^(k+2)."""
-    P = (0,) * n + (1,)
-    polys = [P]
-    for k in range(2 * J_PLAN_MAX + 5):
-        P = tuple((m + 1) * P[m + 1] - (k + 1) * P[m] for m in range(n)) \
-            + (-(k + 1) * P[n],)
-        polys.append(P)
-    return tuple(polys)
+def _log_polys(m: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """P_k for k = 0..2 EM_ORDER_MAX + 1, integer coefficients low degree
+    first, with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
+    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Independent of
+    the precision."""
+    P = (0,) * m + (1,)
+    rows = [P]
+    for k in range(p, p + 2 * EM_ORDER_MAX + 1):
+        P = tuple((j + 1) * P[j + 1] - k * P[j] for j in range(m)) + (-k * P[m],)
+        rows.append(P)
+    return tuple(rows)
+
+
+def _horner(P, L) -> mpf:
+    """P(L) for coefficients P, low degree first, by Horner's rule."""
+    s = mpf(0)
+    for c in reversed(P):
+        s = s * L + c
+    return s
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +432,7 @@ def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...], fl
     The estimated first omitted correction at a is
     exp(lw) |P(log a)/(2J+1)!| a^-(2J+2+d).
     """
-    polys = _log_polys(n)
+    polys = _log_polys(n, 1)
     sign = (-1) ** d  # f^(m) is eventually of sign (-1)^m
     table = []
     for J in range(4, J_PLAN_MAX + 1):
@@ -466,7 +457,7 @@ def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf, float], .
     coefficients q_j at lo, and t^-p <= exp(-p lo), taken in interval
     arithmetic and rounded up.  Independent of x and of the precision.
     """
-    polys = _log_polys(n)
+    polys = _log_polys(n, 1)
     Q = polys[2 * J + 1 + d]
     p = 2 * J + 2 + d
     saved = iv.prec

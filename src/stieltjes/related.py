@@ -34,9 +34,8 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoint, LogPoly, ShiftedLogSum, em_order_for,
-                      em_start_for, em_tail, em_tail_shifted,
-                      logpow_antiderivative, pow_step)
+from .logpoly import (K_CAP, LogPoint, LogPoly, em_order_for, em_start_for,
+                      em_tail, em_tail_shifted, logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -358,8 +357,7 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         partial = _log_power_sum(n, N)
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
-        gprime = LogPoly.single(1, n, 0).diff()
-        correction, err = em_tail_shifted(gprime, 0, 0, N, DELTA_EM_ORDER)
+        correction, err = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, DELTA_EM_ORDER)
         value += correction
         # the partial sum and the integral are each about N log^n N, and
         # their terms' rounding, not the value's, sets the floor
@@ -379,8 +377,8 @@ def digamma(x, tol=None) -> SeriesValue:
         raise DomainError("digamma: x must be > 0")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        inv = LogPoly.single(1, 0, 1)
-        hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
+        # h(t) = 1/(t+x) - log(t+1+x) + log(t+x)
+        h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
 
         def h(k):
             return mpf(1) / (k + x) - log(1 + 1 / (k + x))
@@ -388,7 +386,7 @@ def digamma(x, tol=None) -> SeriesValue:
         def probe(K):
             integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
                         - logpow_antiderivative(1, K + x))
-            return em_tail_shifted(hprime, h(K), integral, K)
+            return em_tail_shifted(h_parts, h(K), integral, K)
 
         K, tail, err = em_start_for(probe, tol / 4, 16)
         partial = comp_sum(h(k) for k in range(1, K))
@@ -404,8 +402,8 @@ def log_gamma(x, tol=None) -> SeriesValue:
         raise DomainError("log_gamma: x must be > 0")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        inv = LogPoly.single(1, 0, 1)
-        hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
+        # h(t) = x log(t+1) + (1-x) log t - log(t+x)
+        h_parts = [(x, 1, 1, 0), (1 - x, 0, 1, 0), (-1, x, 1, 0)]
 
         def h(k):
             return x * log(1 + mpf(1) / k) - log(1 + x / k)
@@ -414,7 +412,7 @@ def log_gamma(x, tol=None) -> SeriesValue:
             integral = (logpow_antiderivative(1, K + x)
                         - (1 - x) * logpow_antiderivative(1, mpf(K))
                         - x * logpow_antiderivative(1, mpf(K + 1)))
-            return em_tail_shifted(hprime, h(K), integral, K)
+            return em_tail_shifted(h_parts, h(K), integral, K)
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(k) for k in range(1, K))
@@ -480,7 +478,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     gk = gamma_n(k, 1, "series_b", tol / 4)
     with workdps(working_dps(tol)):
         fk = LogPoly.single(1, k, 1)
-        wprime = ShiftedLogSum([(x, 0, fk.diff()), (-1, x, fk), (1, 0, fk)])
+        # h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q
+        h_parts = [(x, 0, k, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)]
 
         def h(j):
             a = LogPoint(mpf(j))
@@ -490,7 +489,7 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
-            return em_tail_shifted(wprime, h(K), integral, K)
+            return em_tail_shifted(h_parts, h(K), integral, K)
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(j) for j in range(1, K))

@@ -23,8 +23,7 @@ from mpmath import log, mp, mpf, pi, workdps
 from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoly, ShiftedLogSum, em_tail, em_tail_shifted,
-                      logpow_antiderivative)
+from .logpoly import LogPoly, em_tail, em_tail_shifted, logpow_antiderivative
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, log_gamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -234,8 +233,7 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     """sum_{n>=0} [log^q(n+x) - log^q(n+1) - q(x-1) log^(q-1)(n+1)/(n+1)]
     with its lattice tail; the series route to the g functions."""
     f = LogPoly.single(1, q - 1, 1)
-    hprime = ShiftedLogSum([(q, x, f), (-q, 1, f),
-                            (-q * (x - 1), 1, f.diff())])
+    h_parts = [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)]
     K = 64
 
     def h(k):
@@ -245,7 +243,7 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     integral = (-logpow_antiderivative(q, K + x)
                 + logpow_antiderivative(q, mpf(K + 1))
                 + (x - 1) * log(K + 1) ** q)
-    tail, err = em_tail_shifted(hprime, h(K), integral, K)
+    tail, err = em_tail_shifted(h_parts, h(K), integral, K)
     return partial + tail, err
 
 

@@ -38,9 +38,8 @@ from mpmath import log, mp, mpf, pi, workdps
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, working_dps)
-from .logpoly import (LogPoly, ShiftedLogSum, bernoulli_mpf, em_order_for,
-                      em_start_for, em_tail_error, em_tail_shifted, log_steps,
-                      logpow_antiderivative, pow_step)
+from .logpoly import (bernoulli_mpf, em_order_for, em_start_for, em_tail_error,
+                      em_tail_shifted, log_steps, logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
 # Euler-Maclaurin correction orders of hurwitz_em and zeta_prime_int
@@ -163,8 +162,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
     with workdps(working_dps(tol) + 8):
-        gprime = LogPoly.single(q, q - 1, 1)
-        vprime = ShiftedLogSum([(1, x, gprime), (x - 1, 0, gprime), (-x, 1, gprime)])
+        v_parts = [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)]
         scale = q * abs(x * (x - 1)) / 2
 
         def summand(n, ln, step):
@@ -184,7 +182,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
             # that fails must not fill them first
             lK = log(K)
             v_K = summand(K, lK, pow_step(lK, K, mpf(K + 1), q))
-            tail, omitted = em_tail_shifted(vprime, v_K, integral, K, J)
+            tail, omitted = em_tail_shifted(v_parts, v_K, integral, K, J)
             return tail, em_tail_error(k, K, J, omitted, 1, scale)
 
         K, tail, err = em_start_for(probe, tol / 4, 32)

@@ -3,13 +3,13 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import exp, log, mpf, polyroots, quad, workdps, zeta
+from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 
 import oracles
-from stieltjes.core import ConvergenceError, DomainError, comp_sum
+from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
 from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
-                               ShiftedLogSum, _log_polys, _order_table,
+                               _log_polys, _order_table,
                                _real_roots, _root_table, bernoulli,
                                bernoulli_mpf, em_order_for, em_start_for,
                                em_tail, em_tail_error, em_tail_shifted,
@@ -111,7 +111,7 @@ def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
     f = LogPoly.single(1, m, p)
     a = mpf(a)
     sv = em_tail(f, a)
-    value, err = em_tail_shifted(f.diff(), f(a), 0, a)
+    value, err = em_tail_shifted([(1, 0, m, p)], f(a), 0, a)
     assert (sv.value, sv.abs_err) == (value, err)
 
 
@@ -123,16 +123,13 @@ def test_log_point_has_the_bits_of_a_call():
         assert point.eval(poly) == poly(u)
 
 
-def _reference_tail(v_prime, v0, integral, start, J):
-    """The correction loop with every derivative re-derived and every order
-    evaluated afresh, one logarithm per part and order."""
+def _reference_tail(v, v0, integral, start, J):
+    """The correction loop with every derivative re-derived by LogPoly.diff
+    and every order evaluated afresh, one logarithm per part and order."""
     start = mpf(start)
-    single = isinstance(v_prime, LogPoly)
-    parts = [(1, 0, v_prime)] if single else list(v_prime.parts)
+    parts = [(mpf(c), mpf(sh), LogPoly.single(1, m, p)) for c, sh, m, p in v]
 
     def at(polys):
-        if single:
-            return polys[0](start)
         total = mpf(0)
         for (c, sh, _), poly in zip(parts, polys):
             total += c * poly(start + sh)
@@ -140,7 +137,7 @@ def _reference_tail(v_prime, v0, integral, start, J):
 
     polys = [poly for _, _, poly in parts]
     value = mpf(integral) + mpf(v0) / 2
-    order = 1
+    order = 0
     for j in range(1, J + 1):
         while order < 2 * j - 1:
             polys = [poly.diff() for poly in polys]
@@ -155,25 +152,49 @@ def _reference_tail(v_prime, v0, integral, start, J):
 @pytest.mark.parametrize("J", [4, 9])
 def test_em_tail_shifted_matches_the_fresh_loop(J):
     x = mpf("0.3")
-    inv = LogPoly.single(1, 0, 1)
-    f = LogPoly.single(1, 3, 1)
-    # digamma's summand derivative: two parts share the shift x
-    hprime = ShiftedLogSum([(1, x, inv.diff()), (-1, 1 + x, inv), (1, x, inv)])
-    for v_prime, start in ((hprime, 40), (f.diff(), mpf("32.75"))):
-        for _ in range(2):  # a cold and a cached derivative chain
-            got = em_tail_shifted(v_prime, mpf("0.125"), mpf("0.5"), start, J)
-            assert got == _reference_tail(v_prime, mpf("0.125"), mpf("0.5"), start, J)
+    # digamma's summand: two parts share the shift x
+    h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
+    for v, start in ((h_parts, 40), ([(1, 0, 3, 1)], mpf("32.75"))):
+        got = em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J)
+        # Horner's rule rounds differently from the term-by-term loop, so
+        # the loop runs 40 digits higher and each output must sit within
+        # the working precision's rounding floor of it
+        with workdps(mp.dps + 40):
+            value, err = _reference_tail(v, mpf("0.125"), mpf("0.5"), start, J)
+        assert abs(got[0] - value) <= rounding_floor(value)
+        assert abs(got[1] - err) <= err * 2 ** (6 - mp.prec)
+        # and a repeat call is bit-identical
+        assert em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J) == got
+
+
+# every (m, p) a route passes to em_tail_shifted, and those of
+# test_em_tail_self_consistency
+TABLE_CASES = ([(n, 1) for n in range(9)] + [(q, 0) for q in range(1, 8)]
+               + [(m, p) for m in range(4) for p in (2, 3)])
+
+
+@pytest.mark.parametrize("m,p", TABLE_CASES)
+def test_log_polys_are_the_diff_chain(m, p):
+    rows = _log_polys(m, p)
+    assert len(rows) == 2 * EM_ORDER_MAX + 2
+    # 512 bits hold every coefficient through row 2 EM_ORDER_MAX + 1 (at
+    # most 319 bits) exactly, so the chain must match coefficient for
+    # coefficient
+    with workprec(512):
+        g = LogPoly.single(1, m, p)
+        for k, P in enumerate(rows):
+            assert g.terms == {(j, p + k): c for j, c in enumerate(P) if c}
+            g = g.diff()
 
 
 def test_em_start_for_keeps_the_winning_shifted_probe():
-    # log-gamma's summand derivative, its whole tail probed at each rung
+    # log-gamma's summand, its whole tail probed at each rung
     x = mpf("0.3")
-    inv = LogPoly.single(1, 0, 1)
-    hprime = ShiftedLogSum([(x, 1, inv), (1 - x, 0, inv), (-1, x, inv)])
+    h_parts = [(x, 1, 1, 0), (1 - x, 0, 1, 0), (-1, x, 1, 0)]
     bound = mpf("1e-22")
 
     def probe(K):
-        return em_tail_shifted(hprime, mpf(1) / K, mpf(2) / K, K)
+        return em_tail_shifted(h_parts, mpf(1) / K, mpf(2) / K, K)
 
     K, value, err = em_start_for(probe, bound, 16)
     assert K > 16 and probe(K // 4)[1] >= bound > err
@@ -317,7 +338,7 @@ def _positive_roots(n, k):
 
 @pytest.mark.parametrize("n,J,d", ROOT_CASES)
 def test_root_intervals_isolate_one_root_each(n, J, d):
-    intervals = _real_roots(_log_polys(n)[2 * J + 2 + d])
+    intervals = _real_roots(_log_polys(n, 1)[2 * J + 2 + d])
     roots = _positive_roots(n, 2 * J + 2 + d)
     assert len(intervals) == len(roots) == n
     with workdps(60):
@@ -335,7 +356,7 @@ def test_root_intervals_isolate_one_root_each(n, J, d):
 def test_root_enclosures_bound_g_across_the_interval(n, J, d):
     with workdps(60):
         g = _derivative(n, 2 * J + 1 + d)
-        for (lo, hi), (_, g_max, lg) in zip(_real_roots(_log_polys(n)[2 * J + 2 + d]),
+        for (lo, hi), (_, g_max, lg) in zip(_real_roots(_log_polys(n, 1)[2 * J + 2 + d]),
                                            _root_table(n, J, d)):
             samples = [abs(g(exp(_fraction_mpf(lo + (hi - lo) * Fraction(i, 16)))))
                        for i in range(17)]

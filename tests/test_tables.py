@@ -1,6 +1,8 @@
-"""The per-precision table of x-free log steps, the derivative chains and
-the coffey panel carry: each returns the bits a fresh computation returns.
-Also the accuracy of the log-power step they rest on."""
+"""The per-precision table of x-free log steps and the coffey panel carry:
+each returns the bits a fresh computation returns.  Also the accuracy of the
+log-power step they rest on.  (The Euler-Maclaurin derivatives come from
+logpoly's exact integer table, which does not depend on the precision; its
+test is in test_logpoly.)"""
 
 import pytest
 from mpmath import log, mp, mpf, workdps, workprec
@@ -8,13 +10,13 @@ from mpmath import log, mp, mpf, workdps, workprec
 from stieltjes.core import PREC_TABLES_MAX, PrecTable, comp_sum, working_dps
 from stieltjes.gamma import (_coffey_panels, _lattice_plan, gamma_diff, gamma_n,
                              incgamma_int)
-from stieltjes.logpoly import _CHAINS, _LOG_STEPS, LogPoly, log_steps, pow_step
+from stieltjes.logpoly import _LOG_STEPS, LogPoly, log_steps, pow_step
 from stieltjes.related import digamma
 from stieltjes.zeta import zeta_deriv0_diff
 
 TOL = mpf("1e-15")
 
-# name -> call at x; every route that reads a table or a cached chain
+# name -> call at x; every route that reads a table
 CALLS = {
     "series_c": lambda x: gamma_n(3, x, "series_c", TOL),
     "coffey": lambda x: gamma_n(3, x, "coffey", TOL),
@@ -25,8 +27,7 @@ CALLS = {
 
 
 def _clear():
-    for table in (_CHAINS, _LOG_STEPS):
-        table.clear()
+    _LOG_STEPS.clear()
 
 
 def _bits(sv):
