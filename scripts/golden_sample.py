@@ -32,12 +32,15 @@ exits with status 1 when any entry differs in either way or is missing.  An
 infinite or nan value or abs_err is written and read back as inf, -inf or
 nan.  Write both samples with the same version of this script.
 
---audit checks every gamma_n and gamma_diff entry's claim against
-mpmath.stieltjes at 80 digits, taken at the entry's binary x (and y): it
-prints each entry whose gap |value - ref| exceeds its abs_err with the ratio
-gap/claim, then the worst ratio, and exits with status 1 when any ratio is
-above 1.  A comparison of two checkouts cannot show a claim that was never a
-bound; the audit can.
+--audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
+dilcher_log_gamma_k, hurwitz_em and zeta_prime_int entry against mpmath at
+80 digits, taken at the entry's binary arguments: stieltjes for gamma_n and
+gamma_diff, loggamma, psi(0, x), (-1)^k [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]
+/(k+1) from zeta(0, x+1, k+1), zeta(s, x) and zeta(s, 1, 1).  It prints each
+entry whose gap |value - ref| exceeds its abs_err with the ratio gap/claim,
+then the worst ratio of each function, and exits with status 1 when any
+ratio is above 1.  A comparison of two checkouts cannot show a claim that was
+never a bound; the audit can.
 """
 
 import argparse
@@ -48,7 +51,7 @@ import os
 import sys
 import tempfile
 
-from mpmath import mp, mpf, stieltjes, workdps, workprec
+from mpmath import loggamma, mp, mpf, psi, stieltjes, workdps, workprec, zeta
 from mpmath.libmp import from_man_exp
 
 from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
@@ -135,6 +138,40 @@ def _gamma_values():
                 yield f"gamma_diff({n},{x},{y},{tol})", sv, n, args
 
 
+def _route_values():
+    """(key, SeriesValue, reference) for the log_gamma, digamma,
+    dilcher_log_gamma_k, hurwitz_em and zeta_prime_int entries, reference
+    being mpmath's value at the entry's binary arguments and the caller's
+    precision."""
+    mp.dps = 34
+    for x in XS:
+        for tol in TOLS:
+            x_ = mpf(x)
+            yield (f"digamma({x},{tol})", digamma(x_, mpf(tol)),
+                   lambda x_=x_: psi(0, x_))
+            yield (f"log_gamma({x},{tol})", log_gamma(x_, mpf(tol)),
+                   lambda x_=x_: loggamma(x_))
+    for k in range(5):
+        for x in XS:
+            for tol in TOLS:
+                x_ = mpf(x)
+                yield (f"dilcher_log_gamma_k({k},{x},{tol})",
+                       dilcher_log_gamma_k(k, x_, mpf(tol)),
+                       lambda k=k, x_=x_: (-1) ** k * (zeta(0, x_ + 1, k + 1)
+                                                       - zeta(0, 1, k + 1)) / (k + 1))
+    for s in ZETA_S:
+        for x in ZETA_XS:
+            for tol in ZETA_TOLS:
+                s_, x_ = mpf(s), mpf(x)
+                yield (f"hurwitz_em({s},{x},{tol})", hurwitz_em(s_, x_, mpf(tol)),
+                       lambda s_=s_, x_=x_: zeta(s_, x_))
+    for s in ("1.5", "2", "3", "4.5", "10", "25"):
+        for tol in ZETA_TOLS:
+            s_ = mpf(s)
+            yield (f"zeta_prime_int({s},{tol})", zeta_prime_int(s_, mpf(tol)),
+                   lambda s_=s_: zeta(s_, 1, 1))
+
+
 def _series_entries():
     for key, sv, _, _ in _gamma_values():
         yield key, _record(sv)
@@ -144,15 +181,9 @@ def _series_entries():
             for tol in TOLS + ("1e-30",):
                 sv = zeta_deriv0_diff(k, mpf(x), mpf(tol))
                 yield f"zeta_deriv0_diff({k},{x},{tol})", _record(sv)
-    for x in XS:
-        for tol in TOLS:
-            yield f"digamma({x},{tol})", _record(digamma(mpf(x), mpf(tol)))
-            yield f"log_gamma({x},{tol})", _record(log_gamma(mpf(x), mpf(tol)))
-    for k in range(5):
-        for x in XS:
-            for tol in TOLS:
-                sv = dilcher_log_gamma_k(k, mpf(x), mpf(tol))
-                yield f"dilcher_log_gamma_k({k},{x},{tol})", _record(sv)
+    for key, sv, _ in _route_values():
+        yield key, _record(sv)
+    mp.dps = 34
     for n in range(9):
         for J in (4, 13):
             sv = em_tail(LogPoly.single(1, n, 1), mpf("32.2546"), J)
@@ -161,15 +192,6 @@ def _series_entries():
 
 def _zeta_entries():
     mp.dps = 34
-    for s in ZETA_S:
-        for x in ZETA_XS:
-            for tol in ZETA_TOLS:
-                sv = hurwitz_em(mpf(s), mpf(x), mpf(tol))
-                yield f"hurwitz_em({s},{x},{tol})", _record(sv)
-    for s in ("1.5", "2", "3", "4.5", "10", "25"):
-        for tol in ZETA_TOLS:
-            sv = zeta_prime_int(mpf(s), mpf(tol))
-            yield f"zeta_prime_int({s},{tol})", _record(sv)
     for tol in ("1e-12", "1e-20"):
         yield f"gamma1_alt({tol})", _record(gamma1_alt(mpf(tol)))
     for x in ("-0.5", "0.3", "0.7", "1"):
@@ -215,34 +237,47 @@ def sample() -> dict[str, str]:
     return out
 
 
-def audit() -> int:
-    """Check every gamma_n and gamma_diff entry against mpmath.stieltjes at
-    80 digits, at the entry's binary arguments; print each entry whose gap
-    |value - ref| exceeds its abs_err, and the worst gap/claim.  Returns 1
-    when any does."""
-    saved = mp.dps
+def _audited():
+    """(key, SeriesValue, reference) for every audited entry."""
     refs = {}
-    worst, worst_key, bad, count = mpf(0), None, 0, 0
+
+    def gamma_ref(n, args):
+        for arg in args:
+            if (n, arg) not in refs:
+                refs[n, arg] = stieltjes(n, arg)
+        return refs[n, args[0]] - (refs[n, args[1]] if len(args) > 1 else 0)
+
+    for key, sv, n, args in _gamma_values():
+        yield key, sv, lambda n=n, args=args: gamma_ref(n, args)
+    yield from _route_values()
+
+
+def audit() -> int:
+    """Check every audited entry against mpmath at 80 digits, at the entry's
+    binary arguments; print each entry whose gap |value - ref| exceeds its
+    abs_err, and the worst gap/claim of each function.  Returns 1 when any
+    entry's does."""
+    saved = mp.dps
+    worst: dict[str, tuple] = {}
+    bad = count = 0
     try:
-        for key, sv, n, args in _gamma_values():
+        for key, sv, reference in _audited():
             with workdps(80):
-                for arg in args:
-                    if (n, arg) not in refs:
-                        refs[n, arg] = stieltjes(n, arg)
-                ref = refs[n, args[0]] - (refs[n, args[1]] if len(args) > 1 else 0)
-                gap = abs(sv.value - ref)
+                gap = abs(sv.value - reference())
                 ratio = gap / sv.abs_err if sv.abs_err else (mp.inf if gap else mpf(0))
             count += 1
             if ratio > 1:
                 bad += 1
                 print(f"VIOLATION {key}: gap {mp.nstr(gap, 3)}, abs_err "
                       f"{mp.nstr(sv.abs_err, 3)}, gap/claim {mp.nstr(ratio, 3)}")
-            if ratio >= worst:
-                worst, worst_key = ratio, key
+            fn = key.split("(")[0]
+            if fn not in worst or ratio >= worst[fn][0]:
+                worst[fn] = ratio, key
     finally:
         mp.dps = saved
-    print(f"{count} gamma_n and gamma_diff entries audited, {bad} with gap/claim "
-          f"above 1; worst {mp.nstr(worst, 3)} at {worst_key}")
+    for fn, (ratio, key) in worst.items():
+        print(f"{fn}: worst gap/claim {mp.nstr(ratio, 3)} at {key}")
+    print(f"{count} entries audited, {bad} with gap/claim above 1")
     return 1 if bad else 0
 
 
@@ -257,8 +292,8 @@ def main() -> int:
     group.add_argument("--out", help="write the sample to this file")
     group.add_argument("--compare", help="compare the sample with this file")
     group.add_argument("--audit", action="store_true",
-                       help="check the gamma_n and gamma_diff entries' claims "
-                            "against mpmath.stieltjes")
+                       help="check the claims of the series entries against "
+                            "mpmath")
     args = ap.parse_args()
     if args.audit:
         return audit()

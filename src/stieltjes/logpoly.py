@@ -26,11 +26,25 @@ Every derivative the engine reads comes from one exact table, _log_polys(m,
 p): the integer polynomials P_k with (d/dt)^k [log^m t / t^p] =
 P_k(log t)/t^(p+k), independent of the precision.  The correction loop
 em_tail_shifted evaluates each order from it by Horner's rule, from one
-logarithm per shifted point.  On the gamma_n series, gamma_diff and the
-s = 0 derivative series, em_order_for raises the order J with the digits
-asked for, and em_tail_error certifies the remainder at every order and
-start: from the total variation of f^(2J+1), whose extrema are the roots of
-an integer polynomial in log t that _root_table isolates once per (n, J, d).
+logarithm per shifted point.
+
+Every lattice route but delta raises the order J with the digits asked
+for, from 4 to at most J_PLAN_MAX, and claims a certified remainder at
+every order and start:
+
+- digamma and log_gamma: their summands are completely monotone, or the
+  negative of one, so the first omitted correction bounds the remainder
+  (the theta-bound of em_tail_error).  em_tail_shifted, given a bound,
+  raises J until that correction is below it.
+- the gamma_n series and gamma_diff (d = 0), and the second divided
+  differences of zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's
+  g-series (d = 1): em_order_for picks J and em_tail_error certifies it,
+  by the theta-bound past the certified start t_J and below it from the
+  total variation of f^(2J+1+d), whose extrema are the roots of an integer
+  polynomial in log t that _root_table isolates once per (n, J, d).
+- hurwitz_em and zeta_prime_int, whose summands t^-s and log t / t^s are
+  not log-polynomials, state the same two certificates in closed form in
+  zeta.py.
 
 The lattice routes' differences log^q b - log^q a of nearby points are all
 pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
@@ -268,8 +282,8 @@ def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
-def em_tail_shifted(v, v_at_start, integral, start,
-                    J: int = 4) -> tuple[mpf, mpf]:
+def em_tail_shifted(v, v_at_start, integral, start, J: int = 4,
+                    bound=None) -> tuple[mpf, mpf]:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
     v(t) = sum c log^m(t + shift) / (t + shift)^p, where the caller supplies
     v(start) and the closed-form int_start^inf v(t) dt.
@@ -279,6 +293,13 @@ def em_tail_shifted(v, v_at_start, integral, start,
     of the first omitted one.  Each distinct point u = start + shift takes
     its logarithm once; every order i of a part is then c P_i(log u)/u^(p+i),
     one Horner's rule over the integer row P_i of _log_polys(m, p).
+
+    With a bound, J is the least order and the order rises from it, at most
+    to J_PLAN_MAX, until the first omitted correction is below bound: the
+    order plan of a completely monotone summand (or the negative of one),
+    whose first omitted correction bounds the remainder at every start and
+    order (em_tail_error).  The value has the bits of a call at the order
+    reached.
     """
     start = mpf(start)
     points: dict[mpf, LogPoint] = {}
@@ -296,11 +317,19 @@ def em_tail_shifted(v, v_at_start, integral, start,
             total += c * point.ratio(rows[i], p + i)
         return total
 
+    def correction(j):
+        return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
+
     value = mpf(integral) + mpf(v_at_start) / 2
     for j in range(1, J + 1):
-        value -= bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
-    err = abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2) * at(2 * J + 1))
-    return value, err
+        value -= correction(j)
+    omitted = correction(J + 1)
+    if bound is not None:
+        while not abs(omitted) < bound and J < J_PLAN_MAX:
+            value -= omitted
+            J += 1
+            omitted = correction(J + 1)
+    return value, abs(omitted)
 
 
 def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
@@ -340,14 +369,15 @@ def em_order_for(n: int, a, bound, d: int = 0) -> int | None:
     order is.
 
     The summand v has v^(m) close to f^(m+d) for f = log^n t / t near a,
-    up to a factor the caller takes out of bound.  d = 0 is the lattice sum
-    of f.  d = 1 is a second difference v(t) = g(t+x) + (x-1) g(t) - x g(t+1)
-    with g' = f: v^(m)(t) = x(x-1) g^(m)[t, t+1, t+x], a divided difference,
-    which is x(x-1)/2 times a weighted mean of f^(m+1) over [t, t+max(1, x)]
-    with a nonnegative weight.  So int_a^inf |v^(2J+2)| is at most
-    |x(x-1)|/2 times int_a^inf |f^(2J+3)|, the total variation of f^(2J+2) on
-    [a, inf).  The estimate only picks J; em_start_for tests the tail's own
-    error.
+    up to a factor scale the caller takes out of bound.  d = 0 is the
+    lattice sum of f.  d = 1 is a second divided difference of g with
+    g' = f, such as v(t) = g(t+x) + (x-1) g(t) - x g(t+1) = x(x-1)
+    g[t, t+1, t+x]: v^(m)(t) is then scale times a weighted mean of f^(m+1)
+    over a window [t + c, t + c'] with a nonnegative weight (scale
+    |x(x-1)|/2 there), and a is where the first window, at t = K, starts.
+    So int_K^inf |v^(2J+2)| is at most scale times int_a^inf |f^(2J+3)|, the
+    total variation of f^(2J+2) on [a, inf).  The estimate only picks J;
+    em_start_for tests the tail's own error.
     """
     L = float(log(a))
     lb = float(log(bound))
@@ -371,8 +401,11 @@ def _log_sum(logs: list[float]) -> float:
 
 def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     """Certified bound on the remainder of the order-J Euler-Maclaurin tail
-    at a whose first omitted correction is omitted, for the summands of
-    em_order_for (f = log^n t / t; d and scale as there).
+    of a summand v whose first omitted correction is omitted, for the
+    summands of em_order_for (f = log^n t / t; d and scale as there).  For
+    d = 0, v = scale f and the tail starts at a; for d = 1, v^(m)(t) is
+    scale times a weighted mean of f^(m+1) over a window that starts at or
+    past a.
 
     Where a >= t_J, f^(2J+2+d) and f^(2J+4+d) keep one sign on [a, inf), so
     do v^(2J+2) and v^(2J+4), and the remainder is theta times the first
@@ -384,20 +417,23 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     most scale times the total variation of g = f^(2J+1+d) on [a, inf).  g
     is monotone between the roots of f^(2J+2+d), so that variation is at
     most |g(a)| + 2 sum |g(r)| over those roots r >= a, each |g(r)| taken
-    from _root_table's enclosure.
+    from _root_table's enclosure.  For d = 0, scale |B_2J+2|/(2J+2)! |g(a)|
+    is omitted itself, so |g(a)| is not evaluated again.
     """
     t_J = _order_table(n, d)[J - 4][2]
     if a >= t_J:
         return omitted
     La = log(a)
-    g_a = _horner(_log_polys(n, 1)[2 * J + 1 + d], La)
-    tv = abs(g_a) / mpf(a) ** (2 * J + 2 + d)
+    b = bernoulli(2 * J + 2)
+    weight = mpf(2 * abs(b.numerator)) / (b.denominator * factorial(2 * J + 2))
     # float(La) is within half an ulp of log a, and each hi was rounded up
     # past its root by at least that much, so no root r >= a is missed
     L = float(La)
-    tv += 2 * sum(g for hi, g, _ in _root_table(n, J, d) if hi >= L)
-    b = bernoulli(2 * J + 2)
-    return scale * tv * (2 * abs(b.numerator)) / (b.denominator * factorial(2 * J + 2))
+    roots = 2 * sum(g for hi, g, _ in _root_table(n, J, d) if hi >= L)
+    if d == 0:
+        return 2 * omitted + scale * weight * roots
+    g_a = _horner(_log_polys(n, 1)[2 * J + 1 + d], La)
+    return scale * weight * (abs(g_a) / mpf(a) ** (2 * J + 2 + d) + roots)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,8 @@ from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
 from .logpoly import (K_CAP, LogPoint, LogPoly, em_order_for, em_start_for,
-                      em_tail, em_tail_shifted, logpow_antiderivative, pow_step)
+                      em_tail, em_tail_error, em_tail_shifted,
+                      logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -371,7 +372,13 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
 
 def digamma(x, tol=None) -> SeriesValue:
     """psi(x) from psi(1+x) = log(1+x) - sum_{k>=1} [1/(k+x) - log(1+1/(k+x))],
-    shifted back by psi(x) = psi(1+x) - 1/x."""
+    shifted back by psi(x) = psi(1+x) - 1/x.
+
+    The summand 1/u - log(1 + 1/u), u = t + x, is the Laplace transform
+    int_0^inf e^(-us) [1 - (1 - e^-s)/s] ds of a kernel >= 0, so it is
+    completely monotone and its first omitted Euler-Maclaurin correction
+    bounds the remainder at every K and J: the order rises at each rung
+    (em_tail_shifted with a bound)."""
     x = mpf(x)
     if not x > 0:
         raise DomainError("digamma: x must be > 0")
@@ -386,7 +393,7 @@ def digamma(x, tol=None) -> SeriesValue:
         def probe(K):
             integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
                         - logpow_antiderivative(1, K + x))
-            return em_tail_shifted(h_parts, h(K), integral, K)
+            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)
 
         K, tail, err = em_start_for(probe, tol / 4, 16)
         partial = comp_sum(h(k) for k in range(1, K))
@@ -396,7 +403,12 @@ def digamma(x, tol=None) -> SeriesValue:
 
 def log_gamma(x, tol=None) -> SeriesValue:
     """log Gamma(x) from log Gamma(x+1) = sum_{k>=1} [x log(1+1/k) - log(1+x/k)],
-    shifted back by log Gamma(x) = log Gamma(x+1) - log x."""
+    shifted back by log Gamma(x) = log Gamma(x+1) - log x.
+
+    The summand is int_0^inf e^(-tu) [x (1 - e^-u) - (1 - e^(-xu))]/u du,
+    whose kernel is convex in x and zero at x = 0 and 1, so it has one sign
+    for each x > 0: the summand or its negative is completely monotone, and
+    the order rises at each rung as in digamma."""
     x = mpf(x)
     if not x > 0:
         raise DomainError("log_gamma: x must be > 0")
@@ -412,7 +424,7 @@ def log_gamma(x, tol=None) -> SeriesValue:
             integral = (logpow_antiderivative(1, K + x)
                         - (1 - x) * logpow_antiderivative(1, mpf(K))
                         - x * logpow_antiderivative(1, mpf(K + 1)))
-            return em_tail_shifted(h_parts, h(K), integral, K)
+            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(k) for k in range(1, K))
@@ -465,6 +477,13 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
 
         log Gamma_k(x+1) = -gamma_k x
             + sum_{j>=1} [x log^k j / j - (log^(k+1)(j+x) - log^(k+1) j)/(k+1)]
+
+    With g = log^(k+1) t/(k+1), g' = f_k = log^k t / t, the summand is
+    -(g(t+x) - g(t) - x g'(t)) = -x^2 g[t, t, t+x], so its m-th derivative
+    is -x^2/2 times a weighted mean of f_k^(m+1) over [t + min(0, x),
+    t + max(0, x)].  em_order_for picks the order at each rung, and
+    em_tail_error with d = 1 and scale x^2/2 certifies the remainder from
+    the window's left end a = K + min(0, x).
     """
     if not 0 <= k <= 4:
         raise DomainError("dilcher_log_gamma_k: order must be 0..4")
@@ -475,7 +494,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 1, "log_series")
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
-    gk = gamma_n(k, 1, "series_b", tol / 4)
+    # gamma_k enters times x, so its share of tol shrinks with |x|
+    gk = gamma_n(k, 1, "series_b", tol / 4 / max(1, abs(x)))
     with workdps(working_dps(tol)):
         fk = LogPoly.single(1, k, 1)
         # h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q
@@ -485,11 +505,18 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
             a = LogPoint(mpf(j))
             return x * a.eval(fk) - pow_step(a.lu, a.u, j + x, q) / q
 
+        scale = x * x / 2
+
         def probe(K):
+            a = K + min(0, x)
+            J = em_order_for(k, a, tol / 4 / scale, 1)
+            if J is None:
+                return None, mp.inf
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
-            return em_tail_shifted(h_parts, h(K), integral, K)
+            tail, omitted = em_tail_shifted(h_parts, h(K), integral, K, J)
+            return tail, em_tail_error(k, a, J, omitted, 1, scale)
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(j) for j in range(1, K))

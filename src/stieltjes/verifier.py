@@ -23,7 +23,9 @@ from mpmath import log, mp, mpf, pi, workdps
 from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import LogPoly, em_tail, em_tail_shifted, logpow_antiderivative
+from .logpoly import (LogPoint, LogPoly, em_order_for, em_start_for, em_tail,
+                      em_tail_error, em_tail_shifted, logpow_antiderivative,
+                      pow_step)
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, log_gamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -231,20 +233,41 @@ def check_zero_structure(n: int) -> VerifyReport:
 
 def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     """sum_{n>=0} [log^q(n+x) - log^q(n+1) - q(x-1) log^(q-1)(n+1)/(n+1)]
-    with its lattice tail; the series route to the g functions."""
-    f = LogPoly.single(1, q - 1, 1)
+    with its lattice tail and claimed error; the series route to the g
+    functions.
+
+    With G = log^q, the summand is G(t+x) - G(t+1) - (x-1) G'(t+1) =
+    (x-1)^2 G[t+1, t+1, t+x], so its m-th derivative is q (x-1)^2/2 times a
+    weighted mean of f^(m+1), f = log^(q-1) t / t, over [t + min(1, x),
+    t + max(1, x)]: the order plan and certified remainder of
+    em_order_for and em_tail_error with d = 1.  The ladder starts at 64
+    terms, so a 1e-12 check stays as sharp as the values it compares.  The
+    remainder is certified, so the claim adds only the rounding floor of
+    the partial sum and the tail, each term taken by pow_step without
+    large-minus-large loss.
+    """
     h_parts = [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)]
-    K = 64
+    scale = q * (x - 1) ** 2 / 2
 
     def h(k):
-        return log(k + x) ** q - log(k + 1) ** q - q * (x - 1) * f(k + 1)
+        a = LogPoint(mpf(k + 1))
+        return pow_step(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
 
+    def probe(K):
+        a = K + min(1, x)
+        # at x = 1 the summand vanishes
+        J = em_order_for(q - 1, a, tol / 4 / scale, 1) if scale else 4
+        if J is None:
+            return None, mp.inf
+        integral = (-logpow_antiderivative(q, K + x)
+                    + logpow_antiderivative(q, mpf(K + 1))
+                    + (x - 1) * log(K + 1) ** q)
+        tail, omitted = em_tail_shifted(h_parts, h(K), integral, K, J)
+        return tail, em_tail_error(q - 1, a, J, omitted, 1, scale)
+
+    K, tail, err = em_start_for(probe, tol / 4, 64)
     partial = comp_sum(h(k) for k in range(K))
-    integral = (-logpow_antiderivative(q, K + x)
-                + logpow_antiderivative(q, mpf(K + 1))
-                + (x - 1) * log(K + 1) ** q)
-    tail, err = em_tail_shifted(h_parts, h(K), integral, K)
-    return partial + tail, err
+    return partial + tail, err + rounding_floor(abs(partial) + abs(tail))
 
 
 def check_g_functions(x) -> VerifyReport:

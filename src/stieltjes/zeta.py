@@ -7,7 +7,8 @@ Two independent routes to zeta(s, x) are provided:
   corrections,
       zeta(s,x) = sum_{k<N} (k+x)^-s + (N+x)^(1-s)/(s-1) + (N+x)^-s / 2
                   + sum_j B_2j/(2j)! (s)_(2j-1) (N+x)^(-s-2j+1) + R,
-  valid for Re s > -(2J-1); the workhorse and in-package reference.
+  with j <= J and the order J planned per rung, for real s > -11; the
+  workhorse and in-package reference.
 
 * hurwitz_hasse: the globally convergent double sum
       zeta(s,x) = 1/(s-1) sum_n 1/(n+1) sum_k C(n,k) (-1)^k (k+x)^(1-s).
@@ -34,17 +35,18 @@ from __future__ import annotations
 
 from math import factorial
 
-from mpmath import log, mp, mpf, pi, workdps
+from mpmath import exp, floor, log, mp, mpf, pi, workdps
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, working_dps)
-from .logpoly import (bernoulli_mpf, em_order_for, em_start_for, em_tail_error,
-                      em_tail_shifted, log_steps, logpow_antiderivative, pow_step)
+from .logpoly import (J_PLAN_MAX, bernoulli_mpf, em_order_for, em_start_for,
+                      em_tail_error, em_tail_shifted, log_steps,
+                      logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
-# Euler-Maclaurin correction orders of hurwitz_em and zeta_prime_int
-HURWITZ_EM_ORDER = 6
-ZETA_PRIME_ORDER = 4
+# hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
+# order is at most 5
+HURWITZ_EM_S_MIN = -11
 # outer terms hurwitz_hasse spends before it raises ConvergenceError
 HASSE_TERM_CAP = 4000
 
@@ -57,37 +59,49 @@ def _validate_x(x) -> mpf:
 
 
 def hurwitz_em(s, x, tol=None) -> SeriesValue:
-    """zeta(s, x) by power sum plus Euler-Maclaurin corrections."""
+    """zeta(s, x) by power sum plus Euler-Maclaurin corrections.
+
+    f(t) = (t+x)^-s has f^(m) = (-1)^m (s)_m (t+x)^(-s-m).  From the least
+    order J >= 4 with s + 2J + 1 > 0, f^(2J+1) vanishes at infinity and
+    (s)_(2J+2), (s)_(2J+4) share a sign, so the first omitted correction
+    bounds the remainder at every N (em_tail_error's theta-bound).  At each
+    rung the order rises from there, at most to J_PLAN_MAX, until that
+    correction is below tol/2.
+    """
     s = mpf(s)
     x = _validate_x(x)
-    J = HURWITZ_EM_ORDER
     if s == 1:
         raise DomainError("hurwitz_em: pole at s = 1")
-    if s <= -(2 * J - 1):
-        raise DomainError(f"hurwitz_em: needs s > -(2J-1) = {-(2 * J - 1)}")
+    if s <= HURWITZ_EM_S_MIN:
+        raise DomainError(f"hurwitz_em: needs s > {HURWITZ_EM_S_MIN}")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        # B_2j/(2j)! (s)_(2j-1) for j = 1..J+1, the rising factorials (s)_m
-        # taken as one prefix product; the last weight is the first omitted
-        # correction's
+        # B_2j/(2j)! (s)_(2j-1) for j = 1..J_PLAN_MAX+1, the rising
+        # factorials (s)_m taken as one prefix product; weights[J] is the
+        # first omitted correction's at order J
         weights, rf, m = [], mpf(1), 0
-        for j in range(1, J + 2):
+        for j in range(1, J_PLAN_MAX + 2):
             while m < 2 * j - 1:
                 rf *= s + m
                 m += 1
             weights.append(bernoulli_mpf(2 * j) / factorial(2 * j) * rf)
-        omitted = weights.pop()
+        J_min = max(4, int(floor((-s - 1) / 2)) + 1)
 
         def probe(N):
-            return None, abs(omitted * (N + x) ** (-s - 2 * J - 1))
+            for J in range(J_min, J_PLAN_MAX + 1):
+                err = abs(weights[J] * (N + x) ** (-s - 2 * J - 1))
+                if err < tol / 2:
+                    break
+            return J, err
 
-        N, _, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 2 * J + 2))
+        # the ladder starts 14 terms past |s|, where the corrections decay fast
+        N, J, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 14))
         a = N + x
         terms = [(k + x) ** (-s) for k in range(N)]
         total = comp_sum(terms)
         boundary = a ** (1 - s) / (s - 1)
         total += boundary + a ** (-s) / 2
-        for j, w in enumerate(weights, 1):
+        for j, w in enumerate(weights[:J], 1):
             total += w * a ** (-s - 2 * j + 1)
         # for s < 0 the power sum dwarfs the result; dust scales with it
         scale = max(abs(terms[-1]), abs(boundary), abs(total))
@@ -188,10 +202,12 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         K, tail, err = em_start_for(probe, tol / 4, 32)
         logs, steps = log_steps(q, K - 1)
         lx = log(x)
-        total = lx ** q + comp_sum(summand(n, logs[n], steps[n]) for n in range(1, K))
-        total += tail
-        value = (-1) ** (k + 1) * total
-        return SeriesValue(value, tail_claim(err, value), K, "log_series")
+        partial = lx ** q + comp_sum(summand(n, logs[n], steps[n]) for n in range(1, K))
+        value = (-1) ** (k + 1) * (partial + tail)
+        # the partial sum and the tail can be far larger than their
+        # difference, and their rounding, not the value's, sets the floor
+        return SeriesValue(value, tail_claim(err, abs(partial) + abs(tail)), K,
+                           "log_series")
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
@@ -221,38 +237,57 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
 def zeta_prime_int(s, tol=None) -> SeriesValue:
     """zeta'(s) = -sum_{k>=2} log k / k^s for s > 1, tail-accelerated.
 
-    Derivatives of log(t) t^-s follow (a log t + b) t^(-s-m) with
-    a' = -(s+m) a, b' = a - (s+m) b, and the tail integral is
-    K^(1-s) [log K/(s-1) + 1/(s-1)^2].
+    Derivatives of f(t) = log(t) t^-s follow (a log t + b) t^(-s-m) with
+    a' = -(s+m) a, b' = a - (s+m) b, so b/a drops by 1/(s+m) per step and
+    f^(m) has its one root at log t = L_m = sum_{i<m} 1/(s+i).  The tail
+    integral is K^(1-s) [log K/(s-1) + 1/(s-1)^2].
+
+    At each rung the order J rises from 4, at most to J_PLAN_MAX, until the
+    certified remainder is below tol/2.  Once log K >= L_(2J+4), f^(2J+2)
+    and f^(2J+4) keep one sign on [K, inf) and the remainder is bounded by
+    the first omitted correction (em_tail_error's theta-bound).  Below, it
+    is 2 |B_2J+2|/(2J+2)! times the total variation of g = f^(2J+1) on
+    [K, inf): |g(K)|, plus 2 |g(r)| while K < r = exp(L_(2J+2)), the one
+    extremum of g, where a log r + b = a/p and |g(r)| = |a| r^-p / p with
+    p = s + 2J + 1.
     """
     s = mpf(s)
     if not s > 1:
         raise DomainError("zeta_prime_int: needs s > 1")
     tol = default_tol() if tol is None else mpf(tol)
-    J = ZETA_PRIME_ORDER
     with workdps(working_dps(tol)):
-        # the m-th derivative of log(t) t^-s is (a_m log t + b_m) t^(-s-m);
-        # (B_2j/(2j)!, a_m, b_m) at m = 2j-1 for j = 1..J+1, the last for the
-        # first omitted correction
+        # (B_2j/(2j)!, a_m, b_m) at m = 2j-1 for j = 1..J_PLAN_MAX+1;
+        # coeffs[J] is the first omitted correction's at order J
         coeffs, a, b, m = [], mpf(1), mpf(0), 0
-        for j in range(1, J + 2):
+        for j in range(1, J_PLAN_MAX + 2):
             while m < 2 * j - 1:
                 a, b = -(s + m) * a, a - (s + m) * b
                 m += 1
             coeffs.append((bernoulli_mpf(2 * j) / factorial(2 * j), a, b))
-        omitted = coeffs.pop()
+        roots = [mpf(0)]  # L_m for m = 0..2 J_PLAN_MAX + 4
+        for i in range(2 * J_PLAN_MAX + 4):
+            roots.append(roots[-1] + 1 / (s + i))
 
         def probe(K):
-            w, a, b = omitted
             lK = log(mpf(K))
-            return lK, abs(w * (a * lK + b) * mpf(K) ** (-s - 2 * J - 1))
+            for J in range(4, J_PLAN_MAX + 1):
+                w, a, b = coeffs[J]
+                err = abs(w * (a * lK + b) * mpf(K) ** (-s - 2 * J - 1))
+                if lK < roots[2 * J + 4]:
+                    err *= 2
+                    if lK < roots[2 * J + 2]:
+                        p = s + 2 * J + 1
+                        err += 4 * abs(w * a) / p * exp(-p * roots[2 * J + 2])
+                if err < tol / 2:
+                    break
+            return (lK, J), err
 
-        K, lK, err = em_start_for(probe, tol / 2, 8, factor=2)
+        K, (lK, J), err = em_start_for(probe, tol / 2, 8, factor=2)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
         Km = mpf(K)
         tail = Km ** (1 - s) * (lK / (s - 1) + (s - 1) ** (-2))
         tail += lK * Km ** (-s) / 2
-        for j, (w, a, b) in enumerate(coeffs, 1):
+        for j, (w, a, b) in enumerate(coeffs[:J], 1):
             tail -= w * (a * lK + b) * Km ** (-s - (2 * j - 1))
         value = -(partial + tail)
         return SeriesValue(value, tail_claim(err, value), K, "log_series")

@@ -1,0 +1,88 @@
+"""Claim audit of the Euler-Maclaurin routes whose order rises with the
+digits asked for: log_gamma, digamma, dilcher_log_gamma_k, hurwitz_em and
+zeta_prime_int.
+
+Every claim must bound the true error, taken against mpmath at 40 more
+digits than the route works at, and meet the tolerance.  The grids reach
+the first rung of each ladder (at 1e-12) and the far end of the order plan
+(at 1e-50).
+"""
+
+import pytest
+from mpmath import loggamma, mpf, psi, workdps, zeta
+
+from stieltjes.core import working_dps
+from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
+from stieltjes.zeta import hurwitz_em, zeta_prime_int
+
+TOLS = ("1e-12", "1e-30", "1e-50")
+XS = ("0.05", "0.7", "1.37", "3.3", "7.9", "40.5")
+
+
+def _audit(sv, tol, reference):
+    """|value - reference| <= abs_err <= tol, the reference evaluated at
+    working_dps(tol) + 40."""
+    with workdps(working_dps(tol) + 40):
+        ref = reference()
+        assert abs(sv.value - ref) <= sv.abs_err <= tol
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("x", XS)
+def test_log_gamma_claims(x, tol):
+    x, tol = mpf(x), mpf(tol)
+    _audit(log_gamma(x, tol), tol, lambda: loggamma(x))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("x", XS)
+def test_digamma_claims(x, tol):
+    x, tol = mpf(x), mpf(tol)
+    _audit(digamma(x, tol), tol, lambda: psi(0, x))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("x", ("-0.9", "-0.5", "0.05", "1.37", "7.9", "40.5"))
+@pytest.mark.parametrize("k", (0, 1, 2, 4))
+def test_dilcher_log_gamma_k_claims(k, x, tol):
+    # log Gamma_k(x+1) = (-1)^k [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]/(k+1)
+    x, tol = mpf(x), mpf(tol)
+    _audit(dilcher_log_gamma_k(k, x, tol), tol,
+           lambda: (-1) ** k * (zeta(0, x + 1, k + 1) - zeta(0, 1, k + 1)) / (k + 1))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("x", ("0.05", "1.37", "8"))
+@pytest.mark.parametrize("s", ("-10.5", "-2.5", "0.5", "1.5", "4.5", "10"))
+def test_hurwitz_em_claims(s, x, tol):
+    s, x, tol = mpf(s), mpf(x), mpf(tol)
+    _audit(hurwitz_em(s, x, tol), tol, lambda: zeta(s, x))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("s", ("1.1", "1.5", "2", "3.3", "10", "25"))
+def test_zeta_prime_int_claims(s, tol):
+    s, tol = mpf(s), mpf(tol)
+    _audit(zeta_prime_int(s, tol), tol, lambda: zeta(s, 1, 1))
+
+
+def test_the_grids_reach_the_first_rung():
+    # the ladders start at 16 terms (log_gamma and dilcher_log_gamma_k at
+    # 2x + 2 past x = 7), at |s| + 14 in hurwitz_em and at 8 in zeta_prime_int
+    tol = mpf("1e-12")
+    for x in XS[:4]:
+        x = mpf(x)
+        assert log_gamma(x, tol).terms_used == 16
+        assert digamma(x, tol).terms_used == 16
+        assert dilcher_log_gamma_k(2, x, tol).terms_used == 16
+        assert hurwitz_em(mpf("1.5"), x, tol).terms_used == 15
+    assert zeta_prime_int(2, tol).terms_used == 8
+
+
+def test_fifty_digits_take_a_few_hundred_terms():
+    # with fixed orders each of these took 65536 terms (3840 in hurwitz_em)
+    x, tol = mpf("1.37"), mpf("1e-50")
+    with workdps(100):
+        for sv in (log_gamma(x, tol), digamma(x, tol), dilcher_log_gamma_k(2, x, tol),
+                   hurwitz_em(mpf("1.5"), x, tol), zeta_prime_int(2, tol)):
+            assert sv.terms_used <= 256

@@ -115,6 +115,19 @@ def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
     assert (sv.value, sv.abs_err) == (value, err)
 
 
+@pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
+def test_em_tail_shifted_raises_the_order_to_the_bound(bound):
+    # 1/t at 20: the order rises from J = 4 to the first whose omitted
+    # correction is below bound, or stops at J_PLAN_MAX, with the bits of
+    # a call at that order
+    parts, a, bound = [(1, 0, 0, 1)], mpf(20), mpf(bound)
+    plain = [em_tail_shifted(parts, 1 / a, 0, a, J) for J in range(4, J_PLAN_MAX + 1)]
+    J = next((J for J, p in enumerate(plain, 4) if p[1] < bound), J_PLAN_MAX)
+    assert em_tail_shifted(parts, 1 / a, 0, a, bound=bound) == plain[J - 4]
+    # J is the least order
+    assert em_tail_shifted(parts, 1 / a, 0, a, 6, bound) == plain[max(J, 6) - 4]
+
+
 def test_log_point_has_the_bits_of_a_call():
     u = mpf("33.25")
     point = LogPoint(u)
@@ -236,9 +249,9 @@ def test_em_start_for_raises_past_the_budget():
     lambda: gamma_n(1, 1, "series_b", mpf("1e-200")),
     lambda: gamma_n(1, 1, "series_c", mpf("1e-200")),
     lambda: gamma_n(1, 1, "coffey", mpf("1e-200")),
-    lambda: digamma(mpf("0.5"), mpf("1e-70")),
-    lambda: log_gamma(mpf("0.5"), mpf("1e-70")),
-    lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-70")),
+    lambda: digamma(mpf("0.5"), mpf("1e-200")),
+    lambda: log_gamma(mpf("0.5"), mpf("1e-200")),
+    lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-200")),
     lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-200")),
     lambda: hurwitz_em(2, mpf("0.5"), mpf("1e-200")),
 ], ids=["series_b", "series_c", "coffey", "digamma", "log_gamma",
@@ -372,11 +385,13 @@ def test_root_enclosures_bound_g_across_the_interval(n, J, d):
 def test_certified_variation_bounds_the_integral(n, J, d, a):
     # em_tail_error below t_J is 2|B_2J+2|/(2J+2)! times a bound on the
     # total variation of f^(2J+1+d) on [a, inf), which is the integral of
-    # |f^(2J+2+d)| there, taken by quadrature split at its roots
+    # |f^(2J+2+d)| there, taken by quadrature split at its roots; for d = 0
+    # it reads |f^(2J+1)(a)| from the first omitted correction of f's tail
     a = mpf(a)
     assert a < _order_table(n, d)[J - 4][2]
     weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
-    tv = em_tail_error(n, a, J, mpf(0), d) / weight
+    omitted = em_tail(LogPoly.single(1, n, 1), a, J).abs_err if d == 0 else mpf(0)
+    tv = em_tail_error(n, a, J, omitted, d) / weight
     with workdps(40):
         h = _derivative(n, 2 * J + 2 + d)
         cuts = [exp(L) for L in _positive_roots(n, 2 * J + 2 + d) if exp(L) > a]

@@ -1,8 +1,8 @@
 import pytest
-from mpmath import mpf, pi
+from mpmath import mpf, pi, stieltjes, workdps, zeta
 
 from stieltjes.reporting import SubCheck, VerifyReport
-from stieltjes.verifier import (CHECKS, UnknownCheckError, check_cotangent,
+from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cotangent,
                                 check_g_functions, check_lemma31,
                                 check_vanishing_integrals,
                                 check_zero_structure, run_suite)
@@ -54,6 +54,17 @@ class TestGFunctions:
     def test_routes_agree(self, x):
         rep = check_g_functions(mpf(x))
         assert rep.passed
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("x", ["0.05", "0.5", "1", "2", "7.5", "30"])
+    def test_series_claims_bound_the_true_error(self, q, x):
+        # the series is (-1)^q [zeta^(q)(0, x) - zeta^(q)(0)] - q (x-1) gamma_(q-1)
+        x, tol = mpf(x), mpf("1e-12")
+        value, err = _g_series(q, x, tol)
+        with workdps(60):
+            ref = ((-1) ** q * (zeta(0, x, q) - zeta(0, 1, q))
+                   - q * (x - 1) * stieltjes(q - 1))
+            assert abs(value - ref) <= err <= tol
 
 
 class TestVanishing:

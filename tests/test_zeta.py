@@ -8,7 +8,7 @@ import oracles
 from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
                             rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import LogPoly, _order_table, bernoulli_mpf
+from stieltjes.logpoly import J_PLAN_MAX, LogPoly, _order_table, bernoulli_mpf
 from stieltjes.zeta import (hurwitz_em, hurwitz_hasse, zeta_deriv0_const,
                             zeta_deriv0_diff, zeta_prime_int)
 
@@ -53,19 +53,31 @@ def _rising(s, m):
     return out
 
 
-def _hurwitz_reference(s, x, tol, J=6):
+def _hurwitz_reference(s, x, tol):
     """hurwitz_em with each rising factorial and each correction built
-    afresh, and the winning rung's error computed a second time."""
-    def err_at(N):
+    afresh, each rung's order raised from the least certified one, and the
+    winning rung's order and error found a second time."""
+    def err_at(N, J):
         return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
                    * _rising(s, 2 * J + 1) * (N + x) ** (-s - 2 * J - 1))
 
+    def order_at(N):
+        J = 4
+        while not s + 2 * J + 1 > 0:
+            J += 1
+        while not err_at(N, J) < tol / 2:
+            if J == J_PLAN_MAX:
+                return None
+            J += 1
+        return J
+
     with workdps(working_dps(tol)):
-        N = max(8, int(abs(s)) + 2 * J + 2)
-        while not err_at(N) < tol / 2:
+        N = max(8, int(abs(s)) + 14)
+        while order_at(N) is None:
             N *= 4
         a = N + x
-        err = err_at(N)
+        J = order_at(N)
+        err = err_at(N, J)
         terms = [(k + x) ** (-s) for k in range(N)]
         total = comp_sum(terms)
         boundary = a ** (1 - s) / (s - 1)
@@ -77,34 +89,54 @@ def _hurwitz_reference(s, x, tol, J=6):
         return total, err + 4 * rounding_floor(scale), N
 
 
-def _zeta_prime_reference(s, tol, J=4):
-    """zeta_prime_int with the derivative recurrence run afresh for the
-    error of every rung and once more for the corrections."""
-    def err_at(K):
+def _zeta_prime_reference(s, tol):
+    """zeta_prime_int with the derivative recurrence and the root sums run
+    afresh for the certified error of every rung and order, and once more
+    for the corrections."""
+    def derivative(m):
         a, b = mpf(1), mpf(0)
-        for m in range(2 * J + 1):
-            a, b = -(s + m) * a, a - (s + m) * b
-        Km = mpf(K)
-        return abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
-                   * (a * log(Km) + b) * Km ** (-s - 2 * J - 1))
+        for i in range(m):
+            a, b = -(s + i) * a, a - (s + i) * b
+        return a, b
+
+    def root(m):
+        L = mpf(0)
+        for i in range(m):
+            L += 1 / (s + i)
+        return L
+
+    def err_at(K, J):
+        w = bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2)
+        a, b = derivative(2 * J + 1)
+        lK = log(mpf(K))
+        err = abs(w * (a * lK + b) * mpf(K) ** (-s - 2 * J - 1))
+        if lK < root(2 * J + 4):
+            err *= 2
+            if lK < root(2 * J + 2):
+                p = s + 2 * J + 1
+                err += 4 * abs(w * a) / p * exp(-p * root(2 * J + 2))
+        return err
+
+    def order_at(K):
+        for J in range(4, J_PLAN_MAX + 1):
+            if err_at(K, J) < tol / 2:
+                return J
+        return None
 
     with workdps(working_dps(tol)):
         K = 8
-        while not err_at(K) < tol / 2:
+        while order_at(K) is None:
             K *= 2
-        err = err_at(K)
+        J = order_at(K)
+        err = err_at(K, J)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
         Km = mpf(K)
         tail = Km ** (1 - s) * (log(Km) / (s - 1) + (s - 1) ** (-2))
         tail += log(Km) * Km ** (-s) / 2
-        a, b = mpf(1), mpf(0)
-        m = 0
         for j in range(1, J + 1):
-            while m < 2 * j - 1:
-                a, b = -(s + m) * a, a - (s + m) * b
-                m += 1
+            a, b = derivative(2 * j - 1)
             tail -= (bernoulli_mpf(2 * j) / factorial(2 * j) * (a * log(Km) + b)
-                     * Km ** (-s - m))
+                     * Km ** (-s - (2 * j - 1)))
         value = -(partial + tail)
         return value, tail_claim(err, value), K
 
@@ -287,6 +319,19 @@ class TestZetaPrime:
         for tol in (mpf("1e-12"), mpf("1e-25")):
             sv = zeta_prime_int(s, tol)
             assert (sv.value, sv.abs_err, sv.terms_used) == _zeta_prime_reference(s, tol)
+
+    @pytest.mark.parametrize("digits", [6, 7, 8, 9, 10])
+    def test_certified_term_alone_bounds_the_error(self, digits):
+        # at K = 8, f^(12) of log t / t^2 changes sign at t ~ 8.85 > K, and
+        # the true error was 1.005 times the first omitted order-4
+        # correction: only tail_claim's 5/4 pad covered it.  The certified
+        # term, the claim less its pad and rounding floor, covers it alone.
+        tol = mpf(10) ** -digits
+        sv = zeta_prime_int(2, tol)
+        with workdps(working_dps(tol)):
+            certified = 4 * (sv.abs_err - rounding_floor(sv.value)) / 5
+        with workdps(working_dps(tol) + 40):
+            assert abs(sv.value - zeta(2, 1, 1)) <= certified
 
     def test_large_s_bound(self):
         sv = zeta_prime_int(10)
