@@ -1,4 +1,4 @@
-"""Precision substrate: working-precision policy, compensated summation,
+"""Precision substrate: working-precision policy, exact summation,
 series-value container, bisection, and alternating-series acceleration.
 
 All real arithmetic runs on mpmath ``mpf`` values.  Public entry points accept
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, fadd, sqrt
+from mpmath import mp, mpf, sqrt
+from mpmath.libmp import mpf_sum
 
 GUARD_DIGITS = 8
 # Precisions a PrecTable holds at once.  A request mix runs its lattice
@@ -113,30 +114,19 @@ class SeriesValue:
 
 
 def comp_sum(terms) -> mpf:
-    """Kahan-Babuska-Neumaier compensated sum, in the given order.
-
-    Each addition's rounding error is recovered exactly (round-to-nearest
-    binary arithmetic) and accumulated; the final sum + compensation is
-    combined without rounding, so the result can carry more bits than the
-    working precision.  Empty input sums to 0.
+    """Exact sum: the terms' mantissas are added as integers and the result
+    is never rounded, so it can carry more bits than the working precision
+    and does not depend on the order of the terms.  (mpf_sum keeps this
+    contract while the terms' exponents lie within 10^6 bits of each other.)
+    mpf terms enter with all their bits, others through mpf(t).  Infinities
+    and nan combine as in mpf addition; empty input sums to 0.
     """
-    s = mpf(0)
-    c = mpf(0)
-    for x in terms:
-        x = mpf(x)
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    if c == 0:
-        return s
-    return fadd(s, c, exact=True)
+    return mp.make_mpf(mpf_sum(
+        ((t if isinstance(t, mpf) else mpf(t))._mpf_ for t in terms), prec=0))
 
 
 def harmonic(n: int) -> mpf:
-    """H_n = sum_{k=1..n} 1/k by compensated summation in ascending order."""
+    """H_n = sum_{k=1..n} 1/k, each 1/k rounded, then summed exactly."""
     if n < 1:
         raise DomainError("harmonic: n must be >= 1")
     one = mpf(1)

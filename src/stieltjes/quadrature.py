@@ -141,9 +141,10 @@ class ChebyshevModel:
     def __call__(self, t) -> mpf:
         """Model value at t by Clenshaw's recurrence."""
         u = (2 * mpf(t) - self.a - self.b) / (self.b - self.a)
+        u2 = 2 * u
         b1 = b2 = mpf(0)
         for c in reversed(self.coeffs[1:]):
-            b1, b2 = 2 * u * b1 - b2 + c, b1
+            b1, b2 = u2 * b1 - b2 + c, b1
         return u * b1 - b2 + self.coeffs[0]
 
 

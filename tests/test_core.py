@@ -59,6 +59,44 @@ def test_comp_sum_matches_exact_fold(ints, scale):
     assert abs(got - want) <= slack
 
 
+@settings(derandomize=True, max_examples=80)
+@given(st.lists(st.tuples(st.integers(-2**100, 2**100),
+                          st.integers(-2000, 2000)), max_size=40))
+def test_comp_sum_is_the_exact_fold_bit_for_bit(pairs):
+    vals = [mp.ldexp(mpf(m), e) for m, e in pairs]
+    assert comp_sum(vals)._mpf_ == exact_sum(vals)._mpf_
+
+
+def test_comp_sum_keeps_a_term_far_below_the_others():
+    big = mpf(2) ** 10000
+    assert comp_sum([big, 1, -big])._mpf_ == mpf(1)._mpf_
+
+
+@settings(derandomize=True, max_examples=30)
+@given(st.permutations(range(30)))
+def test_comp_sum_independent_of_order(order):
+    vals = [(-1) ** k * mp.ldexp(mpf(1) / (k + 1), 7 * k - 100) for k in range(30)]
+    assert comp_sum(vals[k] for k in order)._mpf_ == comp_sum(vals)._mpf_
+
+
+def test_comp_sum_term_wider_than_working_precision_enters_unrounded():
+    inner = comp_sum([mpf(1), mpf(2) ** -300])
+    assert inner != mpf(inner)
+    assert comp_sum([inner, mpf(-1)]) == mpf(2) ** -300
+
+
+def test_comp_sum_of_a_generator():
+    vals = [mpf(1) / k for k in range(1, 60)]
+    assert comp_sum(mpf(1) / k for k in range(1, 60))._mpf_ == exact_sum(vals)._mpf_
+
+
+def test_comp_sum_infinities_and_nan():
+    assert comp_sum([mp.inf, mpf(1)]) == mp.inf
+    assert comp_sum([mpf(1), -mp.inf]) == -mp.inf
+    assert mp.isnan(comp_sum([mp.inf, -mp.inf]))
+    assert mp.isnan(comp_sum([mp.nan, mpf(1)]))
+
+
 def test_harmonic_small():
     assert harmonic(1) == 1
     assert harmonic(2) == mpf("1.5")

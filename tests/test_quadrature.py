@@ -126,6 +126,20 @@ def test_model_claim_carries_node_claims():
     assert abs(sv.value - mpf(26) / 3) <= sv.abs_err
 
 
+def test_model_value_matches_unhoisted_clenshaw():
+    # the model doubles u once, outside the loop; doubling is exact, so each
+    # value has the bits of the recurrence that doubles it at every step
+    model = chebyshev_model(_exact(exp), 1, 3)
+    for i in range(81):
+        t = 1 + mpf(i) / 40 + mpf("1e-7") * i
+        u = (2 * mpf(t) - model.a - model.b) / (model.b - model.a)
+        b1 = b2 = mpf(0)
+        for c in reversed(model.coeffs[1:]):
+            b1, b2 = 2 * u * b1 - b2 + c, b1
+        want = u * b1 - b2 + model.coeffs[0]
+        assert model(t)._mpf_ == want._mpf_
+
+
 def test_model_never_samples_endpoints():
     seen = []
 
