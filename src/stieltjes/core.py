@@ -1,7 +1,9 @@
 """Precision substrate: working-precision policy, exact summation,
 series-value container, bisection, and alternating-series acceleration.
 
-All real arithmetic runs on mpmath ``mpf`` values.  Public entry points accept
+All real arithmetic runs on mpmath ``mpf`` values, or, in the lattice
+summand loops, on their raw ``_mpf_`` tuples through the libmpf calls the mpf
+operators make, so with the same bits.  Public entry points accept
 a target tolerance and run at a working precision of at least twice the
 requested number of digits, so results carry genuine (not optimistic) error
 claims.  Every function here is a pure function of its arguments; repeated
@@ -118,11 +120,14 @@ def comp_sum(terms) -> mpf:
     is never rounded, so it can carry more bits than the working precision
     and does not depend on the order of the terms.  (mpf_sum keeps this
     contract while the terms' exponents lie within 10^6 bits of each other.)
-    mpf terms enter with all their bits, others through mpf(t).  Infinities
-    and nan combine as in mpf addition; empty input sums to 0.
+    A term is an mpf or a raw _mpf_ tuple, which enter with all their bits,
+    or anything else, which enters through mpf(t); the lattice routes pass
+    the tuples their libmpf loops produce.  Infinities and nan combine as in
+    mpf addition; empty input sums to 0.
     """
     return mp.make_mpf(mpf_sum(
-        ((t if isinstance(t, mpf) else mpf(t))._mpf_ for t in terms), prec=0))
+        (t if type(t) is tuple else (t if isinstance(t, mpf) else mpf(t))._mpf_
+         for t in terms), prec=0))
 
 
 def harmonic(n: int) -> mpf:

@@ -29,6 +29,16 @@ above 4 with the digits asked for, and every tail's abs_err is the
 certified remainder bound logpoly.em_tail_error, at every K and J.
 Every log-power difference is logpoly.pow_step, and series_c reads its
 x-free steps from logpoly.log_steps, the table zeta_deriv0_diff shares.
+
+The four partial sums are generators of raw _mpf_ tuples (_series_b_terms,
+_series_c_terms, _coffey_panels with _incgamma_pair, _diff_terms), fed to
+comp_sum.  They call mpmath.libmp at the call's mp._prec_rounding, and each
+step is the call the mpf operator makes, in the same order: mpf*int is
+mpf_mul_int; mpf+-int and mpf/int are from_int, then mpf_add, mpf_sub or
+mpf_div; **int is mpf_pow_int; log and exp are mpf_log and mpf_exp.  So
+every term has the bits of the mpf loop it replaced, and every value and
+abs_err is unchanged; what is saved is the operators' type dispatch and
+object allocation around those calls.
 """
 
 from __future__ import annotations
@@ -37,13 +47,16 @@ import time
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from mpmath import cospi, exp, log, mp, mpf, pi, sinpi, workdps
+from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
+from mpmath.libmp import (fhalf, fone, from_int, mpf_add, mpf_div, mpf_exp,
+                          mpf_ge, mpf_log, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pow_int, mpf_sub)
 
 from .core import (DomainError, SeriesValue, accelerate_alternating,
                    comp_sum, cvz_terms, default_tol, rounding_floor, tail_claim,
                    working_dps)
-from .logpoly import (LogPoint, LogPoly, em_order_for, em_start_for, em_tail,
-                      em_tail_error, log_steps, pow_step)
+from .logpoly import (LogPoly, _f_at, _pow_step, em_order_for, em_start_for,
+                      em_tail, em_tail_error, log_steps, pow_step)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -131,29 +144,45 @@ def _lattice_tail(n: int, a, J: int) -> SeriesValue:
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
-        f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
-
-        def term(k):
-            a = LogPoint(k + x)
-            return a.eval(f) - pow_step(a.lu, a.u, mpf(k + 1) + x, q) / q
-
-        partial = comp_sum(term(k) for k in range(K))
+        partial = comp_sum(_series_b_terms(n, x, K, *mp._prec_rounding))
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_b")
+
+
+def _series_b_terms(n: int, x, K: int, prec: int, rnd):
+    """The _mpf_ terms f(k+x) - (log^q(k+1+x) - log^q(k+x))/q, k < K."""
+    q = n + 1
+    xv, qv = x._mpf_, from_int(q)
+    for k in range(K):
+        u = mpf_add(xv, from_int(k), prec, rnd)
+        lu = mpf_log(u, prec, rnd)
+        b = mpf_add(from_int(k + 1, prec, rnd), xv, prec, rnd)
+        yield mpf_sub(_f_at(lu, u, n, prec, rnd),
+                      mpf_div(_pow_step(lu, u, b, q, prec, rnd), qv, prec, rnd),
+                      prec, rnd)
 
 
 def _gamma_series_c(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
-        f = LogPoly.single(1, n, 1)
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
         _, steps = log_steps(q, K)
-        partial = comp_sum(f(k + x) - steps[k + 1] / q for k in range(K))
+        partial = comp_sum(_series_c_terms(n, x, K, steps, *mp._prec_rounding))
         value = partial + tail.value + pow_step(log(K + x), K + x, mpf(K + 1), q) / q
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
+
+
+def _series_c_terms(n: int, x, K: int, steps, prec: int, rnd):
+    """The _mpf_ terms f(k+x) - steps[k+1]/q, k < K, for the x-free steps
+    log^q(k+2) - log^q(k+1) of log_steps."""
+    xv, qv = x._mpf_, from_int(n + 1)
+    for k in range(K):
+        u = mpf_add(xv, from_int(k), prec, rnd)
+        yield mpf_sub(_f_at(mpf_log(u, prec, rnd), u, n, prec, rnd),
+                      mpf_div(steps[k + 1]._mpf_, qv, prec, rnd), prec, rnd)
 
 
 def incgamma_int(n: int, t) -> mpf:
@@ -163,22 +192,25 @@ def incgamma_int(n: int, t) -> mpf:
     t = mpf(t)
     if t < 0:
         raise DomainError("incgamma_int: t must be >= 0")
-    return _incgamma_pair(n, t)[0]
+    return mp.make_mpf(_incgamma_pair(n, t._mpf_, *mp._prec_rounding)[0])
 
 
-def _incgamma_pair(n: int, t) -> tuple[mpf, mpf]:
-    """(Gamma(n, t), Gamma(n+1, t)) from one forward running sum of the terms
-    t^m/m!, term = term * t / m: Gamma(n, t) takes the prefix through
-    m = n-1 and Gamma(n+1, t) one term more.  Every term is >= 0 for t >= 0,
-    so the plain sum is within about 2n ulps.  Gamma(n+1, t) has the bits
-    of incgamma_int(n+1, t)."""
-    term = total = mpf(1)
+def _incgamma_pair(n: int, t, prec: int, rnd) -> tuple[tuple, tuple]:
+    """(Gamma(n, t), Gamma(n+1, t)) on the _mpf_ tuple t, rounded at (prec,
+    rnd), from one forward running sum of the terms t^m/m!, term = term *
+    t / m: Gamma(n, t) takes the prefix through m = n-1 and Gamma(n+1, t)
+    one term more.  Every term is >= 0 for t >= 0, so the plain sum is
+    within about 2n ulps.  Gamma(n+1, t) has the bits of
+    incgamma_int(n+1, t)."""
+    term = total = fone
     for m in range(1, n):
-        term = term * t / m
-        total += term
-    e = exp(-t)
-    return (factorial(n - 1) * e * total,
-            factorial(n) * e * (total + term * t / n))
+        term = mpf_div(mpf_mul(term, t, prec, rnd), from_int(m), prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
+    e = mpf_exp(mpf_neg(t, prec, rnd), prec, rnd)
+    last = mpf_div(mpf_mul(term, t, prec, rnd), from_int(n), prec, rnd)
+    return (mpf_mul(mpf_mul_int(e, factorial(n - 1), prec, rnd), total, prec, rnd),
+            mpf_mul(mpf_mul_int(e, factorial(n), prec, rnd),
+                    mpf_add(total, last, prec, rnd), prec, rnd))
 
 
 def _gamma_coffey(n: int, x, tol) -> SeriesValue:
@@ -200,39 +232,46 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
         fx = f(x)
-        partial = comp_sum(_coffey_panels(n, x, K))
+        partial = comp_sum(_coffey_panels(n, x, K, *mp._prec_rounding))
         value = (fx - log(x) ** q / q - fx / 2
                  + partial + tail.value - f(K + x) / 2)
         return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
 
 
-def _coffey_panels(n: int, x, K: int):
-    """The panel defects D_j for j = 0..K-1, in order.
+def _coffey_panels(n: int, x, K: int, prec: int, rnd):
+    """The panel defects D_j for j = 0..K-1, in order, as _mpf_ tuples.
 
     Panel j's b = j + 1 + x has the bits of panel j+1's a, so log b, log^n b
     and the incomplete gammas at log b carry into the next panel.  The
     incomplete gammas start afresh at the first panel with a >= 1.
     """
     q = n + 1
-    a = x
-    la = log(a)
-    la_n = la ** n
+    qv, two = from_int(q), from_int(2)
+    a = x._mpf_
+    la = mpf_log(a, prec, rnd)
+    la_n = mpf_pow_int(la, n, prec, rnd)
     gammas_a = None
     for j in range(K):
-        b = j + 1 + x
-        lb = log(b)
-        lb_n = lb ** n
-        dlog = pow_step(la, a, b, q) / q
-        if a >= 1:
+        b = mpf_add(x._mpf_, from_int(j + 1), prec, rnd)
+        lb = mpf_log(b, prec, rnd)
+        lb_n = mpf_pow_int(lb, n, prec, rnd)
+        dlog = mpf_div(_pow_step(la, a, b, q, prec, rnd), qv, prec, rnd)
+        if mpf_ge(a, fone):
             if gammas_a is None:
-                gammas_a = _incgamma_pair(n, la)
-            gammas_b = _incgamma_pair(n, lb)
-            dGn = gammas_a[0] - gammas_b[0]
-            dGn1 = gammas_a[1] - gammas_b[1]
-            yield (lb_n - la_n) - dlog - (a + mpf(1) / 2) * (n * dGn - dGn1)
+                gammas_a = _incgamma_pair(n, la, prec, rnd)
+            gammas_b = _incgamma_pair(n, lb, prec, rnd)
+            dGn = mpf_sub(gammas_a[0], gammas_b[0], prec, rnd)
+            dGn1 = mpf_sub(gammas_a[1], gammas_b[1], prec, rnd)
+            weight = mpf_mul(mpf_add(a, fhalf, prec, rnd),
+                             mpf_sub(mpf_mul_int(dGn, n, prec, rnd), dGn1, prec, rnd),
+                             prec, rnd)
+            yield mpf_sub(mpf_sub(mpf_sub(lb_n, la_n, prec, rnd), dlog, prec, rnd),
+                          weight, prec, rnd)
             gammas_a = gammas_b
         else:
-            yield (la_n / a + lb_n / b) / 2 - dlog
+            ends = mpf_add(mpf_div(la_n, a, prec, rnd), mpf_div(lb_n, b, prec, rnd),
+                           prec, rnd)
+            yield mpf_sub(mpf_div(ends, two, prec, rnd), dlog, prec, rnd)
         a, la, la_n = b, lb, lb_n
 
 
@@ -248,15 +287,24 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 1, "difference")
     q = n + 1
     with workdps(working_dps(tol)):
-        f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
-        partial = comp_sum(f(k + x) - f(k + y) for k in range(K))
+        partial = comp_sum(_diff_terms(n, x, y, K, *mp._prec_rounding))
         other = _lattice_tail(n, K + max(x, y), tail.terms_used)
         tx, ty = (tail, other) if x < y else (other, tail)
         boundary = -pow_step(log(K + y), K + y, K + x, q) / q
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value)
         return SeriesValue(value, err, K, "difference")
+
+
+def _diff_terms(n: int, x, y, K: int, prec: int, rnd):
+    """The _mpf_ terms f(k+x) - f(k+y), k < K."""
+    xv, yv = x._mpf_, y._mpf_
+    for k in range(K):
+        u = mpf_add(xv, from_int(k), prec, rnd)
+        w = mpf_add(yv, from_int(k), prec, rnd)
+        yield mpf_sub(_f_at(mpf_log(u, prec, rnd), u, n, prec, rnd),
+                      _f_at(mpf_log(w, prec, rnd), w, n, prec, rnd), prec, rnd)
 
 
 def gamma_recurrence_check(n: int, x, tol=None) -> VerifyReport:

@@ -50,6 +50,18 @@ The lattice routes' differences log^q b - log^q a of nearby points are all
 pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
 and their x-free steps log^q(n+1) - log^q n, with log n, sit in the one
 per-precision table of log_steps.
+
+The loops that run once per term or per order work on raw _mpf_ tuples
+through mpmath.libmp, at the caller's mp._prec_rounding: _pow_step (pow_step
+is its mpf wrapper), _f_at, and the correction loop's Horner's rule
+(_horner) in em_tail_shifted.  Each step is the libmpf call the mpf operator
+makes, in the same order: mpf*int is mpf_mul_int, mpf+-int and mpf/int
+convert the int by from_int, **int is mpf_pow_int, log is mpf_log.  Where
+the mpf form multiplied by the int 1 or added to 0 (pow_step's start
+s = p = 1, a LogPoly's unit coefficient and zero total), the tuple form
+multiplies by fone or drops the step, which a correctly rounded product or
+sum of a working-precision value cannot tell apart.  So the results have the
+bits of the mpf forms.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from mpmath import iv, log, mp, mpf
+from mpmath.libmp import (fone, fzero, from_int, mpf_add, mpf_div, mpf_log,
+                          mpf_mul, mpf_pow_int)
 
 from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
 
@@ -181,10 +195,6 @@ class LogPoint:
             total += c * lm / self._upow(p)
         return total
 
-    def ratio(self, P, p: int) -> mpf:
-        """P(log u) / u^p for integer coefficients P, low degree first."""
-        return _horner(P, self.lu) / self._upow(p)
-
 
 def logpow_antiderivative(q: int, u) -> mpf:
     """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
@@ -202,15 +212,29 @@ def pow_step(la, a, b, q: int) -> mpf:
 
     The sum is Horner's rule in lb, s = s*lb + la^i, with the powers of la
     kept as a running product: q - 1 multiply-adds.  For q <= 2 the bits are
-    those of the sum written out term by term.
+    those of the sum written out term by term.  The mpf form of _pow_step;
+    an int argument enters exactly, as in mpf arithmetic.
     """
-    delta = log(b / a)
-    lb = la + delta
-    s = p = 1
+    la, a, b = (mp.convert(v)._mpf_ for v in (la, a, b))
+    return mp.make_mpf(_pow_step(la, a, b, q, *mp._prec_rounding))
+
+
+def _pow_step(la, a, b, q: int, prec: int, rnd) -> tuple:
+    """pow_step on _mpf_ tuples, rounded at (prec, rnd): the one
+    cancellation-free log-power step of every lattice loop."""
+    delta = mpf_log(mpf_div(b, a, prec, rnd), prec, rnd)
+    lb = mpf_add(la, delta, prec, rnd)
+    s = p = fone
     for _ in range(q - 1):
-        p *= la
-        s = s * lb + p
-    return delta * s
+        p = mpf_mul(p, la, prec, rnd)
+        s = mpf_add(mpf_mul(s, lb, prec, rnd), p, prec, rnd)
+    return mpf_mul(delta, s, prec, rnd)
+
+
+def _f_at(lu, u, n: int, prec: int, rnd) -> tuple:
+    """f(u) = log^n u / u on _mpf_ tuples, from lu = log u: the bits of
+    LogPoly.single(1, n, 1)(u)."""
+    return mpf_div(mpf_pow_int(lu, n, prec, rnd), u, prec, rnd)
 
 
 # 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the
@@ -301,21 +325,28 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4,
     order (em_tail_error).  The value has the bits of a call at the order
     reached.
     """
+    prec, rnd = mp._prec_rounding
     start = mpf(start)
-    points: dict[mpf, LogPoint] = {}
+    # shift -> (u, log u, {k: u^k}), _mpf_ tuples
+    points: dict[mpf, tuple] = {}
     terms = []
     for c, sh, m, p in v:
         sh = mpf(sh)
         point = points.get(sh)
         if point is None:
-            point = points[sh] = LogPoint(start + sh)
-        terms.append((mpf(c), point, _log_polys(m, p), p))
+            u = (start + sh)._mpf_
+            point = points[sh] = (u, mpf_log(u, prec, rnd), {})
+        terms.append((mpf(c)._mpf_, point, _log_polys(m, p), p))
 
     def at(i):  # v^(i)(start)
-        total = mpf(0)
-        for c, point, rows, p in terms:
-            total += c * point.ratio(rows[i], p + i)
-        return total
+        total = fzero
+        for c, (u, lu, upow), rows, p in terms:
+            up = upow.get(p + i)
+            if up is None:
+                up = upow[p + i] = mpf_pow_int(u, p + i, prec, rnd)
+            ratio = mpf_div(_horner(rows[i], lu, prec, rnd), up, prec, rnd)
+            total = mpf_add(total, mpf_mul(c, ratio, prec, rnd), prec, rnd)
+        return mp.make_mpf(total)
 
     def correction(j):
         return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
@@ -432,7 +463,8 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     roots = 2 * sum(g for hi, g, _ in _root_table(n, J, d) if hi >= L)
     if d == 0:
         return 2 * omitted + scale * weight * roots
-    g_a = _horner(_log_polys(n, 1)[2 * J + 1 + d], La)
+    g_a = mp.make_mpf(_horner(_log_polys(n, 1)[2 * J + 1 + d], La._mpf_,
+                              *mp._prec_rounding))
     return scale * weight * (abs(g_a) / mpf(a) ** (2 * J + 2 + d) + roots)
 
 
@@ -450,11 +482,12 @@ def _log_polys(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _horner(P, L) -> mpf:
-    """P(L) for coefficients P, low degree first, by Horner's rule."""
-    s = mpf(0)
+def _horner(P, L, prec: int, rnd) -> tuple:
+    """P(L) for integer coefficients P, low degree first, by Horner's rule
+    on the _mpf_ tuple L, rounded at (prec, rnd)."""
+    s = fzero
     for c in reversed(P):
-        s = s * L + c
+        s = mpf_add(mpf_mul(s, L, prec, rnd), from_int(c), prec, rnd)
     return s
 
 

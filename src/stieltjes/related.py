@@ -30,12 +30,13 @@ from itertools import accumulate, chain, groupby
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub
 
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoint, LogPoly, em_order_for, em_start_for,
-                      em_tail, em_tail_error, em_tail_shifted,
+from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_order_for,
+                      em_start_for, em_tail, em_tail_error, em_tail_shifted,
                       logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
@@ -497,14 +498,9 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     # gamma_k enters times x, so its share of tol shrinks with |x|
     gk = gamma_n(k, 1, "series_b", tol / 4 / max(1, abs(x)))
     with workdps(working_dps(tol)):
-        fk = LogPoly.single(1, k, 1)
         # h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q
         h_parts = [(x, 0, k, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)]
-
-        def h(j):
-            a = LogPoint(mpf(j))
-            return x * a.eval(fk) - pow_step(a.lu, a.u, j + x, q) / q
-
+        prec, rnd = mp._prec_rounding
         scale = x * x / 2
 
         def probe(K):
@@ -515,14 +511,26 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
-            tail, omitted = em_tail_shifted(h_parts, h(K), integral, K, J)
+            h_K = mp.make_mpf(_dilcher_summand(k, x, K, prec, rnd))
+            tail, omitted = em_tail_shifted(h_parts, h_K, integral, K, J)
             return tail, em_tail_error(k, a, J, omitted, 1, scale)
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
-        partial = comp_sum(h(j) for j in range(1, K))
+        partial = comp_sum(_dilcher_summand(k, x, j, prec, rnd) for j in range(1, K))
         value = -gk.value * x + partial + tail
         err = tail_claim(err, value) + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
+
+
+def _dilcher_summand(k: int, x, j: int, prec: int, rnd) -> tuple:
+    """h(j) = x log^k j / j - (log^q(j+x) - log^q j)/q, q = k + 1, as an
+    _mpf_ tuple."""
+    q = k + 1
+    u = from_int(j, prec, rnd)
+    lu = mpf_log(u, prec, rnd)
+    step = _pow_step(lu, u, mpf_add(x._mpf_, from_int(j), prec, rnd), q, prec, rnd)
+    return mpf_sub(mpf_mul(x._mpf_, _f_at(lu, u, k, prec, rnd), prec, rnd),
+                   mpf_div(step, from_int(q), prec, rnd), prec, rnd)
 
 
 def dilcher_power_series(x, tol=None) -> SeriesValue:

@@ -19,13 +19,14 @@ import time
 from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_pow_int, mpf_sub)
 
 from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoint, LogPoly, em_order_for, em_start_for, em_tail,
-                      em_tail_error, em_tail_shifted, logpow_antiderivative,
-                      pow_step)
+from .logpoly import (LogPoly, _pow_step, em_order_for, em_start_for, em_tail,
+                      em_tail_error, em_tail_shifted, logpow_antiderivative)
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, log_gamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -181,7 +182,12 @@ def check_vanishing_integrals(n: int) -> VerifyReport:
     )
 
 
-ALPHA_DIGAMMA_ZERO = mpf("1.461632144968")
+# the zero of digamma to 12 decimals, so within half a unit in the last
+# decimal of the true zero, held in 53 bits; ALPHA_DIGAMMA_ZERO_ERR bounds its
+# distance from the true zero: that half unit, plus a 53-bit ulp of a value
+# in [1, 2) for the binary rounding of the literal and of the half unit
+ALPHA_DIGAMMA_ZERO = mpf("1.461632144968", prec=53)
+ALPHA_DIGAMMA_ZERO_ERR = mpf("5e-13") + mpf(2) ** -52
 ROOT_STEP = mpf("1e-11")
 
 
@@ -215,9 +221,14 @@ def check_zero_structure(n: int) -> VerifyReport:
     t0 = time.perf_counter()
     roots = _gamma_roots(n)
     notes = "sign changes at ~" + ", ".join(mp.nstr(r, 12) for r in roots)
-    if n == 0:
-        residual = abs(roots[0] - ALPHA_DIGAMMA_ZERO) if roots else mpf(1)
-        tolerance = mpf("1e-9")
+    if n == 0 and roots:
+        r = roots[0]
+        residual = abs(r - ALPHA_DIGAMMA_ZERO)
+        # the zero lies between the library points r -+ ROOT_STEP, each
+        # rounded at most by the rounding floor
+        tolerance = ROOT_STEP + rounding_floor(r + ROOT_STEP) + ALPHA_DIGAMMA_ZERO_ERR
+    elif n == 0:
+        residual, tolerance = mpf(1), mpf(0)
     else:
         residual = mpf(max(0, 2 - len(roots)))
         tolerance = mpf(0)
@@ -248,10 +259,7 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     """
     h_parts = [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)]
     scale = q * (x - 1) ** 2 / 2
-
-    def h(k):
-        a = LogPoint(mpf(k + 1))
-        return pow_step(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
+    prec, rnd = mp._prec_rounding
 
     def probe(K):
         a = K + min(1, x)
@@ -262,12 +270,24 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
         integral = (-logpow_antiderivative(q, K + x)
                     + logpow_antiderivative(q, mpf(K + 1))
                     + (x - 1) * log(K + 1) ** q)
-        tail, omitted = em_tail_shifted(h_parts, h(K), integral, K, J)
+        h_K = mp.make_mpf(_g_summand(q, x, K, prec, rnd))
+        tail, omitted = em_tail_shifted(h_parts, h_K, integral, K, J)
         return tail, em_tail_error(q - 1, a, J, omitted, 1, scale)
 
     K, tail, err = em_start_for(probe, tol / 4, 64)
-    partial = comp_sum(h(k) for k in range(K))
+    partial = comp_sum(_g_summand(q, x, k, prec, rnd) for k in range(K))
     return partial + tail, err + rounding_floor(abs(partial) + abs(tail))
+
+
+def _g_summand(q: int, x, k: int, prec: int, rnd) -> tuple:
+    """log^q(k+x) - log^q(k+1) - q(x-1) log^(q-1)(k+1)/(k+1) as an _mpf_
+    tuple."""
+    u = from_int(k + 1, prec, rnd)
+    lu = mpf_log(u, prec, rnd)
+    step = _pow_step(lu, u, mpf_add(x._mpf_, from_int(k), prec, rnd), q, prec, rnd)
+    c = mpf_mul_int(mpf_sub(x._mpf_, fone, prec, rnd), q, prec, rnd)
+    return mpf_sub(step, mpf_div(mpf_mul(c, mpf_pow_int(lu, q - 1, prec, rnd),
+                                         prec, rnd), u, prec, rnd), prec, rnd)
 
 
 def check_g_functions(x) -> VerifyReport:

@@ -36,11 +36,12 @@ from __future__ import annotations
 from math import factorial
 
 from mpmath import exp, floor, log, mp, mpf, pi, workdps
+from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_sub
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, working_dps)
-from .logpoly import (J_PLAN_MAX, bernoulli_mpf, em_order_for, em_start_for,
-                      em_tail_error, em_tail_shifted, log_steps,
+from .logpoly import (J_PLAN_MAX, _pow_step, bernoulli_mpf, em_order_for,
+                      em_start_for, em_tail_error, em_tail_shifted, log_steps,
                       logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
@@ -178,11 +179,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol) + 8):
         v_parts = [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)]
         scale = q * abs(x * (x - 1)) / 2
-
-        def summand(n, ln, step):
-            """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free,
-            given ln = log n and step = log^q(n+1) - log^q n."""
-            return pow_step(ln, n, n + x, q) - x * step
+        prec, rnd = mp._prec_rounding
 
         def probe(K):
             # at x = 1 the summand vanishes
@@ -195,19 +192,31 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
             # v(K) from a fresh log K, not the tables: a rung past K_CAP
             # that fails must not fill them first
             lK = log(K)
-            v_K = summand(K, lK, pow_step(lK, K, mpf(K + 1), q))
+            v_K = mp.make_mpf(_deriv0_summand(
+                q, x, K, lK._mpf_, pow_step(lK, K, mpf(K + 1), q)._mpf_, prec, rnd))
             tail, omitted = em_tail_shifted(v_parts, v_K, integral, K, J)
             return tail, em_tail_error(k, K, J, omitted, 1, scale)
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
         logs, steps = log_steps(q, K - 1)
         lx = log(x)
-        partial = lx ** q + comp_sum(summand(n, logs[n], steps[n]) for n in range(1, K))
+        partial = lx ** q + comp_sum(
+            _deriv0_summand(q, x, n, logs[n]._mpf_, steps[n]._mpf_, prec, rnd)
+            for n in range(1, K))
         value = (-1) ** (k + 1) * (partial + tail)
         # the partial sum and the tail can be far larger than their
         # difference, and their rounding, not the value's, sets the floor
         return SeriesValue(value, tail_claim(err, abs(partial) + abs(tail)), K,
                            "log_series")
+
+
+def _deriv0_summand(q: int, x, n: int, ln, step, prec: int, rnd) -> tuple:
+    """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free,
+    given ln = log n and step = log^q(n+1) - log^q n as _mpf_ tuples."""
+    xv = x._mpf_
+    b = mpf_add(xv, from_int(n), prec, rnd)
+    return mpf_sub(_pow_step(ln, from_int(n), b, q, prec, rnd),
+                   mpf_mul(xv, step, prec, rnd), prec, rnd)
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:

@@ -90,6 +90,24 @@ def test_comp_sum_of_a_generator():
     assert comp_sum(mpf(1) / k for k in range(1, 60))._mpf_ == exact_sum(vals)._mpf_
 
 
+def test_comp_sum_takes_mpf_tuples_with_the_bits_of_mpf_terms():
+    vals = [mpf(1) / 3, mpf(2) ** -300, 7, -mpf(10) ** 40, mpf("0.1")]
+    mixed = [v._mpf_ if i % 2 else v for i, v in enumerate(vals)]
+    assert comp_sum(mixed)._mpf_ == comp_sum(vals)._mpf_
+    # a generator of tuples, one wider than the working precision
+    wide = comp_sum([mpf(1), mpf(2) ** -300])
+    assert comp_sum(v._mpf_ for v in (wide, mpf(-1))) == mpf(2) ** -300
+
+
+def test_comp_sum_tuple_infinities_and_nan_combine_as_mpf_addition():
+    inf, one = mp.inf._mpf_, mpf(1)._mpf_
+    assert comp_sum([inf, one]) == mp.inf
+    assert comp_sum([one, (-mp.inf)._mpf_]) == -mp.inf
+    assert mp.isnan(comp_sum([inf, (-mp.inf)._mpf_]))
+    assert mp.isnan(comp_sum([mp.nan._mpf_, mpf(1)]))
+    assert comp_sum([inf, mp.inf]) == mp.inf + mp.inf
+
+
 def test_comp_sum_infinities_and_nan():
     assert comp_sum([mp.inf, mpf(1)]) == mp.inf
     assert comp_sum([mpf(1), -mp.inf]) == -mp.inf

@@ -305,8 +305,9 @@ class TestIncGamma:
         # coffey's panels take both orders from one running sum
         t = self._t(t)
         for n in range(1, 10):
-            assert _incgamma_pair(n, t) == (incgamma_int(n, t),
-                                            incgamma_int(n + 1, t)), n
+            pair = _incgamma_pair(n, t._mpf_, *mp._prec_rounding)
+            assert tuple(map(mp.make_mpf, pair)) == (incgamma_int(n, t),
+                                                     incgamma_int(n + 1, t)), n
 
     @pytest.mark.parametrize("t", T_GRID)
     def test_within_4n_ulps_of_mpmath(self, t):

@@ -169,7 +169,8 @@ def test_coffey_carry_matches_fresh_panels(n, x):
     x = mpf(x)
     q = n + 1
     with workdps(working_dps(TOL)):
-        assert list(_coffey_panels(n, x, 12)) == [
+        panels = _coffey_panels(n, x, 12, *mp._prec_rounding)
+        assert [mp.make_mpf(d) for d in panels] == [
             _reference_panel(n, j, x, q) for j in range(12)]
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, TOL, 32)

@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mpf, pi, stieltjes, workdps, zeta
 
+from stieltjes import verifier
 from stieltjes.reporting import SubCheck, VerifyReport
 from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cotangent,
                                 check_g_functions, check_lemma31,
@@ -42,6 +43,17 @@ class TestZeroStructure:
         rep = check_zero_structure(0)
         assert rep.passed
         assert rep.residual < mpf("1e-9")
+
+    def test_digamma_zero_gate_is_propagated(self):
+        rep = check_zero_structure(0)
+        # ROOT_STEP, plus half a unit in the literal's 12th decimal, plus dust
+        assert mpf("1.05e-11") <= rep.tolerance < mpf("1.06e-11")
+
+    def test_literal_moved_by_1e_10_fails(self, monkeypatch):
+        monkeypatch.setattr(verifier, "ALPHA_DIGAMMA_ZERO",
+                            verifier.ALPHA_DIGAMMA_ZERO + mpf("1e-10"))
+        rep = check_zero_structure(0)
+        assert not rep.passed and rep.residual > mpf("9e-11")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_two_sign_changes(self, n):
