@@ -143,10 +143,10 @@ def _compute_one(constant: str, cfg: CliConfig, n, x, p, q, method, terms) -> tu
         route = (method or "from-gamma").replace("-", "_")
         result = eta(n or 0, route, K=terms, tol=tol)
         params = {"n": n or 0, "route": route}
-        if terms:
+        if terms is not None:
             params["K"] = terms
     elif constant == "delta":
-        result = delta(n or 0, N=terms or 10000)
+        result = delta(n or 0, N=10000 if terms is None else terms)
         params = {"n": n or 0}
     elif constant == "digamma":
         if p is not None and q is not None:

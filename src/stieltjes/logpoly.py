@@ -40,8 +40,11 @@ every order and start:
   differences of zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's
   g-series (d = 1): em_order_for picks J and em_tail_error certifies it,
   by the theta-bound past the certified start t_J and below it from the
-  total variation of f^(2J+1+d), whose extrema are the roots of an integer
-  polynomial in log t that _root_table isolates once per (n, J, d).
+  total variation of f^(2J+1+d).  Both read the real roots of the integer
+  polynomials P_k in log t of f^(k), isolated once per (n, k) by _isolated:
+  t_J (_certified_start) is past the last root of f^(2J+2+d) and
+  f^(2J+4+d), and the extrema of f^(2J+1+d) are the roots of f^(2J+2+d)
+  (_root_table).
 - hurwitz_em and zeta_prime_int, whose summands t^-s and log t / t^s are
   not log-polynomials, state the same two certificates in closed form in
   zeta.py.
@@ -69,28 +72,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from mpmath import iv, log, mp, mpf
+from mpmath import bernfrac, iv, log, mp, mpf
 from mpmath.libmp import (fone, fzero, from_int, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_pow_int)
 
 from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 
-
+@lru_cache(maxsize=None)
 def bernoulli(idx: int) -> Fraction:
     """Exact Bernoulli number B_idx (B_1 = -1/2 convention)."""
     if idx < 0:
         raise DomainError("bernoulli: index must be >= 0")
-    while len(_BERNOULLI_CACHE) <= idx:
-        m = len(_BERNOULLI_CACHE)
-        s = Fraction(0)
-        for j in range(m):
-            s += comb(m + 1, j) * _BERNOULLI_CACHE[j]
-        _BERNOULLI_CACHE.append(-s / (m + 1))
-    return _BERNOULLI_CACHE[idx]
+    return Fraction(*bernfrac(idx))
 
 
 def bernoulli_mpf(idx: int) -> mpf:
@@ -388,8 +384,6 @@ def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
 # reaches tol/4 and the gamma routes raise ConvergenceError (about 1e-65 at
 # J = 4 alone).
 J_PLAN_MAX = 13
-# certified starts are searched on the grid log t = i / _GRID
-_GRID = 64
 # the isolating interval of each root is refined to this width in log t
 _ROOT_WIDTH = Fraction(1, 2 ** 16)
 
@@ -412,10 +406,10 @@ def em_order_for(n: int, a, bound, d: int = 0) -> int | None:
     """
     L = float(log(a))
     lb = float(log(bound))
-    for J, (lw, coeffs, t_J) in enumerate(_order_table(n, d), 4):
+    for J, (lw, coeffs) in enumerate(_order_table(n, d), 4):
         q = abs(sum(c * L ** m for m, c in enumerate(coeffs)))
         logs = [math.log(q) - (2 * J + 2 + d) * L] if q else []
-        if a < t_J:
+        if a < _certified_start(n, J, d):
             # 2 (|g(a)| + 2 sum |g(r)|), g = f^(2J+1+d), over (2J+1)!
             logs = [math.log(2) + lg for lg in logs]
             logs += [math.log(4) + lg - math.lgamma(2 * J + 2)
@@ -451,8 +445,7 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     from _root_table's enclosure.  For d = 0, scale |B_2J+2|/(2J+2)! |g(a)|
     is omitted itself, so |g(a)| is not evaluated again.
     """
-    t_J = _order_table(n, d)[J - 4][2]
-    if a >= t_J:
+    if a >= _certified_start(n, J, d):
         return omitted
     La = log(a)
     b = bernoulli(2 * J + 2)
@@ -492,27 +485,43 @@ def _horner(P, L, prec: int, rnd) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...], float], ...]:
-    """For J = 4..J_PLAN_MAX: log(|B_2J+2|/(2J+2)), the coefficients of
-    P/(2J+1)! where f^(2J+1+d)(t) = P(log t)/t^(2J+2+d), and the certified
-    start t_J of order J, past the last sign change of f^(2J+2+d) and
-    f^(2J+4+d).
+def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    """For J = 4..J_PLAN_MAX: log(|B_2J+2|/(2J+2)) and the coefficients of
+    P/(2J+1)! where f^(2J+1+d)(t) = P(log t)/t^(2J+2+d).
 
     The estimated first omitted correction at a is
     exp(lw) |P(log a)/(2J+1)!| a^-(2J+2+d).
     """
     polys = _log_polys(n, 1)
-    sign = (-1) ** d  # f^(m) is eventually of sign (-1)^m
     table = []
     for J in range(4, J_PLAN_MAX + 1):
         b = bernoulli(2 * J + 2)
         lw = math.log(abs(b.numerator)) - math.log(b.denominator) - math.log(2 * J + 2)
-        coeffs = tuple(c / factorial(2 * J + 1) for c in polys[2 * J + 1 + d])
-        i = _descartes_start([sign * c for c in polys[2 * J + 2 + d]],
-                             [sign * c for c in polys[2 * J + 4 + d]])
-        # rounded up, so that a >= t_J implies log a >= i / _GRID
-        table.append((lw, coeffs, math.exp(i / _GRID) * (1 + 1e-12)))
+        table.append((lw, tuple(c / factorial(2 * J + 1) for c in polys[2 * J + 1 + d])))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _isolated(n: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """_real_roots of P_k, f^(k)(t) = P_k(log t)/t^(k+1) for f = log^n t / t:
+    each polynomial is isolated once, for every order and start that reads
+    it."""
+    return tuple(_real_roots(_log_polys(n, 1)[k]))
+
+
+@lru_cache(maxsize=None)
+def _certified_start(n: int, J: int, d: int = 0) -> float:
+    """The certified start t_J of order J: past the last real root of
+    f^(2J+2+d) and of f^(2J+4+d), f = log^n t / t, so that both keep their
+    eventual sign (-1)^d on [t_J, inf).
+
+    exp of the largest isolating interval's upper end (0 when neither has
+    a root t > 1), rounded up, so that a >= t_J implies that log a is past
+    every root.
+    """
+    last = max((hi for k in (2 * J + 2 + d, 2 * J + 4 + d) for _, hi in _isolated(n, k)),
+               default=0)
+    return math.exp(math.nextafter(float(last), math.inf)) * (1 + 1e-12)
 
 
 @lru_cache(maxsize=None)
@@ -533,7 +542,7 @@ def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf, float], .
     iv.prec = 53
     try:
         table = []
-        for lo, hi in _real_roots(polys[2 * J + 2 + d]):
+        for lo, hi in _isolated(n, 2 * J + 2 + d):
             q_max = sum(abs(q) * (hi - lo) ** j
                         for j, q in enumerate(_taylor_shift(Q, lo)))
             enc = (iv.mpf(q_max.numerator) / q_max.denominator
@@ -568,13 +577,17 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
     squarefree integer polynomial P (low degree first), in increasing order,
     each of width at most _ROOT_WIDTH; an exact dyadic root gets lo = hi.
 
-    Descartes bisection in integers: a node is the interval
-    (c, c+1) / 2^k of the scaled variable, held as S(z) = 2^(k deg) P0((c +
-    z)/2^k) for z in (0, 1), where P0(y) = P(2^s y) puts every positive root
-    below y = 1.  The sign changes of (1+z)^deg S(1/(1+z)) bound its number
-    of roots in (0, 1) with the same parity: 0 means none and 1 exactly
-    one, and for squarefree P every small enough interval reads 0 or 1
-    (Vincent's theorem).  Halves are 2^deg S(z/2) and its shift by 1.
+    Descartes bisection in integers: a node at depth k is an interval
+    (lo, lo + width) of L, width = 2^(s-k), held as S(z) = 2^(k deg)
+    P(lo + z width) for z in (0, 1); at depth 0 it reaches past every
+    positive root (Cauchy's bound).  The sign changes of (1+z)^deg
+    S(1/(1+z)) bound its number of roots in (0, 1) with the same parity:
+    0 means none and 1 exactly one, and for squarefree P every small enough
+    interval reads 0 or 1 (Vincent's theorem).  Halves are 2^deg S(z/2) and
+    its shift by 1.  A node with one root keeps the half where S changes
+    sign, S(1/2) being the coefficient sum of 2^deg S(z/2), until it is
+    _ROOT_WIDTH wide: the interval that bisecting on the sign changes would
+    reach, without counting them.
     """
     deg = len(P) - 1
     if deg < 1:
@@ -583,52 +596,33 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
     s = math.ceil(bound).bit_length()
     roots = []
 
-    def visit(S, c, k):
-        lo, width = Fraction(c << s, 1 << k), Fraction(1 << s, 1 << k)
+    def halve(S):  # 2^deg S(z/2)
+        m = len(S) - 1
+        return [v << (m - i) for i, v in enumerate(S)]
+
+    def visit(S, lo, width):
         while S[0] == 0:  # a root at lo itself
             roots.append((lo, lo))
             S = S[1:]
         count = _sign_changes(_taylor_shift(S[::-1], 1))
         if count == 0:
             return
-        if count == 1 and width <= _ROOT_WIDTH:
-            roots.append((lo, lo + width))
+        if count > 1:
+            left = halve(S)
+            visit(left, lo, width / 2)
+            visit(_taylor_shift(left, 1), lo + width / 2, width / 2)
             return
-        m = len(S) - 1
-        left = [v << (m - i) for i, v in enumerate(S)]
-        visit(left, 2 * c, k + 1)
-        visit(_taylor_shift(left, 1), 2 * c + 1, k + 1)
+        while width > _ROOT_WIDTH:
+            S = halve(S)
+            mid = sum(S)
+            width /= 2
+            if mid == 0:  # the root is the midpoint
+                roots.append((lo + width, lo + width))
+                return
+            if (mid > 0) == (S[0] > 0):  # no sign change on the left half
+                S = _taylor_shift(S, 1)
+                lo += width
+        roots.append((lo, lo + width))
 
-    visit([v << (s * i) for i, v in enumerate(P)], 0, 0)
+    visit([v << (s * i) for i, v in enumerate(P)], Fraction(0), Fraction(1 << s))
     return [r for r in roots if r[1] > 0]
-
-
-def _descartes_start(*polys) -> int:
-    """Smallest i >= 0 at which every polynomial P (integer coefficients,
-    low degree first) has no negative Taylor coefficient about
-    L = i / _GRID.
-
-    Such a P stays >= 0 for L >= i / _GRID (Descartes' rule of signs), and
-    the property persists for every larger i, so bisection finds the first.
-    """
-    def nonneg_at(i):
-        for P in polys:
-            deg = len(P) - 1
-            # Taylor shift of R(w) = _GRID^deg P(w / _GRID) to w = i
-            r = _taylor_shift([c * _GRID ** (deg - m) for m, c in enumerate(P)], i)
-            if any(c < 0 for c in r):
-                return False
-        return True
-
-    if nonneg_at(0):
-        return 0
-    lo, hi = 0, 1
-    while not nonneg_at(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if nonneg_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

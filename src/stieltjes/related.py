@@ -284,9 +284,6 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 # a running product of consecutive integers is turned into one logarithm
 # once it passes this many times the working precision in bits
 LOG_PRODUCT_PRECS = 8
-# below this N, prime powers are most of 2..N and S_2(N) is cheaper summed
-# term by term
-LAMBDA_SUM_FROM = 64
 
 
 def _log_factorials(ms) -> dict[int, mpf]:
@@ -327,12 +324,10 @@ def _log_power_sum(n: int, N: int) -> mpf:
     M = floor(N / p^i): log p is taken once per prime, and log M! at the
     about 2 sqrt(N) distinct values of M from one pass of _log_factorials.
     Every term is positive, so the sum keeps the relative accuracy of its
-    terms.  Below LAMBDA_SUM_FROM, S_2(N) is summed term by term.
+    terms.
     """
     if n == 1:
         return _log_factorials([N])[N]
-    if N < LAMBDA_SUM_FROM:
-        return comp_sum(log(k) ** 2 for k in range(2, N + 1))
     table = von_mangoldt(N)
     log_fact = _log_factorials(N // k for k in table.powers)
     return comp_sum(lp * (m * (N // k) * lp + log_fact[N // k])

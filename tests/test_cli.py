@@ -73,6 +73,13 @@ def test_delta_term_budget_past_the_cap_exits_2(capsys):
     assert "delta" in err
 
 
+def test_delta_zero_terms_is_not_the_default_budget(capsys):
+    # --terms 0 is N = 0, below delta's least N, not a request for the default
+    code, out, err = run_cli(capsys, "compute", "delta", "--n", "1", "--terms", "0")
+    assert code == 2
+    assert "N >= 10" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("gamma", "--n", "1", "--x", "1"),
     ("eta", "--n", "1"),

@@ -12,7 +12,7 @@ from stieltjes.gamma import (METHODS, RationalArg, _incgamma_pair, _lattice_plan
                              gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                              gamma_recurrence_check, incgamma_int,
                              stieltjes_integral)
-from stieltjes.logpoly import LogPoly, _order_table
+from stieltjes.logpoly import LogPoly, _certified_start
 from stieltjes.quadrature import quad_gl
 from stieltjes.zeta import zeta_deriv0_diff
 
@@ -171,7 +171,7 @@ class TestLatticePlan:
     @pytest.mark.parametrize("n,J", [(0, 13), (1, 5), (1, 13), (2, 9),
                                      (3, 7), (5, 6), (8, 5)])
     def test_certified_orders_keep_one_sign(self, n, J):
-        t_J = mpf(_order_table(n)[J - 4][2])
+        t_J = mpf(_certified_start(n, J))
         with workdps(80):
             d = LogPoly.single(1, n, 1)
             for _ in range(2 * J + 2):

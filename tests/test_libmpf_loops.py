@@ -14,8 +14,8 @@ from mpmath import exp, log, mp, mpf, workdps
 from stieltjes.core import working_dps
 from stieltjes.gamma import (_coffey_panels, _diff_terms, _incgamma_pair,
                              _series_b_terms, _series_c_terms)
-from stieltjes.logpoly import (J_PLAN_MAX, LogPoint, LogPoly, _horner,
-                               _log_polys, _order_table, _root_table, bernoulli,
+from stieltjes.logpoly import (J_PLAN_MAX, LogPoint, LogPoly, _certified_start,
+                               _horner, _log_polys, _root_table, bernoulli,
                                bernoulli_mpf, em_tail_error, em_tail_shifted,
                                log_steps, pow_step)
 from stieltjes.related import _dilcher_summand
@@ -264,7 +264,7 @@ def test_horner_and_em_tail_error():
             # below the certified start the d = 1 bound evaluates g(a) by
             # _horner; written out with the mpf Horner's rule
             for n, J in ((3, 4), (8, 9)):
-                t_J = _order_table(n, 1)[J - 4][2]
+                t_J = _certified_start(n, J, 1)
                 a = mpf(t_J) / 2
                 La = log(a)
                 b = bernoulli(2 * J + 2)

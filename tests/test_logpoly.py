@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
 from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
-                               _log_polys, _order_table,
+                               _ROOT_WIDTH, _certified_start, _log_polys,
                                _real_roots, _root_table, bernoulli,
                                bernoulli_mpf, em_order_for, em_start_for,
                                em_tail, em_tail_error, em_tail_shifted,
@@ -30,6 +30,17 @@ def test_bernoulli_cache_order_invariant():
     high = bernoulli(18)
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(18) == high
+
+
+def test_bernoulli_matches_the_recurrence():
+    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, written out in Fractions
+    want = [Fraction(1)]
+    for m in range(1, 2 * EM_ORDER_MAX + 3):
+        want.append(-sum(comb(m + 1, j) * want[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(i) for i in range(len(want))] == want
+    assert bernoulli(1) == Fraction(-1, 2)
+    with pytest.raises(DomainError):
+        bernoulli(-1)
 
 
 def test_diff_of_constant_is_zero():
@@ -349,6 +360,20 @@ def _positive_roots(n, k):
                       if abs(r.imag) < mpf(10) ** -40 and r.real > 0)
 
 
+def test_real_roots_keeps_exact_dyadic_roots():
+    # P(L) = (L + 2)(3L - 1)(2L - 1)(8L - 5)(L - 3): the negative root is
+    # dropped, 1/3 gets a narrow interval and each dyadic root lo = hi
+    P = [1]
+    for c0, c1 in ((2, 1), (-1, 3), (-1, 2), (-5, 8), (-3, 1)):
+        P = [c0 * a + c1 * b for a, b in zip(P + [0], [0] + P)]
+    got = _real_roots(P)
+    assert [r for r in got if r[0] == r[1]] == [(Fraction(q), Fraction(q))
+                                                for q in ("1/2", "5/8", "3")]
+    (lo, hi), = [r for r in got if r[0] != r[1]]
+    assert lo < Fraction(1, 3) < hi and hi - lo <= _ROOT_WIDTH
+    assert len(got) == 4
+
+
 @pytest.mark.parametrize("n,J,d", ROOT_CASES)
 def test_root_intervals_isolate_one_root_each(n, J, d):
     intervals = _real_roots(_log_polys(n, 1)[2 * J + 2 + d])
@@ -378,6 +403,19 @@ def test_root_enclosures_bound_g_across_the_interval(n, J, d):
             assert abs(lg - float(log(g_max))) < 1e-9
 
 
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("J", [4, 7, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_certified_start_is_just_past_the_last_root(n, J, d):
+    # t_J is past every real root of f^(2J+2+d) and f^(2J+4+d), found here
+    # by polyroots, and within the isolating width of the largest in log t
+    t_J = _certified_start(n, J, d)
+    roots = _positive_roots(n, 2 * J + 2 + d) + _positive_roots(n, 2 * J + 4 + d)
+    with workdps(60):
+        assert all(mpf(t_J) > exp(r) for r in roots)
+        assert log(mpf(t_J)) - max(roots) <= 2 * _fraction_mpf(_ROOT_WIDTH) + mpf("1e-9")
+
+
 @pytest.mark.parametrize("n,J,d,a", [(5, 4, 0, "32.2546"), (2, 4, 0, "58.5"),
                                      (8, 4, 0, "169.25"), (6, 7, 0, "40"),
                                      (1, 4, 1, "8"), (3, 5, 1, "32"),
@@ -388,7 +426,7 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     # |f^(2J+2+d)| there, taken by quadrature split at its roots; for d = 0
     # it reads |f^(2J+1)(a)| from the first omitted correction of f's tail
     a = mpf(a)
-    assert a < _order_table(n, d)[J - 4][2]
+    assert a < _certified_start(n, J, d)
     weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
     omitted = em_tail(LogPoly.single(1, n, 1), a, J).abs_err if d == 0 else mpf(0)
     tv = em_tail_error(n, a, J, omitted, d) / weight
@@ -398,7 +436,7 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
         integral = quad(lambda t: abs(h(t)), [a] + cuts + [mpf("inf")])
     assert tv >= integral > 0
     # past t_J the theta-bound is the first omitted correction itself
-    t_J = mpf(_order_table(n, d)[J - 4][2])
+    t_J = mpf(_certified_start(n, J, d))
     assert em_tail_error(n, 2 * t_J, J, mpf("1e-30"), d) == mpf("1e-30")
 
 

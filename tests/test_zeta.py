@@ -8,7 +8,7 @@ import oracles
 from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
                             rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import J_PLAN_MAX, LogPoly, _order_table, bernoulli_mpf
+from stieltjes.logpoly import J_PLAN_MAX, LogPoly, _certified_start, bernoulli_mpf
 from stieltjes.zeta import (hurwitz_em, hurwitz_hasse, zeta_deriv0_const,
                             zeta_deriv0_diff, zeta_prime_int)
 
@@ -250,7 +250,7 @@ class TestDeriv0Diff:
     def test_certified_orders_keep_one_sign(self, k, J):
         # the summand is a second difference of log^(k+1) t, certified through
         # f^(2J+3) and f^(2J+5) of f = log^k t / t, both negative far out
-        t_J = mpf(_order_table(k, 1)[J - 4][2])
+        t_J = mpf(_certified_start(k, J, 1))
         with workdps(80):
             d = LogPoly.single(1, k, 1)
             for _ in range(2 * J + 3):
