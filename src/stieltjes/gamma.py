@@ -381,21 +381,25 @@ def _harmonic_prefix(H: list, n: int) -> mpf:
     return H[n]
 
 
-def _gamma1_bracket(n: int, H: list, inner_tol) -> mpf:
-    """[H_n zeta(n+1) + zeta'(n+1)]/(n+1), the n-th coefficient of the
-    alternating gamma_1 series; H caches the harmonic numbers.
+def _gamma1_bracket(n: int, H: list, inner_tol) -> tuple[mpf, mpf]:
+    """a_n = [H_n zeta(n+1) + zeta'(n+1)]/(n+1), the n-th coefficient of the
+    alternating gamma_1 series, and b_n = [H_n zeta(n+1) - zeta'(n+1)]/(n+1);
+    H caches the harmonic numbers.  zeta'(n+1) < 0, so b_n bounds |a_n|, and
+    b_n does not increase (H_n/(n+1) and zeta(n+1) do not, and |zeta'(n+1)|
+    falls).
 
-    The bracket is positive for every n >= 1; a sign failure would indicate a
-    zeta' defect, so it aborts loudly.
+    The bracket a_n is positive for every n >= 1; a sign failure would
+    indicate a zeta' defect, so it aborts loudly.
     """
     z = hurwitz_em(n + 1, 1, inner_tol)
     zp = zeta_prime_int(n + 1, inner_tol)
-    val = (_harmonic_prefix(H, n) * z.value + zp.value) / (n + 1)
+    hz = _harmonic_prefix(H, n) * z.value
+    val = (hz + zp.value) / (n + 1)
     if not val > 0:
         raise ArithmeticError(
             f"gamma1_alt: bracket H_n zeta + zeta' not positive at n={n}; "
             "this indicates a zeta' defect")
-    return val
+    return val, (hz - zp.value) / (n + 1)
 
 
 def gamma1_alt(tol=None) -> SeriesValue:
@@ -406,7 +410,7 @@ def gamma1_alt(tol=None) -> SeriesValue:
         K = cvz_terms(tol)
         inner_tol = tol / (1000 * K)
         H = [mpf(0)]
-        acc = accelerate_alternating(lambda k: _gamma1_bracket(k + 1, H, inner_tol), K)
+        acc = accelerate_alternating(lambda k: _gamma1_bracket(k + 1, H, inner_tol)[0], K)
         value = -acc.value
         # the combination weights sum to K/sqrt(2); each bracket carries up to
         # (H_K + 2) * inner_tol of claimed error

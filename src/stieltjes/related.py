@@ -188,6 +188,8 @@ def eta(n: int, route: str = "from_gamma", K: int | None = None, tol=None) -> Se
     if route == "series":
         if K is None:
             raise DomainError("eta series route needs a term budget K")
+        if K < 2:
+            raise DomainError(f"eta: series budget K = {K} is below 2")
         if K > ETA_SERIES_MAX_K:
             raise DomainError(f"eta: budget exceeds {ETA_SERIES_MAX_K}")
         return _eta_series(n, K)
@@ -551,13 +553,15 @@ def dilcher_power_series(x, tol=None) -> SeriesValue:
         H = [mpf(0)]
         inner_tol = tol / (1000 * cvz_terms(tol))
         total = mpf(0)
+        a, b = _gamma1_bracket(1, H, inner_tol)
         n = 1
         while True:
-            term = (-1) ** n * _gamma1_bracket(n, H, inner_tol) * x ** (n + 1)
-            total += term
-            # the bracket decays like log n / n, so x^(n+1) rules the tail
-            bound = abs(term) * abs(x) / (1 - abs(x))
-            if abs(term) < tol / 8 and bound < tol / 2:
+            total += (-1) ** n * a * x ** (n + 1)
+            # |a_m| <= b_m <= b_(n+1) for m > n, so the tail is at most
+            # b_(n+1) |x|^(n+2)/(1 - |x|); tol/8 covers the brackets' claims
+            a, b = _gamma1_bracket(n + 1, H, inner_tol)
+            bound = b * abs(x) ** (n + 2) / (1 - abs(x))
+            if bound < tol / 2:
                 return SeriesValue(total, bound + tol / 8 + rounding_floor(total),
                                    n, "power_series")
             if n > 4000:

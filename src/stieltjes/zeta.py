@@ -11,12 +11,12 @@ Two independent routes to zeta(s, x) are provided:
   workhorse and in-package reference.
 
 * hurwitz_hasse: the globally convergent double sum
-      zeta(s,x) = 1/(s-1) sum_n 1/(n+1) sum_k C(n,k) (-1)^k (k+x)^(1-s).
-  The inner alternating sums are forward differences computed by a streamed
-  difference triangle; roundoff grows like 2^n, so the working precision is
-  raised with the term budget.  Convergence is polynomial of order x, which
-  makes small tolerances at small x genuinely unreachable; the routine raises
-  rather than fabricate a bound.
+      zeta(s,x) = 1/(s-1) sum_n 1/(n+1) sum_k C(n,k) (-1)^k (k+x)^(1-s),
+  run past a direct head sum at a start sized from tol.  Its inner sums are
+  forward differences from one streamed difference triangle, whose next
+  diagonal bounds the tail; roundoff grows like 2^n, so the precision is
+  fixed from the term budget, past which the routine raises.  It uses no
+  Bernoulli number, so it stays independent of hurwitz_em.
 
 The derivative differences zeta^(k+1)(0,x) - zeta^(k+1)(0) come from the
 logarithmic series
@@ -39,7 +39,8 @@ from mpmath import exp, floor, log, mp, mpf, pi, workdps
 from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_sub
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
-                   default_tol, rounding_floor, tail_claim, working_dps)
+                   default_tol, rounding_floor, tail_claim, tol_digits,
+                   working_dps)
 from .logpoly import (J_PLAN_MAX, _pow_step, bernoulli_mpf, em_order_for,
                       em_start_for, em_tail_error, em_tail_shifted, log_steps,
                       logpow_antiderivative, pow_step)
@@ -48,8 +49,8 @@ POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
 # order is at most 5
 HURWITZ_EM_S_MIN = -11
-# outer terms hurwitz_hasse spends before it raises ConvergenceError
-HASSE_TERM_CAP = 4000
+# hurwitz_hasse's outer terms per digit of tol (its budget adds 16, and 2 per unit of 1 - s)
+HASSE_TERMS_PER_DIGIT = 4
 
 
 def _validate_x(x) -> mpf:
@@ -110,55 +111,51 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
 
 
 def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
-    """zeta(s, x) by the globally convergent binomial double sum.
+    """zeta(s, x) by the binomial double sum at y = x + m, after a head
+    sum_{k<m} (x+k)^-s with m sized from tol and s.
 
-    Stops once five consecutive outer terms fall below tol/10 and the
-    tail extrapolation (terms decay like n^-(x+1)) is within tol.
+    I_n(t) = sum_k (-1)^k C(n,k) (t+k)^(1-s) keeps one sign for n > 1 - s,
+    so the tail after N outer terms is at most |I_N(y-1)|/(N+1).  Row n of
+    one difference triangle on y - 1 + n ends in I_{n-1}(y), the term, and
+    I_n(y-1), the certificate, each within r_n = 2^n (n+1) u F, F the largest
+    |(y-1+k)^(1-s)|.  The pass stops once tail plus rounding is below
+    |s-1| tol/2, at a budget and precision fixed from tol and s.
     """
     s = mpf(s)
     x = _validate_x(x)
     if abs(s - 1) <= POLE_EXCLUSION:
         raise DomainError("hurwitz_hasse: s within pole exclusion of 1")
     tol = default_tol() if tol is None else mpf(tol)
-    base = working_dps(tol)
-    budget = 64
-    while True:
-        # difference triangle roundoff grows like 2^n
-        with workdps(base + int(0.302 * budget) + 10):
-            result = _hasse_attempt(s, x, tol, budget)
-        if result is not None:
-            return result
-        if budget >= HASSE_TERM_CAP:
-            raise ConvergenceError(
-                f"hurwitz_hasse: tol {tol} unreachable in {HASSE_TERM_CAP} outer terms "
-                "(convergence is polynomial of order x; use hurwitz_em or loosen tol)")
-        budget = min(2 * budget, HASSE_TERM_CAP)
-
-
-def _hasse_attempt(s, x, tol, budget):
-    prev: list[mpf] = []
-    total = mpf(0)
-    consec = 0
-    scale = abs(s - 1)
-    n = 0
-    while n < budget:
-        new = [(n + x) ** (1 - s)]
-        for m in range(1, len(prev) + 1):
-            new.append(prev[m - 1] - new[m - 1])
-        term = new[-1] / (n + 1)
-        total += term
-        tail_est = 2 * abs(term) * max(mpf(n) / x, 1)
-        if abs(term) < scale * tol / 10:
-            consec += 1
-            if consec >= 5 and tail_est <= scale * tol:
-                value = total / (s - 1)
-                return SeriesValue(value, tail_est / scale + rounding_floor(value),
-                                   n + 1, "hasse")
-        else:
-            consec = 0
-        prev = new
-        n += 1
-    return None
+    p, digits = mp.fsub(1, s, exact=True), tol_digits(tol)
+    # the certificate needs N > p, and 1/Gamma(s-1) slows the tail as p
+    # grows: the start and the budget move 2 per unit of p
+    lift = 2 * max(0, int(p))
+    n_max = HASSE_TERMS_PER_DIGIT * digits + 16 + lift
+    m = max(0, int(mp.ceil(mpf(3 * digits + 2) / 2 + lift - x)))
+    # the triangle's rounding grows like 2^n F, and F <= (x + m + n_max)^p
+    pad = int(0.302 * n_max) + 2 + int(max(p, 0) * mp.log10(x + m + n_max))
+    with workdps(working_dps(tol) + pad):
+        head = comp_sum(mp.fadd(x, k, exact=True) ** (-s) for k in range(m))
+        u = mpf(2) ** (1 - mp.prec)
+        prev, terms, F = [], [], mpf(0)
+        for n in range(n_max + 1):
+            row = [mp.fadd(x, m - 1 + n, exact=True) ** p]
+            for j in range(n):
+                row.append(prev[j] - row[j])
+            F = max(F, abs(row[0]))
+            if n:
+                terms.append(row[-2] / n)
+            if n > max(p, 0):
+                r = 2 ** n * (n + 1) * u * F
+                tail = (abs(row[-1]) + r) / (n + 1) + 2 * r
+                if tail < abs(p) * tol / 2:
+                    hasse = comp_sum(terms) / (s - 1)
+                    return SeriesValue(head + hasse,
+                                       tail / abs(p) + rounding_floor(abs(head) + abs(hasse)),
+                                       m + n + 1, "hasse")
+            prev = row
+    raise ConvergenceError(
+        f"hurwitz_hasse: tol {tol} not certified in {n_max} outer terms")
 
 
 def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:

@@ -1,6 +1,7 @@
 """Claim audit of the Euler-Maclaurin routes whose order rises with the
 digits asked for: log_gamma, digamma, dilcher_log_gamma_k, hurwitz_em and
-zeta_prime_int.
+zeta_prime_int; of hurwitz_hasse, whose start shift and term budget grow
+with them; and of dilcher_power_series inside the unit disc.
 
 Every claim must bound the true error, taken against mpmath at 40 more
 digits than the route works at, and meet the tolerance.  The grids reach
@@ -9,11 +10,11 @@ the first rung of each ladder (at 1e-12) and the far end of the order plan
 """
 
 import pytest
-from mpmath import loggamma, mpf, psi, workdps, zeta
+from mpmath import loggamma, mpf, psi, stieltjes, workdps, zeta
 
 from stieltjes.core import working_dps
-from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
-from stieltjes.zeta import hurwitz_em, zeta_prime_int
+from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, log_gamma
+from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_prime_int
 
 TOLS = ("1e-12", "1e-30", "1e-50")
 XS = ("0.05", "0.7", "1.37", "3.3", "7.9", "40.5")
@@ -51,12 +52,28 @@ def test_dilcher_log_gamma_k_claims(k, x, tol):
            lambda: (-1) ** k * (zeta(0, x + 1, k + 1) - zeta(0, 1, k + 1)) / (k + 1))
 
 
+@pytest.mark.parametrize("x", ("-0.9", "-0.5", "0.1", "0.5", "0.9"))
+def test_dilcher_power_series_claims(x):
+    # log Gamma_1(x+1) + gamma_1 x = -[zeta''(0, x+1) - zeta''(0)]/2 + gamma_1 x
+    x, tol = mpf(x), mpf("1e-12")
+    _audit(dilcher_power_series(x, tol), tol,
+           lambda: -(zeta(0, x + 1, 2) - zeta(0, 1, 2)) / 2 + stieltjes(1) * x)
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("x", ("0.05", "1.37", "8"))
 @pytest.mark.parametrize("s", ("-10.5", "-2.5", "0.5", "1.5", "4.5", "10"))
 def test_hurwitz_em_claims(s, x, tol):
     s, x, tol = mpf(s), mpf(x), mpf(tol)
     _audit(hurwitz_em(s, x, tol), tol, lambda: zeta(s, x))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("x", XS[:5])
+@pytest.mark.parametrize("s", ("-2.5", "-0.5", "0.5", "1.5", "2", "4.5"))
+def test_hurwitz_hasse_claims(s, x, tol):
+    s, x, tol = mpf(s), mpf(x), mpf(tol)
+    _audit(hurwitz_hasse(s, x, tol), tol, lambda: zeta(s, x))
 
 
 @pytest.mark.parametrize("tol", TOLS)

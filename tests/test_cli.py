@@ -80,6 +80,13 @@ def test_delta_zero_terms_is_not_the_default_budget(capsys):
     assert "N >= 10" in err and out == ""
 
 
+def test_eta_series_zero_terms_names_its_budget(capsys):
+    code, out, err = run_cli(capsys, "compute", "eta", "--n", "0",
+                             "--method", "series", "--terms", "0")
+    assert code == 2
+    assert "K = 0 is below 2" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("gamma", "--n", "1", "--x", "1"),
     ("eta", "--n", "1"),

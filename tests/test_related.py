@@ -110,6 +110,11 @@ class TestEta:
         with pytest.raises(DomainError):
             eta(0, "series")
 
+    @pytest.mark.parametrize("K", (0, 1, -3))
+    def test_series_route_names_a_budget_below_two(self, K):
+        with pytest.raises(DomainError, match=f"K = {K} is below 2"):
+            eta(0, "series", K=K)
+
     def test_mangoldt_gap_trend_small_scale(self, gamma_ref):
         sums = mangoldt_gap_sums(0, [10**3, 10**4, 10**5])
         gaps = [sums[k] + 2 * gamma_ref for k in (10**3, 10**4, 10**5)]
