@@ -33,10 +33,11 @@ infinite or nan value or abs_err is written and read back as inf, -inf or
 nan.  Write both samples with the same version of this script.
 
 --audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
-dilcher_log_gamma_k, hurwitz_em and zeta_prime_int entry against mpmath at
-80 digits, taken at the entry's binary arguments: stieltjes for gamma_n and
-gamma_diff, loggamma, psi(0, x), (-1)^k [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]
-/(k+1) from zeta(0, x+1, k+1), zeta(s, x) and zeta(s, 1, 1).  It prints each
+dilcher_log_gamma_k, hurwitz_em, zeta_prime_int and delta entry against
+mpmath at 80 digits, taken at the entry's binary arguments: stieltjes for
+gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k [zeta^(k+1)(0, x+1) -
+zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1), zeta(s, x), zeta(s, 1, 1) and
+(-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n).  It prints each
 entry whose gap |value - ref| exceeds its abs_err with the ratio gap/claim,
 then the worst ratio of each function, and exits with status 1 when any
 ratio is above 1.  A comparison of two checkouts cannot show a claim that was
@@ -50,6 +51,7 @@ import json
 import os
 import sys
 import tempfile
+from math import factorial
 
 from mpmath import loggamma, mp, mpf, psi, stieltjes, workdps, workprec, zeta
 from mpmath.libmp import from_man_exp
@@ -206,12 +208,21 @@ def _zeta_entries():
         yield f"eta({n},from_gamma,1e-12)", _record(eta(n, tol=mpf("1e-12")))
     for n in (0, 1, 2):
         yield f"eta({n},series,K=1000)", _record(eta(n, "series", K=1000))
+    for key, sv, _ in _delta_values():
+        yield key, _record(sv)
+
+
+def _delta_values():
+    """(key, SeriesValue, reference) for the delta entries, reference being
+    (-1)^n [zeta^(n)(0) + n!] from mpmath at the caller's precision."""
     for dps in (15, 34, 50):
         mp.dps = dps
         for n in range(3):
-            yield f"delta({n})@{dps}", _record(delta(n))
+            def ref(n=n):
+                return (-1) ** n * (zeta(0, 1, n) + factorial(n))
+            yield f"delta({n})@{dps}", delta(n), ref
             for N in DELTA_NS:
-                yield f"delta({n},{N})@{dps}", _record(delta(n, N))
+                yield f"delta({n},{N})@{dps}", delta(n, N), ref
 
 
 def _verify_entries():
@@ -250,6 +261,7 @@ def _audited():
     for key, sv, n, args in _gamma_values():
         yield key, sv, lambda n=n, args=args: gamma_ref(n, args)
     yield from _route_values()
+    yield from _delta_values()
 
 
 def audit() -> int:

@@ -60,9 +60,8 @@ def rounding_floor(value) -> mpf:
 
 def tail_claim(err, value) -> mpf:
     """Claimed bound for a value whose Euler-Maclaurin remainder is bounded
-    by ``err``: every caller but delta passes a certified remainder bound,
-    and delta its first omitted correction, an estimate.  err is padded by
-    a quarter, then the rounding floor is added."""
+    by ``err``, a certified remainder bound in every caller: err is padded
+    by a quarter, then the rounding floor is added."""
     return 5 * err / 4 + rounding_floor(value)
 
 

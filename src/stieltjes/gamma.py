@@ -24,9 +24,9 @@ the first summand.  Both orders come from one running sum of t^m/m!
 (_incgamma_pair).
 
 All four lattice sums (the three routes and gamma_diff) take their
-partial-sum length K and Euler-Maclaurin order J from _lattice_plan: J rises
-above 4 with the digits asked for, and every tail's abs_err is the
-certified remainder bound logpoly.em_tail_error, at every K and J.
+partial-sum length K and Euler-Maclaurin order J from _lattice_plan: at each
+rung, logpoly.em_tail raises J from 4 with the digits asked for, and every
+tail's abs_err is em_tail's certified remainder bound, at every K and J.
 Every log-power difference is logpoly.pow_step, and series_c reads its
 x-free steps from logpoly.log_steps, the table zeta_deriv0_diff shares.
 
@@ -55,8 +55,8 @@ from mpmath.libmp import (fhalf, fone, from_int, mpf_add, mpf_div, mpf_exp,
 from .core import (DomainError, SeriesValue, accelerate_alternating,
                    comp_sum, cvz_terms, default_tol, rounding_floor, tail_claim,
                    working_dps)
-from .logpoly import (LogPoly, _f_at, _pow_step, em_order_for, em_start_for,
-                      em_tail, em_tail_error, log_steps, pow_step)
+from .logpoly import (LogPoly, _f_at, _pow_step, em_start_for, em_tail,
+                      log_steps, pow_step)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -117,28 +117,17 @@ def gamma_n(n: int, x, method: str = "series_b", tol=None) -> SeriesValue:
 
 def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     """(K, tail) for the lattice sum of f = log^n t / t from K + x: the first
-    rung K of em_start_for's ladder whose tail is certified below tol/4, and
-    that rung's tail, taken at the order em_order_for picks there.  A rung
-    where no order is estimated below tol/4 fails without a tail."""
+    rung K of em_start_for's ladder whose em_tail, its order raised at most
+    to J_PLAN_MAX, is certified below tol/4, and that rung's tail."""
+    f = LogPoly.single(1, n, 1)
     bound = tol / 4
 
     def probe(K):
-        J = em_order_for(n, K + x, bound)
-        if J is None:
-            return None, mp.inf
-        tail = _lattice_tail(n, K + x, J)
+        tail = em_tail(f, K + x, 4, bound)
         return tail, tail.abs_err
 
     K, tail, _ = em_start_for(probe, bound, start)
     return K, tail
-
-
-def _lattice_tail(n: int, a, J: int) -> SeriesValue:
-    """em_tail of f = log^n t / t at a and order J, its abs_err the
-    certified remainder bound em_tail_error."""
-    tail = em_tail(LogPoly.single(1, n, 1), a, J)
-    return SeriesValue(tail.value, em_tail_error(n, a, J, tail.abs_err), J,
-                       tail.method)
 
 
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
@@ -289,7 +278,7 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
         partial = comp_sum(_diff_terms(n, x, y, K, *mp._prec_rounding))
-        other = _lattice_tail(n, K + max(x, y), tail.terms_used)
+        other = em_tail(LogPoly.single(1, n, 1), K + max(x, y), tail.terms_used)
         tx, ty = (tail, other) if x < y else (other, tail)
         boundary = -pow_step(log(K + y), K + y, K + x, q) / q
         value = partial + tx.value - ty.value + boundary

@@ -28,26 +28,30 @@ P_k(log t)/t^(p+k), independent of the precision.  The correction loop
 em_tail_shifted evaluates each order from it by Horner's rule, from one
 logarithm per shifted point.
 
-Every lattice route but delta raises the order J with the digits asked
-for, from 4 to at most J_PLAN_MAX, and claims a certified remainder at
-every order and start:
+Every lattice route plans its order in one loop, em_tail_shifted's: given a
+bound, J rises from 4, at most to J_PLAN_MAX, while the claimed remainder is
+not below it, so a rung passes or fails on the certified claim itself.  That
+claim is certified at every order and start:
 
 - digamma and log_gamma: their summands are completely monotone, or the
   negative of one, so the first omitted correction bounds the remainder
-  (the theta-bound of em_tail_error).  em_tail_shifted, given a bound,
-  raises J until that correction is below it.
-- the gamma_n series and gamma_diff (d = 0), and the second divided
-  differences of zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's
-  g-series (d = 1): em_order_for picks J and em_tail_error certifies it,
-  by the theta-bound past the certified start t_J and below it from the
-  total variation of f^(2J+1+d).  Both read the real roots of the integer
-  polynomials P_k in log t of f^(k), isolated once per (n, k) by _isolated:
-  t_J (_certified_start) is past the last root of f^(2J+2+d) and
-  f^(2J+4+d), and the extrema of f^(2J+1+d) are the roots of f^(2J+2+d)
-  (_root_table).
+  (the theta-bound of em_tail_error), and they pass no certificate key.
+- the gamma_n series and gamma_diff (through em_tail, d = 0), the second
+  divided differences of zeta_deriv0_diff, dilcher_log_gamma_k and the
+  verifier's g-series (d = 1), and delta's log^n t at its fixed order
+  (d = -1): they pass em_tail_error's key (n, a, d, scale), which certifies
+  the remainder by the theta-bound past the certified start t_J and below
+  it from the total variation of f^(2J+1+d), f = log^n t / t.  Both read
+  the real roots of the integer polynomials P_k in log t of f^(k),
+  isolated once per (n, k) by _isolated: t_J (_certified_start) is past
+  the last root of f^(2J+2+d) and f^(2J+4+d), and the extrema of
+  f^(2J+1+d) are the roots of f^(2J+2+d) (_root_table).
 - hurwitz_em and zeta_prime_int, whose summands t^-s and log t / t^s are
   not log-polynomials, state the same two certificates in closed form in
-  zeta.py.
+  zeta.py and run their own order loops over them.
+
+The Bernoulli weights B_2j/(2j)! of every correction and certificate come
+from one per-precision table, em_weights.
 
 The lattice routes' differences log^q b - log^q a of nearby points are all
 pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
@@ -163,35 +167,6 @@ class LogPoly:
         return "LogPoly(" + " + ".join(bits) + ")"
 
 
-class LogPoint:
-    """A point u with log u taken once; the powers of u and log u that the
-    terms ask for are kept, so several terms are evaluated from them."""
-
-    __slots__ = ("u", "lu", "upow", "lpow")
-
-    def __init__(self, u):
-        self.u = u
-        self.lu = log(u)
-        self.upow: dict[int, mpf] = {}
-        self.lpow: dict[int, mpf] = {}
-
-    def _upow(self, p: int) -> mpf:
-        up = self.upow.get(p)
-        if up is None:
-            up = self.upow[p] = self.u ** p
-        return up
-
-    def eval(self, poly: LogPoly) -> mpf:
-        """poly(u), with the bits of LogPoly.__call__."""
-        total = mpf(0)
-        for (m, p), c in poly.terms.items():
-            lm = self.lpow.get(m)
-            if lm is None:
-                lm = self.lpow[m] = self.lu ** m
-            total += c * lm / self._upow(p)
-        return total
-
-
 def logpow_antiderivative(q: int, u) -> mpf:
     """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
     u = mpf(u)
@@ -251,26 +226,6 @@ def log_steps(q: int, K: int) -> tuple[list, list]:
     return logs, steps
 
 
-def logpoly_integral_to_inf(f: LogPoly, a) -> mpf:
-    """int_a^inf f(t) dt for a LogPoly whose terms all have inv_power >= 2.
-
-    Per term: int_a^inf log^m t / t^p dt
-        = m!/(p-1)^(m+1) * a^(1-p) * sum_{j<=m} ((p-1) log a)^j / j!
-    """
-    a = mpf(a)
-    la = log(a)
-    total = mpf(0)
-    for (m, p), c in f.terms.items():
-        if p < 2:
-            raise DomainError("integral_to_inf: needs inv_power >= 2 on every term")
-        y = (p - 1) * la
-        inner = mpf(0)
-        for j in range(m + 1):
-            inner += y ** j / factorial(j)
-        total += c * mpf(factorial(m)) / (p - 1) ** (m + 1) * a ** (1 - p) * inner
-    return total
-
-
 K_CAP = 10 ** 6
 # Largest correction order em_tail accepts: well past the orders any series
 # route plans (J_PLAN_MAX), while B_2J+2 from a cold cache stays a few
@@ -278,14 +233,16 @@ K_CAP = 10 ** 6
 EM_ORDER_MAX = 32
 
 
-def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
+def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
-    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); abs_err is the
-    magnitude of the first omitted correction, an estimate that is a bound
-    only where f^(2J+2) and f^(2J+4) keep one sign from start on
-    (em_tail_error certifies the tail of f = log^n t / t at every start);
-    terms_used is J.  start may be any real >= 2 (unit-step lattice starting
+    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
+    J.  With a bound, J is the least order and rises as in em_tail_shifted.
+    For f = c log^n t / t, the shape every series route sums, abs_err is the
+    certified remainder bound em_tail_error at every start and order.  For
+    any other f it is the magnitude of the first omitted correction, an
+    estimate that is a bound only where f^(2J+2) and f^(2J+4) keep one sign
+    from start on.  start may be any real >= 2 (unit-step lattice starting
     there); every term of f must have inv_power >= 1 or the paired tail
     diverges.
     """
@@ -295,30 +252,51 @@ def em_tail(f: LogPoly, start, J: int = 4) -> SeriesValue:
         raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
     if J > EM_ORDER_MAX:
         raise DomainError(f"em_tail: correction order J must be <= {EM_ORDER_MAX}")
-    if mpf(start) < 2:
+    start = mpf(start)
+    if start < 2:
         raise DomainError("em_tail: start must be >= 2")
     parts = [(c, 0, m, p) for (m, p), c in f.terms.items()]
-    value, err = em_tail_shifted(parts, f(start), 0, start, J)
+    (n, p), c = next(iter(f.terms.items()))
+    key = (n, start, 0, abs(c)) if len(parts) == 1 and p == 1 else None
+    value, err, J = em_tail_shifted(parts, f(start), 0, start, J, bound, key)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
-def em_tail_shifted(v, v_at_start, integral, start, J: int = 4,
-                    bound=None) -> tuple[mpf, mpf]:
+# j -> B_2j/(2j)!: one list per working precision, indexed by j >= 1
+_EM_WEIGHTS = PrecTable()
+
+
+def em_weights(J: int) -> list:
+    """B_2j/(2j)! for 1 <= j <= J (index 0 is unused), kept per working
+    precision: the weights of every Euler-Maclaurin correction and
+    certificate."""
+    weights = _EM_WEIGHTS.at_prec().setdefault(0, [None])
+    for j in range(len(weights), J + 1):
+        weights.append(bernoulli_mpf(2 * j) / factorial(2 * j))
+    return weights
+
+
+def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
+                    key=None) -> tuple[mpf, mpf, int]:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
     v(t) = sum c log^m(t + shift) / (t + shift)^p, where the caller supplies
     v(start) and the closed-form int_start^inf v(t) dt.
 
-    Returns (value, err): the integral plus v(start)/2 minus the Bernoulli
-    corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, and the magnitude
-    of the first omitted one.  Each distinct point u = start + shift takes
+    Returns (value, err, J): the integral plus v(start)/2 minus the
+    Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, the
+    claimed remainder, and J.  Each distinct point u = start + shift takes
     its logarithm once; every order i of a part is then c P_i(log u)/u^(p+i),
     one Horner's rule over the integer row P_i of _log_polys(m, p).
 
+    The claim is em_tail_error(n, a, J, |omitted|, d, scale) for a summand
+    with the certificate key (n, a, d, scale) described there, and with no
+    key the magnitude of the first omitted correction: the theta-bound of a
+    completely monotone summand (or the negative of one) at every start and
+    order.
+
     With a bound, J is the least order and the order rises from it, at most
-    to J_PLAN_MAX, until the first omitted correction is below bound: the
-    order plan of a completely monotone summand (or the negative of one),
-    whose first omitted correction bounds the remainder at every start and
-    order (em_tail_error).  The value has the bits of a call at the order
+    to J_PLAN_MAX, while the claim is not below bound: the one order plan of
+    every lattice route.  The value has the bits of a call at the order
     reached.
     """
     prec, rnd = mp._prec_rounding
@@ -333,6 +311,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4,
             u = (start + sh)._mpf_
             point = points[sh] = (u, mpf_log(u, prec, rnd), {})
         terms.append((mpf(c)._mpf_, point, _log_polys(m, p), p))
+    weights = em_weights(max(J, J_PLAN_MAX) + 1)
 
     def at(i):  # v^(i)(start)
         total = fzero
@@ -345,18 +324,30 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4,
         return mp.make_mpf(total)
 
     def correction(j):
-        return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
+        return weights[j] * at(2 * j - 1)
+
+    if key is None:
+        def claim(J, omitted):
+            return abs(omitted)
+    else:
+        n, a, d, scale = key
+        log_a = log(a)
+
+        def claim(J, omitted):
+            return em_tail_error(n, a, J, abs(omitted), d, scale, log_a)
 
     value = mpf(integral) + mpf(v_at_start) / 2
     for j in range(1, J + 1):
         value -= correction(j)
     omitted = correction(J + 1)
+    err = claim(J, omitted)
     if bound is not None:
-        while not abs(omitted) < bound and J < J_PLAN_MAX:
+        while not err < bound and J < J_PLAN_MAX:
             value -= omitted
             J += 1
             omitted = correction(J + 1)
-    return value, abs(omitted)
+            err = claim(J, omitted)
+    return value, err, J
 
 
 def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
@@ -378,59 +369,32 @@ def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
         K *= factor
 
 
-# Largest Euler-Maclaurin order em_order_for picks.  J = 13 is the smallest
-# order that takes a 50-digit gamma_1 to the second rung (K = 128).  The cap
-# also sets where the term budget ends: past about 1e-175 no rung up to K_CAP
-# reaches tol/4 and the gamma routes raise ConvergenceError (about 1e-65 at
-# J = 4 alone).
+# Largest order em_tail_shifted's order loop reaches.  J = 13 is the
+# smallest order that takes a 50-digit gamma_1 to the second rung (K = 128).
+# The cap also sets where the term budget ends: past about 1e-175 no rung up
+# to K_CAP reaches tol/4 and the gamma routes raise ConvergenceError (about
+# 1e-65 at J = 4 alone).
 J_PLAN_MAX = 13
 # the isolating interval of each root is refined to this width in log t
 _ROOT_WIDTH = Fraction(1, 2 ** 16)
 
 
-def em_order_for(n: int, a, bound, d: int = 0) -> int | None:
-    """Smallest order J in 4..J_PLAN_MAX whose certified remainder bound
-    at a (em_tail_error) is estimated in floats below bound; None when no
-    order is.
-
-    The summand v has v^(m) close to f^(m+d) for f = log^n t / t near a,
-    up to a factor scale the caller takes out of bound.  d = 0 is the
-    lattice sum of f.  d = 1 is a second divided difference of g with
-    g' = f, such as v(t) = g(t+x) + (x-1) g(t) - x g(t+1) = x(x-1)
-    g[t, t+1, t+x]: v^(m)(t) is then scale times a weighted mean of f^(m+1)
-    over a window [t + c, t + c'] with a nonnegative weight (scale
-    |x(x-1)|/2 there), and a is where the first window, at t = K, starts.
-    So int_K^inf |v^(2J+2)| is at most scale times int_a^inf |f^(2J+3)|, the
-    total variation of f^(2J+2) on [a, inf).  The estimate only picks J;
-    em_start_for tests the tail's own error.
-    """
-    L = float(log(a))
-    lb = float(log(bound))
-    for J, (lw, coeffs) in enumerate(_order_table(n, d), 4):
-        q = abs(sum(c * L ** m for m, c in enumerate(coeffs)))
-        logs = [math.log(q) - (2 * J + 2 + d) * L] if q else []
-        if a < _certified_start(n, J, d):
-            # 2 (|g(a)| + 2 sum |g(r)|), g = f^(2J+1+d), over (2J+1)!
-            logs = [math.log(2) + lg for lg in logs]
-            logs += [math.log(4) + lg - math.lgamma(2 * J + 2)
-                     for hi, _, lg in _root_table(n, J, d) if hi >= L]
-        if not logs or lw + _log_sum(logs) < lb:
-            return J
-    return None
-
-
-def _log_sum(logs: list[float]) -> float:
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
-
-
-def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
+def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1,
+                  log_a=None) -> mpf:
     """Certified bound on the remainder of the order-J Euler-Maclaurin tail
-    of a summand v whose first omitted correction is omitted, for the
-    summands of em_order_for (f = log^n t / t; d and scale as there).  For
-    d = 0, v = scale f and the tail starts at a; for d = 1, v^(m)(t) is
-    scale times a weighted mean of f^(m+1) over a window that starts at or
-    past a.
+    of a summand v whose first omitted correction has magnitude omitted.
+    (n, a, d, scale) is v's certificate key, for f = log^n t / t:
+
+    - d = 0: v = scale f, and the tail starts at a.
+    - d = 1: v is a second divided difference of g with g' = f, such as
+      v(t) = g(t+x) + (x-1) g(t) - x g(t+1) = x(x-1) g[t, t+1, t+x].  Its
+      m-th derivative is scale times a weighted mean of f^(m+1) over a
+      window [t + c, t + c'] with a nonnegative weight (scale |x(x-1)|/2
+      there), and a is where the first window, at the tail's start, begins.
+    - d = -1: v' = scale f, as delta's log^(n+1) t, scale n + 1, and the
+      tail starts at a.
+
+    So v^(m) is scale times f^(m+d), or a mean of it, on [a, inf).
 
     Where a >= t_J, f^(2J+2+d) and f^(2J+4+d) keep one sign on [a, inf), so
     do v^(2J+2) and v^(2J+4), and the remainder is theta times the first
@@ -442,19 +406,19 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
     most scale times the total variation of g = f^(2J+1+d) on [a, inf).  g
     is monotone between the roots of f^(2J+2+d), so that variation is at
     most |g(a)| + 2 sum |g(r)| over those roots r >= a, each |g(r)| taken
-    from _root_table's enclosure.  For d = 0, scale |B_2J+2|/(2J+2)! |g(a)|
-    is omitted itself, so |g(a)| is not evaluated again.
+    from _root_table's enclosure.  For d <= 0, scale |B_2J+2|/(2J+2)! |g(a)|
+    is omitted itself, so |g(a)| is not evaluated again.  log_a, when given,
+    is log a: the order loop takes it once per start.
     """
     if a >= _certified_start(n, J, d):
         return omitted
-    La = log(a)
-    b = bernoulli(2 * J + 2)
-    weight = mpf(2 * abs(b.numerator)) / (b.denominator * factorial(2 * J + 2))
+    La = log(a) if log_a is None else log_a
+    weight = 2 * abs(em_weights(J + 1)[J + 1])
     # float(La) is within half an ulp of log a, and each hi was rounded up
     # past its root by at least that much, so no root r >= a is missed
     L = float(La)
-    roots = 2 * sum(g for hi, g, _ in _root_table(n, J, d) if hi >= L)
-    if d == 0:
+    roots = 2 * sum(g for hi, g in _root_table(n, J, d) if hi >= L)
+    if d <= 0:
         return 2 * omitted + scale * weight * roots
     g_a = mp.make_mpf(_horner(_log_polys(n, 1)[2 * J + 1 + d], La._mpf_,
                               *mp._prec_rounding))
@@ -463,13 +427,14 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1) -> mpf:
 
 @lru_cache(maxsize=None)
 def _log_polys(m: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """P_k for k = 0..2 EM_ORDER_MAX + 1, integer coefficients low degree
+    """P_k for k = 0..2 EM_ORDER_MAX + 4, integer coefficients low degree
     first, with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
-    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Independent of
-    the precision."""
+    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Row 2J + 4 is
+    the last em_tail_error reads at em_tail's largest order J.  Independent
+    of the precision."""
     P = (0,) * m + (1,)
     rows = [P]
-    for k in range(p, p + 2 * EM_ORDER_MAX + 1):
+    for k in range(p, p + 2 * EM_ORDER_MAX + 4):
         P = tuple((j + 1) * P[j + 1] - k * P[j] for j in range(m)) + (-k * P[m],)
         rows.append(P)
     return tuple(rows)
@@ -482,23 +447,6 @@ def _horner(P, L, prec: int, rnd) -> tuple:
     for c in reversed(P):
         s = mpf_add(mpf_mul(s, L, prec, rnd), from_int(c), prec, rnd)
     return s
-
-
-@lru_cache(maxsize=None)
-def _order_table(n: int, d: int = 0) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    """For J = 4..J_PLAN_MAX: log(|B_2J+2|/(2J+2)) and the coefficients of
-    P/(2J+1)! where f^(2J+1+d)(t) = P(log t)/t^(2J+2+d).
-
-    The estimated first omitted correction at a is
-    exp(lw) |P(log a)/(2J+1)!| a^-(2J+2+d).
-    """
-    polys = _log_polys(n, 1)
-    table = []
-    for J in range(4, J_PLAN_MAX + 1):
-        b = bernoulli(2 * J + 2)
-        lw = math.log(abs(b.numerator)) - math.log(b.denominator) - math.log(2 * J + 2)
-        table.append((lw, tuple(c / factorial(2 * J + 1) for c in polys[2 * J + 1 + d])))
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -525,8 +473,8 @@ def _certified_start(n: int, J: int, d: int = 0) -> float:
 
 
 @lru_cache(maxsize=None)
-def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf, float], ...]:
-    """One entry (hi, g_max, log g_max) per real root r > 1 of f^(2J+2+d),
+def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf], ...]:
+    """One entry (hi, g_max) per real root r > 1 of f^(2J+2+d),
     f = log^n t / t: log r <= hi, and g_max >= |f^(2J+1+d)| on the root's
     isolating interval [lo, hi] of log t.
 
@@ -547,10 +495,8 @@ def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf, float], .
                         for j, q in enumerate(_taylor_shift(Q, lo)))
             enc = (iv.mpf(q_max.numerator) / q_max.denominator
                    * iv.exp(-p * iv.mpf(lo.numerator) / lo.denominator))
-            g_max = mp.make_mpf(enc._mpi_[1])
-            _, man, exp2, _ = g_max._mpf_
-            table.append((math.nextafter(float(hi), math.inf), g_max,
-                          math.log(man) + exp2 * math.log(2)))
+            table.append((math.nextafter(float(hi), math.inf),
+                          mp.make_mpf(enc._mpi_[1])))
         return tuple(table)
     finally:
         iv.prec = saved

@@ -35,9 +35,8 @@ from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub
 from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
                    rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_order_for,
-                      em_start_for, em_tail, em_tail_error, em_tail_shifted,
-                      logpow_antiderivative, pow_step)
+from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_start_for, em_tail,
+                      em_tail_shifted, logpow_antiderivative, pow_step)
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -239,12 +238,12 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     sum_{k<=N} log^n k / k, is a head of direct terms below a, plus the
     Euler-Maclaurin tails of f = log^n t / t at a and at N + 1, plus the
     closed-form int_a^(N+1) f = [log^(n+1)(N+1) - log^(n+1) a]/(n+1).
-    a is the first rung of 16 * 4^i at which an order J <= J_PLAN_MAX
-    estimates the tail below 2^-prec (prec: the working bits), or the first
-    past the last checkpoint, where every sum is direct.  The same J serves
-    at N + 1 > a, whose remainder integral is part of a's.  No gamma_n
-    value enters, so these sums stay an independent check on the eta and
-    gamma routes.
+    a is the first rung of 16 * 4^i at which em_tail, its order raised at
+    most to J_PLAN_MAX, certifies the tail below 2^-prec (prec: the working
+    bits), or the first past the last checkpoint, where every sum is direct.
+    The same J serves at N + 1 > a, whose remainder integral is part of
+    a's.  No gamma_n value enters, so these sums stay an independent check
+    on the eta and gamma routes.
     """
     pending = sorted(set(int(c) for c in checkpoints))
     if not pending:
@@ -263,12 +262,15 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         f = LogPoly.single(1, n, 1)
         bound = mpf(2) ** -mp.prec
         a = 16
-        while a <= pending[-1] and (J := em_order_for(n, a, bound)) is None:
+        while a <= pending[-1]:
+            tail = em_tail(f, a, 4, bound)
+            if tail.abs_err < bound:
+                break
             a *= 4
         terms = [f(k) for k in range(1, min(a, pending[-1] + 1))]
         if a <= pending[-1]:
-            la = log(a)
-            head = comp_sum(chain(terms, [em_tail(f, a, J).value]))
+            la, J = log(a), tail.terms_used
+            head = comp_sum(chain(terms, [tail.value]))
         for N, lam_N in zip(pending, lam):
             if N < a:
                 harmonic = comp_sum(terms[:N])
@@ -341,7 +343,9 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
     evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2.
 
     The partial sum S_n(N) comes from exact integer products and prime
-    powers (_log_power_sum), not from N logarithms.
+    powers (_log_power_sum), not from N logarithms.  The endpoint
+    corrections run at the fixed order DELTA_EM_ORDER, and their claim is
+    the certified remainder of em_tail_error.
     """
     if not 0 <= n <= 2:
         raise DomainError("delta: order must be 0, 1 or 2")
@@ -356,7 +360,9 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         partial = _log_power_sum(n, N)
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
-        correction, err = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, DELTA_EM_ORDER)
+        # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
+        correction, err, _ = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, DELTA_EM_ORDER,
+                                             key=(n - 1, N, -1, n))
         value += correction
         # the partial sum and the integral are each about N log^n N, and
         # their terms' rounding, not the value's, sets the floor
@@ -391,7 +397,7 @@ def digamma(x, tol=None) -> SeriesValue:
         def probe(K):
             integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
                         - logpow_antiderivative(1, K + x))
-            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)
+            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)[:2]
 
         K, tail, err = em_start_for(probe, tol / 4, 16)
         partial = comp_sum(h(k) for k in range(1, K))
@@ -422,7 +428,7 @@ def log_gamma(x, tol=None) -> SeriesValue:
             integral = (logpow_antiderivative(1, K + x)
                         - (1 - x) * logpow_antiderivative(1, mpf(K))
                         - x * logpow_antiderivative(1, mpf(K + 1)))
-            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)
+            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)[:2]
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(h(k) for k in range(1, K))
@@ -479,9 +485,9 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     With g = log^(k+1) t/(k+1), g' = f_k = log^k t / t, the summand is
     -(g(t+x) - g(t) - x g'(t)) = -x^2 g[t, t, t+x], so its m-th derivative
     is -x^2/2 times a weighted mean of f_k^(m+1) over [t + min(0, x),
-    t + max(0, x)].  em_order_for picks the order at each rung, and
-    em_tail_error with d = 1 and scale x^2/2 certifies the remainder from
-    the window's left end a = K + min(0, x).
+    t + max(0, x)].  em_tail_shifted's order loop raises the order at each
+    rung, and em_tail_error's key d = 1 and scale x^2/2 certifies the
+    remainder from the window's left end a = K + min(0, x).
     """
     if not 0 <= k <= 4:
         raise DomainError("dilcher_log_gamma_k: order must be 0..4")
@@ -501,16 +507,13 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         scale = x * x / 2
 
         def probe(K):
-            a = K + min(0, x)
-            J = em_order_for(k, a, tol / 4 / scale, 1)
-            if J is None:
-                return None, mp.inf
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
             h_K = mp.make_mpf(_dilcher_summand(k, x, K, prec, rnd))
-            tail, omitted = em_tail_shifted(h_parts, h_K, integral, K, J)
-            return tail, em_tail_error(k, a, J, omitted, 1, scale)
+            tail, err, _ = em_tail_shifted(h_parts, h_K, integral, K, 4, tol / 4,
+                                           (k, K + min(0, x), 1, scale))
+            return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
         partial = comp_sum(_dilcher_summand(k, x, j, prec, rnd) for j in range(1, K))

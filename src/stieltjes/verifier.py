@@ -25,8 +25,8 @@ from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
 from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoly, _pow_step, em_order_for, em_start_for, em_tail,
-                      em_tail_error, em_tail_shifted, logpow_antiderivative)
+from .logpoly import (LogPoly, _pow_step, em_start_for, em_tail, em_tail_shifted,
+                      logpow_antiderivative)
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, log_gamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -250,8 +250,8 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     With G = log^q, the summand is G(t+x) - G(t+1) - (x-1) G'(t+1) =
     (x-1)^2 G[t+1, t+1, t+x], so its m-th derivative is q (x-1)^2/2 times a
     weighted mean of f^(m+1), f = log^(q-1) t / t, over [t + min(1, x),
-    t + max(1, x)]: the order plan and certified remainder of
-    em_order_for and em_tail_error with d = 1.  The ladder starts at 64
+    t + max(1, x)]: em_tail_shifted's order loop on the certified remainder
+    of em_tail_error's key d = 1.  The ladder starts at 64
     terms, so a 1e-12 check stays as sharp as the values it compares.  The
     remainder is certified, so the claim adds only the rounding floor of
     the partial sum and the tail, each term taken by pow_step without
@@ -262,17 +262,13 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     prec, rnd = mp._prec_rounding
 
     def probe(K):
-        a = K + min(1, x)
-        # at x = 1 the summand vanishes
-        J = em_order_for(q - 1, a, tol / 4 / scale, 1) if scale else 4
-        if J is None:
-            return None, mp.inf
         integral = (-logpow_antiderivative(q, K + x)
                     + logpow_antiderivative(q, mpf(K + 1))
                     + (x - 1) * log(K + 1) ** q)
         h_K = mp.make_mpf(_g_summand(q, x, K, prec, rnd))
-        tail, omitted = em_tail_shifted(h_parts, h_K, integral, K, J)
-        return tail, em_tail_error(q - 1, a, J, omitted, 1, scale)
+        tail, err, _ = em_tail_shifted(h_parts, h_K, integral, K, 4, tol / 4,
+                                       (q - 1, K + min(1, x), 1, scale))
+        return tail, err
 
     K, tail, err = em_start_for(probe, tol / 4, 64)
     partial = comp_sum(_g_summand(q, x, k, prec, rnd) for k in range(K))

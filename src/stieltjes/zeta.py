@@ -33,17 +33,14 @@ from logpoly.log_steps, the table series_c shares.
 
 from __future__ import annotations
 
-from math import factorial
-
 from mpmath import exp, floor, log, mp, mpf, pi, workdps
 from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_sub
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, tol_digits,
                    working_dps)
-from .logpoly import (J_PLAN_MAX, _pow_step, bernoulli_mpf, em_order_for,
-                      em_start_for, em_tail_error, em_tail_shifted, log_steps,
-                      logpow_antiderivative, pow_step)
+from .logpoly import (J_PLAN_MAX, _pow_step, em_start_for, em_tail_shifted,
+                      em_weights, log_steps, logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -81,12 +78,13 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
         # B_2j/(2j)! (s)_(2j-1) for j = 1..J_PLAN_MAX+1, the rising
         # factorials (s)_m taken as one prefix product; weights[J] is the
         # first omitted correction's at order J
+        bw = em_weights(J_PLAN_MAX + 1)
         weights, rf, m = [], mpf(1), 0
         for j in range(1, J_PLAN_MAX + 2):
             while m < 2 * j - 1:
                 rf *= s + m
                 m += 1
-            weights.append(bernoulli_mpf(2 * j) / factorial(2 * j) * rf)
+            weights.append(bw[j] * rf)
         J_min = max(4, int(floor((-s - 1) / 2)) + 1)
 
         def probe(N):
@@ -161,12 +159,13 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
 def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     """zeta^(k+1)(0, x) - zeta^(k+1)(0) from the logarithmic series.
 
-    em_order_for picks the Euler-Maclaurin order at each rung.  The summand
-    is a second difference of g = log^q t, so its corrections are about
-    scale = q |x(x-1)|/2 times those of f = log^k t / t, and its remainder
-    is certified by em_tail_error with d = 1: scale times the total
-    variation of f^(2J+2) on [K, inf), or the first omitted correction past
-    the certified start of J.
+    em_tail_shifted's order loop raises the Euler-Maclaurin order at each
+    rung.  The summand is a second difference of g = log^q t, so its
+    corrections are about scale = q |x(x-1)|/2 times those of
+    f = log^k t / t, and its remainder is certified by the key (k, K, 1,
+    scale) of em_tail_error: scale times the total variation of f^(2J+2) on
+    [K, inf), or the first omitted correction past the certified start of
+    J.
     """
     if not 0 <= k <= 6:
         raise DomainError("zeta_deriv0_diff: need 0 <= k <= 6")
@@ -179,10 +178,6 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         prec, rnd = mp._prec_rounding
 
         def probe(K):
-            # at x = 1 the summand vanishes
-            J = em_order_for(k, K, tol / 4 / scale, 1) if scale else 4
-            if J is None:
-                return None, mp.inf
             integral = (-logpow_antiderivative(q, K + x)
                         + (1 - x) * logpow_antiderivative(q, mpf(K))
                         + x * logpow_antiderivative(q, mpf(K + 1)))
@@ -191,8 +186,9 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
             lK = log(K)
             v_K = mp.make_mpf(_deriv0_summand(
                 q, x, K, lK._mpf_, pow_step(lK, K, mpf(K + 1), q)._mpf_, prec, rnd))
-            tail, omitted = em_tail_shifted(v_parts, v_K, integral, K, J)
-            return tail, em_tail_error(k, K, J, omitted, 1, scale)
+            tail, err, _ = em_tail_shifted(v_parts, v_K, integral, K, 4, tol / 4,
+                                           (k, K, 1, scale))
+            return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
         logs, steps = log_steps(q, K - 1)
@@ -264,12 +260,13 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         # (B_2j/(2j)!, a_m, b_m) at m = 2j-1 for j = 1..J_PLAN_MAX+1;
         # coeffs[J] is the first omitted correction's at order J
+        bw = em_weights(J_PLAN_MAX + 1)
         coeffs, a, b, m = [], mpf(1), mpf(0), 0
         for j in range(1, J_PLAN_MAX + 2):
             while m < 2 * j - 1:
                 a, b = -(s + m) * a, a - (s + m) * b
                 m += 1
-            coeffs.append((bernoulli_mpf(2 * j) / factorial(2 * j), a, b))
+            coeffs.append((bw[j], a, b))
         roots = [mpf(0)]  # L_m for m = 0..2 J_PLAN_MAX + 4
         for i in range(2 * J_PLAN_MAX + 4):
             roots.append(roots[-1] + 1 / (s + i))

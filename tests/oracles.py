@@ -12,6 +12,7 @@ Frozen values carry more digits than any tolerance that consumes them.
 from __future__ import annotations
 
 import sys
+from math import factorial
 
 from mpmath import mp, mpf, log, nstr
 
@@ -103,6 +104,59 @@ def gamma_n_partial_sum(n: int, x, N: int) -> mpf:
     for k in range(N + 1):
         s += log(k + x) ** n / (k + x)
     return s - log(N + x) ** (n + 1) / (n + 1)
+
+
+# --- reference forms of log-polynomial evaluation ----------------------------
+# Written term by term in plain mpf arithmetic, from a LogPoly's terms
+# {(m, p): c}, each the term c log^m t / t^p.
+
+class LogPoint:
+    """A point u with log u taken once; the powers of u and log u that the
+    terms ask for are kept, so several terms are evaluated from them."""
+
+    __slots__ = ("u", "lu", "upow", "lpow")
+
+    def __init__(self, u):
+        self.u = u
+        self.lu = log(u)
+        self.upow: dict[int, mpf] = {}
+        self.lpow: dict[int, mpf] = {}
+
+    def _upow(self, p: int) -> mpf:
+        up = self.upow.get(p)
+        if up is None:
+            up = self.upow[p] = self.u ** p
+        return up
+
+    def eval(self, poly) -> mpf:
+        """poly(u), with the bits of LogPoly.__call__."""
+        total = mpf(0)
+        for (m, p), c in poly.terms.items():
+            lm = self.lpow.get(m)
+            if lm is None:
+                lm = self.lpow[m] = self.lu ** m
+            total += c * lm / self._upow(p)
+        return total
+
+
+def logpoly_integral_to_inf(f, a) -> mpf:
+    """int_a^inf f(t) dt for a LogPoly whose terms all have inv_power >= 2.
+
+    Per term: int_a^inf log^m t / t^p dt
+        = m!/(p-1)^(m+1) * a^(1-p) * sum_{j<=m} ((p-1) log a)^j / j!
+    """
+    a = mpf(a)
+    la = log(a)
+    total = mpf(0)
+    for (m, p), c in f.terms.items():
+        if p < 2:
+            raise ValueError("integral_to_inf: needs inv_power >= 2 on every term")
+        y = (p - 1) * la
+        inner = mpf(0)
+        for j in range(m + 1):
+            inner += y ** j / factorial(j)
+        total += c * mpf(factorial(m)) / (p - 1) ** (m + 1) * a ** (1 - p) * inner
+    return total
 
 
 def ln2_alternating_oracle(N: int = 4000, levels: int = 24) -> tuple[mpf, mpf]:

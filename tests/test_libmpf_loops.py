@@ -11,13 +11,14 @@ from math import factorial
 import pytest
 from mpmath import exp, log, mp, mpf, workdps
 
+from oracles import LogPoint
 from stieltjes.core import working_dps
 from stieltjes.gamma import (_coffey_panels, _diff_terms, _incgamma_pair,
                              _series_b_terms, _series_c_terms)
-from stieltjes.logpoly import (J_PLAN_MAX, LogPoint, LogPoly, _certified_start,
-                               _horner, _log_polys, _root_table, bernoulli,
-                               bernoulli_mpf, em_tail_error, em_tail_shifted,
-                               log_steps, pow_step)
+from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _horner,
+                               _log_polys, _root_table, bernoulli_mpf,
+                               em_tail_error, em_tail_shifted, log_steps,
+                               pow_step)
 from stieltjes.related import _dilcher_summand
 from stieltjes.verifier import _g_summand
 from stieltjes.zeta import _deriv0_summand
@@ -30,7 +31,7 @@ K = 12
 
 
 def _bits(values):
-    return [v if type(v) is tuple else v._mpf_ for v in values]
+    return [v if type(v) in (tuple, int) else v._mpf_ for v in values]
 
 
 def pow_step_mpf(la, a, b, q):
@@ -113,7 +114,7 @@ def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
             value -= omitted
             J += 1
             omitted = correction(J + 1)
-    return value, abs(omitted)
+    return value, abs(omitted), J
 
 
 def _grid(n_range=range(9)):
@@ -267,9 +268,8 @@ def test_horner_and_em_tail_error():
                 t_J = _certified_start(n, J, 1)
                 a = mpf(t_J) / 2
                 La = log(a)
-                b = bernoulli(2 * J + 2)
-                weight = mpf(2 * abs(b.numerator)) / (b.denominator * factorial(2 * J + 2))
-                roots = 2 * sum(g for hi, g, _ in _root_table(n, J, 1) if hi >= float(La))
+                weight = 2 * abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2))
+                roots = 2 * sum(g for hi, g in _root_table(n, J, 1) if hi >= float(La))
                 g_a = horner_mpf(_log_polys(n, 1)[2 * J + 2], La)
                 want = 3 * weight * (abs(g_a) / a ** (2 * J + 3) + roots)
                 assert em_tail_error(n, a, J, 0, 1, 3)._mpf_ == want._mpf_, (dps, n, J)

@@ -8,12 +8,13 @@ from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoint, LogPoly,
+from oracles import LogPoint, logpoly_integral_to_inf
+from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoly,
                                _ROOT_WIDTH, _certified_start, _log_polys,
                                _real_roots, _root_table, bernoulli,
-                               bernoulli_mpf, em_order_for, em_start_for,
-                               em_tail, em_tail_error, em_tail_shifted,
-                               logpoly_integral_to_inf, logpow_antiderivative)
+                               bernoulli_mpf, em_start_for, em_tail,
+                               em_tail_error, em_tail_shifted,
+                               logpow_antiderivative)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
 
@@ -119,11 +120,13 @@ def test_em_tail_logt2_vs_brute_oracle():
 
 @pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
+    # f = log^m t / t carries em_tail_error's key d = 0; other f none
     f = LogPoly.single(1, m, p)
     a = mpf(a)
     sv = em_tail(f, a)
-    value, err = em_tail_shifted([(1, 0, m, p)], f(a), 0, a)
-    assert (sv.value, sv.abs_err) == (value, err)
+    key = (m, a, 0, 1) if p == 1 else None
+    value, err, J = em_tail_shifted([(1, 0, m, p)], f(a), 0, a, key=key)
+    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err, J)
 
 
 @pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
@@ -200,10 +203,9 @@ TABLE_CASES = ([(n, 1) for n in range(9)] + [(q, 0) for q in range(1, 8)]
 @pytest.mark.parametrize("m,p", TABLE_CASES)
 def test_log_polys_are_the_diff_chain(m, p):
     rows = _log_polys(m, p)
-    assert len(rows) == 2 * EM_ORDER_MAX + 2
-    # 512 bits hold every coefficient through row 2 EM_ORDER_MAX + 1 (at
-    # most 319 bits) exactly, so the chain must match coefficient for
-    # coefficient
+    assert len(rows) == 2 * EM_ORDER_MAX + 5
+    # 512 bits hold every coefficient through row 2 EM_ORDER_MAX + 4 (at
+    # most 346 bits) exactly, so the chain must match coefficient for coefficient
     with workprec(512):
         g = LogPoly.single(1, m, p)
         for k, P in enumerate(rows):
@@ -218,7 +220,7 @@ def test_em_start_for_keeps_the_winning_shifted_probe():
     bound = mpf("1e-22")
 
     def probe(K):
-        return em_tail_shifted(h_parts, mpf(1) / K, mpf(2) / K, K)
+        return em_tail_shifted(h_parts, mpf(1) / K, mpf(2) / K, K)[:2]
 
     K, value, err = em_start_for(probe, bound, 16)
     assert K > 16 and probe(K // 4)[1] >= bound > err
@@ -277,7 +279,7 @@ def test_integral_to_inf_closed_form():
     N = mpf(50)
     got = logpoly_integral_to_inf(LogPoly.single(1, 1, 2), N)
     assert abs(got - (log(N) + 1) / N) < mpf("1e-30")
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         logpoly_integral_to_inf(LogPoly.single(1, 0, 1), N)
 
 
@@ -387,20 +389,19 @@ def test_root_intervals_isolate_one_root_each(n, J, d):
     # the table keeps each interval's upper end, rounded up
     table = _root_table(n, J, d)
     assert len(table) == len(intervals)
-    assert all(h >= hi for (h, _, _), (_, hi) in zip(table, intervals))
+    assert all(h >= hi for (h, _), (_, hi) in zip(table, intervals))
 
 
 @pytest.mark.parametrize("n,J,d", ROOT_CASES)
 def test_root_enclosures_bound_g_across_the_interval(n, J, d):
     with workdps(60):
         g = _derivative(n, 2 * J + 1 + d)
-        for (lo, hi), (_, g_max, lg) in zip(_real_roots(_log_polys(n, 1)[2 * J + 2 + d]),
-                                           _root_table(n, J, d)):
+        for (lo, hi), (_, g_max) in zip(_real_roots(_log_polys(n, 1)[2 * J + 2 + d]),
+                                        _root_table(n, J, d)):
             samples = [abs(g(exp(_fraction_mpf(lo + (hi - lo) * Fraction(i, 16)))))
                        for i in range(17)]
             # an upper bound, and a tight one: the interval is 2^-16 wide
             assert max(samples) <= g_max <= (1 + mpf("1e-3")) * max(samples)
-            assert abs(lg - float(log(g_max))) < 1e-9
 
 
 @pytest.mark.parametrize("d", [0, 1])
@@ -428,7 +429,8 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     a = mpf(a)
     assert a < _certified_start(n, J, d)
     weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
-    omitted = em_tail(LogPoly.single(1, n, 1), a, J).abs_err if d == 0 else mpf(0)
+    f = LogPoly.single(1, n, 1)
+    omitted = em_tail_shifted([(1, 0, n, 1)], f(a), 0, a, J)[1] if d == 0 else mpf(0)
     tv = em_tail_error(n, a, J, omitted, d) / weight
     with workdps(40):
         h = _derivative(n, 2 * J + 2 + d)
@@ -440,20 +442,66 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     assert em_tail_error(n, 2 * t_J, J, mpf("1e-30"), d) == mpf("1e-30")
 
 
-def test_no_order_qualifies_and_the_rung_is_not_evaluated(monkeypatch):
+# (parts, start, key): gamma_n's f = log t / t at 33.5 (d = 0), and
+# zeta_deriv0_diff's second difference at k = 1, x = 0.3, K = 32 (d = 1)
+_X = mpf("0.3")
+LOOP_CASES = {
+    "d0": ([(1, 0, 1, 1)], mpf("33.5"), (1, mpf("33.5"), 0, 1)),
+    "d1": ([(1, _X, 2, 0), (_X - 1, 0, 2, 0), (-_X, 1, 2, 0)], 32,
+           (1, 32, 1, 2 * abs(_X * (_X - 1)) / 2)),
+}
+
+
+@pytest.mark.parametrize("bound", ["1e-12", "1e-28", "1e-29", "1e-60"])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_order_loop_returns_the_least_certified_order(case, bound):
+    # by brute force over J: the loop stops at the least order whose
+    # certified claim is below bound, with the bits of a call at that
+    # order; at 1e-60 no order up to J_PLAN_MAX is, and the rung fails
+    # with the claim at J_PLAN_MAX.  1e-28 (d = 0) and 1e-29 (d = 1) lie
+    # between the first omitted correction at J = 8 and its certified
+    # claim, so J = 8 does not pass there.
+    parts, start, key = LOOP_CASES[case]
+    bound = mpf(bound)
+    args = (parts, mpf("0.125"), mpf("0.5"), start)
+    plain = [em_tail_shifted(*args, J, key=key) for J in range(4, J_PLAN_MAX + 1)]
+    assert [p[2] for p in plain] == list(range(4, J_PLAN_MAX + 1))
+    J = next((p[2] for p in plain if p[1] < bound), J_PLAN_MAX)
+    got = em_tail_shifted(*args, 4, bound, key)
+    assert got == plain[J - 4]
+    # 1e-12 passes at J = 4, 1e-28 and 1e-29 raise J, and 1e-60 fails
+    assert (got[2] == 4) == (bound > mpf("1e-20"))
+    assert (got[1] < bound) == (bound > mpf("1e-50"))
+
+
+def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
+    # a rung fails on its certified claim at J_PLAN_MAX, so K = 32 takes a
+    # tail too; the 50-digit gamma_1 plan still stops at K = 128
     import stieltjes.gamma as gamma_mod
 
-    assert em_order_for(1, mpf("33.5"), mpf("1e-60")) is None
-    assert em_order_for(1, mpf("33.5"), mpf("1e-12")) == 4
     calls = []
     real = gamma_mod.em_tail
 
-    def counted(f, start, J=4):
+    def counted(f, start, J=4, bound=None):
         calls.append(start)
-        return real(f, start, J)
+        return real(f, start, J, bound)
 
     monkeypatch.setattr(gamma_mod, "em_tail", counted)
     with workdps(100):
         sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-50"))
-    # K = 32 has no order below tol/4; only the winning rung takes a tail
-    assert sv.terms_used == 128 and calls == [128 + mpf("1.5")]
+    assert sv.terms_used == 128 and calls == [32 + mpf("1.5"), 128 + mpf("1.5")]
+
+
+@pytest.mark.parametrize("J", [8, 13])
+def test_em_tail_claims_the_certified_remainder(J):
+    # f = log t / t at 32.2546 sits below t_J, where the first omitted
+    # correction is not a bound: at J = 8 the true error is 7.42e-29 and
+    # that correction 7.30e-29.  em_tail claims em_tail_error's bound.
+    with workdps(80):
+        a = mpf("32.2546")
+        f = LogPoly.single(1, 1, 1)
+        sv = em_tail(f, a, J)
+        assert a < _certified_start(1, J)
+        omitted = em_tail_shifted([(1, 0, 1, 1)], f(a), 0, a, J)[1]
+        assert sv.abs_err == em_tail_error(1, a, J, omitted)
+        assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err

@@ -184,6 +184,16 @@ class TestDelta:
             ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
             assert abs(sv.value - ref) <= sv.abs_err
 
+    def test_certified_term_alone_bounds_the_error(self):
+        # at N = 16 the true error of delta(2) is 1.37e-15, above the first
+        # omitted order-4 correction, 1.34e-15: only tail_claim's 5/4 pad
+        # covered it.  The certified term, the claim less its pad (and
+        # rounding floors near 1e-40), covers it alone.
+        sv = delta(2, 16)
+        with workdps(mp.dps + 40):
+            ref = zeta(0, 1, 2) + 2
+            assert abs(sv.value - ref) <= 4 * sv.abs_err / 5
+
     @pytest.mark.parametrize("dps", [15, 34, 50])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("N", [10, 11, 97, 128, 9973, REF_N])
