@@ -253,6 +253,11 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
               f"residual={nstr(r.residual, 3)} tol={nstr(r.tolerance, 3)}")
     failed = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
+    elapsed: dict[str, float] = {}
+    for r in reports:
+        elapsed[r.check_id] = elapsed.get(r.check_id, 0.0) + r.elapsed
+    print("elapsed by check: " + ", ".join(
+        f"{cid} {secs:.2f} s" for cid, secs in elapsed.items()))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

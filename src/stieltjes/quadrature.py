@@ -16,9 +16,11 @@ result-invariant.
 
 from __future__ import annotations
 
-from math import cos, pi as _pi
+from math import cos, fsum, inf, pi as _pi
+from sys import float_info
 
 from mpmath import isfinite, mp, mpf, pi, workdps
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
 
 from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
                    rounding_floor)
@@ -132,20 +134,74 @@ class ChebyshevModel:
     """Chebyshev interpolant sum c_k T_k(u) of an integrand on [a, b], with
     u = (2t - a - b)/(b - a), and the integrand's integral over [a, b]."""
 
-    __slots__ = ("a", "b", "coeffs", "integral")
+    __slots__ = ("a", "b", "coeffs", "integral", "_floats", "_screen")
 
     def __init__(self, a: mpf, b: mpf, coeffs: tuple[mpf, ...],
                  integral: SeriesValue):
         self.a, self.b, self.coeffs, self.integral = a, b, coeffs, integral
+        # positive()'s float copy of the coefficients and its screen, or
+        # None where the screen's bound does not hold (see positive)
+        floats = [float(c) for c in coeffs]
+        width = float(b - a)
+        if (all(not c or float_info.min <= abs(f) < inf for c, f in zip(coeffs, floats))
+                and 0 < width < inf
+                and max(abs(float(a)), abs(float(b))) <= len(coeffs) * width):
+            self._floats = floats
+            self._screen = len(coeffs) ** 3 * 2.0 ** -48 * fsum(map(abs, floats))
+        else:
+            self._floats = self._screen = None
 
     def __call__(self, t) -> mpf:
-        """Model value at t by Clenshaw's recurrence."""
-        u = (2 * mpf(t) - self.a - self.b) / (self.b - self.a)
-        u2 = 2 * u
-        b1 = b2 = mpf(0)
+        """Model value at t by Clenshaw's recurrence, on the _mpf_ tuples of
+        the mpf operators (so with their bits)."""
+        prec, rnd = mp._prec_rounding
+        a, b = self.a._mpf_, self.b._mpf_
+        u = mpf_div(mpf_sub(mpf_sub(mpf_mul_int(mpf(t)._mpf_, 2, prec, rnd), a, prec, rnd),
+                            b, prec, rnd),
+                    mpf_sub(b, a, prec, rnd), prec, rnd)
+        u2 = mpf_mul_int(u, 2, prec, rnd)
+        b1 = b2 = fzero
         for c in reversed(self.coeffs[1:]):
-            b1, b2 = u2 * b1 - b2 + c, b1
-        return u * b1 - b2 + self.coeffs[0]
+            b1, b2 = mpf_add(mpf_sub(mpf_mul(u2, b1, prec, rnd), b2, prec, rnd),
+                             c._mpf_, prec, rnd), b1
+        return mp.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rnd), b2, prec, rnd),
+                                   self.coeffs[0]._mpf_, prec, rnd))
+
+    def positive(self, ts) -> list[bool]:
+        """[self(t) > 0 for t in ts], with Clenshaw's recurrence in floats
+        wherever its value clears the screen n^3 2^-48 sum|c_k|, n the number
+        of coefficients, and the mpf model's value at every other point.
+
+        The screen over-estimates the float value's distance from the mpf
+        model's, so a screened sign is the model's sign.  For |u| <= 1,
+        float Clenshaw is exact Clenshaw on coefficients each perturbed by
+        at most 3 eps (2|b_(k+1)| + |b_(k+2)| + |c_k|), eps = 2^-53, and
+        |b_k| <= n sum|c_k| since |U_m(u)| <= m + 1; as |T_k(u)| <= 1 the
+        recurrence errs by at most about 9 n^2 eps sum|c_k|.  The rounding of
+        t, a and b moves u by at most about 13 eps max(|a|, |b|)/(b - a)
+        + 2 eps <= (13 n + 2) eps, times |p'(u)| <= n^2 sum|c_k| (Markov),
+        and the float coefficients add eps sum|c_k|: in all under
+        n^3 2^-49 sum|c_k|, half the screen.
+        So every point falls back when a coefficient is not zero or a
+        finite normal float, or max(|a|, |b|) > n (b - a); a point falls back
+        when its u lies outside [-1, 1] or its value is not finite.
+        """
+        if self._screen is None:
+            return [self(t) > 0 for t in ts]
+        c0, rest, screen = self._floats[0], self._floats[:0:-1], self._screen
+        fa, fb = float(self.a), float(self.b)
+        signs = []
+        for t in ts:
+            u = (2 * float(t) - fa - fb) / (fb - fa)
+            v = 0.0
+            if -1 <= u <= 1:
+                u2 = 2 * u
+                b1 = b2 = 0.0
+                for c in rest:
+                    b1, b2 = u2 * b1 - b2 + c, b1
+                v = u * b1 - b2 + c0
+            signs.append(v > 0 if screen < abs(v) < inf else self(t) > 0)
+        return signs
 
 
 def chebyshev_model(f, a, b) -> ChebyshevModel:

@@ -58,12 +58,17 @@ def check_lemma31(n: int, x, N: int) -> VerifyReport:
         raise DomainError("check_lemma31: need x >= 0")
     t0 = time.perf_counter()
     q = n + 1
-    # powers[i] = log^q(i + 1 + x), each logarithm taken once
-    powers = [log(k + x) ** q for k in range(1, N + 2)]
-    lhs = powers[N - 1]
-    integral = (powers[N] - powers[N - 1]) / q
-    telescoped = comp_sum(powers[i + 1] - powers[i] for i in range(N))
-    rhs = powers[0] - q * integral + telescoped
+    prec, rnd = mp._prec_rounding
+    xv = x._mpf_
+    # powers[i] = log^q(i + 1 + x) as an _mpf_ tuple, each logarithm taken
+    # once; the libmpf calls are those of log(k + x) ** q, so with its bits
+    powers = [mpf_pow_int(mpf_log(mpf_add(xv, from_int(k), prec, rnd), prec, rnd),
+                          q, prec, rnd) for k in range(1, N + 2)]
+    telescoped = comp_sum(mpf_sub(powers[i + 1], powers[i], prec, rnd)
+                          for i in range(N))
+    lhs, first, last = (mp.make_mpf(powers[i]) for i in (N - 1, 0, N))
+    integral = (last - lhs) / q
+    rhs = first - q * integral + telescoped
     residual = abs(lhs - rhs)
     return VerifyReport.build(
         check_id="lemma31",
@@ -189,20 +194,22 @@ def check_vanishing_integrals(n: int) -> VerifyReport:
 ALPHA_DIGAMMA_ZERO = mpf("1.461632144968", prec=53)
 ALPHA_DIGAMMA_ZERO_ERR = mpf("5e-13") + mpf(2) ** -52
 ROOT_STEP = mpf("1e-11")
+# points of the grid on [1, 2] whose sign changes _gamma_roots bisects
+ROOT_GRID = 256
 
 
 def _gamma_roots(n: int) -> list[mpf]:
-    """Roots of gamma_n on [1, 2]: sign changes of the model on a 256-point
-    grid, bisected on the model to ROOT_STEP.  A root r counts only when the
-    library values at r - ROOT_STEP and r + ROOT_STEP have opposite signs and
-    each exceeds its claimed error in magnitude."""
+    """Roots of gamma_n on [1, 2]: sign changes of the model on a grid of
+    ROOT_GRID points (read by ChebyshevModel.positive), bisected on the mpf
+    model to ROOT_STEP.  A root r counts only when the library values at
+    r - ROOT_STEP and r + ROOT_STEP have opposite signs and each exceeds its
+    claimed error in magnitude."""
     model = _gamma_model(n)
-    grid = 256
-    pts = [1 + mpf(i) / (grid - 1) for i in range(grid)]
-    vals = [model(t) for t in pts]
+    pts = [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
+    signs = model.positive(pts)
     roots = []
-    for i in range(grid - 1):
-        if (vals[i] > 0) == (vals[i + 1] > 0):
+    for i in range(ROOT_GRID - 1):
+        if signs[i] == signs[i + 1]:
             continue
         r = find_root_bisect(model, pts[i], pts[i + 1], ROOT_STEP)
         lo, hi = (gamma_n(n, r + s, "series_c", GAMMA_MODEL_TOL)

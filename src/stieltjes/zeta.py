@@ -48,6 +48,31 @@ POLE_EXCLUSION = mpf("1e-6")
 HURWITZ_EM_S_MIN = -11
 # hurwitz_hasse's outer terms per digit of tol (its budget adds 16, and 2 per unit of 1 - s)
 HASSE_TERMS_PER_DIGIT = 4
+# most guard digits _head_guard adds for a large head term x^-s
+HEAD_GUARD_MAX = 100
+
+
+def _head_guard(s, x, tol, dps: int) -> int:
+    """Guard digits past dps that hold the rounding floor of the head term
+    x^-s (s > 0) of a zeta(s, x) sum below tol/64.
+
+    At d digits the floor of a value v is (|v| + 1) 2^(6 - prec) <=
+    (|v| + 1) 9.1 * 10^-d, so d >= log10(x^-s + 1) + tol_digits(tol) + 3
+    holds it.  Where x^-s is modest (x >= 1, or x >= 0.05 with s <= 4.5)
+    the working precision already does, and the guard is 0.  A guard past
+    HEAD_GUARD_MAX digits is over the budget: ConvergenceError.
+    """
+    if not s > 0:
+        return 0
+    with workdps(15):
+        head_digits = int(mp.ceil(mp.log10(x ** -s + 1)))
+    guard = max(0, head_digits + tol_digits(tol) + 3 - dps)
+    if guard > HEAD_GUARD_MAX:
+        raise ConvergenceError(
+            f"zeta({mp.nstr(s, 6)}, {mp.nstr(x, 6)}): the head term needs "
+            f"{guard} guard digits to hold tol {mp.nstr(tol, 3)}, over the "
+            f"budget of {HEAD_GUARD_MAX}")
+    return guard
 
 
 def _validate_x(x) -> mpf:
@@ -65,7 +90,8 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     (s)_(2J+2), (s)_(2J+4) share a sign, so the first omitted correction
     bounds the remainder at every N (em_tail_error's theta-bound).  At each
     rung the order rises from there, at most to J_PLAN_MAX, until that
-    correction is below tol/2.
+    correction is below tol/2.  A large head x^-s adds guard digits
+    (_head_guard), so its rounding floor stays a small share of tol.
     """
     s = mpf(s)
     x = _validate_x(x)
@@ -74,7 +100,8 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     if s <= HURWITZ_EM_S_MIN:
         raise DomainError(f"hurwitz_em: needs s > {HURWITZ_EM_S_MIN}")
     tol = default_tol() if tol is None else mpf(tol)
-    with workdps(working_dps(tol)):
+    dps = working_dps(tol)
+    with workdps(dps + _head_guard(s, x, tol, dps)):
         # B_2j/(2j)! (s)_(2j-1) for j = 1..J_PLAN_MAX+1, the rising
         # factorials (s)_m taken as one prefix product; weights[J] is the
         # first omitted correction's at order J
@@ -117,7 +144,8 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
     one difference triangle on y - 1 + n ends in I_{n-1}(y), the term, and
     I_n(y-1), the certificate, each within r_n = 2^n (n+1) u F, F the largest
     |(y-1+k)^(1-s)|.  The pass stops once tail plus rounding is below
-    |s-1| tol/2, at a budget and precision fixed from tol and s.
+    |s-1| tol/2, at a budget and precision fixed from tol and s, plus the
+    guard digits of a large head x^-s (_head_guard).
     """
     s = mpf(s)
     x = _validate_x(x)
@@ -132,7 +160,8 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
     m = max(0, int(mp.ceil(mpf(3 * digits + 2) / 2 + lift - x)))
     # the triangle's rounding grows like 2^n F, and F <= (x + m + n_max)^p
     pad = int(0.302 * n_max) + 2 + int(max(p, 0) * mp.log10(x + m + n_max))
-    with workdps(working_dps(tol) + pad):
+    dps = working_dps(tol) + pad
+    with workdps(dps + _head_guard(s, x, tol, dps)):
         head = comp_sum(mp.fadd(x, k, exact=True) ** (-s) for k in range(m))
         u = mpf(2) ** (1 - mp.prec)
         prev, terms, F = [], [], mpf(0)

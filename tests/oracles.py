@@ -15,6 +15,7 @@ import sys
 from math import factorial
 
 from mpmath import mp, mpf, log, nstr
+from mpmath.libmp import mpf_sum
 
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
@@ -157,6 +158,23 @@ def logpoly_integral_to_inf(f, a) -> mpf:
             inner += y ** j / factorial(j)
         total += c * mpf(factorial(m)) / (p - 1) ** (m + 1) * a ** (1 - p) * inner
     return total
+
+
+# --- Lemma 3.1 in mpf operators ----------------------------------------------
+# verifier.check_lemma31's residual and tolerance as the check read before its
+# loops moved onto _mpf_ tuples: the same arithmetic through the mpf
+# operators, with the differences summed exactly as comp_sum sums them.
+
+def lemma31_operator_form(n: int, x, N: int) -> tuple[mpf, mpf]:
+    x = mpf(x)
+    q = n + 1
+    powers = [log(k + x) ** q for k in range(1, N + 2)]
+    lhs = powers[N - 1]
+    integral = (powers[N] - powers[N - 1]) / q
+    telescoped = mp.make_mpf(mpf_sum(
+        [(powers[i + 1] - powers[i])._mpf_ for i in range(N)], prec=0))
+    rhs = powers[0] - q * integral + telescoped
+    return abs(lhs - rhs), mpf("1e-28") * max(mpf(1), abs(lhs))
 
 
 def ln2_alternating_oracle(N: int = 4000, levels: int = 24) -> tuple[mpf, mpf]:

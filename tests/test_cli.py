@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 from mpmath import log, mpf
@@ -140,6 +141,15 @@ def test_verify_comma_selection(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma31,cotangent")
     assert code == 0
     assert "lemma31" in out and "cotangent" in out
+
+
+def test_verify_prints_elapsed_by_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma31,cotangent")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2].endswith("checks passed")
+    assert re.fullmatch(r"elapsed by check: cotangent \d+\.\d\d s, "
+                        r"lemma31 \d+\.\d\d s", lines[-1])
 
 
 def test_verify_unknown_suite_exits_2(capsys):

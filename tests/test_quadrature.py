@@ -6,9 +6,10 @@ import oracles
 from stieltjes.core import (ConvergenceError, DomainError, SeriesValue,
                             find_root_bisect, rounding_floor)
 from stieltjes.gamma import gamma_n
-from stieltjes.quadrature import (MODEL_POINTS, QuadratureError,
+from stieltjes.quadrature import (MODEL_POINTS, ChebyshevModel, QuadratureError,
                                   chebyshev_model, legendre_rule, quad_gl)
-from stieltjes.verifier import GAMMA_MODEL_TOL, _gamma_model, _gamma_roots
+from stieltjes.verifier import (GAMMA_MODEL_TOL, ROOT_GRID, _gamma_model,
+                                _gamma_roots)
 
 
 def test_polynomial_exact():
@@ -160,6 +161,59 @@ def test_model_raises_on_unresolved_integrand():
 def test_model_rejects_bad_interval():
     with pytest.raises(DomainError):
         chebyshev_model(_exact(lambda t: t), 1, 1)
+
+
+def _root_grid():
+    return [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
+
+
+def _count_model_calls(monkeypatch) -> list:
+    """Record every t at which a ChebyshevModel runs its mpf Clenshaw."""
+    calls = []
+    mpf_call = ChebyshevModel.__call__
+
+    def counted(self, t):
+        calls.append(t)
+        return mpf_call(self, t)
+
+    monkeypatch.setattr(ChebyshevModel, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_positive_matches_model_signs_on_gamma_grid(n, monkeypatch):
+    model = _gamma_model(n)
+    grid = _root_grid()
+    want = [model(t) > 0 for t in grid]
+    calls = _count_model_calls(monkeypatch)
+    assert model.positive(grid) == want
+    # gamma_0..gamma_3 stay far outside the screen on the grid
+    assert calls == []
+
+
+def test_positive_falls_back_inside_the_screen(monkeypatch):
+    # a root exactly on grid point 100 and a double root 1e-7 past grid point
+    # 180: the float values there are inside the screen, so the mpf model
+    # decides those two points and no other
+    grid = _root_grid()
+    r1, r2 = grid[100], grid[180] + mpf("1e-7")
+    model = chebyshev_model(_exact(lambda t: (t - r1) * (t - r2) ** 2), 1, 2)
+    want = [model(t) > 0 for t in grid]
+    calls = _count_model_calls(monkeypatch)
+    assert model.positive(grid) == want
+    assert calls == [grid[100], grid[180]]
+
+
+def test_positive_falls_back_everywhere_without_normal_floats(monkeypatch):
+    # a coefficient below the least normal float leaves no float screen
+    exact = chebyshev_model(_exact(lambda t: t - mpf("1.5")), 1, 2)
+    model = ChebyshevModel(exact.a, exact.b, exact.coeffs[:-1] + (mpf("1e-400"),),
+                           exact.integral)
+    grid = _root_grid()
+    want = [model(t) > 0 for t in grid]
+    calls = _count_model_calls(monkeypatch)
+    assert model.positive(grid) == want
+    assert len(calls) == len(grid)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

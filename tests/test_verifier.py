@@ -1,12 +1,29 @@
+import random
+
 import pytest
 from mpmath import mpf, pi, stieltjes, workdps, zeta
 
+import oracles
 from stieltjes import verifier
 from stieltjes.reporting import SubCheck, VerifyReport
 from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cotangent,
                                 check_g_functions, check_lemma31,
                                 check_vanishing_integrals,
                                 check_zero_structure, run_suite)
+
+
+def _lemma31_bit_cases():
+    """The grid's three fixed cases and its first ten seeded draws."""
+    rng = random.Random(verifier.LEMMA_SEED)
+    cases = [(0, mpf(0), 1), (3, pi, 100), (1, mpf(0), 1000)]
+    for _ in range(10):
+        n = rng.randint(0, 5)
+        x = mpf(rng.uniform(0.0, 10.0))
+        cases.append((n, x, rng.randint(1, 1000)))
+    return cases
+
+
+_LEMMA31_BIT_CASES = _lemma31_bit_cases()
 
 
 class TestLemma31:
@@ -21,6 +38,15 @@ class TestLemma31:
     def test_long_sum(self):
         rep = check_lemma31(1, 0, 1000)
         assert rep.passed
+
+    @pytest.mark.parametrize("n, x, N", _LEMMA31_BIT_CASES)
+    def test_bits_match_operator_form(self, n, x, N):
+        # the tuple loops make the libmpf calls of the mpf operators
+        rep = check_lemma31(n, x, N)
+        residual, tolerance = oracles.lemma31_operator_form(n, x, N)
+        assert rep.residual._mpf_ == residual._mpf_
+        assert rep.tolerance._mpf_ == tolerance._mpf_
+        assert rep.passed == (residual <= tolerance)
 
 
 class TestCotangent:

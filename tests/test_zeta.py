@@ -9,8 +9,8 @@ from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
                             rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
 from stieltjes.logpoly import J_PLAN_MAX, LogPoly, _certified_start, bernoulli_mpf
-from stieltjes.zeta import (hurwitz_em, hurwitz_hasse, zeta_deriv0_const,
-                            zeta_deriv0_diff, zeta_prime_int)
+from stieltjes.zeta import (_head_guard, hurwitz_em, hurwitz_hasse,
+                            zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int)
 
 TOL8 = mpf("1e-8")
 
@@ -44,6 +44,28 @@ class TestHasse:
         monkeypatch.setattr("stieltjes.zeta.HASSE_TERMS_PER_DIGIT", 0)
         with pytest.raises(ConvergenceError):
             hurwitz_hasse(2, mpf("0.25"), mpf("1e-30"))
+
+
+class TestLargeHead:
+    # zeta(2, 1e-20) is about 1e40: the head term's rounding, not the tail,
+    # would set the claim at the working precision of tol alone
+    @pytest.mark.parametrize("dps", [34, 15])
+    @pytest.mark.parametrize("route", [hurwitz_em, hurwitz_hasse])
+    def test_claim_holds_tol(self, route, dps):
+        x = mpf(1e-20)
+        with workdps(dps):
+            sv = route(2, x, TOL8)
+        with workdps(60):
+            assert abs(sv.value - zeta(2, x)) <= sv.abs_err <= TOL8
+
+    def test_no_guard_where_the_head_is_modest(self):
+        # x >= 0.05 and s <= 4.5, as every point_mix request
+        for tol in (mpf("1e-8"), mpf("1e-12"), mpf("1e-20")):
+            assert _head_guard(mpf("4.5"), mpf("0.05"), tol, working_dps(tol)) == 0
+
+    def test_over_the_guard_budget_raises(self):
+        with pytest.raises(ConvergenceError):
+            hurwitz_em(2, mpf("1e-80"), TOL8)
 
 
 def _rising(s, m):
