@@ -10,8 +10,11 @@ ambient digits and bit for bit:
 - gamma_n for n 0..8 by series_b, series_c and coffey, x in
   {0.05, 0.2546, 0.5, 1, 1.5, 3.7, 8, 500}, tol in {1e-12, 1e-15, 1e-20},
   at mp.dps 15 and 34;
-- gamma_diff, zeta_deriv0_diff, digamma, log_gamma, dilcher_log_gamma_k and
-  em_tail at mp.dps 34;
+- gamma_diff, zeta_deriv0_diff, digamma, log_gamma and dilcher_log_gamma_k
+  at mp.dps 34;
+- em_tail at mp.dps 34: log^n t / t at 32.2546 for n 0..8 and J in {4, 13},
+  and log^m t / t^p for m 0..3, p in {1, 2, 3}, J in {4, 8} at starts
+  {4.5, 12.25, 30.5, 100.75, 500.5}, on both sides of the certified start;
 - hurwitz_em for s in {-2.5, -1, 0, 0.5, 1.5, 2, 3, 4.5, 10},
   x in {0.0584302, 0.25, 1, 3.7, 8}, tol in {1e-12, 1e-20, 1e-30}, and
   zeta_prime_int, gamma1_alt, dilcher_power_series, gamma1_rational,
@@ -33,11 +36,16 @@ infinite or nan value or abs_err is written and read back as inf, -inf or
 nan.  Write both samples with the same version of this script.
 
 --audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
-dilcher_log_gamma_k, hurwitz_em, zeta_prime_int and delta entry against
-mpmath at 80 digits, taken at the entry's binary arguments: stieltjes for
-gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k [zeta^(k+1)(0, x+1) -
-zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1), zeta(s, x), zeta(s, 1, 1) and
-(-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n).  It prints each
+dilcher_log_gamma_k, hurwitz_em, zeta_prime_int, delta and em_tail entry
+against mpmath at 80 digits, taken at the entry's binary arguments:
+stieltjes for gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k
+[zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1),
+zeta(s, x), zeta(s, 1, 1), (-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n),
+and for em_tail sum_{k>=0} f(a+k) - int_a^inf f: (-1)^m zeta(p, a, m) less
+the closed integral, or stieltjes(m, a) + log^(m+1) a/(m+1) for p = 1.
+em_tail's abs_err bounds the Euler-Maclaurin remainder only, so its entries
+are checked against abs_err plus the rounding floor of the value at the
+entry's precision.  It prints each
 entry whose gap |value - ref| exceeds its abs_err with the ratio gap/claim,
 then the worst ratio of each function, and exits with status 1 when any
 ratio is above 1.  A comparison of two checkouts cannot show a claim that was
@@ -53,7 +61,10 @@ import sys
 import tempfile
 from math import factorial
 
-from mpmath import loggamma, mp, mpf, psi, stieltjes, workdps, workprec, zeta
+from dataclasses import replace
+
+from mpmath import (factorial as mp_factorial, log, loggamma, mp, mpf, psi,
+                    stieltjes, workdps, workprec, zeta)
 from mpmath.libmp import from_man_exp
 
 from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
@@ -61,6 +72,7 @@ from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
                        gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                        hurwitz_em, log_gamma, zeta_deriv0_diff, zeta_prime_int)
 from stieltjes.cli import main as cli_main
+from stieltjes.core import rounding_floor
 
 XS = ("0.05", "0.2546", "0.5", "1", "1.5", "3.7", "8", "500")
 TOLS = ("1e-12", "1e-15", "1e-20")
@@ -71,6 +83,7 @@ ZETA_XS = ("0.0584302", "0.25", "1", "3.7", "8")
 ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
 RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
 DELTA_NS = (10, 97, 9973, 10 ** 5)
+EM_TAIL_STARTS = ("4.5", "12.25", "30.5", "100.75", "500.5")
 
 
 NONFINITE = ("inf", "-inf", "nan")
@@ -185,11 +198,31 @@ def _series_entries():
                 yield f"zeta_deriv0_diff({k},{x},{tol})", _record(sv)
     for key, sv, _ in _route_values():
         yield key, _record(sv)
+    for key, sv, _ in _em_tail_values():
+        yield key, _record(sv)
+
+
+def _em_tail_values():
+    """(key, SeriesValue, reference) for the em_tail entries, reference
+    being sum_{k>=0} f(a+k) - int_a^inf f(t) dt from mpmath at the entry's
+    binary start."""
+    def reference(m, p, a):
+        la = log(a)
+        if p == 1:
+            return stieltjes(m, a) + la ** (m + 1) / (m + 1)
+        integral = (mp_factorial(m) / (p - 1) ** (m + 1) * a ** (1 - p)
+                    * sum(((p - 1) * la) ** j / mp_factorial(j) for j in range(m + 1)))
+        return (-1) ** m * zeta(p, a, m) - integral
+
     mp.dps = 34
-    for n in range(9):
-        for J in (4, 13):
-            sv = em_tail(LogPoly.single(1, n, 1), mpf("32.2546"), J)
-            yield f"em_tail({n},32.2546,{J})", _record(sv)
+    cases = [(f"em_tail({n},32.2546,{J})", n, 1, "32.2546", J)
+             for n in range(9) for J in (4, 13)]
+    cases += [(f"em_tail({m},{p},{a},{J})", m, p, a, J) for m in range(4)
+              for p in (1, 2, 3) for a in EM_TAIL_STARTS for J in (4, 8)]
+    for key, m, p, a, J in cases:
+        a = mpf(a)
+        yield (key, em_tail(LogPoly.single(1, m, p), a, J),
+               lambda m=m, p=p, a=a: reference(m, p, a))
 
 
 def _zeta_entries():
@@ -262,6 +295,8 @@ def _audited():
         yield key, sv, lambda n=n, args=args: gamma_ref(n, args)
     yield from _route_values()
     yield from _delta_values()
+    for key, sv, reference in _em_tail_values():
+        yield key, replace(sv, abs_err=sv.abs_err + rounding_floor(sv.value)), reference
 
 
 def audit() -> int:

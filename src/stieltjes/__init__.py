@@ -12,7 +12,7 @@ from .gamma import (RationalArg, gamma1_alt, gamma1_rational, gamma_diff,
                     stieltjes_integral)
 from .logpoly import LogPoly, bernoulli, em_tail
 from .quadrature import QuadratureError, quad_gl
-from .related import (PowerSeries, VonMangoldtTable, delta, digamma,
+from .related import (VonMangoldtTable, delta, digamma,
                       digamma_rational, dilcher_log_gamma_k, dilcher_power_series,
                       eta, log_gamma, mangoldt_gap_sums, von_mangoldt)
 from .reporting import SubCheck, VerifyReport
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError", "DomainError", "QuadratureError", "UnknownCheckError",
     "SeriesValue", "LogPoly", "RationalArg",
-    "PowerSeries", "VonMangoldtTable", "SubCheck", "VerifyReport",
+    "VonMangoldtTable", "SubCheck", "VerifyReport",
     "accelerate_alternating", "bernoulli", "comp_sum", "default_tol",
     "em_tail", "find_root_bisect", "harmonic", "quad_gl",
     "hurwitz_em", "hurwitz_hasse", "zeta_deriv0_const", "zeta_deriv0_diff",

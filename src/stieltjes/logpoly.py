@@ -1,7 +1,7 @@
 """Log-polynomial calculus and the Euler-Maclaurin tail engine.
 
 A LogPoly is a finite sum of terms c * log(t)^m / t^p with m, p >= 0.  The
-family is closed under differentiation:
+family is closed under differentiation, for any real p:
 
     d/dt [log^m t / t^p] = m log^(m-1) t / t^(p+1)  -  p log^m t / t^(p+1)
 
@@ -14,7 +14,8 @@ a short partial sum plus Bernoulli-weighted endpoint corrections:
 with |R_J| at most 2 |B_2J+2|/(2J+2)! int_a^inf |f^(2J+2)| (Johansson,
 arXiv:1309.2877).  The same corrections apply to summands built from log
 powers at several shifted arguments, c log^m(t + shift) / (t + shift)^p,
-where only the closed-form integral differs.
+where only the closed-form integral differs, and to a rational p, such as
+the real s of (t + x)^-s: an mpf is a dyadic rational.
 
 Every series route is one probe function, probe(K) -> (result, err): the
 claimed tail error at a partial-sum length K and, in most routes, the tail
@@ -23,8 +24,9 @@ the probe once per rung, and returns the first passing rung with that
 probe's result, so no route evaluates its chosen K a second time.
 
 Every derivative the engine reads comes from one exact table, _log_polys(m,
-p): the integer polynomials P_k with (d/dt)^k [log^m t / t^p] =
-P_k(log t)/t^(p+k), independent of the precision.  The correction loop
+p): the polynomials P_k with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k),
+integer for an int p and rational for a rational p, independent of the
+precision.  The correction loop
 em_tail_shifted evaluates each order from it by Horner's rule, from one
 logarithm per shifted point.
 
@@ -33,22 +35,21 @@ bound, J rises from 4, at most to J_PLAN_MAX, while the claimed remainder is
 not below it, so a rung passes or fails on the certified claim itself.  That
 claim is certified at every order and start:
 
-- digamma and log_gamma: their summands are completely monotone, or the
-  negative of one, so the first omitted correction bounds the remainder
+- digamma, log_gamma and hurwitz_em: their summands are completely
+  monotone, or the negative of one (for hurwitz_em's (t+x)^-s from its
+  least order on), so the first omitted correction bounds the remainder
   (the theta-bound of em_tail_error), and they pass no certificate key.
-- the gamma_n series and gamma_diff (through em_tail, d = 0), the second
-  divided differences of zeta_deriv0_diff, dilcher_log_gamma_k and the
-  verifier's g-series (d = 1), and delta's log^n t at its fixed order
-  (d = -1): they pass em_tail_error's key (n, a, d, scale), which certifies
-  the remainder by the theta-bound past the certified start t_J and below
-  it from the total variation of f^(2J+1+d), f = log^n t / t.  Both read
-  the real roots of the integer polynomials P_k in log t of f^(k),
-  isolated once per (n, k) by _isolated: t_J (_certified_start) is past
-  the last root of f^(2J+2+d) and f^(2J+4+d), and the extrema of
-  f^(2J+1+d) are the roots of f^(2J+2+d) (_root_table).
-- hurwitz_em and zeta_prime_int, whose summands t^-s and log t / t^s are
-  not log-polynomials, state the same two certificates in closed form in
-  zeta.py and run their own order loops over them.
+- the gamma_n series and gamma_diff (through em_tail, d = 0),
+  zeta_prime_int's log t / t^s (d = 0, p = s), the second divided
+  differences of zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's
+  g-series (d = 1), and delta's log^n t (d = -1): they pass em_tail_error's
+  key (n, a, d, scale, p), which certifies the remainder by the
+  theta-bound past the certified start t_J and below it from the total
+  variation of f^(2J+1+d), f = log^n t / t^p.  Both read the real roots of
+  the polynomials P_k in log t of f^(k), isolated once per (n, k, p) by
+  _isolated: t_J (_certified_start) is past the last root of f^(2J+2+d)
+  and f^(2J+4+d), and the extrema of f^(2J+1+d) are the roots of
+  f^(2J+2+d) (_root_table).
 
 The Bernoulli weights B_2j/(2j)! of every correction and certificate come
 from one per-precision table, em_weights.
@@ -79,8 +80,9 @@ from functools import lru_cache
 from math import factorial
 
 from mpmath import bernfrac, iv, log, mp, mpf
-from mpmath.libmp import (fone, fzero, from_int, mpf_add, mpf_div, mpf_log,
-                          mpf_mul, mpf_pow_int)
+from mpmath.libmp import (fone, fzero, from_int, from_man_exp, from_rational,
+                          mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow,
+                          mpf_pow_int, to_rational)
 
 from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
 
@@ -238,13 +240,14 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
     J.  With a bound, J is the least order and rises as in em_tail_shifted.
-    For f = c log^n t / t, the shape every series route sums, abs_err is the
-    certified remainder bound em_tail_error at every start and order.  For
-    any other f it is the magnitude of the first omitted correction, an
-    estimate that is a bound only where f^(2J+2) and f^(2J+4) keep one sign
-    from start on.  start may be any real >= 2 (unit-step lattice starting
-    there); every term of f must have inv_power >= 1 or the paired tail
-    diverges.
+    For a single term f = c log^m t / t^p, abs_err is the certified
+    remainder bound em_tail_error of the key (m, start, 0, |c|, p) at every
+    start and order; it bounds the remainder only, not the rounding of the
+    value.  For several terms it is the magnitude of the first omitted
+    correction, an estimate that is a bound only where f^(2J+2) and
+    f^(2J+4) keep one sign from start on.  start may be any real >= 2
+    (unit-step lattice starting there); every term of f must have
+    inv_power >= 1 or the paired tail diverges.
     """
     if f.is_zero():
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
@@ -256,8 +259,8 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
     if start < 2:
         raise DomainError("em_tail: start must be >= 2")
     parts = [(c, 0, m, p) for (m, p), c in f.terms.items()]
-    (n, p), c = next(iter(f.terms.items()))
-    key = (n, start, 0, abs(c)) if len(parts) == 1 and p == 1 else None
+    (m, p), c = next(iter(f.terms.items()))
+    key = (m, start, 0, abs(c), p) if len(parts) == 1 else None
     value, err, J = em_tail_shifted(parts, f(start), 0, start, J, bound, key)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
@@ -286,10 +289,13 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
     Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, the
     claimed remainder, and J.  Each distinct point u = start + shift takes
     its logarithm once; every order i of a part is then c P_i(log u)/u^(p+i),
-    one Horner's rule over the integer row P_i of _log_polys(m, p).
+    one Horner's rule over the row P_i of _log_polys(m, p).  A part's p is
+    an int or an mpf, read exactly (_rational); u^(p+i) is mpf_pow_int for
+    an int p and mpf_pow otherwise.
 
-    The claim is em_tail_error(n, a, J, |omitted|, d, scale) for a summand
-    with the certificate key (n, a, d, scale) described there, and with no
+    The claim is em_tail_error(n, a, J, |omitted|, d, scale, p) for a
+    summand with the certificate key (n, a, d, scale[, p]) described there
+    (p is 1 when the key leaves it out), and with no
     key the magnitude of the first omitted correction: the theta-bound of a
     completely monotone summand (or the negative of one) at every start and
     order.
@@ -310,6 +316,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
         if point is None:
             u = (start + sh)._mpf_
             point = points[sh] = (u, mpf_log(u, prec, rnd), {})
+        p = _rational(p)
         terms.append((mpf(c)._mpf_, point, _log_polys(m, p), p))
     weights = em_weights(max(J, J_PLAN_MAX) + 1)
 
@@ -318,7 +325,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
         for c, (u, lu, upow), rows, p in terms:
             up = upow.get(p + i)
             if up is None:
-                up = upow[p + i] = mpf_pow_int(u, p + i, prec, rnd)
+                up = upow[p + i] = _pow(u, p + i, prec, rnd)
             ratio = mpf_div(_horner(rows[i], lu, prec, rnd), up, prec, rnd)
             total = mpf_add(total, mpf_mul(c, ratio, prec, rnd), prec, rnd)
         return mp.make_mpf(total)
@@ -330,11 +337,11 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
         def claim(J, omitted):
             return abs(omitted)
     else:
-        n, a, d, scale = key
+        n, a, *rest = key
         log_a = log(a)
 
         def claim(J, omitted):
-            return em_tail_error(n, a, J, abs(omitted), d, scale, log_a)
+            return em_tail_error(n, a, J, abs(omitted), *rest, log_a=log_a)
 
     value = mpf(integral) + mpf(v_at_start) / 2
     for j in range(1, J + 1):
@@ -379,11 +386,12 @@ J_PLAN_MAX = 13
 _ROOT_WIDTH = Fraction(1, 2 ** 16)
 
 
-def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1,
+def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
                   log_a=None) -> mpf:
     """Certified bound on the remainder of the order-J Euler-Maclaurin tail
     of a summand v whose first omitted correction has magnitude omitted.
-    (n, a, d, scale) is v's certificate key, for f = log^n t / t:
+    (n, a, d, scale, p) is v's certificate key, for f = log^n t / t^p with
+    a rational p > 0 (an int, or an mpf, read exactly):
 
     - d = 0: v = scale f, and the tail starts at a.
     - d = 1: v is a second divided difference of g with g' = f, such as
@@ -404,97 +412,127 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1,
     Below t_J it is the integral bound |R_J| <= 2 |B_2J+2|/(2J+2)!
     int_a^inf |v^(2J+2)| (Johansson, arXiv:1309.2877), with the integral at
     most scale times the total variation of g = f^(2J+1+d) on [a, inf).  g
-    is monotone between the roots of f^(2J+2+d), so that variation is at
-    most |g(a)| + 2 sum |g(r)| over those roots r >= a, each |g(r)| taken
-    from _root_table's enclosure.  For d <= 0, scale |B_2J+2|/(2J+2)! |g(a)|
-    is omitted itself, so |g(a)| is not evaluated again.  log_a, when given,
-    is log a: the order loop takes it once per start.
+    is monotone between the roots of f^(2J+2+d) and vanishes at infinity
+    (p > 0), so that variation is at most |g(a)| + 2 sum |g(r)| over those
+    roots r >= a, each |g(r)| taken from _root_table's enclosure.  For
+    d <= 0, scale |B_2J+2|/(2J+2)! |g(a)| is omitted itself, so |g(a)| is
+    not evaluated again.  log_a, when given, is log a: the order loop takes
+    it once per start.
     """
-    if a >= _certified_start(n, J, d):
+    p = _rational(p)
+    if not p > 0:
+        raise DomainError("em_tail_error: the key's inverse power p must be > 0")
+    if a >= _certified_start(n, J, d, p):
         return omitted
     La = log(a) if log_a is None else log_a
     weight = 2 * abs(em_weights(J + 1)[J + 1])
     # float(La) is within half an ulp of log a, and each hi was rounded up
     # past its root by at least that much, so no root r >= a is missed
     L = float(La)
-    roots = 2 * sum(g for hi, g in _root_table(n, J, d) if hi >= L)
+    roots = 2 * sum(g for hi, g in _root_table(n, J, d, p) if hi >= L)
     if d <= 0:
         return 2 * omitted + scale * weight * roots
-    g_a = mp.make_mpf(_horner(_log_polys(n, 1)[2 * J + 1 + d], La._mpf_,
-                              *mp._prec_rounding))
-    return scale * weight * (abs(g_a) / mpf(a) ** (2 * J + 2 + d) + roots)
+    prec, rnd = mp._prec_rounding
+    g_a = mp.make_mpf(_horner(_log_polys(n, p)[2 * J + 1 + d], La._mpf_, prec, rnd))
+    a_pow = mp.make_mpf(_pow(mpf(a)._mpf_, p + 2 * J + 1 + d, prec, rnd))
+    return scale * weight * (abs(g_a) / a_pow + roots)
+
+
+def _rational(p):
+    """p exactly: an int as it is, an mpf (a dyadic rational) as a Fraction,
+    or as an int when it is whole."""
+    if type(p) is int:
+        return p
+    num, den = to_rational(mpf(p)._mpf_)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _pow(u, e, prec: int, rnd) -> tuple:
+    """u^e for an _mpf_ tuple u > 0 and an int or dyadic Fraction e, rounded
+    at (prec, rnd): mpf_pow_int for an int, else mpf_pow at e exactly."""
+    if type(e) is int:
+        return mpf_pow_int(u, e, prec, rnd)
+    return mpf_pow(u, from_man_exp(e.numerator, 1 - e.denominator.bit_length()),
+                   prec, rnd)
 
 
 @lru_cache(maxsize=None)
-def _log_polys(m: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """P_k for k = 0..2 EM_ORDER_MAX + 4, integer coefficients low degree
-    first, with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
-    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Row 2J + 4 is
-    the last em_tail_error reads at em_tail's largest order J.  Independent
-    of the precision."""
+def _log_polys(m: int, p) -> tuple[tuple, ...]:
+    """P_k for k = 0..2 EM_ORDER_MAX + 4, coefficients low degree first,
+    with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
+    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Integers for an
+    int p, exact Fractions for a Fraction p.  Row 2J + 4 is the last
+    em_tail_error reads at em_tail's largest order J.  Independent of the
+    precision."""
     P = (0,) * m + (1,)
     rows = [P]
-    for k in range(p, p + 2 * EM_ORDER_MAX + 4):
+    for i in range(2 * EM_ORDER_MAX + 4):
+        k = p + i
         P = tuple((j + 1) * P[j + 1] - k * P[j] for j in range(m)) + (-k * P[m],)
         rows.append(P)
     return tuple(rows)
 
 
 def _horner(P, L, prec: int, rnd) -> tuple:
-    """P(L) for integer coefficients P, low degree first, by Horner's rule
-    on the _mpf_ tuple L, rounded at (prec, rnd)."""
+    """P(L) for int or Fraction coefficients P, low degree first, by
+    Horner's rule on the _mpf_ tuple L, rounded at (prec, rnd); a Fraction
+    enters through from_rational."""
     s = fzero
     for c in reversed(P):
-        s = mpf_add(mpf_mul(s, L, prec, rnd), from_int(c), prec, rnd)
+        c = (from_int(c) if type(c) is int
+             else from_rational(c.numerator, c.denominator, prec, rnd))
+        s = mpf_add(mpf_mul(s, L, prec, rnd), c, prec, rnd)
     return s
 
 
 @lru_cache(maxsize=None)
-def _isolated(n: int, k: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """_real_roots of P_k, f^(k)(t) = P_k(log t)/t^(k+1) for f = log^n t / t:
-    each polynomial is isolated once, for every order and start that reads
-    it."""
-    return tuple(_real_roots(_log_polys(n, 1)[k]))
+def _isolated(n: int, k: int, p=1) -> tuple[tuple[Fraction, Fraction], ...]:
+    """_real_roots of P_k, f^(k)(t) = P_k(log t)/t^(p+k) for
+    f = log^n t / t^p, its denominators cleared: each polynomial is
+    isolated once, for every order and start that reads it."""
+    P = _log_polys(n, p)[k]
+    den = math.lcm(*(c.denominator for c in P))
+    return tuple(_real_roots([int(c * den) for c in P]))
 
 
 @lru_cache(maxsize=None)
-def _certified_start(n: int, J: int, d: int = 0) -> float:
+def _certified_start(n: int, J: int, d: int = 0, p=1) -> float:
     """The certified start t_J of order J: past the last real root of
-    f^(2J+2+d) and of f^(2J+4+d), f = log^n t / t, so that both keep their
-    eventual sign (-1)^d on [t_J, inf).
+    f^(2J+2+d) and of f^(2J+4+d), f = log^n t / t^p, so that both keep
+    their eventual sign (-1)^d on [t_J, inf).
 
     exp of the largest isolating interval's upper end (0 when neither has
     a root t > 1), rounded up, so that a >= t_J implies that log a is past
     every root.
     """
-    last = max((hi for k in (2 * J + 2 + d, 2 * J + 4 + d) for _, hi in _isolated(n, k)),
-               default=0)
+    last = max((hi for k in (2 * J + 2 + d, 2 * J + 4 + d)
+                for _, hi in _isolated(n, k, p)), default=0)
     return math.exp(math.nextafter(float(last), math.inf)) * (1 + 1e-12)
 
 
 @lru_cache(maxsize=None)
-def _root_table(n: int, J: int, d: int = 0) -> tuple[tuple[float, mpf], ...]:
+def _root_table(n: int, J: int, d: int = 0, p=1) -> tuple[tuple[float, mpf], ...]:
     """One entry (hi, g_max) per real root r > 1 of f^(2J+2+d),
-    f = log^n t / t: log r <= hi, and g_max >= |f^(2J+1+d)| on the root's
-    isolating interval [lo, hi] of log t.
+    f = log^n t / t^p: log r <= hi, and g_max >= |f^(2J+1+d)| on the
+    root's isolating interval [lo, hi] of log t.
 
-    With g = f^(2J+1+d) = Q(L)/t^p, L = log t, p = 2J+2+d: on [lo, hi],
+    With g = f^(2J+1+d) = Q(L)/t^e, L = log t, e = p+2J+1+d: on [lo, hi],
     |Q(lo + h)| <= sum_j |q_j| (hi - lo)^j from Q's exact Taylor
-    coefficients q_j at lo, and t^-p <= exp(-p lo), taken in interval
+    coefficients q_j at lo, and t^-e <= exp(-e lo), taken in interval
     arithmetic and rounded up.  Independent of x and of the precision.
     """
-    polys = _log_polys(n, 1)
-    Q = polys[2 * J + 1 + d]
-    p = 2 * J + 2 + d
+    Q = _log_polys(n, p)[2 * J + 1 + d]
+    e = p + 2 * J + 1 + d
     saved = iv.prec
     iv.prec = 53
     try:
         table = []
-        for lo, hi in _isolated(n, 2 * J + 2 + d):
+        for lo, hi in _isolated(n, 2 * J + 2 + d, p):
             q_max = sum(abs(q) * (hi - lo) ** j
                         for j, q in enumerate(_taylor_shift(Q, lo)))
             enc = (iv.mpf(q_max.numerator) / q_max.denominator
-                   * iv.exp(-p * iv.mpf(lo.numerator) / lo.denominator))
+                   * iv.exp(-e.numerator * iv.mpf(lo.numerator)
+                            / (lo.denominator * e.denominator)))
             table.append((math.nextafter(float(hi), math.inf),
                           mp.make_mpf(enc._mpi_[1])))
         return tuple(table)

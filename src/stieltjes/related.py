@@ -40,8 +40,6 @@ from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_start_for, em_tail,
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
-# Euler-Maclaurin correction order of delta's endpoint corrections
-DELTA_EM_ORDER = 4
 
 
 def _cot_pi(frac) -> mpf:
@@ -123,60 +121,12 @@ def von_mangoldt(N: int) -> VonMangoldtTable:
 # eta constants
 # ---------------------------------------------------------------------------
 
-class PowerSeries:
-    """Dense truncated power series; just enough ring structure for the
-    log-derivative extraction (add/mul/div/derivative/integrate/log)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [mpf(c) for c in coeffs]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def derivative(self) -> "PowerSeries":
-        return PowerSeries([(i + 1) * c for i, c in enumerate(self.coeffs[1:])])
-
-    def integrate(self) -> "PowerSeries":
-        return PowerSeries([mpf(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def mul(self, other: "PowerSeries", order: int) -> "PowerSeries":
-        out = [mpf(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs):
-            if i > order:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j > order:
-                    break
-                out[i + j] += a * b
-        return PowerSeries(out)
-
-    def div(self, other: "PowerSeries", order: int) -> "PowerSeries":
-        if other.coeffs[0] == 0:
-            raise DomainError("PowerSeries.div: divisor has zero constant term")
-        out = [mpf(0)] * (order + 1)
-        for i in range(order + 1):
-            acc = self.coeffs[i] if i < len(self.coeffs) else mpf(0)
-            for j in range(1, i + 1):
-                if j < len(other.coeffs):
-                    acc -= other.coeffs[j] * out[i - j]
-            out[i] = acc / other.coeffs[0]
-        return PowerSeries(out)
-
-    def log(self, order: int) -> "PowerSeries":
-        """Formal log for series with constant term 1: integral of f'/f."""
-        if self.coeffs[0] != 1:
-            raise DomainError("PowerSeries.log: needs constant term 1")
-        return self.derivative().div(self, order - 1).integrate()
-
-
 def eta(n: int, route: str = "from_gamma", K: int | None = None, tol=None) -> SeriesValue:
     """eta_n, the coefficients of -d/ds log[(s-1) zeta(s)] about s = 1.
 
-    from_gamma: formal log-derivative of 1 + sum (-1)^j gamma_j w^(j+1)/j!,
-    error propagated by perturbing each gamma_j by its claimed bound.
+    from_gamma: the coefficient of w^n in -F'/F, F(w) = 1 + sum (-1)^j
+    gamma_j w^(j+1)/j!, error propagated by perturbing each gamma_j by its
+    claimed bound.
     series: von Mangoldt partial sum with abs_err = inf (conditionally
     convergent at prime-counting rate; no effective desk-scale bound exists).
     """
@@ -196,12 +146,18 @@ def eta(n: int, route: str = "from_gamma", K: int | None = None, tol=None) -> Se
 
 
 def _eta_coeff_from(gammas: list, n: int) -> mpf:
-    order = n + 2
-    coeffs = [mpf(1)] + [mpf(0)] * order
-    for j, g in enumerate(gammas):
-        coeffs[j + 1] = (-1) ** j * g / factorial(j)
-    F = PowerSeries(coeffs)
-    return -F.log(order).derivative().coeffs[n]
+    """eta_n = -(F'/F)_n for F(w) = 1 + sum_j (-1)^j gamma_j w^(j+1)/j!,
+    from gammas = gamma_0..gamma_(n+1): the coefficients G_i of G = F'/F
+    come one at a time from G F = F', G_i = (i+1) F_(i+1) - sum_(j=1..i)
+    F_j G_(i-j)."""
+    F = [mpf(1)] + [(-1) ** j * g / factorial(j) for j, g in enumerate(gammas)]
+    G = []
+    for i in range(n + 1):
+        acc = (i + 1) * F[i + 1]
+        for j in range(1, i + 1):
+            acc -= F[j] * G[i - j]
+        G.append(acc)
+    return -G[n]
 
 
 def _eta_from_gamma(n: int, tol) -> SeriesValue:
@@ -344,8 +300,9 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
 
     The partial sum S_n(N) comes from exact integer products and prime
     powers (_log_power_sum), not from N logarithms.  The endpoint
-    corrections run at the fixed order DELTA_EM_ORDER, and their claim is
-    the certified remainder of em_tail_error.
+    corrections take em_tail_shifted's order loop, J rising from 4 until
+    the certified remainder of em_tail_error is below the rounding floor of
+    the partial sum and the integral, which the claim adds anyway.
     """
     if not 0 <= n <= 2:
         raise DomainError("delta: order must be 0, 1 or 2")
@@ -360,13 +317,14 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         partial = _log_power_sum(n, N)
         integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
         value = partial - integral - log(N) ** n / 2
-        # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
-        correction, err, _ = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, DELTA_EM_ORDER,
-                                             key=(n - 1, N, -1, n))
-        value += correction
         # the partial sum and the integral are each about N log^n N, and
         # their terms' rounding, not the value's, sets the floor
-        err = tail_claim(err, value) + rounding_floor(abs(partial) + abs(integral))
+        floor = rounding_floor(abs(partial) + abs(integral))
+        # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
+        correction, err, _ = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, bound=floor,
+                                             key=(n - 1, N, -1, n))
+        value += correction
+        err = tail_claim(err, value) + floor
         return SeriesValue(value, err, N, "em_corrected")
 
 

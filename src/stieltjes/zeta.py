@@ -7,8 +7,9 @@ Two independent routes to zeta(s, x) are provided:
   corrections,
       zeta(s,x) = sum_{k<N} (k+x)^-s + (N+x)^(1-s)/(s-1) + (N+x)^-s / 2
                   + sum_j B_2j/(2j)! (s)_(2j-1) (N+x)^(-s-2j+1) + R,
-  with j <= J and the order J planned per rung, for real s > -11; the
-  workhorse and in-package reference.
+  with j <= J, for real s > -11; the workhorse and in-package reference.
+  The tail is logpoly's em_tail_shifted on (t + x)^-s, a log-polynomial
+  term with the rational inverse power s, and its order loop plans J.
 
 * hurwitz_hasse: the globally convergent double sum
       zeta(s,x) = 1/(s-1) sum_n 1/(n+1) sum_k C(n,k) (-1)^k (k+x)^(1-s),
@@ -28,19 +29,21 @@ logarithmic series
 
 accelerated by Euler-Maclaurin corrections on the summand.  Both of its
 log-power differences are logpoly.pow_step; log n and the x-free one come
-from logpoly.log_steps, the table series_c shares.
+from logpoly.log_steps, the table series_c shares.  zeta'(s) sums log k /
+k^s with the same engine, its remainder certified by the key p = s.  No
+Bernoulli table, order loop or certificate lives here.
 """
 
 from __future__ import annotations
 
-from mpmath import exp, floor, log, mp, mpf, pi, workdps
+from mpmath import floor, log, mp, mpf, pi, workdps
 from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_sub
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, tol_digits,
                    working_dps)
-from .logpoly import (J_PLAN_MAX, _pow_step, em_start_for, em_tail_shifted,
-                      em_weights, log_steps, logpow_antiderivative, pow_step)
+from .logpoly import (_pow_step, em_start_for, em_tail_shifted, log_steps,
+                      logpow_antiderivative, pow_step)
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -85,13 +88,15 @@ def _validate_x(x) -> mpf:
 def hurwitz_em(s, x, tol=None) -> SeriesValue:
     """zeta(s, x) by power sum plus Euler-Maclaurin corrections.
 
-    f(t) = (t+x)^-s has f^(m) = (-1)^m (s)_m (t+x)^(-s-m).  From the least
-    order J >= 4 with s + 2J + 1 > 0, f^(2J+1) vanishes at infinity and
-    (s)_(2J+2), (s)_(2J+4) share a sign, so the first omitted correction
-    bounds the remainder at every N (em_tail_error's theta-bound).  At each
-    rung the order rises from there, at most to J_PLAN_MAX, until that
-    correction is below tol/2.  A large head x^-s adds guard digits
-    (_head_guard), so its rounding floor stays a small share of tol.
+    The tail sum_{k>=N} (k+x)^-s is em_tail_shifted's on the part
+    (1, x, 0, s), v(t) = (t+x)^-s, whose v^(m) = (-1)^m (s)_m (t+x)^(-s-m).
+    From the least order J_min >= 4 with s + 2J + 1 > 0, v^(2J+1) vanishes
+    at infinity and (s)_(2J+2), (s)_(2J+4) share a sign, so the first
+    omitted correction bounds the remainder at every N (em_tail_error's
+    theta-bound) and the probe passes no key.  At each rung the order rises
+    from J_min until that correction is below tol/2.  A large head x^-s
+    adds guard digits (_head_guard), so its rounding floor stays a small
+    share of tol.
     """
     s = mpf(s)
     x = _validate_x(x)
@@ -102,35 +107,20 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     dps = working_dps(tol)
     with workdps(dps + _head_guard(s, x, tol, dps)):
-        # B_2j/(2j)! (s)_(2j-1) for j = 1..J_PLAN_MAX+1, the rising
-        # factorials (s)_m taken as one prefix product; weights[J] is the
-        # first omitted correction's at order J
-        bw = em_weights(J_PLAN_MAX + 1)
-        weights, rf, m = [], mpf(1), 0
-        for j in range(1, J_PLAN_MAX + 2):
-            while m < 2 * j - 1:
-                rf *= s + m
-                m += 1
-            weights.append(bw[j] * rf)
         J_min = max(4, int(floor((-s - 1) / 2)) + 1)
 
         def probe(N):
-            for J in range(J_min, J_PLAN_MAX + 1):
-                err = abs(weights[J] * (N + x) ** (-s - 2 * J - 1))
-                if err < tol / 2:
-                    break
-            return J, err
+            a = N + x
+            tail, err, _ = em_tail_shifted([(1, x, 0, s)], a ** -s, a ** (1 - s) / (s - 1),
+                                           N, J_min, tol / 2)
+            return tail, err
 
         # the ladder starts 14 terms past |s|, where the corrections decay fast
-        N, J, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 14))
-        a = N + x
+        N, tail, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 14))
         terms = [(k + x) ** (-s) for k in range(N)]
-        total = comp_sum(terms)
-        boundary = a ** (1 - s) / (s - 1)
-        total += boundary + a ** (-s) / 2
-        for j, w in enumerate(weights[:J], 1):
-            total += w * a ** (-s - 2 * j + 1)
+        total = comp_sum(terms) + tail
         # for s < 0 the power sum dwarfs the result; dust scales with it
+        boundary = (N + x) ** (1 - s) / (s - 1)
         scale = max(abs(terms[-1]), abs(boundary), abs(total))
         return SeriesValue(total, err + 4 * rounding_floor(scale), N, "em")
 
@@ -268,58 +258,26 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
 def zeta_prime_int(s, tol=None) -> SeriesValue:
     """zeta'(s) = -sum_{k>=2} log k / k^s for s > 1, tail-accelerated.
 
-    Derivatives of f(t) = log(t) t^-s follow (a log t + b) t^(-s-m) with
-    a' = -(s+m) a, b' = a - (s+m) b, so b/a drops by 1/(s+m) per step and
-    f^(m) has its one root at log t = L_m = sum_{i<m} 1/(s+i).  The tail
-    integral is K^(1-s) [log K/(s-1) + 1/(s-1)^2].
-
-    At each rung the order J rises from 4, at most to J_PLAN_MAX, until the
-    certified remainder is below tol/2.  Once log K >= L_(2J+4), f^(2J+2)
-    and f^(2J+4) keep one sign on [K, inf) and the remainder is bounded by
-    the first omitted correction (em_tail_error's theta-bound).  Below, it
-    is 2 |B_2J+2|/(2J+2)! times the total variation of g = f^(2J+1) on
-    [K, inf): |g(K)|, plus 2 |g(r)| while K < r = exp(L_(2J+2)), the one
-    extremum of g, where a log r + b = a/p and |g(r)| = |a| r^-p / p with
-    p = s + 2J + 1.
+    The tail sum_{k>=K} log k / k^s is em_tail_shifted's on the part
+    (1, 0, 1, s), with the closed integral K^(1-s) [log K/(s-1) +
+    1/(s-1)^2].  At each rung the order rises from 4 until the claim is
+    below tol/2, certified by em_tail_error's key (1, K, 0, 1, s) for
+    f = log t / t^s: the first omitted correction past the certified start,
+    below it twice that plus the variation at the one root of f^(2J+2).
     """
     s = mpf(s)
     if not s > 1:
         raise DomainError("zeta_prime_int: needs s > 1")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        # (B_2j/(2j)!, a_m, b_m) at m = 2j-1 for j = 1..J_PLAN_MAX+1;
-        # coeffs[J] is the first omitted correction's at order J
-        bw = em_weights(J_PLAN_MAX + 1)
-        coeffs, a, b, m = [], mpf(1), mpf(0), 0
-        for j in range(1, J_PLAN_MAX + 2):
-            while m < 2 * j - 1:
-                a, b = -(s + m) * a, a - (s + m) * b
-                m += 1
-            coeffs.append((bw[j], a, b))
-        roots = [mpf(0)]  # L_m for m = 0..2 J_PLAN_MAX + 4
-        for i in range(2 * J_PLAN_MAX + 4):
-            roots.append(roots[-1] + 1 / (s + i))
-
         def probe(K):
-            lK = log(mpf(K))
-            for J in range(4, J_PLAN_MAX + 1):
-                w, a, b = coeffs[J]
-                err = abs(w * (a * lK + b) * mpf(K) ** (-s - 2 * J - 1))
-                if lK < roots[2 * J + 4]:
-                    err *= 2
-                    if lK < roots[2 * J + 2]:
-                        p = s + 2 * J + 1
-                        err += 4 * abs(w * a) / p * exp(-p * roots[2 * J + 2])
-                if err < tol / 2:
-                    break
-            return (lK, J), err
+            lK, Km = log(K), mpf(K)
+            integral = Km ** (1 - s) * (lK / (s - 1) + (s - 1) ** -2)
+            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], lK * Km ** -s, integral, K, 4,
+                                           tol / 2, (1, K, 0, 1, s))
+            return tail, err
 
-        K, (lK, J), err = em_start_for(probe, tol / 2, 8, factor=2)
+        K, tail, err = em_start_for(probe, tol / 2, 8, factor=2)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
-        Km = mpf(K)
-        tail = Km ** (1 - s) * (lK / (s - 1) + (s - 1) ** (-2))
-        tail += lK * Km ** (-s) / 2
-        for j, (w, a, b) in enumerate(coeffs[:J], 1):
-            tail -= w * (a * lK + b) * Km ** (-s - (2 * j - 1))
         value = -(partial + tail)
         return SeriesValue(value, tail_claim(err, value), K, "log_series")

@@ -6,10 +6,12 @@ a < 1 panel), 1 and 500, at the working precisions of tol 1e-12, 1e-20
 and 1e-50."""
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from mpmath import exp, log, mp, mpf, workdps
+from mpmath.libmp import to_rational
 
 from oracles import LogPoint
 from stieltjes.core import working_dps
@@ -81,8 +83,16 @@ def coffey_panels_mpf(n, x, K):
 def horner_mpf(P, L):
     s = mpf(0)
     for c in reversed(P):
-        s = s * L + c
+        s = s * L + (c if type(c) is int else mp.fdiv(c.numerator, c.denominator))
     return s
+
+
+def _exact(p):
+    """An int p as it is, an mpf p as the rational it is."""
+    if type(p) is int:
+        return p
+    num, den = to_rational(p._mpf_)
+    return num if den == 1 else Fraction(num, den)
 
 
 def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
@@ -94,12 +104,13 @@ def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
         point = points.get(sh)
         if point is None:
             point = points[sh] = LogPoint(start + sh)
-        terms.append((mpf(c), point, _log_polys(m, p), p))
+        terms.append((mpf(c), point, _log_polys(m, _exact(p)), p))
 
     def at(i):
         total = mpf(0)
         for c, point, rows, p in terms:
-            total += c * (horner_mpf(rows[i], point.lu) / point._upow(p + i))
+            e = p + i if type(p) is int else mp.fadd(p, i, exact=True)
+            total += c * (horner_mpf(rows[i], point.lu) / point._upow(e))
         return total
 
     def correction(j):
@@ -236,6 +247,9 @@ def _route_parts(x):
         [(x, 0, 2, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)],  # dilcher
         [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)],     # g-series
         [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)],                # digamma
+        # rational inverse powers p = s, read exactly
+        [(1, x, 0, mpf("-2.5"))], [(1, x, 0, mpf("2.1"))],              # hurwitz_em
+        [(1, 0, 1, mpf("1.1"))], [(1, 0, 1, mpf(3))],                   # zeta_prime_int
     ]
 
 

@@ -10,7 +10,7 @@ from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_flo
 from stieltjes.gamma import gamma_n
 from oracles import LogPoint, logpoly_integral_to_inf
 from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoly,
-                               _ROOT_WIDTH, _certified_start, _log_polys,
+                               _ROOT_WIDTH, _certified_start, _isolated, _log_polys,
                                _real_roots, _root_table, bernoulli,
                                bernoulli_mpf, em_start_for, em_tail,
                                em_tail_error, em_tail_shifted,
@@ -120,11 +120,11 @@ def test_em_tail_logt2_vs_brute_oracle():
 
 @pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
-    # f = log^m t / t carries em_tail_error's key d = 0; other f none
+    # every single term log^m t / t^p carries em_tail_error's key d = 0
     f = LogPoly.single(1, m, p)
     a = mpf(a)
     sv = em_tail(f, a)
-    key = (m, a, 0, 1) if p == 1 else None
+    key = (m, a, 0, 1, p)
     value, err, J = em_tail_shifted([(1, 0, m, p)], f(a), 0, a, key=key)
     assert (sv.value, sv.abs_err, sv.terms_used) == (value, err, J)
 
@@ -312,7 +312,7 @@ def test_em_tail_self_consistency(m, p, N):
     f = LogPoly.single(1, m, p)
     sv = em_tail(f, N)
     want = _tail_reference(f, m, p, N)
-    assert abs(sv.value - want) <= 10 * sv.abs_err + mpf("1e-19")
+    assert abs(sv.value - want) <= sv.abs_err
 
 
 @pytest.mark.slow
@@ -330,7 +330,7 @@ def test_em_tail_reference_against_brute_force():
     want = brute + rest - logpoly_integral_to_inf(f, mpf(N))
     assert abs(_tail_reference(f, m, p, N) - want) <= mpf("1e-19")
     sv = em_tail(f, N)
-    assert abs(sv.value - want) <= 10 * sv.abs_err + mpf("1e-19")
+    assert abs(sv.value - want) <= sv.abs_err + mpf("1e-19")
 
 
 # (n, J, d): the root table of f^(2J+2+d), f = log^n t / t, and the
@@ -415,6 +415,30 @@ def test_certified_start_is_just_past_the_last_root(n, J, d):
     with workdps(60):
         assert all(mpf(t_J) > exp(r) for r in roots)
         assert log(mpf(t_J)) - max(roots) <= 2 * _fraction_mpf(_ROOT_WIDTH) + mpf("1e-9")
+
+
+@pytest.mark.parametrize("p", [2, 3, Fraction(3, 2)])
+@pytest.mark.parametrize("m", range(4))
+def test_isolated_terminates_for_other_inverse_powers(m, p):
+    # the certificate of log^m t / t^p reads rows up to 2 J_PLAN_MAX + 5
+    # (d = 1); the bisection ends on each, a Fraction row with its
+    # denominators cleared, and each interval brackets a sign change
+    for k in range(2 * J_PLAN_MAX + 6):
+        P = _log_polys(m, p)[k]
+        intervals = _isolated(m, k, p)
+        assert len(intervals) <= m
+        for lo, hi in intervals:
+            assert 0 <= hi - lo <= _ROOT_WIDTH
+            ends = [sum(c * L ** j for j, c in enumerate(P)) for L in (lo, hi)]
+            assert ends[0] * ends[1] <= 0
+
+
+def test_certificate_key_needs_a_positive_inverse_power():
+    # each row leads with (-1)^k (p)_k, which vanishes for p = 0, -1, ...,
+    # and g = f^(2J+1+d) must vanish at infinity
+    for p in (0, mpf("-0.5")):
+        with pytest.raises(DomainError):
+            em_tail_error(1, mpf(10), 4, mpf(0), 0, 1, p)
 
 
 @pytest.mark.parametrize("n,J,d,a", [(5, 4, 0, "32.2546"), (2, 4, 0, "58.5"),

@@ -3,14 +3,15 @@ import time
 from functools import lru_cache
 
 import pytest
-from mpmath import exp, factorial, fsum, log, mp, mpf, pi, workdps, zeta
+from mpmath import (exp, factorial, fsum, log, mp, mpf, pi, stieltjes, taylor,
+                    workdps, zeta)
 
 import oracles
 from stieltjes.core import DomainError, SeriesValue, rounding_floor
 from stieltjes.gamma import RationalArg
 from stieltjes.logpoly import K_CAP
 from stieltjes.quadrature import quad_gl
-from stieltjes.related import (PowerSeries, _log_power_sum, delta, digamma,
+from stieltjes.related import (_log_power_sum, delta, digamma,
                                digamma_rational, dilcher_log_gamma_k,
                                dilcher_power_series, eta, log_gamma,
                                mangoldt_gap_sums, von_mangoldt)
@@ -68,24 +69,6 @@ class TestVonMangoldt:
             von_mangoldt(1)
 
 
-class TestPowerSeries:
-    def test_div_round_trip(self):
-        one_plus = PowerSeries([1, 1, 0, 0, 0])
-        inv = PowerSeries([1, 0, 0, 0, 0]).div(one_plus, 4)
-        back = inv.mul(one_plus, 4)
-        assert back.coeffs[0] == 1
-        assert all(c == 0 for c in back.coeffs[1:])
-
-    def test_log_of_one_plus_w(self):
-        s = PowerSeries([1, 1, 0, 0, 0, 0]).log(5)
-        for i in range(1, 6):
-            assert abs(s.coeffs[i] - mpf(-1) ** (i + 1) / i) < mpf("1e-30")
-
-    def test_log_requires_unit_constant(self):
-        with pytest.raises(DomainError):
-            PowerSeries([2, 1]).log(1)
-
-
 class TestEta:
     def test_order_zero_is_minus_gamma(self, gamma_ref):
         sv = eta(0, "from_gamma", tol=mpf("1e-13"))
@@ -100,6 +83,26 @@ class TestEta:
     def test_alternating_signs(self):
         values = [eta(n, "from_gamma", tol=mpf("1e-10")).value for n in range(4)]
         assert values[0] < 0 and values[1] > 0 and values[2] < 0 and values[3] > 0
+
+    def test_within_its_claim_of_minus_f_prime_over_f(self):
+        # eta_n = [w^n] -F'/F, F(w) = 1 + sum_j (-1)^j gamma_j w^(j+1)/j!,
+        # with F from mpmath's gamma_j and the quotient's Taylor
+        # coefficients from mpmath.taylor, at 60 digits
+        tol = mpf("1e-20")
+        with workdps(60):
+            c = [mpf(1)] + [(-1) ** j * stieltjes(j) / factorial(j) for j in range(8)]
+
+            def minus_log_derivative(w):
+                F = fsum(ck * w ** k for k, ck in enumerate(c))
+                dF = fsum(k * ck * w ** (k - 1) for k, ck in enumerate(c) if k)
+                return -dF / F
+
+            want = taylor(minus_log_derivative, 0, 6)
+        for n in range(7):
+            sv = eta(n, tol=tol)
+            assert sv.abs_err < tol
+            with workdps(60):
+                assert abs(sv.value - want[n]) <= sv.abs_err, n
 
     def test_series_route_has_no_bound(self):
         sv = eta(0, "series", K=10**4)
@@ -185,14 +188,26 @@ class TestDelta:
             assert abs(sv.value - ref) <= sv.abs_err
 
     def test_certified_term_alone_bounds_the_error(self):
-        # at N = 16 the true error of delta(2) is 1.37e-15, above the first
-        # omitted order-4 correction, 1.34e-15: only tail_claim's 5/4 pad
-        # covered it.  The certified term, the claim less its pad (and
-        # rounding floors near 1e-40), covers it alone.
+        # at N = 16 and order 4 the true error of delta(2), 1.37e-15, is
+        # above the first omitted correction, 1.34e-15, so the claim must
+        # be certified: at the order the loop reaches, the certified term,
+        # the claim less tail_claim's 5/4 pad, covers the error alone.
         sv = delta(2, 16)
         with workdps(mp.dps + 40):
             ref = zeta(0, 1, 2) + 2
             assert abs(sv.value - ref) <= 4 * sv.abs_err / 5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_order_rises_to_the_fifty_digit_floor(self, n):
+        # at order 4 the remainder at N = 10^4 is about 1e-39, far above
+        # the 50-digit rounding floor of the partial sum and the integral;
+        # the order loop raises J until the remainder is below that floor
+        mp.dps = 50
+        sv = delta(n)
+        assert sv.abs_err < mpf("1e-48")
+        with workdps(90):
+            ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
+            assert abs(sv.value - ref) <= sv.abs_err
 
     @pytest.mark.parametrize("dps", [15, 34, 50])
     @pytest.mark.parametrize("n", [1, 2])

@@ -163,14 +163,22 @@ def _zeta_prime_reference(s, tol):
         return value, tail_claim(err, value), K
 
 
+def _assert_within_the_reference(sv, reference):
+    value, claim, terms_used = reference
+    assert sv.terms_used == terms_used
+    assert abs(sv.value - value) <= sv.abs_err <= mpf("1.001") * claim
+
+
 class TestHurwitzEM:
     @pytest.mark.parametrize("s", ["-2.5", "-1", "0.3", "2", "2.1", "7.3"])
     @pytest.mark.parametrize("x", ["0.07", "1", "3.3"])
     def test_bits_of_the_fresh_correction_loop(self, s, x):
+        # the shared order loop rounds its corrections in another order
+        # than the fresh loop: the same N, a value within the claim, and a
+        # claim no looser than the reference's
         s, x = mpf(s), mpf(x)
         for tol in (mpf("1e-12"), mpf("1e-25")):
-            sv = hurwitz_em(s, x, tol)
-            assert (sv.value, sv.abs_err, sv.terms_used) == _hurwitz_reference(s, x, tol)
+            _assert_within_the_reference(hurwitz_em(s, x, tol), _hurwitz_reference(s, x, tol))
 
     def test_zeta2_half(self):
         # zeta(2, 1/2) = 3 zeta(2) by even/odd splitting of the brute sum
@@ -331,10 +339,11 @@ class TestDeriv0Const:
 class TestZetaPrime:
     @pytest.mark.parametrize("s", ["1.1", "1.5", "2", "3.3", "10"])
     def test_bits_of_the_fresh_correction_loop(self, s):
+        # as for hurwitz_em: the certificate of the key (1, K, 0, 1, s)
+        # encloses the closed-form root term, so the claim may not drop
         s = mpf(s)
         for tol in (mpf("1e-12"), mpf("1e-25")):
-            sv = zeta_prime_int(s, tol)
-            assert (sv.value, sv.abs_err, sv.terms_used) == _zeta_prime_reference(s, tol)
+            _assert_within_the_reference(zeta_prime_int(s, tol), _zeta_prime_reference(s, tol))
 
     @pytest.mark.parametrize("digits", [6, 7, 8, 9, 10])
     def test_certified_term_alone_bounds_the_error(self, digits):
