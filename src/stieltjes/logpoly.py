@@ -35,14 +35,15 @@ bound, J rises from 4, at most to J_PLAN_MAX, while the claimed remainder is
 not below it, so a rung passes or fails on the certified claim itself.  That
 claim is certified at every order and start:
 
-- digamma, log_gamma and hurwitz_em: their summands are completely
-  monotone, or the negative of one (for hurwitz_em's (t+x)^-s from its
-  least order on), so the first omitted correction bounds the remainder
-  (the theta-bound of em_tail_error), and they pass no certificate key.
-- the gamma_n series and gamma_diff (through em_tail, d = 0),
-  zeta_prime_int's log t / t^s (d = 0, p = s), the second divided
-  differences of zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's
-  g-series (d = 1), and delta's log^n t (d = -1): they pass em_tail_error's
+- hurwitz_em: its summand (t+x)^-s is completely monotone, or the
+  negative of one, from its least order on, so the first omitted
+  correction bounds the remainder (the theta-bound of em_tail_error), and
+  it passes no certificate key.
+- the gamma_n series, digamma (series_b at n = 0) and gamma_diff (through
+  em_tail, d = 0), zeta_prime_int's log t / t^s (d = 0, p = s), the second
+  divided differences of zeta_deriv0_diff (log_gamma at k = 0),
+  dilcher_log_gamma_k and the verifier's g-series (d = 1), and delta's
+  log^n t (d = -1): they pass em_tail_error's
   key (n, a, d, scale, p), which certifies the remainder by the
   theta-bound past the certified start t_J and below it from the total
   variation of f^(2J+1+d), f = log^n t / t^p.  Both read the real roots of
@@ -229,21 +230,23 @@ def log_steps(q: int, K: int) -> tuple[list, list]:
 
 
 K_CAP = 10 ** 6
-# Largest correction order em_tail accepts: well past the orders any series
-# route plans (J_PLAN_MAX), while B_2J+2 from a cold cache stays a few
-# milliseconds' work.
-EM_ORDER_MAX = 32
+# Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
+# reaches and em_tail accepts.  J = 13 is the smallest order that takes a
+# 50-digit gamma_1 to the second rung (K = 128).  The cap also sets where the
+# term budget ends: past about 1e-175 no rung up to K_CAP reaches tol/4 and
+# the gamma routes raise ConvergenceError (about 1e-65 at J = 4 alone).
+J_PLAN_MAX = 13
 
 
 def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
-    J.  With a bound, J is the least order and rises as in em_tail_shifted.
-    For a single term f = c log^m t / t^p, abs_err is the certified
-    remainder bound em_tail_error of the key (m, start, 0, |c|, p) at every
-    start and order; it bounds the remainder only, not the rounding of the
-    value.  For several terms it is the magnitude of the first omitted
+    J, at most J_PLAN_MAX.  With a bound, J is the least order and rises as
+    in em_tail_shifted.  For a single term f = c log^m t / t^p, abs_err is
+    the certified remainder bound em_tail_error of the key (m, start, 0,
+    |c|, p) at every start and order; it bounds the remainder only, not the
+    rounding of the value.  For several terms it is the magnitude of the first omitted
     correction, an estimate that is a bound only where f^(2J+2) and
     f^(2J+4) keep one sign from start on.  start may be any real >= 2
     (unit-step lattice starting there); every term of f must have
@@ -253,8 +256,8 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
     if f.min_inv_power < 1:
         raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
-    if J > EM_ORDER_MAX:
-        raise DomainError(f"em_tail: correction order J must be <= {EM_ORDER_MAX}")
+    if J > J_PLAN_MAX:
+        raise DomainError(f"em_tail: correction order J must be <= {J_PLAN_MAX}")
     start = mpf(start)
     if start < 2:
         raise DomainError("em_tail: start must be >= 2")
@@ -298,7 +301,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
     (p is 1 when the key leaves it out), and with no
     key the magnitude of the first omitted correction: the theta-bound of a
     completely monotone summand (or the negative of one) at every start and
-    order.
+    order, as hurwitz_em's.
 
     With a bound, J is the least order and the order rises from it, at most
     to J_PLAN_MAX, while the claim is not below bound: the one order plan of
@@ -318,7 +321,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
             point = points[sh] = (u, mpf_log(u, prec, rnd), {})
         p = _rational(p)
         terms.append((mpf(c)._mpf_, point, _log_polys(m, p), p))
-    weights = em_weights(max(J, J_PLAN_MAX) + 1)
+    weights = em_weights(J_PLAN_MAX + 1)
 
     def at(i):  # v^(i)(start)
         total = fzero
@@ -376,12 +379,6 @@ def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
         K *= factor
 
 
-# Largest order em_tail_shifted's order loop reaches.  J = 13 is the
-# smallest order that takes a 50-digit gamma_1 to the second rung (K = 128).
-# The cap also sets where the term budget ends: past about 1e-175 no rung up
-# to K_CAP reaches tol/4 and the gamma routes raise ConvergenceError (about
-# 1e-65 at J = 4 alone).
-J_PLAN_MAX = 13
 # the isolating interval of each root is refined to this width in log t
 _ROOT_WIDTH = Fraction(1, 2 ** 16)
 
@@ -458,15 +455,15 @@ def _pow(u, e, prec: int, rnd) -> tuple:
 
 @lru_cache(maxsize=None)
 def _log_polys(m: int, p) -> tuple[tuple, ...]:
-    """P_k for k = 0..2 EM_ORDER_MAX + 4, coefficients low degree first,
+    """P_k for k = 0..2 J_PLAN_MAX + 5, coefficients low degree first,
     with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
     d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Integers for an
-    int p, exact Fractions for a Fraction p.  Row 2J + 4 is the last
-    em_tail_error reads at em_tail's largest order J.  Independent of the
-    precision."""
+    int p, exact Fractions for a Fraction p.  Row 2J + 4 + d, d <= 1, is
+    the last em_tail_error reads at the largest order J = J_PLAN_MAX.
+    Independent of the precision."""
     P = (0,) * m + (1,)
     rows = [P]
-    for i in range(2 * EM_ORDER_MAX + 4):
+    for i in range(2 * J_PLAN_MAX + 5):
         k = p + i
         P = tuple((j + 1) * P[j + 1] - k * P[j] for j in range(m)) + (-k * P[m],)
         rows.append(P)

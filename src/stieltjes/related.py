@@ -1,13 +1,13 @@
 """Constant families adjacent to the Stieltjes constants: digamma and
-log-gamma from their product-form series, the Gauss-type closed form for
+log-gamma as the series they equal, the Gauss-type closed form for
 psi(p/q), the von Mangoldt function and the eta constants, the delta
 constants, and the generalized gamma functions whose logarithmic structure
 produces gamma_k the way log Gamma produces gamma.
 
 Series used here and their tails:
 
-  log Gamma(x+1) = sum_{k>=1} [x log(1+1/k) - log(1+x/k)]
-  psi(1+x)       = log(1+x) - sum_{k>=1} [1/(k+x) - log(1+1/(k+x))]
+  psi(x)         = -gamma_0(1+x) - 1/x          (series_b at n = 0)
+  log Gamma(x)   = zeta'(0, x) - zeta'(0)       (zeta_deriv0_diff at k = 0)
   log Gamma_k(x+1) = -gamma_k x
         + sum_{j>=1} [x log^k j / j - (log^(k+1)(j+x) - log^(k+1) j)/(k+1)]
 
@@ -32,11 +32,12 @@ from math import factorial, isqrt
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub
 
-from .core import (DomainError, SeriesValue, comp_sum, cvz_terms, default_tol,
-                   rounding_floor, tail_claim, working_dps)
-from .gamma import RationalArg, _gamma1_bracket, gamma1_alt, gamma_n
+from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
+                   default_tol, rounding_floor, tail_claim, working_dps)
+from .gamma import RationalArg, _gamma1_bracket, _gamma_series_b, gamma1_alt, gamma_n
 from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_start_for, em_tail,
                       em_tail_shifted, logpow_antiderivative, pow_step)
+from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
 ETA_SERIES_MAX_K = 10 ** 8
@@ -179,7 +180,7 @@ def _eta_series(n: int, K: int) -> SeriesValue:
     """Partial sum to K of the von Mangoldt series; the log-power part
     telescopes to log^(n+1)(K+1)/(n+1) exactly."""
     table = von_mangoldt(K)
-    with workdps(mp.dps + 8):
+    with workdps(mp.dps + GUARD_DIGITS):
         acc = comp_sum(lp * (m * lp) ** n / k for k, lp, m in table.iter_log_powers())
         value = (-1) ** n * (acc - log(K + 1) ** (n + 1) / (n + 1)) / factorial(n)
     return SeriesValue(value, mp.inf, K, "mangoldt_series")
@@ -208,7 +209,7 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         raise DomainError("mangoldt_gap_sums: checkpoints must be >= 1")
     table = von_mangoldt(pending[-1])
     out: dict[int, mpf] = {}
-    with workdps(mp.dps + 8):
+    with workdps(mp.dps + GUARD_DIGITS):
         parts = [mpf(0)] * len(pending)
         powers = groupby(table.iter_log_powers(), lambda e: bisect_left(pending, e[0]))
         for i, group in powers:
@@ -310,7 +311,7 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         raise DomainError("delta: need N >= 10")
     if N > K_CAP:
         raise DomainError(f"delta: N must be <= {K_CAP}")
-    with workdps(mp.dps + 8):
+    with workdps(mp.dps + GUARD_DIGITS):
         if n == 0:
             # every term of the corrected form cancels identically
             return SeriesValue(mpf(1) / 2, mpf(0), N, "em_corrected")
@@ -333,65 +334,31 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
 # ---------------------------------------------------------------------------
 
 def digamma(x, tol=None) -> SeriesValue:
-    """psi(x) from psi(1+x) = log(1+x) - sum_{k>=1} [1/(k+x) - log(1+1/(k+x))],
-    shifted back by psi(x) = psi(1+x) - 1/x.
+    """psi(x) = -gamma_0(1+x) - 1/x, with gamma_0(1+x) = -psi(1+x) by the
+    series_b sum, sum_{k>=1} [1/(k+x) - log(1+1/(k+x))] - log(1+x).
 
-    The summand 1/u - log(1 + 1/u), u = t + x, is the Laplace transform
-    int_0^inf e^(-us) [1 - (1 - e^-s)/s] ds of a kernel >= 0, so it is
-    completely monotone and its first omitted Euler-Maclaurin correction
-    bounds the remainder at every K and J: the order rises at each rung
-    (em_tail_shifted with a bound)."""
+    1 + x is formed exactly and handed to the sum as it is: rounded to the
+    ambient precision, as gamma_n's argument check would, it loses x when x
+    is small (at mp.dps 15, psi(1e-20) would miss by about 1e-20)."""
     x = mpf(x)
     if not x > 0:
         raise DomainError("digamma: x must be > 0")
     tol = default_tol() if tol is None else mpf(tol)
+    g0 = _gamma_series_b(0, mp.fadd(1, x, exact=True), tol)
     with workdps(working_dps(tol)):
-        # h(t) = 1/(t+x) - log(t+1+x) + log(t+x)
-        h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
-
-        def h(k):
-            return mpf(1) / (k + x) - log(1 + 1 / (k + x))
-
-        def probe(K):
-            integral = (-log(K + x) + logpow_antiderivative(1, K + 1 + x)
-                        - logpow_antiderivative(1, K + x))
-            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)[:2]
-
-        K, tail, err = em_start_for(probe, tol / 4, 16)
-        partial = comp_sum(h(k) for k in range(1, K))
-        value = log(1 + x) - (partial + tail) - 1 / x
-        return SeriesValue(value, tail_claim(err, value), K, "log_series")
+        value = -g0.value - 1 / x
+        return SeriesValue(value, g0.abs_err + rounding_floor(value), g0.terms_used,
+                           "log_series")
 
 
 def log_gamma(x, tol=None) -> SeriesValue:
-    """log Gamma(x) from log Gamma(x+1) = sum_{k>=1} [x log(1+1/k) - log(1+x/k)],
-    shifted back by log Gamma(x) = log Gamma(x+1) - log x.
-
-    The summand is int_0^inf e^(-tu) [x (1 - e^-u) - (1 - e^(-xu))]/u du,
-    whose kernel is convex in x and zero at x = 0 and 1, so it has one sign
-    for each x > 0: the summand or its negative is completely monotone, and
-    the order rises at each rung as in digamma."""
+    """log Gamma(x) = zeta'(0, x) - zeta'(0) (Lerch), by zeta_deriv0_diff's
+    series at k = 0: log Gamma(x) = -log x - sum_{k>=1} [log(1+x/k)
+    - x log(1+1/k)]."""
     x = mpf(x)
     if not x > 0:
         raise DomainError("log_gamma: x must be > 0")
-    tol = default_tol() if tol is None else mpf(tol)
-    with workdps(working_dps(tol)):
-        # h(t) = x log(t+1) + (1-x) log t - log(t+x)
-        h_parts = [(x, 1, 1, 0), (1 - x, 0, 1, 0), (-1, x, 1, 0)]
-
-        def h(k):
-            return x * log(1 + mpf(1) / k) - log(1 + x / k)
-
-        def probe(K):
-            integral = (logpow_antiderivative(1, K + x)
-                        - (1 - x) * logpow_antiderivative(1, mpf(K))
-                        - x * logpow_antiderivative(1, mpf(K + 1)))
-            return em_tail_shifted(h_parts, h(K), integral, K, bound=tol / 4)[:2]
-
-        K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
-        partial = comp_sum(h(k) for k in range(1, K))
-        value = partial + tail - log(x)
-        return SeriesValue(value, tail_claim(err, value), K, "log_series")
+    return zeta_deriv0_diff(0, x, tol)
 
 
 def digamma_rational(r: RationalArg, tol=None) -> SeriesValue:

@@ -22,13 +22,13 @@ from mpmath import log, mp, mpf, pi, workdps
 from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
                           mpf_mul_int, mpf_pow_int, mpf_sub)
 
-from .core import (DomainError, PrecTable, SeriesValue, comp_sum,
+from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
 from .logpoly import (LogPoly, _pow_step, em_start_for, em_tail, em_tail_shifted,
                       logpow_antiderivative)
 from .quadrature import ChebyshevModel, chebyshev_model
-from .related import digamma, log_gamma, _cot_pi
+from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff
 
@@ -90,7 +90,7 @@ def check_cotangent(x) -> VerifyReport:
     if not 0 < x < 1:
         raise DomainError("check_cotangent: need 0 < x < 1")
     t0 = time.perf_counter()
-    with workdps(mp.dps + 8):
+    with workdps(mp.dps + GUARD_DIGITS):
         target = pi * _cot_pi(x)
 
         da = digamma(1 - x, CHECK_TOL)
@@ -299,29 +299,27 @@ def check_g_functions(x) -> VerifyReport:
 
         g1 = [zeta''(0,x) - zeta''(0)]/2 - (x-1) gamma_1 - [log Gamma(x) + (x-1) gamma]
         g2 = -[zeta'''(0,x) - zeta'''(0)]/3 - (x-1) gamma_2 - 2 g1
+
+    The bracket of g1 and the 2 g1 of g2 enter both routes alike, so each
+    residual compares the remaining terms only.
     """
     x = mpf(x)
     if not x > 0:
         raise DomainError("check_g_functions: need x > 0")
     t0 = time.perf_counter()
-    with workdps(mp.dps + 8):
-        g0 = gamma_n(0, 1, "series_b", CHECK_TOL)
+    with workdps(mp.dps + GUARD_DIGITS):
         g1c = gamma_n(1, 1, "series_b", CHECK_TOL)
         g2c = gamma_n(2, 1, "series_b", CHECK_TOL)
-        lg = log_gamma(x, CHECK_TOL)
-        base = lg.value + (x - 1) * g0.value
         zd1 = zeta_deriv0_diff(1, x, CHECK_TOL)
-        g1_closed = zd1.value / 2 - (x - 1) * g1c.value - base
+        g1_closed = zd1.value / 2 - (x - 1) * g1c.value
         s1, e1 = _g_series(2, x, CHECK_TOL)
-        g1_series = s1 / 2 - base
-        res1 = abs(g1_closed - g1_series)
+        res1 = abs(g1_closed - s1 / 2)
         tol1 = zd1.abs_err / 2 + abs(x - 1) * g1c.abs_err + e1 / 2
 
         zd2 = zeta_deriv0_diff(2, x, CHECK_TOL)
-        g2_closed = -zd2.value / 3 - (x - 1) * g2c.value - 2 * g1_closed
+        g2_closed = -zd2.value / 3 - (x - 1) * g2c.value
         s2, e2 = _g_series(3, x, CHECK_TOL)
-        g2_series = s2 / 3 - 2 * g1_closed
-        res2 = abs(g2_closed - g2_series)
+        res2 = abs(g2_closed - s2 / 3)
         tol2 = zd2.abs_err / 3 + abs(x - 1) * g2c.abs_err + e2 / 3
     subs = [SubCheck("g1_routes", res1, tol1), SubCheck("g2_routes", res2, tol2)]
     return VerifyReport.from_subchecks(

@@ -42,6 +42,13 @@ def test_digamma_claims(x, tol):
     _audit(digamma(x, tol), tol, lambda: psi(0, x))
 
 
+def test_digamma_keeps_a_small_x_at_a_low_ambient_precision():
+    # 1 + 1e-20 rounds to 1 at 15 digits; the sum must see it exactly
+    with workdps(15):
+        x, tol = mpf("1e-20"), mpf("1e-30")
+        _audit(digamma(x, tol), tol, lambda: psi(0, x))
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("x", ("-0.9", "-0.5", "0.05", "1.37", "7.9", "40.5"))
 @pytest.mark.parametrize("k", (0, 1, 2, 4))
@@ -84,13 +91,14 @@ def test_zeta_prime_int_claims(s, tol):
 
 
 def test_the_grids_reach_the_first_rung():
-    # the ladders start at 16 terms (log_gamma and dilcher_log_gamma_k at
-    # 2x + 2 past x = 7), at |s| + 14 in hurwitz_em and at 8 in zeta_prime_int
+    # the ladders start at 32 terms in log_gamma (zeta_deriv0_diff) and
+    # digamma (series_b), at 16 in dilcher_log_gamma_k (2x + 2 past x = 7),
+    # at |s| + 14 in hurwitz_em and at 8 in zeta_prime_int
     tol = mpf("1e-12")
     for x in XS[:4]:
         x = mpf(x)
-        assert log_gamma(x, tol).terms_used == 16
-        assert digamma(x, tol).terms_used == 16
+        assert log_gamma(x, tol).terms_used == 32
+        assert digamma(x, tol).terms_used == 32
         assert dilcher_log_gamma_k(2, x, tol).terms_used == 16
         assert hurwitz_em(mpf("1.5"), x, tol).terms_used == 15
     assert zeta_prime_int(2, tol).terms_used == 8

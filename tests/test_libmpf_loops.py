@@ -239,14 +239,15 @@ def test_g_summand():
 
 
 def _route_parts(x):
-    """The parts each route hands em_tail_shifted."""
+    """The parts each route hands em_tail_shifted, and a summand mixing
+    (m, p) = (0, 1) and (1, 0) at two shifts."""
     q = 3
     return [
         [(1, 0, 0, 1)], [(1, 0, 4, 1)], [(1, 0, 8, 1)],                 # gamma_n
         [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)],                # zeta_deriv0_diff
         [(x, 0, 2, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)],  # dilcher
         [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)],     # g-series
-        [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)],                # digamma
+        [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)],                # two shifts
         # rational inverse powers p = s, read exactly
         [(1, x, 0, mpf("-2.5"))], [(1, x, 0, mpf("2.1"))],              # hurwitz_em
         [(1, 0, 1, mpf("1.1"))], [(1, 0, 1, mpf(3))],                   # zeta_prime_int

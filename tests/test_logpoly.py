@@ -9,7 +9,7 @@ import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
 from oracles import LogPoint, logpoly_integral_to_inf
-from stieltjes.logpoly import (EM_ORDER_MAX, J_PLAN_MAX, K_CAP, LogPoly,
+from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, LogPoly,
                                _ROOT_WIDTH, _certified_start, _isolated, _log_polys,
                                _real_roots, _root_table, bernoulli,
                                bernoulli_mpf, em_start_for, em_tail,
@@ -36,7 +36,7 @@ def test_bernoulli_cache_order_invariant():
 def test_bernoulli_matches_the_recurrence():
     # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, written out in Fractions
     want = [Fraction(1)]
-    for m in range(1, 2 * EM_ORDER_MAX + 3):
+    for m in range(1, 67):
         want.append(-sum(comb(m + 1, j) * want[j] for j in range(m)) / (m + 1))
     assert [bernoulli(i) for i in range(len(want))] == want
     assert bernoulli(1) == Fraction(-1, 2)
@@ -97,11 +97,10 @@ def test_em_tail_rejects_divergent():
 
 
 def test_em_tail_rejects_large_order():
-    # the limit sits past every order the gamma planner uses
-    assert J_PLAN_MAX < EM_ORDER_MAX
-    assert em_tail(LogPoly.single(1, 0, 1), 10, J=EM_ORDER_MAX).terms_used == EM_ORDER_MAX
+    # the limit is the largest order the order loop plans
+    assert em_tail(LogPoly.single(1, 0, 1), 10, J=J_PLAN_MAX).terms_used == J_PLAN_MAX
     with pytest.raises(DomainError):
-        em_tail(LogPoly.single(1, 0, 1), 10, J=EM_ORDER_MAX + 1)
+        em_tail(LogPoly.single(1, 0, 1), 10, J=J_PLAN_MAX + 1)
 
 
 def test_em_tail_inverse_t_vs_exact_harmonic():
@@ -179,7 +178,7 @@ def _reference_tail(v, v0, integral, start, J):
 @pytest.mark.parametrize("J", [4, 9])
 def test_em_tail_shifted_matches_the_fresh_loop(J):
     x = mpf("0.3")
-    # digamma's summand: two parts share the shift x
+    # 1/(t+x) - log(t+1+x) + log(t+x): two parts share the shift x
     h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
     for v, start in ((h_parts, 40), ([(1, 0, 3, 1)], mpf("32.75"))):
         got = em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J)
@@ -203,9 +202,9 @@ TABLE_CASES = ([(n, 1) for n in range(9)] + [(q, 0) for q in range(1, 8)]
 @pytest.mark.parametrize("m,p", TABLE_CASES)
 def test_log_polys_are_the_diff_chain(m, p):
     rows = _log_polys(m, p)
-    assert len(rows) == 2 * EM_ORDER_MAX + 5
-    # 512 bits hold every coefficient through row 2 EM_ORDER_MAX + 4 (at
-    # most 346 bits) exactly, so the chain must match coefficient for coefficient
+    assert len(rows) == 2 * J_PLAN_MAX + 6
+    # 512 bits hold every coefficient through row 2 J_PLAN_MAX + 5 (at
+    # most 128 bits) exactly, so the chain must match coefficient for coefficient
     with workprec(512):
         g = LogPoly.single(1, m, p)
         for k, P in enumerate(rows):
@@ -214,7 +213,7 @@ def test_log_polys_are_the_diff_chain(m, p):
 
 
 def test_em_start_for_keeps_the_winning_shifted_probe():
-    # log-gamma's summand, its whole tail probed at each rung
+    # x log(t+1) + (1-x) log t - log(t+x), its whole tail probed at each rung
     x = mpf("0.3")
     h_parts = [(x, 1, 1, 0), (1 - x, 0, 1, 0), (-1, x, 1, 0)]
     bound = mpf("1e-22")
