@@ -1,9 +1,10 @@
 """Precision substrate: working-precision policy, exact summation,
 series-value container, bisection, and alternating-series acceleration.
 
-All real arithmetic runs on mpmath ``mpf`` values, or, in the lattice
-summand loops, on their raw ``_mpf_`` tuples through the libmpf calls the mpf
-operators make, so with the same bits.  Public entry points accept
+All real arithmetic runs on mpmath ``mpf`` values, or on their raw
+``_mpf_`` tuples through the libmpf calls the mpf operators make, so with the
+same bits; the lattice partial sums run in fixed point on logpoly's kernel,
+within a stated bound.  Public entry points accept
 a target tolerance and run at a working precision of at least twice the
 requested number of digits, so results carry genuine (not optimistic) error
 claims.  Every function here is a pure function of its arguments; repeated
@@ -120,9 +121,8 @@ def comp_sum(terms) -> mpf:
     and does not depend on the order of the terms.  (mpf_sum keeps this
     contract while the terms' exponents lie within 10^6 bits of each other.)
     A term is an mpf or a raw _mpf_ tuple, which enter with all their bits,
-    or anything else, which enters through mpf(t); the lattice routes pass
-    the tuples their libmpf loops produce.  Infinities and nan combine as in
-    mpf addition; empty input sums to 0.
+    or anything else, which enters through mpf(t).  Infinities and nan
+    combine as in mpf addition; empty input sums to 0.
     """
     return mp.make_mpf(mpf_sum(
         (t if type(t) is tuple else (t if isinstance(t, mpf) else mpf(t))._mpf_

@@ -27,18 +27,17 @@ All four lattice sums (the three routes and gamma_diff) take their
 partial-sum length K and Euler-Maclaurin order J from _lattice_plan: at each
 rung, logpoly.em_tail raises J from 4 with the digits asked for, and every
 tail's abs_err is em_tail's certified remainder bound, at every K and J.
-Every log-power difference is logpoly.pow_step, and series_c reads its
-x-free steps from logpoly.log_steps, the table zeta_deriv0_diff shares.
 
-The four partial sums are generators of raw _mpf_ tuples (_series_b_terms,
-_series_c_terms, _coffey_panels with _incgamma_pair, _diff_terms), fed to
-comp_sum.  They call mpmath.libmp at the call's mp._prec_rounding, and each
-step is the call the mpf operator makes, in the same order: mpf*int is
-mpf_mul_int; mpf+-int and mpf/int are from_int, then mpf_add, mpf_sub or
-mpf_div; **int is mpf_pow_int; log and exp are mpf_log and mpf_exp.  So
-every term has the bits of the mpf loop it replaced, and every value and
-abs_err is unchanged; what is saved is the operators' type dispatch and
-object allocation around those calls.
+The four partial sums (_series_b_sum, _series_c_sum, _coffey_sum with
+_incgamma_pair, _diff_sum) are exact integer arithmetic at wp = prec +
+guard bits, on logpoly's fixed-point kernel: one logarithm per lattice point,
+carried to the next term, and each log-power step a Horner sum in ints.
+lattice_wp's guard reads K, n + 1, the largest |log u| of the lattice and
+the largest multiplier (1/x at a head x < 1, coffey's weight a + 1/2 and
+its factorials), so each sum is within 2^-prec of the exact partial sum,
+as its docstring proves, and each claim adds that 2^-prec
+(logpoly.lattice_err) to the tail's and the rounding floor.  The single
+boundary steps are logpoly.pow_step, in mpf.
 """
 
 from __future__ import annotations
@@ -48,15 +47,14 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
-from mpmath.libmp import (fhalf, fone, from_int, mpf_add, mpf_div, mpf_exp,
-                          mpf_ge, mpf_log, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pow_int, mpf_sub)
+from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add, mpf_exp,
+                          mpf_ge, to_fixed)
 
-from .core import (DomainError, SeriesValue, accelerate_alternating,
-                   comp_sum, cvz_terms, default_tol, rounding_floor, tail_claim,
-                   working_dps)
-from .logpoly import (LogPoly, _f_at, _pow_step, em_start_for, em_tail,
-                      log_steps, pow_step)
+from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
+                   cvz_terms, default_tol, rounding_floor, tail_claim, working_dps)
+from .logpoly import (LogPoly, em_start_for, em_tail, fixed_div, fixed_log,
+                      fixed_log_ints, fixed_mul, fixed_pow, fixed_step, from_fixed,
+                      lattice_err, lattice_wp, pow_step)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -123,7 +121,7 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     bound = tol / 4
 
     def probe(K):
-        tail = em_tail(f, K + x, 4, bound)
+        tail = em_tail(f, K + x, 4, bound, floor=False)
         return tail, tail.abs_err
 
     K, tail, _ = em_start_for(probe, bound, start)
@@ -134,22 +132,30 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, x, tol, 32)
-        partial = comp_sum(_series_b_terms(n, x, K, *mp._prec_rounding))
+        partial = _series_b_sum(n, x, K)
         value = -log(x) ** q / q + partial + tail.value
-        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_b")
+        return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
+                           K, "series_b")
 
 
-def _series_b_terms(n: int, x, K: int, prec: int, rnd):
-    """The _mpf_ terms f(k+x) - (log^q(k+1+x) - log^q(k+x))/q, k < K."""
+def _series_b_sum(n: int, x, K: int) -> mpf:
+    """sum_{k<K} f(k+x) - (log^q(k+1+x) - log^q(k+x))/q, q = n + 1, in
+    fixed point (logpoly's kernel), log(k+1+x) carried to the next term.
+
+    Per term, f(u) is within 5 n M^n/u + 1 units and the step over q within
+    17 q M^q + 1 (rules (2)-(4)): at most 2^5 q M^q s with s = max(1, 1/x),
+    so the sum is within 2^-prec."""
     q = n + 1
-    xv, qv = x._mpf_, from_int(q)
-    for k in range(K):
-        u = mpf_add(xv, from_int(k), prec, rnd)
-        lu = mpf_log(u, prec, rnd)
-        b = mpf_add(from_int(k + 1, prec, rnd), xv, prec, rnd)
-        yield mpf_sub(_f_at(lu, u, n, prec, rnd),
-                      mpf_div(_pow_step(lu, u, b, q, prec, rnd), qv, prec, rnd),
-                      prec, rnd)
+    wp = lattice_wp(K, q, x, K + x, max(1, 1 / x))
+    xv = x._mpf_
+    u, La = xv, fixed_log(xv, wp)
+    S = 0
+    for k in range(1, K + 1):
+        b = mpf_add(xv, from_int(k))
+        Lb = fixed_log(b, wp)
+        S += fixed_div(fixed_pow(La, n, wp), u) - fixed_step(La, Lb, q, wp) // q
+        u, La = b, Lb
+    return from_fixed(S, wp)
 
 
 def _gamma_series_c(n: int, x, tol) -> SeriesValue:
@@ -158,48 +164,75 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
-        _, steps = log_steps(q, K)
-        partial = comp_sum(_series_c_terms(n, x, K, steps, *mp._prec_rounding))
+        partial = _series_c_sum(n, x, K)
         value = partial + tail.value + pow_step(log(K + x), K + x, mpf(K + 1), q) / q
-        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "series_c")
+        return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
+                           K, "series_c")
 
 
-def _series_c_terms(n: int, x, K: int, steps, prec: int, rnd):
-    """The _mpf_ terms f(k+x) - steps[k+1]/q, k < K, for the x-free steps
-    log^q(k+2) - log^q(k+1) of log_steps."""
-    xv, qv = x._mpf_, from_int(n + 1)
-    for k in range(K):
-        u = mpf_add(xv, from_int(k), prec, rnd)
-        yield mpf_sub(_f_at(mpf_log(u, prec, rnd), u, n, prec, rnd),
-                      mpf_div(steps[k + 1]._mpf_, qv, prec, rnd), prec, rnd)
+def _series_c_sum(n: int, x, K: int) -> mpf:
+    """sum_{k<K} f(k+x) - (log^q(k+2) - log^q(k+1))/q, q = n + 1, in fixed
+    point (logpoly's kernel): the x-free steps from the logarithms of the
+    integers (fixed_log_ints), log(k+2) carried to the next term.
+
+    Per term, as in _series_b_sum, at most 2^5 q M^q s with s = max(1, 1/x),
+    so the sum is within 2^-prec."""
+    q = n + 1
+    wp = lattice_wp(K, q, min(x, 1), K + 1 + x, max(1, 1 / x))
+    xv = x._mpf_
+    L1 = 0  # log 1
+    S = 0
+    for k, L2 in enumerate(fixed_log_ints(2, K + 2, wp)):
+        u = mpf_add(xv, from_int(k))
+        S += (fixed_div(fixed_pow(fixed_log(u, wp), n, wp), u)
+              - fixed_step(L1, L2, q, wp) // q)
+        L1 = L2
+    return from_fixed(S, wp)
 
 
 def incgamma_int(n: int, t) -> mpf:
-    """Gamma(n, t) = (n-1)! e^-t sum_{m<n} t^m/m! for integer n >= 1, t >= 0."""
+    """Gamma(n, t) = (n-1)! e^-t sum_{m<n} t^m/m! for integer n >= 1, t >= 0,
+    by _incgamma_pair at _incgamma_wp(n, t): within 2^-prec of its value,
+    relative, before the one rounding to prec."""
     if n < 1:
         raise DomainError("incgamma_int: order 0 would be the exponential integral")
     t = mpf(t)
     if t < 0:
         raise DomainError("incgamma_int: t must be >= 0")
-    return mp.make_mpf(_incgamma_pair(n, t._mpf_, *mp._prec_rounding)[0])
+    wp = _incgamma_wp(n, t)
+    G = _incgamma_pair(n, to_fixed(t._mpf_, wp), wp)[0]
+    return mp.make_mpf(from_man_exp(G, -wp, *mp._prec_rounding))
 
 
-def _incgamma_pair(n: int, t, prec: int, rnd) -> tuple[tuple, tuple]:
-    """(Gamma(n, t), Gamma(n+1, t)) on the _mpf_ tuple t, rounded at (prec,
-    rnd), from one forward running sum of the terms t^m/m!, term = term *
-    t / m: Gamma(n, t) takes the prefix through m = n-1 and Gamma(n+1, t)
-    one term more.  Every term is >= 0 for t >= 0, so the plain sum is
-    within about 2n ulps.  Gamma(n+1, t) has the bits of
-    incgamma_int(n+1, t)."""
-    term = total = fone
+def _incgamma_wp(n: int, t) -> int:
+    """Working bits of incgamma_int: the pair's fixed-point error, at most
+    (n-1)! 10 n^2 M^n units with M >= max(1, t) (below), is below 2^-prec
+    times Gamma(n, t) >= (n-1)! e^-t."""
+    M = max(1, int(t) + 1)
+    return (mp.prec + 2 * n.bit_length() + n * M.bit_length()
+            + int(float(t) * 1.4426950408889634) + 5)
+
+
+def _incgamma_pair(n: int, T: int, wp: int) -> tuple[int, int]:
+    """(Gamma(n, t), Gamma(n+1, t)) in fixed point at wp, t = T 2^-wp >= 0,
+    from one forward running sum of the terms t^m/m!, term = term t / m:
+    Gamma(n, t) takes the prefix through m = n-1 and Gamma(n+1, t) one term
+    more; e^-t is mpf_exp's at wp.
+
+    With t within 3M units of its value and t <= M, M >= 1 (a fixed log, or
+    an exact t), the term t^m/m! is within 5 m M^m units (rule (2) of
+    logpoly's kernel, the division by m only shrinking it), the sum of the
+    n terms, at most n M^(n-1), within 3 n^2 M^n, and e^-t <= 1 within
+    6M (3M from t, 3 from mpf_exp and the floor); so Gamma(n, t) is within
+    (n-1)! 10 n^2 M^n units and Gamma(n+1, t) within n! 10 (n+1)^2 M^(n+1)."""
+    term = total = 1 << wp
     for m in range(1, n):
-        term = mpf_div(mpf_mul(term, t, prec, rnd), from_int(m), prec, rnd)
-        total = mpf_add(total, term, prec, rnd)
-    e = mpf_exp(mpf_neg(t, prec, rnd), prec, rnd)
-    last = mpf_div(mpf_mul(term, t, prec, rnd), from_int(n), prec, rnd)
-    return (mpf_mul(mpf_mul_int(e, factorial(n - 1), prec, rnd), total, prec, rnd),
-            mpf_mul(mpf_mul_int(e, factorial(n), prec, rnd),
-                    mpf_add(total, last, prec, rnd), prec, rnd))
+        term = (term * T >> wp) // m
+        total += term
+    last = (term * T >> wp) // n
+    E = to_fixed(mpf_exp(from_man_exp(-T, -wp), wp), wp)
+    return (factorial(n - 1) * (E * total >> wp),
+            factorial(n) * (E * (total + last) >> wp))
 
 
 def _gamma_coffey(n: int, x, tol) -> SeriesValue:
@@ -221,47 +254,52 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
         fx = f(x)
-        partial = comp_sum(_coffey_panels(n, x, K, *mp._prec_rounding))
+        partial = _coffey_sum(n, x, K)
         value = (fx - log(x) ** q / q - fx / 2
                  + partial + tail.value - f(K + x) / 2)
-        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "coffey")
+        return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
+                           K, "coffey")
 
 
-def _coffey_panels(n: int, x, K: int, prec: int, rnd):
-    """The panel defects D_j for j = 0..K-1, in order, as _mpf_ tuples.
+def _coffey_sum(n: int, x, K: int) -> mpf:
+    """The sum of the panel defects D_j for j = 0..K-1 in fixed point
+    (logpoly's kernel).
 
-    Panel j's b = j + 1 + x has the bits of panel j+1's a, so log b, log^n b
-    and the incomplete gammas at log b carry into the next panel.  The
-    incomplete gammas start afresh at the first panel with a >= 1.
+    Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b and the
+    incomplete gammas at log b carry into the next panel.  The incomplete
+    gammas start afresh at the first panel with a >= 1.
+
+    Per panel with a >= 1: the log powers are within 5 n M^n units each,
+    the step over q within 17 q M^q + 1, and n dG_n - dG_(n+1), from
+    _incgamma_pair's bounds, within 40 n! q^2 M^q, which the weight a + 1/2
+    <= K + x + 1 multiplies (rule (5)); a panel with a < 1 divides its log
+    powers by a >= x.  Each is at most 2^7 q^2 M^q s with
+    s = (K + x + 1) n! max(1, 1/x), so the sum is within 2^-prec.
     """
     q = n + 1
-    qv, two = from_int(q), from_int(2)
-    a = x._mpf_
-    la = mpf_log(a, prec, rnd)
-    la_n = mpf_pow_int(la, n, prec, rnd)
+    wp = lattice_wp(K, q, x, K + x, (K + x + 1) * factorial(n) * max(1, 1 / x))
+    xv = x._mpf_
+    a = xv
+    La = fixed_log(a, wp)
+    Pa = fixed_pow(La, n, wp)
     gammas_a = None
-    for j in range(K):
-        b = mpf_add(x._mpf_, from_int(j + 1), prec, rnd)
-        lb = mpf_log(b, prec, rnd)
-        lb_n = mpf_pow_int(lb, n, prec, rnd)
-        dlog = mpf_div(_pow_step(la, a, b, q, prec, rnd), qv, prec, rnd)
+    S = 0
+    for j in range(1, K + 1):
+        b = mpf_add(xv, from_int(j))
+        Lb = fixed_log(b, wp)
+        Pb = fixed_pow(Lb, n, wp)
+        dlog = fixed_step(La, Lb, q, wp) // q
         if mpf_ge(a, fone):
             if gammas_a is None:
-                gammas_a = _incgamma_pair(n, la, prec, rnd)
-            gammas_b = _incgamma_pair(n, lb, prec, rnd)
-            dGn = mpf_sub(gammas_a[0], gammas_b[0], prec, rnd)
-            dGn1 = mpf_sub(gammas_a[1], gammas_b[1], prec, rnd)
-            weight = mpf_mul(mpf_add(a, fhalf, prec, rnd),
-                             mpf_sub(mpf_mul_int(dGn, n, prec, rnd), dGn1, prec, rnd),
-                             prec, rnd)
-            yield mpf_sub(mpf_sub(mpf_sub(lb_n, la_n, prec, rnd), dlog, prec, rnd),
-                          weight, prec, rnd)
+                gammas_a = _incgamma_pair(n, La, wp)
+            gammas_b = _incgamma_pair(n, Lb, wp)
+            dG = n * (gammas_a[0] - gammas_b[0]) - (gammas_a[1] - gammas_b[1])
+            S += Pb - Pa - dlog - fixed_mul(dG, mpf_add(a, fhalf))
             gammas_a = gammas_b
         else:
-            ends = mpf_add(mpf_div(la_n, a, prec, rnd), mpf_div(lb_n, b, prec, rnd),
-                           prec, rnd)
-            yield mpf_sub(mpf_div(ends, two, prec, rnd), dlog, prec, rnd)
-        a, la, la_n = b, lb, lb_n
+            S += (fixed_div(Pa, a) + fixed_div(Pb, b)) // 2 - dlog
+        a, La, Pa = b, Lb, Pb
+    return from_fixed(S, wp)
 
 
 def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
@@ -277,23 +315,32 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
-        partial = comp_sum(_diff_terms(n, x, y, K, *mp._prec_rounding))
-        other = em_tail(LogPoly.single(1, n, 1), K + max(x, y), tail.terms_used)
+        partial = _diff_sum(n, x, y, K)
+        other = em_tail(LogPoly.single(1, n, 1), K + max(x, y), tail.terms_used,
+                        floor=False)
         tx, ty = (tail, other) if x < y else (other, tail)
         boundary = -pow_step(log(K + y), K + y, K + x, q) / q
         value = partial + tx.value - ty.value + boundary
-        err = tail_claim(tx.abs_err + ty.abs_err, value)
+        err = tail_claim(tx.abs_err + ty.abs_err, value) + lattice_err()
         return SeriesValue(value, err, K, "difference")
 
 
-def _diff_terms(n: int, x, y, K: int, prec: int, rnd):
-    """The _mpf_ terms f(k+x) - f(k+y), k < K."""
+def _diff_sum(n: int, x, y, K: int) -> mpf:
+    """sum_{k<K} f(k+x) - f(k+y) in fixed point (logpoly's kernel).
+
+    Per term, each f(u) is within 5 n M^n/u + 1 units (rules (2) and (4)):
+    at most 2^4 q M^q s, q = n + 1, with s = max(1, 1/min(x, y)), so the
+    sum is within 2^-prec."""
+    lo = min(x, y)
+    wp = lattice_wp(K, n + 1, lo, K + max(x, y), max(1, 1 / lo))
     xv, yv = x._mpf_, y._mpf_
+    S = 0
     for k in range(K):
-        u = mpf_add(xv, from_int(k), prec, rnd)
-        w = mpf_add(yv, from_int(k), prec, rnd)
-        yield mpf_sub(_f_at(mpf_log(u, prec, rnd), u, n, prec, rnd),
-                      _f_at(mpf_log(w, prec, rnd), w, n, prec, rnd), prec, rnd)
+        u = mpf_add(xv, from_int(k))
+        w = mpf_add(yv, from_int(k))
+        S += (fixed_div(fixed_pow(fixed_log(u, wp), n, wp), u)
+              - fixed_div(fixed_pow(fixed_log(w, wp), n, wp), w))
+    return from_fixed(S, wp)
 
 
 def gamma_recurrence_check(n: int, x, tol=None) -> VerifyReport:
@@ -370,6 +417,11 @@ def _harmonic_prefix(H: list, n: int) -> mpf:
     return H[n]
 
 
+# (n, inner_tol) -> (zeta(n+1), zeta'(n+1)) of _gamma1_bracket, per working
+# precision
+_BRACKETS = PrecTable()
+
+
 def _gamma1_bracket(n: int, H: list, inner_tol) -> tuple[mpf, mpf]:
     """a_n = [H_n zeta(n+1) + zeta'(n+1)]/(n+1), the n-th coefficient of the
     alternating gamma_1 series, and b_n = [H_n zeta(n+1) - zeta'(n+1)]/(n+1);
@@ -379,16 +431,24 @@ def _gamma1_bracket(n: int, H: list, inner_tol) -> tuple[mpf, mpf]:
 
     The bracket a_n is positive for every n >= 1; a sign failure would
     indicate a zeta' defect, so it aborts loudly.
+
+    zeta(n+1) and zeta'(n+1) do not depend on x, so gamma1_alt and
+    dilcher_power_series share them through _BRACKETS.
     """
-    z = hurwitz_em(n + 1, 1, inner_tol)
-    zp = zeta_prime_int(n + 1, inner_tol)
-    hz = _harmonic_prefix(H, n) * z.value
-    val = (hz + zp.value) / (n + 1)
+    zetas = _BRACKETS.at_prec()
+    key = (n, inner_tol)
+    pair = zetas.get(key)
+    if pair is None:
+        pair = zetas[key] = (hurwitz_em(n + 1, 1, inner_tol).value,
+                             zeta_prime_int(n + 1, inner_tol).value)
+    z, zp = pair
+    hz = _harmonic_prefix(H, n) * z
+    val = (hz + zp) / (n + 1)
     if not val > 0:
         raise ArithmeticError(
             f"gamma1_alt: bracket H_n zeta + zeta' not positive at n={n}; "
             "this indicates a zeta' defect")
-    return val, (hz - zp.value) / (n + 1)
+    return val, (hz - zp) / (n + 1)
 
 
 def gamma1_alt(tol=None) -> SeriesValue:

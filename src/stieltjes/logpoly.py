@@ -55,22 +55,25 @@ claim is certified at every order and start:
 The Bernoulli weights B_2j/(2j)! of every correction and certificate come
 from one per-precision table, em_weights.
 
-The lattice routes' differences log^q b - log^q a of nearby points are all
-pow_step, which sums its q powers by Horner's rule in q - 1 multiply-adds,
-and their x-free steps log^q(n+1) - log^q n, with log n, sit in the one
-per-precision table of log_steps.
+Every lattice partial sum (the gamma_n routes, gamma_diff,
+zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's g-series) is exact
+integer arithmetic at wp = prec + guard bits, on one fixed-point kernel
+here: log u once per lattice point (fixed_log), carried to the next term,
+and log n of an integer point from one capped per-precision table
+(fixed_log_ints); the step log^q b - log^q a as (L_b - L_a) times a Horner sum in ints
+(fixed_step), with no log(b/a); f(u) = L^n/u through u's exact dyadic
+mantissa (fixed_div).  The guard rule lattice_wp reads K, q, the largest
+|log u| of the lattice and the largest multiplier, such as 1/u at a head
+u < 1, so that every loop's integer sum is within 2^-prec of the exact
+partial sum; each loop's docstring proves its per-term bound, and each route
+adds lattice_err() = 2^-prec to its claim.  The single boundary steps of
+the routes take pow_step, the relative-accurate mpf form.
 
-The loops that run once per term or per order work on raw _mpf_ tuples
-through mpmath.libmp, at the caller's mp._prec_rounding: _pow_step (pow_step
-is its mpf wrapper), _f_at, and the correction loop's Horner's rule
-(_horner) in em_tail_shifted.  Each step is the libmpf call the mpf operator
-makes, in the same order: mpf*int is mpf_mul_int, mpf+-int and mpf/int
-convert the int by from_int, **int is mpf_pow_int, log is mpf_log.  Where
-the mpf form multiplied by the int 1 or added to 0 (pow_step's start
-s = p = 1, a LogPoly's unit coefficient and zero total), the tuple form
-multiplies by fone or drops the step, which a correctly rounded product or
-sum of a working-precision value cannot tell apart.  So the results have the
-bits of the mpf forms.
+The Euler-Maclaurin correction loop runs on raw _mpf_ tuples through
+mpmath.libmp, at the caller's mp._prec_rounding: the correction loop's
+Horner's rule (_horner) in em_tail_shifted.  Each step is the libmpf call
+the mpf operator makes, in the same order, so its results have the bits of
+the mpf forms.
 """
 
 from __future__ import annotations
@@ -81,11 +84,12 @@ from functools import lru_cache
 from math import factorial
 
 from mpmath import bernfrac, iv, log, mp, mpf
-from mpmath.libmp import (fone, fzero, from_int, from_man_exp, from_rational,
+from mpmath.libmp import (fzero, from_int, from_man_exp, from_rational,
                           mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow,
-                          mpf_pow_int, to_rational)
+                          mpf_pow_int, to_fixed, to_rational)
 
-from .core import ConvergenceError, DomainError, PrecTable, SeriesValue
+from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
+                   rounding_floor)
 
 
 @lru_cache(maxsize=None)
@@ -186,47 +190,152 @@ def pow_step(la, a, b, q: int) -> mpf:
 
     The sum is Horner's rule in lb, s = s*lb + la^i, with the powers of la
     kept as a running product: q - 1 multiply-adds.  For q <= 2 the bits are
-    those of the sum written out term by term.  The mpf form of _pow_step;
-    an int argument enters exactly, as in mpf arithmetic.
+    those of the sum written out term by term.  The relative-accurate step
+    of the single boundary terms; the lattice loops take the fixed-point
+    fixed_step.
     """
-    la, a, b = (mp.convert(v)._mpf_ for v in (la, a, b))
-    return mp.make_mpf(_pow_step(la, a, b, q, *mp._prec_rounding))
-
-
-def _pow_step(la, a, b, q: int, prec: int, rnd) -> tuple:
-    """pow_step on _mpf_ tuples, rounded at (prec, rnd): the one
-    cancellation-free log-power step of every lattice loop."""
-    delta = mpf_log(mpf_div(b, a, prec, rnd), prec, rnd)
-    lb = mpf_add(la, delta, prec, rnd)
-    s = p = fone
+    delta = log(mpf(b) / a)
+    lb = la + delta
+    s = p = mpf(1)
     for _ in range(q - 1):
-        p = mpf_mul(p, la, prec, rnd)
-        s = mpf_add(mpf_mul(s, lb, prec, rnd), p, prec, rnd)
-    return mpf_mul(delta, s, prec, rnd)
+        p *= la
+        s = s * lb + p
+    return delta * s
 
 
-def _f_at(lu, u, n: int, prec: int, rnd) -> tuple:
-    """f(u) = log^n u / u on _mpf_ tuples, from lu = log u: the bits of
-    LogPoly.single(1, n, 1)(u)."""
-    return mpf_div(mpf_pow_int(lu, n, prec, rnd), u, prec, rnd)
+# Every lattice partial sum runs in fixed point: an int X stands for
+# X 2^-wp.  The bound of each loop is proved below from five rules, with M a
+# power of two >= max(1, |log u|) over the loop's points u, and every error
+# counted in units of 2^-wp.  Each error is far below 2^wp (the bound of a
+# whole loop is 2^(wp-prec)), so a product's second-order error term is
+# below 2^-20 of its first-order terms and is absorbed by the constants.
+#
+# (1) fixed_log: mpf_log at wp is within 2 |log u| units (an ulp of its
+#     mantissa, relative), and to_fixed floors: |L - log u| <= 3M.
+# (2) fixed_pow: P_i = floor(P_(i-1) L / 2^wp) is within 5 i M^i of
+#     log^i u, by induction: (M + 2^-20) 5(i-1) M^(i-1) + 3M M^(i-1) + 1.
+# (3) fixed_step: Horner's rule s_i = floor(s_(i-1) L_b / 2^wp) + p_i,
+#     p_i = L_a^i, holds sum_(j<=i) L_b^(i-j) L_a^j (at most (i+1) M^i)
+#     within 5 i (i+1) M^i; then |log b - log a| <= 2M with the difference of the
+#     two logarithms within 6M, so the step log^q b - log^q a is within
+#     (2M) 5 q^2 M^(q-1) + q M^(q-1) 6M + 1 <= 17 q^2 M^q.  The difference
+#     L_b - L_a is exact, so no cancellation loses anything: the bound is
+#     absolute, and log(b/a) is not needed.
+# (4) fixed_div: X/u for an exact dyadic u, floored: within e_X/u + 1.
+# (5) fixed_mul: X c for an exact dyadic c, floored: within |c| e_X + 1.
+#
+# Each loop's docstring adds these up to a per-term bound of at most
+# 2^7 q^2 M^q s units, with q the largest log power and s >= 1 its largest
+# multiplier (1/u for a head u < 1, |x|, ...).  lattice_wp adds guard bits
+# for K of them and 3 more, so every loop's integer sum S is within
+# 2^(-prec-3) of the exact partial sum, and S 2^-wp is returned as one mpf
+# with all its bits.  Each route adds lattice_err() = 2^-prec to its claim.
+# (R. Brent and P. Zimmermann, Modern Computer Arithmetic, CUP 2010,
+# ch. 3-4, for the fixed-point technique.)
+
+# bits of 2^7 (the per-term constant) and 2^3 (the margin): see above
+LATTICE_GUARD = 10
 
 
-# 0 -> [log n]; q -> [log^q(n+1) - log^q n], both indexed by n >= 1: the
-# x-free integer steps of the lattice routes
-_LOG_STEPS = PrecTable()
+def _log_size(u) -> int:
+    """An int >= max(1, |log u|) for an _mpf_ u > 0: u lies in
+    [2^(mag-1), 2^mag) and |log u| <= |log2 u|."""
+    _, _, exp, bc = u
+    mag = exp + bc
+    return max(1, abs(mag), abs(mag - 1))
 
 
-def log_steps(q: int, K: int) -> tuple[list, list]:
-    """(logs, steps): log n and pow_step(log n, n, n + 1, q) for 1 <= n <= K,
-    kept per working precision (index 0 is unused)."""
-    tables = _LOG_STEPS.at_prec()
-    logs = tables.setdefault(0, [None])
-    steps = tables.setdefault(q, [None])
-    for n in range(len(logs), K + 1):
-        logs.append(log(n))
-    for n in range(len(steps), K + 1):
-        steps.append(pow_step(logs[n], n, mpf(n + 1), q))
-    return logs, steps
+def lattice_wp(K: int, q: int, lo, hi, scale) -> int:
+    """Working bits of a fixed-point loop of K terms over points u in
+    [lo, hi], with log powers up to q and multipliers up to scale >= 1:
+    prec + bitlen(K) + q bitlen(M) + 2 bitlen(q) + bitlen(scale) +
+    LATTICE_GUARD, so that K terms of 2^7 q^2 M^q scale units sum to at
+    most 2^(-prec-3).  M reads lo and hi: |log u| is largest at an end."""
+    M = max(_log_size(mpf(lo)._mpf_), _log_size(mpf(hi)._mpf_))
+    _, _, exp, bc = mpf(scale)._mpf_
+    return (mp.prec + K.bit_length() + q * M.bit_length() + 2 * q.bit_length()
+            + max(0, exp + bc) + LATTICE_GUARD)
+
+
+def lattice_err() -> mpf:
+    """2^-prec: the bound every lattice loop keeps at the current precision,
+    which each route adds to its claim."""
+    return mp.make_mpf(from_man_exp(1, -mp.prec))
+
+
+def fixed_log(u, wp: int) -> int:
+    """log u in fixed point for an _mpf_ u > 0: rule (1)."""
+    return to_fixed(mpf_log(u, wp), wp)
+
+
+# log n for 1 <= n <= INT_LOG_CAP in fixed point at prec + INT_LOG_GUARD
+# bits, per precision: the integer lattice points the routes share
+INT_LOG_CAP = 1 << 12
+INT_LOG_GUARD = 64
+_INT_LOGS = PrecTable()
+
+
+def fixed_log_ints(lo: int, hi: int, wp: int):
+    """log n in fixed point for lo <= n < hi: rule (1).
+
+    Where n <= INT_LOG_CAP and wp <= P = prec + INT_LOG_GUARD, log n is the
+    table's fixed_log at P shifted down to wp, within (2 |log n| + 1)/2^(P-wp)
+    + 1 <= 3M units (log 1 = 0 exactly); elsewhere it is fixed_log at wp.
+    The table keeps each entry the routes ask for and holds at most
+    INT_LOG_CAP entries per precision, whatever K is."""
+    P = mp.prec + INT_LOG_GUARD
+    top = lo
+    if wp <= P:
+        logs = _INT_LOGS.at_prec()
+        top = max(lo, min(hi, INT_LOG_CAP + 1))
+        shift = P - wp
+        for n in range(lo, top):
+            L = logs.get(n)
+            if L is None:
+                L = logs[n] = fixed_log(from_int(n), P)
+            yield L >> shift
+    for n in range(top, hi):
+        yield fixed_log(from_int(n), wp)
+
+
+def fixed_pow(L: int, n: int, wp: int) -> int:
+    """L^n in fixed point by n products, the first exact: rule (2)."""
+    P = 1 << wp
+    for _ in range(n):
+        P = P * L >> wp
+    return P
+
+
+def fixed_step(La: int, Lb: int, q: int, wp: int) -> int:
+    """log^q b - log^q a in fixed point from La = log a and Lb = log b:
+    (Lb - La) sum_(i<q) Lb^i La^(q-1-i) by Horner's rule in q - 1
+    multiply-adds: rule (3)."""
+    s = p = 1 << wp
+    for _ in range(q - 1):
+        p = p * La >> wp
+        s = (s * Lb >> wp) + p
+    return (Lb - La) * s >> wp
+
+
+def fixed_div(X: int, u) -> int:
+    """X / u in fixed point for an _mpf_ u > 0, through its exact mantissa
+    and exponent: rule (4)."""
+    _, man, exp, _ = u
+    return (X << -exp) // man if exp < 0 else X // (man << exp)
+
+
+def fixed_mul(X: int, c) -> int:
+    """X c in fixed point for an _mpf_ c, through its exact mantissa and
+    exponent: rule (5)."""
+    sign, man, exp, _ = c
+    if sign:
+        man = -man
+    return X * man >> -exp if exp < 0 else X * man << exp
+
+
+def from_fixed(S: int, wp: int) -> mpf:
+    """The fixed-point S as one mpf, exactly."""
+    return mp.make_mpf(from_man_exp(S, -wp))
 
 
 K_CAP = 10 ** 6
@@ -238,19 +347,21 @@ K_CAP = 10 ** 6
 J_PLAN_MAX = 13
 
 
-def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
+def em_tail(f: LogPoly, start, J: int = 4, bound=None,
+            floor: bool = True) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
     J, at most J_PLAN_MAX.  With a bound, J is the least order and rises as
     in em_tail_shifted.  For a single term f = c log^m t / t^p, abs_err is
     the certified remainder bound em_tail_error of the key (m, start, 0,
-    |c|, p) at every start and order; it bounds the remainder only, not the
-    rounding of the value.  For several terms it is the magnitude of the first omitted
-    correction, an estimate that is a bound only where f^(2J+2) and
-    f^(2J+4) keep one sign from start on.  start may be any real >= 2
-    (unit-step lattice starting there); every term of f must have
-    inv_power >= 1 or the paired tail diverges.
+    |c|, p) at every start and order, plus rounding_floor(value) for the
+    rounding of the value; floor=False leaves the floor out, for the lattice
+    routes, which add their own floor to the whole sum.  For several terms
+    it is the magnitude of the first omitted correction, an estimate that is
+    a bound only where f^(2J+2) and f^(2J+4) keep one sign from start on.
+    start may be any real >= 2 (unit-step lattice starting there); every
+    term of f must have inv_power >= 1 or the paired tail diverges.
     """
     if f.is_zero():
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
@@ -265,6 +376,8 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None) -> SeriesValue:
     (m, p), c = next(iter(f.terms.items()))
     key = (m, start, 0, abs(c), p) if len(parts) == 1 else None
     value, err, J = em_tail_shifted(parts, f(start), 0, start, J, bound, key)
+    if floor:
+        err += rounding_floor(value)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
@@ -365,18 +478,18 @@ def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
     whose probe(K) = (result, err) claims err below bound.
 
     Each rung is probed once, and the winning probe's result is returned
-    with its K.  Raises ConvergenceError once a rung past K_CAP fails: the
-    partial sum would need more terms than the library spends on one series.
+    with its K.  Raises ConvergenceError before it probes a rung past K_CAP:
+    the partial sum would need more terms than the library spends on one
+    series.
     """
     K = start
-    while True:
+    while K <= K_CAP:
         result, err = probe(K)
         if err < bound:
             return K, result, err
-        if K > K_CAP:
-            raise ConvergenceError(
-                f"tolerance unreachable within {K_CAP} series terms; raise tol")
         K *= factor
+    raise ConvergenceError(
+        f"tolerance unreachable within {K_CAP} series terms; raise tol")
 
 
 # the isolating interval of each root is refined to this width in log t

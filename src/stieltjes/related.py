@@ -30,13 +30,15 @@ from itertools import accumulate, chain, groupby
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub
+from mpmath.libmp import from_int, mpf_add
 
 from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
                    default_tol, rounding_floor, tail_claim, working_dps)
 from .gamma import RationalArg, _gamma1_bracket, _gamma_series_b, gamma1_alt, gamma_n
-from .logpoly import (K_CAP, LogPoly, _f_at, _pow_step, em_start_for, em_tail,
-                      em_tail_shifted, logpow_antiderivative, pow_step)
+from .logpoly import (K_CAP, LogPoly, em_start_for, em_tail, em_tail_shifted,
+                      fixed_div, fixed_log, fixed_log_ints, fixed_mul, fixed_pow,
+                      fixed_step, from_fixed, lattice_err, lattice_wp,
+                      logpow_antiderivative, pow_step)
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -220,7 +222,7 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         bound = mpf(2) ** -mp.prec
         a = 16
         while a <= pending[-1]:
-            tail = em_tail(f, a, 4, bound)
+            tail = em_tail(f, a, 4, bound, floor=False)
             if tail.abs_err < bound:
                 break
             a *= 4
@@ -232,7 +234,7 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
             if N < a:
                 harmonic = comp_sum(terms[:N])
             else:
-                harmonic = comp_sum([head, -em_tail(f, N + 1, J).value,
+                harmonic = comp_sum([head, -em_tail(f, N + 1, J, floor=False).value,
                                      pow_step(la, a, mpf(N + 1), n + 1) / (n + 1)])
             out[N] = lam_N - harmonic
     return out
@@ -428,34 +430,43 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         # h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q
         h_parts = [(x, 0, k, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)]
-        prec, rnd = mp._prec_rounding
         scale = x * x / 2
 
         def probe(K):
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
-            h_K = mp.make_mpf(_dilcher_summand(k, x, K, prec, rnd))
-            tail, err, _ = em_tail_shifted(h_parts, h_K, integral, K, 4, tol / 4,
+            tail, err, _ = em_tail_shifted(h_parts, _dilcher_sum(k, x, K, K + 1),
+                                           integral, K, 4, tol / 4,
                                            (k, K + min(0, x), 1, scale))
             return tail, err
 
-        K, tail, err = em_start_for(probe, tol / 4, max(16, int(2 * abs(x)) + 2))
-        partial = comp_sum(_dilcher_summand(k, x, j, prec, rnd) for j in range(1, K))
+        # K need not exceed x: the certificate reads the window from
+        # K + min(0, x), so the ladder starts at 16 for every x
+        K, tail, err = em_start_for(probe, tol / 4, 16)
+        partial = _dilcher_sum(k, x, 1, K)
         value = -gk.value * x + partial + tail
-        err = tail_claim(err, value) + abs(x) * gk.abs_err
+        err = tail_claim(err, value) + lattice_err() + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
 
 
-def _dilcher_summand(k: int, x, j: int, prec: int, rnd) -> tuple:
-    """h(j) = x log^k j / j - (log^q(j+x) - log^q j)/q, q = k + 1, as an
-    _mpf_ tuple."""
+def _dilcher_sum(k: int, x, lo: int, hi: int) -> mpf:
+    """sum_{lo<=j<hi} x log^k j / j - (log^q(j+x) - log^q j)/q, q = k + 1,
+    in fixed point (logpoly's kernel).
+
+    Per term, f(j) is within 5 k M^k/j + 1 units, multiplied by x, and the
+    step over q within 17 q M^q + 1 (rules (2)-(5)): at most 2^5 q M^q s
+    with s = 1 + |x|, so the sum is within 2^-prec."""
     q = k + 1
-    u = from_int(j, prec, rnd)
-    lu = mpf_log(u, prec, rnd)
-    step = _pow_step(lu, u, mpf_add(x._mpf_, from_int(j), prec, rnd), q, prec, rnd)
-    return mpf_sub(mpf_mul(x._mpf_, _f_at(lu, u, k, prec, rnd), prec, rnd),
-                   mpf_div(step, from_int(q), prec, rnd), prec, rnd)
+    wp = lattice_wp(hi - lo, q, lo + min(x, 0), hi + max(x, 0), 1 + abs(x))
+    xv = x._mpf_
+    S = 0
+    for j, Lu in zip(range(lo, hi), fixed_log_ints(lo, hi, wp)):
+        u = from_int(j)
+        Lx = fixed_log(mpf_add(xv, u), wp)
+        S += (fixed_mul(fixed_div(fixed_pow(Lu, k, wp), u), xv)
+              - fixed_step(Lu, Lx, q, wp) // q)
+    return from_fixed(S, wp)
 
 
 def dilcher_power_series(x, tol=None) -> SeriesValue:

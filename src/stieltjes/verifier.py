@@ -19,14 +19,15 @@ import time
 from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_div, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_pow_int, mpf_sub)
+from mpmath.libmp import (fone, from_int, mpf_add, mpf_log, mpf_mul, mpf_pow_int,
+                          mpf_sub)
 
 from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoly, _pow_step, em_start_for, em_tail, em_tail_shifted,
-                      logpow_antiderivative)
+from .logpoly import (LogPoly, em_start_for, em_tail, em_tail_shifted, fixed_div,
+                      fixed_log, fixed_log_ints, fixed_mul, fixed_pow, fixed_step,
+                      from_fixed, lattice_err, lattice_wp, logpow_antiderivative)
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -101,8 +102,8 @@ def check_cotangent(x) -> VerifyReport:
         inv = LogPoly.single(1, 0, 1)
         K = 64
         partial = 1 / x + comp_sum(2 * x / (x * x - n * n) for n in range(1, K))
-        tp = em_tail(inv, K + x)
-        tm = em_tail(inv, K - x)
+        tp = em_tail(inv, K + x, floor=False)
+        tm = em_tail(inv, K - x, floor=False)
         pf = partial + tp.value - tm.value + log((K - x) / (K + x))
         res_pf = abs(target - pf)
         tol_pf = tp.abs_err + tm.abs_err
@@ -261,36 +262,42 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     of em_tail_error's key d = 1.  The ladder starts at 64
     terms, so a 1e-12 check stays as sharp as the values it compares.  The
     remainder is certified, so the claim adds only the rounding floor of
-    the partial sum and the tail, each term taken by pow_step without
-    large-minus-large loss.
+    the partial sum and the tail, and the partial sum's 2^-prec.
     """
     h_parts = [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)]
     scale = q * (x - 1) ** 2 / 2
-    prec, rnd = mp._prec_rounding
 
     def probe(K):
         integral = (-logpow_antiderivative(q, K + x)
                     + logpow_antiderivative(q, mpf(K + 1))
                     + (x - 1) * log(K + 1) ** q)
-        h_K = mp.make_mpf(_g_summand(q, x, K, prec, rnd))
-        tail, err, _ = em_tail_shifted(h_parts, h_K, integral, K, 4, tol / 4,
-                                       (q - 1, K + min(1, x), 1, scale))
+        tail, err, _ = em_tail_shifted(h_parts, _g_sum(q, x, K, K + 1), integral, K,
+                                       4, tol / 4, (q - 1, K + min(1, x), 1, scale))
         return tail, err
 
     K, tail, err = em_start_for(probe, tol / 4, 64)
-    partial = comp_sum(_g_summand(q, x, k, prec, rnd) for k in range(K))
-    return partial + tail, err + rounding_floor(abs(partial) + abs(tail))
+    partial = _g_sum(q, x, 0, K)
+    return (partial + tail,
+            err + rounding_floor(abs(partial) + abs(tail)) + lattice_err())
 
 
-def _g_summand(q: int, x, k: int, prec: int, rnd) -> tuple:
-    """log^q(k+x) - log^q(k+1) - q(x-1) log^(q-1)(k+1)/(k+1) as an _mpf_
-    tuple."""
-    u = from_int(k + 1, prec, rnd)
-    lu = mpf_log(u, prec, rnd)
-    step = _pow_step(lu, u, mpf_add(x._mpf_, from_int(k), prec, rnd), q, prec, rnd)
-    c = mpf_mul_int(mpf_sub(x._mpf_, fone, prec, rnd), q, prec, rnd)
-    return mpf_sub(step, mpf_div(mpf_mul(c, mpf_pow_int(lu, q - 1, prec, rnd),
-                                         prec, rnd), u, prec, rnd), prec, rnd)
+def _g_sum(q: int, x, lo: int, hi: int) -> mpf:
+    """sum_{lo<=k<hi} log^q(k+x) - log^q(k+1) - q(x-1) log^(q-1)(k+1)/(k+1)
+    in fixed point (logpoly's kernel).
+
+    Per term, the step is within 17 q^2 M^q + 1 units and the last part,
+    within 5 q M^q/(k+1) + 1 before its factor c = q(x-1) (rules (2)-(5)):
+    at most 2^5 q^2 M^q s with s = 1 + |c|, so the sum is within 2^-prec."""
+    xv = x._mpf_
+    c = mpf_mul(mpf_sub(xv, fone), from_int(q))
+    wp = lattice_wp(hi - lo, q, lo + min(x, 1), hi + max(x, 1),
+                    1 + abs(mp.make_mpf(c)))
+    S = 0
+    for k, Lu in zip(range(lo, hi), fixed_log_ints(lo + 1, hi + 1, wp)):
+        u = from_int(k + 1)
+        S += (fixed_step(Lu, fixed_log(mpf_add(xv, from_int(k)), wp), q, wp)
+              - fixed_mul(fixed_div(fixed_pow(Lu, q - 1, wp), u), c))
+    return from_fixed(S, wp)
 
 
 def check_g_functions(x) -> VerifyReport:

@@ -27,9 +27,10 @@ logarithmic series
           + sum_{n>=1} [log^(k+1)(n+x) - log^(k+1) n
                         - x (log^(k+1)(n+1) - log^(k+1) n)]
 
-accelerated by Euler-Maclaurin corrections on the summand.  Both of its
-log-power differences are logpoly.pow_step; log n and the x-free one come
-from logpoly.log_steps, the table series_c shares.  zeta'(s) sums log k /
+accelerated by Euler-Maclaurin corrections on the summand.  Its partial
+sum runs on logpoly's fixed-point kernel: log n carried from the previous
+term, log(n+x) once, and both log-power differences Horner sums in ints,
+within 2^-prec of the exact sum.  zeta'(s) sums log k /
 k^s with the same engine, its remainder certified by the key p = s.  No
 Bernoulli table, order loop or certificate lives here.
 """
@@ -37,13 +38,14 @@ Bernoulli table, order loop or certificate lives here.
 from __future__ import annotations
 
 from mpmath import floor, log, mp, mpf, pi, workdps
-from mpmath.libmp import from_int, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import from_int, mpf_add
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, rounding_floor, tail_claim, tol_digits,
                    working_dps)
-from .logpoly import (_pow_step, em_start_for, em_tail_shifted, log_steps,
-                      logpow_antiderivative, pow_step)
+from .logpoly import (em_start_for, em_tail_shifted, fixed_log, fixed_log_ints,
+                      fixed_mul, fixed_step, from_fixed, lattice_err, lattice_wp,
+                      logpow_antiderivative)
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -194,41 +196,41 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     with workdps(working_dps(tol) + 8):
         v_parts = [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)]
         scale = q * abs(x * (x - 1)) / 2
-        prec, rnd = mp._prec_rounding
 
         def probe(K):
             integral = (-logpow_antiderivative(q, K + x)
                         + (1 - x) * logpow_antiderivative(q, mpf(K))
                         + x * logpow_antiderivative(q, mpf(K + 1)))
-            # v(K) from a fresh log K, not the tables: a rung past K_CAP
-            # that fails must not fill them first
-            lK = log(K)
-            v_K = mp.make_mpf(_deriv0_summand(
-                q, x, K, lK._mpf_, pow_step(lK, K, mpf(K + 1), q)._mpf_, prec, rnd))
-            tail, err, _ = em_tail_shifted(v_parts, v_K, integral, K, 4, tol / 4,
-                                           (k, K, 1, scale))
+            tail, err, _ = em_tail_shifted(v_parts, _deriv0_sum(q, x, K, K + 1),
+                                           integral, K, 4, tol / 4, (k, K, 1, scale))
             return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
-        logs, steps = log_steps(q, K - 1)
-        lx = log(x)
-        partial = lx ** q + comp_sum(
-            _deriv0_summand(q, x, n, logs[n]._mpf_, steps[n]._mpf_, prec, rnd)
-            for n in range(1, K))
+        partial = log(x) ** q + _deriv0_sum(q, x, 1, K)
         value = (-1) ** (k + 1) * (partial + tail)
         # the partial sum and the tail can be far larger than their
         # difference, and their rounding, not the value's, sets the floor
-        return SeriesValue(value, tail_claim(err, abs(partial) + abs(tail)), K,
-                           "log_series")
+        return SeriesValue(value, tail_claim(err, abs(partial) + abs(tail)) + lattice_err(),
+                           K, "log_series")
 
 
-def _deriv0_summand(q: int, x, n: int, ln, step, prec: int, rnd) -> tuple:
-    """log^q(n+x) - log^q n - x (log^q(n+1) - log^q n), cancellation-free,
-    given ln = log n and step = log^q(n+1) - log^q n as _mpf_ tuples."""
+def _deriv0_sum(q: int, x, lo: int, hi: int) -> mpf:
+    """sum_{lo<=n<hi} log^q(n+x) - log^q n - x (log^q(n+1) - log^q n) in
+    fixed point (logpoly's kernel), log(n+1) carried to the next term.
+
+    Per term, the two steps are within 17 q^2 M^q + 1 units each, the
+    second multiplied by x (rules (3) and (5)): at most 2^5 q^2 M^q s with
+    s = 1 + |x|, so the sum is within 2^-prec."""
+    wp = lattice_wp(hi - lo, q, lo, hi + x, 1 + abs(x))
     xv = x._mpf_
-    b = mpf_add(xv, from_int(n), prec, rnd)
-    return mpf_sub(_pow_step(ln, from_int(n), b, q, prec, rnd),
-                   mpf_mul(xv, step, prec, rnd), prec, rnd)
+    logs = fixed_log_ints(lo, hi + 1, wp)
+    Ln = next(logs)
+    S = 0
+    for n, L1 in zip(range(lo, hi), logs):
+        Lx = fixed_log(mpf_add(xv, from_int(n)), wp)
+        S += fixed_step(Ln, Lx, q, wp) - fixed_mul(fixed_step(Ln, L1, q, wp), xv)
+        Ln = L1
+    return from_fixed(S, wp)
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import (e as e_const, exp, gammainc, log, mp, mpf, polyroots, quad,
                     stieltjes, workdps)
+from mpmath.libmp import from_man_exp, to_fixed
 
 import oracles
 from stieltjes.core import DomainError, working_dps
-from stieltjes.gamma import (METHODS, RationalArg, _incgamma_pair, _lattice_plan,
-                             gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
+from stieltjes.gamma import (METHODS, RationalArg, _incgamma_pair, _incgamma_wp,
+                             _lattice_plan, gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                              gamma_recurrence_check, incgamma_int,
                              stieltjes_integral)
 from stieltjes.logpoly import LogPoly, _certified_start
@@ -302,12 +303,19 @@ class TestIncGamma:
 
     @pytest.mark.parametrize("t", T_GRID)
     def test_pair_has_the_bits_of_incgamma_int(self, t):
-        # coffey's panels take both orders from one running sum
+        # coffey's panels take both orders from one running sum; at the
+        # working bits incgamma_int takes for an order, the pair's value of
+        # that order rounds to incgamma_int's
         t = self._t(t)
+
+        def rounded(n, order):
+            wp = _incgamma_wp(order, t)
+            G = _incgamma_pair(n, to_fixed(t._mpf_, wp), wp)[order - n]
+            return mp.make_mpf(from_man_exp(G, -wp, *mp._prec_rounding))
+
         for n in range(1, 10):
-            pair = _incgamma_pair(n, t._mpf_, *mp._prec_rounding)
-            assert tuple(map(mp.make_mpf, pair)) == (incgamma_int(n, t),
-                                                     incgamma_int(n + 1, t)), n
+            assert rounded(n, n) == incgamma_int(n, t), n
+            assert rounded(n, n + 1) == incgamma_int(n + 1, t), n
 
     @pytest.mark.parametrize("t", T_GRID)
     def test_within_4n_ulps_of_mpmath(self, t):

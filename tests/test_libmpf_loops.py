@@ -1,39 +1,55 @@
-"""The lattice summand loops run on raw _mpf_ tuples through libmpf.  Each
-must return, bit for bit, what its mpf form returns: that form is written
-out here, operator for operator, as the loop read before it moved onto
-tuples.  Grid: n = 0..8, x log-uniform in [0.05, 8] plus 0.05 (coffey's
-a < 1 panel), 1 and 500, at the working precisions of tol 1e-12, 1e-20
-and 1e-50."""
+"""The lattice partial sums run in fixed point (logpoly's kernel); each
+states a bound, 2^-prec for a whole sum, and is checked here against its
+mpf form, written out operator for operator as the loop read when it ran
+on mpf values, evaluated at twice the working digits plus 20.  Grid:
+n = 0..8, x log-uniform in [0.05, 8] plus 0.05 (coffey's a < 1 panel), 1,
+500 and 1e6, at the working precisions of tol 1e-12, 1e-20 and 1e-50; x =
+1e-20 for series_c and coffey, and K = 2048 at 1e-50.  The Euler-Maclaurin
+correction loop still runs on raw _mpf_ tuples through libmpf and must
+return, bit for bit, what its mpf form returns."""
 
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from mpmath import exp, log, mp, mpf, workdps
-from mpmath.libmp import to_rational
+from mpmath import exp, ldexp, log, mp, mpf, workdps
+from mpmath.libmp import to_fixed, to_rational
 
 from oracles import LogPoint
 from stieltjes.core import working_dps
-from stieltjes.gamma import (_coffey_panels, _diff_terms, _incgamma_pair,
-                             _series_b_terms, _series_c_terms)
-from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _horner,
-                               _log_polys, _root_table, bernoulli_mpf,
-                               em_tail_error, em_tail_shifted, log_steps,
-                               pow_step)
-from stieltjes.related import _dilcher_summand
-from stieltjes.verifier import _g_summand
-from stieltjes.zeta import _deriv0_summand
+from stieltjes.gamma import (_coffey_sum, _diff_sum, _incgamma_pair,
+                             _series_b_sum, _series_c_sum)
+from stieltjes.logpoly import (INT_LOG_CAP, INT_LOG_GUARD, J_PLAN_MAX, LogPoly,
+                               _certified_start, _horner, _log_polys,
+                               _root_table, bernoulli_mpf, em_tail_error,
+                               em_tail_shifted, fixed_log, fixed_log_ints,
+                               fixed_step, lattice_err)
+from stieltjes.related import _dilcher_sum
+from stieltjes.verifier import _g_sum
+from stieltjes.zeta import _deriv0_sum
 
 _rng = random.Random(20190201)
 XS = ([str(mpf(0.05) * mpf(160) ** _rng.random()) for _ in range(4)]
-      + ["0.05", "1", "500"])
+      + ["0.05", "1", "500", "1e6"])
 DPS = [working_dps(mpf(t)) for t in ("1e-12", "1e-20", "1e-50")]
 K = 12
+# the long loop: K = 2048 at the working precision of 1e-50
+LONG_K, LONG_DPS = 2048, DPS[-1]
 
 
 def _bits(values):
     return [v if type(v) in (tuple, int) else v._mpf_ for v in values]
+
+
+def _within_bound(got, ref_terms, dps):
+    """|got - sum(ref_terms())| <= 2^-prec: the kernel sum at dps against
+    its mpf form at 2 dps + 20 digits."""
+    with workdps(dps):
+        bound = lattice_err()
+    with workdps(2 * dps + 20):
+        gap = abs(got - mp.fsum(ref_terms()))
+    return gap <= bound
 
 
 def pow_step_mpf(la, a, b, q):
@@ -78,6 +94,47 @@ def coffey_panels_mpf(n, x, K):
         else:
             yield (la_n / a + lb_n / b) / 2 - dlog
         a, la, la_n = b, lb, lb_n
+
+
+def series_b_mpf(n, x, K):
+    f = LogPoly.single(1, n, 1)
+    q = n + 1
+    for k in range(K):
+        a = LogPoint(k + x)
+        yield a.eval(f) - pow_step_mpf(a.lu, a.u, mpf(k + 1) + x, q) / q
+
+
+def series_c_mpf(n, x, K):
+    f = LogPoly.single(1, n, 1)
+    q = n + 1
+    for k in range(K):
+        yield f(k + x) - pow_step_mpf(log(k + 1), mpf(k + 1), mpf(k + 2), q) / q
+
+
+def diff_mpf(n, x, y, K):
+    f = LogPoly.single(1, n, 1)
+    for k in range(K):
+        yield f(k + x) - f(k + y)
+
+
+def deriv0_mpf(q, x, lo, hi):
+    for n in range(lo, hi):
+        ln = log(n)
+        yield pow_step_mpf(ln, n, n + x, q) - x * pow_step_mpf(ln, n, mpf(n + 1), q)
+
+
+def dilcher_mpf(k, x, lo, hi):
+    fk = LogPoly.single(1, k, 1)
+    q = k + 1
+    for j in range(lo, hi):
+        a = LogPoint(mpf(j))
+        yield x * a.eval(fk) - pow_step_mpf(a.lu, a.u, j + x, q) / q
+
+
+def g_mpf(q, x, lo, hi):
+    for k in range(lo, hi):
+        a = LogPoint(mpf(k + 1))
+        yield pow_step_mpf(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
 
 
 def horner_mpf(P, L):
@@ -135,40 +192,54 @@ def _grid(n_range=range(9)):
                 yield dps, mpf(x), n
 
 
+def _m_pow(points, q):
+    """M^q for M the power of two >= max(1, |log u|) over points."""
+    M = max(max(1, abs(float(log(u)))) for u in points)
+    return 2 ** (q * int(M).bit_length())
+
+
 @pytest.mark.parametrize("dps", DPS)
 @pytest.mark.parametrize("q", range(1, 10))
 def test_pow_step(dps, q):
+    # the fixed-point step: within 17 q^2 M^q units of log^q b - log^q a
     with workdps(dps):
+        wp = mp.prec + 30
         for x in XS:
             a = mpf(x)
             for b in (a + mpf("0.2546"), a + 1, 2 * a + 3, mpf(501)):
-                assert pow_step(log(a), a, b, q)._mpf_ == pow_step_mpf(log(a), a, b, q)._mpf_
-            # int ends enter exactly, as they do in mpf arithmetic
-            assert pow_step(log(7), 7, a + 7, q)._mpf_ == pow_step_mpf(log(7), 7, a + 7, q)._mpf_
+                got = fixed_step(fixed_log(a._mpf_, wp), fixed_log(b._mpf_, wp), q, wp)
+                with workdps(2 * dps + 20):
+                    ref = (log(b) ** q - log(a) ** q) * mpf(2) ** wp
+                    assert abs(got - ref) <= 17 * q * q * _m_pow((a, b), q), (x, b)
+
+
+def test_int_logs():
+    # from the table, shifted down, across its cap, and afresh where the
+    # working bits pass the table's: within 3M units each
+    with workdps(DPS[1]):
+        P = mp.prec + INT_LOG_GUARD
+        for lo, hi in ((1, 40), (INT_LOG_CAP - 3, INT_LOG_CAP + 3)):
+            for wp in (mp.prec + 20, P, P + 1):
+                got = list(fixed_log_ints(lo, hi, wp))
+                assert len(got) == hi - lo
+                with workdps(2 * DPS[1] + 20):
+                    for n, L in zip(range(lo, hi), got):
+                        ref = log(n) * mpf(2) ** wp
+                        assert abs(L - ref) <= 3 * _m_pow((n,), 1), (lo, wp, n)
 
 
 def test_series_b_terms():
     for dps, x, n in _grid():
         with workdps(dps):
-            f = LogPoly.single(1, n, 1)
-            q = n + 1
-            want = []
-            for k in range(K):
-                a = LogPoint(k + x)
-                want.append(a.eval(f) - pow_step_mpf(a.lu, a.u, mpf(k + 1) + x, q) / q)
-            got = _series_b_terms(n, x, K, *mp._prec_rounding)
-            assert _bits(got) == _bits(want), (dps, x, n)
+            got = _series_b_sum(n, x, K)
+        assert _within_bound(got, lambda: series_b_mpf(n, x, K), dps), (dps, x, n)
 
 
 def test_series_c_terms():
     for dps, x, n in _grid():
         with workdps(dps):
-            f = LogPoly.single(1, n, 1)
-            q = n + 1
-            _, steps = log_steps(q, K)
-            want = [f(k + x) - steps[k + 1] / q for k in range(K)]
-            got = _series_c_terms(n, x, K, steps, *mp._prec_rounding)
-            assert _bits(got) == _bits(want), (dps, x, n)
+            got = _series_c_sum(n, x, K)
+        assert _within_bound(got, lambda: series_c_mpf(n, x, K), dps), (dps, x, n)
 
 
 def test_coffey_panels():
@@ -176,40 +247,71 @@ def test_coffey_panels():
     # the incomplete gammas throughout
     for dps, x, n in _grid(range(1, 9)):
         with workdps(dps):
-            want = coffey_panels_mpf(n, x, K)
-            got = _coffey_panels(n, x, K, *mp._prec_rounding)
-            assert _bits(got) == _bits(want), (dps, x, n)
+            got = _coffey_sum(n, x, K)
+        assert _within_bound(got, lambda: coffey_panels_mpf(n, x, K), dps), (dps, x, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_tiny_x_heads(n):
+    # at x = 1e-20 the head f(x) is about 1e20 log^n x: the guard takes its
+    # 1/x, so the whole sum stays within 2^-prec
+    x = mpf("1e-20")
+    for dps in DPS:
+        with workdps(dps):
+            c, d = _series_c_sum(n, x, K), _coffey_sum(n, x, K)
+        assert _within_bound(c, lambda: series_c_mpf(n, x, K), dps), dps
+        assert _within_bound(d, lambda: coffey_panels_mpf(n, x, K), dps), dps
+
+
+def test_long_loops():
+    x, n = mpf(XS[0]), 4
+    with workdps(LONG_DPS):
+        sums = {"series_b": _series_b_sum(n, x, LONG_K),
+                "series_c": _series_c_sum(n, x, LONG_K),
+                "coffey": _coffey_sum(n, x, LONG_K),
+                "deriv0": _deriv0_sum(n + 1, x, 1, LONG_K)}
+    refs = {"series_b": lambda: series_b_mpf(n, x, LONG_K),
+            "series_c": lambda: series_c_mpf(n, x, LONG_K),
+            "coffey": lambda: coffey_panels_mpf(n, x, LONG_K),
+            "deriv0": lambda: deriv0_mpf(n + 1, x, 1, LONG_K)}
+    for name, got in sums.items():
+        assert _within_bound(got, refs[name], LONG_DPS), name
 
 
 @pytest.mark.parametrize("dps", DPS)
 def test_incgamma_pair(dps):
+    # at an exact t, Gamma(n, t) within (n-1)! 10 n^2 M^n units and
+    # Gamma(n+1, t) within n! 10 (n+1)^2 M^(n+1)
     with workdps(dps):
+        wp = mp.prec + 30
         for t in (mpf(0), mpf("0.3"), mpf(1), log(mpf(500))):
+            T = to_fixed(t._mpf_, wp)
+            M = 2 ** max(1, int(t) + 1).bit_length()
             for n in range(1, 10):
-                got = _incgamma_pair(n, t._mpf_, *mp._prec_rounding)
-                assert list(got) == _bits(incgamma_pair_mpf(n, t)), (t, n)
+                got = _incgamma_pair(n, T, wp)
+                with workdps(2 * dps + 20):
+                    ref = [v * mpf(2) ** wp for v in incgamma_pair_mpf(n, ldexp(T, -wp))]
+                    assert abs(got[0] - ref[0]) <= factorial(n - 1) * 10 * n * n * M ** n, (t, n)
+                    assert (abs(got[1] - ref[1])
+                            <= factorial(n) * 10 * (n + 1) ** 2 * M ** (n + 1)), (t, n)
 
 
 def test_diff_terms():
     for dps, x, n in _grid():
-        with workdps(dps):
-            f = LogPoly.single(1, n, 1)
-            for y in (x + mpf("0.75"), mpf(2)):
-                want = [f(k + x) - f(k + y) for k in range(K)]
-                got = _diff_terms(n, x, y, K, *mp._prec_rounding)
-                assert _bits(got) == _bits(want), (dps, x, y, n)
+        for y in (x + mpf("0.75"), mpf(2)):
+            with workdps(dps):
+                got = _diff_sum(n, x, y, K)
+            assert _within_bound(got, lambda: diff_mpf(n, x, y, K), dps), (dps, x, y, n)
 
 
 def test_deriv0_summand():
     for dps, x, k in _grid(range(7)):
+        q = k + 1
         with workdps(dps):
-            q = k + 1
-            logs, steps = log_steps(q, K)
-            for n in range(1, K + 1):
-                want = pow_step_mpf(logs[n], n, n + x, q) - x * steps[n]
-                got = _deriv0_summand(q, x, n, logs[n]._mpf_, steps[n]._mpf_,
-                                      *mp._prec_rounding)
-                assert got == want._mpf_, (dps, x, k, n)
+            got = _deriv0_sum(q, x, 1, K + 1)
+            one = _deriv0_sum(q, x, K, K + 1)
+        assert _within_bound(got, lambda: deriv0_mpf(q, x, 1, K + 1), dps), (dps, x, k)
+        assert _within_bound(one, lambda: deriv0_mpf(q, x, K, K + 1), dps), (dps, x, k)
 
 
 def test_dilcher_summand():
@@ -217,25 +319,16 @@ def test_dilcher_summand():
     for dps, x0, k in _grid(range(5)):
         for x in (x0, x0 - 1):
             with workdps(dps):
-                fk = LogPoly.single(1, k, 1)
-                q = k + 1
-                for j in range(1, K + 1):
-                    a = LogPoint(mpf(j))
-                    want = x * a.eval(fk) - pow_step_mpf(a.lu, a.u, j + x, q) / q
-                    got = _dilcher_summand(k, x, j, *mp._prec_rounding)
-                    assert got == want._mpf_, (dps, x, k, j)
+                got = _dilcher_sum(k, x, 1, K + 1)
+            assert _within_bound(got, lambda: dilcher_mpf(k, x, 1, K + 1), dps), (dps, x, k)
 
 
 def test_g_summand():
     for dps, x, _ in _grid(range(1)):
-        with workdps(dps):
-            for q in (2, 3):
-                for k in range(K):
-                    a = LogPoint(mpf(k + 1))
-                    want = (pow_step_mpf(a.lu, a.u, k + x, q)
-                            - q * (x - 1) * a.lu ** (q - 1) / a.u)
-                    got = _g_summand(q, x, k, *mp._prec_rounding)
-                    assert got == want._mpf_, (dps, x, q, k)
+        for q in (2, 3):
+            with workdps(dps):
+                got = _g_sum(q, x, 0, K)
+            assert _within_bound(got, lambda: g_mpf(q, x, 0, K), dps), (dps, x, q)
 
 
 def _route_parts(x):

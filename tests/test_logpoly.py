@@ -119,13 +119,16 @@ def test_em_tail_logt2_vs_brute_oracle():
 
 @pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
-    # every single term log^m t / t^p carries em_tail_error's key d = 0
+    # every single term log^m t / t^p carries em_tail_error's key d = 0;
+    # the public claim adds the value's rounding floor, floor=False not
     f = LogPoly.single(1, m, p)
     a = mpf(a)
     sv = em_tail(f, a)
     key = (m, a, 0, 1, p)
     value, err, J = em_tail_shifted([(1, 0, m, p)], f(a), 0, a, key=key)
-    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err, J)
+    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err + rounding_floor(value), J)
+    bare = em_tail(f, a, floor=False)
+    assert (bare.value, bare.abs_err, bare.terms_used) == (value, err, J)
 
 
 @pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
@@ -253,8 +256,13 @@ def test_em_start_for_raises_past_the_budget():
 
     with pytest.raises(ConvergenceError):
         em_start_for(probe, mpf("1e-10"), 16)
-    # the first rung past the cap is still probed, then the ladder stops
-    assert probes[-2] <= K_CAP < probes[-1]
+    # the ladder stops before its first rung past the cap
+    assert probes[-1] <= K_CAP < 4 * probes[-1]
+    # a start past the cap raises without a probe
+    probes.clear()
+    with pytest.raises(ConvergenceError):
+        em_start_for(probe, mpf("1e-10"), K_CAP + 1)
+    assert probes == []
 
 
 @pytest.mark.parametrize("call", [
@@ -505,14 +513,26 @@ def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
     calls = []
     real = gamma_mod.em_tail
 
-    def counted(f, start, J=4, bound=None):
+    def counted(f, start, J=4, bound=None, floor=True):
         calls.append(start)
-        return real(f, start, J, bound)
+        return real(f, start, J, bound, floor)
 
     monkeypatch.setattr(gamma_mod, "em_tail", counted)
     with workdps(100):
         sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-50"))
     assert sv.terms_used == 128 and calls == [32 + mpf("1.5"), 128 + mpf("1.5")]
+
+
+def test_em_tail_claim_holds_the_rounding_of_its_value():
+    # log^8 t / t at 32.2546, J = 13, 34 digits: the remainder bound is
+    # 1.07e-34, the true error 1.75e-33, the rounding of a value near 1e3
+    with workdps(34):
+        a = mpf("32.2546")
+        sv = em_tail(LogPoly.single(1, 8, 1), a, 13)
+        bare = em_tail(LogPoly.single(1, 8, 1), a, 13, floor=False)
+    with workdps(80):
+        gap = abs(sv.value - (mp.stieltjes(8, a) + log(a) ** 9 / 9))
+    assert bare.abs_err < gap <= sv.abs_err
 
 
 @pytest.mark.parametrize("J", [8, 13])
@@ -526,5 +546,5 @@ def test_em_tail_claims_the_certified_remainder(J):
         sv = em_tail(f, a, J)
         assert a < _certified_start(1, J)
         omitted = em_tail_shifted([(1, 0, 1, 1)], f(a), 0, a, J)[1]
-        assert sv.abs_err == em_tail_error(1, a, J, omitted)
+        assert sv.abs_err == em_tail_error(1, a, J, omitted) + rounding_floor(sv.value)
         assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err

@@ -330,6 +330,19 @@ class TestDilcher:
         sv = dilcher_log_gamma_k(4, 0, mpf("1e-20"))
         assert sv == SeriesValue(mpf(0), mpf(0), 1, "log_series")
 
+    @pytest.mark.parametrize("xs", ["30000.25", "1e6"])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_large_x_starts_at_sixteen(self, k, xs):
+        # the d = 1 certificate reads the window from K + min(0, x), so K
+        # need not exceed x: the ladder starts at 16 and the call is short
+        x, tol = mpf(xs), mpf("1e-12")
+        t0 = time.perf_counter()
+        sv = dilcher_log_gamma_k(k, x, tol)
+        assert time.perf_counter() - t0 < 5
+        with workdps(60):
+            ref = (-1) ** k * (zeta(0, x + 1, k + 1) - zeta(0, 1, k + 1)) / (k + 1)
+            assert abs(sv.value - ref) <= sv.abs_err <= tol
+
     def test_series61_zero(self):
         assert dilcher_power_series(0).value == 0
 

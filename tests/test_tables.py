@@ -1,18 +1,22 @@
-"""The per-precision table of x-free log steps and the coffey panel carry:
-each returns the bits a fresh computation returns.  Also the accuracy of the
-log-power step they rest on.  (The Euler-Maclaurin derivatives come from
+"""The per-precision tables: the Euler-Maclaurin weights, the fixed-point
+logarithms of the integer lattice points, and gamma1_alt's x-independent
+brackets, which it shares with dilcher_power_series.  Each
+returns the bits a fresh computation returns.  Also the accuracy of the mpf
+log-power step of the single boundary terms, and the coffey panel carry
+against fresh panels.  (The Euler-Maclaurin derivatives come from
 logpoly's exact integer table, which does not depend on the precision; its
 test is in test_logpoly.)"""
 
 import pytest
 from mpmath import log, mp, mpf, workdps, workprec
 
-from stieltjes.core import PREC_TABLES_MAX, PrecTable, comp_sum, working_dps
-from stieltjes.gamma import (_coffey_panels, _lattice_plan, gamma_diff, gamma_n,
-                             incgamma_int)
-from stieltjes.logpoly import _LOG_STEPS, LogPoly, log_steps, pow_step
-from stieltjes.related import digamma
-from stieltjes.zeta import zeta_deriv0_diff
+from stieltjes.core import PREC_TABLES_MAX, PrecTable, rounding_floor, working_dps
+from stieltjes.gamma import (_BRACKETS, _coffey_sum, _lattice_plan, gamma1_alt,
+                             gamma_diff, gamma_n, incgamma_int)
+from stieltjes.logpoly import (_EM_WEIGHTS, _INT_LOGS, INT_LOG_GUARD, LogPoly,
+                               fixed_log, lattice_err, pow_step)
+from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series
+from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
 TOL = mpf("1e-15")
 
@@ -23,11 +27,16 @@ CALLS = {
     "zeta_deriv0_diff": lambda x: zeta_deriv0_diff(2, x, TOL),
     "digamma": lambda x: digamma(x, TOL),
     "gamma_diff": lambda x: gamma_diff(2, x, x + 2, TOL),
+    "dilcher_log_gamma_k": lambda x: dilcher_log_gamma_k(2, x, TOL),
+    "gamma1_alt": lambda x: gamma1_alt(TOL),
+    "dilcher_power_series": lambda x: dilcher_power_series(x / 8, TOL),
 }
 
 
 def _clear():
-    _LOG_STEPS.clear()
+    _EM_WEIGHTS.clear()
+    _INT_LOGS.clear()
+    _BRACKETS.clear()
 
 
 def _bits(sv):
@@ -71,27 +80,36 @@ def test_tables_are_keyed_by_precision():
 
 
 def test_table_entries_are_the_fresh_computation():
-    with workdps(42):
-        q = 4
-        logs, steps = log_steps(q, 40)
-        for n in (1, 2, 17, 40):
-            assert logs[n] == log(n)
-            assert steps[n] == pow_step(log(n), n, mpf(n + 1), q)
-
-
-def test_series_c_fill_serves_zeta_deriv0_diff():
-    # at 34 digits both calls work at 50: series_c at 1e-21, and
-    # zeta_deriv0_diff, which adds 8 guard digits, at 1e-15; gamma_2 and
-    # zeta^(3)(0, x) both step log^3
-    tol_c, tol_z = mpf("1e-21"), mpf("1e-15")
-    assert working_dps(tol_c) == working_dps(tol_z) + 8 == 50
-    x = mpf("0.7")
-    cold = _bits(zeta_deriv0_diff(2, x, tol_z))
+    tol = mpf("1e-15")
+    gamma1_alt(tol)
+    with workdps(working_dps(tol)):
+        table = _BRACKETS.at_prec()
+        assert len(table) > 20
+        for (n, inner_tol), (z, zp) in list(table.items())[::5]:
+            assert z == hurwitz_em(n + 1, 1, inner_tol).value
+            assert zp == zeta_prime_int(n + 1, inner_tol).value
     _clear()
-    K_c = gamma_n(2, x, "series_c", tol_c).terms_used
-    with workdps(50):
-        assert len(_LOG_STEPS.at_prec()[3]) == K_c + 1
-    assert _bits(zeta_deriv0_diff(2, x, tol_z)) == cold
+    K = gamma_n(3, mpf("0.7"), "series_c", TOL).terms_used
+    with workdps(working_dps(TOL)):
+        logs = _INT_LOGS.at_prec()
+        assert sorted(logs) == list(range(2, K + 2))
+        for n, L in logs.items():
+            assert L == fixed_log(mpf(n)._mpf_, mp.prec + INT_LOG_GUARD)
+
+
+def test_gamma1_alt_fill_serves_dilcher_power_series():
+    # both sum the brackets at the inner tol tol/(1000 K) of the same K, so
+    # gamma1_alt's fill is a cache hit for dilcher_power_series's first
+    # brackets, with a cold call's bits
+    x = mpf("0.3")
+    cold = _bits(dilcher_power_series(x, TOL))
+    _clear()
+    gamma1_alt(TOL)
+    with workdps(working_dps(TOL)):
+        filled = len(_BRACKETS.at_prec())
+    assert _bits(dilcher_power_series(x, TOL)) == cold
+    with workdps(working_dps(TOL)):
+        assert len(_BRACKETS.at_prec()) == max(filled, cold[2] + 1)
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 9])
@@ -149,7 +167,7 @@ def test_prec_table_holds_the_most_recent_precisions():
 
 def _reference_panel(n, j, x, q):
     """Panel defect D_j with every logarithm and incomplete gamma computed
-    afresh."""
+    afresh, in mpf."""
     a = j + x
     b = j + 1 + x
     la, lb = log(a), log(b)
@@ -165,16 +183,22 @@ def _reference_panel(n, j, x, q):
 @pytest.mark.parametrize("n", [1, 4])
 def test_coffey_carry_matches_fresh_panels(n, x):
     # x = 0.05 switches from the a < 1 form to the incomplete gammas at the
-    # second panel; x = 1.5 starts them at the first
+    # second panel; x = 1.5 starts them at the first.  The carried sum is
+    # within its 2^-prec of the fresh panels at twice the digits, and the
+    # route's value within that and its rounding floor of the fresh sum.
     x = mpf(x)
     q = n + 1
-    with workdps(working_dps(TOL)):
-        panels = _coffey_panels(n, x, 12, *mp._prec_rounding)
-        assert [mp.make_mpf(d) for d in panels] == [
-            _reference_panel(n, j, x, q) for j in range(12)]
-        f = LogPoly.single(1, n, 1)
+    dps = working_dps(TOL)
+    with workdps(dps):
+        carried = _coffey_sum(n, x, 12)
+        bound = lattice_err()
         K, tail = _lattice_plan(n, x, TOL, 32)
-        partial = comp_sum(_reference_panel(n, j, x, q) for j in range(K))
+        value = gamma_n(n, x, "coffey", TOL).value
+        floor = rounding_floor(value)
+    with workdps(2 * dps + 20):
+        assert abs(carried - mp.fsum(_reference_panel(n, j, x, q) for j in range(12))) <= bound
+        f = LogPoly.single(1, n, 1)
+        partial = mp.fsum(_reference_panel(n, j, x, q) for j in range(K))
         want = (f(x) - log(x) ** q / q - f(x) / 2
                 + partial + tail.value - f(K + x) / 2)
-    assert gamma_n(n, x, "coffey", TOL).value == want
+        assert abs(value - want) <= bound + floor
