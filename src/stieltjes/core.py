@@ -13,6 +13,7 @@ calls with identical inputs and precision produce bit-identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, sqrt
@@ -52,6 +53,37 @@ def working_dps(tol) -> int:
     digits, never below the ambient setting, plus guard digits for internal
     cancellation."""
     return max(mp.dps, 2 * tol_digits(tol)) + GUARD_DIGITS
+
+
+# most guard digits head_guard adds for a route's largest term
+HEAD_GUARD_MAX = 100
+
+
+def head_guard(size, tol, dps: int, what: str) -> int:
+    """Guard digits past dps >= working_dps(tol) that hold the rounding
+    floor of a route's largest term v, log10 |v| = size, below tol/64: at d
+    digits that floor is (|v| + 1) 2^(6 - prec) <= (|v| + 1) 9.1 * 10^-d,
+    so d >= D = log10(|v| + 1) + tol_digits(tol) + 3 holds it.  As dps >=
+    2 tol_digits(tol) + 8, D <= dps wherever log10(|v| + 1) <= (dps + 2)/2,
+    and tol is not read.  Past HEAD_GUARD_MAX digits: ConvergenceError.
+    """
+    digits = math.ceil(max(size, 0) + math.log10(1 + 10.0 ** -abs(size)))
+    if 2 * digits <= dps + 2:
+        return 0
+    guard = max(0, digits + tol_digits(tol) + 3 - dps)
+    if guard > HEAD_GUARD_MAX:
+        raise ConvergenceError(
+            f"{what}: the largest term, about 1e{size:.0f}, needs {guard} guard "
+            f"digits to hold tol {mp.nstr(tol, 3)}, over the budget of "
+            f"{HEAD_GUARD_MAX}")
+    return guard
+
+
+def log_abs(v) -> float:
+    """log |v| of a nonzero mpf as a float, from its mantissa and exponent:
+    defined where float(v) would underflow or overflow."""
+    _, man, exp, _ = mpf(v)._mpf_
+    return math.log(man) + exp * math.log(2)
 
 
 def rounding_floor(value) -> mpf:

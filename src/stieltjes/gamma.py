@@ -28,22 +28,23 @@ partial-sum length K and Euler-Maclaurin order J from _lattice_plan: at each
 rung, logpoly.em_tail raises J from 4 with the digits asked for, and every
 tail's abs_err is em_tail's certified remainder bound, at every K and J.
 
-The four partial sums (_series_b_sum, _series_c_sum, _coffey_sum with
-_incgamma_pair, _diff_sum) are exact integer arithmetic at wp = prec +
-guard bits, on logpoly's fixed-point kernel: one logarithm per lattice point,
-carried to the next term, and each log-power step a Horner sum in ints.
-lattice_wp's guard reads K, n + 1, the largest |log u| of the lattice and
-the largest multiplier (1/x at a head x < 1, coffey's weight a + 1/2 and
-its factorials), so each sum is within 2^-prec of the exact partial sum,
-as its docstring proves, and each claim adds that 2^-prec
-(logpoly.lattice_err) to the tail's and the rounding floor.  The single
-boundary steps are logpoly.pow_step, in mpf.
+Three partial sums are logpoly.lattice_sum over the route's summand as a
+parts list: series_b's (_series_b_parts), series_c's (_series_c_parts) and
+gamma_diff's f(k+x) - f(k+y), within 2^-prec of the exact sum by the
+kernel's one proof.  coffey's panel defect is not a log-polynomial, so
+_coffey_sum keeps its own fixed-point loop on the same rules.  Each claim
+adds that 2^-prec (logpoly.lattice_err) to the tail's and the rounding
+floor; the single boundary steps are logpoly.pow_step, in mpf.  series_b,
+series_c and coffey add the guard digits of their largest term,
+|log^(n+1) x|/x at a tiny x (_head_dps, core.head_guard).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial, gcd
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
@@ -51,10 +52,11 @@ from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add, mpf_exp,
                           mpf_ge, to_fixed)
 
 from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
-                   cvz_terms, default_tol, rounding_floor, tail_claim, working_dps)
-from .logpoly import (LogPoly, em_start_for, em_tail, fixed_div, fixed_log,
-                      fixed_log_ints, fixed_mul, fixed_pow, fixed_step, from_fixed,
-                      lattice_err, lattice_wp, pow_step)
+                   cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
+                   tail_claim, working_dps)
+from .logpoly import (LogPoly, em_start_for, em_tail, fixed_div, fixed_log, fixed_mul,
+                      fixed_pow, from_fixed, lattice_err, lattice_sum, lattice_wp,
+                      pow_step)
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -128,66 +130,50 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     return K, tail
 
 
+def _head_dps(n: int, x, tol) -> int:
+    """working_dps(tol) plus the guard digits (core.head_guard) of a gamma_n
+    route's largest term at x, about |log^(n+1) x|/x where x is tiny."""
+    dps = working_dps(tol)
+    lx = log_abs(x)
+    size = ((n + 1) * math.log10(abs(lx)) if lx else -math.inf) - lx / math.log(10)
+    return dps + head_guard(size, tol, dps, "gamma_n")
+
+
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
-    with workdps(working_dps(tol)):
+    with workdps(_head_dps(n, x, tol)):
         K, tail = _lattice_plan(n, x, tol, 32)
-        partial = _series_b_sum(n, x, K)
+        partial = lattice_sum(_series_b_parts(n, x))(0, K)
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
                            K, "series_b")
 
 
-def _series_b_sum(n: int, x, K: int) -> mpf:
-    """sum_{k<K} f(k+x) - (log^q(k+1+x) - log^q(k+x))/q, q = n + 1, in
-    fixed point (logpoly's kernel), log(k+1+x) carried to the next term.
-
-    Per term, f(u) is within 5 n M^n/u + 1 units and the step over q within
-    17 q M^q + 1 (rules (2)-(4)): at most 2^5 q M^q s with s = max(1, 1/x),
-    so the sum is within 2^-prec."""
+def _series_b_parts(n: int, x) -> list:
+    """series_b's summand f(k+x) - (log^q(k+1+x) - log^q(k+x))/q, q = n + 1,
+    as lattice_sum's parts, x + 1 formed exactly."""
     q = n + 1
-    wp = lattice_wp(K, q, x, K + x, max(1, 1 / x))
-    xv = x._mpf_
-    u, La = xv, fixed_log(xv, wp)
-    S = 0
-    for k in range(1, K + 1):
-        b = mpf_add(xv, from_int(k))
-        Lb = fixed_log(b, wp)
-        S += fixed_div(fixed_pow(La, n, wp), u) - fixed_step(La, Lb, q, wp) // q
-        u, La = b, Lb
-    return from_fixed(S, wp)
+    return [(1, x, n, 1), (Fraction(-1, q), mp.fadd(x, 1, exact=True), q, 0),
+            (Fraction(1, q), x, q, 0)]
 
 
 def _gamma_series_c(n: int, x, tol) -> SeriesValue:
     q = n + 1
-    with workdps(working_dps(tol)):
+    with workdps(_head_dps(n, x, tol)):
         # ladder offset from series_b so that route agreement compares tail
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
-        partial = _series_c_sum(n, x, K)
+        partial = lattice_sum(_series_c_parts(n, x))(0, K)
         value = partial + tail.value + pow_step(log(K + x), K + x, mpf(K + 1), q) / q
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
                            K, "series_c")
 
 
-def _series_c_sum(n: int, x, K: int) -> mpf:
-    """sum_{k<K} f(k+x) - (log^q(k+2) - log^q(k+1))/q, q = n + 1, in fixed
-    point (logpoly's kernel): the x-free steps from the logarithms of the
-    integers (fixed_log_ints), log(k+2) carried to the next term.
-
-    Per term, as in _series_b_sum, at most 2^5 q M^q s with s = max(1, 1/x),
-    so the sum is within 2^-prec."""
+def _series_c_parts(n: int, x) -> list:
+    """series_c's summand f(k+x) - (log^q(k+2) - log^q(k+1))/q, q = n + 1,
+    as lattice_sum's parts."""
     q = n + 1
-    wp = lattice_wp(K, q, min(x, 1), K + 1 + x, max(1, 1 / x))
-    xv = x._mpf_
-    L1 = 0  # log 1
-    S = 0
-    for k, L2 in enumerate(fixed_log_ints(2, K + 2, wp)):
-        u = mpf_add(xv, from_int(k))
-        S += (fixed_div(fixed_pow(fixed_log(u, wp), n, wp), u)
-              - fixed_step(L1, L2, q, wp) // q)
-        L1 = L2
-    return from_fixed(S, wp)
+    return [(1, x, n, 1), (Fraction(-1, q), 2, q, 0), (Fraction(1, q), 1, q, 0)]
 
 
 def incgamma_int(n: int, t) -> mpf:
@@ -250,7 +236,7 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
     and log b and both gammas carry into the next panel.
     """
     q = n + 1
-    with workdps(working_dps(tol)):
+    with workdps(_head_dps(n, x, tol)):
         f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
         fx = f(x)
@@ -263,32 +249,37 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
 
 def _coffey_sum(n: int, x, K: int) -> mpf:
     """The sum of the panel defects D_j for j = 0..K-1 in fixed point
-    (logpoly's kernel).
+    (logpoly's rules; the defect is not a log-polynomial, so not
+    lattice_sum).
 
-    Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b and the
-    incomplete gammas at log b carry into the next panel.  The incomplete
-    gammas start afresh at the first panel with a >= 1.
+    Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b, log^q b
+    and the incomplete gammas at log b carry into the next panel, and the
+    step log^q b - log^q a is a difference of carried powers.  The
+    incomplete gammas start afresh at the first panel with a >= 1.
 
-    Per panel with a >= 1: the log powers are within 5 n M^n units each,
-    the step over q within 17 q M^q + 1, and n dG_n - dG_(n+1), from
-    _incgamma_pair's bounds, within 40 n! q^2 M^q, which the weight a + 1/2
-    <= K + x + 1 multiplies (rule (5)); a panel with a < 1 divides its log
-    powers by a >= x.  Each is at most 2^7 q^2 M^q s with
-    s = (K + x + 1) n! max(1, 1/x), so the sum is within 2^-prec.
+    Per panel with a >= 1: the log powers are within 5 q M^q units each
+    (rule (2)), so the step over q within 10 M^q + 1, and n dG_n - dG_(n+1),
+    from _incgamma_pair's bounds, within 40 n! q^2 M^q, which the weight
+    a + 1/2 <= K + x + 1 multiplies (rule (5)); a panel with a < 1 divides
+    its log powers by a >= x (rule (4)).  Each is at most 2^7 q^2 M^q s
+    with s = (K + x + 1) n! max(1, 1/x), so the sum is within 2^-prec.
     """
     q = n + 1
-    wp = lattice_wp(K, q, x, K + x, (K + x + 1) * factorial(n) * max(1, 1 / x))
+    wp = lattice_wp(K, q, sum(x._mpf_[2:]), sum((K + x)._mpf_[2:]),
+                    int(mp.ceil((K + x + 1) * factorial(n) * max(1, 1 / x))))
     xv = x._mpf_
     a = xv
     La = fixed_log(a, wp)
     Pa = fixed_pow(La, n, wp)
+    Qa = Pa * La >> wp
     gammas_a = None
     S = 0
     for j in range(1, K + 1):
         b = mpf_add(xv, from_int(j))
         Lb = fixed_log(b, wp)
         Pb = fixed_pow(Lb, n, wp)
-        dlog = fixed_step(La, Lb, q, wp) // q
+        Qb = Pb * Lb >> wp
+        dlog = (Qb - Qa) // q
         if mpf_ge(a, fone):
             if gammas_a is None:
                 gammas_a = _incgamma_pair(n, La, wp)
@@ -298,7 +289,7 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
             gammas_a = gammas_b
         else:
             S += (fixed_div(Pa, a) + fixed_div(Pb, b)) // 2 - dlog
-        a, La, Pa = b, Lb, Pb
+        a, La, Pa, Qa = b, Lb, Pb, Qb
     return from_fixed(S, wp)
 
 
@@ -315,7 +306,7 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     q = n + 1
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
-        partial = _diff_sum(n, x, y, K)
+        partial = lattice_sum([(1, x, n, 1), (-1, y, n, 1)])(0, K)
         other = em_tail(LogPoly.single(1, n, 1), K + max(x, y), tail.terms_used,
                         floor=False)
         tx, ty = (tail, other) if x < y else (other, tail)
@@ -323,24 +314,6 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value) + lattice_err()
         return SeriesValue(value, err, K, "difference")
-
-
-def _diff_sum(n: int, x, y, K: int) -> mpf:
-    """sum_{k<K} f(k+x) - f(k+y) in fixed point (logpoly's kernel).
-
-    Per term, each f(u) is within 5 n M^n/u + 1 units (rules (2) and (4)):
-    at most 2^4 q M^q s, q = n + 1, with s = max(1, 1/min(x, y)), so the
-    sum is within 2^-prec."""
-    lo = min(x, y)
-    wp = lattice_wp(K, n + 1, lo, K + max(x, y), max(1, 1 / lo))
-    xv, yv = x._mpf_, y._mpf_
-    S = 0
-    for k in range(K):
-        u = mpf_add(xv, from_int(k))
-        w = mpf_add(yv, from_int(k))
-        S += (fixed_div(fixed_pow(fixed_log(u, wp), n, wp), u)
-              - fixed_div(fixed_pow(fixed_log(w, wp), n, wp), w))
-    return from_fixed(S, wp)
 
 
 def gamma_recurrence_check(n: int, x, tol=None) -> VerifyReport:

@@ -1,79 +1,44 @@
-"""Log-polynomial calculus and the Euler-Maclaurin tail engine.
+"""Log-polynomial calculus, the Euler-Maclaurin tail engine and the one
+fixed-point kernel for lattice partial sums.
 
-A LogPoly is a finite sum of terms c * log(t)^m / t^p with m, p >= 0.  The
-family is closed under differentiation, for any real p:
+Every series summand here is a short list of parts c log^m(t + shift) /
+(t + shift)^p.  The family is closed under differentiation, for any real p:
 
     d/dt [log^m t / t^p] = m log^(m-1) t / t^(p+1)  -  p log^m t / t^(p+1)
 
-which is all that is needed to turn slowly convergent logarithmic series into
-a short partial sum plus Bernoulli-weighted endpoint corrections:
+which turns a slowly convergent logarithmic series into a partial sum plus
+Bernoulli-weighted endpoint corrections:
 
     sum_{k>=0} f(a+k) - int_a^inf f(t) dt
         = f(a)/2 - sum_{j=1..J} B_2j/(2j)! f^(2j-1)(a) + R_J
 
 with |R_J| at most 2 |B_2J+2|/(2J+2)! int_a^inf |f^(2J+2)| (Johansson,
-arXiv:1309.2877).  The same corrections apply to summands built from log
-powers at several shifted arguments, c log^m(t + shift) / (t + shift)^p,
-where only the closed-form integral differs, and to a rational p, such as
-the real s of (t + x)^-s: an mpf is a dyadic rational.
+arXiv:1309.2877).  A rational p, such as the real s of (t + x)^-s, is read
+exactly: an mpf is a dyadic rational.
 
-Every series route is one probe function, probe(K) -> (result, err): the
-claimed tail error at a partial-sum length K and, in most routes, the tail
-itself.  The one ladder em_start_for walks K through start * factor^i, calls
-the probe once per rung, and returns the first passing rung with that
-probe's result, so no route evaluates its chosen K a second time.
+Every route that sums such a summand builds its parts list once and hands
+it to both halves of the series:
 
-Every derivative the engine reads comes from one exact table, _log_polys(m,
-p): the polynomials P_k with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k),
-integer for an int p and rational for a rational p, independent of the
-precision.  The correction loop
-em_tail_shifted evaluates each order from it by Horner's rule, from one
-logarithm per shifted point.
+- lattice_sum, the partial sum, in fixed point at wp = prec + guard bits:
+  one logarithm and one power chain per lattice point, the coefficients a
+  point takes from several parts merged exactly, and one proof (above
+  LATTICE_GUARD) that the sum is within 2^-prec; each route adds
+  lattice_err() = 2^-prec to its claim.
+- em_tail_shifted, the tail: each order from one exact table _log_polys(m,
+  p) of the polynomials P_k with (d/dt)^k [log^m t / t^p] = P_k(log t) /
+  t^(p+k), by Horner's rule on raw _mpf_ tuples (the libmpf calls of the
+  mpf operators, so with their bits), with the weights of em_weights.
 
-Every lattice route plans its order in one loop, em_tail_shifted's: given a
-bound, J rises from 4, at most to J_PLAN_MAX, while the claimed remainder is
-not below it, so a rung passes or fails on the certified claim itself.  That
-claim is certified at every order and start:
-
-- hurwitz_em: its summand (t+x)^-s is completely monotone, or the
-  negative of one, from its least order on, so the first omitted
-  correction bounds the remainder (the theta-bound of em_tail_error), and
-  it passes no certificate key.
-- the gamma_n series, digamma (series_b at n = 0) and gamma_diff (through
-  em_tail, d = 0), zeta_prime_int's log t / t^s (d = 0, p = s), the second
-  divided differences of zeta_deriv0_diff (log_gamma at k = 0),
-  dilcher_log_gamma_k and the verifier's g-series (d = 1), and delta's
-  log^n t (d = -1): they pass em_tail_error's
-  key (n, a, d, scale, p), which certifies the remainder by the
-  theta-bound past the certified start t_J and below it from the total
-  variation of f^(2J+1+d), f = log^n t / t^p.  Both read the real roots of
-  the polynomials P_k in log t of f^(k), isolated once per (n, k, p) by
-  _isolated: t_J (_certified_start) is past the last root of f^(2J+2+d)
-  and f^(2J+4+d), and the extrema of f^(2J+1+d) are the roots of
-  f^(2J+2+d) (_root_table).
-
-The Bernoulli weights B_2j/(2j)! of every correction and certificate come
-from one per-precision table, em_weights.
-
-Every lattice partial sum (the gamma_n routes, gamma_diff,
-zeta_deriv0_diff, dilcher_log_gamma_k and the verifier's g-series) is exact
-integer arithmetic at wp = prec + guard bits, on one fixed-point kernel
-here: log u once per lattice point (fixed_log), carried to the next term,
-and log n of an integer point from one capped per-precision table
-(fixed_log_ints); the step log^q b - log^q a as (L_b - L_a) times a Horner sum in ints
-(fixed_step), with no log(b/a); f(u) = L^n/u through u's exact dyadic
-mantissa (fixed_div).  The guard rule lattice_wp reads K, q, the largest
-|log u| of the lattice and the largest multiplier, such as 1/u at a head
-u < 1, so that every loop's integer sum is within 2^-prec of the exact
-partial sum; each loop's docstring proves its per-term bound, and each route
-adds lattice_err() = 2^-prec to its claim.  The single boundary steps of
-the routes take pow_step, the relative-accurate mpf form.
-
-The Euler-Maclaurin correction loop runs on raw _mpf_ tuples through
-mpmath.libmp, at the caller's mp._prec_rounding: the correction loop's
-Horner's rule (_horner) in em_tail_shifted.  Each step is the libmpf call
-the mpf operator makes, in the same order, so its results have the bits of
-the mpf forms.
+The one ladder em_start_for walks K through start * factor^i, calling the
+route's probe(K) -> (result, err) once per rung.  Given a bound,
+em_tail_shifted's order loop raises J from 4, at most to J_PLAN_MAX, until
+the claimed remainder is below it.  That claim is certified at every order
+and start: hurwitz_em's (t+x)^-s is completely monotone from its least
+order on, so the first omitted correction bounds the remainder; every other
+route passes em_tail_error's key (n, a, d, scale, p), which certifies the
+remainder by that theta-bound past the certified start t_J and below it
+from the total variation of f^(2J+1+d), f = log^n t / t^p, read from the
+real roots of the P_k (_isolated, _certified_start, _root_table).
 """
 
 from __future__ import annotations
@@ -81,6 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 
 from mpmath import bernfrac, iv, log, mp, mpf
@@ -106,45 +72,20 @@ def bernoulli_mpf(idx: int) -> mpf:
 
 
 class LogPoly:
-    """Finite sum of c * log(t)^m / t^p terms, keyed by (m, p).
-
-    log^0 t is 1 everywhere (including t = 1), so evaluation at 1 keeps the
-    m = 0 terms and kills every m > 0 term.
-    """
+    """Finite sum of c * log(t)^m / t^p terms, {(m, p): c}; em_tail takes a
+    single one.  log^0 t is 1 everywhere, so at t = 1 only m = 0 remains."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        merged: dict[tuple[int, int], mpf] = {}
-        for (m, p), c in (terms or {}).items():
-            if m < 0 or p < 0:
-                raise DomainError("LogPoly: powers must be >= 0")
-            c = mpf(c)
-            if c:
-                merged[(m, p)] = merged.get((m, p), mpf(0)) + c
-        self.terms = {k: v for k, v in merged.items() if v}
+        terms = terms or {}
+        if any(m < 0 or p < 0 for m, p in terms):
+            raise DomainError("LogPoly: powers must be >= 0")
+        self.terms = {k: mpf(c) for k, c in terms.items() if c}
 
     @classmethod
     def single(cls, coeff, log_power: int, inv_power: int) -> "LogPoly":
         return cls({(log_power, inv_power): mpf(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def min_inv_power(self) -> int:
-        return min((p for _, p in self.terms), default=0)
-
-    def diff(self) -> "LogPoly":
-        out: dict[tuple[int, int], mpf] = {}
-        for (m, p), c in self.terms.items():
-            if m:
-                key = (m - 1, p + 1)
-                out[key] = out.get(key, mpf(0)) + c * m
-            if p:
-                key = (m, p + 1)
-                out[key] = out.get(key, mpf(0)) - c * p
-        return LogPoly(out)
 
     def __call__(self, t) -> mpf:
         t = mpf(t)
@@ -153,25 +94,6 @@ class LogPoly:
         for (m, p), c in self.terms.items():
             total += c * lt ** m / t ** p
         return total
-
-    def __add__(self, other: "LogPoly") -> "LogPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, mpf(0)) + c
-        return LogPoly(out)
-
-    def scaled(self, factor) -> "LogPoly":
-        factor = mpf(factor)
-        return LogPoly({k: c * factor for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LogPoly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "LogPoly(0)"
-        bits = [f"{c}*log^{m}/t^{p}" for (m, p), c in sorted(self.terms.items())]
-        return "LogPoly(" + " + ".join(bits) + ")"
 
 
 def logpow_antiderivative(q: int, u) -> mpf:
@@ -204,61 +126,51 @@ def pow_step(la, a, b, q: int) -> mpf:
 
 
 # Every lattice partial sum runs in fixed point: an int X stands for
-# X 2^-wp.  The bound of each loop is proved below from five rules, with M a
-# power of two >= max(1, |log u|) over the loop's points u, and every error
-# counted in units of 2^-wp.  Each error is far below 2^wp (the bound of a
-# whole loop is 2^(wp-prec)), so a product's second-order error term is
-# below 2^-20 of its first-order terms and is absorbed by the constants.
+# X 2^-wp.  Errors are counted in units of 2^-wp, with M a power of two
+# >= max(1, |log u|) over the points u a sum reads; each is far below 2^wp,
+# so a product's second-order error term is absorbed by the constants.
 #
 # (1) fixed_log: mpf_log at wp is within 2 |log u| units (an ulp of its
 #     mantissa, relative), and to_fixed floors: |L - log u| <= 3M.
 # (2) fixed_pow: P_i = floor(P_(i-1) L / 2^wp) is within 5 i M^i of
 #     log^i u, by induction: (M + 2^-20) 5(i-1) M^(i-1) + 3M M^(i-1) + 1.
-# (3) fixed_step: Horner's rule s_i = floor(s_(i-1) L_b / 2^wp) + p_i,
-#     p_i = L_a^i, holds sum_(j<=i) L_b^(i-j) L_a^j (at most (i+1) M^i)
-#     within 5 i (i+1) M^i; then |log b - log a| <= 2M with the difference of the
-#     two logarithms within 6M, so the step log^q b - log^q a is within
-#     (2M) 5 q^2 M^(q-1) + q M^(q-1) 6M + 1 <= 17 q^2 M^q.  The difference
-#     L_b - L_a is exact, so no cancellation loses anything: the bound is
-#     absolute, and log(b/a) is not needed.
+# (3) a rational c = num / (2^sh den), den odd, applied to X as
+#     floor(floor(X num / 2^sh) / den): within |c| e_X + 2.
 # (4) fixed_div: X/u for an exact dyadic u, floored: within e_X/u + 1.
 # (5) fixed_mul: X c for an exact dyadic c, floored: within |c| e_X + 1.
 #
-# Each loop's docstring adds these up to a per-term bound of at most
-# 2^7 q^2 M^q s units, with q the largest log power and s >= 1 its largest
-# multiplier (1/u for a head u < 1, |x|, ...).  lattice_wp adds guard bits
-# for K of them and 3 more, so every loop's integer sum S is within
-# 2^(-prec-3) of the exact partial sum, and S 2^-wp is returned as one mpf
-# with all its bits.  Each route adds lattice_err() = 2^-prec to its claim.
-# (R. Brent and P. Zimmermann, Modern Computer Arithmetic, CUP 2010,
-# ch. 3-4, for the fixed-point technique.)
+# lattice_sum's one proof: a run of points that take the same merged terms
+# (m, p, c) sums, for each, P_m(u) or P_m(u)/u for p = 1 over them (rules (1),
+# (2), (4), or fixed_log_sum for m = 1, p = 0 alone: within 5 q M^q s + 1
+# each, s = max(1, 1/u)) and applies each c once (rule (3)); a merged |c| is
+# at most the sum of the |c| it merges.  With C the sum of |c| over the parts
+# list and T its length, each point is within (5 q M^q s + 1) C + 2 T <=
+# 2^3 q M^q (C + T) s units.  lattice_wp adds
+# guard bits for the N points of a call at 2^7 q^2 M^q scale each, scale =
+# (C + T) s / 2^4 rounded up, and 3 more, so the integer sum S is within
+# 2^(-prec-3) of the exact partial sum; S 2^-wp is returned as one mpf with
+# all its bits.  (R. Brent and P. Zimmermann, Modern Computer Arithmetic,
+# CUP 2010, ch. 3-4, for the fixed-point technique.)
 
-# bits of 2^7 (the per-term constant) and 2^3 (the margin): see above
+# bits of 2^7 (the per-point constant) and 2^3 (the margin): see above
 LATTICE_GUARD = 10
 
 
-def _log_size(u) -> int:
-    """An int >= max(1, |log u|) for an _mpf_ u > 0: u lies in
-    [2^(mag-1), 2^mag) and |log u| <= |log2 u|."""
-    _, _, exp, bc = u
-    mag = exp + bc
-    return max(1, abs(mag), abs(mag - 1))
-
-
-def lattice_wp(K: int, q: int, lo, hi, scale) -> int:
-    """Working bits of a fixed-point loop of K terms over points u in
-    [lo, hi], with log powers up to q and multipliers up to scale >= 1:
-    prec + bitlen(K) + q bitlen(M) + 2 bitlen(q) + bitlen(scale) +
-    LATTICE_GUARD, so that K terms of 2^7 q^2 M^q scale units sum to at
-    most 2^(-prec-3).  M reads lo and hi: |log u| is largest at an end."""
-    M = max(_log_size(mpf(lo)._mpf_), _log_size(mpf(hi)._mpf_))
-    _, _, exp, bc = mpf(scale)._mpf_
+def lattice_wp(K: int, q: int, lo: int, hi: int, scale: int) -> int:
+    """Working bits of a fixed-point sum of K terms over points u from
+    2^(lo-1) to 2^hi (magnitudes exp + bc of the end points' _mpf_
+    tuples), with log powers up to q and multipliers up to the int scale
+    >= 1: prec + bitlen(K) + q bitlen(M) + 2 bitlen(q) + bitlen(scale) +
+    LATTICE_GUARD, so that K terms of 2^7 q^2 M^q scale units sum to at most
+    2^(-prec-3).  M >= max(1, |log u|) reads the ends, where |log u| is
+    largest, each u in [2^(mag-1), 2^mag) with |log u| <= |log2 u|."""
+    M = max(1, abs(lo), abs(lo - 1), abs(hi), abs(hi - 1))
     return (mp.prec + K.bit_length() + q * M.bit_length() + 2 * q.bit_length()
-            + max(0, exp + bc) + LATTICE_GUARD)
+            + scale.bit_length() + LATTICE_GUARD)
 
 
 def lattice_err() -> mpf:
-    """2^-prec: the bound every lattice loop keeps at the current precision,
+    """2^-prec: the bound every lattice sum keeps at the current precision,
     which each route adds to its claim."""
     return mp.make_mpf(from_man_exp(1, -mp.prec))
 
@@ -298,23 +210,29 @@ def fixed_log_ints(lo: int, hi: int, wp: int):
         yield fixed_log(from_int(n), wp)
 
 
+# a product of lattice points is taken to one logarithm once it passes this
+# many times the working bits
+LOG_PRODUCT_PRECS = 8
+
+
+def fixed_log_sum(us, wp: int) -> int:
+    """sum log u over the _mpf_ points us > 0 in fixed point, from the
+    logarithms of their exact products of at most about LOG_PRODUCT_PRECS wp
+    bits: rule (1) for each, within 2 sum |log u| + 1, so 3M per point."""
+    S, man, exp = 0, 1, 0
+    for _, m, e, _ in us:
+        man, exp = man * m, exp + e
+        if man.bit_length() > LOG_PRODUCT_PRECS * wp:
+            S, man, exp = S + fixed_log(from_man_exp(man, exp), wp), 1, 0
+    return S + fixed_log(from_man_exp(man, exp), wp)
+
+
 def fixed_pow(L: int, n: int, wp: int) -> int:
     """L^n in fixed point by n products, the first exact: rule (2)."""
     P = 1 << wp
     for _ in range(n):
         P = P * L >> wp
     return P
-
-
-def fixed_step(La: int, Lb: int, q: int, wp: int) -> int:
-    """log^q b - log^q a in fixed point from La = log a and Lb = log b:
-    (Lb - La) sum_(i<q) Lb^i La^(q-1-i) by Horner's rule in q - 1
-    multiply-adds: rule (3)."""
-    s = p = 1 << wp
-    for _ in range(q - 1):
-        p = p * La >> wp
-        s = (s * Lb >> wp) + p
-    return (Lb - La) * s >> wp
 
 
 def fixed_div(X: int, u) -> int:
@@ -338,6 +256,120 @@ def from_fixed(S: int, wp: int) -> mpf:
     return mp.make_mpf(from_man_exp(S, -wp))
 
 
+# shifts whose exact difference is an integer of at most CARRY_WINDOW share
+# one stream of lattice points
+CARRY_WINDOW = 2
+
+
+def lattice_sum(parts):
+    """The lattice partial sum of a summand given by its parts (c, shift, m,
+    p), p in {0, 1}, v(k) = sum c log^m(k + shift) / (k + shift)^p, the
+    tuples em_tail_shifted reads: a function (lo, hi) -> sum_{lo <= k < hi}
+    v(k), within 2^(-prec-3) of the exact sum (the proof above
+    LATTICE_GUARD), its working bits from lattice_wp at each call.
+
+    Each c (an int, a Fraction such as -1/q, or an mpf) and each shift (an
+    int or an mpf) is read exactly, an mpf through its _mpf_ tuple: form
+    x - 1 or x + 1 with mp.fsub/mp.fadd at exact=True.  Shifts whose
+    difference is an integer of at most CARRY_WINDOW share one stream, so
+    each point takes one logarithm (fixed_log_ints' on integer points) and
+    one power chain L, ..., L^q; shifts further apart, such as 0 and x = 500,
+    keep separate streams.  The coefficients a point takes from its offsets
+    are summed exactly and applied once per run of points that take the
+    same ones: a telescoped step log^q(u+1) - log^q u costs nothing inside
+    a range, a run of m = 0 alone takes no logarithm, and one of m = 1,
+    p = 0 alone takes those of exact products (fixed_log_sum).  Every point
+    must be > 0.
+    """
+    q, weight, rows = 1, len(parts), []
+    for c, shift, m, p in parts:
+        if p not in (0, 1) or m < 0:
+            raise DomainError("lattice_sum: a part needs m >= 0 and p in {0, 1}")
+        num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
+        sn, sd = to_rational(shift._mpf_) if type(shift) is mpf else (shift, 1)
+        if type(sn) is not int or sd & (sd - 1):
+            raise DomainError("lattice_sum: a shift must be an int or an mpf")
+        q, weight = max(q, m), weight - (-abs(num) // den)
+        rows.append((sn, sd, m, p, num, den))
+    # every shift as an integer over one power of two D, ascending; each
+    # stream (start, offsets {d: [(m, p, num, den)]}) from its least shift
+    D = max(row[1] for row in rows)
+    scaled = sorted((sn * (D // sd), m, p, num, den) for sn, sd, m, p, num, den in rows)
+    starts = []
+    for shift, m, p, num, den in scaled:
+        for start, offsets in starts:
+            d, r = divmod(shift - start, D)
+            if not r and d <= CARRY_WINDOW:
+                break
+        else:
+            d, offsets = 0, {}
+            starts.append((shift, offsets))
+        offsets.setdefault(d, []).append((m, p, num, den))
+    # (int base or None, exact _mpf_ base, offsets, span)
+    streams = [(start // D if start % D == 0 else None,
+                from_man_exp(start, 1 - D.bit_length()), offsets, max(offsets))
+               for start, offsets in starts]
+    least, largest, merged = scaled[0][0], scaled[-1][0], {}
+    spans, e = sum(s[3] for s in streams), D.bit_length() - 1
+
+    def run_terms(offsets, active):
+        # (m, p, num, sh, den) for each nonzero summed coefficient of the
+        # offsets in active, ordered by m: rule (3)'s c = num / (2^sh den)
+        terms = merged.get((id(offsets), active))
+        if terms is None:
+            total = {}
+            for d in active:
+                for m, p, num, den in offsets[d]:
+                    n0, d0 = total.get((m, p), (0, 1))
+                    total[m, p] = (n0 * den + num * d0, d0 * den)
+            terms = merged[id(offsets), active] = tuple(
+                (m, p, num, (den & -den).bit_length() - 1, den // (den & -den))
+                for (m, p), (num, den) in sorted(total.items()) if num)
+        return terms
+
+    def total(lo: int, hi: int) -> mpf:
+        first = least + lo * D  # the first point, scaled by D = 2^e
+        if first <= 0:
+            raise DomainError("lattice_sum: every point must be > 0")
+        # the magnitude of u = first/D; (C + T) s / 2^4 rounded up, s = 1/u
+        # <= 2^(1 - mag) at u < 1
+        mag = first.bit_length() - e
+        scale = max(1, ((weight << max(0, 1 - mag)) + 15) >> 4)
+        wp = lattice_wp(len(streams) * (hi - lo) + spans, q, mag,
+                        (largest + (hi - 1) * D).bit_length() - e, scale)
+        one, S = 1 << wp, 0
+        for stream in streams:
+            base, exact, offsets, span = stream
+            # the points in [a, b) take the offsets d with a - d in [lo, hi)
+            cuts = sorted({d + k for d in offsets for k in (lo, hi)}) if span else (lo, hi)
+            for a, b in zip(cuts, cuts[1:]):
+                terms = run_terms(offsets, tuple(d for d in offsets if a - hi < d <= a - lo))
+                if not terms:
+                    continue
+                top = terms[-1][0]
+                if base is not None:
+                    us = range(base + a, base + b)
+                    logs = list(fixed_log_ints(base + a, base + b, wp)) if top else None
+                else:
+                    us = [mpf_add(exact, from_int(j)) for j in range(a, b)]
+                    if terms[0][:2] == (1, 0) and len(terms) == 1:
+                        _, _, num, sh, den = terms[0]
+                        S += (fixed_log_sum(us, wp) * num >> sh) // den
+                        continue
+                    logs = [fixed_log(u, wp) for u in us] if top else None
+                for m, p, num, sh, den in terms:
+                    X, chain = 0, range(m - 1)
+                    for u, L in zip(us, logs or repeat(0)):
+                        P = L if m else one
+                        for _ in chain:
+                            P = P * L >> wp
+                        X += (P // u if type(u) is int else fixed_div(P, u)) if p else P
+                    S += (X * num >> sh) // den
+        return from_fixed(S, wp)
+
+    return total
+
+
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
 # reaches and em_tail accepts.  J = 13 is the smallest order that takes a
@@ -349,33 +381,31 @@ J_PLAN_MAX = 13
 
 def em_tail(f: LogPoly, start, J: int = 4, bound=None,
             floor: bool = True) -> SeriesValue:
-    """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin.
+    """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin,
+    for a single term f = c log^m t / t^p, p >= 1, and a start >= 2.
 
     Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
-    J, at most J_PLAN_MAX.  With a bound, J is the least order and rises as
-    in em_tail_shifted.  For a single term f = c log^m t / t^p, abs_err is
-    the certified remainder bound em_tail_error of the key (m, start, 0,
-    |c|, p) at every start and order, plus rounding_floor(value) for the
-    rounding of the value; floor=False leaves the floor out, for the lattice
-    routes, which add their own floor to the whole sum.  For several terms
-    it is the magnitude of the first omitted correction, an estimate that is
-    a bound only where f^(2J+2) and f^(2J+4) keep one sign from start on.
-    start may be any real >= 2 (unit-step lattice starting there); every
-    term of f must have inv_power >= 1 or the paired tail diverges.
+    J, at most J_PLAN_MAX, rising from J as in em_tail_shifted when a bound
+    is given.  abs_err is the certified remainder bound em_tail_error of
+    the key (m, start, 0, |c|, p), plus rounding_floor(value) unless
+    floor=False (the lattice routes add their own floor to the whole sum).
+    A LogPoly of several terms raises DomainError: its remainder has no
+    certificate here (em_tail_shifted takes such a summand with its key).
     """
-    if f.is_zero():
+    if not f.terms:
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
-    if f.min_inv_power < 1:
+    if len(f.terms) > 1:
+        raise DomainError("em_tail: f must be a single term c log^m t / t^p")
+    (m, p), c = next(iter(f.terms.items()))
+    if p < 1:
         raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
     if J > J_PLAN_MAX:
         raise DomainError(f"em_tail: correction order J must be <= {J_PLAN_MAX}")
     start = mpf(start)
     if start < 2:
         raise DomainError("em_tail: start must be >= 2")
-    parts = [(c, 0, m, p) for (m, p), c in f.terms.items()]
-    (m, p), c = next(iter(f.terms.items()))
-    key = (m, start, 0, abs(c), p) if len(parts) == 1 else None
-    value, err, J = em_tail_shifted(parts, f(start), 0, start, J, bound, key)
+    value, err, J = em_tail_shifted([(c, 0, m, p)], f(start), 0, start, J, bound,
+                                    (m, start, 0, abs(c), p))
     if floor:
         err += rounding_floor(value)
     return SeriesValue(value, err, J, "euler_maclaurin")
@@ -399,27 +429,24 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
                     key=None) -> tuple[mpf, mpf, int]:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
     v(t) = sum c log^m(t + shift) / (t + shift)^p, where the caller supplies
-    v(start) and the closed-form int_start^inf v(t) dt.
+    v(start) and the closed-form int_start^inf v(t) dt; a c is an int, an
+    mpf or a Fraction, rounded once to the working precision.
 
     Returns (value, err, J): the integral plus v(start)/2 minus the
     Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, the
     claimed remainder, and J.  Each distinct point u = start + shift takes
-    its logarithm once; every order i of a part is then c P_i(log u)/u^(p+i),
-    one Horner's rule over the row P_i of _log_polys(m, p).  A part's p is
-    an int or an mpf, read exactly (_rational); u^(p+i) is mpf_pow_int for
-    an int p and mpf_pow otherwise.
+    its logarithm once; order i of a part is c P_i(log u)/u^(p+i), one
+    Horner's rule over the row P_i of _log_polys(m, p), p an int or an mpf
+    read exactly (_rational), u^(p+i) by mpf_pow_int or mpf_pow.
 
-    The claim is em_tail_error(n, a, J, |omitted|, d, scale, p) for a
-    summand with the certificate key (n, a, d, scale[, p]) described there
-    (p is 1 when the key leaves it out), and with no
-    key the magnitude of the first omitted correction: the theta-bound of a
-    completely monotone summand (or the negative of one) at every start and
-    order, as hurwitz_em's.
-
-    With a bound, J is the least order and the order rises from it, at most
-    to J_PLAN_MAX, while the claim is not below bound: the one order plan of
-    every lattice route.  The value has the bits of a call at the order
-    reached.
+    The claim is em_tail_error(n, a, J, |omitted|, d, scale, p) for the
+    certificate key (n, a, d, scale[, p]) described there (p is 1 when the
+    key leaves it out); with no key, the magnitude of the first omitted
+    correction, the theta-bound of a completely monotone summand (or the
+    negative of one), as hurwitz_em's.  With a bound, J is the least order
+    and rises, at most to J_PLAN_MAX, while the claim is not below bound:
+    the one order plan of every lattice route.  The value has the bits of a
+    call at the order reached.
     """
     prec, rnd = mp._prec_rounding
     start = mpf(start)
@@ -432,8 +459,10 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
         if point is None:
             u = (start + sh)._mpf_
             point = points[sh] = (u, mpf_log(u, prec, rnd), {})
+        c = (from_rational(c.numerator, c.denominator, prec, rnd)
+             if type(c) is Fraction else mpf(c)._mpf_)
         p = _rational(p)
-        terms.append((mpf(c)._mpf_, point, _log_polys(m, p), p))
+        terms.append((c, point, _log_polys(m, p), p))
     weights = em_weights(J_PLAN_MAX + 1)
 
     def at(i):  # v^(i)(start)
@@ -566,7 +595,16 @@ def _pow(u, e, prec: int, rnd) -> tuple:
                    prec, rnd)
 
 
-@lru_cache(maxsize=None)
+# entries each (m, p)-keyed cache holds: about twice the integer-keyed
+# entries that point_mix and verify --suite all read (68 of _log_polys, 73
+# of _root_table, 255 of _isolated, 213 of _certified_start).  Each rational
+# p, such as every s hurwitz_em and zeta_prime_int are called at, takes
+# entries of its own; past the cap the least recently used go.
+POLY_CACHE_MAX = 128
+ROOT_CACHE_MAX = 512
+
+
+@lru_cache(maxsize=POLY_CACHE_MAX)
 def _log_polys(m: int, p) -> tuple[tuple, ...]:
     """P_k for k = 0..2 J_PLAN_MAX + 5, coefficients low degree first,
     with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
@@ -595,7 +633,7 @@ def _horner(P, L, prec: int, rnd) -> tuple:
     return s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_CACHE_MAX)
 def _isolated(n: int, k: int, p=1) -> tuple[tuple[Fraction, Fraction], ...]:
     """_real_roots of P_k, f^(k)(t) = P_k(log t)/t^(p+k) for
     f = log^n t / t^p, its denominators cleared: each polynomial is
@@ -605,7 +643,7 @@ def _isolated(n: int, k: int, p=1) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(_real_roots([int(c * den) for c in P]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_CACHE_MAX)
 def _certified_start(n: int, J: int, d: int = 0, p=1) -> float:
     """The certified start t_J of order J: past the last real root of
     f^(2J+2+d) and of f^(2J+4+d), f = log^n t / t^p, so that both keep
@@ -620,7 +658,7 @@ def _certified_start(n: int, J: int, d: int = 0, p=1) -> float:
     return math.exp(math.nextafter(float(last), math.inf)) * (1 + 1e-12)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POLY_CACHE_MAX)
 def _root_table(n: int, J: int, d: int = 0, p=1) -> tuple[tuple[float, mpf], ...]:
     """One entry (hi, g_max) per real root r > 1 of f^(2J+2+d),
     f = log^n t / t^p: log r <= hi, and g_max >= |f^(2J+1+d)| on the

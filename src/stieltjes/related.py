@@ -19,26 +19,28 @@ Series used here and their tails:
             evaluated at finite N with Bernoulli endpoint corrections.
 
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
-integrals over [K, inf).
+integrals over [K, inf).  The Gamma_k series builds its summand once as a
+parts list (_dilcher_parts), which logpoly.lattice_sum reads for the
+partial sum and each probe's v(K) and em_tail_shifted for the tail.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import accumulate, chain, groupby
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
-from mpmath.libmp import from_int, mpf_add
 
 from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
-                   default_tol, rounding_floor, tail_claim, working_dps)
+                   default_tol, head_guard, log_abs, rounding_floor, tail_claim,
+                   working_dps)
 from .gamma import RationalArg, _gamma1_bracket, _gamma_series_b, gamma1_alt, gamma_n
 from .logpoly import (K_CAP, LogPoly, em_start_for, em_tail, em_tail_shifted,
-                      fixed_div, fixed_log, fixed_log_ints, fixed_mul, fixed_pow,
-                      fixed_step, from_fixed, lattice_err, lattice_wp,
-                      logpow_antiderivative, pow_step)
+                      lattice_err, lattice_sum, logpow_antiderivative, pow_step)
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -347,7 +349,10 @@ def digamma(x, tol=None) -> SeriesValue:
         raise DomainError("digamma: x must be > 0")
     tol = default_tol() if tol is None else mpf(tol)
     g0 = _gamma_series_b(0, mp.fadd(1, x, exact=True), tol)
-    with workdps(working_dps(tol)):
+    dps = working_dps(tol)
+    # the value is about -1/x: its guard digits hold the rounding floor
+    guard = head_guard(-log_abs(x) / math.log(10), tol, dps, "digamma")
+    with workdps(dps + guard):
         value = -g0.value - 1 / x
         return SeriesValue(value, g0.abs_err + rounding_floor(value), g0.terms_used,
                            "log_series")
@@ -428,45 +433,32 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     # gamma_k enters times x, so its share of tol shrinks with |x|
     gk = gamma_n(k, 1, "series_b", tol / 4 / max(1, abs(x)))
     with workdps(working_dps(tol)):
-        # h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q
-        h_parts = [(x, 0, k, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)]
+        parts = _dilcher_parts(k, x)
+        h = lattice_sum(parts)
         scale = x * x / 2
 
         def probe(K):
             integral = (-x * log(K) ** q / q
                         + (logpow_antiderivative(q, K + x)
                            - logpow_antiderivative(q, mpf(K))) / q)
-            tail, err, _ = em_tail_shifted(h_parts, _dilcher_sum(k, x, K, K + 1),
-                                           integral, K, 4, tol / 4,
+            tail, err, _ = em_tail_shifted(parts, h(K, K + 1), integral, K, 4, tol / 4,
                                            (k, K + min(0, x), 1, scale))
             return tail, err
 
         # K need not exceed x: the certificate reads the window from
         # K + min(0, x), so the ladder starts at 16 for every x
         K, tail, err = em_start_for(probe, tol / 4, 16)
-        partial = _dilcher_sum(k, x, 1, K)
+        partial = h(1, K)
         value = -gk.value * x + partial + tail
         err = tail_claim(err, value) + lattice_err() + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
 
 
-def _dilcher_sum(k: int, x, lo: int, hi: int) -> mpf:
-    """sum_{lo<=j<hi} x log^k j / j - (log^q(j+x) - log^q j)/q, q = k + 1,
-    in fixed point (logpoly's kernel).
-
-    Per term, f(j) is within 5 k M^k/j + 1 units, multiplied by x, and the
-    step over q within 17 q M^q + 1 (rules (2)-(5)): at most 2^5 q M^q s
-    with s = 1 + |x|, so the sum is within 2^-prec."""
+def _dilcher_parts(k: int, x) -> list:
+    """The summand h(t) = x log^k t / t - (log^q(t+x) - log^q t)/q,
+    q = k + 1, as the parts its lattice sum and its tail read."""
     q = k + 1
-    wp = lattice_wp(hi - lo, q, lo + min(x, 0), hi + max(x, 0), 1 + abs(x))
-    xv = x._mpf_
-    S = 0
-    for j, Lu in zip(range(lo, hi), fixed_log_ints(lo, hi, wp)):
-        u = from_int(j)
-        Lx = fixed_log(mpf_add(xv, u), wp)
-        S += (fixed_mul(fixed_div(fixed_pow(Lu, k, wp), u), xv)
-              - fixed_step(Lu, Lx, q, wp) // q)
-    return from_fixed(S, wp)
+    return [(x, 0, k, 1), (Fraction(-1, q), x, q, 0), (Fraction(1, q), 0, q, 0)]
 
 
 def dilcher_power_series(x, tol=None) -> SeriesValue:

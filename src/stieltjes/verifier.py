@@ -10,6 +10,10 @@ regular part of zeta^(k)(0, t) on [0, 1] become one Chebyshev model each
 (quadrature.chebyshev_model), built from library values and their claims.
 The gamma_n model is kept per (n, precision) and shared by
 vanishing_integrals and zero_structure.
+
+The g-series of g_functions builds its summand once as a parts list
+(_g_parts), which logpoly.lattice_sum reads for the partial sum and each
+probe's v(K) and em_tail_shifted for the tail.
 """
 
 from __future__ import annotations
@@ -19,15 +23,13 @@ import time
 from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
-from mpmath.libmp import (fone, from_int, mpf_add, mpf_log, mpf_mul, mpf_pow_int,
-                          mpf_sub)
+from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_pow_int, mpf_sub
 
 from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoly, em_start_for, em_tail, em_tail_shifted, fixed_div,
-                      fixed_log, fixed_log_ints, fixed_mul, fixed_pow, fixed_step,
-                      from_fixed, lattice_err, lattice_wp, logpow_antiderivative)
+from .logpoly import (LogPoly, em_start_for, em_tail, em_tail_shifted, lattice_err,
+                      lattice_sum, logpow_antiderivative)
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -264,40 +266,30 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     remainder is certified, so the claim adds only the rounding floor of
     the partial sum and the tail, and the partial sum's 2^-prec.
     """
-    h_parts = [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)]
+    parts = _g_parts(q, x)
+    h = lattice_sum(parts)
     scale = q * (x - 1) ** 2 / 2
 
     def probe(K):
         integral = (-logpow_antiderivative(q, K + x)
                     + logpow_antiderivative(q, mpf(K + 1))
                     + (x - 1) * log(K + 1) ** q)
-        tail, err, _ = em_tail_shifted(h_parts, _g_sum(q, x, K, K + 1), integral, K,
-                                       4, tol / 4, (q - 1, K + min(1, x), 1, scale))
+        tail, err, _ = em_tail_shifted(parts, h(K, K + 1), integral, K, 4, tol / 4,
+                                       (q - 1, K + min(1, x), 1, scale))
         return tail, err
 
     K, tail, err = em_start_for(probe, tol / 4, 64)
-    partial = _g_sum(q, x, 0, K)
+    partial = h(0, K)
     return (partial + tail,
             err + rounding_floor(abs(partial) + abs(tail)) + lattice_err())
 
 
-def _g_sum(q: int, x, lo: int, hi: int) -> mpf:
-    """sum_{lo<=k<hi} log^q(k+x) - log^q(k+1) - q(x-1) log^(q-1)(k+1)/(k+1)
-    in fixed point (logpoly's kernel).
-
-    Per term, the step is within 17 q^2 M^q + 1 units and the last part,
-    within 5 q M^q/(k+1) + 1 before its factor c = q(x-1) (rules (2)-(5)):
-    at most 2^5 q^2 M^q s with s = 1 + |c|, so the sum is within 2^-prec."""
-    xv = x._mpf_
-    c = mpf_mul(mpf_sub(xv, fone), from_int(q))
-    wp = lattice_wp(hi - lo, q, lo + min(x, 1), hi + max(x, 1),
-                    1 + abs(mp.make_mpf(c)))
-    S = 0
-    for k, Lu in zip(range(lo, hi), fixed_log_ints(lo + 1, hi + 1, wp)):
-        u = from_int(k + 1)
-        S += (fixed_step(Lu, fixed_log(mpf_add(xv, from_int(k)), wp), q, wp)
-              - fixed_mul(fixed_div(fixed_pow(Lu, q - 1, wp), u), c))
-    return from_fixed(S, wp)
+def _g_parts(q: int, x) -> list:
+    """The g-series summand log^q(k+x) - log^q(k+1) - q(x-1) log^(q-1)(k+1)/(k+1)
+    as the parts its lattice sum and its tail read, q(x - 1) formed
+    exactly."""
+    return [(1, x, q, 0), (-1, 1, q, 0),
+            (mp.fmul(-q, mp.fsub(x, 1, exact=True), exact=True), 1, q - 1, 1)]
 
 
 def check_g_functions(x) -> VerifyReport:

@@ -27,24 +27,23 @@ logarithmic series
           + sum_{n>=1} [log^(k+1)(n+x) - log^(k+1) n
                         - x (log^(k+1)(n+1) - log^(k+1) n)]
 
-accelerated by Euler-Maclaurin corrections on the summand.  Its partial
-sum runs on logpoly's fixed-point kernel: log n carried from the previous
-term, log(n+x) once, and both log-power differences Horner sums in ints,
-within 2^-prec of the exact sum.  zeta'(s) sums log k /
-k^s with the same engine, its remainder certified by the key p = s.  No
-Bernoulli table, order loop or certificate lives here.
+accelerated by Euler-Maclaurin corrections.  Its summand is one parts list
+(_deriv0_parts): logpoly.lattice_sum reads it for the partial sum and each
+probe's v(K), em_tail_shifted for the tail.  zeta'(s) sums log k / k^s with
+the same tail engine, certified by the key p = s.  No Bernoulli table,
+order loop, certificate or fixed-point loop lives here.
 """
 
 from __future__ import annotations
 
+import math
+
 from mpmath import floor, log, mp, mpf, pi, workdps
-from mpmath.libmp import from_int, mpf_add
 
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
-                   default_tol, rounding_floor, tail_claim, tol_digits,
-                   working_dps)
-from .logpoly import (em_start_for, em_tail_shifted, fixed_log, fixed_log_ints,
-                      fixed_mul, fixed_step, from_fixed, lattice_err, lattice_wp,
+                   default_tol, head_guard, log_abs, rounding_floor, tail_claim,
+                   tol_digits, working_dps)
+from .logpoly import (em_start_for, em_tail_shifted, lattice_err, lattice_sum,
                       logpow_antiderivative)
 
 POLE_EXCLUSION = mpf("1e-6")
@@ -53,31 +52,15 @@ POLE_EXCLUSION = mpf("1e-6")
 HURWITZ_EM_S_MIN = -11
 # hurwitz_hasse's outer terms per digit of tol (its budget adds 16, and 2 per unit of 1 - s)
 HASSE_TERMS_PER_DIGIT = 4
-# most guard digits _head_guard adds for a large head term x^-s
-HEAD_GUARD_MAX = 100
 
 
 def _head_guard(s, x, tol, dps: int) -> int:
-    """Guard digits past dps that hold the rounding floor of the head term
-    x^-s (s > 0) of a zeta(s, x) sum below tol/64.
-
-    At d digits the floor of a value v is (|v| + 1) 2^(6 - prec) <=
-    (|v| + 1) 9.1 * 10^-d, so d >= log10(x^-s + 1) + tol_digits(tol) + 3
-    holds it.  Where x^-s is modest (x >= 1, or x >= 0.05 with s <= 4.5)
-    the working precision already does, and the guard is 0.  A guard past
-    HEAD_GUARD_MAX digits is over the budget: ConvergenceError.
-    """
+    """core.head_guard for the head term x^-s of a zeta(s, x) sum, s > 0;
+    0 for s <= 0.  Where x^-s is modest (x >= 1, or x >= 0.05 with
+    s <= 4.5) the guard is 0."""
     if not s > 0:
         return 0
-    with workdps(15):
-        head_digits = int(mp.ceil(mp.log10(x ** -s + 1)))
-    guard = max(0, head_digits + tol_digits(tol) + 3 - dps)
-    if guard > HEAD_GUARD_MAX:
-        raise ConvergenceError(
-            f"zeta({mp.nstr(s, 6)}, {mp.nstr(x, 6)}): the head term needs "
-            f"{guard} guard digits to hold tol {mp.nstr(tol, 3)}, over the "
-            f"budget of {HEAD_GUARD_MAX}")
-    return guard
+    return head_guard(float(-s) * log_abs(x) / math.log(10), tol, dps, "zeta(s, x)")
 
 
 def _validate_x(x) -> mpf:
@@ -194,19 +177,20 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
     with workdps(working_dps(tol) + 8):
-        v_parts = [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)]
+        parts = _deriv0_parts(q, x)
+        v = lattice_sum(parts)
         scale = q * abs(x * (x - 1)) / 2
 
         def probe(K):
             integral = (-logpow_antiderivative(q, K + x)
                         + (1 - x) * logpow_antiderivative(q, mpf(K))
                         + x * logpow_antiderivative(q, mpf(K + 1)))
-            tail, err, _ = em_tail_shifted(v_parts, _deriv0_sum(q, x, K, K + 1),
-                                           integral, K, 4, tol / 4, (k, K, 1, scale))
+            tail, err, _ = em_tail_shifted(parts, v(K, K + 1), integral, K, 4,
+                                           tol / 4, (k, K, 1, scale))
             return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
-        partial = log(x) ** q + _deriv0_sum(q, x, 1, K)
+        partial = log(x) ** q + v(1, K)
         value = (-1) ** (k + 1) * (partial + tail)
         # the partial sum and the tail can be far larger than their
         # difference, and their rounding, not the value's, sets the floor
@@ -214,23 +198,11 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
                            K, "log_series")
 
 
-def _deriv0_sum(q: int, x, lo: int, hi: int) -> mpf:
-    """sum_{lo<=n<hi} log^q(n+x) - log^q n - x (log^q(n+1) - log^q n) in
-    fixed point (logpoly's kernel), log(n+1) carried to the next term.
-
-    Per term, the two steps are within 17 q^2 M^q + 1 units each, the
-    second multiplied by x (rules (3) and (5)): at most 2^5 q^2 M^q s with
-    s = 1 + |x|, so the sum is within 2^-prec."""
-    wp = lattice_wp(hi - lo, q, lo, hi + x, 1 + abs(x))
-    xv = x._mpf_
-    logs = fixed_log_ints(lo, hi + 1, wp)
-    Ln = next(logs)
-    S = 0
-    for n, L1 in zip(range(lo, hi), logs):
-        Lx = fixed_log(mpf_add(xv, from_int(n)), wp)
-        S += fixed_step(Ln, Lx, q, wp) - fixed_mul(fixed_step(Ln, L1, q, wp), xv)
-        Ln = L1
-    return from_fixed(S, wp)
+def _deriv0_parts(q: int, x) -> list:
+    """The summand log^q(n+x) - log^q n - x (log^q(n+1) - log^q n) as the
+    parts its lattice sum and its tail read, x - 1 and -x formed exactly."""
+    return [(1, x, q, 0), (mp.fsub(x, 1, exact=True), 0, q, 0),
+            (mp.fneg(x, exact=True), 1, q, 0)]
 
 
 def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:

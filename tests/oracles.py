@@ -17,6 +17,8 @@ from math import factorial
 from mpmath import mp, mpf, log, nstr
 from mpmath.libmp import mpf_sum
 
+from stieltjes.logpoly import LogPoly
+
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
 # intermediate rounding, no gcd reduction), then rounded once at 50 digits.
@@ -105,6 +107,43 @@ def gamma_n_partial_sum(n: int, x, N: int) -> mpf:
     for k in range(N + 1):
         s += log(k + x) ** n / (k + x)
     return s - log(N + x) ** (n + 1) / (n + 1)
+
+
+# --- log-polynomial algebra ---------------------------------------------------
+# The term-by-term algebra of LogPoly: the reference that logpoly._log_polys,
+# the library's one exact derivative table, is checked against.
+
+class LogPolyRef(LogPoly):
+    """A LogPoly with its derivative, sum and scaling, term by term:
+
+        d/dt [log^m t / t^p] = m log^(m-1) t / t^(p+1)  -  p log^m t / t^(p+1)
+    """
+
+    __slots__ = ()
+
+    def diff(self) -> "LogPolyRef":
+        out: dict = {}
+        for (m, p), c in self.terms.items():
+            if m:
+                key = (m - 1, p + 1)
+                out[key] = out.get(key, mpf(0)) + c * m
+            if p:
+                key = (m, p + 1)
+                out[key] = out.get(key, mpf(0)) - c * p
+        return LogPolyRef(out)
+
+    def __add__(self, other: LogPoly) -> "LogPolyRef":
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, mpf(0)) + c
+        return LogPolyRef(out)
+
+    def scaled(self, factor) -> "LogPolyRef":
+        factor = mpf(factor)
+        return LogPolyRef({k: c * factor for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LogPoly) and self.terms == other.terms
 
 
 # --- reference forms of log-polynomial evaluation ----------------------------

@@ -10,9 +10,10 @@ the first rung of each ladder (at 1e-12) and the far end of the order plan
 """
 
 import pytest
-from mpmath import loggamma, mpf, psi, stieltjes, workdps, zeta
+from mpmath import log, loggamma, mpf, psi, stieltjes, workdps, zeta
 
 from stieltjes.core import working_dps
+from stieltjes.gamma import gamma_n
 from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, log_gamma
 from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_prime_int
 
@@ -47,6 +48,22 @@ def test_digamma_keeps_a_small_x_at_a_low_ambient_precision():
     with workdps(15):
         x, tol = mpf("1e-20"), mpf("1e-30")
         _audit(digamma(x, tol), tol, lambda: psi(0, x))
+
+
+@pytest.mark.parametrize("route,n", [("digamma", 0), ("series_c", 2), ("coffey", 2),
+                                     ("series_c", 0), ("coffey", 1)])
+def test_tiny_x_claims_meet_tol(route, n):
+    # at x = 1e-20 the largest term, 1/x for digamma and |log^(n+1) x|/x for
+    # the gamma_n routes, adds its guard digits at mp.dps 15, so the rounding
+    # floor of a value near 1e20 stays below tol; gamma_n(x) = gamma_n(1 + x)
+    # + log^n x / x is the reference
+    with workdps(15):
+        x, tol = mpf("1e-20"), mpf("1e-12")
+        if route == "digamma":
+            _audit(digamma(x, tol), tol, lambda: psi(0, x))
+        else:
+            _audit(gamma_n(n, x, route, tol), tol,
+                   lambda: stieltjes(n, 1 + x) + log(x) ** n / x)
 
 
 @pytest.mark.parametrize("tol", TOLS)

@@ -8,12 +8,13 @@ from mpmath import (e as e_const, exp, gammainc, log, mp, mpf, polyroots, quad,
 from mpmath.libmp import from_man_exp, to_fixed
 
 import oracles
+from oracles import LogPolyRef
 from stieltjes.core import DomainError, working_dps
 from stieltjes.gamma import (METHODS, RationalArg, _incgamma_pair, _incgamma_wp,
                              _lattice_plan, gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                              gamma_recurrence_check, incgamma_int,
                              stieltjes_integral)
-from stieltjes.logpoly import LogPoly, _certified_start
+from stieltjes.logpoly import _certified_start
 from stieltjes.quadrature import quad_gl
 from stieltjes.zeta import zeta_deriv0_diff
 
@@ -174,7 +175,7 @@ class TestLatticePlan:
     def test_certified_orders_keep_one_sign(self, n, J):
         t_J = mpf(_certified_start(n, J))
         with workdps(80):
-            d = LogPoly.single(1, n, 1)
+            d = LogPolyRef.single(1, n, 1)
             for _ in range(2 * J + 2):
                 d = d.diff()
             for g in (d, d.diff().diff()):  # f^(2J+2), f^(2J+4)
@@ -244,9 +245,9 @@ def test_tol_1e20_plans_stop_at_the_first_rung(n):
 
 def _roots_of_f9(n):
     """The roots t > 1 of f^(9), f = log^n t / t, from mpmath.polyroots at 60
-    digits on the log-polynomial of LogPoly.diff (f^(9) = P(log t)/t^10)."""
+    digits on the log-polynomial of LogPolyRef.diff (f^(9) = P(log t)/t^10)."""
     with workdps(60):
-        g = LogPoly.single(1, n, 1)
+        g = LogPolyRef.single(1, n, 1)
         for _ in range(9):
             g = g.diff()
         coeffs = [int(g.terms.get((m, 10), 0)) for m in range(n + 1)]

@@ -1,33 +1,38 @@
-"""The lattice partial sums run in fixed point (logpoly's kernel); each
-states a bound, 2^-prec for a whole sum, and is checked here against its
-mpf form, written out operator for operator as the loop read when it ran
-on mpf values, evaluated at twice the working digits plus 20.  Grid:
-n = 0..8, x log-uniform in [0.05, 8] plus 0.05 (coffey's a < 1 panel), 1,
-500 and 1e6, at the working precisions of tol 1e-12, 1e-20 and 1e-50; x =
-1e-20 for series_c and coffey, and K = 2048 at 1e-50.  The Euler-Maclaurin
-correction loop still runs on raw _mpf_ tuples through libmpf and must
-return, bit for bit, what its mpf form returns."""
+"""The lattice partial sums run in fixed point: every log-polynomial route
+on logpoly's one kernel, lattice_sum, over the parts list the route builds,
+and coffey's panel defects on their own loop.  Each states a bound, 2^-prec
+for a whole sum, and is checked here against its mpf form, written out
+operator for operator as the loops read when they ran on mpf values,
+evaluated at twice the working digits plus 20.  Grid: n = 0..8, x
+log-uniform in [0.05, 8] plus 0.05 (coffey's a < 1 panel), 1, 500 and 1e6,
+at the working precisions of tol 1e-12, 1e-20 and 1e-50; x = 1e-20 for
+series_c and coffey, and K = 2048 at 1e-50.  Random parts lists check the
+kernel against the same sum in mpf.  The Euler-Maclaurin correction loop
+still runs on raw _mpf_ tuples through libmpf and must return, bit for bit,
+what its mpf form returns."""
 
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import exp, ldexp, log, mp, mpf, workdps
-from mpmath.libmp import to_fixed, to_rational
+from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
+import stieltjes.logpoly as logpoly
 from oracles import LogPoint
 from stieltjes.core import working_dps
-from stieltjes.gamma import (_coffey_sum, _diff_sum, _incgamma_pair,
-                             _series_b_sum, _series_c_sum)
+from stieltjes.gamma import (_coffey_sum, _incgamma_pair, _series_b_parts,
+                             _series_c_parts)
 from stieltjes.logpoly import (INT_LOG_CAP, INT_LOG_GUARD, J_PLAN_MAX, LogPoly,
                                _certified_start, _horner, _log_polys,
                                _root_table, bernoulli_mpf, em_tail_error,
                                em_tail_shifted, fixed_log, fixed_log_ints,
-                               fixed_step, lattice_err)
-from stieltjes.related import _dilcher_sum
-from stieltjes.verifier import _g_sum
-from stieltjes.zeta import _deriv0_sum
+                               fixed_log_sum, fixed_pow, lattice_err, lattice_sum)
+from stieltjes.related import _dilcher_parts
+from stieltjes.verifier import _g_parts
+from stieltjes.zeta import _deriv0_parts
 
 _rng = random.Random(20190201)
 XS = ([str(mpf(0.05) * mpf(160) ** _rng.random()) for _ in range(4)]
@@ -161,7 +166,8 @@ def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
         point = points.get(sh)
         if point is None:
             point = points[sh] = LogPoint(start + sh)
-        terms.append((mpf(c), point, _log_polys(m, _exact(p)), p))
+        c = mp.fdiv(c.numerator, c.denominator) if type(c) is Fraction else mpf(c)
+        terms.append((c, point, _log_polys(m, _exact(p)), p))
 
     def at(i):
         total = mpf(0)
@@ -201,16 +207,18 @@ def _m_pow(points, q):
 @pytest.mark.parametrize("dps", DPS)
 @pytest.mark.parametrize("q", range(1, 10))
 def test_pow_step(dps, q):
-    # the fixed-point step: within 17 q^2 M^q units of log^q b - log^q a
+    # the step of coffey's panels and of the kernel's telescoped parts, a
+    # difference of carried powers: within 10 q M^q units of log^q b - log^q a
     with workdps(dps):
         wp = mp.prec + 30
         for x in XS:
             a = mpf(x)
             for b in (a + mpf("0.2546"), a + 1, 2 * a + 3, mpf(501)):
-                got = fixed_step(fixed_log(a._mpf_, wp), fixed_log(b._mpf_, wp), q, wp)
+                got = (fixed_pow(fixed_log(b._mpf_, wp), q, wp)
+                       - fixed_pow(fixed_log(a._mpf_, wp), q, wp))
                 with workdps(2 * dps + 20):
                     ref = (log(b) ** q - log(a) ** q) * mpf(2) ** wp
-                    assert abs(got - ref) <= 17 * q * q * _m_pow((a, b), q), (x, b)
+                    assert abs(got - ref) <= 10 * q * _m_pow((a, b), q), (x, b)
 
 
 def test_int_logs():
@@ -231,14 +239,14 @@ def test_int_logs():
 def test_series_b_terms():
     for dps, x, n in _grid():
         with workdps(dps):
-            got = _series_b_sum(n, x, K)
+            got = lattice_sum(_series_b_parts(n, x))(0, K)
         assert _within_bound(got, lambda: series_b_mpf(n, x, K), dps), (dps, x, n)
 
 
 def test_series_c_terms():
     for dps, x, n in _grid():
         with workdps(dps):
-            got = _series_c_sum(n, x, K)
+            got = lattice_sum(_series_c_parts(n, x))(0, K)
         assert _within_bound(got, lambda: series_c_mpf(n, x, K), dps), (dps, x, n)
 
 
@@ -258,7 +266,7 @@ def test_tiny_x_heads(n):
     x = mpf("1e-20")
     for dps in DPS:
         with workdps(dps):
-            c, d = _series_c_sum(n, x, K), _coffey_sum(n, x, K)
+            c, d = lattice_sum(_series_c_parts(n, x))(0, K), _coffey_sum(n, x, K)
         assert _within_bound(c, lambda: series_c_mpf(n, x, K), dps), dps
         assert _within_bound(d, lambda: coffey_panels_mpf(n, x, K), dps), dps
 
@@ -266,10 +274,10 @@ def test_tiny_x_heads(n):
 def test_long_loops():
     x, n = mpf(XS[0]), 4
     with workdps(LONG_DPS):
-        sums = {"series_b": _series_b_sum(n, x, LONG_K),
-                "series_c": _series_c_sum(n, x, LONG_K),
+        sums = {"series_b": lattice_sum(_series_b_parts(n, x))(0, LONG_K),
+                "series_c": lattice_sum(_series_c_parts(n, x))(0, LONG_K),
                 "coffey": _coffey_sum(n, x, LONG_K),
-                "deriv0": _deriv0_sum(n + 1, x, 1, LONG_K)}
+                "deriv0": lattice_sum(_deriv0_parts(n + 1, x))(1, LONG_K)}
     refs = {"series_b": lambda: series_b_mpf(n, x, LONG_K),
             "series_c": lambda: series_c_mpf(n, x, LONG_K),
             "coffey": lambda: coffey_panels_mpf(n, x, LONG_K),
@@ -300,7 +308,7 @@ def test_diff_terms():
     for dps, x, n in _grid():
         for y in (x + mpf("0.75"), mpf(2)):
             with workdps(dps):
-                got = _diff_sum(n, x, y, K)
+                got = lattice_sum([(1, x, n, 1), (-1, y, n, 1)])(0, K)
             assert _within_bound(got, lambda: diff_mpf(n, x, y, K), dps), (dps, x, y, n)
 
 
@@ -308,8 +316,8 @@ def test_deriv0_summand():
     for dps, x, k in _grid(range(7)):
         q = k + 1
         with workdps(dps):
-            got = _deriv0_sum(q, x, 1, K + 1)
-            one = _deriv0_sum(q, x, K, K + 1)
+            v = lattice_sum(_deriv0_parts(q, x))
+            got, one = v(1, K + 1), v(K, K + 1)
         assert _within_bound(got, lambda: deriv0_mpf(q, x, 1, K + 1), dps), (dps, x, k)
         assert _within_bound(one, lambda: deriv0_mpf(q, x, K, K + 1), dps), (dps, x, k)
 
@@ -319,16 +327,84 @@ def test_dilcher_summand():
     for dps, x0, k in _grid(range(5)):
         for x in (x0, x0 - 1):
             with workdps(dps):
-                got = _dilcher_sum(k, x, 1, K + 1)
+                got = lattice_sum(_dilcher_parts(k, x))(1, K + 1)
             assert _within_bound(got, lambda: dilcher_mpf(k, x, 1, K + 1), dps), (dps, x, k)
+
+
+@pytest.mark.parametrize("x", ["500", "1e6"])
+def test_dilcher_takes_two_logarithms_a_term(x, monkeypatch):
+    # shifts 0 and x far apart keep two streams: at most two logarithms per
+    # lattice term, the integer table's included, and no window spanning them
+    calls = []
+    real = logpoly.mpf_log
+    monkeypatch.setattr(logpoly, "mpf_log", lambda *a: calls.append(1) or real(*a))
+    logpoly._INT_LOGS.clear()
+    with workdps(DPS[1]):
+        v = lattice_sum(_dilcher_parts(2, mpf(x)))
+        v(1, K + 1)
+        v(K, K + 1)
+    assert len(calls) <= 2 * (K + 1)
 
 
 def test_g_summand():
     for dps, x, _ in _grid(range(1)):
         for q in (2, 3):
             with workdps(dps):
-                got = _g_sum(q, x, 0, K)
+                got = lattice_sum(_g_parts(q, x))(0, K)
             assert _within_bound(got, lambda: g_mpf(q, x, 0, K), dps), (dps, x, q)
+
+
+def test_log_sum_of_products():
+    # the sum of log u over a segment from the logarithms of exact
+    # products: within 3M units per point
+    with workdps(DPS[-1]):
+        wp = mp.prec + 30
+        for x in XS:
+            us = [mpf(x) + j for j in range(300)]
+            got = fixed_log_sum([u._mpf_ for u in us], wp)
+            with workdps(2 * DPS[-1] + 20):
+                ref = mp.fsum(log(u) for u in us) * mpf(2) ** wp
+            assert abs(got - ref) <= 3 * len(us) * _m_pow(us, 1), x
+
+
+# random parts lists: 1-4 parts (c, shift, m, p), m <= 9, p in {0, 1}, c an
+# exact dyadic or +-1/q, the shift x or x + 1 formed exactly or an integer
+# 0-2, x from 1e-20 to 1e6; the kernel against the same sum in mpf
+_coeffs = st.one_of(
+    st.builds(lambda man, e: mp.make_mpf(from_man_exp(man, e)),
+              st.integers(-(1 << 80), 1 << 80), st.integers(-60, 20)),
+    st.builds(lambda sign, q: Fraction(sign, q), st.sampled_from([1, -1]),
+              st.integers(1, 9)))
+_parts = st.lists(st.tuples(_coeffs, st.sampled_from(["x", "x+1", 0, 1, 2]),
+                            st.integers(0, 9), st.sampled_from([0, 1])),
+                  min_size=1, max_size=4)
+
+
+def _shift(s, x):
+    return {"x": x, "x+1": mp.fadd(x, 1, exact=True)}.get(s, s)
+
+
+def _mpf_sum(parts, lo, hi):
+    for k in range(lo, hi):
+        for c, shift, m, p in parts:
+            c = mpf(c.numerator) / c.denominator if type(c) is Fraction else c
+            u = k + shift
+            yield c * log(u) ** m / u ** p
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_parts, st.floats(-20, 6), st.integers(0, 3), st.integers(1, 12),
+       st.sampled_from([15, 34, 50]))
+@example([(mpf(2) ** 40, "x+1", 1, 0)], -20.0, 0, 3, 15)
+@example([(Fraction(-1, 3), "x", 9, 0), (Fraction(1, 3), "x+1", 9, 0)], 6.0, 1, 12, 15)
+def test_lattice_sum_random_parts(spec, e, lo, n, dps):
+    x = mpf(10.0 ** e)
+    parts = [(c, _shift(s, x), m, p) for c, s, m, p in spec]
+    if lo == 0:  # every point must be > 0
+        parts = [(c, sh, m, p) for c, sh, m, p in parts if sh != 0] or [(1, x, 0, 1)]
+    with workdps(dps):
+        got = lattice_sum(parts)(lo, lo + n)
+    assert _within_bound(got, lambda: _mpf_sum(parts, lo, lo + n), dps)
 
 
 def _route_parts(x):
@@ -337,9 +413,7 @@ def _route_parts(x):
     q = 3
     return [
         [(1, 0, 0, 1)], [(1, 0, 4, 1)], [(1, 0, 8, 1)],                 # gamma_n
-        [(1, x, q, 0), (x - 1, 0, q, 0), (-x, 1, q, 0)],                # zeta_deriv0_diff
-        [(x, 0, 2, 1), (-mpf(1) / q, x, q, 0), (mpf(1) / q, 0, q, 0)],  # dilcher
-        [(1, x, q, 0), (-1, 1, q, 0), (-q * (x - 1), 1, q - 1, 1)],     # g-series
+        _deriv0_parts(q, x), _dilcher_parts(2, x), _g_parts(q, x),
         [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)],                # two shifts
         # rational inverse powers p = s, read exactly
         [(1, x, 0, mpf("-2.5"))], [(1, x, 0, mpf("2.1"))],              # hurwitz_em

@@ -8,15 +8,15 @@ from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
-from oracles import LogPoint, logpoly_integral_to_inf
-from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, LogPoly,
-                               _ROOT_WIDTH, _certified_start, _isolated, _log_polys,
-                               _real_roots, _root_table, bernoulli,
+from oracles import LogPoint, LogPolyRef, logpoly_integral_to_inf
+from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
+                               LogPoly, _ROOT_WIDTH, _certified_start, _isolated,
+                               _log_polys, _real_roots, _root_table, bernoulli,
                                bernoulli_mpf, em_start_for, em_tail,
                                em_tail_error, em_tail_shifted,
                                logpow_antiderivative)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
-from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff
+from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
 
 def test_bernoulli_pinned_values():
@@ -45,17 +45,17 @@ def test_bernoulli_matches_the_recurrence():
 
 
 def test_diff_of_constant_is_zero():
-    assert LogPoly.single(1, 0, 0).diff().is_zero()
+    assert not LogPolyRef.single(1, 0, 0).diff().terms
 
 
 def test_diff_product_rule():
-    got = LogPoly.single(1, 1, 1).diff()
-    want = LogPoly({(0, 2): mpf(1), (1, 2): mpf(-1)})
+    got = LogPolyRef.single(1, 1, 1).diff()
+    want = LogPolyRef({(0, 2): mpf(1), (1, 2): mpf(-1)})
     assert got == want
 
 
 def test_double_diff_matches_finite_difference():
-    f = LogPoly.single(1, 2, 1)  # log^2 t / t
+    f = LogPolyRef.single(1, 2, 1)  # log^2 t / t
     d2 = f.diff().diff()
     t = mpf(10)
     with workdps(40):
@@ -73,8 +73,8 @@ term_st = st.tuples(st.integers(0, 3), st.integers(0, 3))
        st.dictionaries(term_st, coeff_st, max_size=4),
        st.integers(-5, 5), st.integers(-5, 5))
 def test_diff_linearity_exact(f_terms, g_terms, a, b):
-    f = LogPoly({k: mpf(c) for k, c in f_terms.items()})
-    g = LogPoly({k: mpf(c) for k, c in g_terms.items()})
+    f = LogPolyRef({k: mpf(c) for k, c in f_terms.items()})
+    g = LogPolyRef({k: mpf(c) for k, c in g_terms.items()})
     lhs = (f.scaled(a) + g.scaled(b)).diff()
     rhs = f.diff().scaled(a) + g.diff().scaled(b)
     assert lhs == rhs
@@ -94,6 +94,13 @@ def test_em_tail_zero_logpoly():
 def test_em_tail_rejects_divergent():
     with pytest.raises(DomainError):
         em_tail(LogPoly.single(1, 2, 0), 10)
+
+
+def test_em_tail_takes_a_single_term():
+    # several terms have no certified remainder in em_tail: em_tail_shifted
+    # takes such a summand, with its key
+    with pytest.raises(DomainError):
+        em_tail(LogPoly({(0, 1): mpf(1), (1, 2): mpf(1)}), 10)
 
 
 def test_em_tail_rejects_large_order():
@@ -147,16 +154,16 @@ def test_em_tail_shifted_raises_the_order_to_the_bound(bound):
 def test_log_point_has_the_bits_of_a_call():
     u = mpf("33.25")
     point = LogPoint(u)
-    f = LogPoly({(0, 1): 2, (3, 1): 1, (2, 3): -5})
-    for poly in (f, f.diff(), f.diff().diff().diff(), LogPoly.single(1, 0, 2)):
+    f = LogPolyRef({(0, 1): 2, (3, 1): 1, (2, 3): -5})
+    for poly in (f, f.diff(), f.diff().diff().diff(), LogPolyRef.single(1, 0, 2)):
         assert point.eval(poly) == poly(u)
 
 
 def _reference_tail(v, v0, integral, start, J):
-    """The correction loop with every derivative re-derived by LogPoly.diff
+    """The correction loop with every derivative re-derived by LogPolyRef.diff
     and every order evaluated afresh, one logarithm per part and order."""
     start = mpf(start)
-    parts = [(mpf(c), mpf(sh), LogPoly.single(1, m, p)) for c, sh, m, p in v]
+    parts = [(mpf(c), mpf(sh), LogPolyRef.single(1, m, p)) for c, sh, m, p in v]
 
     def at(polys):
         total = mpf(0)
@@ -209,7 +216,7 @@ def test_log_polys_are_the_diff_chain(m, p):
     # 512 bits hold every coefficient through row 2 J_PLAN_MAX + 5 (at
     # most 128 bits) exactly, so the chain must match coefficient for coefficient
     with workprec(512):
-        g = LogPoly.single(1, m, p)
+        g = LogPolyRef.single(1, m, p)
         for k, P in enumerate(rows):
             assert g.terms == {(j, p + k): c for j, c in enumerate(P) if c}
             g = g.diff()
@@ -347,8 +354,8 @@ ROOT_CASES = [(1, 4, 1), (2, 4, 0), (5, 4, 0), (8, 4, 0), (6, 9, 0), (3, 6, 1),
 
 
 def _derivative(n, k):
-    """f^(k) for f = log^n t / t by LogPoly.diff, at the caller's precision."""
-    g = LogPoly.single(1, n, 1)
+    """f^(k) for f = log^n t / t by LogPolyRef.diff, at the caller's precision."""
+    g = LogPolyRef.single(1, n, 1)
     for _ in range(k):
         g = g.diff()
     return g
@@ -360,7 +367,7 @@ def _fraction_mpf(q):
 
 def _positive_roots(n, k):
     """The real roots L > 0 of P with f^(k)(t) = P(log t)/t^(k+1), by
-    mpmath.polyroots at 60 digits on LogPoly.diff's coefficients."""
+    mpmath.polyroots at 60 digits on LogPolyRef.diff's coefficients."""
     with workdps(60):
         terms = _derivative(n, k).terms
         coeffs = [int(terms.get((m, k + 1), 0)) for m in range(n + 1)]
@@ -548,3 +555,28 @@ def test_em_tail_claims_the_certified_remainder(J):
         omitted = em_tail_shifted([(1, 0, 1, 1)], f(a), 0, a, J)[1]
         assert sv.abs_err == em_tail_error(1, a, J, omitted) + rounding_floor(sv.value)
         assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err
+
+
+def test_mp_keyed_caches_stay_bounded():
+    # every fresh s of hurwitz_em and zeta_prime_int adds (m, p)-keyed
+    # entries; after 200 of them each cache is at or below its cap, and a
+    # value at an s whose entries were evicted has the bits of a cold call
+    caches = {_log_polys: POLY_CACHE_MAX, _root_table: POLY_CACHE_MAX,
+              _isolated: ROOT_CACHE_MAX, _certified_start: ROOT_CACHE_MAX}
+    tol = mpf("1e-20")
+    for cache in caches:
+        cache.cache_clear()
+
+    def at(s):
+        return [(sv.value, sv.abs_err, sv.terms_used)
+                for sv in (hurwitz_em(s, mpf("1.37"), tol), zeta_prime_int(s, tol))]
+
+    s0 = mpf("2.0001")
+    cold = at(s0)
+    for i in range(1, 201):
+        at(s0 + mpf(i) / 256)
+    for cache, cap in caches.items():
+        assert cache.cache_info().currsize <= cap
+    misses = _log_polys.cache_info().misses
+    assert at(s0) == cold
+    assert _log_polys.cache_info().misses > misses  # s0's rows were evicted

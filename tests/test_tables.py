@@ -88,11 +88,13 @@ def test_table_entries_are_the_fresh_computation():
         for (n, inner_tol), (z, zp) in list(table.items())[::5]:
             assert z == hurwitz_em(n + 1, 1, inner_tol).value
             assert zp == zeta_prime_int(n + 1, inner_tol).value
+    # the s = 0 derivative series reads log n at every point 1..K + 1 of its
+    # integer stream (its probes at K and K + 1, its partial sum 1..K)
     _clear()
-    K = gamma_n(3, mpf("0.7"), "series_c", TOL).terms_used
-    with workdps(working_dps(TOL)):
+    K = zeta_deriv0_diff(2, mpf("0.7"), TOL).terms_used
+    with workdps(working_dps(TOL) + 8):
         logs = _INT_LOGS.at_prec()
-        assert sorted(logs) == list(range(2, K + 2))
+        assert sorted(logs) == list(range(1, K + 2))
         for n, L in logs.items():
             assert L == fixed_log(mpf(n)._mpf_, mp.prec + INT_LOG_GUARD)
 

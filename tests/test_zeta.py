@@ -5,10 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import e as e_const, exp, log, mpf, pi, workdps, zeta
 
 import oracles
+from oracles import LogPolyRef
 from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
                             rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import J_PLAN_MAX, LogPoly, _certified_start, bernoulli_mpf
+from stieltjes.logpoly import J_PLAN_MAX, _certified_start, bernoulli_mpf
 from stieltjes.zeta import (_head_guard, hurwitz_em, hurwitz_hasse,
                             zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int)
 
@@ -276,7 +277,7 @@ class TestDeriv0Diff:
         # f^(2J+3) and f^(2J+5) of f = log^k t / t, both negative far out
         t_J = mpf(_certified_start(k, J, 1))
         with workdps(80):
-            d = LogPoly.single(1, k, 1)
+            d = LogPolyRef.single(1, k, 1)
             for _ in range(2 * J + 3):
                 d = d.diff()
             for g in (d, d.diff().diff()):
