@@ -21,19 +21,20 @@ The trapezoid-defect representation ("coffey") rewrites each panel defect with
 integer-order incomplete gamma functions, using log^n u/u = Gamma(n+1, log u)
 - n Gamma(n, log u); its tail telescopes to the same lattice sum minus half
 the first summand.  Both orders come from one running sum of t^m/m!
-(_incgamma_pair).
+(_incgamma_pair), and at every panel end t = log b, so their factor e^-t is
+1/b exactly: coffey takes one logarithm per panel and no exponential.
 
 All four lattice sums (the three routes and gamma_diff) take their
 partial-sum length K and Euler-Maclaurin order J from _lattice_plan: at each
 rung, logpoly.em_tail raises J from 4 with the digits asked for, and every
 tail's abs_err is em_tail's certified remainder bound, at every K and J.
 
-Three partial sums are logpoly.lattice_sum over the route's summand as a
+Three partial sums are fixedpoint.lattice_sum over the route's summand as a
 parts list: series_b's (_series_b_parts), series_c's (_series_c_parts) and
 gamma_diff's f(k+x) - f(k+y), within 2^-prec of the exact sum by the
 kernel's one proof.  coffey's panel defect is not a log-polynomial, so
 _coffey_sum keeps its own fixed-point loop on the same rules.  Each claim
-adds that 2^-prec (logpoly.lattice_err) to the tail's and the rounding
+adds that 2^-prec (fixedpoint.lattice_err) to the tail's and the rounding
 floor; the single boundary steps are logpoly.pow_step, in mpf.  series_b,
 series_c and coffey add the guard digits of their largest term,
 |log^(n+1) x|/x at a tiny x (_head_dps, core.head_guard).
@@ -54,9 +55,9 @@ from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add, mpf_exp,
 from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
                    cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
                    tail_claim, working_dps)
-from .logpoly import (LogPoly, em_start_for, em_tail, fixed_div, fixed_log, fixed_mul,
-                      fixed_pow, from_fixed, lattice_err, lattice_sum, lattice_wp,
-                      pow_step)
+from .fixedpoint import (fixed_div, fixed_log, fixed_mul, fixed_pow, from_fixed,
+                         lattice_err, lattice_sum, lattice_wp)
+from .logpoly import LogPoly, em_start_for, em_tail, pow_step
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -199,24 +200,27 @@ def _incgamma_wp(n: int, t) -> int:
             + int(float(t) * 1.4426950408889634) + 5)
 
 
-def _incgamma_pair(n: int, T: int, wp: int) -> tuple[int, int]:
+def _incgamma_pair(n: int, T: int, wp: int, E: int | None = None) -> tuple[int, int]:
     """(Gamma(n, t), Gamma(n+1, t)) in fixed point at wp, t = T 2^-wp >= 0,
     from one forward running sum of the terms t^m/m!, term = term t / m:
     Gamma(n, t) takes the prefix through m = n-1 and Gamma(n+1, t) one term
-    more; e^-t is mpf_exp's at wp.
+    more, each times E = e^-t, mpf_exp's at wp unless the caller gives it.
 
     With t within 3M units of its value and t <= M, M >= 1 (a fixed log, or
     an exact t), the term t^m/m! is within 5 m M^m units (rule (2) of
-    logpoly's kernel, the division by m only shrinking it), the sum of the
-    n terms, at most n M^(n-1), within 3 n^2 M^n, and e^-t <= 1 within
-    6M (3M from t, 3 from mpf_exp and the floor); so Gamma(n, t) is within
-    (n-1)! 10 n^2 M^n units and Gamma(n+1, t) within n! 10 (n+1)^2 M^(n+1)."""
+    fixedpoint, the division by m only shrinking it), and the sum of
+    the n terms, at most n M^(n-1), within 3 n^2 M^n.  mpf_exp's e^-t <= 1
+    is within 6M (3M from t, 3 from mpf_exp and the floor), so Gamma(n, t)
+    is within (n-1)! 10 n^2 M^n units and Gamma(n+1, t) within n! 10
+    (n+1)^2 M^(n+1); coffey's E = 1/b at t = log b is within 1 unit, which
+    halves both: (n-1)! 5 n^2 M^n and n! 5 (n+1)^2 M^(n+1)."""
     term = total = 1 << wp
     for m in range(1, n):
         term = (term * T >> wp) // m
         total += term
     last = (term * T >> wp) // n
-    E = to_fixed(mpf_exp(from_man_exp(-T, -wp), wp), wp)
+    if E is None:
+        E = to_fixed(mpf_exp(from_man_exp(-T, -wp), wp), wp)
     return (factorial(n - 1) * (E * total >> wp),
             factorial(n) * (E * (total + last) >> wp))
 
@@ -249,24 +253,28 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
 
 def _coffey_sum(n: int, x, K: int) -> mpf:
     """The sum of the panel defects D_j for j = 0..K-1 in fixed point
-    (logpoly's rules; the defect is not a log-polynomial, so not
+    (fixedpoint's rules; the defect is not a log-polynomial, so not
     lattice_sum).
 
     Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b, log^q b
     and the incomplete gammas at log b carry into the next panel, and the
     step log^q b - log^q a is a difference of carried powers.  The
-    incomplete gammas start afresh at the first panel with a >= 1.
+    incomplete gammas start afresh at the first panel with a >= 1.  Their
+    e^-t is at t = log b, so it is 1/b exactly, taken by fixed_div (rule
+    (4)): the route takes no exponential.
 
     Per panel with a >= 1: the log powers are within 5 q M^q units each
     (rule (2)), so the step over q within 10 M^q + 1, and n dG_n - dG_(n+1),
-    from _incgamma_pair's bounds, within 40 n! q^2 M^q, which the weight
-    a + 1/2 <= K + x + 1 multiplies (rule (5)); a panel with a < 1 divides
-    its log powers by a >= x (rule (4)).  Each is at most 2^7 q^2 M^q s
-    with s = (K + x + 1) n! max(1, 1/x), so the sum is within 2^-prec.
+    from _incgamma_pair's bounds at E = 1/b, within 20 n! q^2 M^q, which the
+    weight a + 1/2 <= K + x + 1 multiplies (rule (5)); a panel with a < 1
+    divides its log powers by a >= x (rule (4)).  Each is at most 2^7 q^2
+    M^q s with s = (K + x + 1) n! max(1, 1/x), so the sum is within
+    2^-prec.
     """
     q = n + 1
     wp = lattice_wp(K, q, sum(x._mpf_[2:]), sum((K + x)._mpf_[2:]),
                     int(mp.ceil((K + x + 1) * factorial(n) * max(1, 1 / x))))
+    one = 1 << wp
     xv = x._mpf_
     a = xv
     La = fixed_log(a, wp)
@@ -282,8 +290,8 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
         dlog = (Qb - Qa) // q
         if mpf_ge(a, fone):
             if gammas_a is None:
-                gammas_a = _incgamma_pair(n, La, wp)
-            gammas_b = _incgamma_pair(n, Lb, wp)
+                gammas_a = _incgamma_pair(n, La, wp, fixed_div(one, a))
+            gammas_b = _incgamma_pair(n, Lb, wp, fixed_div(one, b))
             dG = n * (gammas_a[0] - gammas_b[0]) - (gammas_a[1] - gammas_b[1])
             S += Pb - Pa - dlog - fixed_mul(dG, mpf_add(a, fhalf))
             gammas_a = gammas_b

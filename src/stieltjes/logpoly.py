@@ -1,5 +1,5 @@
-"""Log-polynomial calculus, the Euler-Maclaurin tail engine and the one
-fixed-point kernel for lattice partial sums.
+"""Log-polynomial calculus and the Euler-Maclaurin tail engine, on the
+fixed-point kernel of fixedpoint.
 
 Every series summand here is a short list of parts c log^m(t + shift) /
 (t + shift)^p.  The family is closed under differentiation, for any real p:
@@ -17,17 +17,19 @@ arXiv:1309.2877).  A rational p, such as the real s of (t + x)^-s, is read
 exactly: an mpf is a dyadic rational.
 
 Every route that sums such a summand builds its parts list once and hands
-it to both halves of the series:
+it to both halves of the series, each in fixed point at wp = prec + guard
+bits (an int X stands for X 2^-wp) with a stated bound that the route's
+claim adds:
 
-- lattice_sum, the partial sum, in fixed point at wp = prec + guard bits:
-  one logarithm and one power chain per lattice point, the coefficients a
-  point takes from several parts merged exactly, and one proof (above
-  LATTICE_GUARD) that the sum is within 2^-prec; each route adds
-  lattice_err() = 2^-prec to its claim.
-- em_tail_shifted, the tail: each order from one exact table _log_polys(m,
-  p) of the polynomials P_k with (d/dt)^k [log^m t / t^p] = P_k(log t) /
-  t^(p+k), by Horner's rule on raw _mpf_ tuples (the libmpf calls of the
-  mpf operators, so with their bits), with the weights of em_weights.
+- fixedpoint.lattice_sum, the partial sum: one logarithm and one power
+  chain per lattice point, the coefficients a point takes from several
+  parts merged exactly, within 2^-prec (lattice_err()).
+- em_tail_shifted, the tail: one logarithm per point and one chain of
+  inverse powers by exact divisions, each correction one integer dot
+  product with exact weights B_2j/(2j)! P_(2j-1)[k] (_tail_rows), P_k from
+  the one table _log_polys(m, p) with (d/dt)^k [log^m t / t^p] =
+  P_k(log t) / t^(p+k); the value and each correction within tail_err()
+  (the proof above TAIL_GUARD).
 
 The one ladder em_start_for walks K through start * factor^i, calling the
 route's probe(K) -> (result, err) once per rung.  Given a bound,
@@ -38,24 +40,26 @@ order on, so the first omitted correction bounds the remainder; every other
 route passes em_tail_error's key (n, a, d, scale, p), which certifies the
 remainder by that theta-bound past the certified start t_J and below it
 from the total variation of f^(2J+1+d), f = log^n t / t^p, read from the
-real roots of the P_k (_isolated, _certified_start, _root_table).
+real roots of the P_k (_certified_start, and the table _certificate of
+_root_table's enclosures).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import factorial
+from operator import mul
 
 from mpmath import bernfrac, iv, log, mp, mpf
-from mpmath.libmp import (fzero, from_int, from_man_exp, from_rational,
-                          mpf_add, mpf_div, mpf_log, mpf_mul, mpf_pow,
-                          mpf_pow_int, to_fixed, to_rational)
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
+                          mpf_div, mpf_mul, mpf_pow, mpf_sub, round_up, to_fixed,
+                          to_rational)
 
-from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
-                   rounding_floor)
+from .core import ConvergenceError, DomainError, SeriesValue, rounding_floor
+from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed
 
 
 @lru_cache(maxsize=None)
@@ -64,11 +68,6 @@ def bernoulli(idx: int) -> Fraction:
     if idx < 0:
         raise DomainError("bernoulli: index must be >= 0")
     return Fraction(*bernfrac(idx))
-
-
-def bernoulli_mpf(idx: int) -> mpf:
-    b = bernoulli(idx)
-    return mpf(b.numerator) / b.denominator
 
 
 class LogPoly:
@@ -125,251 +124,6 @@ def pow_step(la, a, b, q: int) -> mpf:
     return delta * s
 
 
-# Every lattice partial sum runs in fixed point: an int X stands for
-# X 2^-wp.  Errors are counted in units of 2^-wp, with M a power of two
-# >= max(1, |log u|) over the points u a sum reads; each is far below 2^wp,
-# so a product's second-order error term is absorbed by the constants.
-#
-# (1) fixed_log: mpf_log at wp is within 2 |log u| units (an ulp of its
-#     mantissa, relative), and to_fixed floors: |L - log u| <= 3M.
-# (2) fixed_pow: P_i = floor(P_(i-1) L / 2^wp) is within 5 i M^i of
-#     log^i u, by induction: (M + 2^-20) 5(i-1) M^(i-1) + 3M M^(i-1) + 1.
-# (3) a rational c = num / (2^sh den), den odd, applied to X as
-#     floor(floor(X num / 2^sh) / den): within |c| e_X + 2.
-# (4) fixed_div: X/u for an exact dyadic u, floored: within e_X/u + 1.
-# (5) fixed_mul: X c for an exact dyadic c, floored: within |c| e_X + 1.
-#
-# lattice_sum's one proof: a run of points that take the same merged terms
-# (m, p, c) sums, for each, P_m(u) or P_m(u)/u for p = 1 over them (rules (1),
-# (2), (4), or fixed_log_sum for m = 1, p = 0 alone: within 5 q M^q s + 1
-# each, s = max(1, 1/u)) and applies each c once (rule (3)); a merged |c| is
-# at most the sum of the |c| it merges.  With C the sum of |c| over the parts
-# list and T its length, each point is within (5 q M^q s + 1) C + 2 T <=
-# 2^3 q M^q (C + T) s units.  lattice_wp adds
-# guard bits for the N points of a call at 2^7 q^2 M^q scale each, scale =
-# (C + T) s / 2^4 rounded up, and 3 more, so the integer sum S is within
-# 2^(-prec-3) of the exact partial sum; S 2^-wp is returned as one mpf with
-# all its bits.  (R. Brent and P. Zimmermann, Modern Computer Arithmetic,
-# CUP 2010, ch. 3-4, for the fixed-point technique.)
-
-# bits of 2^7 (the per-point constant) and 2^3 (the margin): see above
-LATTICE_GUARD = 10
-
-
-def lattice_wp(K: int, q: int, lo: int, hi: int, scale: int) -> int:
-    """Working bits of a fixed-point sum of K terms over points u from
-    2^(lo-1) to 2^hi (magnitudes exp + bc of the end points' _mpf_
-    tuples), with log powers up to q and multipliers up to the int scale
-    >= 1: prec + bitlen(K) + q bitlen(M) + 2 bitlen(q) + bitlen(scale) +
-    LATTICE_GUARD, so that K terms of 2^7 q^2 M^q scale units sum to at most
-    2^(-prec-3).  M >= max(1, |log u|) reads the ends, where |log u| is
-    largest, each u in [2^(mag-1), 2^mag) with |log u| <= |log2 u|."""
-    M = max(1, abs(lo), abs(lo - 1), abs(hi), abs(hi - 1))
-    return (mp.prec + K.bit_length() + q * M.bit_length() + 2 * q.bit_length()
-            + scale.bit_length() + LATTICE_GUARD)
-
-
-def lattice_err() -> mpf:
-    """2^-prec: the bound every lattice sum keeps at the current precision,
-    which each route adds to its claim."""
-    return mp.make_mpf(from_man_exp(1, -mp.prec))
-
-
-def fixed_log(u, wp: int) -> int:
-    """log u in fixed point for an _mpf_ u > 0: rule (1)."""
-    return to_fixed(mpf_log(u, wp), wp)
-
-
-# log n for 1 <= n <= INT_LOG_CAP in fixed point at prec + INT_LOG_GUARD
-# bits, per precision: the integer lattice points the routes share
-INT_LOG_CAP = 1 << 12
-INT_LOG_GUARD = 64
-_INT_LOGS = PrecTable()
-
-
-def fixed_log_ints(lo: int, hi: int, wp: int):
-    """log n in fixed point for lo <= n < hi: rule (1).
-
-    Where n <= INT_LOG_CAP and wp <= P = prec + INT_LOG_GUARD, log n is the
-    table's fixed_log at P shifted down to wp, within (2 |log n| + 1)/2^(P-wp)
-    + 1 <= 3M units (log 1 = 0 exactly); elsewhere it is fixed_log at wp.
-    The table keeps each entry the routes ask for and holds at most
-    INT_LOG_CAP entries per precision, whatever K is."""
-    P = mp.prec + INT_LOG_GUARD
-    top = lo
-    if wp <= P:
-        logs = _INT_LOGS.at_prec()
-        top = max(lo, min(hi, INT_LOG_CAP + 1))
-        shift = P - wp
-        for n in range(lo, top):
-            L = logs.get(n)
-            if L is None:
-                L = logs[n] = fixed_log(from_int(n), P)
-            yield L >> shift
-    for n in range(top, hi):
-        yield fixed_log(from_int(n), wp)
-
-
-# a product of lattice points is taken to one logarithm once it passes this
-# many times the working bits
-LOG_PRODUCT_PRECS = 8
-
-
-def fixed_log_sum(us, wp: int) -> int:
-    """sum log u over the _mpf_ points us > 0 in fixed point, from the
-    logarithms of their exact products of at most about LOG_PRODUCT_PRECS wp
-    bits: rule (1) for each, within 2 sum |log u| + 1, so 3M per point."""
-    S, man, exp = 0, 1, 0
-    for _, m, e, _ in us:
-        man, exp = man * m, exp + e
-        if man.bit_length() > LOG_PRODUCT_PRECS * wp:
-            S, man, exp = S + fixed_log(from_man_exp(man, exp), wp), 1, 0
-    return S + fixed_log(from_man_exp(man, exp), wp)
-
-
-def fixed_pow(L: int, n: int, wp: int) -> int:
-    """L^n in fixed point by n products, the first exact: rule (2)."""
-    P = 1 << wp
-    for _ in range(n):
-        P = P * L >> wp
-    return P
-
-
-def fixed_div(X: int, u) -> int:
-    """X / u in fixed point for an _mpf_ u > 0, through its exact mantissa
-    and exponent: rule (4)."""
-    _, man, exp, _ = u
-    return (X << -exp) // man if exp < 0 else X // (man << exp)
-
-
-def fixed_mul(X: int, c) -> int:
-    """X c in fixed point for an _mpf_ c, through its exact mantissa and
-    exponent: rule (5)."""
-    sign, man, exp, _ = c
-    if sign:
-        man = -man
-    return X * man >> -exp if exp < 0 else X * man << exp
-
-
-def from_fixed(S: int, wp: int) -> mpf:
-    """The fixed-point S as one mpf, exactly."""
-    return mp.make_mpf(from_man_exp(S, -wp))
-
-
-# shifts whose exact difference is an integer of at most CARRY_WINDOW share
-# one stream of lattice points
-CARRY_WINDOW = 2
-
-
-def lattice_sum(parts):
-    """The lattice partial sum of a summand given by its parts (c, shift, m,
-    p), p in {0, 1}, v(k) = sum c log^m(k + shift) / (k + shift)^p, the
-    tuples em_tail_shifted reads: a function (lo, hi) -> sum_{lo <= k < hi}
-    v(k), within 2^(-prec-3) of the exact sum (the proof above
-    LATTICE_GUARD), its working bits from lattice_wp at each call.
-
-    Each c (an int, a Fraction such as -1/q, or an mpf) and each shift (an
-    int or an mpf) is read exactly, an mpf through its _mpf_ tuple: form
-    x - 1 or x + 1 with mp.fsub/mp.fadd at exact=True.  Shifts whose
-    difference is an integer of at most CARRY_WINDOW share one stream, so
-    each point takes one logarithm (fixed_log_ints' on integer points) and
-    one power chain L, ..., L^q; shifts further apart, such as 0 and x = 500,
-    keep separate streams.  The coefficients a point takes from its offsets
-    are summed exactly and applied once per run of points that take the
-    same ones: a telescoped step log^q(u+1) - log^q u costs nothing inside
-    a range, a run of m = 0 alone takes no logarithm, and one of m = 1,
-    p = 0 alone takes those of exact products (fixed_log_sum).  Every point
-    must be > 0.
-    """
-    q, weight, rows = 1, len(parts), []
-    for c, shift, m, p in parts:
-        if p not in (0, 1) or m < 0:
-            raise DomainError("lattice_sum: a part needs m >= 0 and p in {0, 1}")
-        num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
-        sn, sd = to_rational(shift._mpf_) if type(shift) is mpf else (shift, 1)
-        if type(sn) is not int or sd & (sd - 1):
-            raise DomainError("lattice_sum: a shift must be an int or an mpf")
-        q, weight = max(q, m), weight - (-abs(num) // den)
-        rows.append((sn, sd, m, p, num, den))
-    # every shift as an integer over one power of two D, ascending; each
-    # stream (start, offsets {d: [(m, p, num, den)]}) from its least shift
-    D = max(row[1] for row in rows)
-    scaled = sorted((sn * (D // sd), m, p, num, den) for sn, sd, m, p, num, den in rows)
-    starts = []
-    for shift, m, p, num, den in scaled:
-        for start, offsets in starts:
-            d, r = divmod(shift - start, D)
-            if not r and d <= CARRY_WINDOW:
-                break
-        else:
-            d, offsets = 0, {}
-            starts.append((shift, offsets))
-        offsets.setdefault(d, []).append((m, p, num, den))
-    # (int base or None, exact _mpf_ base, offsets, span)
-    streams = [(start // D if start % D == 0 else None,
-                from_man_exp(start, 1 - D.bit_length()), offsets, max(offsets))
-               for start, offsets in starts]
-    least, largest, merged = scaled[0][0], scaled[-1][0], {}
-    spans, e = sum(s[3] for s in streams), D.bit_length() - 1
-
-    def run_terms(offsets, active):
-        # (m, p, num, sh, den) for each nonzero summed coefficient of the
-        # offsets in active, ordered by m: rule (3)'s c = num / (2^sh den)
-        terms = merged.get((id(offsets), active))
-        if terms is None:
-            total = {}
-            for d in active:
-                for m, p, num, den in offsets[d]:
-                    n0, d0 = total.get((m, p), (0, 1))
-                    total[m, p] = (n0 * den + num * d0, d0 * den)
-            terms = merged[id(offsets), active] = tuple(
-                (m, p, num, (den & -den).bit_length() - 1, den // (den & -den))
-                for (m, p), (num, den) in sorted(total.items()) if num)
-        return terms
-
-    def total(lo: int, hi: int) -> mpf:
-        first = least + lo * D  # the first point, scaled by D = 2^e
-        if first <= 0:
-            raise DomainError("lattice_sum: every point must be > 0")
-        # the magnitude of u = first/D; (C + T) s / 2^4 rounded up, s = 1/u
-        # <= 2^(1 - mag) at u < 1
-        mag = first.bit_length() - e
-        scale = max(1, ((weight << max(0, 1 - mag)) + 15) >> 4)
-        wp = lattice_wp(len(streams) * (hi - lo) + spans, q, mag,
-                        (largest + (hi - 1) * D).bit_length() - e, scale)
-        one, S = 1 << wp, 0
-        for stream in streams:
-            base, exact, offsets, span = stream
-            # the points in [a, b) take the offsets d with a - d in [lo, hi)
-            cuts = sorted({d + k for d in offsets for k in (lo, hi)}) if span else (lo, hi)
-            for a, b in zip(cuts, cuts[1:]):
-                terms = run_terms(offsets, tuple(d for d in offsets if a - hi < d <= a - lo))
-                if not terms:
-                    continue
-                top = terms[-1][0]
-                if base is not None:
-                    us = range(base + a, base + b)
-                    logs = list(fixed_log_ints(base + a, base + b, wp)) if top else None
-                else:
-                    us = [mpf_add(exact, from_int(j)) for j in range(a, b)]
-                    if terms[0][:2] == (1, 0) and len(terms) == 1:
-                        _, _, num, sh, den = terms[0]
-                        S += (fixed_log_sum(us, wp) * num >> sh) // den
-                        continue
-                    logs = [fixed_log(u, wp) for u in us] if top else None
-                for m, p, num, sh, den in terms:
-                    X, chain = 0, range(m - 1)
-                    for u, L in zip(us, logs or repeat(0)):
-                        P = L if m else one
-                        for _ in chain:
-                            P = P * L >> wp
-                        X += (P // u if type(u) is int else fixed_div(P, u)) if p else P
-                    S += (X * num >> sh) // den
-        return from_fixed(S, wp)
-
-    return total
-
-
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
 # reaches and em_tail accepts.  J = 13 is the smallest order that takes a
@@ -384,13 +138,14 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None,
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin,
     for a single term f = c log^m t / t^p, p >= 1, and a start >= 2.
 
-    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start); terms_used is
-    J, at most J_PLAN_MAX, rising from J as in em_tail_shifted when a bound
-    is given.  abs_err is the certified remainder bound em_tail_error of
-    the key (m, start, 0, |c|, p), plus rounding_floor(value) unless
-    floor=False (the lattice routes add their own floor to the whole sum).
-    A LogPoly of several terms raises DomainError: its remainder has no
-    certificate here (em_tail_shifted takes such a summand with its key).
+    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start), f(start)
+    from the tail's own logarithm; terms_used is J, at most J_PLAN_MAX,
+    rising from J as in em_tail_shifted when a bound is given.  abs_err is
+    em_tail_shifted's claim with the certificate key (m, start, 0, |c|, p),
+    plus rounding_floor(value) unless floor=False (the lattice routes add
+    their own floor to the whole sum).  A LogPoly of several terms raises
+    DomainError: its remainder has no certificate here (em_tail_shifted
+    takes such a summand with its key).
     """
     if not f.terms:
         return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
@@ -404,102 +159,213 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None,
     start = mpf(start)
     if start < 2:
         raise DomainError("em_tail: start must be >= 2")
-    value, err, J = em_tail_shifted([(c, 0, m, p)], f(start), 0, start, J, bound,
+    value, err, J = em_tail_shifted([(c, 0, m, p)], None, 0, start, J, bound,
                                     (m, start, 0, abs(c), p))
     if floor:
         err += rounding_floor(value)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
-# j -> B_2j/(2j)!: one list per working precision, indexed by j >= 1
-_EM_WEIGHTS = PrecTable()
+# The Euler-Maclaurin tail runs on fixedpoint's kernel and its rules
+# (1)-(5), at the points u = start + shift of its parts, each formed exactly
+# and >= 2.  At a point, M = floor(log u) + 1 is an int >= max(1, log u),
+# and G = 2^g >= max(1, u^-e0) for the least exponent e0 read there (p, or
+# p - 1 where the tail forms the integral).  In units of 2^-wp:
+#
+# (6) _TailPoint's chain: u^-e within 2 units, and at most G.  The least
+#     exponent of a chain: an int e <= 0 as the exact integer power,
+#     floored; an int e > 0 from 1 by e divisions (rule (4), each within
+#     e'/u + 1 <= 2 as u >= 2); a rational e by mpf_pow at w = wp + g +
+#     bitlen(2 + (1 + M) ceil|e|) bits, floored (mpmath takes a logarithm or
+#     a square root at w + 10 bits, scales it by e, then an exponential or
+#     an integer power at w: within (2 + (1 + log u)|e|) 2^-w, relative).
+#     Then u^-(e+1) = u^-e / u by rule (4), again within 2.
+# (7) a row X = sum_k W_k L^k, its weights exact over one denominator,
+#     W_k = N_k / D, as (sum_k N_k L^k) // D: within 5 q M^q A + 1 for
+#     A = sum |W_k| and degree at most q (rule (2)), and |X| <= A M^q.
+# (8) a part's term c X u^-e, c = num / den exact, as floor((X R >> wp)
+#     num / den): within |c| (2 A M^q + G (5 q M^q A + 1) + 1) + 1, which is
+#     at most 2^4 q (|c| + 1)(A + 1) G M^q.
+#
+# em_tail_shifted's one proof: a part of (m, p) reads rows of degree at most
+# q = m + 1 (the integral's, at p = 1), each with A at most _tail_rows(m, p)'s
+# bound, so v(start)/2, the integral and every correction is within B, the
+# sum over the parts of 2^4 q (|c| + 1)(A + 1) G M^q units, and the value,
+# at most J_PLAN_MAX + 2 of them and two given ends (each floored, within 2),
+# within 2^4 (B + 1).  At wp = prec + bitlen(B) + TAIL_GUARD both are below
+# tail_err() = 2^(-prec-3), which the claim adds to the first omitted
+# correction before its certificate reads it, and to the certified bound.
+
+# bits of 2^4 (the count of a value's terms) and 2^3 (the margin): see above
+TAIL_GUARD = 7
 
 
-def em_weights(J: int) -> list:
-    """B_2j/(2j)! for 1 <= j <= J (index 0 is unused), kept per working
-    precision: the weights of every Euler-Maclaurin correction and
-    certificate."""
-    weights = _EM_WEIGHTS.at_prec().setdefault(0, [None])
-    for j in range(len(weights), J + 1):
-        weights.append(bernoulli_mpf(2 * j) / factorial(2 * j))
-    return weights
+def tail_err() -> mpf:
+    """2^(-prec-3): the bound every tail keeps on its value and on each
+    correction at the current precision, which its claim adds."""
+    return mp.make_mpf(from_man_exp(1, -mp.prec - 3))
+
+
+class _TailPoint:
+    """A tail's point u >= 2, an exact _mpf_, in fixed point at wp: its
+    logarithm L (rule (1); fixed_log_ints' table at an integer u), the powers
+    L^k (rule (2)) through a degree, and the chain R[i] = u^-(e0 + i)
+    (rule (6))."""
+
+    __slots__ = ("u", "wp", "M", "e0", "powers", "R")
+
+    def __init__(self, u, wp: int, M: int, q: int, e0):
+        _, man, exp, _ = u
+        L = (next(fixed_log_ints(man << exp, (man << exp) + 1, wp)) if exp >= 0
+             else fixed_log(u, wp))
+        self.u, self.wp, self.M, self.e0, self.powers = u, wp, M, e0, [1 << wp, L]
+        self.R = [_inv_first(u, e0, wp, M)]
+        self.extend(q)
+
+    def extend(self, q: int) -> None:
+        """L^k for every k <= q."""
+        powers, L, wp = self.powers, self.powers[1], self.wp
+        while len(powers) <= q:
+            powers.append(powers[-1] * L >> wp)
+
+    def term(self, row, k: int, num: int, den: int) -> int:
+        """num/den X(L) u^-(e0+k) for the row X = (N, D): rule (8)."""
+        R = self.R
+        while len(R) <= k:
+            R.append(fixed_div(R[-1], self.u))
+        N, D = row
+        X = sum(map(mul, N, self.powers)) // D * R[k] >> self.wp
+        return X if num == den else X * num // den
+
+    def log_below(self) -> float:
+        """A float at most log u: L less its 3M units, rounded down."""
+        return math.nextafter((self.powers[1] - 3 * self.M) / (1 << self.wp), -math.inf)
+
+
+def _inv_first(u, e, wp: int, M: int) -> int:
+    """u^-e, the first of a chain: rule (6)."""
+    if type(e) is int:
+        if e <= 0:
+            _, man, exp, _ = u
+            s = wp - exp * e
+            return man ** -e << s if s >= 0 else man ** -e >> -s
+        X = 1 << wp
+        for _ in range(e):
+            X = fixed_div(X, u)
+        return X
+    g = max(0, math.ceil(-e * (u[2] + u[3])))
+    w = wp + g + (2 + (1 + M) * math.ceil(abs(e))).bit_length()
+    return to_fixed(mpf_pow(u, from_man_exp(-e.numerator, 1 - e.denominator.bit_length()), w),
+                    wp)
+
+
+def _log_ceil(u) -> int:
+    """An int M >= max(1, log u) for an _mpf_ u > 0: floor(log u) + 1, from a
+    float of its mantissa and exponent widened past the float's error."""
+    _, man, exp, _ = u
+    return max(1, int((math.log(man) + exp * math.log(2)) * (1 + 1e-12) + 1e-12) + 1)
+
+
+def _exact(x):
+    """An int or an mpf as its exact _mpf_."""
+    return x._mpf_ if type(x) is mpf else from_int(x) if type(x) is int else mpf(x)._mpf_
 
 
 def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
                     key=None) -> tuple[mpf, mpf, int]:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
-    v(t) = sum c log^m(t + shift) / (t + shift)^p, where the caller supplies
-    v(start) and the closed-form int_start^inf v(t) dt; a c is an int, an
-    mpf or a Fraction, rounded once to the working precision.
+    v(t) = sum c log^m(t + shift) / (t + shift)^p, each c (an int, a
+    Fraction or an mpf), shift (an int or an mpf) and p (an int, or an mpf
+    as the rational it is) read exactly, and every point start + shift
+    >= 2.
 
     Returns (value, err, J): the integral plus v(start)/2 minus the
     Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, the
-    claimed remainder, and J.  Each distinct point u = start + shift takes
-    its logarithm once; order i of a part is c P_i(log u)/u^(p+i), one
-    Horner's rule over the row P_i of _log_polys(m, p), p an int or an mpf
-    read exactly (_rational), u^(p+i) by mpf_pow_int or mpf_pow.
+    claimed remainder, and J.  v_at_start and integral, when None, are the
+    tail's own: v(start) from row 0 of each part, and int_start^inf v as
+    -sum c F(start + shift) with F the antiderivative of log^m u / u^p
+    (_tail_rows), which the parts must make vanish at infinity (or, as
+    hurwitz_em's (t + x)^-s, continue analytically); given, each is a
+    number.
 
-    The claim is em_tail_error(n, a, J, |omitted|, d, scale, p) for the
-    certificate key (n, a, d, scale[, p]) described there (p is 1 when the
-    key leaves it out); with no key, the magnitude of the first omitted
-    correction, the theta-bound of a completely monotone summand (or the
-    negative of one), as hurwitz_em's.  With a bound, J is the least order
-    and rises, at most to J_PLAN_MAX, while the claim is not below bound:
-    the one order plan of every lattice route.  The value has the bits of a
-    call at the order reached.
+    In fixed point (the proof above TAIL_GUARD): the parts at one point u
+    whose p differ by integers share one logarithm, its powers, and one
+    chain of u^-e by exact divisions (its first by mpf_pow at a rational
+    p); a part's correction j is one integer dot product of the powers with
+    _tail_rows' exact weights B_2j/(2j)! P_(2j-1)[k], times u^-(p+2j-1).
+    The value is the integer sum S 2^-wp, with all its bits, within
+    tail_err() = E.
+
+    The claim is em_tail_error(n, a, J, |omitted| + E, d, scale, p) + E for
+    the certificate key (n, a, d, scale[, p]) described there (p is 1 when
+    the key leaves it out), read at the tail's own point when a = start +
+    shift for one of the shifts; with no key, |omitted| + 2E, the
+    theta-bound of a completely monotone summand (or the negative of one),
+    as hurwitz_em's.  With a bound, J is the least order and rises, at most
+    to J_PLAN_MAX, while the claim is not below bound: the one order plan
+    of every lattice route.
     """
-    prec, rnd = mp._prec_rounding
-    start = mpf(start)
-    # shift -> (u, log u, {k: u^k}), _mpf_ tuples
-    points: dict[mpf, tuple] = {}
-    terms = []
-    for c, sh, m, p in v:
-        sh = mpf(sh)
-        point = points.get(sh)
-        if point is None:
-            u = (start + sh)._mpf_
-            point = points[sh] = (u, mpf_log(u, prec, rnd), {})
-        c = (from_rational(c.numerator, c.denominator, prec, rnd)
-             if type(c) is Fraction else mpf(c)._mpf_)
-        p = _rational(p)
-        terms.append((c, point, _log_polys(m, p), p))
-    weights = em_weights(J_PLAN_MAX + 1)
+    start = _exact(start)
+    specs, parts = {}, []  # (shift, p mod 1) -> [u, least exponent, degree]
+    for c, shift, m, p in v:
+        shift, p = _exact(shift), _rational(p)
+        e = p if integral is not None else p - 1
+        at = (shift, e - math.floor(e))
+        spec = specs.setdefault(at, [mpf_add(start, shift), e, 1])
+        spec[1], spec[2] = min(spec[1], e), max(spec[2], m + 1)
+        num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
+        parts.append((at, m, p, num, den))
+    B = 0
+    for at, m, p, num, den in parts:
+        u, e0, _ = specs[at]
+        if u[0] or u[2] + u[3] < 2:
+            raise DomainError("em_tail_shifted: every point start + shift must be >= 2")
+        G = 1 << max(0, math.ceil(-e0 * (u[2] + u[3])))
+        B += (16 * (m + 1) * (-(-abs(num) // den) + 1) * (_tail_rows(m, p)[2] + 1)
+              * _log_ceil(u) ** (m + 1) * G)
+    wp = mp.prec + B.bit_length() + TAIL_GUARD
+    points = {at: _TailPoint(u, wp, _log_ceil(u), q, e0) for at, (u, e0, q) in specs.items()}
+    terms = [(points[at], int(p - specs[at][1]), *_tail_rows(m, p)[:2], num, den)
+             for at, m, p, num, den in parts]
 
-    def at(i):  # v^(i)(start)
-        total = fzero
-        for c, (u, lu, upow), rows, p in terms:
-            up = upow.get(p + i)
-            if up is None:
-                up = upow[p + i] = _pow(u, p + i, prec, rnd)
-            ratio = mpf_div(_horner(rows[i], lu, prec, rnd), up, prec, rnd)
-            total = mpf_add(total, mpf_mul(c, ratio, prec, rnd), prec, rnd)
-        return mp.make_mpf(total)
+    if integral is None:
+        S = sum(point.term(F, k - 1, num, den) for point, k, _, F, num, den in terms)
+    else:
+        S = to_fixed(_exact(mpf(integral)), wp)
+    if v_at_start is None:
+        S += sum(point.term(rows[0], k, num, 2 * den) for point, k, rows, _, num, den in terms)
+    else:
+        S += to_fixed(_exact(mpf(v_at_start)), wp) >> 1
 
-    def correction(j):
-        return weights[j] * at(2 * j - 1)
+    def correction(j):  # B_2j/(2j)! v^(2j-1)(start)
+        return sum(point.term(rows[j], k + 2 * j - 1, num, den)
+                   for point, k, rows, _, num, den in terms)
 
+    E = 1 << (wp - mp.prec - 3)
     if key is None:
         def claim(J, omitted):
-            return abs(omitted)
+            return from_fixed(abs(omitted) + 2 * E, wp)
     else:
-        n, a, *rest = key
-        log_a = log(a)
+        n, a, d, scale, *p_key = key
+        p_key = _rational(p_key[0] if p_key else 1)
+        at_a = points.get((mpf_sub(_exact(a), start), p_key - math.floor(p_key)))
+        E_mpf = from_fixed(E, wp)
 
         def claim(J, omitted):
-            return em_tail_error(n, a, J, abs(omitted), *rest, log_a=log_a)
+            return em_tail_error(n, a, J, from_fixed(abs(omitted) + E, wp), d, scale,
+                                 p_key, at_a) + E_mpf
 
-    value = mpf(integral) + mpf(v_at_start) / 2
     for j in range(1, J + 1):
-        value -= correction(j)
+        S -= correction(j)
     omitted = correction(J + 1)
     err = claim(J, omitted)
     if bound is not None:
         while not err < bound and J < J_PLAN_MAX:
-            value -= omitted
+            S -= omitted
             J += 1
             omitted = correction(J + 1)
             err = claim(J, omitted)
-    return value, err, J
+    return from_fixed(S, wp), err, J
 
 
 def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
@@ -526,11 +392,11 @@ _ROOT_WIDTH = Fraction(1, 2 ** 16)
 
 
 def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
-                  log_a=None) -> mpf:
+                  point=None) -> mpf:
     """Certified bound on the remainder of the order-J Euler-Maclaurin tail
-    of a summand v whose first omitted correction has magnitude omitted.
-    (n, a, d, scale, p) is v's certificate key, for f = log^n t / t^p with
-    a rational p > 0 (an int, or an mpf, read exactly):
+    of a summand v whose first omitted correction has magnitude at most
+    omitted.  (n, a, d, scale, p) is v's certificate key, for f = log^n t /
+    t^p with a rational p > 0 (an int, or an mpf, read exactly):
 
     - d = 0: v = scale f, and the tail starts at a.
     - d = 1: v is a second divided difference of g with g' = f, such as
@@ -553,46 +419,44 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
     most scale times the total variation of g = f^(2J+1+d) on [a, inf).  g
     is monotone between the roots of f^(2J+2+d) and vanishes at infinity
     (p > 0), so that variation is at most |g(a)| + 2 sum |g(r)| over those
-    roots r >= a, each |g(r)| taken from _root_table's enclosure.  For
-    d <= 0, scale |B_2J+2|/(2J+2)! |g(a)| is omitted itself, so |g(a)| is
-    not evaluated again.  log_a, when given, is log a: the order loop takes
-    it once per start.
+    roots r >= a.  Below t_J (_certified_start), _certificate holds the
+    roots' upper ends and the suffix sums of 2|B_2J+2|/(2J+2)! 2|g(r)|, and
+    one bisect on a float at most log a (point's, a tail's point at a, or a
+    fresh one) picks the roots r >= a.  For d <= 0, scale |B_2J+2|/(2J+2)! |g(a)| is omitted
+    itself, so |g(a)| is not evaluated again; for d = 1 it is the point's
+    fixed-point row of that weight times f^(2J+2) (rule (8)), its bound
+    added.
     """
     p = _rational(p)
     if not p > 0:
         raise DomainError("em_tail_error: the key's inverse power p must be > 0")
     if a >= _certified_start(n, J, d, p):
         return omitted
-    La = log(a) if log_a is None else log_a
-    weight = 2 * abs(em_weights(J + 1)[J + 1])
-    # float(La) is within half an ulp of log a, and each hi was rounded up
-    # past its root by at least that much, so no root r >= a is missed
-    L = float(La)
-    roots = 2 * sum(g for hi, g in _root_table(n, J, d, p) if hi >= L)
+    his, suffix, g_row = _certificate(n, J, d, p)
+    e = p + 2 * J + 1 + d  # g's inverse power
+    q = n + 1
+    if point is None or e < point.e0:
+        u = _exact(a)
+        M = _log_ceil(u)
+        wp = mp.prec + (32 * q * (g_row[1] + 1 if g_row else 1) * M ** q).bit_length()
+        point = _TailPoint(u, wp + TAIL_GUARD, M, q, e)
+    # each hi is at least its root's log, so no root r >= a is left out
+    roots = suffix[bisect_left(his, point.log_below())]
     if d <= 0:
-        return 2 * omitted + scale * weight * roots
-    prec, rnd = mp._prec_rounding
-    g_a = mp.make_mpf(_horner(_log_polys(n, p)[2 * J + 1 + d], La._mpf_, prec, rnd))
-    a_pow = mp.make_mpf(_pow(mpf(a)._mpf_, p + 2 * J + 1 + d, prec, rnd))
-    return scale * weight * (abs(g_a) / a_pow + roots)
+        return 2 * omitted + scale * roots
+    row, A = g_row
+    point.extend(q)
+    X = abs(point.term(row, int(e - point.e0), 1, 1))
+    return scale * (from_fixed(X + 32 * q * (A + 1) * point.M ** q, point.wp) + roots)
 
 
 def _rational(p):
-    """p exactly: an int as it is, an mpf (a dyadic rational) as a Fraction,
-    or as an int when it is whole."""
-    if type(p) is int:
+    """p exactly: an int or a Fraction as it is, an mpf (a dyadic rational)
+    as a Fraction, or as an int when it is whole."""
+    if type(p) in (int, Fraction):
         return p
-    num, den = to_rational(mpf(p)._mpf_)
+    num, den = to_rational(_exact(p))
     return num if den == 1 else Fraction(num, den)
-
-
-def _pow(u, e, prec: int, rnd) -> tuple:
-    """u^e for an _mpf_ tuple u > 0 and an int or dyadic Fraction e, rounded
-    at (prec, rnd): mpf_pow_int for an int, else mpf_pow at e exactly."""
-    if type(e) is int:
-        return mpf_pow_int(u, e, prec, rnd)
-    return mpf_pow(u, from_man_exp(e.numerator, 1 - e.denominator.bit_length()),
-                   prec, rnd)
 
 
 # entries each (m, p)-keyed cache holds: about twice the integer-keyed
@@ -621,16 +485,54 @@ def _log_polys(m: int, p) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def _horner(P, L, prec: int, rnd) -> tuple:
-    """P(L) for int or Fraction coefficients P, low degree first, by
-    Horner's rule on the _mpf_ tuple L, rounded at (prec, rnd); a Fraction
-    enters through from_rational."""
-    s = fzero
-    for c in reversed(P):
-        c = (from_int(c) if type(c) is int
-             else from_rational(c.numerator, c.denominator, prec, rnd))
-        s = mpf_add(mpf_mul(s, L, prec, rnd), c, prec, rnd)
-    return s
+def _weights(ws) -> tuple[tuple, int]:
+    """((N, D), A): exact weights ws as integers N over one denominator D,
+    and A >= sum |w|, an int."""
+    D = math.lcm(*(Fraction(w).denominator for w in ws))
+    N = tuple(int(w * D) for w in ws)
+    return (N, D), -(-sum(map(abs, N)) // D)
+
+
+@lru_cache(maxsize=POLY_CACHE_MAX)
+def _tail_rows(m: int, p) -> tuple[tuple, tuple, int]:
+    """(rows, integral, A) of log^m t / t^p for em_tail_shifted, each row
+    (N, D) over one denominator: rows[0] = P_0 = log^m (v(start)), rows[j] =
+    B_2j/(2j)! P_(2j-1) for 1 <= j <= J_PLAN_MAX + 1 (the corrections), and
+    the integral's -F, read at u^-(p-1) (F as in em_tail_shifted); A >= the
+    largest sum |W_k| of them (below 2^38 for m <= 9 at p = 1).  Independent
+    of the precision."""
+    P = _log_polys(m, p)
+    rows = [_weights((0,) * m + (1,))]
+    rows += [_weights([bernoulli(2 * j) / factorial(2 * j) * c for c in P[2 * j - 1]])
+             for j in range(1, J_PLAN_MAX + 2)]
+    if p == 1:
+        F = (0,) * (m + 1) + (Fraction(-1, m + 1),)
+    else:
+        F = [-(-1) ** (m - k) * Fraction(factorial(m), factorial(k)) / (1 - p) ** (m - k + 1)
+             for k in range(m + 1)]
+    integral = _weights(F)
+    return (tuple(row for row, _ in rows), integral[0],
+            max(A for _, A in rows + [integral]))
+
+
+@lru_cache(maxsize=POLY_CACHE_MAX)
+def _certificate(n: int, J: int, d: int = 0, p=1) -> tuple:
+    """em_tail_error's table below t_J for f = log^n t / t^p, order J and d:
+    (his, suffix, g_row).  his are the upper ends of _root_table's roots,
+    increasing; suffix[i] >= w 2 sum_{i' >= i} g_max(r_i'), w = 2|B_2J+2| /
+    (2J+2)!, rounded up at 64 bits (suffix[len(his)] = 0); g_row, for d = 1,
+    ((N, D), A), the row of w P_(2J+1+d) (_weights).  Independent of x and
+    of the precision."""
+    table = _root_table(n, J, d, p)
+    w = 2 * abs(bernoulli(2 * J + 2)) / factorial(2 * J + 2)
+    total, suffix = fzero, [fzero]
+    for _, g in reversed(table):
+        total = mpf_add(total, g._mpf_)
+        suffix.append(mpf_div(mpf_mul(total, from_int(2 * w.numerator)),
+                              from_int(w.denominator), 64, round_up))
+    g_row = _weights([w * c for c in _log_polys(n, p)[2 * J + 1 + d]]) if d > 0 else None
+    return (tuple(hi for hi, _ in table), tuple(mp.make_mpf(s) for s in reversed(suffix)),
+            g_row)
 
 
 @lru_cache(maxsize=ROOT_CACHE_MAX)
@@ -644,18 +546,19 @@ def _isolated(n: int, k: int, p=1) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 @lru_cache(maxsize=ROOT_CACHE_MAX)
-def _certified_start(n: int, J: int, d: int = 0, p=1) -> float:
+def _certified_start(n: int, J: int, d: int = 0, p=1) -> mpf:
     """The certified start t_J of order J: past the last real root of
     f^(2J+2+d) and of f^(2J+4+d), f = log^n t / t^p, so that both keep
     their eventual sign (-1)^d on [t_J, inf).
 
     exp of the largest isolating interval's upper end (0 when neither has
-    a root t > 1), rounded up, so that a >= t_J implies that log a is past
-    every root.
+    a root t > 1), rounded up as a float, so that a >= t_J implies that
+    log a is past every root; an mpf, exactly that float.
     """
     last = max((hi for k in (2 * J + 2 + d, 2 * J + 4 + d)
                 for _, hi in _isolated(n, k, p)), default=0)
-    return math.exp(math.nextafter(float(last), math.inf)) * (1 + 1e-12)
+    return mp.make_mpf(from_float(math.exp(math.nextafter(float(last), math.inf))
+                                  * (1 + 1e-12)))
 
 
 @lru_cache(maxsize=POLY_CACHE_MAX)

@@ -20,8 +20,8 @@ Series used here and their tails:
 
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
 integrals over [K, inf).  The Gamma_k series builds its summand once as a
-parts list (_dilcher_parts), which logpoly.lattice_sum reads for the
-partial sum and each probe's v(K) and em_tail_shifted for the tail.
+parts list (_dilcher_parts), which fixedpoint.lattice_sum reads for the
+partial sum and em_tail_shifted for the tail, with its v(K) and integral.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
                    default_tol, head_guard, log_abs, rounding_floor, tail_claim,
                    working_dps)
 from .gamma import RationalArg, _gamma1_bracket, _gamma_series_b, gamma1_alt, gamma_n
+from .fixedpoint import lattice_err, lattice_sum
 from .logpoly import (K_CAP, LogPoly, em_start_for, em_tail, em_tail_shifted,
-                      lattice_err, lattice_sum, logpow_antiderivative, pow_step)
+                      logpow_antiderivative, pow_step)
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -438,11 +439,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         scale = x * x / 2
 
         def probe(K):
-            integral = (-x * log(K) ** q / q
-                        + (logpow_antiderivative(q, K + x)
-                           - logpow_antiderivative(q, mpf(K))) / q)
-            tail, err, _ = em_tail_shifted(parts, h(K, K + 1), integral, K, 4, tol / 4,
-                                           (k, K + min(0, x), 1, scale))
+            tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4,
+                                           (k, mp.fadd(K, min(0, x), exact=True), 1, scale))
             return tail, err
 
         # K need not exceed x: the certificate reads the window from

@@ -12,8 +12,8 @@ The gamma_n model is kept per (n, precision) and shared by
 vanishing_integrals and zero_structure.
 
 The g-series of g_functions builds its summand once as a parts list
-(_g_parts), which logpoly.lattice_sum reads for the partial sum and each
-probe's v(K) and em_tail_shifted for the tail.
+(_g_parts), which fixedpoint.lattice_sum reads for the partial sum and
+em_tail_shifted for the tail, with its v(K) and integral.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_pow_int, mpf_sub
 from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
-from .logpoly import (LogPoly, em_start_for, em_tail, em_tail_shifted, lattice_err,
-                      lattice_sum, logpow_antiderivative)
+from .fixedpoint import lattice_err, lattice_sum
+from .logpoly import LogPoly, em_start_for, em_tail, em_tail_shifted
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -271,11 +271,8 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     scale = q * (x - 1) ** 2 / 2
 
     def probe(K):
-        integral = (-logpow_antiderivative(q, K + x)
-                    + logpow_antiderivative(q, mpf(K + 1))
-                    + (x - 1) * log(K + 1) ** q)
-        tail, err, _ = em_tail_shifted(parts, h(K, K + 1), integral, K, 4, tol / 4,
-                                       (q - 1, K + min(1, x), 1, scale))
+        tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4,
+                                       (q - 1, mp.fadd(K, min(1, x), exact=True), 1, scale))
         return tail, err
 
     K, tail, err = em_start_for(probe, tol / 4, 64)

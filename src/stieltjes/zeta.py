@@ -28,10 +28,10 @@ logarithmic series
                         - x (log^(k+1)(n+1) - log^(k+1) n)]
 
 accelerated by Euler-Maclaurin corrections.  Its summand is one parts list
-(_deriv0_parts): logpoly.lattice_sum reads it for the partial sum and each
-probe's v(K), em_tail_shifted for the tail.  zeta'(s) sums log k / k^s with
-the same tail engine, certified by the key p = s.  No Bernoulli table,
-order loop, certificate or fixed-point loop lives here.
+(_deriv0_parts): fixedpoint.lattice_sum reads it for the partial sum,
+em_tail_shifted for the tail, with its v(K) and integral.  zeta'(s) sums
+log k / k^s with the same tail engine, certified by the key p = s.  No
+Bernoulli table, order loop, certificate or fixed-point loop lives here.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from mpmath import floor, log, mp, mpf, pi, workdps
 from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
                    default_tol, head_guard, log_abs, rounding_floor, tail_claim,
                    tol_digits, working_dps)
-from .logpoly import (em_start_for, em_tail_shifted, lattice_err, lattice_sum,
-                      logpow_antiderivative)
+from .fixedpoint import lattice_err, lattice_sum
+from .logpoly import em_start_for, em_tail_shifted
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -55,12 +55,12 @@ HASSE_TERMS_PER_DIGIT = 4
 
 
 def _head_guard(s, x, tol, dps: int) -> int:
-    """core.head_guard for the head term x^-s of a zeta(s, x) sum, s > 0;
-    0 for s <= 0.  Where x^-s is modest (x >= 1, or x >= 0.05 with
-    s <= 4.5) the guard is 0."""
-    if not s > 0:
-        return 0
-    return head_guard(float(-s) * log_abs(x) / math.log(10), tol, dps, "zeta(s, x)")
+    """core.head_guard for the largest term of a zeta(s, x) sum: x^-s, or
+    where x > 1 the boundary term x^(1-s), the size of the head sum at
+    s < 1.  Where it is modest (x >= 1 with s >= 1, x >= 0.05 with
+    0 < s <= 4.5, or x <= 8 with s >= -2.5) the guard is 0."""
+    lx = log_abs(x) / math.log(10)
+    return head_guard(float(-s) * lx + max(lx, 0), tol, dps, "zeta(s, x)")
 
 
 def _validate_x(x) -> mpf:
@@ -79,9 +79,10 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     at infinity and (s)_(2J+2), (s)_(2J+4) share a sign, so the first
     omitted correction bounds the remainder at every N (em_tail_error's
     theta-bound) and the probe passes no key.  At each rung the order rises
-    from J_min until that correction is below tol/2.  A large head x^-s
-    adds guard digits (_head_guard), so its rounding floor stays a small
-    share of tol.
+    from J_min until that correction is below tol/2; the tail takes v(N)
+    and the integral (N+x)^(1-s)/(s-1) from its own (N+x)^(1-s).  A large
+    head, x^-s or x^(1-s), adds guard digits (_head_guard), so its rounding
+    floor stays a small share of tol.
     """
     s = mpf(s)
     x = _validate_x(x)
@@ -95,9 +96,7 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
         J_min = max(4, int(floor((-s - 1) / 2)) + 1)
 
         def probe(N):
-            a = N + x
-            tail, err, _ = em_tail_shifted([(1, x, 0, s)], a ** -s, a ** (1 - s) / (s - 1),
-                                           N, J_min, tol / 2)
+            tail, err, _ = em_tail_shifted([(1, x, 0, s)], None, None, N, J_min, tol / 2)
             return tail, err
 
         # the ladder starts 14 terms past |s|, where the corrections decay fast
@@ -120,7 +119,7 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
     I_n(y-1), the certificate, each within r_n = 2^n (n+1) u F, F the largest
     |(y-1+k)^(1-s)|.  The pass stops once tail plus rounding is below
     |s-1| tol/2, at a budget and precision fixed from tol and s, plus the
-    guard digits of a large head x^-s (_head_guard).
+    guard digits of a large head, x^-s or x^(1-s) (_head_guard).
     """
     s = mpf(s)
     x = _validate_x(x)
@@ -182,11 +181,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         scale = q * abs(x * (x - 1)) / 2
 
         def probe(K):
-            integral = (-logpow_antiderivative(q, K + x)
-                        + (1 - x) * logpow_antiderivative(q, mpf(K))
-                        + x * logpow_antiderivative(q, mpf(K + 1)))
-            tail, err, _ = em_tail_shifted(parts, v(K, K + 1), integral, K, 4,
-                                           tol / 4, (k, K, 1, scale))
+            tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4, (k, K, 1, scale))
             return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
@@ -233,7 +228,7 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
     """zeta'(s) = -sum_{k>=2} log k / k^s for s > 1, tail-accelerated.
 
     The tail sum_{k>=K} log k / k^s is em_tail_shifted's on the part
-    (1, 0, 1, s), with the closed integral K^(1-s) [log K/(s-1) +
+    (1, 0, 1, s), with its own closed integral K^(1-s) [log K/(s-1) +
     1/(s-1)^2].  At each rung the order rises from 4 until the claim is
     below tol/2, certified by em_tail_error's key (1, K, 0, 1, s) for
     f = log t / t^s: the first omitted correction past the certified start,
@@ -245,10 +240,8 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
         def probe(K):
-            lK, Km = log(K), mpf(K)
-            integral = Km ** (1 - s) * (lK / (s - 1) + (s - 1) ** -2)
-            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], lK * Km ** -s, integral, K, 4,
-                                           tol / 2, (1, K, 0, 1, s))
+            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], None, None, K, 4, tol / 2,
+                                           (1, K, 0, 1, s))
             return tail, err
 
         K, tail, err = em_start_for(probe, tol / 2, 8, factor=2)

@@ -12,12 +12,14 @@ Frozen values carry more digits than any tolerance that consumes them.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from math import factorial
 
 from mpmath import mp, mpf, log, nstr
-from mpmath.libmp import mpf_sum
+from mpmath.libmp import mpf_sum, to_rational
 
-from stieltjes.logpoly import LogPoly
+from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _log_polys,
+                               _root_table, bernoulli)
 
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
@@ -197,6 +199,96 @@ def logpoly_integral_to_inf(f, a) -> mpf:
             inner += y ** j / factorial(j)
         total += c * mpf(factorial(m)) / (p - 1) ** (m + 1) * a ** (1 - p) * inner
     return total
+
+
+# --- the Euler-Maclaurin tail in mpf operators ------------------------------
+# logpoly.em_tail_shifted and em_tail_error as they read on mpf values, each
+# order by Horner's rule on its _log_polys row: the references the
+# fixed-point tail and the certificate table are checked against, at twice
+# the working digits.
+
+def bernoulli_mpf(idx: int) -> mpf:
+    b = bernoulli(idx)
+    return mpf(b.numerator) / b.denominator
+
+
+def horner_mpf(P, L) -> mpf:
+    s = mpf(0)
+    for c in reversed(P):
+        s = s * L + (c if type(c) is int else mp.fdiv(c.numerator, c.denominator))
+    return s
+
+
+def exact_p(p):
+    """An int p as it is, an mpf p as the rational it is."""
+    if type(p) is int:
+        return p
+    num, den = to_rational(p._mpf_ if isinstance(p, mpf) else mpf(p)._mpf_)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _as_mpf(c):
+    return mp.fdiv(c.numerator, c.denominator) if type(c) is Fraction else mpf(c)
+
+
+def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
+    """(value, |first omitted correction|, J) of em_tail_shifted's key-less
+    order loop; v_at_start and integral None are v(start) and
+    -sum c F(start + shift), F the antiderivative of log^m u / u^p."""
+    start = mpf(start)
+    points = {}
+    terms = []
+    for c, sh, m, p in v:
+        u = start + sh
+        point = points.get(u)
+        if point is None:
+            point = points[u] = LogPoint(u)
+        p = exact_p(p)
+        terms.append((_as_mpf(c), point, _log_polys(m, p), m, _as_mpf(p)))
+
+    def at(i):
+        return mp.fsum(c * horner_mpf(rows[i], point.lu) / point.u ** (p + i)
+                       for c, point, rows, _, p in terms)
+
+    def antiderivative(m, p, point):
+        if p == 1:
+            return point.lu ** (m + 1) / (m + 1)
+        return point.u ** (1 - p) * mp.fsum(
+            (-1) ** (m - k) * mpf(factorial(m)) / factorial(k) * point.lu ** k
+            / (1 - p) ** (m - k + 1) for k in range(m + 1))
+
+    def correction(j):
+        return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
+
+    if v_at_start is None:
+        v_at_start = at(0)
+    if integral is None:
+        integral = -mp.fsum(c * antiderivative(m, p, point) for c, point, _, m, p in terms)
+    value = mpf(integral) + mpf(v_at_start) / 2
+    for j in range(1, J + 1):
+        value -= correction(j)
+    omitted = correction(J + 1)
+    if bound is not None:
+        while not abs(omitted) < bound and J < J_PLAN_MAX:
+            value -= omitted
+            J += 1
+            omitted = correction(J + 1)
+    return value, abs(omitted), J
+
+
+def em_tail_error_mpf(n, a, J, omitted, d=0, scale=1, p=1) -> mpf:
+    """em_tail_error as it read on mpf values: log a and the sum over the
+    root table taken afresh, |g(a)| by Horner's rule."""
+    p = exact_p(p)
+    if a >= _certified_start(n, J, d, p):
+        return omitted
+    La = log(a)
+    weight = 2 * abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2))
+    roots = 2 * sum(g for hi, g in _root_table(n, J, d, p) if hi >= float(La))
+    if d <= 0:
+        return 2 * omitted + scale * weight * roots
+    g_a = horner_mpf(_log_polys(n, p)[2 * J + 1 + d], La)
+    return scale * weight * (abs(g_a) / mpf(a) ** (_as_mpf(p) + 2 * J + 1 + d) + roots)
 
 
 # --- Lemma 3.1 in mpf operators ----------------------------------------------

@@ -92,6 +92,18 @@ def test_hurwitz_em_claims(s, x, tol):
     _audit(hurwitz_em(s, x, tol), tol, lambda: zeta(s, x))
 
 
+@pytest.mark.parametrize("s,x", [("-5.5", "1e4"), ("-10.5", "1e3"), ("0.5", "1e40")])
+@pytest.mark.parametrize("route", [hurwitz_em, hurwitz_hasse])
+def test_large_x_claims_meet_tol_at_s_below_1(route, s, x):
+    # at s < 1 the boundary term and the head sum are about x^(1-s), 1e26,
+    # 1e34 and 1e20 here; its guard digits hold the rounding floor below tol
+    # at mp.dps 15, where hurwitz_em claimed 3.1e-6, 712 and 3.9e-11
+    # without them
+    with workdps(15):
+        s, x, tol = mpf(s), mpf(x), mpf("1e-12")
+        _audit(route(s, x, tol), tol, lambda: zeta(s, x))
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("x", XS[:5])
 @pytest.mark.parametrize("s", ("-2.5", "-0.5", "0.5", "1.5", "2", "4.5"))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,28 @@ def test_working_precision_policy():
     with workdps(34):
         # never below ambient
         assert working_dps(mpf("1e-4")) >= 34
+
+
+def _tol_digits_log10(tol):
+    """tol_digits as mpmath's log10 reads it: the formula the integer
+    version must reproduce, so that no plan moves."""
+    return max(1, int(mp.ceil(-mp.log10(mpf(tol)))))
+
+
+@pytest.mark.parametrize("parse_dps", [15, 34, 108])
+def test_tol_digits_is_the_log10_formula(parse_dps):
+    # powers of ten 1e-1 ... 1e-300 and random mantissas, parsed at one
+    # precision and read at several: y = -log10 tol rounds to an integer
+    # at some and not at others, and the integers must follow
+    rng = random.Random(parse_dps)
+    with workdps(parse_dps):
+        tols = [mpf(f"1e-{e}") for e in range(1, 301)]
+        tols += [mpf(f"{rng.uniform(1, 10):.9f}e-{rng.randint(0, 300)}") for _ in range(300)]
+        tols += [mpf(10) ** rng.uniform(-300, 3) for _ in range(100)]
+    for dps in (15, 34, 42, 50, 108, 230):
+        with workdps(dps):
+            for tol in tols:
+                assert tol_digits(tol) == _tol_digits_log10(tol), (parse_dps, dps, tol)
 
 
 def test_series_value_invariants():

@@ -1,15 +1,16 @@
-"""The lattice partial sums run in fixed point: every log-polynomial route
-on logpoly's one kernel, lattice_sum, over the parts list the route builds,
-and coffey's panel defects on their own loop.  Each states a bound, 2^-prec
-for a whole sum, and is checked here against its mpf form, written out
+"""The lattice partial sums and the Euler-Maclaurin tails run in fixed
+point: every log-polynomial route's partial sum on logpoly's one kernel,
+lattice_sum, over the parts list the route builds, coffey's panel defects on
+their own loop, and every tail on em_tail_shifted's.  Each states a bound,
+2^-prec for a whole partial sum and tail_err() for a tail's value and each
+of its corrections, and is checked here against its mpf form, written out
 operator for operator as the loops read when they ran on mpf values,
 evaluated at twice the working digits plus 20.  Grid: n = 0..8, x
 log-uniform in [0.05, 8] plus 0.05 (coffey's a < 1 panel), 1, 500 and 1e6,
 at the working precisions of tol 1e-12, 1e-20 and 1e-50; x = 1e-20 for
 series_c and coffey, and K = 2048 at 1e-50.  Random parts lists check the
-kernel against the same sum in mpf.  The Euler-Maclaurin correction loop
-still runs on raw _mpf_ tuples through libmpf and must return, bit for bit,
-what its mpf form returns."""
+kernel against the same sum in mpf, and random keys the certificate table
+against the certificate in mpf."""
 
 import random
 from fractions import Fraction
@@ -18,18 +19,19 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import exp, ldexp, log, mp, mpf, workdps
-from mpmath.libmp import from_man_exp, to_fixed, to_rational
+from mpmath.libmp import from_man_exp, to_fixed
 
-import stieltjes.logpoly as logpoly
-from oracles import LogPoint
+import stieltjes.fixedpoint as fixedpoint
+from oracles import LogPoint, em_tail_error_mpf, em_tail_shifted_mpf, exact_p
 from stieltjes.core import working_dps
+from stieltjes.fixedpoint import (INT_LOG_CAP, INT_LOG_GUARD, fixed_div, fixed_log,
+                                  fixed_log_ints, fixed_log_sum, fixed_pow, lattice_err,
+                                  lattice_sum)
 from stieltjes.gamma import (_coffey_sum, _incgamma_pair, _series_b_parts,
                              _series_c_parts)
-from stieltjes.logpoly import (INT_LOG_CAP, INT_LOG_GUARD, J_PLAN_MAX, LogPoly,
-                               _certified_start, _horner, _log_polys,
-                               _root_table, bernoulli_mpf, em_tail_error,
-                               em_tail_shifted, fixed_log, fixed_log_ints,
-                               fixed_log_sum, fixed_pow, lattice_err, lattice_sum)
+from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _log_ceil,
+                               _TailPoint, _tail_rows, em_tail_error, em_tail_shifted,
+                               logpow_antiderivative, tail_err)
 from stieltjes.related import _dilcher_parts
 from stieltjes.verifier import _g_parts
 from stieltjes.zeta import _deriv0_parts
@@ -41,10 +43,6 @@ DPS = [working_dps(mpf(t)) for t in ("1e-12", "1e-20", "1e-50")]
 K = 12
 # the long loop: K = 2048 at the working precision of 1e-50
 LONG_K, LONG_DPS = 2048, DPS[-1]
-
-
-def _bits(values):
-    return [v if type(v) in (tuple, int) else v._mpf_ for v in values]
 
 
 def _within_bound(got, ref_terms, dps):
@@ -140,55 +138,6 @@ def g_mpf(q, x, lo, hi):
     for k in range(lo, hi):
         a = LogPoint(mpf(k + 1))
         yield pow_step_mpf(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
-
-
-def horner_mpf(P, L):
-    s = mpf(0)
-    for c in reversed(P):
-        s = s * L + (c if type(c) is int else mp.fdiv(c.numerator, c.denominator))
-    return s
-
-
-def _exact(p):
-    """An int p as it is, an mpf p as the rational it is."""
-    if type(p) is int:
-        return p
-    num, den = to_rational(p._mpf_)
-    return num if den == 1 else Fraction(num, den)
-
-
-def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
-    start = mpf(start)
-    points = {}
-    terms = []
-    for c, sh, m, p in v:
-        sh = mpf(sh)
-        point = points.get(sh)
-        if point is None:
-            point = points[sh] = LogPoint(start + sh)
-        c = mp.fdiv(c.numerator, c.denominator) if type(c) is Fraction else mpf(c)
-        terms.append((c, point, _log_polys(m, _exact(p)), p))
-
-    def at(i):
-        total = mpf(0)
-        for c, point, rows, p in terms:
-            e = p + i if type(p) is int else mp.fadd(p, i, exact=True)
-            total += c * (horner_mpf(rows[i], point.lu) / point._upow(e))
-        return total
-
-    def correction(j):
-        return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
-
-    value = mpf(integral) + mpf(v_at_start) / 2
-    for j in range(1, J + 1):
-        value -= correction(j)
-    omitted = correction(J + 1)
-    if bound is not None:
-        while not abs(omitted) < bound and J < J_PLAN_MAX:
-            value -= omitted
-            J += 1
-            omitted = correction(J + 1)
-    return value, abs(omitted), J
 
 
 def _grid(n_range=range(9)):
@@ -336,9 +285,9 @@ def test_dilcher_takes_two_logarithms_a_term(x, monkeypatch):
     # shifts 0 and x far apart keep two streams: at most two logarithms per
     # lattice term, the integer table's included, and no window spanning them
     calls = []
-    real = logpoly.mpf_log
-    monkeypatch.setattr(logpoly, "mpf_log", lambda *a: calls.append(1) or real(*a))
-    logpoly._INT_LOGS.clear()
+    real = fixedpoint.mpf_log
+    monkeypatch.setattr(fixedpoint, "mpf_log", lambda *a: calls.append(1) or real(*a))
+    fixedpoint._INT_LOGS.clear()
     with workdps(DPS[1]):
         v = lattice_sum(_dilcher_parts(2, mpf(x)))
         v(1, K + 1)
@@ -421,37 +370,151 @@ def _route_parts(x):
     ]
 
 
+def _tail_summands(x):
+    """Summands beside the routes': one part each of m <= 9 at p 0, 1, 2
+    and a rational s."""
+    return [[(Fraction(1, 3), 0, m, p)] for m in (0, 5, 9)
+            for p in (0, 1, 2, mpf("2.5"))] + [[(mpf("-0.75"), x, 9, mpf("-2.5"))]]
+
+
+TAIL_STARTS = (2, mpf(32), 1000, 10 ** 6)
+
+
+def _tail_within_bound(args, J, bound, dps):
+    """em_tail_shifted at dps against its mpf form at 2 dps + 20: the value
+    within tail_err(), the claim |omitted| + 2 tail_err() with |omitted|
+    within tail_err() of the reference's, and the same order."""
+    with workdps(dps):
+        value, err, got_J = em_tail_shifted(*args, J, bound)
+        E = tail_err()
+    with workdps(2 * dps + 20):
+        ref, omitted, ref_J = em_tail_shifted_mpf(*args, J, bound)
+        return (abs(value - ref) <= E and abs(err - 2 * E - omitted) <= E
+                and got_J == ref_J)
+
+
 def test_em_tail_shifted():
+    # the routes' parts at 32 + x, and summands of m <= 9, p in {0, 1, 2, s}
+    # from starts 2 to 1e6, each with given ends and with its own v(start)
+    # and integral, at J = 4, 9, 13 and with the order loop
     for dps in DPS:
-        with workdps(dps):
-            for x in XS:
-                x = mpf(x)
-                for v in _route_parts(x):
-                    args = (v, mpf("0.125"), mpf("0.5"), mpf(32) + x)
-                    for J in (4, J_PLAN_MAX):
-                        got = em_tail_shifted(*args, J)
-                        assert _bits(got) == _bits(em_tail_shifted_mpf(*args, J)), (dps, x, v, J)
-                    bound = mpf(10) ** -(dps // 2)
-                    got = em_tail_shifted(*args, bound=bound)
-                    assert _bits(got) == _bits(em_tail_shifted_mpf(*args, bound=bound))
+        bound = mpf(10) ** -(dps // 2)
+        for x in (XS[0], "0.05", "500", "1e6"):
+            x = mpf(x)
+            cases = [(v, mpf(32) + x) for v in _route_parts(x)]
+            if x == 500:
+                cases += [(v, start) for v in _tail_summands(x) for start in TAIL_STARTS]
+            for v, start in cases:
+                for ends in ((mpf("0.125"), mpf("0.5")), (None, None)):
+                    args = (v, *ends, start)
+                    for J in (4, 9, J_PLAN_MAX):
+                        assert _tail_within_bound(args, J, None, dps), (dps, x, v, start, J)
+                    assert _tail_within_bound(args, 4, bound, dps), (dps, x, v, start)
 
 
 def test_horner_and_em_tail_error():
+    # a row of _tail_rows at a point, by rule (8) with c = 1: within
+    # 2^4 q 2 (A + 1) G M^q units of the row in mpf
     for dps in DPS:
         with workdps(dps):
             for x in XS:
-                L = log(mpf(x) + 30)
-                for n in range(9):
-                    for P in _log_polys(n, 1)[::7]:
-                        assert _horner(P, L._mpf_, *mp._prec_rounding) == horner_mpf(P, L)._mpf_
-            # below the certified start the d = 1 bound evaluates g(a) by
-            # _horner; written out with the mpf Horner's rule
+                u = (mpf(x) + 30)._mpf_
+                wp = mp.prec + 40
+                point = _TailPoint(u, wp, _log_ceil(u), 10, 1)
+                for n in range(10):
+                    rows, _, A = _tail_rows(n, 1)
+                    for j in (1, 5, J_PLAN_MAX + 1):
+                        got = point.term(rows[j], 2 * j - 1, 1, 1)
+                        q = n + 1
+                        with workdps(2 * dps + 20):
+                            U = mp.make_mpf(u)
+                            N, D = rows[j]
+                            ref = (mp.fsum(c * log(U) ** k for k, c in enumerate(N)) / D
+                                   / U ** (2 * j) * mpf(2) ** wp)
+                            assert abs(got - ref) <= 32 * q * (A + 1) * point.M ** q, (x, n, j)
+            # below the certified start the d = 1 bound evaluates |g(a)| by
+            # the fixed-point row; against the certificate in mpf
             for n, J in ((3, 4), (8, 9)):
-                t_J = _certified_start(n, J, 1)
-                a = mpf(t_J) / 2
-                La = log(a)
-                weight = 2 * abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2))
-                roots = 2 * sum(g for hi, g in _root_table(n, J, 1) if hi >= float(La))
-                g_a = horner_mpf(_log_polys(n, 1)[2 * J + 2], La)
-                want = 3 * weight * (abs(g_a) / a ** (2 * J + 3) + roots)
-                assert em_tail_error(n, a, J, 0, 1, 3)._mpf_ == want._mpf_, (dps, n, J)
+                a = mpf(_certified_start(n, J, 1)) / 2
+                got = em_tail_error(n, a, J, 0, 1, 3)
+                E, rounding = tail_err(), mpf(2) ** (2 - mp.prec)
+                with workdps(2 * dps + 20):
+                    want = em_tail_error_mpf(n, a, J, 0, 1, 3)
+                    assert want * (1 - rounding) <= got <= want * (1 + mpf(2) ** -60) + 3 * E
+
+
+def test_certificate_table_matches_the_mpf_certificate():
+    # random keys (n, a, J, d, p): the table's bound is at least the
+    # certificate in mpf (at twice the digits), less the table's final
+    # rounding, and at most it plus the table's 64-bit rounding and, for
+    # d = 1, scale times tail_err()
+    rng = random.Random(20190204)
+    for _ in range(200):
+        n, J, d = rng.randint(0, 8), rng.randint(4, J_PLAN_MAX), rng.choice((-1, 0, 1))
+        p = rng.choice((1, 1, 2, mpf("2.5")))
+        dps = rng.choice((15, 34, 50))
+        with workdps(dps):
+            t_J = _certified_start(n, J, d, exact_p(p))
+            a = mpf(2) * mpf(max(1, t_J) ** rng.uniform(0, 1.2))
+            omitted = mpf(10) ** rng.uniform(-40, -5)
+            scale = mpf(rng.uniform(0.1, 4))
+            got = em_tail_error(n, a, J, omitted, d, scale, p)
+            E, rounding = tail_err(), mpf(2) ** (2 - mp.prec)
+        with workdps(2 * dps + 20):
+            want = em_tail_error_mpf(n, a, J, omitted, d, scale, p)
+            assert want * (1 - rounding) <= got, (n, a, J, d, p)
+            assert got <= (want * (1 + mpf(2) ** -60) + scale * E) * (1 + rounding), (n, a, J, d, p)
+
+
+@pytest.mark.parametrize("dps", DPS)
+def test_incgamma_pair_at_a_panel_end(dps):
+    # coffey's pair at t = log b takes e^-t = 1/b by fixed_div: Gamma(n, t)
+    # within (n-1)! 5 n^2 M^n units and Gamma(n+1, t) within n! 5 (n+1)^2
+    # M^(n+1) of the pair at the exact t
+    with workdps(dps):
+        wp = mp.prec + 30
+        for b in (mpf(1), mpf("1.3"), mpf("500.7"), mpf(10) ** 6 + mpf("0.3")):
+            T, E = fixed_log(b._mpf_, wp), fixed_div(1 << wp, b._mpf_)
+            M = 2 ** (int(log(b)) + 1).bit_length()
+            for n in range(1, 10):
+                got = _incgamma_pair(n, T, wp, E)
+                with workdps(2 * dps + 20):
+                    ref = [v * mpf(2) ** wp for v in incgamma_pair_mpf(n, log(b))]
+                    assert abs(got[0] - ref[0]) <= factorial(n - 1) * 5 * n * n * M ** n, (b, n)
+                    assert (abs(got[1] - ref[1])
+                            <= factorial(n) * 5 * (n + 1) ** 2 * M ** (n + 1)), (b, n)
+
+
+def _route_integrals(x, K):
+    """(parts, old closed integral) of the routes whose probes formed it
+    before the tail took it from its own logarithms."""
+    q, k = 3, 2
+    F = logpow_antiderivative
+    s = mpf("2.5")
+    Km = mpf(K)
+    return [
+        (_deriv0_parts(q, x),
+         -F(q, K + x) + (1 - x) * F(q, Km) + x * F(q, Km + 1)),
+        (_dilcher_parts(k, x),
+         -x * log(Km) ** (k + 1) / (k + 1) + (F(k + 1, K + x) - F(k + 1, Km)) / (k + 1)),
+        (_g_parts(q, x),
+         -F(q, K + x) + F(q, Km + 1) + (x - 1) * log(Km + 1) ** q),
+        ([(1, x, 0, s)], (K + x) ** (1 - s) / (s - 1)),
+        ([(1, 0, 1, s)], Km ** (1 - s) * (log(Km) / (s - 1) + (s - 1) ** -2)),
+    ]
+
+
+def test_closed_integrals_from_the_tails_own_logarithms():
+    # each route's integral, as its probe formed it, equals the tail's own
+    # within 2^-prec: two tails at one order, with and without it
+    K = 32
+    for dps in DPS:
+        for x in XS:
+            with workdps(dps):
+                x = mpf(x)
+                tails = [(em_tail_shifted(v, 0, None, K, 4)[0], em_tail_shifted(v, 0, 0, K, 4)[0])
+                         for v, _ in _route_integrals(x, K)]
+                bound = lattice_err()
+            with workdps(2 * dps + 20):
+                for (with_it, without), (v, ref) in zip(tails, _route_integrals(x, K)):
+                    assert abs(with_it - without - ref) <= bound, (dps, x, v)

@@ -8,13 +8,14 @@ from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
-from oracles import LogPoint, LogPolyRef, logpoly_integral_to_inf
+from oracles import LogPoint, LogPolyRef, bernoulli_mpf, logpoly_integral_to_inf
 from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
-                               LogPoly, _ROOT_WIDTH, _certified_start, _isolated,
-                               _log_polys, _real_roots, _root_table, bernoulli,
-                               bernoulli_mpf, em_start_for, em_tail,
+                               LogPoly, _ROOT_WIDTH, _certificate, _certified_start,
+                               _isolated, _log_polys, _real_roots, _root_table,
+                               _tail_rows, bernoulli,
+                               em_start_for, em_tail,
                                em_tail_error, em_tail_shifted,
-                               logpow_antiderivative)
+                               logpow_antiderivative, tail_err)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
@@ -126,13 +127,14 @@ def test_em_tail_logt2_vs_brute_oracle():
 
 @pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
-    # every single term log^m t / t^p carries em_tail_error's key d = 0;
-    # the public claim adds the value's rounding floor, floor=False not
+    # every single term log^m t / t^p carries em_tail_error's key d = 0,
+    # and f(a) is the tail's own; the public claim adds the value's
+    # rounding floor, floor=False not
     f = LogPoly.single(1, m, p)
     a = mpf(a)
     sv = em_tail(f, a)
     key = (m, a, 0, 1, p)
-    value, err, J = em_tail_shifted([(1, 0, m, p)], f(a), 0, a, key=key)
+    value, err, J = em_tail_shifted([(1, 0, m, p)], None, 0, a, key=key)
     assert (sv.value, sv.abs_err, sv.terms_used) == (value, err + rounding_floor(value), J)
     bare = em_tail(f, a, floor=False)
     assert (bare.value, bare.abs_err, bare.terms_used) == (value, err, J)
@@ -192,13 +194,14 @@ def test_em_tail_shifted_matches_the_fresh_loop(J):
     h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
     for v, start in ((h_parts, 40), ([(1, 0, 3, 1)], mpf("32.75"))):
         got = em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J)
-        # Horner's rule rounds differently from the term-by-term loop, so
-        # the loop runs 40 digits higher and each output must sit within
-        # the working precision's rounding floor of it
+        E = tail_err()
+        # the loop runs 40 digits higher; the value is within tail_err() of
+        # it, and the claim is the first omitted correction, itself within
+        # tail_err(), plus twice tail_err()
         with workdps(mp.dps + 40):
             value, err = _reference_tail(v, mpf("0.125"), mpf("0.5"), start, J)
-        assert abs(got[0] - value) <= rounding_floor(value)
-        assert abs(got[1] - err) <= err * 2 ** (6 - mp.prec)
+            assert abs(got[0] - value) <= E
+            assert abs(got[1] - 2 * E - err) <= E
         # and a repeat call is bit-identical
         assert em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J) == got
 
@@ -532,28 +535,34 @@ def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
 
 def test_em_tail_claim_holds_the_rounding_of_its_value():
     # log^8 t / t at 32.2546, J = 13, 34 digits: the remainder bound is
-    # 1.07e-34, the true error 1.75e-33, the rounding of a value near 1e3
+    # 1.07e-34 for a value near 1e3, whose rounding in mpf operators erred
+    # by 1.75e-33.  In fixed point the value is within tail_err() of the
+    # order-13 sum, so the bare claim holds the true error (5.3e-35), and
+    # the public claim adds the rounding floor on top
     with workdps(34):
         a = mpf("32.2546")
         sv = em_tail(LogPoly.single(1, 8, 1), a, 13)
         bare = em_tail(LogPoly.single(1, 8, 1), a, 13, floor=False)
     with workdps(80):
         gap = abs(sv.value - (mp.stieltjes(8, a) + log(a) ** 9 / 9))
-    assert bare.abs_err < gap <= sv.abs_err
+    assert gap <= bare.abs_err < sv.abs_err
 
 
 @pytest.mark.parametrize("J", [8, 13])
 def test_em_tail_claims_the_certified_remainder(J):
     # f = log t / t at 32.2546 sits below t_J, where the first omitted
     # correction is not a bound: at J = 8 the true error is 7.42e-29 and
-    # that correction 7.30e-29.  em_tail claims em_tail_error's bound.
+    # that correction 7.30e-29.  em_tail claims em_tail_error's bound on
+    # that correction plus tail_err(), and tail_err() more; the key-less
+    # claim is the correction plus twice tail_err()
     with workdps(80):
         a = mpf("32.2546")
         f = LogPoly.single(1, 1, 1)
         sv = em_tail(f, a, J)
         assert a < _certified_start(1, J)
-        omitted = em_tail_shifted([(1, 0, 1, 1)], f(a), 0, a, J)[1]
-        assert sv.abs_err == em_tail_error(1, a, J, omitted) + rounding_floor(sv.value)
+        E = tail_err()
+        omitted = em_tail_shifted([(1, 0, 1, 1)], None, 0, a, J)[1] - E
+        assert sv.abs_err == em_tail_error(1, a, J, omitted) + E + rounding_floor(sv.value)
         assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err
 
 
@@ -562,6 +571,7 @@ def test_mp_keyed_caches_stay_bounded():
     # entries; after 200 of them each cache is at or below its cap, and a
     # value at an s whose entries were evicted has the bits of a cold call
     caches = {_log_polys: POLY_CACHE_MAX, _root_table: POLY_CACHE_MAX,
+              _tail_rows: POLY_CACHE_MAX, _certificate: POLY_CACHE_MAX,
               _isolated: ROOT_CACHE_MAX, _certified_start: ROOT_CACHE_MAX}
     tol = mpf("1e-20")
     for cache in caches:

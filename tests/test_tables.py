@@ -13,8 +13,8 @@ from mpmath import log, mp, mpf, workdps, workprec
 from stieltjes.core import PREC_TABLES_MAX, PrecTable, rounding_floor, working_dps
 from stieltjes.gamma import (_BRACKETS, _coffey_sum, _lattice_plan, gamma1_alt,
                              gamma_diff, gamma_n, incgamma_int)
-from stieltjes.logpoly import (_EM_WEIGHTS, _INT_LOGS, INT_LOG_GUARD, LogPoly,
-                               fixed_log, lattice_err, pow_step)
+from stieltjes.fixedpoint import _INT_LOGS, INT_LOG_GUARD, fixed_log, lattice_err
+from stieltjes.logpoly import LogPoly, pow_step
 from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
@@ -34,7 +34,6 @@ CALLS = {
 
 
 def _clear():
-    _EM_WEIGHTS.clear()
     _INT_LOGS.clear()
     _BRACKETS.clear()
 

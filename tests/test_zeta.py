@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import e as e_const, exp, log, mpf, pi, workdps, zeta
 
 import oracles
-from oracles import LogPolyRef
+from oracles import LogPolyRef, bernoulli_mpf
 from stieltjes.core import (ConvergenceError, DomainError, comp_sum,
                             rounding_floor, tail_claim, working_dps)
 from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import J_PLAN_MAX, _certified_start, bernoulli_mpf
+from stieltjes.logpoly import J_PLAN_MAX, _certified_start
 from stieltjes.zeta import (_head_guard, hurwitz_em, hurwitz_hasse,
                             zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int)
 
