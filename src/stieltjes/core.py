@@ -7,8 +7,8 @@ same bits; the lattice partial sums and the Euler-Maclaurin tails run on
 the fixed-point kernel (fixedpoint), each within a stated bound that its
 claim adds.  Public entry points accept a target tolerance and run at a
 working precision of at least twice the requested number of digits
-(tol_digits reads them from tol's mantissa and exponent), so results carry
-genuine (not optimistic) error claims.  Every function here is a pure
+(mpmath's log10 of tol, memoised per tolerance and precision), so results
+carry genuine (not optimistic) error claims.  Every function here is a pure
 function of its arguments; repeated calls with identical inputs and
 precision produce bit-identical results.
 """
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from mpmath import mp, mpf, sqrt
+from mpmath import mp, mpf, sqrt, workprec
 from mpmath.libmp import mpf_sum
 
 GUARD_DIGITS = 8
@@ -42,60 +43,23 @@ def default_tol() -> mpf:
 
 
 def tol_digits(tol) -> int:
-    """Decimal digits a tolerance of ``tol`` asks for: max(1, ceil(y)) for
-    y = -log10 tol, as mpmath's log10 at the working precision reads it,
-    from tol's mantissa and exponent in integers.
-
-    ceil(y) is the least d with tol >= 10^-d, found by exact comparisons
-    from a float guess.  Rounding y to prec bits changes that only where tol
-    lies just below 10^-k, y = k + eps: mpmath's log10 (logarithms at prec
-    + 20 bits, one division rounded to nearest) reads k when eps is below
-    half an ulp of k, T = 2^(bitlen(k) - 1 - prec), and k + 1 above it.
-    eps = -log10(1 - delta), delta = 1 - tol 10^k, lies between delta/ln 10
-    and that over 1 - delta, so comparing delta with T ln 10 in integers
-    decides, save within 2^-14 of T (where log10's own error could), where
-    log10 itself is taken.
-    """
+    """Decimal digits a tolerance of ``tol`` asks for (ceil of -log10)."""
     tol = mpf(tol)
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    _, man, exp, _ = tol._mpf_
-
-    def at_least(d):  # tol >= 10^-d, for d >= 0
-        return exp >= 0 or man * 10 ** d >= 1 << -exp
-
-    d = max(1, math.ceil(-(math.log10(man) + exp * _LOG10_2)))
-    while d > 1 and at_least(d - 1):
-        d -= 1
-    while not at_least(d):
-        d += 1
-    k = d - 1
-    if k < 1:
-        return 1
-    # tol < 10^-k.  delta 2^-exp = 2^-exp - man 10^k, T = 2^t, and
-    # delta < c T  <=>  (delta 2^-exp) 2^20 < (c 2^20) 2^(t - exp)
-    t = k.bit_length() - 1 - mp.prec
-    if t > -20:
-        return _tol_digits_log10(tol)
-    excess, shift = ((1 << -exp) - man * 10 ** k) << 20, t - exp
-    low, high = _LN10_LOW, _LN10_HIGH
-    if shift >= 0:
-        low, high = low << shift, high << shift
-    else:
-        excess <<= -shift
-    if excess < low:
-        return k
-    return d if excess > high else _tol_digits_log10(tol)
+    return _tol_digits(tol._mpf_, mp.prec)
 
 
-_LOG10_2 = math.log10(2)
-# ln 10 (1 -+ 2^-14) 2^20, rounded outward: the band of tol_digits
-_LN10_LOW = math.floor(math.log(10) * (1 - 2 ** -14) * 2 ** 20)
-_LN10_HIGH = math.ceil(math.log(10) * (1 + 2 ** -14) * 2 ** 20)
+# Distinct (tol, precision) pairs a run reads: a request mix asks a few
+# tolerances at a few precisions, so the cache hits on nearly every call.
+TOL_DIGITS_CACHE_MAX = 256
 
 
-def _tol_digits_log10(tol) -> int:
-    return max(1, int(mp.ceil(-mp.log10(tol))))
+@lru_cache(maxsize=TOL_DIGITS_CACHE_MAX)
+def _tol_digits(tol_mpf, prec: int) -> int:
+    # log10 at the caller's precision: the value depends on both keys
+    with workprec(prec):
+        return max(1, int(mp.ceil(-mp.log10(mp.make_mpf(tol_mpf)))))
 
 
 def working_dps(tol) -> int:

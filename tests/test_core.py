@@ -180,8 +180,8 @@ def test_working_precision_policy():
 
 
 def _tol_digits_log10(tol):
-    """tol_digits as mpmath's log10 reads it: the formula the integer
-    version must reproduce, so that no plan moves."""
+    """tol_digits as mpmath's log10 reads it at the current precision: the
+    memoised value must be this one, so that no plan moves."""
     return max(1, int(mp.ceil(-mp.log10(mpf(tol)))))
 
 
@@ -189,7 +189,7 @@ def _tol_digits_log10(tol):
 def test_tol_digits_is_the_log10_formula(parse_dps):
     # powers of ten 1e-1 ... 1e-300 and random mantissas, parsed at one
     # precision and read at several: y = -log10 tol rounds to an integer
-    # at some and not at others, and the integers must follow
+    # at some and not at others, so the memo must key on the precision
     rng = random.Random(parse_dps)
     with workdps(parse_dps):
         tols = [mpf(f"1e-{e}") for e in range(1, 301)]

@@ -394,12 +394,13 @@ def _tail_within_bound(args, J, bound, dps):
 
 
 def test_em_tail_shifted():
-    # the routes' parts at 32 + x, and summands of m <= 9, p in {0, 1, 2, s}
-    # from starts 2 to 1e6, each with given ends and with its own v(start)
-    # and integral, at J = 4, 9, 13 and with the order loop
+    # the routes' parts at 32 + x for every x of XS, and summands of m <= 9,
+    # p in {0, 1, 2, s} from starts 2 to 1e6 (at one x: only the last
+    # summand reads x), each with given ends and with its own v(start) and
+    # integral, at J = 4, 9, 13 and with the order loop
     for dps in DPS:
         bound = mpf(10) ** -(dps // 2)
-        for x in (XS[0], "0.05", "500", "1e6"):
+        for x in XS:
             x = mpf(x)
             cases = [(v, mpf(32) + x) for v in _route_parts(x)]
             if x == 500:
