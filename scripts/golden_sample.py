@@ -43,8 +43,10 @@ stieltjes for gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k
 zeta(s, x), zeta(s, 1, 1), (-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n),
 and for em_tail sum_{k>=0} f(a+k) - int_a^inf f: (-1)^m zeta(p, a, m) less
 the closed integral, or stieltjes(m, a) + log^(m+1) a/(m+1) for p = 1.
-em_tail's abs_err is the Euler-Maclaurin remainder bound plus the rounding
-floor of the value, as every other claim.  It prints each entry whose gap |value - ref| exceeds its abs_err with the ratio gap/claim,
+em_tail's abs_err is the certified Euler-Maclaurin remainder bound with the
+fixed-point value's own bound, and no rounding floor: the value is the
+exact fixed-point sum.  It prints each entry whose gap |value - ref|
+exceeds its abs_err with the ratio gap/claim,
 then the worst ratio of each function, and exits with status 1 when any
 ratio is above 1.  A comparison of two checkouts cannot show a claim that was
 never a bound; the audit can.
@@ -63,7 +65,7 @@ from mpmath import (factorial as mp_factorial, log, loggamma, mp, mpf, psi,
                     stieltjes, workdps, workprec, zeta)
 from mpmath.libmp import from_man_exp
 
-from stieltjes import (LogPoly, RationalArg, delta, digamma, digamma_rational,
+from stieltjes import (RationalArg, delta, digamma, digamma_rational,
                        dilcher_log_gamma_k, dilcher_power_series, em_tail, eta,
                        gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                        hurwitz_em, log_gamma, zeta_deriv0_diff, zeta_prime_int)
@@ -216,7 +218,7 @@ def _em_tail_values():
               for p in (1, 2, 3) for a in EM_TAIL_STARTS for J in (4, 8)]
     for key, m, p, a, J in cases:
         a = mpf(a)
-        yield (key, em_tail(LogPoly.single(1, m, p), a, J),
+        yield (key, em_tail(m, p, a, J),
                lambda m=m, p=p, a=a: reference(m, p, a))
 
 

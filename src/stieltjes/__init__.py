@@ -10,7 +10,7 @@ from .core import (ConvergenceError, DomainError, SeriesValue,
 from .gamma import (RationalArg, gamma1_alt, gamma1_rational, gamma_diff,
                     gamma_n, gamma_recurrence_check, incgamma_int,
                     stieltjes_integral)
-from .logpoly import LogPoly, bernoulli, em_tail
+from .logpoly import bernoulli, em_tail
 from .quadrature import QuadratureError, quad_gl
 from .related import (VonMangoldtTable, delta, digamma,
                       digamma_rational, dilcher_log_gamma_k, dilcher_power_series,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DomainError", "QuadratureError", "UnknownCheckError",
-    "SeriesValue", "LogPoly", "RationalArg",
+    "SeriesValue", "RationalArg",
     "VonMangoldtTable", "SubCheck", "VerifyReport",
     "accelerate_alternating", "bernoulli", "comp_sum", "default_tol",
     "em_tail", "find_root_bisect", "harmonic", "quad_gl",

@@ -7,7 +7,7 @@ same bits; the lattice partial sums and the Euler-Maclaurin tails run on
 the fixed-point kernel (fixedpoint), each within a stated bound that its
 claim adds.  Public entry points accept a target tolerance and run at a
 working precision of at least twice the requested number of digits
-(mpmath's log10 of tol, memoised per tolerance and precision), so results
+(log10 of tol at 53 bits, memoised per tolerance), so results
 carry genuine (not optimistic) error claims.  Every function here is a pure
 function of its arguments; repeated calls with identical inputs and
 precision produce bit-identical results.
@@ -43,22 +43,25 @@ def default_tol() -> mpf:
 
 
 def tol_digits(tol) -> int:
-    """Decimal digits a tolerance of ``tol`` asks for (ceil of -log10)."""
+    """Decimal digits a tolerance of ``tol`` asks for: ceil of -log10 tol,
+    the logarithm rounded to 53 bits, so that the count reads tol's value
+    and not the precision it is read at (mpf("1e-12") parsed at 15 digits
+    lies a little below 1e-12, and at 34 digits -log10 of it would read
+    just past 12)."""
     tol = mpf(tol)
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    return _tol_digits(tol._mpf_, mp.prec)
+    return _tol_digits(tol._mpf_)
 
 
-# Distinct (tol, precision) pairs a run reads: a request mix asks a few
-# tolerances at a few precisions, so the cache hits on nearly every call.
+# Distinct tolerances a run reads: a request mix asks a few, so the cache
+# hits on nearly every call.
 TOL_DIGITS_CACHE_MAX = 256
 
 
 @lru_cache(maxsize=TOL_DIGITS_CACHE_MAX)
-def _tol_digits(tol_mpf, prec: int) -> int:
-    # log10 at the caller's precision: the value depends on both keys
-    with workprec(prec):
+def _tol_digits(tol_mpf) -> int:
+    with workprec(53):
         return max(1, int(mp.ceil(-mp.log10(mp.make_mpf(tol_mpf)))))
 
 

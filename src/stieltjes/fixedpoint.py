@@ -102,8 +102,9 @@ def fixed_log_ints(lo: int, hi: int, wp: int):
         yield fixed_log(from_int(n), wp)
 
 
-# a product of lattice points is taken to one logarithm once it passes this
-# many times the working bits
+# an exact product is taken to one logarithm once it passes this many times
+# the working bits: fixed_log_sum's lattice points, related._log_factorials'
+# consecutive integers
 LOG_PRODUCT_PRECS = 8
 
 

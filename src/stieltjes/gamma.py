@@ -31,13 +31,18 @@ tail's abs_err is em_tail's certified remainder bound, at every K and J.
 
 Three partial sums are fixedpoint.lattice_sum over the route's summand as a
 parts list: series_b's (_series_b_parts), series_c's (_series_c_parts) and
-gamma_diff's f(k+x) - f(k+y), within 2^-prec of the exact sum by the
-kernel's one proof.  coffey's panel defect is not a log-polynomial, so
-_coffey_sum keeps its own fixed-point loop on the same rules.  Each claim
-adds that 2^-prec (fixedpoint.lattice_err) to the tail's and the rounding
-floor; the single boundary steps are logpoly.pow_step, in mpf.  series_b,
-series_c and coffey add the guard digits of their largest term,
-|log^(n+1) x|/x at a tiny x (_head_dps, core.head_guard).
+gamma_diff's f(k+x) - f(k+y), each within 2^(-prec-3) of the exact sum by
+the kernel's one proof.  The single boundary steps, series_c's (log^q(K+1)
+- log^q(K+x))/q and gamma_diff's (log^q(K+y) - log^q(K+x))/q, are
+lattice_sum's too, over the telescoped pair on the one range (K, K+1),
+within 2^(-prec-3) each.  coffey's panel defect is not a log-polynomial, so
+_coffey_sum keeps its own fixed-point loop on the same rules, and takes
+the end terms f(x)/2, log^q x/q and f(K+x)/2 from the logarithms of its
+first and last panels, within 2^-prec in all.  Each claim adds 2^-prec
+(fixedpoint.lattice_err), which holds a partial sum and its boundary step
+together, to the tail's and the rounding floor.  series_b, series_c and
+coffey add the guard digits of their largest term, |log^(n+1) x|/x at a
+tiny x (_head_dps, core.head_guard).
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
                    tail_claim, working_dps)
 from .fixedpoint import (fixed_div, fixed_log, fixed_mul, fixed_pow, from_fixed,
                          lattice_err, lattice_sum, lattice_wp)
-from .logpoly import LogPoly, em_start_for, em_tail, pow_step
+from .logpoly import em_start_for, em_tail
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -120,11 +125,10 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     """(K, tail) for the lattice sum of f = log^n t / t from K + x: the first
     rung K of em_start_for's ladder whose em_tail, its order raised at most
     to J_PLAN_MAX, is certified below tol/4, and that rung's tail."""
-    f = LogPoly.single(1, n, 1)
     bound = tol / 4
 
     def probe(K):
-        tail = em_tail(f, K + x, 4, bound, floor=False)
+        tail = em_tail(n, 1, K + x, 4, bound)
         return tail, tail.abs_err
 
     K, tail, _ = em_start_for(probe, bound, start)
@@ -165,7 +169,9 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         # corrections at distinct points, not just the partial-sum algebra
         K, tail = _lattice_plan(n, x, tol, 48)
         partial = lattice_sum(_series_c_parts(n, x))(0, K)
-        value = partial + tail.value + pow_step(log(K + x), K + x, mpf(K + 1), q) / q
+        # the boundary piece (log^q(K+1) - log^q(K+x))/q, within 2^(-prec-3)
+        # as the partial sum is: lattice_err() holds both
+        value = partial + tail.value + lattice_sum(_step_parts(q, x, 1))(K, K + 1)
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
                            K, "series_c")
 
@@ -175,6 +181,14 @@ def _series_c_parts(n: int, x) -> list:
     as lattice_sum's parts."""
     q = n + 1
     return [(1, x, n, 1), (Fraction(-1, q), 2, q, 0), (Fraction(1, q), 1, q, 0)]
+
+
+def _step_parts(q: int, a, b) -> list:
+    """(log^q(k+b) - log^q(k+a))/q as lattice_sum's parts: on (K, K+1) the
+    one step at K, on (lo, hi) with b = a + 1 the telescoped
+    (log^q(hi-1+b) - log^q(lo+a))/q.  The kernel merges the interior
+    coefficients exactly, so only the two end points take a logarithm."""
+    return [(Fraction(1, q), b, q, 0), (Fraction(-1, q), a, q, 0)]
 
 
 def incgamma_int(n: int, t) -> mpf:
@@ -239,21 +253,17 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
     and Gamma(n+1, t) at each panel end share one running sum of t^m/m!,
     and log b and both gammas carry into the next panel.
     """
-    q = n + 1
     with workdps(_head_dps(n, x, tol)):
-        f = LogPoly.single(1, n, 1)
         K, tail = _lattice_plan(n, x, tol, 32)
-        fx = f(x)
-        partial = _coffey_sum(n, x, K)
-        value = (fx - log(x) ** q / q - fx / 2
-                 + partial + tail.value - f(K + x) / 2)
+        value = _coffey_sum(n, x, K) + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
                            K, "coffey")
 
 
 def _coffey_sum(n: int, x, K: int) -> mpf:
-    """The sum of the panel defects D_j for j = 0..K-1 in fixed point
-    (fixedpoint's rules; the defect is not a log-polynomial, so not
+    """f(x)/2 - log^(n+1) x/(n+1) + sum_{j<K} D_j - f(K+x)/2, f = log^n t / t:
+    the sum of the panel defects D_j and coffey's three end terms, in fixed
+    point (fixedpoint's rules; the defect is not a log-polynomial, so not
     lattice_sum).
 
     Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b, log^q b
@@ -267,12 +277,15 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
     (rule (2)), so the step over q within 10 M^q + 1, and n dG_n - dG_(n+1),
     from _incgamma_pair's bounds at E = 1/b, within 20 n! q^2 M^q, which the
     weight a + 1/2 <= K + x + 1 multiplies (rule (5)); a panel with a < 1
-    divides its log powers by a >= x (rule (4)).  Each is at most 2^7 q^2
-    M^q s with s = (K + x + 1) n! max(1, 1/x), so the sum is within
-    2^-prec.
+    divides its log powers by a >= x (rule (4)).  The end terms take the
+    first panel's log^n x and log^q x and the last panel's log^n(K+x):
+    f(x)/2 and f(K+x)/2 by rule (4) and a halving, each within 5 q M^q s +
+    2, and log^q x/q within 5 M^q + 1.  Each of these K + 3 terms is at most
+    2^7 q^2 M^q s with s = (K + x + 1) n! max(1, 1/x), so lattice_wp, which
+    counts them all, holds the sum within 2^-prec.
     """
     q = n + 1
-    wp = lattice_wp(K, q, sum(x._mpf_[2:]), sum((K + x)._mpf_[2:]),
+    wp = lattice_wp(K + 3, q, sum(x._mpf_[2:]), sum((K + x)._mpf_[2:]),
                     int(mp.ceil((K + x + 1) * factorial(n) * max(1, 1 / x))))
     one = 1 << wp
     xv = x._mpf_
@@ -281,7 +294,7 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
     Pa = fixed_pow(La, n, wp)
     Qa = Pa * La >> wp
     gammas_a = None
-    S = 0
+    S = fixed_div(Pa, a) // 2 - Qa // q  # f(x)/2 - log^q x/q
     for j in range(1, K + 1):
         b = mpf_add(xv, from_int(j))
         Lb = fixed_log(b, wp)
@@ -298,7 +311,7 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
         else:
             S += (fixed_div(Pa, a) + fixed_div(Pb, b)) // 2 - dlog
         a, La, Pa, Qa = b, Lb, Pb, Qb
-    return from_fixed(S, wp)
+    return from_fixed(S - fixed_div(Pa, a) // 2, wp)  # less f(K+x)/2
 
 
 def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
@@ -315,10 +328,11 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
         partial = lattice_sum([(1, x, n, 1), (-1, y, n, 1)])(0, K)
-        other = em_tail(LogPoly.single(1, n, 1), K + max(x, y), tail.terms_used,
-                        floor=False)
+        other = em_tail(n, 1, K + max(x, y), tail.terms_used)
         tx, ty = (tail, other) if x < y else (other, tail)
-        boundary = -pow_step(log(K + y), K + y, K + x, q) / q
+        # (log^q(K+y) - log^q(K+x))/q, within 2^(-prec-3) as the partial sum
+        # is: lattice_err() holds both
+        boundary = lattice_sum(_step_parts(q, x, y))(K, K + 1)
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value) + lattice_err()
         return SeriesValue(value, err, K, "difference")

@@ -31,6 +31,12 @@ claim adds:
   P_k(log t) / t^(p+k); the value and each correction within tail_err()
   (the proof above TAIL_GUARD).
 
+A route's single boundary steps and end terms come from the same two (a
+lattice_sum of a telescoped pair on one range, a tail's own v(start)/2 and
+integral), so no log-polynomial is evaluated in mpf.  em_tail is the tail
+of the one term log^m t / t^p without its integral, the tail the gamma
+routes plan with.
+
 The one ladder em_start_for walks K through start * factor^i, calling the
 route's probe(K) -> (result, err) once per rung.  Given a bound,
 em_tail_shifted's order loop raises J from 4, at most to J_PLAN_MAX, until
@@ -53,12 +59,12 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from mpmath import bernfrac, iv, log, mp, mpf
+from mpmath import bernfrac, iv, mp, mpf
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
                           mpf_div, mpf_mul, mpf_pow, mpf_sub, round_up, to_fixed,
                           to_rational)
 
-from .core import ConvergenceError, DomainError, SeriesValue, rounding_floor
+from .core import ConvergenceError, DomainError, SeriesValue
 from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed
 
 
@@ -70,60 +76,6 @@ def bernoulli(idx: int) -> Fraction:
     return Fraction(*bernfrac(idx))
 
 
-class LogPoly:
-    """Finite sum of c * log(t)^m / t^p terms, {(m, p): c}; em_tail takes a
-    single one.  log^0 t is 1 everywhere, so at t = 1 only m = 0 remains."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        terms = terms or {}
-        if any(m < 0 or p < 0 for m, p in terms):
-            raise DomainError("LogPoly: powers must be >= 0")
-        self.terms = {k: mpf(c) for k, c in terms.items() if c}
-
-    @classmethod
-    def single(cls, coeff, log_power: int, inv_power: int) -> "LogPoly":
-        return cls({(log_power, inv_power): mpf(coeff)})
-
-    def __call__(self, t) -> mpf:
-        t = mpf(t)
-        lt = log(t)
-        total = mpf(0)
-        for (m, p), c in self.terms.items():
-            total += c * lt ** m / t ** p
-        return total
-
-
-def logpow_antiderivative(q: int, u) -> mpf:
-    """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
-    u = mpf(u)
-    lu = log(u)
-    total = mpf(0)
-    for j in range(q + 1):
-        total += (-1) ** (q - j) * mpf(factorial(q)) / factorial(j) * lu ** j
-    return u * total
-
-
-def pow_step(la, a, b, q: int) -> mpf:
-    """log^q b - log^q a, given la = log a, without large-minus-large loss:
-    delta * sum_{i<q} lb^i la^(q-1-i) with delta = log(b/a), lb = la + delta.
-
-    The sum is Horner's rule in lb, s = s*lb + la^i, with the powers of la
-    kept as a running product: q - 1 multiply-adds.  For q <= 2 the bits are
-    those of the sum written out term by term.  The relative-accurate step
-    of the single boundary terms; the lattice loops take the fixed-point
-    fixed_step.
-    """
-    delta = log(mpf(b) / a)
-    lb = la + delta
-    s = p = mpf(1)
-    for _ in range(q - 1):
-        p *= la
-        s = s * lb + p
-    return delta * s
-
-
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
 # reaches and em_tail accepts.  J = 13 is the smallest order that takes a
@@ -133,36 +85,29 @@ K_CAP = 10 ** 6
 J_PLAN_MAX = 13
 
 
-def em_tail(f: LogPoly, start, J: int = 4, bound=None,
-            floor: bool = True) -> SeriesValue:
+def em_tail(m: int, p, start, J: int = 4, bound=None) -> SeriesValue:
     """sum_{k>=0} f(start + k) - int_start^inf f(t) dt by Euler-Maclaurin,
-    for a single term f = c log^m t / t^p, p >= 1, and a start >= 2.
+    for f = log^m t / t^p, an int m >= 0, p >= 1 (an int, or an mpf read
+    exactly), and a start >= 2.
 
-    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start), f(start)
-    from the tail's own logarithm; terms_used is J, at most J_PLAN_MAX,
-    rising from J as in em_tail_shifted when a bound is given.  abs_err is
-    em_tail_shifted's claim with the certificate key (m, start, 0, |c|, p),
-    plus rounding_floor(value) unless floor=False (the lattice routes add
-    their own floor to the whole sum).  A LogPoly of several terms raises
-    DomainError: its remainder has no certificate here (em_tail_shifted
-    takes such a summand with its key).
+    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start): the exact
+    fixed-point sum of em_tail_shifted on the one part (1, 0, m, p),
+    without its integral; terms_used is J, at most J_PLAN_MAX, rising from
+    J as in em_tail_shifted when a bound is given.  abs_err is
+    em_tail_shifted's claim with the certificate key (m, start, 0, 1, p),
+    which holds the value's tail_err() too.
     """
-    if not f.terms:
-        return SeriesValue(mpf(0), mpf(0), 1, "euler_maclaurin")
-    if len(f.terms) > 1:
-        raise DomainError("em_tail: f must be a single term c log^m t / t^p")
-    (m, p), c = next(iter(f.terms.items()))
+    if type(m) is not int or m < 0:
+        raise DomainError("em_tail: the log power m must be an int >= 0")
     if p < 1:
-        raise DomainError("em_tail: term with inv_power = 0 has a divergent tail")
+        raise DomainError("em_tail: term with inv_power < 1 has a divergent tail")
     if J > J_PLAN_MAX:
         raise DomainError(f"em_tail: correction order J must be <= {J_PLAN_MAX}")
     start = mpf(start)
     if start < 2:
         raise DomainError("em_tail: start must be >= 2")
-    value, err, J = em_tail_shifted([(c, 0, m, p)], None, 0, start, J, bound,
-                                    (m, start, 0, abs(c), p))
-    if floor:
-        err += rounding_floor(value)
+    value, err, J = em_tail_shifted([(1, 0, m, p)], start, J, bound, (m, start, 0, 1, p),
+                                    integral=False)
     return SeriesValue(value, err, J, "euler_maclaurin")
 
 
@@ -191,10 +136,10 @@ def em_tail(f: LogPoly, start, J: int = 4, bound=None,
 # q = m + 1 (the integral's, at p = 1), each with A at most _tail_rows(m, p)'s
 # bound, so v(start)/2, the integral and every correction is within B, the
 # sum over the parts of 2^4 q (|c| + 1)(A + 1) G M^q units, and the value,
-# at most J_PLAN_MAX + 2 of them and two given ends (each floored, within 2),
-# within 2^4 (B + 1).  At wp = prec + bitlen(B) + TAIL_GUARD both are below
-# tail_err() = 2^(-prec-3), which the claim adds to the first omitted
-# correction before its certificate reads it, and to the certified bound.
+# at most J_PLAN_MAX + 2 of them, within 2^4 B.  At wp = prec + bitlen(B) +
+# TAIL_GUARD both are below tail_err() = 2^(-prec-3), which the claim adds
+# to the first omitted correction before its certificate reads it, and to
+# the certified bound.
 
 # bits of 2^4 (the count of a value's terms) and 2^3 (the margin): see above
 TAIL_GUARD = 7
@@ -271,22 +216,21 @@ def _exact(x):
     return x._mpf_ if type(x) is mpf else from_int(x) if type(x) is int else mpf(x)._mpf_
 
 
-def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
-                    key=None) -> tuple[mpf, mpf, int]:
+def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
+                    integral: bool = True) -> tuple[mpf, mpf, int]:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
     v(t) = sum c log^m(t + shift) / (t + shift)^p, each c (an int, a
     Fraction or an mpf), shift (an int or an mpf) and p (an int, or an mpf
     as the rational it is) read exactly, and every point start + shift
     >= 2.
 
-    Returns (value, err, J): the integral plus v(start)/2 minus the
-    Bernoulli corrections B_2j/(2j)! v^(2j-1)(start) of order j <= J, the
-    claimed remainder, and J.  v_at_start and integral, when None, are the
-    tail's own: v(start) from row 0 of each part, and int_start^inf v as
-    -sum c F(start + shift) with F the antiderivative of log^m u / u^p
-    (_tail_rows), which the parts must make vanish at infinity (or, as
-    hurwitz_em's (t + x)^-s, continue analytically); given, each is a
-    number.
+    Returns (value, err, J): v(start)/2 (row 0 of each part) plus
+    int_start^inf v minus the Bernoulli corrections B_2j/(2j)!
+    v^(2j-1)(start) of order j <= J, the claimed remainder, and J.  The
+    integral is -sum c F(start + shift) with F the antiderivative of
+    log^m u / u^p (_tail_rows), which the parts must make vanish at
+    infinity (or, as hurwitz_em's (t + x)^-s, continue analytically; delta
+    adds its F(1) to the tail of log^n t); integral=False leaves it out.
 
     In fixed point (the proof above TAIL_GUARD): the parts at one point u
     whose p differ by integers share one logarithm, its powers, and one
@@ -309,7 +253,7 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
     specs, parts = {}, []  # (shift, p mod 1) -> [u, least exponent, degree]
     for c, shift, m, p in v:
         shift, p = _exact(shift), _rational(p)
-        e = p if integral is not None else p - 1
+        e = p - 1 if integral else p
         at = (shift, e - math.floor(e))
         spec = specs.setdefault(at, [mpf_add(start, shift), e, 1])
         spec[1], spec[2] = min(spec[1], e), max(spec[2], m + 1)
@@ -328,14 +272,9 @@ def em_tail_shifted(v, v_at_start, integral, start, J: int = 4, bound=None,
     terms = [(points[at], int(p - specs[at][1]), *_tail_rows(m, p)[:2], num, den)
              for at, m, p, num, den in parts]
 
-    if integral is None:
-        S = sum(point.term(F, k - 1, num, den) for point, k, _, F, num, den in terms)
-    else:
-        S = to_fixed(_exact(mpf(integral)), wp)
-    if v_at_start is None:
-        S += sum(point.term(rows[0], k, num, 2 * den) for point, k, rows, _, num, den in terms)
-    else:
-        S += to_fixed(_exact(mpf(v_at_start)), wp) >> 1
+    S = sum(point.term(rows[0], k, num, 2 * den) for point, k, rows, _, num, den in terms)
+    if integral:
+        S += sum(point.term(F, k - 1, num, den) for point, k, _, F, num, den in terms)
 
     def correction(j):  # B_2j/(2j)! v^(2j-1)(start)
         return sum(point.term(rows[j], k + 2 * j - 1, num, den)

@@ -19,9 +19,13 @@ Series used here and their tails:
             evaluated at finite N with Bernoulli endpoint corrections.
 
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
-integrals over [K, inf).  The Gamma_k series builds its summand once as a
+integrals over [K, inf), and every sum here of log-polynomial terms runs on
+the fixed-point kernel.  The Gamma_k series builds its summand once as a
 parts list (_dilcher_parts), which fixedpoint.lattice_sum reads for the
 partial sum and em_tail_shifted for the tail, with its v(K) and integral.
+delta's tail of log^n t takes its own ends v(N)/2 and -F(N).
+mangoldt_gap_sums takes its direct terms and its closed integral from
+lattice_sum, the integral as the telescoped step (gamma._step_parts).
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
                    default_tol, head_guard, log_abs, rounding_floor, tail_claim,
                    working_dps)
-from .gamma import RationalArg, _gamma1_bracket, _gamma_series_b, gamma1_alt, gamma_n
-from .fixedpoint import lattice_err, lattice_sum
-from .logpoly import (K_CAP, LogPoly, em_start_for, em_tail, em_tail_shifted,
-                      logpow_antiderivative, pow_step)
+from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
+                    gamma_n)
+from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
+from .logpoly import K_CAP, em_start_for, em_tail, em_tail_shifted
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -197,9 +201,11 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 
     The Lambda part runs over the prime powers k = p^m <= N only, with
     log k = m log p and log p taken once per prime.  The other part,
-    sum_{k<=N} log^n k / k, is a head of direct terms below a, plus the
-    Euler-Maclaurin tails of f = log^n t / t at a and at N + 1, plus the
-    closed-form int_a^(N+1) f = [log^(n+1)(N+1) - log^(n+1) a]/(n+1).
+    sum_{k<=N} f(k) with f = log^n t / t, is the direct terms below a, a
+    lattice_sum of f from one checkpoint to the next, plus the
+    Euler-Maclaurin tails of f at a and at N + 1, plus int_a^(N+1) f =
+    [log^(n+1)(N+1) - log^(n+1) a]/(n+1), the lattice_sum of the telescoped
+    pair over (a, N + 1), which takes a logarithm at its two ends only.
     a is the first rung of 16 * 4^i at which em_tail, its order raised at
     most to J_PLAN_MAX, certifies the tail below 2^-prec (prec: the working
     bits), or the first past the last checkpoint, where every sum is direct.
@@ -221,24 +227,24 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
             parts[i] = comp_sum(lp * (m * lp) ** n / k for k, lp, m in group)
         lam = accumulate(parts, lambda s, t: comp_sum([s, t]))
 
-        f = LogPoly.single(1, n, 1)
         bound = mpf(2) ** -mp.prec
         a = 16
         while a <= pending[-1]:
-            tail = em_tail(f, a, 4, bound, floor=False)
+            tail = em_tail(n, 1, a, 4, bound)
             if tail.abs_err < bound:
                 break
             a *= 4
-        terms = [f(k) for k in range(1, min(a, pending[-1] + 1))]
-        if a <= pending[-1]:
-            la, J = log(a), tail.terms_used
-            head = comp_sum(chain(terms, [tail.value]))
+        # sum_{k<e} f(k) at each end e = min(N + 1, a), in order
+        f = lattice_sum([(1, 0, n, 1)])
+        ends = sorted(set(min(N + 1, a) for N in pending))
+        direct = dict(zip(ends, accumulate((f(lo, hi) for lo, hi in zip([1] + ends, ends)),
+                                           lambda s, t: comp_sum([s, t]))))
+        step = lattice_sum(_step_parts(n + 1, 0, 1))
         for N, lam_N in zip(pending, lam):
-            if N < a:
-                harmonic = comp_sum(terms[:N])
-            else:
-                harmonic = comp_sum([head, -em_tail(f, N + 1, J, floor=False).value,
-                                     pow_step(la, a, mpf(N + 1), n + 1) / (n + 1)])
+            harmonic = direct[min(N + 1, a)]
+            if N >= a:
+                harmonic = comp_sum([harmonic, tail.value, step(a, N + 1),
+                                     -em_tail(n, 1, N + 1, tail.terms_used).value])
             out[N] = lam_N - harmonic
     return out
 
@@ -246,11 +252,6 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 # ---------------------------------------------------------------------------
 # delta constants
 # ---------------------------------------------------------------------------
-
-# a running product of consecutive integers is turned into one logarithm
-# once it passes this many times the working precision in bits
-LOG_PRODUCT_PRECS = 8
-
 
 def _log_factorials(ms) -> dict[int, mpf]:
     """log M! for every M >= 1 in ms, from one ascending pass of exact
@@ -304,11 +305,14 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
     """delta_n = (-1)^n [zeta^(n)(0) + n!], by the endpoint-corrected
     evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2.
 
-    The partial sum S_n(N) comes from exact integer products and prime
-    powers (_log_power_sum), not from N logarithms.  The endpoint
+    That is S_n(N-1) + F(1) + the tail of log^n t from N, F(u) = u sum_j
+    (-1)^(n-j) n!/j! log^j u the antiderivative of log^n u, F(1) =
+    (-1)^n n!: the tail's own ends, v(N)/2 and -F(N), in fixed point, take
+    the rest.  The partial sum S_n(N-1) comes from exact integer products
+    and prime powers (_log_power_sum), not from N logarithms.  The endpoint
     corrections take em_tail_shifted's order loop, J rising from 4 until
     the certified remainder of em_tail_error is below the rounding floor of
-    the partial sum and the integral, which the claim adds anyway.
+    the partial sum, which the claim adds anyway.
     """
     if not 0 <= n <= 2:
         raise DomainError("delta: order must be 0, 1 or 2")
@@ -320,16 +324,13 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         if n == 0:
             # every term of the corrected form cancels identically
             return SeriesValue(mpf(1) / 2, mpf(0), N, "em_corrected")
-        partial = _log_power_sum(n, N)
-        integral = logpow_antiderivative(n, mpf(N)) - logpow_antiderivative(n, mpf(1))
-        value = partial - integral - log(N) ** n / 2
-        # the partial sum and the integral are each about N log^n N, and
-        # their terms' rounding, not the value's, sets the floor
-        floor = rounding_floor(abs(partial) + abs(integral))
+        partial = _log_power_sum(n, N - 1)
+        # the partial sum is about N log^n N, and its terms' rounding, not
+        # the value's, sets the floor
+        floor = rounding_floor(partial)
         # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
-        correction, err, _ = em_tail_shifted([(1, 0, n, 0)], 0, 0, N, bound=floor,
-                                             key=(n - 1, N, -1, n))
-        value += correction
+        tail, err, _ = em_tail_shifted([(1, 0, n, 0)], N, bound=floor, key=(n - 1, N, -1, n))
+        value = partial + (-1) ** n * factorial(n) + tail
         err = tail_claim(err, value) + floor
         return SeriesValue(value, err, N, "em_corrected")
 
@@ -439,7 +440,7 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
         scale = x * x / 2
 
         def probe(K):
-            tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4,
+            tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4,
                                            (k, mp.fadd(K, min(0, x), exact=True), 1, scale))
             return tail, err
 

@@ -29,7 +29,7 @@ from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
 from .gamma import gamma_n
 from .fixedpoint import lattice_err, lattice_sum
-from .logpoly import LogPoly, em_start_for, em_tail, em_tail_shifted
+from .logpoly import em_start_for, em_tail, em_tail_shifted
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -101,11 +101,10 @@ def check_cotangent(x) -> VerifyReport:
         res_psi = abs(target - (da.value - db.value))
         tol_psi = da.abs_err + db.abs_err
 
-        inv = LogPoly.single(1, 0, 1)
         K = 64
         partial = 1 / x + comp_sum(2 * x / (x * x - n * n) for n in range(1, K))
-        tp = em_tail(inv, K + x, floor=False)
-        tm = em_tail(inv, K - x, floor=False)
+        tp = em_tail(0, 1, K + x)
+        tm = em_tail(0, 1, K - x)
         pf = partial + tp.value - tm.value + log((K - x) / (K + x))
         res_pf = abs(target - pf)
         tol_pf = tp.abs_err + tm.abs_err
@@ -271,7 +270,7 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     scale = q * (x - 1) ** 2 / 2
 
     def probe(K):
-        tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4,
+        tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4,
                                        (q - 1, mp.fadd(K, min(1, x), exact=True), 1, scale))
         return tail, err
 

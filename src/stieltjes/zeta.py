@@ -96,7 +96,7 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
         J_min = max(4, int(floor((-s - 1) / 2)) + 1)
 
         def probe(N):
-            tail, err, _ = em_tail_shifted([(1, x, 0, s)], None, None, N, J_min, tol / 2)
+            tail, err, _ = em_tail_shifted([(1, x, 0, s)], N, J_min, tol / 2)
             return tail, err
 
         # the ladder starts 14 terms past |s|, where the corrections decay fast
@@ -181,7 +181,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         scale = q * abs(x * (x - 1)) / 2
 
         def probe(K):
-            tail, err, _ = em_tail_shifted(parts, None, None, K, 4, tol / 4, (k, K, 1, scale))
+            tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4, (k, K, 1, scale))
             return tail, err
 
         K, tail, err = em_start_for(probe, tol / 4, 32)
@@ -240,7 +240,7 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
         def probe(K):
-            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], None, None, K, 4, tol / 2,
+            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], K, 4, tol / 2,
                                            (1, K, 0, 1, s))
             return tail, err
 

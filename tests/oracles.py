@@ -18,8 +18,9 @@ from math import factorial
 from mpmath import mp, mpf, log, nstr
 from mpmath.libmp import mpf_sum, to_rational
 
-from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _log_polys,
-                               _root_table, bernoulli)
+from stieltjes.core import DomainError
+from stieltjes.logpoly import (J_PLAN_MAX, _certified_start, _log_polys, _root_table,
+                               bernoulli)
 
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
@@ -112,16 +113,39 @@ def gamma_n_partial_sum(n: int, x, N: int) -> mpf:
 
 
 # --- log-polynomial algebra ---------------------------------------------------
-# The term-by-term algebra of LogPoly: the reference that logpoly._log_polys,
-# the library's one exact derivative table, is checked against.
+# A finite sum of terms c log^m t / t^p, its evaluation and its algebra term
+# by term in mpf: the reference that logpoly._log_polys, the library's one
+# exact derivative table, and the fixed-point evaluations are checked
+# against.
 
-class LogPolyRef(LogPoly):
-    """A LogPoly with its derivative, sum and scaling, term by term:
+class LogPolyRef:
+    """A finite sum of c log^m t / t^p terms, {(m, p): c}, with its
+    derivative, sum and scaling, term by term:
 
         d/dt [log^m t / t^p] = m log^(m-1) t / t^(p+1)  -  p log^m t / t^(p+1)
+
+    log^0 t is 1 everywhere, so at t = 1 only m = 0 remains.
     """
 
-    __slots__ = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        terms = terms or {}
+        if any(m < 0 or p < 0 for m, p in terms):
+            raise DomainError("LogPolyRef: powers must be >= 0")
+        self.terms = {k: mpf(c) for k, c in terms.items() if c}
+
+    @classmethod
+    def single(cls, coeff, log_power: int, inv_power: int) -> "LogPolyRef":
+        return cls({(log_power, inv_power): mpf(coeff)})
+
+    def __call__(self, t) -> mpf:
+        t = mpf(t)
+        lt = log(t)
+        total = mpf(0)
+        for (m, p), c in self.terms.items():
+            total += c * lt ** m / t ** p
+        return total
 
     def diff(self) -> "LogPolyRef":
         out: dict = {}
@@ -134,7 +158,7 @@ class LogPolyRef(LogPoly):
                 out[key] = out.get(key, mpf(0)) - c * p
         return LogPolyRef(out)
 
-    def __add__(self, other: LogPoly) -> "LogPolyRef":
+    def __add__(self, other: "LogPolyRef") -> "LogPolyRef":
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, mpf(0)) + c
@@ -145,11 +169,34 @@ class LogPolyRef(LogPoly):
         return LogPolyRef({k: c * factor for k, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LogPoly) and self.terms == other.terms
+        return isinstance(other, LogPolyRef) and self.terms == other.terms
+
+
+def logpow_antiderivative_ref(q: int, u) -> mpf:
+    """int log^q u du = u * sum_{j<=q} (-1)^(q-j) (q!/j!) log^j u."""
+    u = mpf(u)
+    lu = log(u)
+    total = mpf(0)
+    for j in range(q + 1):
+        total += (-1) ** (q - j) * mpf(factorial(q)) / factorial(j) * lu ** j
+    return u * total
+
+
+def pow_step_ref(la, a, b, q: int) -> mpf:
+    """log^q b - log^q a, given la = log a, without large-minus-large loss:
+    delta * sum_{i<q} lb^i la^(q-1-i) with delta = log(b/a), lb = la + delta,
+    by Horner's rule in lb with the powers of la as a running product."""
+    delta = log(mpf(b) / a)
+    lb = la + delta
+    s = p = mpf(1)
+    for _ in range(q - 1):
+        p *= la
+        s = s * lb + p
+    return delta * s
 
 
 # --- reference forms of log-polynomial evaluation ----------------------------
-# Written term by term in plain mpf arithmetic, from a LogPoly's terms
+# Written term by term in plain mpf arithmetic, from a LogPolyRef's terms
 # {(m, p): c}, each the term c log^m t / t^p.
 
 class LogPoint:
@@ -171,7 +218,7 @@ class LogPoint:
         return up
 
     def eval(self, poly) -> mpf:
-        """poly(u), with the bits of LogPoly.__call__."""
+        """poly(u), with the bits of LogPolyRef.__call__."""
         total = mpf(0)
         for (m, p), c in poly.terms.items():
             lm = self.lpow.get(m)
@@ -182,7 +229,7 @@ class LogPoint:
 
 
 def logpoly_integral_to_inf(f, a) -> mpf:
-    """int_a^inf f(t) dt for a LogPoly whose terms all have inv_power >= 2.
+    """int_a^inf f(t) dt for a LogPolyRef whose terms all have inv_power >= 2.
 
     Per term: int_a^inf log^m t / t^p dt
         = m!/(p-1)^(m+1) * a^(1-p) * sum_{j<=m} ((p-1) log a)^j / j!
@@ -231,9 +278,9 @@ def _as_mpf(c):
     return mp.fdiv(c.numerator, c.denominator) if type(c) is Fraction else mpf(c)
 
 
-def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
+def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
     """(value, |first omitted correction|, J) of em_tail_shifted's key-less
-    order loop; v_at_start and integral None are v(start) and
+    order loop, from v(start)/2 and, unless integral is False,
     -sum c F(start + shift), F the antiderivative of log^m u / u^p."""
     start = mpf(start)
     points = {}
@@ -260,11 +307,9 @@ def em_tail_shifted_mpf(v, v_at_start, integral, start, J=4, bound=None):
     def correction(j):
         return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
 
-    if v_at_start is None:
-        v_at_start = at(0)
-    if integral is None:
-        integral = -mp.fsum(c * antiderivative(m, p, point) for c, point, _, m, p in terms)
-    value = mpf(integral) + mpf(v_at_start) / 2
+    value = at(0) / 2
+    if integral:
+        value -= mp.fsum(c * antiderivative(m, p, point) for c, point, _, m, p in terms)
     for j in range(1, J + 1):
         value -= correction(j)
     omitted = correction(J + 1)

@@ -1,7 +1,8 @@
 """Claim audit of the Euler-Maclaurin routes whose order rises with the
 digits asked for: log_gamma, digamma, dilcher_log_gamma_k, hurwitz_em and
 zeta_prime_int; of hurwitz_hasse, whose start shift and term budget grow
-with them; and of dilcher_power_series inside the unit disc.
+with them; of dilcher_power_series inside the unit disc; and of em_tail
+on the golden sample's grid.
 
 Every claim must bound the true error, taken against mpmath at 40 more
 digits than the route works at, and meet the tolerance.  The grids reach
@@ -10,10 +11,11 @@ the first rung of each ladder (at 1e-12) and the far end of the order plan
 """
 
 import pytest
-from mpmath import log, loggamma, mpf, psi, stieltjes, workdps, zeta
+from mpmath import factorial, log, loggamma, mpf, psi, stieltjes, workdps, zeta
 
 from stieltjes.core import working_dps
 from stieltjes.gamma import gamma_n
+from stieltjes.logpoly import em_tail
 from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, log_gamma
 from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_prime_int
 
@@ -117,6 +119,39 @@ def test_hurwitz_hasse_claims(s, x, tol):
 def test_zeta_prime_int_claims(s, tol):
     s, tol = mpf(s), mpf(tol)
     _audit(zeta_prime_int(s, tol), tol, lambda: zeta(s, 1, 1))
+
+
+def _em_tail_reference(m, p, a):
+    """sum_{k>=0} f(a+k) - int_a^inf f for f = log^m t / t^p, by mpmath."""
+    la = log(a)
+    if p == 1:
+        return stieltjes(m, a) + la ** (m + 1) / (m + 1)
+    integral = (factorial(m) / (p - 1) ** (m + 1) * a ** (1 - p)
+                * sum(((p - 1) * la) ** j / factorial(j) for j in range(m + 1)))
+    return (-1) ** m * zeta(p, a, m) - integral
+
+
+# the golden sample's em_tail entries: log^n t / t at 32.2546 for n 0..8,
+# and log^m t / t^p for m 0..3, p 1..3 at starts on both sides of the
+# certified start
+EM_TAIL_CASES = ([(n, 1, "32.2546", J) for n in range(9) for J in (4, 13)]
+                 + [(m, p, a, J) for m in range(4) for p in (1, 2, 3)
+                    for a in ("4.5", "12.25", "30.5", "100.75", "500.5") for J in (4, 8)])
+
+
+def test_em_tail_claims():
+    # the claim is the certified remainder and the fixed-point value's own
+    # bound, with no rounding floor: it must bound the true error alone,
+    # against mpmath at 50 digits (the orders J share one reference)
+    refs = {}
+    for m, p, a, J in EM_TAIL_CASES:
+        with workdps(34):
+            start = mpf(a)
+            sv = em_tail(m, p, start, J)
+        with workdps(50):
+            if (m, p, a) not in refs:  # at the start's binary value
+                refs[m, p, a] = _em_tail_reference(m, p, start)
+            assert abs(sv.value - refs[m, p, a]) <= sv.abs_err, (m, p, a, J)
 
 
 def test_the_grids_reach_the_first_rung():

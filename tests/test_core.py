@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import fadd, mp, mpf, sqrt, workdps
+from mpmath import fadd, mp, mpf, sqrt, workdps, workprec
 
 import oracles
-from stieltjes.core import (DomainError, SeriesValue, accelerate_alternating,
+from stieltjes.core import (GUARD_DIGITS, DomainError, SeriesValue, accelerate_alternating,
                             comp_sum, find_root_bisect, harmonic, tol_digits,
                             working_dps)
 
@@ -180,16 +180,17 @@ def test_working_precision_policy():
 
 
 def _tol_digits_log10(tol):
-    """tol_digits as mpmath's log10 reads it at the current precision: the
-    memoised value must be this one, so that no plan moves."""
-    return max(1, int(mp.ceil(-mp.log10(mpf(tol)))))
+    """tol_digits as mpmath's log10 at 53 bits reads it: the memoised value
+    must be this one, whatever the precision it is read at."""
+    with workprec(53):
+        return max(1, int(mp.ceil(-mp.log10(mpf(tol)))))
 
 
 @pytest.mark.parametrize("parse_dps", [15, 34, 108])
 def test_tol_digits_is_the_log10_formula(parse_dps):
     # powers of ten 1e-1 ... 1e-300 and random mantissas, parsed at one
-    # precision and read at several: y = -log10 tol rounds to an integer
-    # at some and not at others, so the memo must key on the precision
+    # precision and read at several: the count reads the tolerance's value
+    # at 53 bits, so it is the same at every precision
     rng = random.Random(parse_dps)
     with workdps(parse_dps):
         tols = [mpf(f"1e-{e}") for e in range(1, 301)]
@@ -199,6 +200,22 @@ def test_tol_digits_is_the_log10_formula(parse_dps):
         with workdps(dps):
             for tol in tols:
                 assert tol_digits(tol) == _tol_digits_log10(tol), (parse_dps, dps, tol)
+    # a power of ten asks for its exponent's digits, however it was parsed
+    for e, tol in enumerate(tols[:300], 1):
+        assert tol_digits(tol) == e, (parse_dps, e)
+
+
+def test_tol_digits_of_a_tolerance_parsed_at_fifteen_digits():
+    # mpf("1e-12") parsed at 15 digits lies a little below 1e-12: read at
+    # 34 or 50 digits by the precision, -log10 passed 12 and working_dps
+    # added two digits inside a higher workdps
+    with workdps(15):
+        tols = {d: mpf(f"1e-{d}") for d in (12, 15, 20, 30, 50)}
+    for dps in (15, 34, 50):
+        with workdps(dps):
+            for d, tol in tols.items():
+                assert tol_digits(tol) == d, (dps, d)
+                assert working_dps(tol) == max(dps, 2 * d) + GUARD_DIGITS
 
 
 def test_series_value_invariants():

@@ -1,7 +1,9 @@
 """The lattice partial sums and the Euler-Maclaurin tails run in fixed
 point: every log-polynomial route's partial sum on logpoly's one kernel,
-lattice_sum, over the parts list the route builds, coffey's panel defects on
-their own loop, and every tail on em_tail_shifted's.  Each states a bound,
+lattice_sum, over the parts list the route builds, and so the single
+boundary steps over a telescoped pair; coffey's panel defects and end terms
+on their own loop; and every tail, delta's own ends included, on
+em_tail_shifted's.  Each states a bound,
 2^-prec for a whole partial sum and tail_err() for a tail's value and each
 of its corrections, and is checked here against its mpf form, written out
 operator for operator as the loops read when they ran on mpf values,
@@ -22,16 +24,16 @@ from mpmath import exp, ldexp, log, mp, mpf, workdps
 from mpmath.libmp import from_man_exp, to_fixed
 
 import stieltjes.fixedpoint as fixedpoint
-from oracles import LogPoint, em_tail_error_mpf, em_tail_shifted_mpf, exact_p
+from oracles import (LogPoint, LogPolyRef, em_tail_error_mpf, em_tail_shifted_mpf, exact_p,
+                     logpow_antiderivative_ref, pow_step_ref)
 from stieltjes.core import working_dps
 from stieltjes.fixedpoint import (INT_LOG_CAP, INT_LOG_GUARD, fixed_div, fixed_log,
                                   fixed_log_ints, fixed_log_sum, fixed_pow, lattice_err,
                                   lattice_sum)
 from stieltjes.gamma import (_coffey_sum, _incgamma_pair, _series_b_parts,
-                             _series_c_parts)
-from stieltjes.logpoly import (J_PLAN_MAX, LogPoly, _certified_start, _log_ceil,
-                               _TailPoint, _tail_rows, em_tail_error, em_tail_shifted,
-                               logpow_antiderivative, tail_err)
+                             _series_c_parts, _step_parts)
+from stieltjes.logpoly import (J_PLAN_MAX, _certified_start, _log_ceil, _TailPoint,
+                               _tail_rows, em_tail_error, em_tail_shifted, tail_err)
 from stieltjes.related import _dilcher_parts
 from stieltjes.verifier import _g_parts
 from stieltjes.zeta import _deriv0_parts
@@ -55,16 +57,6 @@ def _within_bound(got, ref_terms, dps):
     return gap <= bound
 
 
-def pow_step_mpf(la, a, b, q):
-    delta = log(b / a)
-    lb = la + delta
-    s = p = 1
-    for _ in range(q - 1):
-        p *= la
-        s = s * lb + p
-    return delta * s
-
-
 def incgamma_pair_mpf(n, t):
     term = total = mpf(1)
     for m in range(1, n):
@@ -75,17 +67,20 @@ def incgamma_pair_mpf(n, t):
             factorial(n) * e * (total + term * t / n))
 
 
-def coffey_panels_mpf(n, x, K):
+def coffey_sum_mpf(n, x, K):
+    """coffey's end terms f(x)/2 - log^q x/q and -f(K+x)/2 around its K
+    panel defects."""
     q = n + 1
     a = x
     la = log(a)
     la_n = la ** n
     gammas_a = None
+    yield la_n / a / 2 - la ** q / q
     for j in range(K):
         b = j + 1 + x
         lb = log(b)
         lb_n = lb ** n
-        dlog = pow_step_mpf(la, a, b, q) / q
+        dlog = pow_step_ref(la, a, b, q) / q
         if a >= 1:
             if gammas_a is None:
                 gammas_a = incgamma_pair_mpf(n, la)
@@ -97,25 +92,26 @@ def coffey_panels_mpf(n, x, K):
         else:
             yield (la_n / a + lb_n / b) / 2 - dlog
         a, la, la_n = b, lb, lb_n
+    yield -la_n / a / 2
 
 
 def series_b_mpf(n, x, K):
-    f = LogPoly.single(1, n, 1)
+    f = LogPolyRef.single(1, n, 1)
     q = n + 1
     for k in range(K):
         a = LogPoint(k + x)
-        yield a.eval(f) - pow_step_mpf(a.lu, a.u, mpf(k + 1) + x, q) / q
+        yield a.eval(f) - pow_step_ref(a.lu, a.u, mpf(k + 1) + x, q) / q
 
 
 def series_c_mpf(n, x, K):
-    f = LogPoly.single(1, n, 1)
+    f = LogPolyRef.single(1, n, 1)
     q = n + 1
     for k in range(K):
-        yield f(k + x) - pow_step_mpf(log(k + 1), mpf(k + 1), mpf(k + 2), q) / q
+        yield f(k + x) - pow_step_ref(log(k + 1), mpf(k + 1), mpf(k + 2), q) / q
 
 
 def diff_mpf(n, x, y, K):
-    f = LogPoly.single(1, n, 1)
+    f = LogPolyRef.single(1, n, 1)
     for k in range(K):
         yield f(k + x) - f(k + y)
 
@@ -123,21 +119,21 @@ def diff_mpf(n, x, y, K):
 def deriv0_mpf(q, x, lo, hi):
     for n in range(lo, hi):
         ln = log(n)
-        yield pow_step_mpf(ln, n, n + x, q) - x * pow_step_mpf(ln, n, mpf(n + 1), q)
+        yield pow_step_ref(ln, n, n + x, q) - x * pow_step_ref(ln, n, mpf(n + 1), q)
 
 
 def dilcher_mpf(k, x, lo, hi):
-    fk = LogPoly.single(1, k, 1)
+    fk = LogPolyRef.single(1, k, 1)
     q = k + 1
     for j in range(lo, hi):
         a = LogPoint(mpf(j))
-        yield x * a.eval(fk) - pow_step_mpf(a.lu, a.u, j + x, q) / q
+        yield x * a.eval(fk) - pow_step_ref(a.lu, a.u, j + x, q) / q
 
 
 def g_mpf(q, x, lo, hi):
     for k in range(lo, hi):
         a = LogPoint(mpf(k + 1))
-        yield pow_step_mpf(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
+        yield pow_step_ref(a.lu, a.u, k + x, q) - q * (x - 1) * a.lu ** (q - 1) / a.u
 
 
 def _grid(n_range=range(9)):
@@ -201,11 +197,70 @@ def test_series_c_terms():
 
 def test_coffey_panels():
     # x = 0.05 takes the direct defect at the first panel, every other x
-    # the incomplete gammas throughout
+    # the incomplete gammas throughout; the end terms f(x)/2, log^q x/q and
+    # f(K+x)/2 come from the first and last panels' logarithms
     for dps, x, n in _grid(range(1, 9)):
         with workdps(dps):
             got = _coffey_sum(n, x, K)
-        assert _within_bound(got, lambda: coffey_panels_mpf(n, x, K), dps), (dps, x, n)
+        assert _within_bound(got, lambda: coffey_sum_mpf(n, x, K), dps), (dps, x, n)
+
+
+def _step_within(parts, lo, hi, ref, dps):
+    """lattice_sum(parts)(lo, hi) at dps within 2^(-prec-3) of ref() at
+    2 dps + 20."""
+    with workdps(dps):
+        got = lattice_sum(parts)(lo, hi)
+        bound = lattice_err() / 8
+    with workdps(2 * dps + 20):
+        return abs(got - ref()) <= bound
+
+
+def test_boundary_steps():
+    # series_c's step (log^q(K+1) - log^q(K+x))/q and gamma_diff's
+    # (log^q(K+y) - log^q(K+x))/q, each on (K, K+1), against the step in
+    # mpf: within 2^(-prec-3), the bound of a lattice sum
+    for dps, x, n in _grid():
+        q = n + 1
+        for k in (K, LONG_K):
+            for y in (1, x + mpf("0.75"), mpf(2)):
+                assert _step_within(_step_parts(q, x, y), k, k + 1,
+                                    lambda: (log(k + y) ** q - log(k + x) ** q) / q, dps), \
+                    (dps, x, y, n, k)
+
+
+def test_telescoped_steps():
+    # mangoldt_gap_sums' int_a^(N+1) log^n t / t = (log^q(N+1) - log^q a)/q,
+    # the telescoped pair summed over (a, N+1): within 2^(-prec-3)
+    for dps in DPS:
+        for n in range(9):
+            q = n + 1
+            for a in (16, 1024):
+                for N in (a, a + 1, 9973, 10 ** 6):
+                    assert _step_within(_step_parts(q, 0, 1), a, N + 1,
+                                        lambda: (log(N + 1) ** q - log(a) ** q) / q, dps), \
+                        (dps, n, a, N)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_delta_takes_the_tails_own_ends(n):
+    # delta_n = S_n(N-1) + F(1) + the tail of log^n t from N, its own ends
+    # v(N)/2 and -F(N), F(u) = u sum_j (-1)^(n-j) n!/j! log^j u: against
+    # delta's former form S_n(N) - (F(N) - F(1)) - log^n N/2 less the
+    # corrections, in mpf, within tail_err()
+    F = logpow_antiderivative_ref
+    assert F(n, 1) == (-1) ** n * factorial(n)
+    for dps in DPS:
+        for N in (10, 97, 9973, 10 ** 4):
+            for J in (4, 9, J_PLAN_MAX):
+                with workdps(dps):
+                    tail = em_tail_shifted([(1, 0, n, 0)], N, J)[0]
+                    E = tail_err()
+                with workdps(2 * dps + 20):
+                    v = log(N) ** n
+                    # v(N)/2 less the corrections
+                    ends = em_tail_shifted_mpf([(1, 0, n, 0)], N, J, integral=False)[0]
+                    former = v - (F(n, N) - F(n, 1)) - v / 2 + (ends - v / 2)
+                    assert abs(F(n, 1) + tail - former) <= E, (dps, N, J)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
@@ -217,7 +272,7 @@ def test_tiny_x_heads(n):
         with workdps(dps):
             c, d = lattice_sum(_series_c_parts(n, x))(0, K), _coffey_sum(n, x, K)
         assert _within_bound(c, lambda: series_c_mpf(n, x, K), dps), dps
-        assert _within_bound(d, lambda: coffey_panels_mpf(n, x, K), dps), dps
+        assert _within_bound(d, lambda: coffey_sum_mpf(n, x, K), dps), dps
 
 
 def test_long_loops():
@@ -229,7 +284,7 @@ def test_long_loops():
                 "deriv0": lattice_sum(_deriv0_parts(n + 1, x))(1, LONG_K)}
     refs = {"series_b": lambda: series_b_mpf(n, x, LONG_K),
             "series_c": lambda: series_c_mpf(n, x, LONG_K),
-            "coffey": lambda: coffey_panels_mpf(n, x, LONG_K),
+            "coffey": lambda: coffey_sum_mpf(n, x, LONG_K),
             "deriv0": lambda: deriv0_mpf(n + 1, x, 1, LONG_K)}
     for name, got in sums.items():
         assert _within_bound(got, refs[name], LONG_DPS), name
@@ -380,15 +435,15 @@ def _tail_summands(x):
 TAIL_STARTS = (2, mpf(32), 1000, 10 ** 6)
 
 
-def _tail_within_bound(args, J, bound, dps):
+def _tail_within_bound(v, start, J, bound, integral, dps):
     """em_tail_shifted at dps against its mpf form at 2 dps + 20: the value
     within tail_err(), the claim |omitted| + 2 tail_err() with |omitted|
     within tail_err() of the reference's, and the same order."""
     with workdps(dps):
-        value, err, got_J = em_tail_shifted(*args, J, bound)
+        value, err, got_J = em_tail_shifted(v, start, J, bound, integral=integral)
         E = tail_err()
     with workdps(2 * dps + 20):
-        ref, omitted, ref_J = em_tail_shifted_mpf(*args, J, bound)
+        ref, omitted, ref_J = em_tail_shifted_mpf(v, start, J, bound, integral)
         return (abs(value - ref) <= E and abs(err - 2 * E - omitted) <= E
                 and got_J == ref_J)
 
@@ -396,8 +451,8 @@ def _tail_within_bound(args, J, bound, dps):
 def test_em_tail_shifted():
     # the routes' parts at 32 + x for every x of XS, and summands of m <= 9,
     # p in {0, 1, 2, s} from starts 2 to 1e6 (at one x: only the last
-    # summand reads x), each with given ends and with its own v(start) and
-    # integral, at J = 4, 9, 13 and with the order loop
+    # summand reads x), each with and without its integral, at J = 4, 9, 13
+    # and with the order loop
     for dps in DPS:
         bound = mpf(10) ** -(dps // 2)
         for x in XS:
@@ -406,11 +461,12 @@ def test_em_tail_shifted():
             if x == 500:
                 cases += [(v, start) for v in _tail_summands(x) for start in TAIL_STARTS]
             for v, start in cases:
-                for ends in ((mpf("0.125"), mpf("0.5")), (None, None)):
-                    args = (v, *ends, start)
+                for integral in (True, False):
                     for J in (4, 9, J_PLAN_MAX):
-                        assert _tail_within_bound(args, J, None, dps), (dps, x, v, start, J)
-                    assert _tail_within_bound(args, 4, bound, dps), (dps, x, v, start)
+                        assert _tail_within_bound(v, start, J, None, integral, dps), \
+                            (dps, x, v, start, J)
+                    assert _tail_within_bound(v, start, 4, bound, integral, dps), \
+                        (dps, x, v, start)
 
 
 def test_horner_and_em_tail_error():
@@ -490,7 +546,7 @@ def _route_integrals(x, K):
     """(parts, old closed integral) of the routes whose probes formed it
     before the tail took it from its own logarithms."""
     q, k = 3, 2
-    F = logpow_antiderivative
+    F = logpow_antiderivative_ref
     s = mpf("2.5")
     Km = mpf(K)
     return [
@@ -513,7 +569,7 @@ def test_closed_integrals_from_the_tails_own_logarithms():
         for x in XS:
             with workdps(dps):
                 x = mpf(x)
-                tails = [(em_tail_shifted(v, 0, None, K, 4)[0], em_tail_shifted(v, 0, 0, K, 4)[0])
+                tails = [(em_tail_shifted(v, K, 4)[0], em_tail_shifted(v, K, 4, integral=False)[0])
                          for v, _ in _route_integrals(x, K)]
                 bound = lattice_err()
             with workdps(2 * dps + 20):

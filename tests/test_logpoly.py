@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -8,14 +9,13 @@ from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
 from stieltjes.gamma import gamma_n
-from oracles import LogPoint, LogPolyRef, bernoulli_mpf, logpoly_integral_to_inf
+from oracles import (LogPoint, LogPolyRef, bernoulli_mpf, logpoly_integral_to_inf,
+                     logpow_antiderivative_ref)
 from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
-                               LogPoly, _ROOT_WIDTH, _certificate, _certified_start,
-                               _isolated, _log_polys, _real_roots, _root_table,
-                               _tail_rows, bernoulli,
-                               em_start_for, em_tail,
-                               em_tail_error, em_tail_shifted,
-                               logpow_antiderivative, tail_err)
+                               _ROOT_WIDTH, _certificate, _certified_start, _isolated,
+                               _log_polys, _real_roots, _root_table, _tail_rows, bernoulli,
+                               em_start_for, em_tail, em_tail_error, em_tail_shifted,
+                               tail_err)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
@@ -83,32 +83,28 @@ def test_diff_linearity_exact(f_terms, g_terms, a, b):
 
 def test_evaluation_at_one():
     # log^0 is 1 everywhere, so only m = 0 terms survive at t = 1
-    f = LogPoly({(0, 1): mpf(1), (2, 1): mpf(5), (1, 0): mpf(-3)})
+    f = LogPolyRef({(0, 1): mpf(1), (2, 1): mpf(5), (1, 0): mpf(-3)})
     assert f(1) == 1
-
-
-def test_em_tail_zero_logpoly():
-    sv = em_tail(LogPoly({}), 10)
-    assert sv.value == 0 and sv.abs_err == 0
 
 
 def test_em_tail_rejects_divergent():
     with pytest.raises(DomainError):
-        em_tail(LogPoly.single(1, 2, 0), 10)
-
-
-def test_em_tail_takes_a_single_term():
-    # several terms have no certified remainder in em_tail: em_tail_shifted
-    # takes such a summand, with its key
+        em_tail(2, 0, 10)
     with pytest.raises(DomainError):
-        em_tail(LogPoly({(0, 1): mpf(1), (1, 2): mpf(1)}), 10)
+        em_tail(0, mpf("0.5"), 10)
+
+
+def test_em_tail_rejects_a_log_power_that_is_not_a_natural_number():
+    for m in (-1, 1.0, mpf(2)):
+        with pytest.raises(DomainError):
+            em_tail(m, 1, 10)
 
 
 def test_em_tail_rejects_large_order():
     # the limit is the largest order the order loop plans
-    assert em_tail(LogPoly.single(1, 0, 1), 10, J=J_PLAN_MAX).terms_used == J_PLAN_MAX
+    assert em_tail(0, 1, 10, J=J_PLAN_MAX).terms_used == J_PLAN_MAX
     with pytest.raises(DomainError):
-        em_tail(LogPoly.single(1, 0, 1), 10, J=J_PLAN_MAX + 1)
+        em_tail(0, 1, 10, J=J_PLAN_MAX + 1)
 
 
 def test_em_tail_inverse_t_vs_exact_harmonic():
@@ -116,28 +112,25 @@ def test_em_tail_inverse_t_vs_exact_harmonic():
     N = 10**6
     with workdps(50):
         want = oracles.gamma_oracle() - (mpf(oracles.H_1E6_MINUS_1) - log(N))
-        sv = em_tail(LogPoly.single(1, 0, 1), N)
+        sv = em_tail(0, 1, N)
     assert abs(sv.value - want) < mpf("1e-25")
 
 
 def test_em_tail_logt2_vs_brute_oracle():
-    sv = em_tail(LogPoly.single(1, 1, 2), 10**4)
+    sv = em_tail(1, 2, 10**4)
     assert abs(sv.value - mpf(oracles.EM_TAIL_LOGT2_1E4)) < mpf("1e-18")
 
 
 @pytest.mark.parametrize("m,p,a", [(0, 1, 2), (1, 1, "7.5"), (3, 2, 100), (2, 3, "33.25")])
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
     # every single term log^m t / t^p carries em_tail_error's key d = 0,
-    # and f(a) is the tail's own; the public claim adds the value's
-    # rounding floor, floor=False not
-    f = LogPoly.single(1, m, p)
+    # f(a) is the tail's own and the integral is left out; the claim is
+    # em_tail_shifted's, with no rounding floor added
     a = mpf(a)
-    sv = em_tail(f, a)
+    sv = em_tail(m, p, a)
     key = (m, a, 0, 1, p)
-    value, err, J = em_tail_shifted([(1, 0, m, p)], None, 0, a, key=key)
-    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err + rounding_floor(value), J)
-    bare = em_tail(f, a, floor=False)
-    assert (bare.value, bare.abs_err, bare.terms_used) == (value, err, J)
+    value, err, J = em_tail_shifted([(1, 0, m, p)], a, key=key, integral=False)
+    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err, J)
 
 
 @pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
@@ -146,11 +139,11 @@ def test_em_tail_shifted_raises_the_order_to_the_bound(bound):
     # correction is below bound, or stops at J_PLAN_MAX, with the bits of
     # a call at that order
     parts, a, bound = [(1, 0, 0, 1)], mpf(20), mpf(bound)
-    plain = [em_tail_shifted(parts, 1 / a, 0, a, J) for J in range(4, J_PLAN_MAX + 1)]
+    plain = [em_tail_shifted(parts, a, J, integral=False) for J in range(4, J_PLAN_MAX + 1)]
     J = next((J for J, p in enumerate(plain, 4) if p[1] < bound), J_PLAN_MAX)
-    assert em_tail_shifted(parts, 1 / a, 0, a, bound=bound) == plain[J - 4]
+    assert em_tail_shifted(parts, a, bound=bound, integral=False) == plain[J - 4]
     # J is the least order
-    assert em_tail_shifted(parts, 1 / a, 0, a, 6, bound) == plain[max(J, 6) - 4]
+    assert em_tail_shifted(parts, a, 6, bound, integral=False) == plain[max(J, 6) - 4]
 
 
 def test_log_point_has_the_bits_of_a_call():
@@ -161,7 +154,12 @@ def test_log_point_has_the_bits_of_a_call():
         assert point.eval(poly) == poly(u)
 
 
-def _reference_tail(v, v0, integral, start, J):
+def _antiderivative(m, p, u):
+    """int log^m u / u^p du for p = 0 or 1, in mpf."""
+    return logpow_antiderivative_ref(m, u) if p == 0 else log(u) ** (m + 1) / (m + 1)
+
+
+def _reference_tail(v, start, J, integral):
     """The correction loop with every derivative re-derived by LogPolyRef.diff
     and every order evaluated afresh, one logarithm per part and order."""
     start = mpf(start)
@@ -174,7 +172,9 @@ def _reference_tail(v, v0, integral, start, J):
         return total
 
     polys = [poly for _, _, poly in parts]
-    value = mpf(integral) + mpf(v0) / 2
+    value = at(polys) / 2
+    if integral:
+        value -= mp.fsum(mpf(c) * _antiderivative(m, p, start + sh) for c, sh, m, p in v)
     order = 0
     for j in range(1, J + 1):
         while order < 2 * j - 1:
@@ -192,18 +192,19 @@ def test_em_tail_shifted_matches_the_fresh_loop(J):
     x = mpf("0.3")
     # 1/(t+x) - log(t+1+x) + log(t+x): two parts share the shift x
     h_parts = [(1, x, 0, 1), (-1, 1 + x, 1, 0), (1, x, 1, 0)]
-    for v, start in ((h_parts, 40), ([(1, 0, 3, 1)], mpf("32.75"))):
-        got = em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J)
+    for (v, start), integral in product(((h_parts, 40), ([(1, 0, 3, 1)], mpf("32.75"))),
+                                        (True, False)):
+        got = em_tail_shifted(v, start, J, integral=integral)
         E = tail_err()
         # the loop runs 40 digits higher; the value is within tail_err() of
         # it, and the claim is the first omitted correction, itself within
         # tail_err(), plus twice tail_err()
         with workdps(mp.dps + 40):
-            value, err = _reference_tail(v, mpf("0.125"), mpf("0.5"), start, J)
+            value, err = _reference_tail(v, start, J, integral)
             assert abs(got[0] - value) <= E
             assert abs(got[1] - 2 * E - err) <= E
         # and a repeat call is bit-identical
-        assert em_tail_shifted(v, mpf("0.125"), mpf("0.5"), start, J) == got
+        assert em_tail_shifted(v, start, J, integral=integral) == got
 
 
 # every (m, p) a route passes to em_tail_shifted, and those of
@@ -232,7 +233,7 @@ def test_em_start_for_keeps_the_winning_shifted_probe():
     bound = mpf("1e-22")
 
     def probe(K):
-        return em_tail_shifted(h_parts, mpf(1) / K, mpf(2) / K, K)[:2]
+        return em_tail_shifted(h_parts, K)[:2]
 
     K, value, err = em_start_for(probe, bound, 16)
     assert K > 16 and probe(K // 4)[1] >= bound > err
@@ -294,18 +295,19 @@ def test_unreachable_tolerance_raises_convergence_error(call):
 def test_integral_to_inf_closed_form():
     # int_N^inf log t / t^2 = (log N + 1)/N
     N = mpf(50)
-    got = logpoly_integral_to_inf(LogPoly.single(1, 1, 2), N)
+    got = logpoly_integral_to_inf(LogPolyRef.single(1, 1, 2), N)
     assert abs(got - (log(N) + 1) / N) < mpf("1e-30")
     with pytest.raises(ValueError):
-        logpoly_integral_to_inf(LogPoly.single(1, 0, 1), N)
+        logpoly_integral_to_inf(LogPolyRef.single(1, 0, 1), N)
 
 
 def test_antiderivative_of_log_squared():
     # d/du [u (log^2 u - 2 log u + 2)] = log^2 u
     u = mpf("7.3")
+    F = logpow_antiderivative_ref
     with workdps(44):
         h = mpf("1e-9")
-        fd = (logpow_antiderivative(2, u + h) - logpow_antiderivative(2, u - h)) / (2 * h)
+        fd = (F(2, u + h) - F(2, u - h)) / (2 * h)
     assert abs(fd - log(u) ** 2) < mpf("1e-16")
 
 
@@ -326,8 +328,8 @@ def _tail_reference(f, m, p, N):
 
 @pytest.mark.parametrize("m,p,N", _self_consistency_cases())
 def test_em_tail_self_consistency(m, p, N):
-    f = LogPoly.single(1, m, p)
-    sv = em_tail(f, N)
+    f = LogPolyRef.single(1, m, p)
+    sv = em_tail(m, p, N)
     want = _tail_reference(f, m, p, N)
     assert abs(sv.value - want) <= sv.abs_err
 
@@ -338,7 +340,7 @@ def test_em_tail_reference_against_brute_force():
     # M, closed integral remainder, trapezoid term and the hand-written first
     # endpoint correction -f'(M)/12; the leftover is ~|f'''(M)| ~ 1e-20
     m, p, N = _self_consistency_cases()[0]
-    f = LogPoly.single(1, m, p)
+    f = LogPolyRef.single(1, m, p)
     M = mpf(10**5)
     brute = comp_sum(f(k) for k in range(N, 10**5))
     lM = log(M)
@@ -346,7 +348,7 @@ def test_em_tail_reference_against_brute_force():
     rest = logpoly_integral_to_inf(f, M) + f(M) / 2 - fprime_M / 12
     want = brute + rest - logpoly_integral_to_inf(f, mpf(N))
     assert abs(_tail_reference(f, m, p, N) - want) <= mpf("1e-19")
-    sv = em_tail(f, N)
+    sv = em_tail(m, p, N)
     assert abs(sv.value - want) <= sv.abs_err + mpf("1e-19")
 
 
@@ -470,8 +472,7 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     a = mpf(a)
     assert a < _certified_start(n, J, d)
     weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
-    f = LogPoly.single(1, n, 1)
-    omitted = em_tail_shifted([(1, 0, n, 1)], f(a), 0, a, J)[1] if d == 0 else mpf(0)
+    omitted = em_tail_shifted([(1, 0, n, 1)], a, J, integral=False)[1] if d == 0 else mpf(0)
     tv = em_tail_error(n, a, J, omitted, d) / weight
     with workdps(40):
         h = _derivative(n, 2 * J + 2 + d)
@@ -483,13 +484,14 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     assert em_tail_error(n, 2 * t_J, J, mpf("1e-30"), d) == mpf("1e-30")
 
 
-# (parts, start, key): gamma_n's f = log t / t at 33.5 (d = 0), and
-# zeta_deriv0_diff's second difference at k = 1, x = 0.3, K = 32 (d = 1)
+# (parts, start, key, integral): gamma_n's f = log t / t at 33.5 (d = 0),
+# as em_tail takes it, and zeta_deriv0_diff's second difference at k = 1,
+# x = 0.3, K = 32 (d = 1)
 _X = mpf("0.3")
 LOOP_CASES = {
-    "d0": ([(1, 0, 1, 1)], mpf("33.5"), (1, mpf("33.5"), 0, 1)),
+    "d0": ([(1, 0, 1, 1)], mpf("33.5"), (1, mpf("33.5"), 0, 1), False),
     "d1": ([(1, _X, 2, 0), (_X - 1, 0, 2, 0), (-_X, 1, 2, 0)], 32,
-           (1, 32, 1, 2 * abs(_X * (_X - 1)) / 2)),
+           (1, 32, 1, 2 * abs(_X * (_X - 1)) / 2), True),
 }
 
 
@@ -502,13 +504,13 @@ def test_order_loop_returns_the_least_certified_order(case, bound):
     # with the claim at J_PLAN_MAX.  1e-28 (d = 0) and 1e-29 (d = 1) lie
     # between the first omitted correction at J = 8 and its certified
     # claim, so J = 8 does not pass there.
-    parts, start, key = LOOP_CASES[case]
+    parts, start, key, integral = LOOP_CASES[case]
     bound = mpf(bound)
-    args = (parts, mpf("0.125"), mpf("0.5"), start)
-    plain = [em_tail_shifted(*args, J, key=key) for J in range(4, J_PLAN_MAX + 1)]
+    plain = [em_tail_shifted(parts, start, J, key=key, integral=integral)
+             for J in range(4, J_PLAN_MAX + 1)]
     assert [p[2] for p in plain] == list(range(4, J_PLAN_MAX + 1))
     J = next((p[2] for p in plain if p[1] < bound), J_PLAN_MAX)
-    got = em_tail_shifted(*args, 4, bound, key)
+    got = em_tail_shifted(parts, start, 4, bound, key, integral)
     assert got == plain[J - 4]
     # 1e-12 passes at J = 4, 1e-28 and 1e-29 raise J, and 1e-60 fails
     assert (got[2] == 4) == (bound > mpf("1e-20"))
@@ -523,9 +525,9 @@ def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
     calls = []
     real = gamma_mod.em_tail
 
-    def counted(f, start, J=4, bound=None, floor=True):
+    def counted(m, p, start, J=4, bound=None):
         calls.append(start)
-        return real(f, start, J, bound, floor)
+        return real(m, p, start, J, bound)
 
     monkeypatch.setattr(gamma_mod, "em_tail", counted)
     with workdps(100):
@@ -537,15 +539,15 @@ def test_em_tail_claim_holds_the_rounding_of_its_value():
     # log^8 t / t at 32.2546, J = 13, 34 digits: the remainder bound is
     # 1.07e-34 for a value near 1e3, whose rounding in mpf operators erred
     # by 1.75e-33.  In fixed point the value is within tail_err() of the
-    # order-13 sum, so the bare claim holds the true error (5.3e-35), and
-    # the public claim adds the rounding floor on top
+    # order-13 sum, so the claim (1.1e-34), with no rounding floor added,
+    # holds the true error (5.3e-35); the value's floor alone is 2.5e-31
     with workdps(34):
         a = mpf("32.2546")
-        sv = em_tail(LogPoly.single(1, 8, 1), a, 13)
-        bare = em_tail(LogPoly.single(1, 8, 1), a, 13, floor=False)
+        sv = em_tail(8, 1, a, 13)
+        floor = rounding_floor(sv.value)
     with workdps(80):
         gap = abs(sv.value - (mp.stieltjes(8, a) + log(a) ** 9 / 9))
-    assert gap <= bare.abs_err < sv.abs_err
+    assert gap <= sv.abs_err < floor
 
 
 @pytest.mark.parametrize("J", [8, 13])
@@ -557,12 +559,11 @@ def test_em_tail_claims_the_certified_remainder(J):
     # claim is the correction plus twice tail_err()
     with workdps(80):
         a = mpf("32.2546")
-        f = LogPoly.single(1, 1, 1)
-        sv = em_tail(f, a, J)
+        sv = em_tail(1, 1, a, J)
         assert a < _certified_start(1, J)
         E = tail_err()
-        omitted = em_tail_shifted([(1, 0, 1, 1)], None, 0, a, J)[1] - E
-        assert sv.abs_err == em_tail_error(1, a, J, omitted) + E + rounding_floor(sv.value)
+        omitted = em_tail_shifted([(1, 0, 1, 1)], a, J, integral=False)[1] - E
+        assert sv.abs_err == em_tail_error(1, a, J, omitted) + E
         assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err
 
 

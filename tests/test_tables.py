@@ -2,8 +2,8 @@
 logarithms of the integer lattice points, and gamma1_alt's x-independent
 brackets, which it shares with dilcher_power_series.  Each
 returns the bits a fresh computation returns.  Also the accuracy of the mpf
-log-power step of the single boundary terms, and the coffey panel carry
-against fresh panels.  (The Euler-Maclaurin derivatives come from
+log-power step the references take (oracles.pow_step_ref), and the coffey
+panel carry against fresh panels.  (The Euler-Maclaurin derivatives come from
 logpoly's exact integer table, which does not depend on the precision; its
 test is in test_logpoly.)"""
 
@@ -14,7 +14,7 @@ from stieltjes.core import PREC_TABLES_MAX, PrecTable, rounding_floor, working_d
 from stieltjes.gamma import (_BRACKETS, _coffey_sum, _lattice_plan, gamma1_alt,
                              gamma_diff, gamma_n, incgamma_int)
 from stieltjes.fixedpoint import _INT_LOGS, INT_LOG_GUARD, fixed_log, lattice_err
-from stieltjes.logpoly import LogPoly, pow_step
+from oracles import LogPolyRef, pow_step_ref
 from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
@@ -115,13 +115,13 @@ def test_gamma1_alt_fill_serves_dilcher_power_series():
 
 @pytest.mark.parametrize("q", [1, 2, 5, 9])
 def test_pow_step_is_accurate(q):
-    # the ratio b/a rounds once, so the step is relative-accurate up to the
-    # condition a/(b - a) of log(b/a)
+    # the references' mpf step: the ratio b/a rounds once, so the step is
+    # relative-accurate up to the condition a/(b - a) of log(b/a)
     for a in ("0.05", "0.7", "1", "3", "1e3", "1e6"):
         for h in ("0.2546", "1", "3.7", "500"):
             a_ = mpf(a)
             b_ = a_ + mpf(h)
-            got = pow_step(log(a_), a_, b_, q)
+            got = pow_step_ref(log(a_), a_, b_, q)
             with workdps(90):
                 want = log(b_) ** q - log(a_) ** q
                 rel = abs(got - want) / abs(want)
@@ -130,7 +130,7 @@ def test_pow_step_is_accurate(q):
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_pow_step_short_sums_keep_their_bits(q):
-    # the step as the term-by-term sum it replaced; at q <= 2 the
+    # the references' mpf step as the term-by-term sum; at q <= 2 the
     # recurrence rounds exactly as that sum does
     def written_out(la, a, b, q):
         delta = log(b / a)
@@ -143,7 +143,7 @@ def test_pow_step_short_sums_keep_their_bits(q):
                 for h in ("1e-3", "0.2546", "1", "3.7", "500"):
                     a_ = mpf(a)
                     b_ = a_ + mpf(h)
-                    got = pow_step(log(a_), a_, b_, q)
+                    got = pow_step_ref(log(a_), a_, b_, q)
                     want = written_out(log(a_), a_, b_, q)
                     assert got._mpf_ == want._mpf_, (dps, a, h)
 
@@ -172,7 +172,7 @@ def _reference_panel(n, j, x, q):
     a = j + x
     b = j + 1 + x
     la, lb = log(a), log(b)
-    dlog = pow_step(la, a, mpf(j + 1) + x, q) / q
+    dlog = pow_step_ref(la, a, mpf(j + 1) + x, q) / q
     if a >= 1:
         dGn = incgamma_int(n, la) - incgamma_int(n, lb)
         dGn1 = incgamma_int(n + 1, la) - incgamma_int(n + 1, lb)
@@ -184,9 +184,10 @@ def _reference_panel(n, j, x, q):
 @pytest.mark.parametrize("n", [1, 4])
 def test_coffey_carry_matches_fresh_panels(n, x):
     # x = 0.05 switches from the a < 1 form to the incomplete gammas at the
-    # second panel; x = 1.5 starts them at the first.  The carried sum is
-    # within its 2^-prec of the fresh panels at twice the digits, and the
-    # route's value within that and its rounding floor of the fresh sum.
+    # second panel; x = 1.5 starts them at the first.  The carried sum, end
+    # terms included, is within its 2^-prec of the fresh panels at twice
+    # the digits, and the route's value within that and its rounding floor
+    # of the fresh sum.
     x = mpf(x)
     q = n + 1
     dps = working_dps(TOL)
@@ -197,9 +198,11 @@ def test_coffey_carry_matches_fresh_panels(n, x):
         value = gamma_n(n, x, "coffey", TOL).value
         floor = rounding_floor(value)
     with workdps(2 * dps + 20):
-        assert abs(carried - mp.fsum(_reference_panel(n, j, x, q) for j in range(12))) <= bound
-        f = LogPoly.single(1, n, 1)
-        partial = mp.fsum(_reference_panel(n, j, x, q) for j in range(K))
-        want = (f(x) - log(x) ** q / q - f(x) / 2
-                + partial + tail.value - f(K + x) / 2)
-        assert abs(value - want) <= bound + floor
+        f = LogPolyRef.single(1, n, 1)
+
+        def with_ends(K):  # f(x)/2 - log^q x/q + the panels - f(K+x)/2
+            panels = mp.fsum(_reference_panel(n, j, x, q) for j in range(K))
+            return f(x) / 2 - log(x) ** q / q + panels - f(K + x) / 2
+
+        assert abs(carried - with_ends(12)) <= bound
+        assert abs(value - (with_ends(K) + tail.value)) <= bound + floor
