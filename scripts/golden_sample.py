@@ -21,7 +21,9 @@ ambient digits and bit for bit:
   digamma_rational and eta at mp.dps 34;
 - delta for n 0..2 at mp.dps 15, 34 and 50, at the default N and at
   N in {10, 97, 9973, 10^5};
-- the `stieltjes verify --suite all` report, without its elapsed_s fields.
+- the `stieltjes verify --suite all` report, without its elapsed_s fields,
+  one entry per check keyed by its id and inputs, e.g.
+  verify:lemma31(N=100,n=3,x=3.14...).
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/golden_sample.py --out golden.txt
@@ -262,9 +264,11 @@ def _verify_entries():
             cli_main(["verify", "--suite", "all", "--report", path])
         with open(path) as fh:
             reports = json.load(fh)
-    for i, report in enumerate(reports):
+    for report in reports:
         report.pop("elapsed_s", None)
-        yield f"verify[{i}]", json.dumps(report, sort_keys=True)
+        # keyed by check and inputs, so a row added to one grid moves no other
+        inputs = ",".join(f"{k}={v}" for k, v in sorted(report["inputs"].items()))
+        yield f"verify:{report['check_id']}({inputs})", json.dumps(report, sort_keys=True)
 
 
 def sample() -> dict[str, str]:

@@ -1,6 +1,9 @@
 """Executable identity suite: every structural identity the library's series
 rest on becomes a residual check with an explicit tolerance.
 
+lemma31 takes Lemma 3.1's sum and integral step from the fixed-point kernel
+and its end terms from mpmath, so a faulty kernel fails it.
+
 Cross-representation checks (cotangent, vanishing_integrals, g_functions)
 use the sum of the claimed error bounds as their tolerance, with no fixed
 slack, so a failure indicts a claimed bound rather than merely a value.
@@ -23,7 +26,6 @@ import time
 from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
-from mpmath.libmp import from_int, mpf_add, mpf_log, mpf_pow_int, mpf_sub
 
 from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
                    find_root_bisect, rounding_floor)
@@ -45,14 +47,17 @@ class UnknownCheckError(KeyError):
 
 
 def check_lemma31(n: int, x, N: int) -> VerifyReport:
-    """Exact telescoping rewrite of log^(n+1)(N+x):
+    """Lemma 3.1, the telescoping rewrite of log^q(N+x), q = n + 1:
 
-        log^(n+1)(N+x) = log^(n+1)(1+x)
-            - (n+1) int_N^(N+1) log^n(x+t)/(x+t) dt
-            + sum_{k=1..N} [log^(n+1)(k+1+x) - log^(n+1)(k+x)]
+        log^q(N+x) = log^q(1+x)
+            - q int_N^(N+1) log^n(x+t)/(x+t) dt
+            + sum_{k=1..N} [log^q(k+1+x) - log^q(k+x)]
 
-    with the integral in closed form [log^(n+1)(N+1+x) - log^(n+1)(N+x)]/(n+1).
-    Purely algebraic, so the residual must sit at rounding level.
+    The sum and the step q int_N^(N+1) ... = log^q(N+1+x) - log^q(N+x) are
+    the kernel's (_lemma31_kernel); the end terms log^q(N+x) and log^q(1+x)
+    are mpmath's at 20 more digits, where the residual is assembled.  The
+    tolerance is the claims: each kernel sum's 2^(-prec-3) and the
+    reference's own error.
     """
     if N < 1:
         raise DomainError("check_lemma31: need N >= 1")
@@ -60,26 +65,29 @@ def check_lemma31(n: int, x, N: int) -> VerifyReport:
     if x < 0:
         raise DomainError("check_lemma31: need x >= 0")
     t0 = time.perf_counter()
-    q = n + 1
-    prec, rnd = mp._prec_rounding
-    xv = x._mpf_
-    # powers[i] = log^q(i + 1 + x) as an _mpf_ tuple, each logarithm taken
-    # once; the libmpf calls are those of log(k + x) ** q, so with its bits
-    powers = [mpf_pow_int(mpf_log(mpf_add(xv, from_int(k), prec, rnd), prec, rnd),
-                          q, prec, rnd) for k in range(1, N + 2)]
-    telescoped = comp_sum(mpf_sub(powers[i + 1], powers[i], prec, rnd)
-                          for i in range(N))
-    lhs, first, last = (mp.make_mpf(powers[i]) for i in (N - 1, 0, N))
-    integral = (last - lhs) / q
-    rhs = first - q * integral + telescoped
-    residual = abs(lhs - rhs)
-    return VerifyReport.build(
-        check_id="lemma31",
-        inputs={"n": n, "x": str(x), "N": N},
-        residual=residual,
-        tolerance=mpf("1e-28") * max(mpf(1), abs(lhs)),
-        elapsed=time.perf_counter() - t0,
-    )
+    q, prec = n + 1, mp.prec
+    telescoped, step = _lemma31_kernel(q, x, N)
+    with workdps(mp.dps + 20):
+        lhs, first = (log(mp.fadd(x, k, exact=True)) ** q for k in (N, 1))
+        residual = abs(lhs - (first - step + telescoped))
+        # a log and its power within (q + 2) 2^(1-R) relatively at R =
+        # mp.prec here, and three roundings within 2^-R of the summed sizes
+        tolerance = mp.ldexp(1, -prec - 2) + (
+            (abs(lhs) + abs(first) + abs(step) + abs(telescoped))
+            * mp.ldexp(1, q.bit_length() + 4 - mp.prec))
+    return VerifyReport.build(check_id="lemma31", inputs={"n": n, "x": str(x), "N": N},
+                              residual=residual, tolerance=tolerance,
+                              elapsed=time.perf_counter() - t0)
+
+
+def _lemma31_kernel(q: int, x, N: int) -> tuple[mpf, mpf]:
+    """(sum_{k=1..N} [log^q(k+1+x) - log^q(k+x)], log^q(N+1+x) - log^q(N+x))
+    as lattice_sum of the telescoped pair (1, x + 1, q, 0), (-1, x, q, 0) on
+    (1, N + 1) and (N, N + 1): the interior coefficients merge exactly, so
+    each takes its two end points' logarithms only, and is within
+    2^(-prec-3) (the proof above fixedpoint.LATTICE_GUARD)."""
+    h = lattice_sum([(1, mp.fadd(x, 1, exact=True), q, 0), (-1, x, q, 0)])
+    return h(1, N + 1), h(N, N + 1)
 
 
 def check_cotangent(x) -> VerifyReport:
@@ -331,6 +339,10 @@ def _lemma31_grid() -> list[VerifyReport]:
         check_lemma31(0, mpf(0), 1),
         check_lemma31(3, pi, 100),
         check_lemma31(1, mpf(0), 1000),
+        # N past what a term-by-term sum could afford
+        check_lemma31(8, mpf(10) ** 5, 10 ** 6),
+        check_lemma31(8, mpf("0.5"), 10 ** 6),
+        check_lemma31(0, mpf("3.25"), 10 ** 8),
     ]
     for _ in range(50):
         n = rng.randint(0, 5)
@@ -340,29 +352,14 @@ def _lemma31_grid() -> list[VerifyReport]:
     return reports
 
 
-def _cotangent_grid() -> list[VerifyReport]:
-    xs = [mpf(1) / 6, mpf(1) / 4, mpf(1) / 3, mpf(1) / 2, mpf(2) / 3]
-    return [check_cotangent(x) for x in xs]
-
-
-def _vanishing_grid() -> list[VerifyReport]:
-    return [check_vanishing_integrals(n) for n in (1, 2, 3)]
-
-
-def _zero_grid() -> list[VerifyReport]:
-    return [check_zero_structure(n) for n in (0, 1, 2, 3)]
-
-
-def _g_grid() -> list[VerifyReport]:
-    return [check_g_functions(x) for x in (mpf(1) / 2, mpf(1), mpf(2))]
-
-
+# check id -> its default grid
 CHECKS = {
     "lemma31": _lemma31_grid,
-    "cotangent": _cotangent_grid,
-    "vanishing_integrals": _vanishing_grid,
-    "zero_structure": _zero_grid,
-    "g_functions": _g_grid,
+    "cotangent": lambda: [check_cotangent(mpf(a) / b)
+                          for a, b in ((1, 6), (1, 4), (1, 3), (1, 2), (2, 3))],
+    "vanishing_integrals": lambda: [check_vanishing_integrals(n) for n in (1, 2, 3)],
+    "zero_structure": lambda: [check_zero_structure(n) for n in (0, 1, 2, 3)],
+    "g_functions": lambda: [check_g_functions(x) for x in (mpf(1) / 2, mpf(1), mpf(2))],
 }
 
 

@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mp, mpf, log, nstr
-from mpmath.libmp import mpf_sum, to_rational
+from mpmath import mp, mpf, log, nstr, workdps
+from mpmath.libmp import to_rational
 
 from stieltjes.core import DomainError
 from stieltjes.logpoly import (J_PLAN_MAX, _certified_start, _log_polys, _root_table,
@@ -337,20 +337,18 @@ def em_tail_error_mpf(n, a, J, omitted, d=0, scale=1, p=1) -> mpf:
 
 
 # --- Lemma 3.1 in mpf operators ----------------------------------------------
-# verifier.check_lemma31's residual and tolerance as the check read before its
-# loops moved onto _mpf_ tuples: the same arithmetic through the mpf
-# operators, with the differences summed exactly as comp_sum sums them.
+# The two sums verifier.check_lemma31 takes from the fixed-point kernel, by
+# mpmath operators at 40 more digits.
 
-def lemma31_operator_form(n: int, x, N: int) -> tuple[mpf, mpf]:
-    x = mpf(x)
-    q = n + 1
-    powers = [log(k + x) ** q for k in range(1, N + 2)]
-    lhs = powers[N - 1]
-    integral = (powers[N] - powers[N - 1]) / q
-    telescoped = mp.make_mpf(mpf_sum(
-        [(powers[i + 1] - powers[i])._mpf_ for i in range(N)], prec=0))
-    rhs = powers[0] - q * integral + telescoped
-    return abs(lhs - rhs), mpf("1e-28") * max(mpf(1), abs(lhs))
+def lemma31_reference(n: int, x, N: int) -> tuple[mpf, mpf]:
+    """(sum_{k=1..N} [log^q(k+1+x) - log^q(k+x)], int_N^(N+1) log^n(x+t)/(x+t)
+    dt), q = n + 1: the telescoped log^q(N+x) - log^q(1+x) plus the step
+    log^q(N+1+x) - log^q(N+x), and that step over q."""
+    q, x = n + 1, mpf(x)
+    with workdps(mp.dps + 40):
+        first, lhs, last = (log(x + k) ** q for k in (1, N, N + 1))
+        step = last - lhs
+        return lhs - first + step, step / q
 
 
 def ln2_alternating_oracle(N: int = 4000, levels: int = 24) -> tuple[mpf, mpf]:

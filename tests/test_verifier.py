@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from mpmath import mpf, pi, stieltjes, workdps, zeta
+from mpmath import mp, mpf, pi, stieltjes, workdps, zeta
 
 import oracles
-from stieltjes import verifier
+from stieltjes import fixedpoint, verifier
+from stieltjes.core import DomainError
 from stieltjes.reporting import SubCheck, VerifyReport
 from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cotangent,
                                 check_g_functions, check_lemma31,
@@ -12,7 +13,7 @@ from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cota
                                 check_zero_structure, run_suite)
 
 
-def _lemma31_bit_cases():
+def _lemma31_cases():
     """The grid's three fixed cases and its first ten seeded draws."""
     rng = random.Random(verifier.LEMMA_SEED)
     cases = [(0, mpf(0), 1), (3, pi, 100), (1, mpf(0), 1000)]
@@ -23,7 +24,7 @@ def _lemma31_bit_cases():
     return cases
 
 
-_LEMMA31_BIT_CASES = _lemma31_bit_cases()
+_LEMMA31_CASES = _lemma31_cases()
 
 
 class TestLemma31:
@@ -39,14 +40,62 @@ class TestLemma31:
         rep = check_lemma31(1, 0, 1000)
         assert rep.passed
 
-    @pytest.mark.parametrize("n, x, N", _LEMMA31_BIT_CASES)
-    def test_bits_match_operator_form(self, n, x, N):
-        # the tuple loops make the libmpf calls of the mpf operators
+    @pytest.mark.parametrize("n, x, N", _LEMMA31_CASES)
+    def test_kernel_sums_within_their_bounds(self, n, x, N):
+        # each lattice_sum is within 2^(-prec-3) of its exact value; the
+        # reference, at 40 more digits, adds its own error on top
+        telescoped, step = verifier._lemma31_kernel(n + 1, mpf(x), N)
+        ref_sum, ref_integral = oracles.lemma31_reference(n, x, N)
+        bound = mp.ldexp(1, -mp.prec - 3)
+        with workdps(mp.dps + 40):
+            slack = mpf(10) ** (-mp.dps + 5) * (1 + abs(ref_sum))
+            assert abs(telescoped - ref_sum) <= bound + slack
+            assert abs(step / (n + 1) - ref_integral) <= bound / (n + 1) + slack
+
+    @pytest.mark.parametrize("dps", [15, 34, 50])
+    @pytest.mark.parametrize("n, x, N", [(0, "0.25", 7), (3, "pi", 100),
+                                         (5, "7.3", 500), (2, "5", 4000)])
+    def test_passes_at_each_precision(self, dps, n, x, N):
+        mp.dps = dps
+        x = pi if x == "pi" else mpf(x)
         rep = check_lemma31(n, x, N)
-        residual, tolerance = oracles.lemma31_operator_form(n, x, N)
-        assert rep.residual._mpf_ == residual._mpf_
-        assert rep.tolerance._mpf_ == tolerance._mpf_
-        assert rep.passed == (residual <= tolerance)
+        # the kernel's two sums and a reference whose error is far below them
+        assert rep.passed
+        assert mp.ldexp(1, -mp.prec - 2) <= rep.tolerance <= mp.ldexp(1, -mp.prec - 1)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_unit_point(self, n):
+        # u = 1 + x = N + x = 1: log 1 = 0, so the left side is 0
+        rep = check_lemma31(n, 0, 1)
+        assert rep.passed and rep.residual == 0
+
+    def test_integer_points_read_the_table(self):
+        # x = 5: the kernel's points 6, 4005 and 4006 are integers up to
+        # INT_LOG_CAP, whose logarithms fixed_log_ints keeps per precision
+        rep = check_lemma31(2, 5, 4000)
+        assert rep.passed
+        assert {6, 4005, 4006} <= set(fixedpoint._INT_LOGS.at_prec())
+
+    @pytest.mark.parametrize("n, N", [(0, 0), (1, -3)])
+    def test_rejects_N_below_one(self, n, N):
+        with pytest.raises(DomainError):
+            check_lemma31(n, mpf("0.5"), N)
+
+    def test_rejects_negative_x(self):
+        with pytest.raises(DomainError):
+            check_lemma31(1, mpf("-0.5"), 10)
+
+    @pytest.mark.parametrize("n, x, N", [(3, "pi", 100), (5, "7.3", 500),
+                                         (1, "0.25", 10)])
+    def test_fails_on_a_broken_logarithm(self, monkeypatch, n, x, N):
+        # every kernel logarithm off by 2^8 units of 2^-prec, about 1e-32 at
+        # 34 digits; non-integer points, so no table entry is read or kept
+        x = pi if x == "pi" else mpf(x)
+        assert check_lemma31(n, x, N).passed
+        fixed_log = fixedpoint.fixed_log
+        monkeypatch.setattr(fixedpoint, "fixed_log",
+                            lambda u, wp: fixed_log(u, wp) + (1 << (wp - mp.prec + 8)))
+        assert not check_lemma31(n, x, N).passed
 
 
 class TestCotangent:
