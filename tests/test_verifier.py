@@ -5,7 +5,7 @@ from mpmath import mp, mpf, pi, stieltjes, workdps, zeta
 
 import oracles
 from stieltjes import fixedpoint, verifier
-from stieltjes.core import DomainError
+from stieltjes.core import DomainError, PrecTable
 from stieltjes.reporting import SubCheck, VerifyReport
 from stieltjes.verifier import (CHECKS, UnknownCheckError, _g_series, check_cotangent,
                                 check_g_functions, check_lemma31,
@@ -69,12 +69,14 @@ class TestLemma31:
         rep = check_lemma31(n, 0, 1)
         assert rep.passed and rep.residual == 0
 
-    def test_integer_points_read_the_table(self):
+    def test_integer_points_read_the_table(self, monkeypatch):
         # x = 5: the kernel's points 6, 4005 and 4006 are integers up to
-        # INT_LOG_CAP, whose logarithms fixed_log_ints keeps per precision
+        # INT_LOG_CAP, whose logarithms fixed_log_ints keeps per precision;
+        # a fresh table shows the check reads those end points only
+        monkeypatch.setattr(fixedpoint, "_INT_LOGS", PrecTable())
         rep = check_lemma31(2, 5, 4000)
         assert rep.passed
-        assert {6, 4005, 4006} <= set(fixedpoint._INT_LOGS.at_prec())
+        assert set(fixedpoint._INT_LOGS.at_prec()) == {6, 4005, 4006}
 
     @pytest.mark.parametrize("n, N", [(0, 0), (1, -3)])
     def test_rejects_N_below_one(self, n, N):
