@@ -21,6 +21,11 @@ ambient digits and bit for bit:
   digamma_rational and eta at mp.dps 34;
 - delta for n 0..2 at mp.dps 15, 34 and 50, at the default N and at
   N in {10, 97, 9973, 10^5};
+- the verifier's Chebyshev models at mp.dps 34: the integral of the gamma_n
+  model on [1, 2] for n 0..3 and the zeta'(0, x) and zeta''(0, x) rows of
+  vanishing_integrals, as SeriesValues, and the roots _gamma_roots(n)
+  bisects for n 0..3, repr and exact bits of each (model:... entries; the
+  report's notes show the roots to 12 digits only);
 - the `stieltjes verify --suite all` report, without its elapsed_s fields,
   one entry per check keyed by its id and inputs, e.g.
   verify:lemma31(N=100,n=3,x=3.14...).
@@ -72,6 +77,7 @@ from stieltjes import (RationalArg, delta, digamma, digamma_rational,
                        gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
                        hurwitz_em, log_gamma, zeta_deriv0_diff, zeta_prime_int)
 from stieltjes.cli import main as cli_main
+from stieltjes.verifier import _gamma_model, _gamma_roots, _unit_deriv_integral
 
 XS = ("0.05", "0.2546", "0.5", "1", "1.5", "3.7", "8", "500")
 TOLS = ("1e-12", "1e-15", "1e-20")
@@ -257,6 +263,18 @@ def _delta_values():
                 yield f"delta({n},{N})@{dps}", delta(n, N), ref
 
 
+def _model_entries():
+    mp.dps = 34
+    for n in range(4):
+        yield f"model:gamma_integral({n})", _record(_gamma_model(n).integral)
+        roots = _gamma_roots(n)
+        # no abs_err: --compare reports any move of a root as a DIFF
+        yield (f"model:gamma_roots({n})",
+               f"{', '.join(map(repr, roots))}\t{' '.join(map(_exact, roots))}")
+    for order in (1, 2):
+        yield f"model:zeta_unit_integral({order})", _record(_unit_deriv_integral(order))
+
+
 def _verify_entries():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
@@ -276,6 +294,7 @@ def sample() -> dict[str, str]:
     try:
         out = dict(_series_entries())
         out.update(_zeta_entries())
+        out.update(_model_entries())
         out.update(_verify_entries())
     finally:
         mp.dps = saved

@@ -189,7 +189,11 @@ def harmonic(n: int) -> mpf:
 def find_root_bisect(f, lo, hi, tol) -> mpf:
     """Deterministic bisection; returns the final midpoint.
 
-    Requires a sign change: f(lo) * f(hi) < 0.
+    Requires a sign change: f(lo) * f(hi) < 0.  Only the signs of f's
+    values are read, so f may be a sign function returning -1, 0 or 1
+    (quadrature.ChebyshevModel.sign): bisection on it takes the same
+    midpoints and returns the same bits as bisection on any f with those
+    signs.
     """
     lo, hi, tol = mpf(lo), mpf(hi), mpf(tol)
     flo, fhi = f(lo), f(hi)

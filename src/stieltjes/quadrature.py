@@ -8,6 +8,10 @@
   evaluated by Clenshaw's recurrence and integrated by Fejer's first rule, and
   the integral's claim carries the integrand's claims (Trefethen,
   *Approximation Theory and Approximation Practice*, chs. 3, 8 and 19).
+  Its coefficients are one exact integer cosine transform of the node values,
+  floored at one binary exponent, each within 7 max|v| 2^-(prec + DCT_GUARD)
+  of the exact transform before its one rounding (_chebyshev_coeffs), and
+  its sign is read through a float screen (ChebyshevModel.sign).
 
 Rules are computed at the working precision plus guard digits and kept per
 point count in a core.PrecTable; the tables are write-once and
@@ -17,10 +21,12 @@ result-invariant.
 from __future__ import annotations
 
 from math import cos, fsum, inf, pi as _pi
+from operator import mul
 from sys import float_info
 
 from mpmath import isfinite, mp, mpf, pi, workdps
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_mul_int, mpf_sub, to_fixed)
 
 from .core import (ConvergenceError, DomainError, PrecTable, SeriesValue,
                    rounding_floor)
@@ -32,8 +38,12 @@ _RULE_CACHE = PrecTable()
 # and zeta^(k)(0, t+1) on [0, 1] have their singularity at u = -3 of the
 # reference interval, rho = 3 + sqrt 8, so 41 points resolve them to ~1e-30.
 MODEL_POINTS = 41
-# n -> (nodes, cosines, weights) of _chebyshev_rule
+# n -> (nodes, cosine rows, weights) of _chebyshev_rule
 _CHEB_CACHE = PrecTable()
+# guard bits of the integer cosine transform (_chebyshev_coeffs), and of
+# the integer Fejer weight sums above the rule's precision (_chebyshev_rule)
+DCT_GUARD = 16
+WEIGHT_GUARD = 8
 
 
 class QuadratureError(ArithmeticError):
@@ -114,20 +124,73 @@ def quad_gl(f, a, b, panels: int = 8, nodes_per_panel: int = 24,
 
 def _chebyshev_rule(n: int) -> tuple:
     """Chebyshev points of the first kind x_j = cos(theta_j), theta_j =
-    pi (2j+1)/(2n), with cos(pi m/(2n)) for m < 4n (so cos(k theta_j) is entry
-    k(2j+1) mod 4n) and Fejer's first-rule weights on [-1, 1]."""
+    pi (2j+1)/(2n), the integer cosine rows of _chebyshev_coeffs, and
+    Fejer's first-rule weights on [-1, 1].
+
+    cos(pi m/(2n)) for m < 4n is one mp.cos each at mp.dps + 10, so
+    cos(k theta_j) is entry k(2j+1) mod 4n.  Row k of the transform holds
+    those entries for j < n, floored to ints at prec + DCT_GUARD bits.  The
+    weights w_j = (2/n)(1 - 2 sum_(1<=k<=n/2) cos(2k theta_j)/(4k^2 - 1))
+    sum floor divisions of the cosines floored at WEIGHT_GUARD more bits
+    than the rule's precision, and are rounded once to it.
+    """
     rules = _CHEB_CACHE.at_prec()
     if n in rules:
         return rules[n]
+    wp = mp.prec + DCT_GUARD
     with workdps(mp.dps + 10):
-        cosines = tuple(mp.cos(pi * m / (2 * n)) for m in range(4 * n))
-        nodes = tuple(cosines[2 * j + 1] for j in range(n))
-        weights = tuple(
-            2 * (1 - 2 * sum(cosines[(2 * k * (2 * j + 1)) % (4 * n)]
-                             / (4 * k * k - 1) for k in range(1, n // 2 + 1))) / n
-            for j in range(n))
-    rule = rules[n] = (nodes, cosines, weights)
+        cosines = [mp.cos(pi * m / (2 * n)) for m in range(4 * n)]
+        prec, rnd = mp._prec_rounding
+    nodes = tuple(cosines[2 * j + 1] for j in range(n))
+    fixed = [to_fixed(c._mpf_, wp) for c in cosines]
+    rows = tuple(tuple(fixed[(k * (2 * j + 1)) % (4 * n)] for j in range(n))
+                 for k in range(n))
+    ww = prec + WEIGHT_GUARD
+    fixed = [to_fixed(c._mpf_, ww) for c in cosines]
+    weights = []
+    for j in range(n):
+        # 1 - 2 sum cos(2k theta_j)/(4k^2 - 1) in units of 2^-ww
+        w = (1 << ww) - 2 * sum(fixed[(2 * k * (2 * j + 1)) % (4 * n)] // (4 * k * k - 1)
+                                for k in range(1, n // 2 + 1))
+        weights.append(mp.make_mpf(mpf_div(from_man_exp(w, 1 - ww), from_int(n),
+                                           prec, rnd)))
+    rule = rules[n] = (nodes, rows, tuple(weights))
     return rule
+
+
+def _chebyshev_coeffs(values) -> list[mpf]:
+    """Chebyshev coefficients c_k = (2/n) sum_j v_j cos(k theta_j), c_0
+    halved, of the finite mpf values v_j at the n points of
+    _chebyshev_rule(n), as one integer sum each.
+
+    With F = prec + DCT_GUARD and 2^E > max|v| the largest value's binary
+    magnitude, the values are floored to ints V_j in units of 2^(E-F), and
+    row k of the rule holds cos(k theta_j) floored to ints C_kj in units of
+    2^-F, each within (1 + 2^-13) 2^-F, as mp.cos at dps + 10 is good to 33
+    more bits.  So 2^(E-2F) sum_j V_j C_kj is within n (2^E + max|v|)
+    (1 + 2^-13) 2^-F of sum_j v_j cos(k theta_j), and c_k is within
+    2 (2^E + max|v|)(1 + 2^-13) 2^-F < 7 max|v| 2^-(prec + DCT_GUARD) of
+    its exact value before its one rounding (from_man_exp is exact, mpf_div
+    by n rounds), c_0 within half that: far below the n ulps of max|v| a
+    sum of 2n rounded mpf operations may lose.  All zero values give zero
+    coefficients, and values scaled by 2^s give coefficients scaled by
+    2^s, bit for bit.
+    """
+    n = len(values)
+    rows = _chebyshev_rule(n)[1]
+    raw = [v._mpf_ for v in values]
+    mags = [exp + bc for _, man, exp, bc in raw if man]
+    if not mags:
+        return [mpf(0)] * n
+    prec, rnd = mp._prec_rounding
+    shift = prec + DCT_GUARD - max(mags)
+    fixed = [to_fixed(v, shift) for v in raw]
+    den = from_int(n)
+    unit = -shift - prec - DCT_GUARD  # E - 2F: the sums' binary exponent
+    return [mp.make_mpf(mpf_div(from_man_exp(sum(map(mul, fixed, row)),
+                                             unit + (1 if k else 0)),
+                                den, prec, rnd))
+            for k, row in enumerate(rows)]
 
 
 class ChebyshevModel:
@@ -139,14 +202,16 @@ class ChebyshevModel:
     def __init__(self, a: mpf, b: mpf, coeffs: tuple[mpf, ...],
                  integral: SeriesValue):
         self.a, self.b, self.coeffs, self.integral = a, b, coeffs, integral
-        # positive()'s float copy of the coefficients and its screen, or
-        # None where the screen's bound does not hold (see positive)
+        # sign()'s float copies of a, b, c_0 and the other coefficients
+        # reversed, and its screen, or None where the screen's bound does
+        # not hold (see sign)
         floats = [float(c) for c in coeffs]
+        fa, fb = float(a), float(b)
         width = float(b - a)
         if (all(not c or float_info.min <= abs(f) < inf for c, f in zip(coeffs, floats))
                 and 0 < width < inf
-                and max(abs(float(a)), abs(float(b))) <= len(coeffs) * width):
-            self._floats = floats
+                and max(abs(fa), abs(fb)) <= len(coeffs) * width):
+            self._floats = (fa, fb, floats[0], floats[:0:-1])
             self._screen = len(coeffs) ** 3 * 2.0 ** -48 * fsum(map(abs, floats))
         else:
             self._floats = self._screen = None
@@ -167,10 +232,11 @@ class ChebyshevModel:
         return mp.make_mpf(mpf_add(mpf_sub(mpf_mul(u, b1, prec, rnd), b2, prec, rnd),
                                    self.coeffs[0]._mpf_, prec, rnd))
 
-    def positive(self, ts) -> list[bool]:
-        """[self(t) > 0 for t in ts], with Clenshaw's recurrence in floats
-        wherever its value clears the screen n^3 2^-48 sum|c_k|, n the number
-        of coefficients, and the mpf model's value at every other point.
+    def sign(self, t) -> int:
+        """The sign of self(t), -1, 0 or 1: from Clenshaw's recurrence in
+        floats where its value clears the screen n^3 2^-48 sum|c_k|, n the
+        number of coefficients, and from the mpf model's value at every
+        other point.
 
         The screen over-estimates the float value's distance from the mpf
         model's, so a screened sign is the model's sign.  For |u| <= 1,
@@ -184,24 +250,26 @@ class ChebyshevModel:
         n^3 2^-49 sum|c_k|, half the screen.
         So every point falls back when a coefficient is not zero or a
         finite normal float, or max(|a|, |b|) > n (b - a); a point falls back
-        when its u lies outside [-1, 1] or its value is not finite.
+        when its u lies outside [-1, 1] or its value is not finite.  An
+        exact zero of the model is never screened, so it reads 0.
         """
-        if self._screen is None:
-            return [self(t) > 0 for t in ts]
-        c0, rest, screen = self._floats[0], self._floats[:0:-1], self._screen
-        fa, fb = float(self.a), float(self.b)
-        signs = []
-        for t in ts:
+        if self._floats is not None:
+            fa, fb, c0, rest = self._floats
             u = (2 * float(t) - fa - fb) / (fb - fa)
-            v = 0.0
             if -1 <= u <= 1:
                 u2 = 2 * u
                 b1 = b2 = 0.0
                 for c in rest:
                     b1, b2 = u2 * b1 - b2 + c, b1
                 v = u * b1 - b2 + c0
-            signs.append(v > 0 if screen < abs(v) < inf else self(t) > 0)
-        return signs
+                if self._screen < abs(v) < inf:
+                    return 1 if v > 0 else -1
+        v = self(t)
+        return (v > 0) - (v < 0)
+
+    def positive(self, ts) -> list[bool]:
+        """[self(t) > 0 for t in ts], each read through sign."""
+        return [self.sign(t) > 0 for t in ts]
 
 
 def chebyshev_model(f, a, b) -> ChebyshevModel:
@@ -219,7 +287,7 @@ def chebyshev_model(f, a, b) -> ChebyshevModel:
     if not a < b:
         raise DomainError("chebyshev_model: need a < b")
     n = MODEL_POINTS
-    nodes, cosines, weights = _chebyshev_rule(n)
+    nodes, _, weights = _chebyshev_rule(n)
     half, mid = (b - a) / 2, (b + a) / 2
     values, errs = [], []
     for x in nodes:
@@ -229,9 +297,7 @@ def chebyshev_model(f, a, b) -> ChebyshevModel:
             raise QuadratureError(f"integrand non-finite at node {node}")
         values.append(sv.value)
         errs.append(sv.abs_err)
-    coeffs = [2 * sum(v * cosines[(k * (2 * j + 1)) % (4 * n)]
-                      for j, v in enumerate(values)) / n for k in range(n)]
-    coeffs[0] /= 2
+    coeffs = _chebyshev_coeffs(values)
     value = half * sum(w * v for w, v in zip(weights, values))
     claim = (half * sum(w * e for w, e in zip(weights, errs))
              + rounding_floor(half * sum(w * abs(v) for w, v in zip(weights, values))))

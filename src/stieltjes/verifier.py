@@ -210,10 +210,11 @@ ROOT_GRID = 256
 
 def _gamma_roots(n: int) -> list[mpf]:
     """Roots of gamma_n on [1, 2]: sign changes of the model on a grid of
-    ROOT_GRID points (read by ChebyshevModel.positive), bisected on the mpf
-    model to ROOT_STEP.  A root r counts only when the library values at
-    r - ROOT_STEP and r + ROOT_STEP have opposite signs and each exceeds its
-    claimed error in magnitude."""
+    ROOT_GRID points, bisected to ROOT_STEP.  Every sign is read by
+    ChebyshevModel.sign, so it is the mpf model's, and every midpoint and
+    root is that of bisection on the mpf model.  A root r counts only when
+    the library values at r - ROOT_STEP and r + ROOT_STEP have opposite
+    signs and each exceeds its claimed error in magnitude."""
     model = _gamma_model(n)
     pts = [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
     signs = model.positive(pts)
@@ -221,7 +222,7 @@ def _gamma_roots(n: int) -> list[mpf]:
     for i in range(ROOT_GRID - 1):
         if signs[i] == signs[i + 1]:
             continue
-        r = find_root_bisect(model, pts[i], pts[i + 1], ROOT_STEP)
+        r = find_root_bisect(model.sign, pts[i], pts[i + 1], ROOT_STEP)
         lo, hi = (gamma_n(n, r + s, "series_c", GAMMA_MODEL_TOL)
                   for s in (-ROOT_STEP, ROOT_STEP))
         if ((lo.value > 0) != (hi.value > 0) and abs(lo.value) > lo.abs_err

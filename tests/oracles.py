@@ -351,6 +351,26 @@ def lemma31_reference(n: int, x, N: int) -> tuple[mpf, mpf]:
         return lhs - first + step, step / q
 
 
+# --- the Chebyshev transform in exact rationals -------------------------------
+# quadrature._chebyshev_coeffs takes the transform as one integer sum per
+# coefficient; this is the transform of the same binary values, exact but
+# for the cosines, which are mpmath's at 40 more digits.
+
+def chebyshev_coeffs_exact(values) -> list[Fraction]:
+    """c_k = (2/n) sum_j v_j cos(k theta_j), c_0 halved, theta_j =
+    pi (2j+1)/(2n), for the mpf values v_j, as Fractions."""
+    n = len(values)
+    with workdps(mp.dps + 40):
+        cosines = [Fraction(*to_rational(mp.cos(mp.pi * m / (2 * n))._mpf_))
+                   for m in range(4 * n)]
+    vs = [Fraction(*to_rational(v._mpf_)) for v in values]
+    coeffs = [Fraction(2, n) * sum(v * cosines[(k * (2 * j + 1)) % (4 * n)]
+                                   for j, v in enumerate(vs))
+              for k in range(n)]
+    coeffs[0] /= 2
+    return coeffs
+
+
 def ln2_alternating_oracle(N: int = 4000, levels: int = 24) -> tuple[mpf, mpf]:
     """ln 2 from partial sums of sum (-1)^k/(k+1) with repeated Richardson
     averaging: each averaging of adjacent partial sums kills one order of the

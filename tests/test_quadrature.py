@@ -1,14 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import e, exp, legendre, log, mp, mpf, workdps
+from mpmath.libmp import to_rational
 
 import oracles
 from stieltjes.core import (ConvergenceError, DomainError, SeriesValue,
                             find_root_bisect, rounding_floor)
 from stieltjes.gamma import gamma_n
-from stieltjes.quadrature import (MODEL_POINTS, ChebyshevModel, QuadratureError,
-                                  chebyshev_model, legendre_rule, quad_gl)
-from stieltjes.verifier import (GAMMA_MODEL_TOL, ROOT_GRID, _gamma_model,
+from stieltjes.quadrature import (DCT_GUARD, MODEL_POINTS, ChebyshevModel,
+                                  QuadratureError, _chebyshev_coeffs,
+                                  _chebyshev_rule, chebyshev_model, legendre_rule,
+                                  quad_gl)
+from stieltjes.verifier import (GAMMA_MODEL_TOL, ROOT_GRID, ROOT_STEP, _gamma_model,
                                 _gamma_roots)
 
 
@@ -141,6 +146,44 @@ def test_model_value_matches_unhoisted_clenshaw():
         assert model(t)._mpf_ == want._mpf_
 
 
+def _node_values(f, a, b):
+    a, b = mpf(a), mpf(b)
+    half, mid = (b - a) / 2, (b + a) / 2
+    return [f(mid + half * x) for x in _chebyshev_rule(MODEL_POINTS)[0]]
+
+
+@pytest.mark.parametrize("f, a, b", [(exp, 1, 3), (lambda t: exp(40 * t), -1, 1)],
+                         ids=["exp_1_3", "exp40t"])
+def test_integer_transform_within_its_bound(f, a, b):
+    # exp(40 t)'s node values span 1e-17 to 1e17, so the small ones keep
+    # few bits at the largest one's exponent; the bound of _chebyshev_coeffs
+    # is absolute, 2 (2^E + max|v|)(1 + 2^-13) 2^-(prec + DCT_GUARD), c_0
+    # half of it, plus the one rounding of each coefficient
+    values = _node_values(f, a, b)
+    want = oracles.chebyshev_coeffs_exact(values)
+    vmax = max(abs(Fraction(*to_rational(v._mpf_))) for v in values)
+    pow_e = Fraction(2) ** max(v._mpf_[2] + v._mpf_[3] for v in values)
+    unit = Fraction(1, 2 ** (mp.prec + DCT_GUARD))
+    for k, (c, ref) in enumerate(zip(_chebyshev_coeffs(values), want)):
+        c = Fraction(*to_rational(c._mpf_))
+        bound = (1 if k else Fraction(1, 2)) * 2 * (pow_e + vmax) * unit * Fraction(1025, 1024)
+        assert abs(c - ref) <= bound + abs(c) / 2 ** mp.prec
+
+
+def test_zero_integrand_gives_zero_coefficients():
+    model = chebyshev_model(lambda t: SeriesValue(mpf(0), mpf(0), 1, "zero"), 1, 2)
+    assert all(c == 0 for c in model.coeffs)
+    assert model.integral.value == 0
+    assert model.sign(mpf("1.5")) == 0
+
+
+@pytest.mark.parametrize("s", [600, -600])
+def test_scaled_values_scale_the_coefficients_bit_for_bit(s):
+    base = chebyshev_model(_exact(exp), -1, 1).coeffs
+    scaled = chebyshev_model(_exact(lambda t: mp.ldexp(exp(t), s)), -1, 1).coeffs
+    assert [c._mpf_ for c in scaled] == [mp.ldexp(c, s)._mpf_ for c in base]
+
+
 def test_model_never_samples_endpoints():
     seen = []
 
@@ -237,3 +280,46 @@ def test_gamma_model_integral_agrees_with_gauss_legendre(n):
     q = quad_gl(lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL).value,
                 1, 2, panels=1, nodes_per_panel=24)
     assert abs(sv.value - q.value) <= sv.abs_err
+
+
+def _sign_changes(model):
+    grid = _root_grid()
+    signs = model.positive(grid)
+    return [(grid[i], grid[i + 1]) for i in range(ROOT_GRID - 1)
+            if signs[i] != signs[i + 1]]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bisection_on_the_sign_is_bisection_on_the_model(n):
+    model = _gamma_model(n)
+    brackets = _sign_changes(model)
+    assert brackets
+    for lo, hi in brackets:
+        want = find_root_bisect(model, lo, hi, ROOT_STEP)
+        assert find_root_bisect(model.sign, lo, hi, ROOT_STEP)._mpf_ == want._mpf_
+
+
+def test_bisection_on_the_sign_falls_back_near_the_root(monkeypatch):
+    # the polynomial of test_positive_falls_back_inside_the_screen: midpoints
+    # near its root on grid point 100 fall inside the screen, so the mpf
+    # model decides them, and the root keeps its bits
+    grid = _root_grid()
+    r1, r2 = grid[100], grid[180] + mpf("1e-7")
+    model = chebyshev_model(_exact(lambda t: (t - r1) * (t - r2) ** 2), 1, 2)
+    brackets = _sign_changes(model)
+    assert brackets
+    want = [find_root_bisect(model, lo, hi, ROOT_STEP) for lo, hi in brackets]
+    calls = _count_model_calls(monkeypatch)
+    got = [find_root_bisect(model.sign, lo, hi, ROOT_STEP) for lo, hi in brackets]
+    assert [r._mpf_ for r in got] == [r._mpf_ for r in want]
+    assert calls
+
+
+def test_sign_of_an_exact_zero():
+    # T_1(u) = u vanishes exactly at the midpoint: the float value 0 is
+    # inside the screen, the mpf model reads 0, and bisection stops there
+    model = ChebyshevModel(mpf(1), mpf(2), (mpf(0), mpf(1)),
+                           SeriesValue(mpf(0), mpf(0), 2, "exact"))
+    assert model.sign(mpf("1.5")) == 0
+    assert model.sign(mpf("1.25")) == -1 and model.sign(mpf("1.75")) == 1
+    assert find_root_bisect(model.sign, 1, 2, ROOT_STEP) == mpf("1.5")

@@ -202,6 +202,39 @@ class TestReport:
         assert not rep.passed
         assert rep.residual == mpf(2)
 
+    def test_aggregate_fails_within_an_ulp_above_one(self):
+        # a residual one 2^-(prec+8) above its tolerance, with all its bits:
+        # a ratio rounded to nearest would read 1 and pass
+        over = mp.fadd(1, mp.ldexp(1, -mp.prec - 8), exact=True)
+        sub = SubCheck("a", over, mpf(1))
+        rep = VerifyReport.from_subchecks("x", {}, [sub], 0.0)
+        assert not sub.passed and not rep.passed
+        assert rep.residual > 1
+
+    def test_aggregate_passes_at_a_ratio_of_one(self):
+        third = mpf(1) / 3
+        subs = [SubCheck("a", -third, third), SubCheck("b", mpf(0), third)]
+        rep = VerifyReport.from_subchecks("x", {}, subs, 0.0)
+        assert rep.passed and rep.residual == 1
+
+    def test_build_keeps_the_bits_of_an_mpf_tolerance(self):
+        # a gate 2^-200 above 2^-60: rounded to the ambient precision, it
+        # would read 2^-60
+        tol = mp.fadd(mp.ldexp(1, -60), mp.ldexp(1, -200), exact=True)
+        rep = VerifyReport.build("c", {}, mp.ldexp(1, -60), tol, 0.0)
+        assert rep.tolerance._mpf_ == tol._mpf_ and rep.tolerance > mp.ldexp(1, -60)
+        rep = VerifyReport.build("c", {}, 3, "1e-10", 0.0)
+        assert rep.residual == 3 and rep.tolerance == mpf("1e-10")
+
+    def test_lemma31_gate_keeps_its_bits_at_fifteen_digits(self):
+        # the gate is 2^(-prec-2) plus the reference's own error, summed at
+        # 20 more digits, and the report keeps that sum with all its bits
+        with workdps(15):
+            rep = check_lemma31(3, pi, 100)
+            assert rep.tolerance > mp.ldexp(1, -mp.prec - 2)
+            assert rep.tolerance._mpf_[3] > mp.prec
+            assert rep.passed
+
     def test_as_dict_round_trip(self):
         rep = VerifyReport.build("c", {"n": 1}, mpf("1e-20"), mpf("1e-10"), 0.1)
         d = rep.as_dict()
