@@ -49,9 +49,15 @@ def tol_digits(tol) -> int:
     lies a little below 1e-12, and at 34 digits -log10 of it would read
     just past 12)."""
     tol = mpf(tol)
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < mp.inf:
+        raise DomainError("tolerance must be positive and finite")
     return _tol_digits(tol._mpf_)
+
+
+def check_order(n, top: int, what: str) -> None:
+    """DomainError unless the order n is an int in 0..top."""
+    if type(n) is not int or not 0 <= n <= top:
+        raise DomainError(f"{what}: order must be an int in 0..{top}")
 
 
 # Distinct tolerances a run reads: a request mix asks a few, so the cache

@@ -58,8 +58,8 @@ from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add, mpf_exp,
                           mpf_ge, to_fixed)
 
 from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
-                   cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
-                   tail_claim, working_dps)
+                   check_order, cvz_terms, default_tol, head_guard, log_abs,
+                   rounding_floor, tail_claim, working_dps)
 from .fixedpoint import (fixed_div, fixed_log, fixed_mul, fixed_pow, from_fixed,
                          lattice_err, lattice_sum, lattice_wp)
 from .logpoly import em_start_for, em_tail
@@ -90,11 +90,10 @@ class RationalArg:
 
 
 def _validate(n: int, x) -> mpf:
-    if not 0 <= n <= MAX_ORDER:
-        raise DomainError(f"gamma_n: order must be 0..{MAX_ORDER}")
+    check_order(n, MAX_ORDER, "gamma_n")
     x = mpf(x)
-    if not x > 0:
-        raise DomainError("gamma_n: x must be > 0")
+    if not 0 < x < mp.inf:
+        raise DomainError("gamma_n: x must be finite and > 0")
     return x
 
 
@@ -125,14 +124,7 @@ def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
     """(K, tail) for the lattice sum of f = log^n t / t from K + x: the first
     rung K of em_start_for's ladder whose em_tail, its order raised at most
     to J_PLAN_MAX, is certified below tol/4, and that rung's tail."""
-    bound = tol / 4
-
-    def probe(K):
-        tail = em_tail(n, 1, K + x, 4, bound)
-        return tail, tail.abs_err
-
-    K, tail, _ = em_start_for(probe, bound, start)
-    return K, tail
+    return em_start_for(lambda K: em_tail(n, 1, K + x, 4, tol / 4), tol / 4, start)
 
 
 def _head_dps(n: int, x, tol) -> int:
@@ -465,12 +457,7 @@ def gamma1_alt(tol=None) -> SeriesValue:
 
 def stieltjes_integral(n: int, u, tol=None) -> SeriesValue:
     """int_1^u gamma_n(x) dx = (-1)^(n+1)/(n+1) [zeta^(n+1)(0,u) - zeta^(n+1)(0)]."""
-    if not 0 <= n <= 6:
-        raise DomainError("stieltjes_integral: need 0 <= n <= 6")
-    u = mpf(u)
-    if not u > 0:
-        raise DomainError("stieltjes_integral: u must be > 0")
-    tol = default_tol() if tol is None else mpf(tol)
+    check_order(n, 6, "stieltjes_integral")
     zd = zeta_deriv0_diff(n, u, tol)
     sign = mpf((-1) ** (n + 1)) / (n + 1)
     return SeriesValue(sign * zd.value, zd.abs_err / (n + 1), zd.terms_used,

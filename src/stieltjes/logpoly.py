@@ -16,10 +16,9 @@ with |R_J| at most 2 |B_2J+2|/(2J+2)! int_a^inf |f^(2J+2)| (Johansson,
 arXiv:1309.2877).  A rational p, such as the real s of (t + x)^-s, is read
 exactly: an mpf is a dyadic rational.
 
-Every route that sums such a summand builds its parts list once and hands
-it to both halves of the series, each in fixed point at wp = prec + guard
-bits (an int X stands for X 2^-wp) with a stated bound that the route's
-claim adds:
+em_series sums such a summand from its one parts list, read by both halves
+of the series, each in fixed point at wp = prec + guard bits (an int X
+stands for X 2^-wp) with a stated bound that the route's claim adds:
 
 - fixedpoint.lattice_sum, the partial sum: one logarithm and one power
   chain per lattice point, the coefficients a point takes from several
@@ -37,17 +36,20 @@ integral), so no log-polynomial is evaluated in mpf.  em_tail is the tail
 of the one term log^m t / t^p without its integral, the tail the gamma
 routes plan with.
 
-The one ladder em_start_for walks K through start * factor^i, calling the
-route's probe(K) -> (result, err) once per rung.  Given a bound,
-em_tail_shifted's order loop raises J from 4, at most to J_PLAN_MAX, until
-the claimed remainder is below it.  That claim is certified at every order
-and start: hurwitz_em's (t+x)^-s is completely monotone from its least
-order on, so the first omitted correction bounds the remainder; every other
-route passes em_tail_error's key (n, a, d, scale, p), which certifies the
-remainder by that theta-bound past the certified start t_J and below it
-from the total variation of f^(2J+1+d), f = log^n t / t^p, read from the
-real roots of the P_k (_certified_start, and the table _certificate of
-_root_table's enclosures).
+The one ladder em_start_for walks K through start * factor^i, calling
+probe(K) -> SeriesValue, a tail, once per rung.  em_series probes
+em_tail_shifted on its parts; gamma's routes probe em_tail of log^n t / t,
+and hurwitz_em and zeta_prime_int, whose power partial sums are not lattice
+sums, em_tail_shifted on their one part.  Given a bound, em_tail_shifted's
+order loop raises J from 4, at most to J_PLAN_MAX, until the claimed
+remainder is below it.  That claim is certified at every order and start:
+hurwitz_em's (t+x)^-s is completely monotone from its least order on, so
+the first omitted correction bounds the remainder; every other route passes
+em_tail_error's key (n, a, d, scale, p), which certifies the remainder by
+that theta-bound past the certified start t_J and below it from the total
+variation of f^(2J+1+d), f = log^n t / t^p, read from the real roots of the
+P_k (_certified_start, and the table _certificate of _root_table's
+enclosures).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
                           to_rational)
 
 from .core import ConvergenceError, DomainError, SeriesValue
-from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed
+from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed, lattice_sum
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +80,7 @@ def bernoulli(idx: int) -> Fraction:
 
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
-# reaches and em_tail accepts.  J = 13 is the smallest order that takes a
+# reaches and accepts.  J = 13 is the smallest order that takes a
 # 50-digit gamma_1 to the second rung (K = 128).  The cap also sets where the
 # term budget ends: past about 1e-175 no rung up to K_CAP reaches tol/4 and
 # the gamma routes raise ConvergenceError (about 1e-65 at J = 4 alone).
@@ -90,25 +92,16 @@ def em_tail(m: int, p, start, J: int = 4, bound=None) -> SeriesValue:
     for f = log^m t / t^p, an int m >= 0, p >= 1 (an int, or an mpf read
     exactly), and a start >= 2.
 
-    Value = f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start): the exact
-    fixed-point sum of em_tail_shifted on the one part (1, 0, m, p),
-    without its integral; terms_used is J, at most J_PLAN_MAX, rising from
-    J as in em_tail_shifted when a bound is given.  abs_err is
-    em_tail_shifted's claim with the certificate key (m, start, 0, 1, p),
-    which holds the value's tail_err() too.
+    em_tail_shifted's SeriesValue on the one part (1, 0, m, p), without its
+    integral: f(start)/2 - sum_{j<=J} B_2j/(2j)! f^(2j-1)(start) as its
+    exact fixed-point sum, J rising when a bound is given, and its claim
+    with the certificate key (m, start, 0, 1, p).
     """
-    if type(m) is not int or m < 0:
-        raise DomainError("em_tail: the log power m must be an int >= 0")
     if p < 1:
         raise DomainError("em_tail: term with inv_power < 1 has a divergent tail")
-    if J > J_PLAN_MAX:
-        raise DomainError(f"em_tail: correction order J must be <= {J_PLAN_MAX}")
     start = mpf(start)
-    if start < 2:
-        raise DomainError("em_tail: start must be >= 2")
-    value, err, J = em_tail_shifted([(1, 0, m, p)], start, J, bound, (m, start, 0, 1, p),
-                                    integral=False)
-    return SeriesValue(value, err, J, "euler_maclaurin")
+    return em_tail_shifted([(1, 0, m, p)], start, J, bound, (m, start, 0, 1, p),
+                           integral=False)
 
 
 # The Euler-Maclaurin tail runs on fixedpoint's kernel and its rules
@@ -217,18 +210,18 @@ def _exact(x):
 
 
 def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
-                    integral: bool = True) -> tuple[mpf, mpf, int]:
+                    integral: bool = True) -> SeriesValue:
     """sum_{k>=0} v(start + k) for v given by its parts (c, shift, m, p),
     v(t) = sum c log^m(t + shift) / (t + shift)^p, each c (an int, a
     Fraction or an mpf), shift (an int or an mpf) and p (an int, or an mpf
-    as the rational it is) read exactly, and every point start + shift
-    >= 2.
+    as the rational it is) read exactly, each m an int >= 0, every point
+    start + shift >= 2, and J an int in 1..J_PLAN_MAX.
 
-    Returns (value, err, J): v(start)/2 (row 0 of each part) plus
-    int_start^inf v minus the Bernoulli corrections B_2j/(2j)!
-    v^(2j-1)(start) of order j <= J, the claimed remainder, and J.  The
-    integral is -sum c F(start + shift) with F the antiderivative of
-    log^m u / u^p (_tail_rows), which the parts must make vanish at
+    A SeriesValue (value, claim, J, "euler_maclaurin"): v(start)/2 (row 0
+    of each part) plus int_start^inf v minus the Bernoulli corrections
+    B_2j/(2j)! v^(2j-1)(start) of order j <= J, the claimed remainder, and
+    J.  The integral is -sum c F(start + shift) with F the antiderivative
+    of log^m u / u^p (_tail_rows), which the parts must make vanish at
     infinity (or, as hurwitz_em's (t + x)^-s, continue analytically; delta
     adds its F(1) to the tail of log^n t); integral=False leaves it out.
 
@@ -249,9 +242,13 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
     to J_PLAN_MAX, while the claim is not below bound: the one order plan
     of every lattice route.
     """
+    if type(J) is not int or not 1 <= J <= J_PLAN_MAX:
+        raise DomainError(f"em_tail_shifted: the order J must be an int in 1..{J_PLAN_MAX}")
     start = _exact(start)
     specs, parts = {}, []  # (shift, p mod 1) -> [u, least exponent, degree]
     for c, shift, m, p in v:
+        if type(m) is not int or m < 0:
+            raise DomainError("em_tail_shifted: a log power m must be an int >= 0")
         shift, p = _exact(shift), _rational(p)
         e = p - 1 if integral else p
         at = (shift, e - math.floor(e))
@@ -304,26 +301,46 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
             J += 1
             omitted = correction(J + 1)
             err = claim(J, omitted)
-    return from_fixed(S, wp), err, J
+    return SeriesValue(from_fixed(S, wp), err, J, "euler_maclaurin")
 
 
-def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple:
-    """(K, result, err) for the first rung K of the ladder start * factor^i
-    whose probe(K) = (result, err) claims err below bound.
+def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple[int, SeriesValue]:
+    """(K, tail) for the first rung K of the ladder start * factor^i whose
+    tail = probe(K), a SeriesValue, claims abs_err below bound.
 
-    Each rung is probed once, and the winning probe's result is returned
-    with its K.  Raises ConvergenceError before it probes a rung past K_CAP:
-    the partial sum would need more terms than the library spends on one
+    Each rung is probed once, and the winning probe's tail is returned with
+    its K.  Raises ConvergenceError before it probes a rung past K_CAP: the
+    partial sum would need more terms than the library spends on one
     series.
     """
     K = start
     while K <= K_CAP:
-        result, err = probe(K)
-        if err < bound:
-            return K, result, err
+        tail = probe(K)
+        if tail.abs_err < bound:
+            return K, tail
         K *= factor
     raise ConvergenceError(
         f"tolerance unreachable within {K_CAP} series terms; raise tol")
+
+
+def em_series(parts, lo: int, start: int, bound, key) -> tuple[int, mpf, SeriesValue]:
+    """(K, partial, tail) of the series sum_{k>=lo} v(k) whose summand v is
+    one parts list (c, shift, m, p), p in {0, 1}: fixedpoint.lattice_sum
+    reads it for the partial sum over [lo, K), and em_tail_shifted for the
+    tail from K, with its v(K) and integral.
+
+    K is em_start_for's first rung from start, factor 4, whose tail, its
+    order raised from 4 at most to J_PLAN_MAX, claims below bound, certified
+    by em_tail_error's key (n, K + offset, d, scale) for key = (n, offset,
+    d, scale), K + offset formed exactly: offset places a at the start of
+    the window the certificate reads from the tail's start K.
+    """
+    n, offset, d, scale = key
+    K, tail = em_start_for(
+        lambda K: em_tail_shifted(parts, K, 4, bound,
+                                  (n, mp.fadd(K, offset, exact=True), d, scale)),
+        bound, start)
+    return K, lattice_sum(parts)(lo, K), tail
 
 
 # the isolating interval of each root is refined to this width in log t

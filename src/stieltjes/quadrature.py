@@ -267,10 +267,6 @@ class ChebyshevModel:
         v = self(t)
         return (v > 0) - (v < 0)
 
-    def positive(self, ts) -> list[bool]:
-        """[self(t) > 0 for t in ts], each read through sign."""
-        return [self.sign(t) > 0 for t in ts]
-
 
 def chebyshev_model(f, a, b) -> ChebyshevModel:
     """Interpolate f -> SeriesValue at MODEL_POINTS Chebyshev points of the

@@ -20,12 +20,11 @@ Series used here and their tails:
 
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
 integrals over [K, inf), and every sum here of log-polynomial terms runs on
-the fixed-point kernel.  The Gamma_k series builds its summand once as a
-parts list (_dilcher_parts), which fixedpoint.lattice_sum reads for the
-partial sum and em_tail_shifted for the tail, with its v(K) and integral.
-delta's tail of log^n t takes its own ends v(N)/2 and -F(N).
-mangoldt_gap_sums takes its direct terms and its closed integral from
-lattice_sum, the integral as the telescoped step (gamma._step_parts).
+the fixed-point kernel.  The Gamma_k series is logpoly.em_series on its
+parts (_dilcher_parts).  delta's tail of log^n t takes its own ends v(N)/2
+and -F(N).  mangoldt_gap_sums takes its direct terms and its closed
+integral from lattice_sum, the integral as the telescoped step
+(gamma._step_parts).
 """
 
 from __future__ import annotations
@@ -39,13 +38,13 @@ from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 
-from .core import (GUARD_DIGITS, DomainError, SeriesValue, comp_sum, cvz_terms,
-                   default_tol, head_guard, log_abs, rounding_floor, tail_claim,
-                   working_dps)
+from .core import (GUARD_DIGITS, DomainError, SeriesValue, check_order, comp_sum,
+                   cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
+                   tail_claim, working_dps)
 from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
                     gamma_n)
 from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
-from .logpoly import K_CAP, em_start_for, em_tail, em_tail_shifted
+from .logpoly import K_CAP, em_series, em_tail, em_tail_shifted
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -140,8 +139,7 @@ def eta(n: int, route: str = "from_gamma", K: int | None = None, tol=None) -> Se
     series: von Mangoldt partial sum with abs_err = inf (conditionally
     convergent at prime-counting rate; no effective desk-scale bound exists).
     """
-    if not 0 <= n <= ETA_MAX_ORDER:
-        raise DomainError(f"eta: order must be 0..{ETA_MAX_ORDER}")
+    check_order(n, ETA_MAX_ORDER, "eta")
     if route == "from_gamma":
         return _eta_from_gamma(n, default_tol() if tol is None else mpf(tol))
     if route == "series":
@@ -213,6 +211,7 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     a's.  No gamma_n value enters, so these sums stay an independent check
     on the eta and gamma routes.
     """
+    check_order(n, ETA_MAX_ORDER, "mangoldt_gap_sums")
     pending = sorted(set(int(c) for c in checkpoints))
     if not pending:
         raise DomainError("mangoldt_gap_sums: need at least one checkpoint")
@@ -314,8 +313,7 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
     the certified remainder of em_tail_error is below the rounding floor of
     the partial sum, which the claim adds anyway.
     """
-    if not 0 <= n <= 2:
-        raise DomainError("delta: order must be 0, 1 or 2")
+    check_order(n, 2, "delta")
     if N < 10:
         raise DomainError("delta: need N >= 10")
     if N > K_CAP:
@@ -329,10 +327,9 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         # the value's, sets the floor
         floor = rounding_floor(partial)
         # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
-        tail, err, _ = em_tail_shifted([(1, 0, n, 0)], N, bound=floor, key=(n - 1, N, -1, n))
-        value = partial + (-1) ** n * factorial(n) + tail
-        err = tail_claim(err, value) + floor
-        return SeriesValue(value, err, N, "em_corrected")
+        tail = em_tail_shifted([(1, 0, n, 0)], N, bound=floor, key=(n - 1, N, -1, n))
+        value = partial + (-1) ** n * factorial(n) + tail.value
+        return SeriesValue(value, tail_claim(tail.abs_err, value) + floor, N, "em_corrected")
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +344,8 @@ def digamma(x, tol=None) -> SeriesValue:
     ambient precision, as gamma_n's argument check would, it loses x when x
     is small (at mp.dps 15, psi(1e-20) would miss by about 1e-20)."""
     x = mpf(x)
-    if not x > 0:
-        raise DomainError("digamma: x must be > 0")
+    if not 0 < x < mp.inf:
+        raise DomainError("digamma: x must be finite and > 0")
     tol = default_tol() if tol is None else mpf(tol)
     g0 = _gamma_series_b(0, mp.fadd(1, x, exact=True), tol)
     dps = working_dps(tol)
@@ -363,10 +360,7 @@ def digamma(x, tol=None) -> SeriesValue:
 def log_gamma(x, tol=None) -> SeriesValue:
     """log Gamma(x) = zeta'(0, x) - zeta'(0) (Lerch), by zeta_deriv0_diff's
     series at k = 0: log Gamma(x) = -log x - sum_{k>=1} [log(1+x/k)
-    - x log(1+1/k)]."""
-    x = mpf(x)
-    if not x > 0:
-        raise DomainError("log_gamma: x must be > 0")
+    - x log(1+1/k)], which checks x."""
     return zeta_deriv0_diff(0, x, tol)
 
 
@@ -419,15 +413,14 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     With g = log^(k+1) t/(k+1), g' = f_k = log^k t / t, the summand is
     -(g(t+x) - g(t) - x g'(t)) = -x^2 g[t, t, t+x], so its m-th derivative
     is -x^2/2 times a weighted mean of f_k^(m+1) over [t + min(0, x),
-    t + max(0, x)].  em_tail_shifted's order loop raises the order at each
-    rung, and em_tail_error's key d = 1 and scale x^2/2 certifies the
-    remainder from the window's left end a = K + min(0, x).
+    t + max(0, x)].  em_series' order loop raises the order at each rung,
+    and em_tail_error's key d = 1 and scale x^2/2 certifies the remainder
+    from the window's left end a = K + min(0, x).
     """
-    if not 0 <= k <= 4:
-        raise DomainError("dilcher_log_gamma_k: order must be 0..4")
+    check_order(k, 4, "dilcher_log_gamma_k")
     x = mpf(x)
-    if not x > -1:
-        raise DomainError("dilcher_log_gamma_k: x must be > -1")
+    if not -1 < x < mp.inf:
+        raise DomainError("dilcher_log_gamma_k: x must be finite and > -1")
     if x == 0:
         return SeriesValue(mpf(0), mpf(0), 1, "log_series")
     tol = default_tol() if tol is None else mpf(tol)
@@ -435,21 +428,12 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     # gamma_k enters times x, so its share of tol shrinks with |x|
     gk = gamma_n(k, 1, "series_b", tol / 4 / max(1, abs(x)))
     with workdps(working_dps(tol)):
-        parts = _dilcher_parts(k, x)
-        h = lattice_sum(parts)
-        scale = x * x / 2
-
-        def probe(K):
-            tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4,
-                                           (k, mp.fadd(K, min(0, x), exact=True), 1, scale))
-            return tail, err
-
         # K need not exceed x: the certificate reads the window from
         # K + min(0, x), so the ladder starts at 16 for every x
-        K, tail, err = em_start_for(probe, tol / 4, 16)
-        partial = h(1, K)
-        value = -gk.value * x + partial + tail
-        err = tail_claim(err, value) + lattice_err() + abs(x) * gk.abs_err
+        K, partial, tail = em_series(_dilcher_parts(k, x), 1, 16, tol / 4,
+                                     (k, min(0, x), 1, x * x / 2))
+        value = -gk.value * x + partial + tail.value
+        err = tail_claim(tail.abs_err, value) + lattice_err() + abs(x) * gk.abs_err
         return SeriesValue(value, err, K, "log_series")
 
 
@@ -470,8 +454,8 @@ def dilcher_power_series(x, tol=None) -> SeriesValue:
     (log Gamma_1(0) diverges).
     """
     x = mpf(x)
-    if abs(x) > 1:
-        raise DomainError("dilcher_power_series: needs |x| <= 1")
+    if not abs(x) <= 1:
+        raise DomainError("dilcher_power_series: needs a finite |x| <= 1")
     if x == -1:
         raise DomainError("dilcher_power_series: diverges at x = -1")
     tol = default_tol() if tol is None else mpf(tol)

@@ -14,9 +14,7 @@ regular part of zeta^(k)(0, t) on [0, 1] become one Chebyshev model each
 The gamma_n model is kept per (n, precision) and shared by
 vanishing_integrals and zero_structure.
 
-The g-series of g_functions builds its summand once as a parts list
-(_g_parts), which fixedpoint.lattice_sum reads for the partial sum and
-em_tail_shifted for the tail, with its v(K) and integral.
+The g-series of g_functions is logpoly.em_series on its parts (_g_parts).
 """
 
 from __future__ import annotations
@@ -27,11 +25,11 @@ from math import factorial
 
 from mpmath import log, mp, mpf, pi, workdps
 
-from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, comp_sum,
-                   find_root_bisect, rounding_floor)
+from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, check_order,
+                   comp_sum, find_root_bisect, rounding_floor)
 from .gamma import gamma_n
 from .fixedpoint import lattice_err, lattice_sum
-from .logpoly import em_start_for, em_tail, em_tail_shifted
+from .logpoly import em_series, em_tail
 from .quadrature import ChebyshevModel, chebyshev_model
 from .related import digamma, _cot_pi
 from .reporting import SubCheck, VerifyReport
@@ -180,8 +178,7 @@ def _gamma_model(n: int) -> ChebyshevModel:
 def check_vanishing_integrals(n: int) -> VerifyReport:
     """Three integrals that must vanish: int_1^2 gamma_n, int_0^1 zeta'(0,x),
     int_0^1 zeta''(0,x)."""
-    if not 0 <= n <= 3:
-        raise DomainError("check_vanishing_integrals: need n <= 3")
+    check_order(n, 3, "check_vanishing_integrals")
     t0 = time.perf_counter()
     q = _gamma_model(n).integral
     subs = [SubCheck("gamma_over_unit_interval", abs(q.value), q.abs_err)]
@@ -217,7 +214,7 @@ def _gamma_roots(n: int) -> list[mpf]:
     signs and each exceeds its claimed error in magnitude."""
     model = _gamma_model(n)
     pts = [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
-    signs = model.positive(pts)
+    signs = [model.sign(t) > 0 for t in pts]
     roots = []
     for i in range(ROOT_GRID - 1):
         if signs[i] == signs[i + 1]:
@@ -234,8 +231,7 @@ def _gamma_roots(n: int) -> list[mpf]:
 def check_zero_structure(n: int) -> VerifyReport:
     """Sign changes of gamma_n on [1, 2]: at least one for n = 0 (located and
     compared against the digamma zero), at least two for n >= 1."""
-    if not 0 <= n <= 3:
-        raise DomainError("check_zero_structure: need n <= 3")
+    check_order(n, 3, "check_zero_structure")
     t0 = time.perf_counter()
     roots = _gamma_roots(n)
     notes = "sign changes at ~" + ", ".join(mp.nstr(r, 12) for r in roots)
@@ -268,25 +264,17 @@ def _g_series(q: int, x, tol) -> tuple[mpf, mpf]:
     With G = log^q, the summand is G(t+x) - G(t+1) - (x-1) G'(t+1) =
     (x-1)^2 G[t+1, t+1, t+x], so its m-th derivative is q (x-1)^2/2 times a
     weighted mean of f^(m+1), f = log^(q-1) t / t, over [t + min(1, x),
-    t + max(1, x)]: em_tail_shifted's order loop on the certified remainder
-    of em_tail_error's key d = 1.  The ladder starts at 64
-    terms, so a 1e-12 check stays as sharp as the values it compares.  The
-    remainder is certified, so the claim adds only the rounding floor of
-    the partial sum and the tail, and the partial sum's 2^-prec.
+    t + max(1, x)]: em_series' order loop on the certified remainder of
+    em_tail_error's key d = 1, read from a = K + min(1, x).  The ladder
+    starts at 64 terms, so a 1e-12 check stays as sharp as the values it
+    compares.  The remainder is certified, so the claim adds only the
+    rounding floor of the partial sum and the tail, and the partial sum's
+    2^-prec.
     """
-    parts = _g_parts(q, x)
-    h = lattice_sum(parts)
-    scale = q * (x - 1) ** 2 / 2
-
-    def probe(K):
-        tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4,
-                                       (q - 1, mp.fadd(K, min(1, x), exact=True), 1, scale))
-        return tail, err
-
-    K, tail, err = em_start_for(probe, tol / 4, 64)
-    partial = h(0, K)
-    return (partial + tail,
-            err + rounding_floor(abs(partial) + abs(tail)) + lattice_err())
+    _, partial, tail = em_series(_g_parts(q, x), 0, 64, tol / 4,
+                                 (q - 1, min(1, x), 1, q * (x - 1) ** 2 / 2))
+    return (partial + tail.value,
+            tail.abs_err + rounding_floor(abs(partial) + abs(tail.value)) + lattice_err())
 
 
 def _g_parts(q: int, x) -> list:

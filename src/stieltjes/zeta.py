@@ -27,11 +27,10 @@ logarithmic series
           + sum_{n>=1} [log^(k+1)(n+x) - log^(k+1) n
                         - x (log^(k+1)(n+1) - log^(k+1) n)]
 
-accelerated by Euler-Maclaurin corrections.  Its summand is one parts list
-(_deriv0_parts): fixedpoint.lattice_sum reads it for the partial sum,
-em_tail_shifted for the tail, with its v(K) and integral.  zeta'(s) sums
-log k / k^s with the same tail engine, certified by the key p = s.  No
-Bernoulli table, order loop, certificate or fixed-point loop lives here.
+accelerated by Euler-Maclaurin corrections: logpoly.em_series on its parts
+(_deriv0_parts).  zeta'(s) sums log k / k^s with the same tail engine,
+certified by the key p = s.  No Bernoulli table, order loop, certificate or
+fixed-point loop lives here.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ import math
 
 from mpmath import floor, log, mp, mpf, pi, workdps
 
-from .core import (ConvergenceError, DomainError, SeriesValue, comp_sum,
+from .core import (ConvergenceError, DomainError, SeriesValue, check_order, comp_sum,
                    default_tol, head_guard, log_abs, rounding_floor, tail_claim,
                    tol_digits, working_dps)
-from .fixedpoint import lattice_err, lattice_sum
-from .logpoly import em_start_for, em_tail_shifted
+from .fixedpoint import lattice_err
+from .logpoly import em_series, em_start_for, em_tail_shifted
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -65,8 +64,8 @@ def _head_guard(s, x, tol, dps: int) -> int:
 
 def _validate_x(x) -> mpf:
     x = mpf(x)
-    if not x > 0:
-        raise DomainError("the shift x must be > 0")
+    if not 0 < x < mp.inf:
+        raise DomainError("the shift x must be finite and > 0")
     return x
 
 
@@ -78,7 +77,7 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     From the least order J_min >= 4 with s + 2J + 1 > 0, v^(2J+1) vanishes
     at infinity and (s)_(2J+2), (s)_(2J+4) share a sign, so the first
     omitted correction bounds the remainder at every N (em_tail_error's
-    theta-bound) and the probe passes no key.  At each rung the order rises
+    theta-bound) and the tail takes no key.  At each rung the order rises
     from J_min until that correction is below tol/2; the tail takes v(N)
     and the integral (N+x)^(1-s)/(s-1) from its own (N+x)^(1-s).  A large
     head, x^-s or x^(1-s), adds guard digits (_head_guard), so its rounding
@@ -88,25 +87,21 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
     x = _validate_x(x)
     if s == 1:
         raise DomainError("hurwitz_em: pole at s = 1")
-    if s <= HURWITZ_EM_S_MIN:
-        raise DomainError(f"hurwitz_em: needs s > {HURWITZ_EM_S_MIN}")
+    if not HURWITZ_EM_S_MIN < s < mp.inf:
+        raise DomainError(f"hurwitz_em: needs a finite s > {HURWITZ_EM_S_MIN}")
     tol = default_tol() if tol is None else mpf(tol)
     dps = working_dps(tol)
     with workdps(dps + _head_guard(s, x, tol, dps)):
         J_min = max(4, int(floor((-s - 1) / 2)) + 1)
-
-        def probe(N):
-            tail, err, _ = em_tail_shifted([(1, x, 0, s)], N, J_min, tol / 2)
-            return tail, err
-
         # the ladder starts 14 terms past |s|, where the corrections decay fast
-        N, tail, err = em_start_for(probe, tol / 2, max(8, int(abs(s)) + 14))
+        N, tail = em_start_for(lambda N: em_tail_shifted([(1, x, 0, s)], N, J_min, tol / 2),
+                               tol / 2, max(8, int(abs(s)) + 14))
         terms = [(k + x) ** (-s) for k in range(N)]
-        total = comp_sum(terms) + tail
+        total = comp_sum(terms) + tail.value
         # for s < 0 the power sum dwarfs the result; dust scales with it
         boundary = (N + x) ** (1 - s) / (s - 1)
         scale = max(abs(terms[-1]), abs(boundary), abs(total))
-        return SeriesValue(total, err + 4 * rounding_floor(scale), N, "em")
+        return SeriesValue(total, tail.abs_err + 4 * rounding_floor(scale), N, "em")
 
 
 def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
@@ -123,8 +118,8 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
     """
     s = mpf(s)
     x = _validate_x(x)
-    if abs(s - 1) <= POLE_EXCLUSION:
-        raise DomainError("hurwitz_hasse: s within pole exclusion of 1")
+    if not POLE_EXCLUSION < abs(s - 1) < mp.inf:
+        raise DomainError("hurwitz_hasse: s must be finite and outside the pole exclusion of 1")
     tol = default_tol() if tol is None else mpf(tol)
     p, digits = mp.fsub(1, s, exact=True), tol_digits(tol)
     # the certificate needs N > p, and 1/Gamma(s-1) slows the tail as p
@@ -162,35 +157,27 @@ def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
 def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     """zeta^(k+1)(0, x) - zeta^(k+1)(0) from the logarithmic series.
 
-    em_tail_shifted's order loop raises the Euler-Maclaurin order at each
-    rung.  The summand is a second difference of g = log^q t, so its
+    em_series' order loop raises the Euler-Maclaurin order at each rung.
+    The summand is a second difference of g = log^q t, so its
     corrections are about scale = q |x(x-1)|/2 times those of
     f = log^k t / t, and its remainder is certified by the key (k, K, 1,
     scale) of em_tail_error: scale times the total variation of f^(2J+2) on
     [K, inf), or the first omitted correction past the certified start of
     J.
     """
-    if not 0 <= k <= 6:
-        raise DomainError("zeta_deriv0_diff: need 0 <= k <= 6")
+    check_order(k, 6, "zeta_deriv0_diff")
     x = _validate_x(x)
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
     with workdps(working_dps(tol) + 8):
-        parts = _deriv0_parts(q, x)
-        v = lattice_sum(parts)
-        scale = q * abs(x * (x - 1)) / 2
-
-        def probe(K):
-            tail, err, _ = em_tail_shifted(parts, K, 4, tol / 4, (k, K, 1, scale))
-            return tail, err
-
-        K, tail, err = em_start_for(probe, tol / 4, 32)
-        partial = log(x) ** q + v(1, K)
-        value = (-1) ** (k + 1) * (partial + tail)
+        K, v, tail = em_series(_deriv0_parts(q, x), 1, 32, tol / 4,
+                               (k, 0, 1, q * abs(x * (x - 1)) / 2))
+        partial = log(x) ** q + v
+        value = (-1) ** (k + 1) * (partial + tail.value)
         # the partial sum and the tail can be far larger than their
         # difference, and their rounding, not the value's, sets the floor
-        return SeriesValue(value, tail_claim(err, abs(partial) + abs(tail)) + lattice_err(),
-                           K, "log_series")
+        return SeriesValue(value, tail_claim(tail.abs_err, abs(partial) + abs(tail.value))
+                           + lattice_err(), K, "log_series")
 
 
 def _deriv0_parts(q: int, x) -> list:
@@ -235,16 +222,13 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
     below it twice that plus the variation at the one root of f^(2J+2).
     """
     s = mpf(s)
-    if not s > 1:
-        raise DomainError("zeta_prime_int: needs s > 1")
+    if not 1 < s < mp.inf:
+        raise DomainError("zeta_prime_int: needs a finite s > 1")
     tol = default_tol() if tol is None else mpf(tol)
     with workdps(working_dps(tol)):
-        def probe(K):
-            tail, err, _ = em_tail_shifted([(1, 0, 1, s)], K, 4, tol / 2,
-                                           (1, K, 0, 1, s))
-            return tail, err
-
-        K, tail, err = em_start_for(probe, tol / 2, 8, factor=2)
+        K, tail = em_start_for(
+            lambda K: em_tail_shifted([(1, 0, 1, s)], K, 4, tol / 2, (1, K, 0, 1, s)),
+            tol / 2, 8, factor=2)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
-        value = -(partial + tail)
-        return SeriesValue(value, tail_claim(err, value), K, "log_series")
+        value = -(partial + tail.value)
+        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "log_series")

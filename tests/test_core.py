@@ -9,6 +9,10 @@ import oracles
 from stieltjes.core import (GUARD_DIGITS, DomainError, SeriesValue, accelerate_alternating,
                             comp_sum, find_root_bisect, harmonic, tol_digits,
                             working_dps)
+from stieltjes.gamma import gamma_n, stieltjes_integral
+from stieltjes.related import (delta, digamma, dilcher_log_gamma_k, dilcher_power_series, eta,
+                               log_gamma, mangoldt_gap_sums)
+from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_deriv0_diff, zeta_prime_int
 
 
 def exact_sum(values):
@@ -223,3 +227,35 @@ def test_series_value_invariants():
         SeriesValue(mpf(1), mpf(-1), 1, "x")
     with pytest.raises(DomainError):
         SeriesValue(mpf(1), mpf(0), 0, "x")
+
+
+inf, nan = mp.inf, mp.nan
+BAD_CALLS = {
+    "zeta_deriv0_diff(1.5, 2)": lambda: zeta_deriv0_diff(1.5, 2),
+    "delta(1.5)": lambda: delta(1.5),
+    "stieltjes_integral(1.5, 2)": lambda: stieltjes_integral(1.5, 2),
+    "eta(1.5)": lambda: eta(1.5),
+    "mangoldt_gap_sums(1.5, [10])": lambda: mangoldt_gap_sums(1.5, [10]),
+    "gamma_n(1.5, 1)": lambda: gamma_n(1.5, 1),
+    "dilcher_log_gamma_k(1.5, 1)": lambda: dilcher_log_gamma_k(1.5, 1),
+    "gamma_n(1, inf)": lambda: gamma_n(1, inf),
+    "digamma(inf)": lambda: digamma(inf),
+    "hurwitz_em(2, inf)": lambda: hurwitz_em(2, inf),
+    "zeta_deriv0_diff(1, inf)": lambda: zeta_deriv0_diff(1, inf),
+    "gamma_n(1, 1, tol=inf)": lambda: gamma_n(1, 1, tol=inf),
+    "hurwitz_em(nan, 1)": lambda: hurwitz_em(nan, 1),
+    "hurwitz_hasse(nan, 1)": lambda: hurwitz_hasse(nan, 1),
+    "hurwitz_hasse(inf, 1)": lambda: hurwitz_hasse(inf, 1),
+    "zeta_prime_int(inf)": lambda: zeta_prime_int(inf),
+    "log_gamma(inf)": lambda: log_gamma(inf),
+    "dilcher_log_gamma_k(1, inf)": lambda: dilcher_log_gamma_k(1, inf),
+    "dilcher_power_series(nan)": lambda: dilcher_power_series(nan),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+def test_entry_points_reject_a_bad_order_or_a_non_finite_input(call):
+    # an order that is not an int in the route's range, and an x, s or tol
+    # that is not finite, raise DomainError from the argument checks
+    with pytest.raises(DomainError, match="order must be an int|finite"):
+        BAD_CALLS[call]()

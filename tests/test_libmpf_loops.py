@@ -253,7 +253,7 @@ def test_delta_takes_the_tails_own_ends(n):
         for N in (10, 97, 9973, 10 ** 4):
             for J in (4, 9, J_PLAN_MAX):
                 with workdps(dps):
-                    tail = em_tail_shifted([(1, 0, n, 0)], N, J)[0]
+                    tail = em_tail_shifted([(1, 0, n, 0)], N, J).value
                     E = tail_err()
                 with workdps(2 * dps + 20):
                     v = log(N) ** n
@@ -440,7 +440,8 @@ def _tail_within_bound(v, start, J, bound, integral, dps):
     within tail_err(), the claim |omitted| + 2 tail_err() with |omitted|
     within tail_err() of the reference's, and the same order."""
     with workdps(dps):
-        value, err, got_J = em_tail_shifted(v, start, J, bound, integral=integral)
+        tail = em_tail_shifted(v, start, J, bound, integral=integral)
+        value, err, got_J = tail.value, tail.abs_err, tail.terms_used
         E = tail_err()
     with workdps(2 * dps + 20):
         ref, omitted, ref_J = em_tail_shifted_mpf(v, start, J, bound, integral)
@@ -569,7 +570,8 @@ def test_closed_integrals_from_the_tails_own_logarithms():
         for x in XS:
             with workdps(dps):
                 x = mpf(x)
-                tails = [(em_tail_shifted(v, K, 4)[0], em_tail_shifted(v, K, 4, integral=False)[0])
+                tails = [(em_tail_shifted(v, K, 4).value,
+                          em_tail_shifted(v, K, 4, integral=False).value)
                          for v, _ in _route_integrals(x, K)]
                 bound = lattice_err()
             with workdps(2 * dps + 20):

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 
 import oracles
-from stieltjes.core import ConvergenceError, DomainError, comp_sum, rounding_floor
+from stieltjes.core import ConvergenceError, DomainError, SeriesValue, comp_sum, rounding_floor
+from stieltjes.fixedpoint import lattice_sum
 from stieltjes.gamma import gamma_n
 from oracles import (LogPoint, LogPolyRef, bernoulli_mpf, logpoly_integral_to_inf,
                      logpow_antiderivative_ref)
 from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
                                _ROOT_WIDTH, _certificate, _certified_start, _isolated,
                                _log_polys, _real_roots, _root_table, _tail_rows, bernoulli,
-                               em_start_for, em_tail, em_tail_error, em_tail_shifted,
-                               tail_err)
+                               em_series, em_start_for, em_tail, em_tail_error,
+                               em_tail_shifted, tail_err)
 from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
-from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
+from stieltjes.zeta import _deriv0_parts, hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
 
 def test_bernoulli_pinned_values():
@@ -125,12 +126,10 @@ def test_em_tail_logt2_vs_brute_oracle():
 def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
     # every single term log^m t / t^p carries em_tail_error's key d = 0,
     # f(a) is the tail's own and the integral is left out; the claim is
-    # em_tail_shifted's, with no rounding floor added
+    # em_tail_shifted's SeriesValue as it is, with no rounding floor added
     a = mpf(a)
-    sv = em_tail(m, p, a)
     key = (m, a, 0, 1, p)
-    value, err, J = em_tail_shifted([(1, 0, m, p)], a, key=key, integral=False)
-    assert (sv.value, sv.abs_err, sv.terms_used) == (value, err, J)
+    assert em_tail(m, p, a) == em_tail_shifted([(1, 0, m, p)], a, key=key, integral=False)
 
 
 @pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
@@ -140,7 +139,7 @@ def test_em_tail_shifted_raises_the_order_to_the_bound(bound):
     # a call at that order
     parts, a, bound = [(1, 0, 0, 1)], mpf(20), mpf(bound)
     plain = [em_tail_shifted(parts, a, J, integral=False) for J in range(4, J_PLAN_MAX + 1)]
-    J = next((J for J, p in enumerate(plain, 4) if p[1] < bound), J_PLAN_MAX)
+    J = next((J for J, p in enumerate(plain, 4) if p.abs_err < bound), J_PLAN_MAX)
     assert em_tail_shifted(parts, a, bound=bound, integral=False) == plain[J - 4]
     # J is the least order
     assert em_tail_shifted(parts, a, 6, bound, integral=False) == plain[max(J, 6) - 4]
@@ -201,8 +200,8 @@ def test_em_tail_shifted_matches_the_fresh_loop(J):
         # tail_err(), plus twice tail_err()
         with workdps(mp.dps + 40):
             value, err = _reference_tail(v, start, J, integral)
-            assert abs(got[0] - value) <= E
-            assert abs(got[1] - 2 * E - err) <= E
+            assert abs(got.value - value) <= E
+            assert abs(got.abs_err - 2 * E - err) <= E
         # and a repeat call is bit-identical
         assert em_tail_shifted(v, start, J, integral=integral) == got
 
@@ -233,11 +232,15 @@ def test_em_start_for_keeps_the_winning_shifted_probe():
     bound = mpf("1e-22")
 
     def probe(K):
-        return em_tail_shifted(h_parts, K)[:2]
+        return em_tail_shifted(h_parts, K)
 
-    K, value, err = em_start_for(probe, bound, 16)
-    assert K > 16 and probe(K // 4)[1] >= bound > err
-    assert (value, err) == probe(K)
+    K, tail = em_start_for(probe, bound, 16)
+    assert K > 16 and probe(K // 4).abs_err >= bound > tail.abs_err
+    assert tail == probe(K)
+
+
+def _rung(K, err):
+    return SeriesValue(mpf(K), err, 1, "probe")
 
 
 def test_em_start_for_returns_smallest_passing_rung():
@@ -245,11 +248,11 @@ def test_em_start_for_returns_smallest_passing_rung():
 
     def probe(K):
         probes.append(K)
-        return f"tail at {K}", mpf(1) / K
+        return _rung(K, mpf(1) / K)
 
-    # the winning rung comes back with its own probe's result and error,
-    # and every rung is probed exactly once
-    assert em_start_for(probe, mpf(1) / 1000, 16) == (1024, "tail at 1024", mpf(1) / 1024)
+    # the winning rung comes back with its own probe's tail, and every
+    # rung is probed exactly once
+    assert em_start_for(probe, mpf(1) / 1000, 16) == (1024, _rung(1024, mpf(1) / 1024))
     assert probes == [16, 64, 256, 1024]
     # the bound is strict: a rung whose error equals it does not pass
     assert em_start_for(probe, mpf(1) / 256, 16)[0] == 1024
@@ -263,7 +266,7 @@ def test_em_start_for_raises_past_the_budget():
 
     def probe(K):
         probes.append(K)
-        return None, mpf(1)
+        return _rung(K, mpf(1))
 
     with pytest.raises(ConvergenceError):
         em_start_for(probe, mpf("1e-10"), 16)
@@ -274,6 +277,61 @@ def test_em_start_for_raises_past_the_budget():
     with pytest.raises(ConvergenceError):
         em_start_for(probe, mpf("1e-10"), K_CAP + 1)
     assert probes == []
+
+
+@pytest.mark.parametrize("J", [0, J_PLAN_MAX + 1, 2.5])
+def test_em_tail_shifted_rejects_an_order_outside_the_plan(J):
+    with pytest.raises(DomainError):
+        em_tail_shifted([(1, 0, 1, 1)], 10, J)
+
+
+@pytest.mark.parametrize("m", [-1, 1.0])
+def test_em_tail_shifted_rejects_a_log_power_that_is_not_a_natural_number(m):
+    with pytest.raises(DomainError):
+        em_tail_shifted([(1, 0, m, 1)], 10, 4)
+
+
+@pytest.mark.parametrize("bound", ["1e-30", "1e-45"])
+def test_em_series_is_the_ladder_and_the_lattice_sum(bound):
+    # zeta_deriv0_diff's summand at k = 1, x = 0.3, 60 digits: em_series
+    # returns the rung em_start_for picks over em_tail_shifted's tails with
+    # the key (n, K + offset, d, scale), that rung's tail as it is, and the
+    # lattice sum from lo to that rung, bit for bit; 1e-30 passes at the
+    # first rung, 1e-45 at the third
+    mp.dps = 60
+    x, bound = mpf("0.3"), mpf(bound)
+    parts, scale = _deriv0_parts(2, x), abs(x * (x - 1))
+    K, partial, tail = em_series(parts, 1, 32, bound, (1, 0, 1, scale))
+
+    def probe(K):
+        return em_tail_shifted(parts, K, 4, bound, (1, K, 1, scale))
+
+    assert (K, tail) == em_start_for(probe, bound, 32)
+    assert K == (32 if bound > mpf("1e-40") else 128)
+    assert partial._mpf_ == lattice_sum(parts)(1, K)._mpf_
+
+
+def test_em_series_reads_the_certificate_from_a_negative_offset(monkeypatch):
+    # dilcher_log_gamma_k at x = -0.5: each rung K's certificate reads its
+    # window from a = K - 0.5, formed exactly, and the last rung probed is
+    # the K the route reports
+    import stieltjes.logpoly as logpoly_mod
+
+    keys = []
+    real = logpoly_mod.em_tail_shifted
+
+    def recorded(v, start, J=4, bound=None, key=None, integral=True):
+        if key is not None and key[2] == 1:
+            keys.append((start, key))
+        return real(v, start, J, bound, key, integral)
+
+    monkeypatch.setattr(logpoly_mod, "em_tail_shifted", recorded)
+    sv = dilcher_log_gamma_k(1, mpf("-0.5"), mpf("1e-30"))
+    assert [K for K, _ in keys] == [16 * 4 ** i for i in range(len(keys))]
+    assert keys[-1][0] == sv.terms_used > 16
+    for K, (n, a, d, scale) in keys:
+        assert (n, d, scale) == (1, 1, mpf("0.125"))
+        assert type(a) is mpf and a == K - mpf("0.5")
 
 
 @pytest.mark.parametrize("call", [
@@ -472,7 +530,7 @@ def test_certified_variation_bounds_the_integral(n, J, d, a):
     a = mpf(a)
     assert a < _certified_start(n, J, d)
     weight = 2 * abs(bernoulli_mpf(2 * J + 2)) / factorial(2 * J + 2)
-    omitted = em_tail_shifted([(1, 0, n, 1)], a, J, integral=False)[1] if d == 0 else mpf(0)
+    omitted = em_tail_shifted([(1, 0, n, 1)], a, J, integral=False).abs_err if d == 0 else mpf(0)
     tv = em_tail_error(n, a, J, omitted, d) / weight
     with workdps(40):
         h = _derivative(n, 2 * J + 2 + d)
@@ -508,13 +566,13 @@ def test_order_loop_returns_the_least_certified_order(case, bound):
     bound = mpf(bound)
     plain = [em_tail_shifted(parts, start, J, key=key, integral=integral)
              for J in range(4, J_PLAN_MAX + 1)]
-    assert [p[2] for p in plain] == list(range(4, J_PLAN_MAX + 1))
-    J = next((p[2] for p in plain if p[1] < bound), J_PLAN_MAX)
+    assert [p.terms_used for p in plain] == list(range(4, J_PLAN_MAX + 1))
+    J = next((p.terms_used for p in plain if p.abs_err < bound), J_PLAN_MAX)
     got = em_tail_shifted(parts, start, 4, bound, key, integral)
     assert got == plain[J - 4]
     # 1e-12 passes at J = 4, 1e-28 and 1e-29 raise J, and 1e-60 fails
-    assert (got[2] == 4) == (bound > mpf("1e-20"))
-    assert (got[1] < bound) == (bound > mpf("1e-50"))
+    assert (got.terms_used == 4) == (bound > mpf("1e-20"))
+    assert (got.abs_err < bound) == (bound > mpf("1e-50"))
 
 
 def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
@@ -562,7 +620,7 @@ def test_em_tail_claims_the_certified_remainder(J):
         sv = em_tail(1, 1, a, J)
         assert a < _certified_start(1, J)
         E = tail_err()
-        omitted = em_tail_shifted([(1, 0, 1, 1)], a, J, integral=False)[1] - E
+        omitted = em_tail_shifted([(1, 0, 1, 1)], a, J, integral=False).abs_err - E
         assert sv.abs_err == em_tail_error(1, a, J, omitted) + E
         assert abs(sv.value - (mp.stieltjes(1, a) + log(a) ** 2 / 2)) <= sv.abs_err
 

@@ -229,7 +229,7 @@ def test_positive_matches_model_signs_on_gamma_grid(n, monkeypatch):
     grid = _root_grid()
     want = [model(t) > 0 for t in grid]
     calls = _count_model_calls(monkeypatch)
-    assert model.positive(grid) == want
+    assert [model.sign(t) > 0 for t in grid] == want
     # gamma_0..gamma_3 stay far outside the screen on the grid
     assert calls == []
 
@@ -243,7 +243,7 @@ def test_positive_falls_back_inside_the_screen(monkeypatch):
     model = chebyshev_model(_exact(lambda t: (t - r1) * (t - r2) ** 2), 1, 2)
     want = [model(t) > 0 for t in grid]
     calls = _count_model_calls(monkeypatch)
-    assert model.positive(grid) == want
+    assert [model.sign(t) > 0 for t in grid] == want
     assert calls == [grid[100], grid[180]]
 
 
@@ -255,7 +255,7 @@ def test_positive_falls_back_everywhere_without_normal_floats(monkeypatch):
     grid = _root_grid()
     want = [model(t) > 0 for t in grid]
     calls = _count_model_calls(monkeypatch)
-    assert model.positive(grid) == want
+    assert [model.sign(t) > 0 for t in grid] == want
     assert len(calls) == len(grid)
 
 
@@ -284,7 +284,7 @@ def test_gamma_model_integral_agrees_with_gauss_legendre(n):
 
 def _sign_changes(model):
     grid = _root_grid()
-    signs = model.positive(grid)
+    signs = [model.sign(t) > 0 for t in grid]
     return [(grid[i], grid[i + 1]) for i in range(ROOT_GRID - 1)
             if signs[i] != signs[i + 1]]
 
