@@ -12,6 +12,9 @@ ambient digits and bit for bit:
   at mp.dps 15 and 34;
 - gamma_diff, zeta_deriv0_diff, digamma, log_gamma and dilcher_log_gamma_k
   at mp.dps 34;
+- gamma_n for n in {1, 4} at x = 0.7 by the three routes at tol 1e-100 and
+  1e-200, and log_gamma and digamma at x = 0.7 and tol 1e-100, at mp.dps
+  34: the orders past 13;
 - em_tail at mp.dps 34: log^n t / t at 32.2546 for n 0..8 and J in {4, 13},
   and log^m t / t^p for m 0..3, p in {1, 2, 3}, J in {4, 8} at starts
   {4.5, 12.25, 30.5, 100.75, 500.5}, on both sides of the certified start;
@@ -44,7 +47,8 @@ nan.  Write both samples with the same version of this script.
 
 --audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
 dilcher_log_gamma_k, hurwitz_em, zeta_prime_int, delta and em_tail entry
-against mpmath at 80 digits, taken at the entry's binary arguments:
+against mpmath at 80 digits (40 past the claim where that is more), taken
+at the entry's binary arguments:
 stieltjes for gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k
 [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1),
 zeta(s, x), zeta(s, 1, 1), (-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n),
@@ -205,6 +209,25 @@ def _series_entries():
         yield key, _record(sv)
     for key, sv, _ in _em_tail_values():
         yield key, _record(sv)
+    for key, sv, _ in _high_values():
+        yield key, _record(sv)
+
+
+def _high_values():
+    """(key, SeriesValue, reference) for gamma_1 and gamma_4 at x = 0.7 by
+    the three routes at 1e-100 and 1e-200, and log_gamma and digamma there
+    at 1e-100: the orders past 13."""
+    mp.dps = 34
+    x = mpf("0.7")
+    for digits in (100, 200):
+        tol = mpf(10) ** -digits
+        for n in (1, 4):
+            for route in ROUTES:
+                yield (f"gamma_n({n},0.7,{route},1e-{digits})", gamma_n(n, x, route, tol),
+                       lambda n=n: stieltjes(n, x))
+    tol = mpf(10) ** -100
+    yield "log_gamma(0.7,1e-100)", log_gamma(x, tol), lambda: loggamma(x)
+    yield "digamma(0.7,1e-100)", digamma(x, tol), lambda: psi(0, x)
 
 
 def _em_tail_values():
@@ -316,19 +339,21 @@ def _audited():
     yield from _route_values()
     yield from _delta_values()
     yield from _em_tail_values()
+    yield from _high_values()
 
 
 def audit() -> int:
-    """Check every audited entry against mpmath at 80 digits, at the entry's
-    binary arguments; print each entry whose gap |value - ref| exceeds its
-    abs_err, and the worst gap/claim of each function.  Returns 1 when any
-    entry's does."""
+    """Check every audited entry against mpmath at 80 digits, or 40 digits
+    past its claim where that is more, at the entry's binary arguments;
+    print each entry whose gap |value - ref| exceeds its abs_err, and the
+    worst gap/claim of each function.  Returns 1 when any entry's does."""
     saved = mp.dps
     worst: dict[str, tuple] = {}
     bad = count = 0
     try:
         for key, sv, reference in _audited():
-            with workdps(80):
+            claim_digits = -int(mp.log10(sv.abs_err)) if 0 < sv.abs_err < mp.inf else 0
+            with workdps(max(80, claim_digits + 40)):
                 gap = abs(sv.value - reference())
                 ratio = gap / sv.abs_err if sv.abs_err else (mp.inf if gap else mpf(0))
             count += 1

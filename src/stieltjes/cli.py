@@ -179,6 +179,7 @@ def _payload(constant: str, params: dict, sv: SeriesValue, digits: int) -> dict:
         "value": nstr(sv.value, digits),
         "abs_err": "inf" if sv.abs_err == mp.inf else nstr(sv.abs_err, 3),
         "terms_used": sv.terms_used,
+        "order": sv.order,
         "method": sv.method,
     }
 

@@ -155,13 +155,16 @@ class SeriesValue:
 
     abs_err is a claimed bound on truncation plus tail error; mp.inf marks
     routes for which no effective bound exists (raw limit partial sums,
-    conditionally convergent sums).
+    conditionally convergent sums).  order is the Euler-Maclaurin order J
+    of the tail a route's plan settled on, where one tail sets it, else
+    None.
     """
 
     value: mpf
     abs_err: mpf
     terms_used: int
     method: str
+    order: int | None = None
 
     def __post_init__(self):
         if not (self.abs_err >= 0):

@@ -143,7 +143,7 @@ def _gamma_series_b(n: int, x, tol) -> SeriesValue:
         partial = lattice_sum(_series_b_parts(n, x))(0, K)
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
-                           K, "series_b")
+                           K, "series_b", tail.order)
 
 
 def _series_b_parts(n: int, x) -> list:
@@ -165,7 +165,7 @@ def _gamma_series_c(n: int, x, tol) -> SeriesValue:
         # as the partial sum is: lattice_err() holds both
         value = partial + tail.value + lattice_sum(_step_parts(q, x, 1))(K, K + 1)
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
-                           K, "series_c")
+                           K, "series_c", tail.order)
 
 
 def _series_c_parts(n: int, x) -> list:
@@ -249,7 +249,7 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
         K, tail = _lattice_plan(n, x, tol, 32)
         value = _coffey_sum(n, x, K) + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
-                           K, "coffey")
+                           K, "coffey", tail.order)
 
 
 def _coffey_sum(n: int, x, K: int) -> mpf:
@@ -320,14 +320,14 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     with workdps(working_dps(tol)):
         K, tail = _lattice_plan(n, min(x, y), tol, 32)
         partial = lattice_sum([(1, x, n, 1), (-1, y, n, 1)])(0, K)
-        other = em_tail(n, 1, K + max(x, y), tail.terms_used)
+        other = em_tail(n, 1, K + max(x, y), tail.order)
         tx, ty = (tail, other) if x < y else (other, tail)
         # (log^q(K+y) - log^q(K+x))/q, within 2^(-prec-3) as the partial sum
         # is: lattice_err() holds both
         boundary = lattice_sum(_step_parts(q, x, y))(K, K + 1)
         value = partial + tx.value - ty.value + boundary
         err = tail_claim(tx.abs_err + ty.abs_err, value) + lattice_err()
-        return SeriesValue(value, err, K, "difference")
+        return SeriesValue(value, err, K, "difference", tail.order)
 
 
 def gamma_recurrence_check(n: int, x, tol=None) -> VerifyReport:
@@ -461,4 +461,4 @@ def stieltjes_integral(n: int, u, tol=None) -> SeriesValue:
     zd = zeta_deriv0_diff(n, u, tol)
     sign = mpf((-1) ** (n + 1)) / (n + 1)
     return SeriesValue(sign * zd.value, zd.abs_err / (n + 1), zd.terms_used,
-                       "antiderivative")
+                       "antiderivative", zd.order)

@@ -41,15 +41,19 @@ probe(K) -> SeriesValue, a tail, once per rung.  em_series probes
 em_tail_shifted on its parts; gamma's routes probe em_tail of log^n t / t,
 and hurwitz_em and zeta_prime_int, whose power partial sums are not lattice
 sums, em_tail_shifted on their one part.  Given a bound, em_tail_shifted's
-order loop raises J from 4, at most to J_PLAN_MAX, until the claimed
-remainder is below it.  That claim is certified at every order and start:
-hurwitz_em's (t+x)^-s is completely monotone from its least order on, so
-the first omitted correction bounds the remainder; every other route passes
-em_tail_error's key (n, a, d, scale, p), which certifies the remainder by
-that theta-bound past the certified start t_J and below it from the total
-variation of f^(2J+1+d), f = log^n t / t^p, read from the real roots of the
-P_k (_certified_start, and the table _certificate of _root_table's
-enclosures).
+order loop raises J from 4, at most to J_PLAN_MAX = 64, until the claimed
+remainder is below it; past order DIRECT = 13 only while the rows' weights
+at the start still fall, to the series' turning point near j = pi start,
+and rule (9) reaches them.  So each rung raises J before the ladder moves
+K, and the tables a call builds (_log_polys, _tail_rows, the certificates)
+reach only the order it gets to.  That claim is certified at every order
+and start: hurwitz_em's (t+x)^-s is completely monotone from its least
+order on, so the first omitted correction bounds the remainder; every
+other route passes em_tail_error's key (n, a, d, scale, p), which
+certifies the remainder by that theta-bound past the certified start t_J
+and below it from the total variation of f^(2J+1+d), f = log^n t / t^p,
+read from the real roots of the P_k (_certified_start, and the table
+_certificate of _root_table's enclosures).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from mpmath import bernfrac, iv, mp, mpf
+from mpmath import iv, mp, mpf
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
                           mpf_div, mpf_mul, mpf_pow, mpf_sub, round_up, to_fixed,
                           to_rational)
@@ -72,19 +76,46 @@ from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed, lattic
 
 @lru_cache(maxsize=None)
 def bernoulli(idx: int) -> Fraction:
-    """Exact Bernoulli number B_idx (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_idx (B_1 = -1/2 convention): B_2n =
+    (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent number T_n."""
     if idx < 0:
         raise DomainError("bernoulli: index must be >= 0")
-    return Fraction(*bernfrac(idx))
+    if idx < 2:
+        return Fraction(1) if idx == 0 else Fraction(-1, 2)
+    if idx % 2:
+        return Fraction(0)
+    n = idx // 2
+    return Fraction((-1) ** (n - 1) * 2 * n * _tangent(n), 4 ** n * (4 ** n - 1))
+
+
+_TANGENTS = [0, 1]  # T_0 (unused) and T_1, extended on demand
+
+
+def _tangent(n: int) -> int:
+    """The tangent number T_n, tan z = sum T_n z^(2n-1)/(2n-1)!: all of
+    T_1..T_N in one integer recurrence (Brent and Harvey, Fast computation
+    of Bernoulli, tangent and secant numbers, 2011), N at least twice the
+    last table's."""
+    if n >= len(_TANGENTS):
+        N = max(n, 2 * (len(_TANGENTS) - 1))
+        T = [0, 1] + [0] * (N - 1)
+        for k in range(2, N + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, N + 1):
+            for j in range(k, N + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        _TANGENTS[:] = T
+    return _TANGENTS[n]
 
 
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
-# reaches and accepts.  J = 13 is the smallest order that takes a
-# 50-digit gamma_1 to the second rung (K = 128).  The cap also sets where the
-# term budget ends: past about 1e-175 no rung up to K_CAP reaches tol/4 and
-# the gamma routes raise ConvergenceError (about 1e-65 at J = 4 alone).
-J_PLAN_MAX = 13
+# reaches and accepts.  At a start u the corrections shrink until j is about
+# pi u, so from the first rungs (16 and 32) every order through 64 serves,
+# and a 50-digit gamma_1 stops at K = 32 (J = 23).  The cap also sets where
+# the term budget ends: past about 1e-620 no rung up to K_CAP reaches tol/4
+# and the gamma routes raise ConvergenceError (about 1e-65 at J = 4 alone).
+J_PLAN_MAX = 64
 
 
 def em_tail(m: int, p, start, J: int = 4, bound=None) -> SeriesValue:
@@ -124,18 +155,39 @@ def em_tail(m: int, p, start, J: int = 4, bound=None) -> SeriesValue:
 # (8) a part's term c X u^-e, c = num / den exact, as floor((X R >> wp)
 #     num / den): within |c| (2 A M^q + G (5 q M^q A + 1) + 1) + 1, which is
 #     at most 2^4 q (|c| + 1)(A + 1) G M^q.
+# (9) a correction past the orders rule (8) takes, c X u^-(e0+i) for a row
+#     of order j and weight A (a = A u^-n, n = 2j - 1 <= i), at 2^-2wp: X
+#     times F[i] = u^-(e0+i) at 2^-(wp+s_i), s_i = floor(i beta) for a float
+#     beta <= log2 u within 1e-6, shifted down s_i bits and scaled by
+#     num/den, each floored.  F[0] = R[0], and F[i] = F[i-1] 2^(s_i -
+#     s_(i-1)) / u by rule (4) is within 2(i + 1) of its units (2^(s_i -
+#     s_k) <= 2 u^(i-k)), and 2^-s_i <= 2.0002 u^-i, so the term is within
+#     |c|((5 q G + 4.0004 (i + 1)) M^q A + G) u^-i + 2^(1-wp), at most |c|
+#     (2^10 q G M^q a + G u^-n) + 2^(1-wp) as n + 1 <= 131 and (i + 1) u^-i
+#     <= (n + 1) u^-n.  A point reaches the row when a <= 2^(h-16), for the
+#     call's h extra bits (_TailPoint.reaches): then it is within 2^(h-5)
+#     |c| q G M^q + 2^(1-wp).  X's error shrinks with u^-n, where rule (8)
+#     would carry A, about 2^380 at j = 65.
 #
 # em_tail_shifted's one proof: a part of (m, p) reads rows of degree at most
-# q = m + 1 (the integral's, at p = 1), each with A at most _tail_rows(m, p)'s
-# bound, so v(start)/2, the integral and every correction is within B, the
-# sum over the parts of 2^4 q (|c| + 1)(A + 1) G M^q units, and the value,
-# at most J_PLAN_MAX + 2 of them, within 2^4 B.  At wp = prec + bitlen(B) +
-# TAIL_GUARD both are below tail_err() = 2^(-prec-3), which the claim adds
-# to the first omitted correction before its certificate reads it, and to
-# the certified bound.
+# q = m + 1 (the integral's, at p = 1), and the value has at most 2^4 terms:
+# v(start)/2, the integral and the corrections of order j <= DIRECT by rule
+# (8), each within B, the sum over the parts of 2^4 q (|c| + 1)(A + 1) G M^q
+# units for A, _tail_rows(m, p)'s bound on the rows through DIRECT + 1; and
+# every later correction by rule (9), at most J_PLAN_MAX - DIRECT of them,
+# within 2^(h+1) |c| q G M^q + 1 over the parts together, at most 2^h B.  So
+# at wp = prec + bitlen(B) + TAIL_GUARD + h, for the least h at which the
+# points reach every row the call reads (h = 0 through order DIRECT, and
+# the order loop raises J only to rows they reach), the value is within
+# 2^(h+4) B and each correction within 2^h B, below tail_err() =
+# 2^(-prec-3), which the claim adds to the first omitted correction before
+# its certificate reads it, and to the certified bound.
 
 # bits of 2^4 (the count of a value's terms) and 2^3 (the margin): see above
 TAIL_GUARD = 7
+# the orders whose corrections rule (8) takes: the count's 2^4 terms less
+# v(start)/2, the integral and the one share of every later order (rule (9))
+DIRECT = (1 << (TAIL_GUARD - 3)) - 3
 
 
 def tail_err() -> mpf:
@@ -145,19 +197,22 @@ def tail_err() -> mpf:
 
 
 class _TailPoint:
-    """A tail's point u >= 2, an exact _mpf_, in fixed point at wp: its
-    logarithm L (rule (1); fixed_log_ints' table at an integer u), the powers
-    L^k (rule (2)) through a degree, and the chain R[i] = u^-(e0 + i)
-    (rule (6))."""
+    """A tail's point u >= 2, an exact _mpf_, in fixed point at wp = prec +
+    guard + h: its logarithm L (rule (1); fixed_log_ints' table at an
+    integer u), the powers L^k (rule (2)) through a degree, the chain R[i] =
+    u^-(e0 + i) (rule (6)), and the chain F[i] = u^-(e0 + i) at 2^-(wp +
+    floor(i beta)) of the corrections past DIRECT (rule (9))."""
 
-    __slots__ = ("u", "wp", "M", "e0", "powers", "R")
+    __slots__ = ("u", "wp", "h", "M", "G", "e0", "beta", "powers", "R", "F")
 
-    def __init__(self, u, wp: int, M: int, q: int, e0):
+    def __init__(self, u, wp: int, M: int, q: int, e0, h: int = 0):
         _, man, exp, _ = u
         L = (next(fixed_log_ints(man << exp, (man << exp) + 1, wp)) if exp >= 0
              else fixed_log(u, wp))
-        self.u, self.wp, self.M, self.e0, self.powers = u, wp, M, e0, [1 << wp, L]
+        self.u, self.wp, self.h, self.M, self.e0 = u, wp, h, M, e0
+        self.G, self.beta, self.powers = _inv_bound(u, e0), _log2_below(u), [1 << wp, L]
         self.R = [_inv_first(u, e0, wp, M)]
+        self.F = self.R[:]
         self.extend(q)
 
     def extend(self, q: int) -> None:
@@ -175,9 +230,45 @@ class _TailPoint:
         X = sum(map(mul, N, self.powers)) // D * R[k] >> self.wp
         return X if num == den else X * num // den
 
+    def fine_term(self, row, k: int, num: int, den: int) -> int:
+        """num/den X(L) u^-(e0+k) for the row X = (N, D), at 2^-2wp: rule
+        (9)."""
+        F, beta = self.F, self.beta
+        while len(F) <= k:
+            i = len(F)
+            F.append(fixed_div(F[-1] << math.floor(i * beta) - math.floor((i - 1) * beta),
+                               self.u))
+        N, D = row
+        X = sum(map(mul, N, self.powers)) // D * F[k] >> math.floor(k * beta)
+        return X if num == den else X * num // den
+
+    def reaches(self, A: int, n: int) -> bool:
+        """Whether a row of weight A read at u^-n has A u^-n <= 2^(h-16), from
+        A 2^16 <= 2^(h + floor(n beta)): rule (9)."""
+        return A.bit_length() + 16 <= self.h + math.floor(n * self.beta)
+
+    def falls(self, A: int, A_next: int) -> bool:
+        """Whether the next row's weight at u, A_next u^-(n+2), is below
+        this row's, A u^-n: A_next < A u^2, exactly."""
+        _, man, exp, _ = self.u
+        if exp >= 0:
+            return A_next < A * man * man << 2 * exp
+        return A_next << -2 * exp < A * man * man
+
     def log_below(self) -> float:
         """A float at most log u: L less its 3M units, rounded down."""
         return math.nextafter((self.powers[1] - 3 * self.M) / (1 << self.wp), -math.inf)
+
+
+def _inv_bound(u, e0) -> int:
+    """G = 2^g >= max(1, u^-e0) for an _mpf_ u >= 1: g from u's magnitude."""
+    return 1 if e0 >= 0 else 1 << math.ceil(-e0 * (u[2] + u[3]))
+
+
+def _log2_below(u) -> float:
+    """A float beta <= log2 u within 1e-6, for an _mpf_ u > 0: rule (9)."""
+    _, man, exp, _ = u
+    return math.log2(man) + exp - 1e-6
 
 
 def _inv_first(u, e, wp: int, M: int) -> int:
@@ -217,7 +308,7 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
     as the rational it is) read exactly, each m an int >= 0, every point
     start + shift >= 2, and J an int in 1..J_PLAN_MAX.
 
-    A SeriesValue (value, claim, J, "euler_maclaurin"): v(start)/2 (row 0
+    A SeriesValue (value, claim, J, "euler_maclaurin", J): v(start)/2 (row 0
     of each part) plus int_start^inf v minus the Bernoulli corrections
     B_2j/(2j)! v^(2j-1)(start) of order j <= J, the claimed remainder, and
     J.  The integral is -sum c F(start + shift) with F the antiderivative
@@ -229,9 +320,10 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
     whose p differ by integers share one logarithm, its powers, and one
     chain of u^-e by exact divisions (its first by mpf_pow at a rational
     p); a part's correction j is one integer dot product of the powers with
-    _tail_rows' exact weights B_2j/(2j)! P_(2j-1)[k], times u^-(p+2j-1).
-    The value is the integer sum S 2^-wp, with all its bits, within
-    tail_err() = E.
+    _tail_rows' exact weights B_2j/(2j)! P_(2j-1)[k], times u^-(p+2j-1):
+    by rule (8) through order DIRECT, by rule (9) past it.  The value is
+    the integer sum S 2^-wp (S 2^-2wp past DIRECT), with all its bits,
+    within tail_err() = E.
 
     The claim is em_tail_error(n, a, J, |omitted| + E, d, scale, p) + E for
     the certificate key (n, a, d, scale[, p]) described there (p is 1 when
@@ -239,8 +331,10 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
     shift for one of the shifts; with no key, |omitted| + 2E, the
     theta-bound of a completely monotone summand (or the negative of one),
     as hurwitz_em's.  With a bound, J is the least order and rises, at most
-    to J_PLAN_MAX, while the claim is not below bound: the one order plan
-    of every lattice route.
+    to J_PLAN_MAX, while the claim is not below bound, and past DIRECT
+    only while at every part the next rows' weights at u still fall (the
+    series' turning point, about j = pi u) and the point reaches them
+    (rule (9)): the one order plan of every lattice route.
     """
     if type(J) is not int or not 1 <= J <= J_PLAN_MAX:
         raise DomainError(f"em_tail_shifted: the order J must be an int in 1..{J_PLAN_MAX}")
@@ -256,31 +350,53 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         spec[1], spec[2] = min(spec[1], e), max(spec[2], m + 1)
         num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
         parts.append((at, m, p, num, den))
-    B = 0
+    B = h = 0
     for at, m, p, num, den in parts:
         u, e0, _ = specs[at]
         if u[0] or u[2] + u[3] < 2:
             raise DomainError("em_tail_shifted: every point start + shift must be >= 2")
-        G = 1 << max(0, math.ceil(-e0 * (u[2] + u[3])))
-        B += (16 * (m + 1) * (-(-abs(num) // den) + 1) * (_tail_rows(m, p)[2] + 1)
-              * _log_ceil(u) ** (m + 1) * G)
-    wp = mp.prec + B.bit_length() + TAIL_GUARD
-    points = {at: _TailPoint(u, wp, _log_ceil(u), q, e0) for at, (u, e0, q) in specs.items()}
+        rows, _, A = _tail_rows(m, p)
+        B += (16 * (m + 1) * (-(-abs(num) // den) + 1) * (A + 1)
+              * _log_ceil(u) ** (m + 1) * _inv_bound(u, e0))
+        # the bits rule (9) needs at the rows past DIRECT that order J reads
+        if J > DIRECT:
+            beta = _log2_below(u)
+            h = max(h, *(rows[j][1].bit_length() + 16 - math.floor((2 * j - 1) * beta)
+                         for j in range(DIRECT + 1, J + 2)))
+    wp = mp.prec + B.bit_length() + TAIL_GUARD + h
+    points = {at: _TailPoint(u, wp, _log_ceil(u), q, e0, h)
+              for at, (u, e0, q) in specs.items()}
     terms = [(points[at], int(p - specs[at][1]), *_tail_rows(m, p)[:2], num, den)
              for at, m, p, num, den in parts]
 
-    S = sum(point.term(rows[0], k, num, 2 * den) for point, k, rows, _, num, den in terms)
+    # rule (8) reads rows through DIRECT + 1, which _tail_rows builds for A
+    S = sum(point.term(rows.built[0][0], k, num, 2 * den)
+            for point, k, rows, _, num, den in terms)
     if integral:
         S += sum(point.term(F, k - 1, num, den) for point, k, _, F, num, den in terms)
 
-    def correction(j):  # B_2j/(2j)! v^(2j-1)(start)
-        return sum(point.term(rows[j], k + 2 * j - 1, num, den)
+    def rule8(j):  # B_2j/(2j)! v^(2j-1)(start) at 2^-wp
+        return sum(point.term(rows.built[j][0], k + 2 * j - 1, num, den)
                    for point, k, rows, _, num, den in terms)
+
+    def rule9(j):  # the same at 2^-2wp
+        return sum(point.fine_term(rows[j][0], k + 2 * j - 1, num, den)
+                   for point, k, rows, _, num, den in terms)
+
+    def omitted_at(J):  # order J + 1, by rule (8) through DIRECT + 1
+        return rule8(J + 1) if J <= DIRECT else rule9(J + 1)
+
+    def may_raise(J):  # rows J + 1 and J + 2 reached, and their weights falling
+        return all(point.falls(rows[J + 1][1], rows[J + 2][1])
+                   and point.reaches(rows[J + 1][1], 2 * J + 1)
+                   and point.reaches(rows[J + 2][1], 2 * J + 3)
+                   for point, _, rows, _, _, _ in terms)
 
     E = 1 << (wp - mp.prec - 3)
     if key is None:
-        def claim(J, omitted):
-            return from_fixed(abs(omitted) + 2 * E, wp)
+        def claim(J, omitted):  # omitted at 2^-wp through DIRECT, at 2^-2wp past it
+            w = wp if J <= DIRECT else 2 * wp
+            return from_fixed(abs(omitted) + (2 * E << w - wp), w)
     else:
         n, a, d, scale, *p_key = key
         p_key = _rational(p_key[0] if p_key else 1)
@@ -288,20 +404,37 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         E_mpf = from_fixed(E, wp)
 
         def claim(J, omitted):
-            return em_tail_error(n, a, J, from_fixed(abs(omitted) + E, wp), d, scale,
-                                 p_key, at_a) + E_mpf
+            w = wp if J <= DIRECT else 2 * wp
+            return em_tail_error(n, a, J, from_fixed(abs(omitted) + (E << w - wp), w), d,
+                                 scale, p_key, at_a) + E_mpf
 
-    for j in range(1, J + 1):
-        S -= correction(j)
-    omitted = correction(J + 1)
+    def settle(J, omitted):  # (claim, whether it is below bound) at a raised J
+        # with no key or d <= 0 the claim is at least |omitted|, so an
+        # omitted correction not below bound fails without its certificate
+        if (key is None or d <= 0) and not from_fixed(
+                abs(omitted), wp if J <= DIRECT else 2 * wp) < bound:
+            return None, False
+        err = claim(J, omitted)
+        return err, err < bound
+
+    for j in range(1, min(J, DIRECT) + 1):
+        S -= rule8(j)
+    fine = -sum(rule9(j) for j in range(DIRECT + 1, J + 1))  # at 2^-2wp
+    omitted = omitted_at(J)
     err = claim(J, omitted)
-    if bound is not None:
-        while not err < bound and J < J_PLAN_MAX:
+    done = bound is None or err < bound
+    while not done and J < J_PLAN_MAX and (J < DIRECT or may_raise(J)):
+        if J < DIRECT:
             S -= omitted
-            J += 1
-            omitted = correction(J + 1)
-            err = claim(J, omitted)
-    return SeriesValue(from_fixed(S, wp), err, J, "euler_maclaurin")
+        else:  # order DIRECT + 1 enters the value by rule (9), its claim by (8)
+            fine -= rule9(J + 1) if J == DIRECT else omitted
+        J += 1
+        omitted = omitted_at(J)
+        err, done = settle(J, omitted)
+    if err is None:
+        err = claim(J, omitted)
+    value = from_fixed(S, wp) if J <= DIRECT else from_fixed((S << wp) + fine, 2 * wp)
+    return SeriesValue(value, err, J, "euler_maclaurin", J)
 
 
 def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple[int, SeriesValue]:
@@ -378,10 +511,12 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
     roots r >= a.  Below t_J (_certified_start), _certificate holds the
     roots' upper ends and the suffix sums of 2|B_2J+2|/(2J+2)! 2|g(r)|, and
     one bisect on a float at most log a (point's, a tail's point at a, or a
-    fresh one) picks the roots r >= a.  For d <= 0, scale |B_2J+2|/(2J+2)! |g(a)| is omitted
-    itself, so |g(a)| is not evaluated again; for d = 1 it is the point's
-    fixed-point row of that weight times f^(2J+2) (rule (8)), its bound
-    added.
+    fresh one) picks the roots r >= a.  For d <= 0, scale |B_2J+2|/(2J+2)!
+    |g(a)| is omitted itself, so |g(a)| is not evaluated again; for d = 1 it
+    is the point's fixed-point row of that weight times f^(2J+2), its bound
+    added: by rule (8) through order DIRECT, by rule (9) past it where the
+    tail's point reaches the row (2^h q G M^q units of 2^-wp), and by rule
+    (8) at a fresh point whose bits hold the row's weight elsewhere.
     """
     p = _rational(p)
     if not p > 0:
@@ -389,9 +524,12 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
     if a >= _certified_start(n, J, d, p):
         return omitted
     his, suffix, g_row = _certificate(n, J, d, p)
-    e = p + 2 * J + 1 + d  # g's inverse power
+    k = 2 * J + 1 + d  # g = f^(k), of inverse power e
+    e = p + k
     q = n + 1
-    if point is None or e < point.e0:
+    fine = (J > DIRECT and d > 0 and point is not None and e - point.e0 >= k
+            and point.reaches(g_row[1], k))
+    if point is None or e < point.e0 or J > DIRECT and d > 0 and not fine:
         u = _exact(a)
         M = _log_ceil(u)
         wp = mp.prec + (32 * q * (g_row[1] + 1 if g_row else 1) * M ** q).bit_length()
@@ -402,6 +540,10 @@ def em_tail_error(n: int, a, J: int, omitted, d: int = 0, scale=1, p=1,
         return 2 * omitted + scale * roots
     row, A = g_row
     point.extend(q)
+    if fine:
+        X = abs(point.fine_term(row, int(e - point.e0), 1, 1))
+        return scale * (from_fixed(X + (q * point.G * point.M ** q << point.wp + point.h),
+                                   2 * point.wp) + roots)
     X = abs(point.term(row, int(e - point.e0), 1, 1))
     return scale * (from_fixed(X + 32 * q * (A + 1) * point.M ** q, point.wp) + roots)
 
@@ -424,21 +566,43 @@ POLY_CACHE_MAX = 128
 ROOT_CACHE_MAX = 512
 
 
+class _Rows:
+    """A table built on demand: reading row k builds every row through k,
+    once, each from the one before (row k = step(row k - 1, k)).  len()
+    counts the rows built so far.  It has no end, so it is read by index
+    and not iterated."""
+
+    __slots__ = ("built", "step")
+
+    def __init__(self, first, step):
+        self.built, self.step = [first], step
+
+    def __getitem__(self, k: int):
+        built = self.built
+        if k >= len(built):
+            for i in range(len(built), k + 1):
+                built.append(self.step(built[-1], i))
+        return built[k]
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    __iter__ = None
+
+
 @lru_cache(maxsize=POLY_CACHE_MAX)
-def _log_polys(m: int, p) -> tuple[tuple, ...]:
-    """P_k for k = 0..2 J_PLAN_MAX + 5, coefficients low degree first,
-    with (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k):
-    d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).  Integers for an
-    int p, exact Fractions for a Fraction p.  Row 2J + 4 + d, d <= 1, is
-    the last em_tail_error reads at the largest order J = J_PLAN_MAX.
+def _log_polys(m: int, p) -> _Rows:
+    """P_k, coefficients low degree first, with (d/dt)^k [log^m t / t^p] =
+    P_k(log t)/t^(p+k): d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).
+    Integers for an int p, exact Fractions for a Fraction p.  Built on
+    demand, through the row a call reads: row 2J - 1 for a correction of
+    order J, row 2J + 4 + d, d <= 1, for em_tail_error at order J.
     Independent of the precision."""
-    P = (0,) * m + (1,)
-    rows = [P]
-    for i in range(2 * J_PLAN_MAX + 5):
-        k = p + i
-        P = tuple((j + 1) * P[j + 1] - k * P[j] for j in range(m)) + (-k * P[m],)
-        rows.append(P)
-    return tuple(rows)
+    def step(P, k):
+        c = p + k - 1
+        return tuple((j + 1) * P[j + 1] - c * P[j] for j in range(m)) + (-c * P[m],)
+
+    return _Rows((0,) * m + (1,), step)
 
 
 def _weights(ws) -> tuple[tuple, int]:
@@ -450,25 +614,27 @@ def _weights(ws) -> tuple[tuple, int]:
 
 
 @lru_cache(maxsize=POLY_CACHE_MAX)
-def _tail_rows(m: int, p) -> tuple[tuple, tuple, int]:
-    """(rows, integral, A) of log^m t / t^p for em_tail_shifted, each row
-    (N, D) over one denominator: rows[0] = P_0 = log^m (v(start)), rows[j] =
-    B_2j/(2j)! P_(2j-1) for 1 <= j <= J_PLAN_MAX + 1 (the corrections), and
-    the integral's -F, read at u^-(p-1) (F as in em_tail_shifted); A >= the
-    largest sum |W_k| of them (below 2^38 for m <= 9 at p = 1).  Independent
-    of the precision."""
+def _tail_rows(m: int, p) -> tuple[_Rows, tuple, int]:
+    """(rows, integral, A) of log^m t / t^p for em_tail_shifted.  rows[j] =
+    ((N, D), A_j), a row over one denominator and an int A_j >= its sum
+    |W_k|, built on demand: rows[0] for P_0 = log^m (v(start)), rows[j] for
+    B_2j/(2j)! P_(2j-1), j >= 1 (the corrections).  integral is (N, D) of
+    the integral's -F, read at u^-(p-1) (F as in em_tail_shifted).  A >=
+    every A_j through DIRECT + 1 and the integral's sum, the rows rule (8)
+    reads (below 2^38 for m <= 9 at p = 1).  Past them A_j grows about like
+    (2j - 1)!/(2 pi)^2j, to below 2^403 at j = 65 for m <= 9 at p = 1,
+    which rule (9) reads at u^-(2j-1).  Independent of the precision."""
     P = _log_polys(m, p)
-    rows = [_weights((0,) * m + (1,))]
-    rows += [_weights([bernoulli(2 * j) / factorial(2 * j) * c for c in P[2 * j - 1]])
-             for j in range(1, J_PLAN_MAX + 2)]
+    rows = _Rows(_weights((0,) * m + (1,)),
+                 lambda _, j: _weights([bernoulli(2 * j) / factorial(2 * j) * c
+                                        for c in P[2 * j - 1]]))
     if p == 1:
         F = (0,) * (m + 1) + (Fraction(-1, m + 1),)
     else:
         F = [-(-1) ** (m - k) * Fraction(factorial(m), factorial(k)) / (1 - p) ** (m - k + 1)
              for k in range(m + 1)]
-    integral = _weights(F)
-    return (tuple(row for row, _ in rows), integral[0],
-            max(A for _, A in rows + [integral]))
+    integral, A = _weights(F)
+    return rows, integral, max(A, *(rows[j][1] for j in range(DIRECT + 2)))
 
 
 @lru_cache(maxsize=POLY_CACHE_MAX)
@@ -585,35 +751,38 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
         return []
     bound = 1 + max(abs(Fraction(c, P[-1])) for c in P)  # Cauchy
     s = math.ceil(bound).bit_length()
-    roots = []
+    depth = _ROOT_WIDTH.denominator.bit_length() - 1  # _ROOT_WIDTH = 2^-depth
+    roots = []  # (a, b, e): the interval [a, b] 2^-e
 
     def halve(S):  # 2^deg S(z/2)
         m = len(S) - 1
         return [v << (m - i) for i, v in enumerate(S)]
 
-    def visit(S, lo, width):
+    def visit(S, a, e):  # the node (a 2^-e, (a + 1) 2^-e), its ends in integers
         while S[0] == 0:  # a root at lo itself
-            roots.append((lo, lo))
+            roots.append((a, a, e))
             S = S[1:]
         count = _sign_changes(_taylor_shift(S[::-1], 1))
         if count == 0:
             return
         if count > 1:
             left = halve(S)
-            visit(left, lo, width / 2)
-            visit(_taylor_shift(left, 1), lo + width / 2, width / 2)
+            visit(left, 2 * a, e + 1)
+            visit(_taylor_shift(left, 1), 2 * a + 1, e + 1)
             return
-        while width > _ROOT_WIDTH:
+        while e < depth:
             S = halve(S)
             mid = sum(S)
-            width /= 2
+            a, e = 2 * a, e + 1
             if mid == 0:  # the root is the midpoint
-                roots.append((lo + width, lo + width))
+                roots.append((a + 1, a + 1, e))
                 return
             if (mid > 0) == (S[0] > 0):  # no sign change on the left half
                 S = _taylor_shift(S, 1)
-                lo += width
-        roots.append((lo, lo + width))
+                a += 1
+        roots.append((a, a + 1, e))
 
-    visit([v << (s * i) for i, v in enumerate(P)], Fraction(0), Fraction(1 << s))
+    visit([v << (s * i) for i, v in enumerate(P)], 0, -s)
+    roots = [(Fraction(a << -e if e < 0 else a, 1 << max(e, 0)),
+              Fraction(b << -e if e < 0 else b, 1 << max(e, 0))) for a, b, e in roots]
     return [r for r in roots if r[1] > 0]

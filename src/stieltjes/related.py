@@ -145,6 +145,8 @@ def eta(n: int, route: str = "from_gamma", K: int | None = None, tol=None) -> Se
     if route == "series":
         if K is None:
             raise DomainError("eta series route needs a term budget K")
+        if type(K) is not int:
+            raise DomainError("eta: the series budget K must be an int")
         if K < 2:
             raise DomainError(f"eta: series budget K = {K} is below 2")
         if K > ETA_SERIES_MAX_K:
@@ -195,7 +197,8 @@ def _eta_series(n: int, K: int) -> SeriesValue:
 
 def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     """Partial sums of sum_{k<=N} (Lambda(k) - 1) log^n k / k at each
-    checkpoint, the trend quantity behind (-1)^n n! eta_n - gamma_n.
+    checkpoint N, an int >= 1, the trend quantity behind (-1)^n n! eta_n -
+    gamma_n.
 
     The Lambda part runs over the prime powers k = p^m <= N only, with
     log k = m log p and log p taken once per prime.  The other part,
@@ -212,7 +215,10 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     on the eta and gamma routes.
     """
     check_order(n, ETA_MAX_ORDER, "mangoldt_gap_sums")
-    pending = sorted(set(int(c) for c in checkpoints))
+    pending = set(checkpoints)
+    if any(type(c) is not int for c in pending):
+        raise DomainError("mangoldt_gap_sums: every checkpoint must be an int")
+    pending = sorted(pending)
     if not pending:
         raise DomainError("mangoldt_gap_sums: need at least one checkpoint")
     if pending[0] < 1:
@@ -314,6 +320,8 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
     the partial sum, which the claim adds anyway.
     """
     check_order(n, 2, "delta")
+    if type(N) is not int:
+        raise DomainError("delta: the term budget N must be an int")
     if N < 10:
         raise DomainError("delta: need N >= 10")
     if N > K_CAP:
@@ -329,7 +337,8 @@ def delta(n: int, N: int = 10000) -> SeriesValue:
         # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
         tail = em_tail_shifted([(1, 0, n, 0)], N, bound=floor, key=(n - 1, N, -1, n))
         value = partial + (-1) ** n * factorial(n) + tail.value
-        return SeriesValue(value, tail_claim(tail.abs_err, value) + floor, N, "em_corrected")
+        return SeriesValue(value, tail_claim(tail.abs_err, value) + floor, N, "em_corrected",
+                           tail.order)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +363,7 @@ def digamma(x, tol=None) -> SeriesValue:
     with workdps(dps + guard):
         value = -g0.value - 1 / x
         return SeriesValue(value, g0.abs_err + rounding_floor(value), g0.terms_used,
-                           "log_series")
+                           "log_series", g0.order)
 
 
 def log_gamma(x, tol=None) -> SeriesValue:
@@ -434,7 +443,7 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
                                      (k, min(0, x), 1, x * x / 2))
         value = -gk.value * x + partial + tail.value
         err = tail_claim(tail.abs_err, value) + lattice_err() + abs(x) * gk.abs_err
-        return SeriesValue(value, err, K, "log_series")
+        return SeriesValue(value, err, K, "log_series", tail.order)
 
 
 def _dilcher_parts(k: int, x) -> list:

@@ -101,7 +101,8 @@ def hurwitz_em(s, x, tol=None) -> SeriesValue:
         # for s < 0 the power sum dwarfs the result; dust scales with it
         boundary = (N + x) ** (1 - s) / (s - 1)
         scale = max(abs(terms[-1]), abs(boundary), abs(total))
-        return SeriesValue(total, tail.abs_err + 4 * rounding_floor(scale), N, "em")
+        return SeriesValue(total, tail.abs_err + 4 * rounding_floor(scale), N, "em",
+                           tail.order)
 
 
 def hurwitz_hasse(s, x, tol=None) -> SeriesValue:
@@ -177,7 +178,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
         # the partial sum and the tail can be far larger than their
         # difference, and their rounding, not the value's, sets the floor
         return SeriesValue(value, tail_claim(tail.abs_err, abs(partial) + abs(tail.value))
-                           + lattice_err(), K, "log_series")
+                           + lattice_err(), K, "log_series", tail.order)
 
 
 def _deriv0_parts(q: int, x) -> list:
@@ -231,4 +232,5 @@ def zeta_prime_int(s, tol=None) -> SeriesValue:
             tol / 2, 8, factor=2)
         partial = comp_sum(log(k) * k ** (-s) for k in range(2, K))
         value = -(partial + tail.value)
-        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "log_series")
+        return SeriesValue(value, tail_claim(tail.abs_err, value), K, "log_series",
+                           tail.order)

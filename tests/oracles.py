@@ -19,8 +19,8 @@ from mpmath import mp, mpf, log, nstr, workdps
 from mpmath.libmp import to_rational
 
 from stieltjes.core import DomainError
-from stieltjes.logpoly import (J_PLAN_MAX, _certified_start, _log_polys, _root_table,
-                               bernoulli)
+from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, _certified_start, _log2_below, _log_polys,
+                               _root_table, bernoulli)
 
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
@@ -262,7 +262,7 @@ def bernoulli_mpf(idx: int) -> mpf:
 def horner_mpf(P, L) -> mpf:
     s = mpf(0)
     for c in reversed(P):
-        s = s * L + (c if type(c) is int else mp.fdiv(c.numerator, c.denominator))
+        s = s * L + (c if type(c) in (int, mpf) else mp.fdiv(c.numerator, c.denominator))
     return s
 
 
@@ -276,6 +276,29 @@ def exact_p(p):
 
 def _as_mpf(c):
     return mp.fdiv(c.numerator, c.denominator) if type(c) is Fraction else mpf(c)
+
+
+_MPF_ROWS: dict = {}
+_EM_WEIGHTS: dict = {}
+
+
+def _em_weight(j) -> mpf:
+    """B_2j/(2j)! at the current precision, once per precision."""
+    w = _EM_WEIGHTS.get((j, mp.prec))
+    if w is None:
+        w = _EM_WEIGHTS[j, mp.prec] = bernoulli_mpf(2 * j) / factorial(2 * j)
+    return w
+
+
+def _mpf_row(rows, i) -> list:
+    """Row i of a _log_polys table with each coefficient an mpf at the
+    current precision (an int as it is, a Fraction divided once)."""
+    key = (id(rows), i, mp.prec)
+    row = _MPF_ROWS.get(key)
+    if row is None or row[0] is not rows:
+        row = _MPF_ROWS[key] = (rows, [mpf(c) if type(c) is int else _as_mpf(c)
+                                       for c in rows[i]])
+    return row[1]
 
 
 def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
@@ -292,10 +315,13 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
             point = points[u] = LogPoint(u)
         p = exact_p(p)
         terms.append((_as_mpf(c), point, _log_polys(m, p), m, _as_mpf(p)))
+    # u^-p once per part, and each row's coefficients as mpf once per
+    # precision: the orders reach J_PLAN_MAX + 1
+    inverse = [point.u ** -p for _, point, _, _, p in terms]
 
     def at(i):
-        return mp.fsum(c * horner_mpf(rows[i], point.lu) / point.u ** (p + i)
-                       for c, point, rows, _, p in terms)
+        return mp.fsum(c * horner_mpf(_mpf_row(rows, i), point.lu) * w / point._upow(i)
+                       for (c, point, rows, _, p), w in zip(terms, inverse))
 
     def antiderivative(m, p, point):
         if p == 1:
@@ -305,7 +331,25 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
             / (1 - p) ** (m - k + 1) for k in range(m + 1))
 
     def correction(j):
-        return bernoulli_mpf(2 * j) / factorial(2 * j) * at(2 * j - 1)
+        return _em_weight(j) * at(2 * j - 1)
+
+    def weight(rows, j):  # sum |B_2j/(2j)! P_(2j-1)[k]|, rounded up
+        w = sum(abs(bernoulli(2 * j) / factorial(2 * j) * c) for c in rows[2 * j - 1])
+        return -(-w.numerator // w.denominator)
+
+    def may_raise(J):
+        # the stop rule past DIRECT as the library states it: at every part,
+        # the weights A of rows J + 1 and J + 2 fall (A_(J+2) < A_(J+1) u^2),
+        # and a row of order j has A 2^16 <= 2^floor((2j-1) beta)
+        for _, point, rows, _, _ in terms:
+            A1, A2 = weight(rows, J + 1), weight(rows, J + 2)
+            beta = _log2_below(point.u._mpf_)
+            if not A2 < A1 * point.u ** 2:
+                return False
+            for j, A in ((J + 1, A1), (J + 2, A2)):
+                if A.bit_length() + 16 > int((2 * j - 1) * beta):
+                    return False
+        return True
 
     value = at(0) / 2
     if integral:
@@ -314,7 +358,7 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
         value -= correction(j)
     omitted = correction(J + 1)
     if bound is not None:
-        while not abs(omitted) < bound and J < J_PLAN_MAX:
+        while not abs(omitted) < bound and J < J_PLAN_MAX and (J < DIRECT or may_raise(J)):
             value -= omitted
             J += 1
             omitted = correction(J + 1)

@@ -6,9 +6,11 @@ on the golden sample's grid.
 
 Every claim must bound the true error, taken against mpmath at 40 more
 digits than the route works at, and meet the tolerance.  The grids reach
-the first rung of each ladder (at 1e-12) and the far end of the order plan
-(at 1e-50).
+the first rung of each ladder (at 1e-12) and orders past 13 (at 1e-50, and
+for gamma_n, log-gamma and digamma at 1e-100 and 1e-200).
 """
+
+from functools import lru_cache
 
 import pytest
 from mpmath import factorial, log, loggamma, mpf, psi, stieltjes, workdps, zeta
@@ -169,9 +171,50 @@ def test_the_grids_reach_the_first_rung():
 
 
 def test_fifty_digits_take_a_few_hundred_terms():
-    # with fixed orders each of these took 65536 terms (3840 in hurwitz_em)
+    # with fixed orders each of these took 65536 terms (3840 in hurwitz_em);
+    # with orders up to 13, 128, 128, 256, 240 and 128.  With orders up to
+    # J_PLAN_MAX they take 32, 32, 64, 60 and 32, and gamma_1 32 at J = 23
     x, tol = mpf("1.37"), mpf("1e-50")
     with workdps(100):
-        for sv in (log_gamma(x, tol), digamma(x, tol), dilcher_log_gamma_k(2, x, tol),
-                   hurwitz_em(mpf("1.5"), x, tol), zeta_prime_int(2, tol)):
-            assert sv.terms_used <= 256
+        plans = [sv.terms_used for sv in (
+            log_gamma(x, tol), digamma(x, tol), dilcher_log_gamma_k(2, x, tol),
+            hurwitz_em(mpf("1.5"), x, tol), zeta_prime_int(2, tol))]
+        assert plans == [32, 32, 64, 60, 32]
+        sv = gamma_n(1, x, "series_b", tol)
+        assert (sv.terms_used, sv.order) == (32, 23)
+        assert abs(sv.value - stieltjes(1, x)) <= sv.abs_err <= tol
+
+
+# gamma_n at 100 and 200 digits, where the orders pass 13 at the first
+# rungs, and log-gamma and digamma at 100: each reference once per module,
+# at the digits asked for plus 40 (mpmath's stieltjes at 240 digits takes
+# about 2.5 s)
+HIGH_X = mpf("0.7")
+
+
+@lru_cache(maxsize=None)
+def _high_reference(n, digits):
+    with workdps(digits + 40):
+        return +stieltjes(n, HIGH_X)
+
+
+@pytest.mark.parametrize("digits", (100, 200))
+@pytest.mark.parametrize("method", ("series_b", "series_c", "coffey"))
+@pytest.mark.parametrize("n", (1, 4))
+def test_gamma_claims_at_100_and_200_digits(n, method, digits):
+    tol = mpf(10) ** -digits
+    sv = gamma_n(n, HIGH_X, method, tol)
+    assert sv.order > 13
+    with workdps(digits + 40):
+        assert abs(sv.value - _high_reference(n, digits)) <= sv.abs_err <= tol
+
+
+@pytest.mark.parametrize("route,reference",
+                         [(log_gamma, loggamma), (digamma, lambda x: psi(0, x))],
+                         ids=["log_gamma", "digamma"])
+def test_claims_at_100_digits(route, reference):
+    tol = mpf(10) ** -100
+    sv = route(HIGH_X, tol)
+    assert sv.order > 13
+    with workdps(140):
+        assert abs(sv.value - reference(HIGH_X)) <= sv.abs_err <= tol

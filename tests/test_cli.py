@@ -30,8 +30,10 @@ def test_compute_gamma_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"constant", "params", "value", "abs_err",
-                            "terms_used", "method"}
+                            "terms_used", "order", "method"}
     assert isinstance(payload["value"], str)
+    # the winning tail's Euler-Maclaurin order at K = 32
+    assert (payload["terms_used"], payload["order"]) == (32, 4)
     # serialization keeps the decimal string intact
     again = json.loads(json.dumps(payload))
     assert again["value"] == payload["value"]

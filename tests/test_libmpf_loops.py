@@ -32,7 +32,7 @@ from stieltjes.fixedpoint import (INT_LOG_CAP, INT_LOG_GUARD, fixed_div, fixed_l
                                   lattice_sum)
 from stieltjes.gamma import (_coffey_sum, _incgamma_pair, _series_b_parts,
                              _series_c_parts, _step_parts)
-from stieltjes.logpoly import (J_PLAN_MAX, _certified_start, _log_ceil, _TailPoint,
+from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, _certified_start, _log_ceil, _TailPoint,
                                _tail_rows, em_tail_error, em_tail_shifted, tail_err)
 from stieltjes.related import _dilcher_parts
 from stieltjes.verifier import _g_parts
@@ -436,14 +436,17 @@ TAIL_STARTS = (2, mpf(32), 1000, 10 ** 6)
 
 
 def _tail_within_bound(v, start, J, bound, integral, dps):
-    """em_tail_shifted at dps against its mpf form at 2 dps + 20: the value
-    within tail_err(), the claim |omitted| + 2 tail_err() with |omitted|
-    within tail_err() of the reference's, and the same order."""
+    """em_tail_shifted at dps against its mpf form at 2 dps + 20 digits
+    plus the digits of the value's size (from start 2 at J = 64 the
+    corrections, and so the value, pass 1e70): the value within tail_err(),
+    the claim |omitted| + 2 tail_err() with |omitted| within tail_err() of
+    the reference's, and the same order."""
     with workdps(dps):
         tail = em_tail_shifted(v, start, J, bound, integral=integral)
         value, err, got_J = tail.value, tail.abs_err, tail.terms_used
         E = tail_err()
-    with workdps(2 * dps + 20):
+    size = max(0, mp.mag(abs(value) + err)) * 0.302
+    with workdps(2 * dps + 20 + int(size) + 1):
         ref, omitted, ref_J = em_tail_shifted_mpf(v, start, J, bound, integral)
         return (abs(value - ref) <= E and abs(err - 2 * E - omitted) <= E
                 and got_J == ref_J)
@@ -452,8 +455,8 @@ def _tail_within_bound(v, start, J, bound, integral, dps):
 def test_em_tail_shifted():
     # the routes' parts at 32 + x for every x of XS, and summands of m <= 9,
     # p in {0, 1, 2, s} from starts 2 to 1e6 (at one x: only the last
-    # summand reads x), each with and without its integral, at J = 4, 9, 13
-    # and with the order loop
+    # summand reads x), each with and without its integral, at J = 4, 9,
+    # J_PLAN_MAX and with the order loop
     for dps in DPS:
         bound = mpf(10) ** -(dps // 2)
         for x in XS:
@@ -472,7 +475,7 @@ def test_em_tail_shifted():
 
 def test_horner_and_em_tail_error():
     # a row of _tail_rows at a point, by rule (8) with c = 1: within
-    # 2^4 q 2 (A + 1) G M^q units of the row in mpf
+    # 2^4 q 2 (A + 1) G M^q units of the row in mpf, A the row's weight
     for dps in DPS:
         with workdps(dps):
             for x in XS:
@@ -480,16 +483,26 @@ def test_horner_and_em_tail_error():
                 wp = mp.prec + 40
                 point = _TailPoint(u, wp, _log_ceil(u), 10, 1)
                 for n in range(10):
-                    rows, _, A = _tail_rows(n, 1)
-                    for j in (1, 5, J_PLAN_MAX + 1):
-                        got = point.term(rows[j], 2 * j - 1, 1, 1)
+                    rows = _tail_rows(n, 1)[0]
+                    for j in (1, 5, DIRECT + 1, J_PLAN_MAX + 1):
+                        row, A = rows[j]
+                        got = point.term(row, 2 * j - 1, 1, 1)
                         q = n + 1
-                        with workdps(2 * dps + 20):
+                        with workdps(2 * dps + 20 + 130):
                             U = mp.make_mpf(u)
-                            N, D = rows[j]
+                            N, D = row
                             ref = (mp.fsum(c * log(U) ** k for k, c in enumerate(N)) / D
                                    / U ** (2 * j) * mpf(2) ** wp)
                             assert abs(got - ref) <= 32 * q * (A + 1) * point.M ** q, (x, n, j)
+                        if j > DIRECT:
+                            # by rule (9), at 2^-2wp: within (2^10 q G M^q a +
+                            # G u^-n + 2) 2^wp units, a = A u^-n, n = 2j - 1
+                            got = point.fine_term(row, 2 * j - 1, 1, 1)
+                            with workdps(2 * dps + 20 + 130):
+                                a = A / U ** (2 * j - 1)
+                                bound = (1024 * q * point.G * point.M ** q * a
+                                         + point.G / U ** (2 * j - 1) + 2) * mpf(2) ** wp
+                                assert abs(got - ref * mpf(2) ** wp) <= bound, (x, n, j)
             # below the certified start the d = 1 bound evaluates |g(a)| by
             # the fixed-point row; against the certificate in mpf
             for n, J in ((3, 4), (8, 9)):

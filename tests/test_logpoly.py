@@ -9,15 +9,15 @@ from mpmath import exp, log, mp, mpf, polyroots, quad, workdps, workprec, zeta
 import oracles
 from stieltjes.core import ConvergenceError, DomainError, SeriesValue, comp_sum, rounding_floor
 from stieltjes.fixedpoint import lattice_sum
-from stieltjes.gamma import gamma_n
+from stieltjes.gamma import gamma_diff, gamma_n, stieltjes_integral
 from oracles import (LogPoint, LogPolyRef, bernoulli_mpf, logpoly_integral_to_inf,
                      logpow_antiderivative_ref)
-from stieltjes.logpoly import (J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
-                               _ROOT_WIDTH, _certificate, _certified_start, _isolated,
+from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_CACHE_MAX,
+                               _ROOT_WIDTH, _TailPoint, _certificate, _certified_start, _isolated,
                                _log_polys, _real_roots, _root_table, _tail_rows, bernoulli,
                                em_series, em_start_for, em_tail, em_tail_error,
                                em_tail_shifted, tail_err)
-from stieltjes.related import digamma, dilcher_log_gamma_k, log_gamma
+from stieltjes.related import delta, digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import _deriv0_parts, hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
 
@@ -135,11 +135,17 @@ def test_em_tail_is_the_shifted_loop_on_f_prime(m, p, a):
 @pytest.mark.parametrize("bound", ["1e-8", "1e-20", "1e-30", "1e-300"])
 def test_em_tail_shifted_raises_the_order_to_the_bound(bound):
     # 1/t at 20: the order rises from J = 4 to the first whose omitted
-    # correction is below bound, or stops at J_PLAN_MAX, with the bits of
-    # a call at that order
+    # correction is below bound, or stops at the series' turning point, the
+    # first J past DIRECT whose next row's weight A_(J+2) is not below
+    # A_(J+1) 20^2 (J = 62 here, about pi 20), with the bits of a call at
+    # that order
     parts, a, bound = [(1, 0, 0, 1)], mpf(20), mpf(bound)
     plain = [em_tail_shifted(parts, a, J, integral=False) for J in range(4, J_PLAN_MAX + 1)]
-    J = next((J for J, p in enumerate(plain, 4) if p.abs_err < bound), J_PLAN_MAX)
+    weights = [A for _, A in (_tail_rows(0, 1)[0][j] for j in range(J_PLAN_MAX + 2))]
+    turn = next(J for J in range(DIRECT, J_PLAN_MAX + 1)
+                if J == J_PLAN_MAX or not weights[J + 2] < weights[J + 1] * 400)
+    assert turn == 62
+    J = next((J for J, p in enumerate(plain, 4) if p.abs_err < bound and J <= turn), turn)
     assert em_tail_shifted(parts, a, bound=bound, integral=False) == plain[J - 4]
     # J is the least order
     assert em_tail_shifted(parts, a, 6, bound, integral=False) == plain[max(J, 6) - 4]
@@ -214,15 +220,18 @@ TABLE_CASES = ([(n, 1) for n in range(9)] + [(q, 0) for q in range(1, 8)]
 
 @pytest.mark.parametrize("m,p", TABLE_CASES)
 def test_log_polys_are_the_diff_chain(m, p):
+    # the rows through 2 J_PLAN_MAX + 5, the last em_tail_error reads; 1024
+    # bits hold every coefficient there (at most 800 bits) exactly, so the
+    # chain must match coefficient for coefficient
     rows = _log_polys(m, p)
-    assert len(rows) == 2 * J_PLAN_MAX + 6
-    # 512 bits hold every coefficient through row 2 J_PLAN_MAX + 5 (at
-    # most 128 bits) exactly, so the chain must match coefficient for coefficient
-    with workprec(512):
+    with workprec(1024):
         g = LogPolyRef.single(1, m, p)
-        for k, P in enumerate(rows):
+        for k in range(2 * J_PLAN_MAX + 6):
+            P = rows[k]
+            assert max(abs(c) for c in P).bit_length() <= 800
             assert g.terms == {(j, p + k): c for j, c in enumerate(P) if c}
             g = g.diff()
+    assert len(rows) == 2 * J_PLAN_MAX + 6
 
 
 def test_em_start_for_keeps_the_winning_shifted_probe():
@@ -291,14 +300,16 @@ def test_em_tail_shifted_rejects_a_log_power_that_is_not_a_natural_number(m):
         em_tail_shifted([(1, 0, m, 1)], 10, 4)
 
 
-@pytest.mark.parametrize("bound", ["1e-30", "1e-45"])
-def test_em_series_is_the_ladder_and_the_lattice_sum(bound):
-    # zeta_deriv0_diff's summand at k = 1, x = 0.3, 60 digits: em_series
-    # returns the rung em_start_for picks over em_tail_shifted's tails with
-    # the key (n, K + offset, d, scale), that rung's tail as it is, and the
-    # lattice sum from lo to that rung, bit for bit; 1e-30 passes at the
-    # first rung, 1e-45 at the third
-    mp.dps = 60
+@pytest.mark.parametrize("bound,dps,rung", [("1e-30", 60, 32), ("1e-45", 60, 32),
+                                             ("1e-170", 250, 512)],
+                         ids=["1e-30", "1e-45", "1e-170"])
+def test_em_series_is_the_ladder_and_the_lattice_sum(bound, dps, rung):
+    # zeta_deriv0_diff's summand at k = 1, x = 0.3: em_series returns the
+    # rung em_start_for picks over em_tail_shifted's tails with the key
+    # (n, K + offset, d, scale), that rung's tail as it is, and the lattice
+    # sum from lo to that rung, bit for bit; 1e-30 (J = 9) and 1e-45
+    # (J = 19) pass at the first rung, 1e-170 at the third (J = 41)
+    mp.dps = dps
     x, bound = mpf("0.3"), mpf(bound)
     parts, scale = _deriv0_parts(2, x), abs(x * (x - 1))
     K, partial, tail = em_series(parts, 1, 32, bound, (1, 0, 1, scale))
@@ -307,7 +318,7 @@ def test_em_series_is_the_ladder_and_the_lattice_sum(bound):
         return em_tail_shifted(parts, K, 4, bound, (1, K, 1, scale))
 
     assert (K, tail) == em_start_for(probe, bound, 32)
-    assert K == (32 if bound > mpf("1e-40") else 128)
+    assert K == rung
     assert partial._mpf_ == lattice_sum(parts)(1, K)._mpf_
 
 
@@ -326,7 +337,7 @@ def test_em_series_reads_the_certificate_from_a_negative_offset(monkeypatch):
         return real(v, start, J, bound, key, integral)
 
     monkeypatch.setattr(logpoly_mod, "em_tail_shifted", recorded)
-    sv = dilcher_log_gamma_k(1, mpf("-0.5"), mpf("1e-30"))
+    sv = dilcher_log_gamma_k(1, mpf("-0.5"), mpf("1e-50"))
     assert [K for K, _ in keys] == [16 * 4 ** i for i in range(len(keys))]
     assert keys[-1][0] == sv.terms_used > 16
     for K, (n, a, d, scale) in keys:
@@ -335,17 +346,18 @@ def test_em_series_reads_the_certificate_from_a_negative_offset(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gamma_n(1, 1, "series_b", mpf("1e-200")),
-    lambda: gamma_n(1, 1, "series_c", mpf("1e-200")),
-    lambda: gamma_n(1, 1, "coffey", mpf("1e-200")),
-    lambda: digamma(mpf("0.5"), mpf("1e-200")),
-    lambda: log_gamma(mpf("0.5"), mpf("1e-200")),
-    lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-200")),
-    lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-200")),
-    lambda: hurwitz_em(2, mpf("0.5"), mpf("1e-200")),
+    lambda: gamma_n(1, 1, "series_b", mpf("1e-700")),
+    lambda: gamma_n(1, 1, "series_c", mpf("1e-700")),
+    lambda: gamma_n(1, 1, "coffey", mpf("1e-700")),
+    lambda: digamma(mpf("0.5"), mpf("1e-700")),
+    lambda: log_gamma(mpf("0.5"), mpf("1e-700")),
+    lambda: dilcher_log_gamma_k(1, mpf("0.5"), mpf("1e-700")),
+    lambda: zeta_deriv0_diff(1, mpf("0.5"), mpf("1e-700")),
+    lambda: hurwitz_em(2, mpf("0.5"), mpf("1e-700")),
 ], ids=["series_b", "series_c", "coffey", "digamma", "log_gamma",
         "dilcher_log_gamma_k", "zeta_deriv0_diff", "hurwitz_em"])
 def test_unreachable_tolerance_raises_convergence_error(call):
+    # past about 1e-620 no rung up to K_CAP reaches tol/4, even at J_PLAN_MAX
     with pytest.raises(ConvergenceError):
         call()
 
@@ -577,7 +589,7 @@ def test_order_loop_returns_the_least_certified_order(case, bound):
 
 def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
     # a rung fails on its certified claim at J_PLAN_MAX, so K = 32 takes a
-    # tail too; the 50-digit gamma_1 plan still stops at K = 128
+    # tail too; the 100-digit gamma_1 plan stops at K = 128
     import stieltjes.gamma as gamma_mod
 
     calls = []
@@ -588,8 +600,8 @@ def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
         return real(m, p, start, J, bound)
 
     monkeypatch.setattr(gamma_mod, "em_tail", counted)
-    with workdps(100):
-        sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-50"))
+    with workdps(200):
+        sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-100"))
     assert sv.terms_used == 128 and calls == [32 + mpf("1.5"), 128 + mpf("1.5")]
 
 
@@ -649,3 +661,77 @@ def test_mp_keyed_caches_stay_bounded():
     misses = _log_polys.cache_info().misses
     assert at(s0) == cold
     assert _log_polys.cache_info().misses > misses  # s0's rows were evicted
+
+
+ORDER_ROUTES = {
+    "series_b": lambda tol: gamma_n(2, mpf("0.7"), "series_b", tol),
+    "series_c": lambda tol: gamma_n(2, mpf("0.7"), "series_c", tol),
+    "coffey": lambda tol: gamma_n(2, mpf("0.7"), "coffey", tol),
+    "gamma_diff": lambda tol: gamma_diff(1, mpf("0.7"), mpf("2.5"), tol),
+    "digamma": lambda tol: digamma(mpf("0.7"), tol),
+    "log_gamma": lambda tol: log_gamma(mpf("0.7"), tol),
+    "zeta_deriv0_diff": lambda tol: zeta_deriv0_diff(2, mpf("0.7"), tol),
+    "stieltjes_integral": lambda tol: stieltjes_integral(1, mpf("1.7"), tol),
+    "dilcher_log_gamma_k": lambda tol: dilcher_log_gamma_k(1, mpf("0.7"), tol),
+    "hurwitz_em": lambda tol: hurwitz_em(mpf("1.5"), mpf("0.7"), tol),
+    "zeta_prime_int": lambda tol: zeta_prime_int(mpf("2.5"), tol),
+    "delta": lambda tol: delta(2, 97),
+}
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-40"])
+@pytest.mark.parametrize("route", sorted(ORDER_ROUTES))
+def test_routes_carry_the_winning_tails_order(route, tol, monkeypatch):
+    # every route whose plan ends in one tail reports that tail's J as its
+    # order: the last em_tail_shifted call of the plan is the winning rung's
+    import stieltjes.related as related_mod
+    import stieltjes.zeta as zeta_mod
+    import stieltjes.logpoly as logpoly_mod
+
+    orders = []
+    real = logpoly_mod.em_tail_shifted
+
+    def recorded(*args, **kwargs):
+        tail = real(*args, **kwargs)
+        orders.append(tail.order)
+        return tail
+
+    for module in (logpoly_mod, zeta_mod, related_mod):
+        monkeypatch.setattr(module, "em_tail_shifted", recorded)
+    sv = ORDER_ROUTES[route](mpf(tol))
+    assert sv.order == orders[-1] and 1 <= sv.order <= J_PLAN_MAX
+
+
+def test_a_cold_1e12_tail_builds_todays_rows_at_todays_bits(monkeypatch):
+    # the tail a 1e-12 gamma_1 plan settles on, its (m, p) caches cold,
+    # builds no row past the 2 13 + 6 of _log_polys and the 15 of
+    # _tail_rows that the cap of 13 built, and works at the bits it did:
+    # prec + bitlen(B) + 7 with A the largest weight of rows 0..14 and the
+    # integral (row 0: 1), computed here from the diff chain
+    for cache in (_log_polys, _tail_rows, _certificate, _root_table, _isolated,
+                  _certified_start):
+        cache.cache_clear()
+    seen = []
+    real = _TailPoint.__init__
+
+    def recorded(self, u, wp, M, q, e0, h=0):
+        seen.append((mp.make_mpf(u), wp, mp.prec, M, e0, h))
+        real(self, u, wp, M, q, e0, h)
+
+    monkeypatch.setattr(_TailPoint, "__init__", recorded)
+    x = mpf("1.5")
+    sv = gamma_n(1, x, "series_b", mpf("1e-12"))
+    assert (sv.terms_used, sv.order) == (32, 4)
+    assert len(_log_polys(1, 1)) <= 2 * 13 + 6 and len(_tail_rows(1, 1)[0]) <= 13 + 2
+    u, wp, prec, M, e0, h = seen[-1]
+    assert (u, M, e0, h) == (32 + x, 4, 1, 0)
+    with workprec(512):
+        g, A = LogPolyRef.single(1, 1, 1), 1
+        for j in range(1, 15):
+            while max(p for _, p in g.terms) < 2 * j:  # f^(2j-1): inverse power 2j
+                g = g.diff()
+            w = (sum(abs(c) for c in g.terms.values()) * abs(bernoulli_mpf(2 * j))
+                 / factorial(2 * j))
+            A = max(A, int(mp.ceil(w)))
+    # B = 2^4 q (|c| + 1)(A + 1) G M^q with q = 2, c = 1, G = 1
+    assert wp == prec + (16 * 2 * 2 * (A + 1) * M ** 2).bit_length() + 7

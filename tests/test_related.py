@@ -240,6 +240,23 @@ class TestDelta:
         assert delta(0, N=K_CAP).value == mpf(1) / 2
 
 
+BAD_BUDGETS = {
+    "delta(1, 10.5)": lambda: delta(1, 10.5),
+    "delta(1, '7')": lambda: delta(1, "7"),
+    "eta(1, series, K=2.5)": lambda: eta(1, "series", K=2.5),
+    "mangoldt_gap_sums(1, [inf])": lambda: mangoldt_gap_sums(1, [math.inf]),
+    "mangoldt_gap_sums(1, [10.7])": lambda: mangoldt_gap_sums(1, [10.7]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_BUDGETS))
+def test_a_term_budget_or_checkpoint_that_is_not_an_int_raises(call):
+    # a float or a string budget raised TypeError or ValueError, and a
+    # float checkpoint was read as its floor (10.7 returned checkpoint 10)
+    with pytest.raises(DomainError, match="must be an int"):
+        BAD_BUDGETS[call]()
+
+
 class TestDigamma:
     def test_at_one(self, gamma_ref):
         sv = digamma(1, TOL)
