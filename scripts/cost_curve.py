@@ -30,7 +30,7 @@ ROUTES = ("series_b", "series_c", "coffey")
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--n", default="1,4", help="orders, comma-separated")
-    ap.add_argument("--digits", default="20,50,75,100,150,200",
+    ap.add_argument("--digits", default="12,15,20,30,50,75,100,150,200",
                     help="digits asked for, comma-separated")
     ap.add_argument("--x", default="0.7")
     ap.add_argument("--repeat", type=int, default=3, help="timed calls per row")

@@ -25,9 +25,12 @@ the first summand.  Both orders come from one running sum of t^m/m!
 1/b exactly: coffey takes one logarithm per panel and no exponential.
 
 All four lattice sums (the three routes and gamma_diff) take their
-partial-sum length K and Euler-Maclaurin order J from _lattice_plan: at each
-rung, logpoly.em_tail raises J from 4 with the digits asked for, and every
-tail's abs_err is em_tail's certified remainder bound, at every K and J.
+partial-sum length K and Euler-Maclaurin order J from _lattice_plan: the
+ladder starts at logpoly.ladder_start(tol), 8 terms at 12 digits to 128 at
+200 (series_c at 3/2 of it, so that its tail starts at a different K from
+series_b's), at each rung logpoly.em_tail raises J from 4 with the digits
+asked for, and every tail's abs_err is em_tail's certified remainder bound,
+at every K and J.
 
 Three partial sums are fixedpoint.lattice_sum over the route's summand as a
 parts list: series_b's (_series_b_parts), series_c's (_series_c_parts) and
@@ -42,7 +45,8 @@ first and last panels, within 2^-prec in all.  Each claim adds 2^-prec
 (fixedpoint.lattice_err), which holds a partial sum and its boundary step
 together, to the tail's and the rounding floor.  series_b, series_c and
 coffey add the guard digits of their largest term, |log^(n+1) x|/x at a
-tiny x (_head_dps, core.head_guard).
+tiny x (_head_dps, core.head_guard), and gamma_diff those of its own, at
+min(x, y).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
                    rounding_floor, tail_claim, working_dps)
 from .fixedpoint import (fixed_div, fixed_log, fixed_mul, fixed_pow, from_fixed,
                          lattice_err, lattice_sum, lattice_wp)
-from .logpoly import em_start_for, em_tail
+from .logpoly import em_start_for, em_tail, ladder_start
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
@@ -120,10 +124,14 @@ def gamma_n(n: int, x, method: str = "series_b", tol=None) -> SeriesValue:
     return _gamma_coffey(n, x, tol)
 
 
-def _lattice_plan(n: int, x, tol, start: int) -> tuple[int, SeriesValue]:
+def _lattice_plan(n: int, x, tol, staggered: bool = False) -> tuple[int, SeriesValue]:
     """(K, tail) for the lattice sum of f = log^n t / t from K + x: the first
-    rung K of em_start_for's ladder whose em_tail, its order raised at most
-    to J_PLAN_MAX, is certified below tol/4, and that rung's tail."""
+    rung K of em_start_for's ladder from ladder_start(tol), or from 3/2 of it
+    where staggered, whose em_tail, its order raised at most to J_PLAN_MAX,
+    is certified below tol/4, and that rung's tail."""
+    start = ladder_start(tol)
+    if staggered:
+        start += start // 2
     return em_start_for(lambda K: em_tail(n, 1, K + x, 4, tol / 4), tol / 4, start)
 
 
@@ -139,7 +147,7 @@ def _head_dps(n: int, x, tol) -> int:
 def _gamma_series_b(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(_head_dps(n, x, tol)):
-        K, tail = _lattice_plan(n, x, tol, 32)
+        K, tail = _lattice_plan(n, x, tol)
         partial = lattice_sum(_series_b_parts(n, x))(0, K)
         value = -log(x) ** q / q + partial + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
@@ -157,9 +165,9 @@ def _series_b_parts(n: int, x) -> list:
 def _gamma_series_c(n: int, x, tol) -> SeriesValue:
     q = n + 1
     with workdps(_head_dps(n, x, tol)):
-        # ladder offset from series_b so that route agreement compares tail
-        # corrections at distinct points, not just the partial-sum algebra
-        K, tail = _lattice_plan(n, x, tol, 48)
+        # ladder staggered from series_b's so that route agreement compares
+        # tail corrections at distinct points, not just the partial-sum algebra
+        K, tail = _lattice_plan(n, x, tol, staggered=True)
         partial = lattice_sum(_series_c_parts(n, x))(0, K)
         # the boundary piece (log^q(K+1) - log^q(K+x))/q, within 2^(-prec-3)
         # as the partial sum is: lattice_err() holds both
@@ -246,7 +254,7 @@ def _gamma_coffey(n: int, x, tol) -> SeriesValue:
     and log b and both gammas carry into the next panel.
     """
     with workdps(_head_dps(n, x, tol)):
-        K, tail = _lattice_plan(n, x, tol, 32)
+        K, tail = _lattice_plan(n, x, tol)
         value = _coffey_sum(n, x, K) + tail.value
         return SeriesValue(value, tail_claim(tail.abs_err, value) + lattice_err(),
                            K, "coffey", tail.order)
@@ -309,7 +317,9 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
 def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     """gamma_n(x) - gamma_n(y) = sum_{k>=0} [f(k+x) - f(k+y)].
 
-    The difference decays one order faster than either series alone.
+    The difference decays one order faster than either series alone.  Where
+    m = min(x, y) < 1/e, its largest term |f(m)| is below _head_dps' size
+    |log^(n+1) m|/m, whose guard digits it takes.
     """
     x = _validate(n, x)
     y = _validate(n, y)
@@ -317,8 +327,8 @@ def gamma_diff(n: int, x, y, tol=None) -> SeriesValue:
     if x == y:
         return SeriesValue(mpf(0), mpf(0), 1, "difference")
     q = n + 1
-    with workdps(working_dps(tol)):
-        K, tail = _lattice_plan(n, min(x, y), tol, 32)
+    with workdps(_head_dps(n, min(x, y), tol)):
+        K, tail = _lattice_plan(n, min(x, y), tol)
         partial = lattice_sum([(1, x, n, 1), (-1, y, n, 1)])(0, K)
         other = em_tail(n, 1, K + max(x, y), tail.order)
         tx, ty = (tail, other) if x < y else (other, tail)

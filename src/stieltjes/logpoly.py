@@ -40,20 +40,22 @@ The one ladder em_start_for walks K through start * factor^i, calling
 probe(K) -> SeriesValue, a tail, once per rung.  em_series probes
 em_tail_shifted on its parts; gamma's routes probe em_tail of log^n t / t,
 and hurwitz_em and zeta_prime_int, whose power partial sums are not lattice
-sums, em_tail_shifted on their one part.  Given a bound, em_tail_shifted's
-order loop raises J from 4, at most to J_PLAN_MAX = 64, until the claimed
-remainder is below it; past order DIRECT = 13 only while the rows' weights
-at the start still fall, to the series' turning point near j = pi start,
-and rule (9) reaches them.  So each rung raises J before the ladder moves
-K, and the tables a call builds (_log_polys, _tail_rows, the certificates)
-reach only the order it gets to.  That claim is certified at every order
-and start: hurwitz_em's (t+x)^-s is completely monotone from its least
-order on, so the first omitted correction bounds the remainder; every
-other route passes em_tail_error's key (n, a, d, scale, p), which
-certifies the remainder by that theta-bound past the certified start t_J
-and below it from the total variation of f^(2J+1+d), f = log^n t / t^p,
-read from the real roots of the P_k (_certified_start, and the table
-_certificate of _root_table's enclosures).
+sums, em_tail_shifted on their one part.  The log-lattice routes start the
+ladder at ladder_start(tol), a power of two near d/1.86 for the d digits
+asked for, where the order loop below reaches tol at the first rung.  Given
+a bound, em_tail_shifted's order loop raises J from 4, at most to
+J_PLAN_MAX = 64, until the claimed remainder is below it; past order DIRECT
+= 13 only while the rows' weights at the start still fall, to the series'
+turning point near j = pi start, and rule (9) reaches them.  So each rung
+raises J before the ladder moves K, and the tables a call builds
+(_log_polys, _tail_rows, the certificates) reach only the order it gets to.
+That claim is certified at every order and start: hurwitz_em's (t+x)^-s is
+completely monotone from its least order on, so the first omitted
+correction bounds the remainder; every other route passes em_tail_error's
+key (n, a, d, scale, p), which certifies the remainder by that theta-bound
+past the certified start t_J and below it from the total variation of
+f^(2J+1+d), f = log^n t / t^p, read from the real roots of the P_k
+(_certified_start, and the table _certificate of _root_table's enclosures).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
                           mpf_div, mpf_mul, mpf_pow, mpf_sub, round_up, to_fixed,
                           to_rational)
 
-from .core import ConvergenceError, DomainError, SeriesValue
+from .core import ConvergenceError, DomainError, SeriesValue, tol_digits
 from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed, lattice_sum
 
 
@@ -111,10 +113,11 @@ def _tangent(n: int) -> int:
 K_CAP = 10 ** 6
 # Largest Euler-Maclaurin order: the most em_tail_shifted's order loop
 # reaches and accepts.  At a start u the corrections shrink until j is about
-# pi u, so from the first rungs (16 and 32) every order through 64 serves,
-# and a 50-digit gamma_1 stops at K = 32 (J = 23).  The cap also sets where
-# the term budget ends: past about 1e-620 no rung up to K_CAP reaches tol/4
-# and the gamma routes raise ConvergenceError (about 1e-65 at J = 4 alone).
+# pi u, so from a start of 32 on every order through 64 serves, and a
+# 50-digit gamma_1 stops at its first rung, K = 32 (J = 23).  The cap also
+# sets where the term budget ends: past about 1e-620 no rung up to K_CAP
+# reaches tol/4 and the gamma routes raise ConvergenceError (about 1e-65 at
+# J = 4 alone).
 J_PLAN_MAX = 64
 
 
@@ -435,6 +438,24 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         err = claim(J, omitted)
     value = from_fixed(S, wp) if J <= DIRECT else from_fixed((S << wp) + fine, 2 * wp)
     return SeriesValue(value, err, J, "euler_maclaurin", J)
+
+
+# 2 log10(pi e), about 1.86: the digits a log lattice's tail gains per term
+# of its start (ladder_start)
+LADDER_DIGITS_PER_TERM = 2 * math.log10(math.pi * math.e)
+
+
+def ladder_start(tol) -> int:
+    """The first rung K_0 of a log-lattice route's ladder for the digits d =
+    tol_digits(tol) asked for: max(8, 2^ceil(log2(d/1.86))).  At a start a
+    the order-J correction is about (J/(pi e a))^(2J), 10^(-1.86 a) at J
+    near a, so a near d/1.86 splits the work between the partial sum and
+    the order loop (Johansson, arXiv:1309.2877, grows both linearly with
+    the precision).  The power of two keeps neighbouring digit counts on
+    the same lattice points: 8 terms at 12 digits, 16 at 15-20, 32 at
+    30-50, 64 at 100 and 128 at 150-200."""
+    a = tol_digits(tol) / LADDER_DIGITS_PER_TERM
+    return 8 if a <= 8 else 1 << math.ceil(math.log2(a))
 
 
 def em_start_for(probe, bound, start: int, factor: int = 4) -> tuple[int, SeriesValue]:

@@ -44,7 +44,7 @@ from .core import (GUARD_DIGITS, DomainError, SeriesValue, check_order, comp_sum
 from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
                     gamma_n)
 from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
-from .logpoly import K_CAP, em_series, em_tail, em_tail_shifted
+from .logpoly import K_CAP, em_series, em_tail, em_tail_shifted, ladder_start
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -438,8 +438,8 @@ def dilcher_log_gamma_k(k: int, x, tol=None) -> SeriesValue:
     gk = gamma_n(k, 1, "series_b", tol / 4 / max(1, abs(x)))
     with workdps(working_dps(tol)):
         # K need not exceed x: the certificate reads the window from
-        # K + min(0, x), so the ladder starts at 16 for every x
-        K, partial, tail = em_series(_dilcher_parts(k, x), 1, 16, tol / 4,
+        # K + min(0, x), so the ladder's start does not read x
+        K, partial, tail = em_series(_dilcher_parts(k, x), 1, ladder_start(tol), tol / 4,
                                      (k, min(0, x), 1, x * x / 2))
         value = -gk.value * x + partial + tail.value
         err = tail_claim(tail.abs_err, value) + lattice_err() + abs(x) * gk.abs_err

@@ -43,7 +43,7 @@ from .core import (ConvergenceError, DomainError, SeriesValue, check_order, comp
                    default_tol, head_guard, log_abs, rounding_floor, tail_claim,
                    tol_digits, working_dps)
 from .fixedpoint import lattice_err
-from .logpoly import em_series, em_start_for, em_tail_shifted
+from .logpoly import em_series, em_start_for, em_tail_shifted, ladder_start
 
 POLE_EXCLUSION = mpf("1e-6")
 # hurwitz_em's domain is s > HURWITZ_EM_S_MIN; there the least certified
@@ -171,7 +171,7 @@ def zeta_deriv0_diff(k: int, x, tol=None) -> SeriesValue:
     tol = default_tol() if tol is None else mpf(tol)
     q = k + 1
     with workdps(working_dps(tol) + 8):
-        K, v, tail = em_series(_deriv0_parts(q, x), 1, 32, tol / 4,
+        K, v, tail = em_series(_deriv0_parts(q, x), 1, ladder_start(tol), tol / 4,
                                (k, 0, 1, q * abs(x * (x - 1)) / 2))
         partial = log(x) ** q + v
         value = (-1) ** (k + 1) * (partial + tail.value)

@@ -7,19 +7,25 @@ on the golden sample's grid.
 Every claim must bound the true error, taken against mpmath at 40 more
 digits than the route works at, and meet the tolerance.  The grids reach
 the first rung of each ladder (at 1e-12) and orders past 13 (at 1e-50, and
-for gamma_n, log-gamma and digamma at 1e-100 and 1e-200).
+for gamma_n, log-gamma and digamma at 1e-100 and 1e-200).  The log-lattice
+routes' plans stop at their first rung, ladder_start(tol), from 6 to 150
+digits, and a seeded random audit draws their inputs, tolerances and
+ambient precisions.
 """
 
+import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
-from mpmath import factorial, log, loggamma, mpf, psi, stieltjes, workdps, zeta
+from hypothesis import given, settings, strategies as st
+from mpmath import factorial, log, loggamma, mp, mpf, psi, stieltjes, workdps, zeta
 
-from stieltjes.core import working_dps
-from stieltjes.gamma import gamma_n
-from stieltjes.logpoly import em_tail
+from stieltjes.core import ConvergenceError, DomainError, tol_digits, working_dps
+from stieltjes.gamma import gamma_diff, gamma_n
+from stieltjes.logpoly import em_tail, ladder_start
 from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, log_gamma
-from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_prime_int
+from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_deriv0_diff, zeta_prime_int
 
 TOLS = ("1e-12", "1e-30", "1e-50")
 XS = ("0.05", "0.7", "1.37", "3.3", "7.9", "40.5")
@@ -157,15 +163,16 @@ def test_em_tail_claims():
 
 
 def test_the_grids_reach_the_first_rung():
-    # the ladders start at 32 terms in log_gamma (zeta_deriv0_diff) and
-    # digamma (series_b), at 16 in dilcher_log_gamma_k (2x + 2 past x = 7),
-    # at |s| + 14 in hurwitz_em and at 8 in zeta_prime_int
+    # the ladders of log_gamma (zeta_deriv0_diff), digamma (series_b) and
+    # dilcher_log_gamma_k start at ladder_start(1e-12) = 8 terms, hurwitz_em's
+    # at |s| + 14 and zeta_prime_int's at 8
     tol = mpf("1e-12")
+    assert ladder_start(tol) == 8
     for x in XS[:4]:
         x = mpf(x)
-        assert log_gamma(x, tol).terms_used == 32
-        assert digamma(x, tol).terms_used == 32
-        assert dilcher_log_gamma_k(2, x, tol).terms_used == 16
+        assert log_gamma(x, tol).terms_used == 8
+        assert digamma(x, tol).terms_used == 8
+        assert dilcher_log_gamma_k(2, x, tol).terms_used == 8
         assert hurwitz_em(mpf("1.5"), x, tol).terms_used == 15
     assert zeta_prime_int(2, tol).terms_used == 8
 
@@ -173,16 +180,78 @@ def test_the_grids_reach_the_first_rung():
 def test_fifty_digits_take_a_few_hundred_terms():
     # with fixed orders each of these took 65536 terms (3840 in hurwitz_em);
     # with orders up to 13, 128, 128, 256, 240 and 128.  With orders up to
-    # J_PLAN_MAX they take 32, 32, 64, 60 and 32, and gamma_1 32 at J = 23
+    # J_PLAN_MAX they take 32, 32, 32, 60 and 32, and gamma_1 32 at J = 23:
+    # Gamma_2 took 64 from a first rung of 16, which raised J to 49 and failed
     x, tol = mpf("1.37"), mpf("1e-50")
     with workdps(100):
         plans = [sv.terms_used for sv in (
             log_gamma(x, tol), digamma(x, tol), dilcher_log_gamma_k(2, x, tol),
             hurwitz_em(mpf("1.5"), x, tol), zeta_prime_int(2, tol))]
-        assert plans == [32, 32, 64, 60, 32]
+        assert plans == [32, 32, 32, 60, 32]
         sv = gamma_n(1, x, "series_b", tol)
         assert (sv.terms_used, sv.order) == (32, 23)
         assert abs(sv.value - stieltjes(1, x)) <= sv.abs_err <= tol
+
+
+def test_gamma2_at_fifty_digits_probes_one_rung(monkeypatch):
+    # Gamma_2(1.37) at 1e-50: the first rung, K = 32, passes at J = 24.  The
+    # probes are the em_tail_shifted calls keyed d = 1 (gamma_2's own plan,
+    # inside, keys d = 0)
+    import stieltjes.logpoly as logpoly_mod
+
+    probes = []
+    real = logpoly_mod.em_tail_shifted
+
+    def counted(v, start, J=4, bound=None, key=None, integral=True):
+        if key is not None and key[2] == 1:
+            probes.append(start)
+        return real(v, start, J, bound, key, integral)
+
+    monkeypatch.setattr(logpoly_mod, "em_tail_shifted", counted)
+    x, tol = mpf("1.37"), mpf("1e-50")
+    with workdps(100):
+        sv = dilcher_log_gamma_k(2, x, tol)
+    assert probes == [32] and (sv.terms_used, sv.order) == (32, 24)
+
+
+FIRST_RUNG_DIGITS = (6, 12, 15, 20, 30, 50, 100, 150)
+FIRST_RUNG_XS = ("0.05", "0.2546", "1", "3.7", "8", "500")
+
+
+@pytest.mark.parametrize("digits", FIRST_RUNG_DIGITS)
+def test_first_rungs_pass_through_150_digits(digits):
+    # every plan of the three gamma_n routes (n 0..8) and of
+    # zeta_deriv0_diff (k 0..6) stops at the first rung it probes,
+    # ladder_start(tol), series_c's at 3/2 of it so that its tail starts
+    # at a different K from series_b's.  At 200 digits the first rung,
+    # K = 128, fails at J_PLAN_MAX (test_logpoly's failing-rung test)
+    tol = mpf(10) ** -digits
+    K0 = ladder_start(tol)
+    for x in map(mpf, FIRST_RUNG_XS):
+        for n in range(9):
+            Ks = {method: gamma_n(n, x, method, tol).terms_used
+                  for method in ("series_b", "series_c", "coffey")}
+            assert Ks == {"series_b": K0, "series_c": K0 + K0 // 2, "coffey": K0}, (n, x)
+        for k in range(7):
+            assert zeta_deriv0_diff(k, x, tol).terms_used == K0, (k, x)
+
+
+@pytest.mark.parametrize("dps,n,x,y,tol", [(15, 1, "1e-30", "1", "1e-20"),
+                                           (34, 1, "1e-30", "1", "1e-20"),
+                                           (15, 1, "1e-20", "2e-20", "1e-12")])
+def test_gamma_diff_tiny_x_claims_meet_tol(dps, n, x, y, tol):
+    # the largest term f(1e-30) is about 7e31; without its guard digits the
+    # rounding floor alone was 3.78e-16 at tol 1e-20.  gamma_n(x) =
+    # gamma_n(1 + x) + log^n x / x is the reference, at the ambient digits
+    # plus those of the value and of tol and 20 more
+    with workdps(dps):
+        x, y, tol = mpf(x), mpf(y), mpf(tol)
+        sv = gamma_diff(n, x, y, tol)
+        digits = dps + max(0, int(mp.log10(abs(sv.value)))) + tol_digits(tol) + 20
+    with workdps(digits):
+        ref = (stieltjes(n, 1 + x) + log(x) ** n / x
+               - stieltjes(n, 1 + y) - log(y) ** n / y)
+        assert abs(sv.value - ref) <= sv.abs_err <= tol
 
 
 # gamma_n at 100 and 200 digits, where the orders pass 13 at the first
@@ -218,3 +287,85 @@ def test_claims_at_100_digits(route, reference):
     assert sv.order > 13
     with workdps(140):
         assert abs(sv.value - reference(HIGH_X)) <= sv.abs_err <= tol
+
+
+# The seeded random audit: each example draws an order n, two points x and y
+# log-uniform in [1e-6, 1e4], a tolerance from 1e-6 to 1e-32 and an ambient
+# precision, and audits every lattice route whose plan starts at
+# ladder_start(tol) on them.  The references are taken at the ambient digits
+# plus those of the largest term and of tol, and REF_MARGIN more.
+AUDIT_DPS = (15, 20, 34, 50)
+AUDIT_EXAMPLES = 20
+REF_MARGIN = 20
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _audit_calls(n, x, y, tol):
+    """A (text, call, reference) triple per audited route, reference(g)
+    taking g(m) = gamma_n(m), and a bound on the largest term the routes and
+    their references sum."""
+    k, kd = n % 7, n % 5
+
+    def dilcher(m):  # log Gamma_kd(m + 1) from zeta^(kd+1)(0, m + 1)
+        return (-1) ** kd * (zeta(0, m + 1, kd + 1) - zeta(0, 1, kd + 1)) / (kd + 1)
+
+    calls = [(f"gamma_n({n}, x, {method!r}, tol)",
+              lambda method=method: gamma_n(n, x, method, tol), lambda g: g(x))
+             for method in ("series_b", "series_c", "coffey")]
+    calls += [(f"gamma_diff({n}, x, y, tol)", lambda: gamma_diff(n, x, y, tol),
+               lambda g: g(x) - g(y)),
+              (f"zeta_deriv0_diff({k}, x, tol)", lambda: zeta_deriv0_diff(k, x, tol),
+               lambda g: zeta(0, x, k + 1) - zeta(0, 1, k + 1)),
+              (f"dilcher_log_gamma_k({kd}, x, tol)", lambda: dilcher_log_gamma_k(kd, x, tol),
+               lambda g: dilcher(x))]
+    # |log^(n+1) m|/m bounds the gamma_n routes' largest term, (m + 1)
+    # |log^7(m + 1)| the zeta and Gamma_k series'
+    size = max(abs(log(m)) ** (n + 1) / m + (m + 1) * abs(log(m + 1)) ** 7 for m in (x, y))
+    return calls, size
+
+
+def test_random_claims_bound_the_true_error():
+    # |value - reference| <= abs_err <= tol on every case; DomainError (a
+    # series_b x rounded just below 1e-6) and ConvergenceError (a finding:
+    # these tolerances are inside every route's budget) are counted apart
+    outcomes = Counter()
+
+    @settings(derandomize=True, max_examples=AUDIT_EXAMPLES, deadline=None)
+    @given(st.integers(0, 8), _log_uniform(1e-6, 1e4), _log_uniform(1e-6, 1e4),
+           st.floats(6, 32), st.sampled_from(AUDIT_DPS))
+    def audit(n, xf, yf, digits, dps):
+        outcomes["examples"] += 1
+        with workdps(dps):
+            x, y, tol = mpf(xf), mpf(yf), mpf(10.0 ** -digits)
+            calls, size = _audit_calls(n, x, y, tol)
+            ref_dps = dps + int(mp.log10(size + 1)) + tol_digits(tol) + REF_MARGIN
+            gammas = {}
+
+            def g(m):  # gamma_n(m) at ref_dps, once per point
+                if m not in gammas:
+                    # gamma_n(m) = gamma_n(1 + m) + log^n m / m keeps mpmath
+                    # off a small m
+                    gammas[m] = (stieltjes(n, 1 + m) + log(m) ** n / m if m < 1
+                                 else stieltjes(n, m))
+                return gammas[m]
+
+            for text, call, reference in calls:
+                repro = (f"x, y, tol = mpf({xf!r}), mpf({yf!r}), mpf({10.0 ** -digits!r}) "
+                         f"at mp.dps {dps}: {text}")
+                try:
+                    sv = call()
+                except (DomainError, ConvergenceError) as exc:
+                    outcomes[type(exc).__name__] += 1
+                    assert isinstance(exc, DomainError), repro
+                    continue
+                outcomes["audited"] += 1
+                with workdps(ref_dps):
+                    gap = abs(sv.value - reference(g))
+                assert gap <= sv.abs_err <= tol, repro
+
+    audit()
+    assert outcomes["ConvergenceError"] == 0
+    assert outcomes["audited"] + outcomes["DomainError"] == 6 * outcomes["examples"]

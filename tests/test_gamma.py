@@ -193,9 +193,9 @@ class TestLatticePlan:
                 n = rng.randint(0, 8)
                 x = mpf(math.exp(rng.uniform(math.log(0.05), math.log(8))))
                 routes = []
-                for route, start in (("series_b", 32), ("series_c", 48), ("coffey", 32)):
+                for route in ("series_b", "series_c", "coffey"):
                     with workdps(2 * digits), workdps(working_dps(tol)):
-                        K, tail = _lattice_plan(n, x, tol, start)
+                        K, tail = _lattice_plan(n, x, tol, route == "series_c")
                     if tail.terms_used > 4 and K <= 512:
                         routes.append(route)
                 if not routes:
@@ -228,10 +228,11 @@ class TestLatticePlan:
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_tol_1e20_plans_stop_at_the_first_rung(n):
-    # at tol 1e-20, n = 6..8 need J > 4 at K = 32, far below that order's
-    # certified start t_J; the remainder bound certifies it there, so the
-    # plan stays at K = 32 where it used to climb to K = 512.  The claim
-    # bounds the true error and meets tol
+    # at tol 1e-20, n = 6..8 need J > 4 at the first rung, K = 16, far
+    # below that order's certified start t_J; the remainder bound certifies
+    # it there, so the plan stays at the first rung where, from K = 32 with
+    # orders up to 13, it used to climb to K = 512.  The claim bounds the
+    # true error and meets tol
     tol = mpf("1e-20")
     for x in ("0.2546", "3.7"):
         x = mpf(x)
@@ -239,7 +240,7 @@ def test_tol_1e20_plans_stop_at_the_first_rung(n):
             ref = stieltjes(n, x)
         for route in ("series_b", "coffey"):
             sv = gamma_n(n, x, route, tol)
-            assert sv.terms_used == 32
+            assert sv.terms_used == 16
             assert abs(sv.value - ref) <= sv.abs_err <= tol, (route, x)
 
 
@@ -259,13 +260,15 @@ def _roots_of_f9(n):
 def test_claims_hold_in_the_root_windows():
     # at K + x = r, a root of f^(9), the first omitted order-4 correction
     # vanishes, and an estimate built on it claims the rounding floor.  x =
-    # r - K for the rungs K of the routes' ladders (32, 128 for series_b and
-    # coffey; 48 for series_c) puts a tail start there; every route is run
-    # at each such x.  Every claim bounds the true error and meets tol
+    # r - K for the rungs K of the routes' ladders (the first rungs at these
+    # tolerances, 8 and 16 for series_b and coffey, 12 and 24 for series_c,
+    # and the later rungs 32, 48 and 128) puts a tail start there; every
+    # route is run at each such x.  Every claim bounds the true error and
+    # meets tol
     cases = 0
     for n in range(2, 9):
         for r in _roots_of_f9(n):
-            for K in (32, 48, 128):
+            for K in (8, 12, 16, 24, 32, 48, 128):
                 if not 0 < r - K <= 200:
                     continue
                 x = +(r - K)
@@ -277,7 +280,7 @@ def test_claims_hold_in_the_root_windows():
                         assert abs(sv.value - ref) <= sv.abs_err <= tol, \
                             (n, x, route, tol)
                         cases += 1
-    assert cases == 117
+    assert cases == 423
 
 
 class TestIncGamma:

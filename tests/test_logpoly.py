@@ -16,7 +16,7 @@ from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, K_CAP, POLY_CACHE_MAX, ROOT_C
                                _ROOT_WIDTH, _TailPoint, _certificate, _certified_start, _isolated,
                                _log_polys, _real_roots, _root_table, _tail_rows, bernoulli,
                                em_series, em_start_for, em_tail, em_tail_error,
-                               em_tail_shifted, tail_err)
+                               em_tail_shifted, ladder_start, tail_err)
 from stieltjes.related import delta, digamma, dilcher_log_gamma_k, log_gamma
 from stieltjes.zeta import _deriv0_parts, hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
@@ -270,6 +270,16 @@ def test_em_start_for_returns_smallest_passing_rung():
     assert probes == [8, 16, 32, 64, 128, 256, 512, 1024]
 
 
+@pytest.mark.parametrize("digits,K", [(-2, 8), (1, 8), (6, 8), (12, 8), (14, 8), (15, 16),
+                                      (20, 16), (29, 16), (30, 32), (50, 32), (59, 32),
+                                      (60, 64), (100, 64), (150, 128), (200, 128)])
+def test_ladder_start_is_a_power_of_two_near_the_digits_over_186(digits, K):
+    # max(8, 2^ceil(log2(d / (2 log10(pi e))))): the 30- and 50-digit plans
+    # keep K = 32
+    for tol in (mpf(10) ** -digits, 2 * mpf(10) ** -digits):
+        assert ladder_start(tol) == K
+
+
 def test_em_start_for_raises_past_the_budget():
     probes = []
 
@@ -337,9 +347,10 @@ def test_em_series_reads_the_certificate_from_a_negative_offset(monkeypatch):
         return real(v, start, J, bound, key, integral)
 
     monkeypatch.setattr(logpoly_mod, "em_tail_shifted", recorded)
-    sv = dilcher_log_gamma_k(1, mpf("-0.5"), mpf("1e-50"))
-    assert [K for K, _ in keys] == [16 * 4 ** i for i in range(len(keys))]
-    assert keys[-1][0] == sv.terms_used > 16
+    # at 1e-200 the first rung, K = 128, fails at J_PLAN_MAX
+    sv = dilcher_log_gamma_k(1, mpf("-0.5"), mpf("1e-200"))
+    assert [K for K, _ in keys] == [128 * 4 ** i for i in range(len(keys))]
+    assert keys[-1][0] == sv.terms_used > 128
     for K, (n, a, d, scale) in keys:
         assert (n, d, scale) == (1, 1, mpf("0.125"))
         assert type(a) is mpf and a == K - mpf("0.5")
@@ -587,9 +598,9 @@ def test_order_loop_returns_the_least_certified_order(case, bound):
     assert (got.abs_err < bound) == (bound > mpf("1e-50"))
 
 
-def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
-    # a rung fails on its certified claim at J_PLAN_MAX, so K = 32 takes a
-    # tail too; the 100-digit gamma_1 plan stops at K = 128
+def test_failing_rung_takes_a_tail_and_gamma1_lands_at_k512(monkeypatch):
+    # a rung fails on its certified claim at J_PLAN_MAX, so the 200-digit
+    # first rung, K = 128, takes a tail too; the plan stops at K = 512
     import stieltjes.gamma as gamma_mod
 
     calls = []
@@ -600,9 +611,9 @@ def test_failing_rung_takes_a_tail_and_gamma1_still_lands_at_k128(monkeypatch):
         return real(m, p, start, J, bound)
 
     monkeypatch.setattr(gamma_mod, "em_tail", counted)
-    with workdps(200):
-        sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-100"))
-    assert sv.terms_used == 128 and calls == [32 + mpf("1.5"), 128 + mpf("1.5")]
+    with workdps(400):
+        sv = gamma_n(1, mpf("1.5"), "series_b", mpf("1e-200"))
+    assert sv.terms_used == 512 and calls == [128 + mpf("1.5"), 512 + mpf("1.5")]
 
 
 def test_em_tail_claim_holds_the_rounding_of_its_value():
@@ -721,10 +732,10 @@ def test_a_cold_1e12_tail_builds_todays_rows_at_todays_bits(monkeypatch):
     monkeypatch.setattr(_TailPoint, "__init__", recorded)
     x = mpf("1.5")
     sv = gamma_n(1, x, "series_b", mpf("1e-12"))
-    assert (sv.terms_used, sv.order) == (32, 4)
+    assert (sv.terms_used, sv.order) == (8, 5)
     assert len(_log_polys(1, 1)) <= 2 * 13 + 6 and len(_tail_rows(1, 1)[0]) <= 13 + 2
     u, wp, prec, M, e0, h = seen[-1]
-    assert (u, M, e0, h) == (32 + x, 4, 1, 0)
+    assert (u, M, e0, h) == (8 + x, 3, 1, 0)
     with workprec(512):
         g, A = LogPolyRef.single(1, 1, 1), 1
         for j in range(1, 15):

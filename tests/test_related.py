@@ -351,7 +351,8 @@ class TestDilcher:
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_large_x_starts_at_sixteen(self, k, xs):
         # the d = 1 certificate reads the window from K + min(0, x), so K
-        # need not exceed x: the ladder starts at 16 and the call is short
+        # need not exceed x: the ladder starts at ladder_start(tol) whatever
+        # x is, and the call is short
         x, tol = mpf(xs), mpf("1e-12")
         t0 = time.perf_counter()
         sv = dilcher_log_gamma_k(k, x, tol)

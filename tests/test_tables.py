@@ -194,7 +194,7 @@ def test_coffey_carry_matches_fresh_panels(n, x):
     with workdps(dps):
         carried = _coffey_sum(n, x, 12)
         bound = lattice_err()
-        K, tail = _lattice_plan(n, x, TOL, 32)
+        K, tail = _lattice_plan(n, x, TOL)
         value = gamma_n(n, x, "coffey", TOL).value
         floor = rounding_floor(value)
     with workdps(2 * dps + 20):

@@ -299,8 +299,9 @@ class TestDeriv0Diff:
     def test_claims_hold_in_a_root_window(self, x):
         # at x = 78.8754769771, k = 5, the order-4 correction x(x-1)
         # g^(9)[32, 33, 32+x] of g = log^6 t changes sign, so the first
-        # omitted correction at K = 32 vanishes; every claim bounds the true
-        # error and meets tol
+        # omitted correction at K = 32 vanishes.  These tolerances plan from
+        # K = 8 or 16, where that correction has no root for x <= 500, and
+        # raise J; every claim bounds the true error and meets tol
         x = mpf(x)
         with workdps(64):
             ref = zeta(0, x, 6) - zeta(0, 1, 6)
