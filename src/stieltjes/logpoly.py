@@ -56,6 +56,16 @@ key (n, a, d, scale, p), which certifies the remainder by that theta-bound
 past the certified start t_J and below it from the total variation of
 f^(2J+1+d), f = log^n t / t^p, read from the real roots of the P_k
 (_certified_start, and the table _certificate of _root_table's enclosures).
+
+Those tables do not depend on the precision, and each is built in integers:
+the Bernoulli numbers from a tangent table extended two rows of Seidel's
+triangle at a time; the rows R_k = b^k P_k at p = a/b; each weight row an
+integer row times one fraction, over its least denominator by one gcd; the
+roots isolated by Descartes bisection, each refined by one Horner sign per
+midpoint; and each enclosure from an integer Taylor shift and the 53-bit
+directed roundings of interval arithmetic, taken by libmpf calls.  The
+tables equal, bit for bit, their direct forms in Fraction and interval
+arithmetic, which the tests keep as references.
 """
 
 from __future__ import annotations
@@ -64,13 +74,14 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 from operator import mul
 
-from mpmath import iv, mp, mpf
-from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add,
-                          mpf_div, mpf_mul, mpf_pow, mpf_sub, round_up, to_fixed,
-                          to_rational)
+from mpmath import mp, mpf
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div,
+                          mpf_exp, mpf_mul, mpf_pow, mpf_sub, round_ceiling, round_floor,
+                          round_up, to_fixed, to_rational)
 
 from .core import ConvergenceError, DomainError, SeriesValue, tol_digits
 from .fixedpoint import fixed_div, fixed_log, fixed_log_ints, from_fixed, lattice_sum
@@ -91,23 +102,31 @@ def bernoulli(idx: int) -> Fraction:
 
 
 _TANGENTS = [0, 1]  # T_0 (unused) and T_1, extended on demand
+_ZIGZAG = [0, 1]  # row 2 len(_TANGENTS) - 3 of Seidel's triangle
 
 
 def _tangent(n: int) -> int:
-    """The tangent number T_n, tan z = sum T_n z^(2n-1)/(2n-1)!: all of
-    T_1..T_N in one integer recurrence (Brent and Harvey, Fast computation
-    of Bernoulli, tangent and secant numbers, 2011), N at least twice the
-    last table's."""
-    if n >= len(_TANGENTS):
-        N = max(n, 2 * (len(_TANGENTS) - 1))
-        T = [0, 1] + [0] * (N - 1)
-        for k in range(2, N + 1):
-            T[k] = (k - 1) * T[k - 1]
-        for k in range(2, N + 1):
-            for j in range(k, N + 1):
-                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-        _TANGENTS[:] = T
+    """The tangent number T_n, tan z = sum T_n z^(2n-1)/(2n-1)!: the zigzag
+    number A_(2n-1), the last entry of row 2n - 1 of Seidel's boustrophedon
+    triangle, each row the running sums of the one before read backwards
+    (Millar, Sloane and Young, A new operation on sequences: the
+    boustrophedon transform, 1996).  The table keeps its last row and
+    extends by two rows per tangent number, additions only."""
+    while len(_TANGENTS) <= n:
+        row = list(accumulate(reversed(_ZIGZAG), initial=0))
+        _ZIGZAG[:] = accumulate(reversed(row), initial=0)
+        _TANGENTS.append(_ZIGZAG[-1])
     return _TANGENTS[n]
+
+
+@lru_cache(maxsize=None)
+def _em_weight(j: int) -> tuple[int, int]:
+    """B_2j/(2j)! as (num, den) in lowest terms, den > 0, for j >= 1:
+    (-1)^(j-1) T_j / (4^j (4^j - 1) (2j - 1)!), by one gcd."""
+    num = (-1) ** (j - 1) * _tangent(j)
+    den = 4 ** j * (4 ** j - 1) * factorial(2 * j - 1)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 K_CAP = 10 ** 6
@@ -411,11 +430,11 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
             return em_tail_error(n, a, J, from_fixed(abs(omitted) + (E << w - wp), w), d,
                                  scale, p_key, at_a) + E_mpf
 
-    def settle(J, omitted):  # (claim, whether it is below bound) at a raised J
+    def settle(J, omitted):  # (claim, whether it is below bound)
         # with no key or d <= 0 the claim is at least |omitted|, so an
         # omitted correction not below bound fails without its certificate
-        if (key is None or d <= 0) and not from_fixed(
-                abs(omitted), wp if J <= DIRECT else 2 * wp) < bound:
+        if (key is None or d <= 0) and not _below(abs(omitted), wp if J <= DIRECT else 2 * wp,
+                                                  bound):
             return None, False
         err = claim(J, omitted)
         return err, err < bound
@@ -424,8 +443,7 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         S -= rule8(j)
     fine = -sum(rule9(j) for j in range(DIRECT + 1, J + 1))  # at 2^-2wp
     omitted = omitted_at(J)
-    err = claim(J, omitted)
-    done = bound is None or err < bound
+    err, done = (claim(J, omitted), True) if bound is None else settle(J, omitted)
     while not done and J < J_PLAN_MAX and (J < DIRECT or may_raise(J)):
         if J < DIRECT:
             S -= omitted
@@ -438,6 +456,18 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         err = claim(J, omitted)
     value = from_fixed(S, wp) if J <= DIRECT else from_fixed((S << wp) + fine, 2 * wp)
     return SeriesValue(value, err, J, "euler_maclaurin", J)
+
+
+def _below(X: int, w: int, bound) -> bool:
+    """Whether X 2^-w < bound, for an int X >= 0 and an mpf bound, exactly:
+    X against bound's mantissa and exponent."""
+    sign, man, exp, _ = _exact(bound)
+    if not man:  # zero, an infinity or nan
+        return bound > 0
+    if sign:
+        return False
+    shift = exp + w
+    return X < man << shift if shift >= 0 else X << -shift < man
 
 
 # 2 log10(pi e), about 1.86: the digits a log lattice's tail gains per term
@@ -613,24 +643,32 @@ class _Rows:
 
 @lru_cache(maxsize=POLY_CACHE_MAX)
 def _log_polys(m: int, p) -> _Rows:
-    """P_k, coefficients low degree first, with (d/dt)^k [log^m t / t^p] =
-    P_k(log t)/t^(p+k): d/dt [P(L)/t^(p+k)] = (P'(L) - (p+k) P(L))/t^(p+k+1).
-    Integers for an int p, exact Fractions for a Fraction p.  Built on
-    demand, through the row a call reads: row 2J - 1 for a correction of
-    order J, row 2J + 4 + d, d <= 1, for em_tail_error at order J.
-    Independent of the precision."""
-    def step(P, k):
-        c = p + k - 1
-        return tuple((j + 1) * P[j + 1] - c * P[j] for j in range(m)) + (-c * P[m],)
+    """Integer rows R_k, coefficients low degree first, with (d/dt)^k
+    [log^m t / t^p] = P_k(log t)/t^(p+k) and P_k = R_k / b^k for p = a/b in
+    lowest terms (b = 1 for an int p): d/dt [P(L)/t^(p+k)] = (P'(L) -
+    (p+k) P(L))/t^(p+k+1), so R_(k+1) = b R_k' - (a + k b) R_k.  R_k leads
+    with (-1)^k prod_(i<k) (a + i b), prime to b, so R_k is P_k with its
+    denominators cleared.  Built on demand, through the row a call reads:
+    row 2J - 1 for a correction of order J, row 2J + 4 + d, d <= 1, for
+    em_tail_error at order J.  Independent of the precision."""
+    a, b = p.numerator, p.denominator
+    steps = [(j + 1) * b for j in range(m)]
+
+    def step(R, k):
+        c = a + (k - 1) * b
+        return tuple(s * R[j + 1] - c * R[j] for j, s in enumerate(steps)) + (-c * R[m],)
 
     return _Rows((0,) * m + (1,), step)
 
 
-def _weights(ws) -> tuple[tuple, int]:
-    """((N, D), A): exact weights ws as integers N over one denominator D,
-    and A >= sum |w|, an int."""
-    D = math.lcm(*(Fraction(w).denominator for w in ws))
-    N = tuple(int(w * D) for w in ws)
+def _weights(row, num: int, den: int) -> tuple[tuple, int]:
+    """((N, D), A): the exact weights num c / den of an integer row c, den >
+    0, as integers N over their one least denominator D, and A >= sum |w|,
+    an int.  w_k's denominator in lowest terms is den / gcd(den, num c_k),
+    so D = den / g for g = gcd(den, num gcd(c)), and N_k = num c_k / g."""
+    g = math.gcd(den, num * math.gcd(*row))
+    N = tuple(num * c // g for c in row)
+    D = den // g
     return (N, D), -(-sum(map(abs, N)) // D)
 
 
@@ -646,15 +684,22 @@ def _tail_rows(m: int, p) -> tuple[_Rows, tuple, int]:
     (2j - 1)!/(2 pi)^2j, to below 2^403 at j = 65 for m <= 9 at p = 1,
     which rule (9) reads at u^-(2j-1).  Independent of the precision."""
     P = _log_polys(m, p)
-    rows = _Rows(_weights((0,) * m + (1,)),
-                 lambda _, j: _weights([bernoulli(2 * j) / factorial(2 * j) * c
-                                        for c in P[2 * j - 1]]))
+    a, b = p.numerator, p.denominator
+
+    def row(_, j):  # B_2j/(2j)! R_(2j-1) / b^(2j-1)
+        num, den = _em_weight(j)
+        return _weights(P[2 * j - 1], num, den * b ** (2 * j - 1))
+
+    rows = _Rows(_weights((0,) * m + (1,), 1, 1), row)
     if p == 1:
-        F = (0,) * (m + 1) + (Fraction(-1, m + 1),)
+        integral, A = _weights((0,) * (m + 1) + (-1,), 1, m + 1)
     else:
-        F = [-(-1) ** (m - k) * Fraction(factorial(m), factorial(k)) / (1 - p) ** (m - k + 1)
+        # -F_k = -(-1)^(m-k) m!/k! / (1 - p)^(m-k+1), 1 - p = c/b, over c^(m+1)
+        c = b - a
+        F = [(-1) ** (m - k + 1) * (factorial(m) // factorial(k)) * b ** (m - k + 1) * c ** k
              for k in range(m + 1)]
-    integral, A = _weights(F)
+        den = c ** (m + 1)
+        integral, A = _weights(F, 1 if den > 0 else -1, abs(den))
     return rows, integral, max(A, *(rows[j][1] for j in range(DIRECT + 2)))
 
 
@@ -667,13 +712,17 @@ def _certificate(n: int, J: int, d: int = 0, p=1) -> tuple:
     ((N, D), A), the row of w P_(2J+1+d) (_weights).  Independent of x and
     of the precision."""
     table = _root_table(n, J, d, p)
-    w = 2 * abs(bernoulli(2 * J + 2)) / factorial(2 * J + 2)
+    num, den = _em_weight(J + 1)
+    g = math.gcd(2 * num, den)
+    w_num, w_den = 2 * abs(num) // g, den // g  # w in lowest terms
     total, suffix = fzero, [fzero]
-    for _, g in reversed(table):
-        total = mpf_add(total, g._mpf_)
-        suffix.append(mpf_div(mpf_mul(total, from_int(2 * w.numerator)),
-                              from_int(w.denominator), 64, round_up))
-    g_row = _weights([w * c for c in _log_polys(n, p)[2 * J + 1 + d]]) if d > 0 else None
+    for _, g_max in reversed(table):
+        total = mpf_add(total, g_max._mpf_)
+        suffix.append(mpf_div(mpf_mul(total, from_int(2 * w_num)), from_int(w_den), 64,
+                              round_up))
+    k = 2 * J + 1 + d
+    g_row = (_weights(_log_polys(n, p)[k], w_num, w_den * p.denominator ** k) if d > 0
+             else None)
     return (tuple(hi for hi, _ in table), tuple(mp.make_mpf(s) for s in reversed(suffix)),
             g_row)
 
@@ -681,11 +730,10 @@ def _certificate(n: int, J: int, d: int = 0, p=1) -> tuple:
 @lru_cache(maxsize=ROOT_CACHE_MAX)
 def _isolated(n: int, k: int, p=1) -> tuple[tuple[Fraction, Fraction], ...]:
     """_real_roots of P_k, f^(k)(t) = P_k(log t)/t^(p+k) for
-    f = log^n t / t^p, its denominators cleared: each polynomial is
-    isolated once, for every order and start that reads it."""
-    P = _log_polys(n, p)[k]
-    den = math.lcm(*(c.denominator for c in P))
-    return tuple(_real_roots([int(c * den) for c in P]))
+    f = log^n t / t^p, its denominators cleared (_log_polys' integer row):
+    each polynomial is isolated once, for every order and start that reads
+    it."""
+    return tuple(_real_roots(_log_polys(n, p)[k]))
 
 
 @lru_cache(maxsize=ROOT_CACHE_MAX)
@@ -711,32 +759,58 @@ def _root_table(n: int, J: int, d: int = 0, p=1) -> tuple[tuple[float, mpf], ...
     root's isolating interval [lo, hi] of log t.
 
     With g = f^(2J+1+d) = Q(L)/t^e, L = log t, e = p+2J+1+d: on [lo, hi],
-    |Q(lo + h)| <= sum_j |q_j| (hi - lo)^j from Q's exact Taylor
-    coefficients q_j at lo, and t^-e <= exp(-e lo), taken in interval
-    arithmetic and rounded up.  Independent of x and of the precision.
+    |Q(lo + h)| <= q_max = sum_j |q_j| (hi - lo)^j from Q's exact Taylor
+    coefficients q_j at lo, and t^-e <= exp(-e lo).  For Q = R / b^k
+    (_log_polys) and lo = A / 2^E, q_j = u_j / (2^(E(deg-j)) b^k) with u the
+    integer Taylor shift by A of R_i 2^(E(deg-i)).  g_max is q_max exp(-e
+    lo) in interval arithmetic at 53 bits: q_max and e lo from their
+    numerators and denominators in lowest terms, each rounded outward, so
+    its upper end is the one _enclosure_hi takes.  Independent of x and of
+    the precision.
     """
-    Q = _log_polys(n, p)[2 * J + 1 + d]
-    e = p + 2 * J + 1 + d
-    saved = iv.prec
-    iv.prec = 53
-    try:
-        table = []
-        for lo, hi in _isolated(n, 2 * J + 2 + d, p):
-            q_max = sum(abs(q) * (hi - lo) ** j
-                        for j, q in enumerate(_taylor_shift(Q, lo)))
-            enc = (iv.mpf(q_max.numerator) / q_max.denominator
-                   * iv.exp(-e.numerator * iv.mpf(lo.numerator)
-                            / (lo.denominator * e.denominator)))
-            table.append((math.nextafter(float(hi), math.inf),
-                          mp.make_mpf(enc._mpi_[1])))
-        return tuple(table)
-    finally:
-        iv.prec = saved
+    k = 2 * J + 1 + d
+    R = _log_polys(n, p)[k]
+    deg = len(R) - 1
+    a, b = p.numerator, p.denominator
+    e_num, e_den = a + k * b, b  # e = p + k in lowest terms
+    table = []
+    for lo, hi in _isolated(n, k + 1, p):
+        A, two_E = lo.numerator, lo.denominator
+        u = _taylor_shift([c * two_E ** (deg - i) for i, c in enumerate(R)], A)
+        w = hi - lo  # 2^-E' or 0
+        wn, wd = w.numerator, w.denominator
+        # q_max = sum_j |u_j| wn^j wd^(deg-j) 2^(Ej) / (2^(E deg) wd^deg b^k)
+        num = sum(abs(c) * wn ** j * wd ** (deg - j) * two_E ** j for j, c in enumerate(u))
+        den = (two_E * wd) ** deg * b ** k
+        g = math.gcd(num, den)
+        table.append((math.nextafter(float(hi), math.inf),
+                      mp.make_mpf(_enclosure_hi(num // g, den // g, e_num, A, e_den * two_E))))
+    return tuple(table)
+
+
+def _enclosure_hi(q_num: int, q_den: int, e_num: int, lo_num: int, den: int):
+    """The upper end, an _mpf_, of (q_num / q_den) exp(-e_num lo_num / den)
+    in mpmath's 53-bit interval arithmetic (iv), for ints q_num, lo_num >= 0
+    and e_num, q_den, den > 0: each int an interval rounded outward, then a
+    quotient, a product, a quotient, exp and a product, each rounded
+    outward.  For these signs mpi_div, mpi_mul and mpi_exp take the upper
+    end from the upper and lower ends used here, so the bits are iv's."""
+    prec = 53
+    if not q_num:
+        return fzero
+    q_hi = mpf_div(from_int(q_num, prec, round_ceiling), from_int(q_den, prec, round_floor),
+                   prec, round_ceiling)
+    x_hi = fzero  # of -e_num lo_num / den, at most 0
+    if lo_num:
+        x_hi = mpf_div(mpf_mul(from_int(-e_num, prec, round_ceiling),
+                               from_int(lo_num, prec, round_floor), prec, round_ceiling),
+                       from_int(den, prec, round_ceiling), prec, round_ceiling)
+    return mpf_mul(q_hi, mpf_exp(x_hi, prec, round_ceiling), prec, round_ceiling)
 
 
 def _taylor_shift(P, c) -> list:
-    """Coefficients of P(w + c), low degree first: exact for integer or
-    Fraction c and coefficients."""
+    """Coefficients of P(w + c), low degree first, for an integer c and
+    integer coefficients."""
     r = list(P)
     deg = len(r) - 1
     for j in range(deg):
@@ -762,16 +836,17 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
     S(1/(1+z)) bound its number of roots in (0, 1) with the same parity:
     0 means none and 1 exactly one, and for squarefree P every small enough
     interval reads 0 or 1 (Vincent's theorem).  Halves are 2^deg S(z/2) and
-    its shift by 1.  A node with one root keeps the half where S changes
-    sign, S(1/2) being the coefficient sum of 2^deg S(z/2), until it is
-    _ROOT_WIDTH wide: the interval that bisecting on the sign changes would
-    reach, without counting them.
+    its shift by 1.  A node with one root keeps the half where P changes
+    sign, P's sign at each dyadic midpoint read by one integer Horner pass
+    (_sign_at) against its sign just past lo, until it is _ROOT_WIDTH wide:
+    the interval that bisecting on the sign changes would reach, without
+    counting them.
     """
     deg = len(P) - 1
     if deg < 1:
         return []
-    bound = 1 + max(abs(Fraction(c, P[-1])) for c in P)  # Cauchy
-    s = math.ceil(bound).bit_length()
+    bound = 1 - (-max(map(abs, P)) // abs(P[-1]))  # Cauchy, rounded up
+    s = bound.bit_length()
     depth = _ROOT_WIDTH.denominator.bit_length() - 1  # _ROOT_WIDTH = 2^-depth
     roots = []  # (a, b, e): the interval [a, b] 2^-e
 
@@ -791,15 +866,14 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
             visit(left, 2 * a, e + 1)
             visit(_taylor_shift(left, 1), 2 * a + 1, e + 1)
             return
+        left = S[0] > 0  # P's sign just past lo, and at each later lo
         while e < depth:
-            S = halve(S)
-            mid = sum(S)
             a, e = 2 * a, e + 1
+            mid = _sign_at(P, a + 1, e)
             if mid == 0:  # the root is the midpoint
                 roots.append((a + 1, a + 1, e))
                 return
-            if (mid > 0) == (S[0] > 0):  # no sign change on the left half
-                S = _taylor_shift(S, 1)
+            if (mid > 0) == left:  # no sign change on the left half
                 a += 1
         roots.append((a, a + 1, e))
 
@@ -807,3 +881,18 @@ def _real_roots(P) -> list[tuple[Fraction, Fraction]]:
     roots = [(Fraction(a << -e if e < 0 else a, 1 << max(e, 0)),
               Fraction(b << -e if e < 0 else b, 1 << max(e, 0))) for a, b, e in roots]
     return [r for r in roots if r[1] > 0]
+
+
+def _sign_at(P, a: int, e: int) -> int:
+    """The sign of P(a 2^-e), -1, 0 or 1, for an integer polynomial P (low
+    degree first): 2^(e deg) P(a 2^-e) by one Horner pass in integers."""
+    if e <= 0:
+        x, acc = a << -e, 0
+        for c in reversed(P):
+            acc = acc * x + c
+    else:
+        acc, shift = 0, 0
+        for c in reversed(P):
+            acc = acc * a + (c << shift)
+            shift += e
+    return (acc > 0) - (acc < 0)

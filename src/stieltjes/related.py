@@ -267,6 +267,12 @@ def _log_factorials(ms) -> dict[int, mpf]:
     logarithms are summed with comp_sum.  Each is within about an ulp of
     itself, so log M! carries the rounding error of a sum of M rounded
     logarithms, from far fewer of them.
+
+    The integers enter a product in blocks, each one math.perm (a product
+    tree in C), while the block cannot pass the limit, each of its n
+    factors adding at most the bits of the largest; near the limit they
+    enter one at a time.  So the products are those of one integer at a
+    time, exactly.
     """
     limit = LOG_PRODUCT_PRECS * mp.prec
     out: dict[int, mpf] = {}
@@ -275,8 +281,16 @@ def _log_factorials(ms) -> dict[int, mpf]:
     for M in sorted(set(ms)):
         logs = []
         prod = 1
-        for k in range(start, M + 1):
+        k = start
+        while k <= M:
+            room = limit - prod.bit_length()
+            n = min(M + 1 - k, room // min(M, k + room).bit_length())
+            if n:  # k (k + 1) ... (k + n - 1)
+                prod *= math.perm(k + n - 1, n)
+                k += n
+                continue
             prod *= k
+            k += 1
             if prod.bit_length() > limit:
                 logs.append(log(prod))
                 prod = 1

@@ -11,16 +11,21 @@ Frozen values carry more digits than any tolerance that consumes them.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from mpmath import mp, mpf, log, nstr, workdps
-from mpmath.libmp import to_rational
+from mpmath import iv, mp, mpf, log, nstr, workdps
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_up, to_rational
 
 from stieltjes.core import DomainError
-from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, _certified_start, _log2_below, _log_polys,
-                               _root_table, bernoulli)
+from stieltjes.logpoly import (_ROOT_WIDTH, DIRECT, J_PLAN_MAX, _certified_start, _log2_below,
+                               _root_table)
+
+# the root intervals' width, 2^-ROOT_WIDTH_BITS in log t
+ROOT_WIDTH_BITS = _ROOT_WIDTH.denominator.bit_length() - 1
 
 # --- exact harmonic numbers -------------------------------------------------
 # H_n as exact rationals via divide-and-conquer integer arithmetic (no
@@ -115,8 +120,8 @@ def gamma_n_partial_sum(n: int, x, N: int) -> mpf:
 # --- log-polynomial algebra ---------------------------------------------------
 # A finite sum of terms c log^m t / t^p, its evaluation and its algebra term
 # by term in mpf: the reference that logpoly._log_polys, the library's one
-# exact derivative table, and the fixed-point evaluations are checked
-# against.
+# exact derivative table, log_poly_row below, and the fixed-point
+# evaluations are checked against.
 
 class LogPolyRef:
     """A finite sum of c log^m t / t^p terms, {(m, p): c}, with its
@@ -250,12 +255,12 @@ def logpoly_integral_to_inf(f, a) -> mpf:
 
 # --- the Euler-Maclaurin tail in mpf operators ------------------------------
 # logpoly.em_tail_shifted and em_tail_error as they read on mpf values, each
-# order by Horner's rule on its _log_polys row: the references the
+# order by Horner's rule on its log_poly_row: the references the
 # fixed-point tail and the certificate table are checked against, at twice
 # the working digits.
 
 def bernoulli_mpf(idx: int) -> mpf:
-    b = bernoulli(idx)
+    b = bernoulli_ref(idx)
     return mpf(b.numerator) / b.denominator
 
 
@@ -291,14 +296,14 @@ def _em_weight(j) -> mpf:
 
 
 def _mpf_row(rows, i) -> list:
-    """Row i of a _log_polys table with each coefficient an mpf at the
-    current precision (an int as it is, a Fraction divided once)."""
-    key = (id(rows), i, mp.prec)
+    """log_poly_row(m, p, i), rows = (m, p), with each coefficient an mpf
+    at the current precision (an int as it is, a Fraction divided once)."""
+    key = (rows, i, mp.prec)
     row = _MPF_ROWS.get(key)
-    if row is None or row[0] is not rows:
-        row = _MPF_ROWS[key] = (rows, [mpf(c) if type(c) is int else _as_mpf(c)
-                                       for c in rows[i]])
-    return row[1]
+    if row is None:
+        row = _MPF_ROWS[key] = [mpf(c) if type(c) is int else _as_mpf(c)
+                                for c in log_poly_row(*rows, i)]
+    return row
 
 
 def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
@@ -314,7 +319,7 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
         if point is None:
             point = points[u] = LogPoint(u)
         p = exact_p(p)
-        terms.append((_as_mpf(c), point, _log_polys(m, p), m, _as_mpf(p)))
+        terms.append((_as_mpf(c), point, (m, p), m, _as_mpf(p)))
     # u^-p once per part, and each row's coefficients as mpf once per
     # precision: the orders reach J_PLAN_MAX + 1
     inverse = [point.u ** -p for _, point, _, _, p in terms]
@@ -334,7 +339,8 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
         return _em_weight(j) * at(2 * j - 1)
 
     def weight(rows, j):  # sum |B_2j/(2j)! P_(2j-1)[k]|, rounded up
-        w = sum(abs(bernoulli(2 * j) / factorial(2 * j) * c) for c in rows[2 * j - 1])
+        w = sum(abs(bernoulli_ref(2 * j) / factorial(2 * j) * c)
+                for c in log_poly_row(*rows, 2 * j - 1))
         return -(-w.numerator // w.denominator)
 
     def may_raise(J):
@@ -376,8 +382,199 @@ def em_tail_error_mpf(n, a, J, omitted, d=0, scale=1, p=1) -> mpf:
     roots = 2 * sum(g for hi, g in _root_table(n, J, d, p) if hi >= float(La))
     if d <= 0:
         return 2 * omitted + scale * weight * roots
-    g_a = horner_mpf(_log_polys(n, p)[2 * J + 1 + d], La)
+    g_a = horner_mpf(log_poly_row(n, p, 2 * J + 1 + d), La)
     return scale * weight * (abs(g_a) / mpf(a) ** (_as_mpf(p) + 2 * J + 1 + d) + roots)
+
+
+# --- the exact tables in Fractions and interval arithmetic -------------------
+# logpoly builds its precision-independent tables in integers: the Bernoulli
+# numbers from a stepwise tangent table, the log-polynomial rows at a rational
+# p as integer rows over b^k, the weights with one gcd, the root isolation
+# with a Horner sign per midpoint and the root enclosures from libmpf's
+# directed roundings.  These are the direct forms, in Fraction and iv
+# arithmetic, that each integer table must equal bit for bit.
+
+@lru_cache(maxsize=None)
+def bernoulli_ref(idx: int) -> Fraction:
+    """B_idx from the tangent numbers T_1..T_n, all recomputed by Brent and
+    Harvey's integer recurrence (Fast computation of Bernoulli, tangent and
+    secant numbers, 2011)."""
+    if idx < 2:
+        return Fraction(1) if idx == 0 else Fraction(-1, 2)
+    if idx % 2:
+        return Fraction(0)
+    n = idx // 2
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return Fraction((-1) ** (n - 1) * 2 * n * T[n], 4 ** n * (4 ** n - 1))
+
+
+_REF_ROWS: dict = {}
+
+
+def log_poly_row(m: int, p, k: int) -> tuple:
+    """The row P_k, (d/dt)^k [log^m t / t^p] = P_k(log t)/t^(p+k), each
+    coefficient an int or a Fraction: P_(k+1) = P_k' - (p + k) P_k, the
+    rows of each (m, p) kept as they are built."""
+    rows = _REF_ROWS.setdefault((m, p), [(0,) * m + (1,)])
+    while len(rows) <= k:
+        P, c = rows[-1], p + len(rows) - 1
+        rows.append(tuple((j + 1) * P[j + 1] - c * P[j] for j in range(m)) + (-c * P[m],))
+    return rows[k]
+
+
+def weights_ref(ws) -> tuple[tuple, int]:
+    """((N, D), A) of exact weights ws: D the lcm of their denominators, N =
+    ws D, and A = ceil(sum |N| / D)."""
+    D = math.lcm(*(Fraction(w).denominator for w in ws))
+    N = tuple(int(w * D) for w in ws)
+    return (N, D), -(-sum(map(abs, N)) // D)
+
+
+def tail_row_ref(m: int, p, j: int) -> tuple[tuple, int]:
+    """_tail_rows(m, p)[0][j]: P_0 at j = 0, B_2j/(2j)! P_(2j-1) past it."""
+    if j == 0:
+        return weights_ref((0,) * m + (1,))
+    w = bernoulli_ref(2 * j) / factorial(2 * j)
+    return weights_ref([w * c for c in log_poly_row(m, p, 2 * j - 1)])
+
+
+def tail_integral_ref(m: int, p) -> tuple[tuple, int]:
+    """_tail_rows(m, p)'s integral row -F with its weight bound."""
+    if p == 1:
+        return weights_ref((0,) * (m + 1) + (Fraction(-1, m + 1),))
+    return weights_ref([-(-1) ** (m - k) * Fraction(factorial(m), factorial(k))
+                        / (1 - p) ** (m - k + 1) for k in range(m + 1)])
+
+
+def _taylor_shift_ref(P, c) -> list:
+    r = list(P)
+    deg = len(r) - 1
+    for j in range(deg):
+        for i in range(deg - 1, j - 1, -1):
+            r[i] += c * r[i + 1]
+    return r
+
+
+def real_roots_ref(P) -> list[tuple[Fraction, Fraction]]:
+    """logpoly._real_roots with its one-root nodes refined by a Taylor shift
+    per halving: a half is 2^deg S(z/2) or its shift by 1, and the root is
+    in the left one when its coefficient sum S(1/2) differs in sign from
+    S(0)."""
+    deg = len(P) - 1
+    if deg < 1:
+        return []
+    bound = 1 + max(abs(Fraction(c, P[-1])) for c in P)
+    s = math.ceil(bound).bit_length()
+    depth = ROOT_WIDTH_BITS
+    roots = []
+
+    def halve(S):
+        m = len(S) - 1
+        return [v << (m - i) for i, v in enumerate(S)]
+
+    def changes(S):
+        signs = [c > 0 for c in S if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def visit(S, a, e):
+        while S[0] == 0:
+            roots.append((a, a, e))
+            S = S[1:]
+        count = changes(_taylor_shift_ref(S[::-1], 1))
+        if count == 0:
+            return
+        if count > 1:
+            left = halve(S)
+            visit(left, 2 * a, e + 1)
+            visit(_taylor_shift_ref(left, 1), 2 * a + 1, e + 1)
+            return
+        while e < depth:
+            S = halve(S)
+            mid = sum(S)
+            a, e = 2 * a, e + 1
+            if mid == 0:
+                roots.append((a + 1, a + 1, e))
+                return
+            if (mid > 0) == (S[0] > 0):
+                S = _taylor_shift_ref(S, 1)
+                a += 1
+        roots.append((a, a + 1, e))
+
+    visit([v << (s * i) for i, v in enumerate(P)], 0, -s)
+    roots = [(Fraction(a << -e if e < 0 else a, 1 << max(e, 0)),
+              Fraction(b << -e if e < 0 else b, 1 << max(e, 0))) for a, b, e in roots]
+    return [r for r in roots if r[1] > 0]
+
+
+def isolated_ref(n: int, k: int, p=1) -> tuple:
+    """real_roots_ref of P_k with its denominators cleared."""
+    P = log_poly_row(n, p, k)
+    den = math.lcm(*(Fraction(c).denominator for c in P))
+    return tuple(real_roots_ref([int(c * den) for c in P]))
+
+
+def root_table_ref(n: int, J: int, d: int = 0, p=1) -> tuple:
+    """logpoly._root_table by Fraction Taylor coefficients at each root's
+    lower end and 53-bit interval arithmetic in mpmath's iv."""
+    Q = log_poly_row(n, p, 2 * J + 1 + d)
+    e = Fraction(p) + 2 * J + 1 + d
+    table = []
+    saved = iv.prec
+    iv.prec = 53
+    try:
+        for lo, hi in isolated_ref(n, 2 * J + 2 + d, p):
+            q_max = Fraction(sum(abs(q) * (hi - lo) ** j
+                                 for j, q in enumerate(_taylor_shift_ref(Q, lo))))
+            enc = (iv.mpf(q_max.numerator) / q_max.denominator
+                   * iv.exp(-e.numerator * iv.mpf(lo.numerator)
+                            / (lo.denominator * e.denominator)))
+            table.append((math.nextafter(float(hi), math.inf), mp.make_mpf(enc._mpi_[1])))
+    finally:
+        iv.prec = saved
+    return tuple(table)
+
+
+def certificate_ref(n: int, J: int, d: int = 0, p=1) -> tuple:
+    """logpoly._certificate from root_table_ref, bernoulli_ref and
+    weights_ref, in mpf operators rounded up at 64 bits."""
+    table = root_table_ref(n, J, d, p)
+    w = 2 * abs(bernoulli_ref(2 * J + 2)) / factorial(2 * J + 2)
+    total, suffix = fzero, [fzero]
+    for _, g in reversed(table):
+        total = mpf_add(total, g._mpf_)
+        suffix.append(mpf_div(mpf_mul(total, from_int(2 * w.numerator)),
+                              from_int(w.denominator), 64, round_up))
+    g_row = (weights_ref([w * c for c in log_poly_row(n, p, 2 * J + 1 + d)]) if d > 0
+             else None)
+    return (tuple(hi for hi, _ in table), tuple(mp.make_mpf(v) for v in reversed(suffix)),
+            g_row)
+
+
+def log_factorials_ref(ms, limit: int) -> dict:
+    """related._log_factorials' products one integer at a time: log M! for
+    each M in ms, a product's logarithm taken once it passes limit bits and
+    at each M, the logarithms summed by comp_sum."""
+    from stieltjes.core import comp_sum
+
+    out, total, start = {}, mpf(0), 2
+    for M in sorted(set(ms)):
+        logs, prod = [], 1
+        for k in range(start, M + 1):
+            prod *= k
+            if prod.bit_length() > limit:
+                logs.append(log(prod))
+                prod = 1
+        start = M + 1
+        if prod > 1:
+            logs.append(log(prod))
+        total = comp_sum([total] + logs)
+        out[M] = total
+    return out
 
 
 # --- Lemma 3.1 in mpf operators ----------------------------------------------

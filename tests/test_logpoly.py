@@ -521,8 +521,8 @@ def test_certified_start_is_just_past_the_last_root(n, J, d):
 @pytest.mark.parametrize("m", range(4))
 def test_isolated_terminates_for_other_inverse_powers(m, p):
     # the certificate of log^m t / t^p reads rows up to 2 J_PLAN_MAX + 5
-    # (d = 1); the bisection ends on each, a Fraction row with its
-    # denominators cleared, and each interval brackets a sign change
+    # (d = 1); the bisection ends on each, at p = 3/2 the integer row b^k
+    # P_k, and each interval brackets a sign change
     for k in range(2 * J_PLAN_MAX + 6):
         P = _log_polys(m, p)[k]
         intervals = _isolated(m, k, p)
