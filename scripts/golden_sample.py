@@ -40,8 +40,10 @@ Usage (from the root of a checkout):
 
 --compare lists the entries that differ in the ambient digits (DIFF) and
 those that differ only in the exact bits (EXACT), each changed value with its
-move as a fraction of the sample's abs_err, then the worst such move, and
-exits with status 1 when any entry differs in either way or is missing.  An
+move as a fraction of the sample's abs_err, then a tally per function (the
+key's name before its arguments: its DIFF and EXACT counts and its worst
+move), then the worst move of all, and exits with status 1 when any entry
+differs in either way or is missing.  An
 infinite or nan value or abs_err is written and read back as inf, -inf or
 nan.  Write both samples with the same version of this script.
 
@@ -400,16 +402,26 @@ def main() -> int:
              if want.get(key) != got.get(key)]
     ambient = 0
     worst, worst_key = None, None
+    # per function: [DIFF count, EXACT count, worst move, its key]
+    tally: dict[str, list] = {}
     for key in diffs:
         w, g = want.get(key), got.get(key)
         note, ratio = _move(w, g)
+        row = tally.setdefault(key.split("(")[0], [0, 0, None, None])
         if ratio is not None and (worst is None or ratio > worst):
             worst, worst_key = ratio, key
+        if ratio is not None and (row[2] is None or ratio > row[2]):
+            row[2:] = ratio, key
         if w is None or g is None or _ambient(w) != _ambient(g):
             ambient += 1
+            row[0] += 1
             print(f"DIFF {key}{note}\n  want {w}\n  got  {g}")
         else:
+            row[1] += 1
             print(f"EXACT {key}{note}")
+    for fn, (n_diff, n_exact, move, key) in sorted(tally.items()):
+        at = f", worst move {mp.nstr(move, 3)} of abs_err at {key}" if move is not None else ""
+        print(f"{fn}: {n_diff} DIFF, {n_exact} EXACT{at}")
     print(f"{len(got)} entries, {ambient} differ in the ambient digits, "
           f"{len(diffs)} in the exact bits")
     if worst is not None:

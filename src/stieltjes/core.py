@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf, sqrt, workprec
-from mpmath.libmp import mpf_sum
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_mul_int, mpf_shift, mpf_sum
 
 GUARD_DIGITS = 8
 # Precisions a PrecTable holds at once.  A request mix runs its lattice
@@ -109,16 +109,32 @@ def log_abs(v) -> float:
     return math.log(man) + exp * math.log(2)
 
 
+def _rounding_floor(v, prec: int, rnd):
+    # (|v| + 1) 2^(6 - prec) as the mpf operators take it: |v| and the sum
+    # rounded at prec, the power of two exact
+    return mpf_shift(mpf_add(mpf_abs(v, prec, rnd), fone, prec, rnd), 6 - prec)
+
+
+def _mpf_of(v):
+    return v._mpf_ if isinstance(v, mpf) else mpf(v)._mpf_
+
+
 def rounding_floor(value) -> mpf:
-    """Rounding dust of a value assembled at the current working precision."""
-    return (abs(value) + 1) * mpf(2) ** (-mp.prec + 6)
+    """Rounding dust of a value assembled at the current working precision:
+    (|value| + 1) 2^(6 - prec), by the libmpf calls the mpf operators make,
+    so with their bits."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(_rounding_floor(_mpf_of(value), prec, rnd))
 
 
 def tail_claim(err, value) -> mpf:
     """Claimed bound for a value whose Euler-Maclaurin remainder is bounded
     by ``err``, a certified remainder bound in every caller: err is padded
-    by a quarter, then the rounding floor is added."""
-    return 5 * err / 4 + rounding_floor(value)
+    by a quarter, 5 err / 4, then the rounding floor is added, by the libmpf
+    calls of the mpf operators at the same precision and rounding."""
+    prec, rnd = mp._prec_rounding
+    padded = mpf_shift(mpf_mul_int(_mpf_of(err), 5, prec, rnd), -2)
+    return mp.make_mpf(mpf_add(padded, _rounding_floor(_mpf_of(value), prec, rnd), prec, rnd))
 
 
 class PrecTable:

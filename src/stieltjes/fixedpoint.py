@@ -13,7 +13,8 @@ from __future__ import annotations
 from itertools import repeat
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_log, to_fixed, to_rational
+from mpmath.libmp import from_int, from_man_exp, mpf_log, to_fixed, to_rational
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 from .core import DomainError, PrecTable
 
@@ -23,14 +24,25 @@ from .core import DomainError, PrecTable
 # power of two); each is far below 2^wp, so a product's second-order error
 # term is absorbed by the constants.
 #
-# (1) fixed_log: mpf_log at wp is within 2 |log u| units (an ulp of its
-#     mantissa, relative), and to_fixed floors: |L - log u| <= 3M.
+# (1) fixed_log: log u = log(m 2^-w) + E ln 2 at w = wp + LOG_GUARD bits,
+#     for u = m 2^(E-w) with m u's mantissa scaled to [2^(w-1), 2^w) (or
+#     truncated to it, within 2 units of 2^-w in the logarithm): the core
+#     log_taylor_cached(m, w) that mpf_log itself takes is within 2^9 units
+#     of 2^-w (at most w/36 + 2 series terms of two floors each, doubled, and
+#     log a from its cache at 20 or more extra bits), and ln2_fixed(w) within
+#     one, so E ln 2 within |E| <= |log2 u| + 1 <= 3M units of 2^-w; a
+#     power of two takes (E - 1) ln 2 alone (log 1 = 0 exactly).  Shifted
+#     down LOG_GUARD bits, floored: |L - log u| <= 1 + (2^9 + 2 + 3M) 2^-20
+#     <= 3M.  Past w = LOG_TAYLOR_PREC, where mpmath takes the AGM, L is
+#     mpf_log at wp (within 2 |log u| units, an ulp of its mantissa,
+#     relative), floored by to_fixed: again within 3M.
 # (2) fixed_pow: P_i = floor(P_(i-1) L / 2^wp) is within 5 i M^i of
 #     log^i u, by induction: (M + 2^-20) 5(i-1) M^(i-1) + 3M M^(i-1) + 1.
 # (3) a rational c = num / (2^sh den), den odd, applied to X as
 #     floor(floor(X num / 2^sh) / den): within |c| e_X + 2.
 # (4) fixed_div: X/u for an exact dyadic u, floored: within e_X/u + 1.
-# (5) fixed_mul: X c for an exact dyadic c, floored: within |c| e_X + 1.
+# (5) X c for an exact dyadic c = C/2^s, as X C >> s, floored: within
+#     |c| e_X + 1.
 #
 # lattice_sum's one proof: a run of points that take the same merged terms
 # (m, p, c) sums, for each, P_m(u) or P_m(u)/u for p = 1 over them (rules (1),
@@ -67,9 +79,25 @@ def lattice_err() -> mpf:
     return mp.make_mpf(from_man_exp(1, -mp.prec))
 
 
+# the guard bits fixed_log's core takes past wp, as mpf_log does
+LOG_GUARD = 20
+
+
 def fixed_log(u, wp: int) -> int:
-    """log u in fixed point for an _mpf_ u > 0: rule (1)."""
-    return to_fixed(mpf_log(u, wp), wp)
+    """log u in fixed point for an _mpf_ u > 0: rule (1).  mpmath's Taylor
+    core log_taylor_cached(m, w) plus E ln2_fixed(w) at w = wp + LOG_GUARD,
+    shifted down to wp and so floored, with no mpf round trip; mpf_log where
+    w passes LOG_TAYLOR_PREC."""
+    _, man, exp, bc = u
+    w = wp + LOG_GUARD
+    if w > LOG_TAYLOR_PREC:
+        return to_fixed(mpf_log(u, wp), wp)
+    if man == 1:
+        return exp * ln2_fixed(w) >> LOG_GUARD
+    L = log_taylor_cached(man << w - bc if bc <= w else man >> bc - w, w)
+    if exp + bc:
+        L += (exp + bc) * ln2_fixed(w)
+    return L >> LOG_GUARD
 
 
 # log n for 1 <= n <= INT_LOG_CAP in fixed point at prec + INT_LOG_GUARD
@@ -83,8 +111,8 @@ def fixed_log_ints(lo: int, hi: int, wp: int):
     """log n in fixed point for lo <= n < hi: rule (1).
 
     Where n <= INT_LOG_CAP and wp <= P = prec + INT_LOG_GUARD, log n is the
-    table's fixed_log at P shifted down to wp, within (2 |log n| + 1)/2^(P-wp)
-    + 1 <= 3M units (log 1 = 0 exactly); elsewhere it is fixed_log at wp.
+    table's fixed_log at P shifted down to wp, within 3M/2^(P-wp) + 1 <= 3M
+    units (log 1 = 0 exactly); elsewhere it is fixed_log at wp.
     The table keeps each entry the routes ask for and holds at most
     INT_LOG_CAP entries per precision, whatever K is."""
     P = mp.prec + INT_LOG_GUARD
@@ -111,7 +139,7 @@ LOG_PRODUCT_PRECS = 8
 def fixed_log_sum(us, wp: int) -> int:
     """sum log u over the _mpf_ points us > 0 in fixed point, from the
     logarithms of their exact products of at most about LOG_PRODUCT_PRECS wp
-    bits: rule (1) for each, within 2 sum |log u| + 1, so 3M per point."""
+    bits: rule (1) for each, within 3 max(1, sum |log u|), so 3M per point."""
     S, man, exp = 0, 1, 0
     for _, m, e, _ in us:
         man, exp = man * m, exp + e
@@ -135,18 +163,26 @@ def fixed_div(X: int, u) -> int:
     return (X << -exp) // man if exp < 0 else X // (man << exp)
 
 
-def fixed_mul(X: int, c) -> int:
-    """X c in fixed point for an _mpf_ c, through its exact mantissa and
-    exponent: rule (5)."""
-    sign, man, exp, _ = c
-    if sign:
-        man = -man
-    return X * man >> -exp if exp < 0 else X * man << exp
-
-
 def from_fixed(S: int, wp: int) -> mpf:
     """The fixed-point S as one mpf, exactly."""
     return mp.make_mpf(from_man_exp(S, -wp))
+
+
+def lattice_points(x, a: int, b: int):
+    """The points x + j for a <= j < b of an _mpf_ x, each the exact tuple
+    mpf_add(x, from_int(j)) returns, every one of them > 0: for x not an
+    integer, the odd mantissa +-man + (j << -exp) at x's own exponent, so no
+    mpf_add per point."""
+    sign, man, exp, _ = x
+    if exp >= 0:
+        n = (-man if sign else man) << exp
+        for j in range(a, b):
+            yield from_int(n + j)
+        return
+    step = 1 << -exp
+    first = (-man if sign else man) + a * step
+    for n in range(first, first + (b - a) * step, step):
+        yield 0, n, exp, n.bit_length()
 
 
 # shifts whose exact difference is an integer of at most CARRY_WINDOW share
@@ -244,7 +280,7 @@ def lattice_sum(parts):
                     us = range(base + a, base + b)
                     logs = list(fixed_log_ints(base + a, base + b, wp)) if top else None
                 else:
-                    us = [mpf_add(exact, from_int(j)) for j in range(a, b)]
+                    us = list(lattice_points(exact, a, b))
                     if terms[0][:2] == (1, 0) and len(terms) == 1:
                         _, _, num, sh, den = terms[0]
                         S += (fixed_log_sum(us, wp) * num >> sh) // den

@@ -58,14 +58,13 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
-from mpmath.libmp import (fhalf, fone, from_int, from_man_exp, mpf_add, mpf_exp,
-                          mpf_ge, to_fixed)
+from mpmath.libmp import fone, from_man_exp, mpf_exp, mpf_ge, to_fixed
 
 from .core import (DomainError, PrecTable, SeriesValue, accelerate_alternating,
                    check_order, cvz_terms, default_tol, head_guard, log_abs,
                    rounding_floor, tail_claim, working_dps)
-from .fixedpoint import (fixed_div, fixed_log, fixed_mul, fixed_pow, from_fixed,
-                         lattice_err, lattice_sum, lattice_wp)
+from .fixedpoint import (fixed_div, fixed_log, fixed_pow, from_fixed, lattice_err,
+                         lattice_points, lattice_sum, lattice_wp)
 from .logpoly import em_start_for, em_tail, ladder_start
 from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
@@ -268,7 +267,9 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
 
     Panel j's b = j + 1 + x is panel j+1's a, so log b, log^n b, log^q b
     and the incomplete gammas at log b carry into the next panel, and the
-    step log^q b - log^q a is a difference of carried powers.  The
+    step log^q b - log^q a is a difference of carried powers.  Each b is
+    fixedpoint.lattice_points' exact tuple and a + 1/2 an exact integer
+    over 2^(s+1), so a panel takes no mpf arithmetic.  The
     incomplete gammas start afresh at the first panel with a >= 1.  Their
     e^-t is at t = log b, so it is 1/b exactly, taken by fixed_div (rule
     (4)): the route takes no exponential.
@@ -289,24 +290,28 @@ def _coffey_sum(n: int, x, K: int) -> mpf:
                     int(mp.ceil((K + x + 1) * factorial(n) * max(1, 1 / x))))
     one = 1 << wp
     xv = x._mpf_
+    # the panel ending at b = x + j starts at a = x + j - 1 = (X + (j - 1)
+    # 2^s) / 2^s exactly, so a + 1/2 = (2 X + (2j - 1) 2^s) / 2^(s+1), and
+    # a >= 1 past the first panel
+    s = max(0, -xv[2])
+    X, x_ge_1 = xv[1] << max(0, xv[2]), mpf_ge(xv, fone)
     a = xv
     La = fixed_log(a, wp)
     Pa = fixed_pow(La, n, wp)
     Qa = Pa * La >> wp
     gammas_a = None
     S = fixed_div(Pa, a) // 2 - Qa // q  # f(x)/2 - log^q x/q
-    for j in range(1, K + 1):
-        b = mpf_add(xv, from_int(j))
+    for j, b in enumerate(lattice_points(xv, 1, K + 1), 1):
         Lb = fixed_log(b, wp)
         Pb = fixed_pow(Lb, n, wp)
         Qb = Pb * Lb >> wp
         dlog = (Qb - Qa) // q
-        if mpf_ge(a, fone):
+        if j > 1 or x_ge_1:
             if gammas_a is None:
                 gammas_a = _incgamma_pair(n, La, wp, fixed_div(one, a))
             gammas_b = _incgamma_pair(n, Lb, wp, fixed_div(one, b))
             dG = n * (gammas_a[0] - gammas_b[0]) - (gammas_a[1] - gammas_b[1])
-            S += Pb - Pa - dlog - fixed_mul(dG, mpf_add(a, fhalf))
+            S += Pb - Pa - dlog - (dG * ((X << 1) + (2 * j - 1 << s)) >> s + 1)
             gammas_a = gammas_b
         else:
             S += (fixed_div(Pa, a) + fixed_div(Pb, b)) // 2 - dlog

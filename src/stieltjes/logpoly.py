@@ -372,47 +372,55 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         spec[1], spec[2] = min(spec[1], e), max(spec[2], m + 1)
         num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
         parts.append((at, m, p, num, den))
+    M = {at: _log_ceil(u) for at, (u, _, _) in specs.items()}
     B = h = 0
+    terms = []  # (at, rows, integral row, k = p - e0, num, den) per part
     for at, m, p, num, den in parts:
         u, e0, _ = specs[at]
         if u[0] or u[2] + u[3] < 2:
             raise DomainError("em_tail_shifted: every point start + shift must be >= 2")
-        rows, _, A = _tail_rows(m, p)
+        rows, F, A = _tail_rows(m, p)
+        terms.append((at, rows, F, int(p - e0), num, den))
         B += (16 * (m + 1) * (-(-abs(num) // den) + 1) * (A + 1)
-              * _log_ceil(u) ** (m + 1) * _inv_bound(u, e0))
+              * M[at] ** (m + 1) * _inv_bound(u, e0))
         # the bits rule (9) needs at the rows past DIRECT that order J reads
         if J > DIRECT:
             beta = _log2_below(u)
             h = max(h, *(rows[j][1].bit_length() + 16 - math.floor((2 * j - 1) * beta)
                          for j in range(DIRECT + 1, J + 2)))
     wp = mp.prec + B.bit_length() + TAIL_GUARD + h
-    points = {at: _TailPoint(u, wp, _log_ceil(u), q, e0, h)
-              for at, (u, e0, q) in specs.items()}
-    terms = [(points[at], int(p - specs[at][1]), *_tail_rows(m, p)[:2], num, den)
-             for at, m, p, num, den in parts]
+    points = {at: _TailPoint(u, wp, M[at], q, e0, h) for at, (u, e0, q) in specs.items()}
+    terms = [(points[at], k, rows, F, num, den) for at, rows, F, k, num, den in terms]
 
     # rule (8) reads rows through DIRECT + 1, which _tail_rows builds for A
-    S = sum(point.term(rows.built[0][0], k, num, 2 * den)
-            for point, k, rows, _, num, den in terms)
-    if integral:
-        S += sum(point.term(F, k - 1, num, den) for point, k, _, F, num, den in terms)
+    S = 0
+    for point, k, rows, F, num, den in terms:
+        S += point.term(rows.built[0][0], k, num, 2 * den)
+        if integral:
+            S += point.term(F, k - 1, num, den)
 
     def rule8(j):  # B_2j/(2j)! v^(2j-1)(start) at 2^-wp
-        return sum(point.term(rows.built[j][0], k + 2 * j - 1, num, den)
-                   for point, k, rows, _, num, den in terms)
+        X = 0
+        for point, k, rows, _, num, den in terms:
+            X += point.term(rows.built[j][0], k + 2 * j - 1, num, den)
+        return X
 
     def rule9(j):  # the same at 2^-2wp
-        return sum(point.fine_term(rows[j][0], k + 2 * j - 1, num, den)
-                   for point, k, rows, _, num, den in terms)
+        X = 0
+        for point, k, rows, _, num, den in terms:
+            X += point.fine_term(rows[j][0], k + 2 * j - 1, num, den)
+        return X
 
     def omitted_at(J):  # order J + 1, by rule (8) through DIRECT + 1
         return rule8(J + 1) if J <= DIRECT else rule9(J + 1)
 
     def may_raise(J):  # rows J + 1 and J + 2 reached, and their weights falling
-        return all(point.falls(rows[J + 1][1], rows[J + 2][1])
-                   and point.reaches(rows[J + 1][1], 2 * J + 1)
-                   and point.reaches(rows[J + 2][1], 2 * J + 3)
-                   for point, _, rows, _, _, _ in terms)
+        for point, _, rows, _, _, _ in terms:
+            A1, A2 = rows[J + 1][1], rows[J + 2][1]
+            if not (point.falls(A1, A2) and point.reaches(A1, 2 * J + 1)
+                    and point.reaches(A2, 2 * J + 3)):
+                return False
+        return True
 
     E = 1 << (wp - mp.prec - 3)
     if key is None:

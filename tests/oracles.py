@@ -18,11 +18,11 @@ from functools import lru_cache
 from math import factorial
 
 from mpmath import iv, mp, mpf, log, nstr, workdps
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, round_up, to_rational
+from mpmath.libmp import (from_float, from_int, fzero, mpf_add, mpf_div, mpf_mul, round_up,
+                          to_rational)
 
 from stieltjes.core import DomainError
-from stieltjes.logpoly import (_ROOT_WIDTH, DIRECT, J_PLAN_MAX, _certified_start, _log2_below,
-                               _root_table)
+from stieltjes.logpoly import _ROOT_WIDTH, DIRECT, J_PLAN_MAX, _log2_below
 
 # the root intervals' width, 2^-ROOT_WIDTH_BITS in log t
 ROOT_WIDTH_BITS = _ROOT_WIDTH.denominator.bit_length() - 1
@@ -373,13 +373,15 @@ def em_tail_shifted_mpf(v, start, J=4, bound=None, integral=True):
 
 def em_tail_error_mpf(n, a, J, omitted, d=0, scale=1, p=1) -> mpf:
     """em_tail_error as it read on mpf values: log a and the sum over the
-    root table taken afresh, |g(a)| by Horner's rule."""
+    root table taken afresh, |g(a)| by Horner's rule, and the certified
+    start and the root enclosures from the reference tables (isolated_ref,
+    root_table_ref), not from the library's."""
     p = exact_p(p)
-    if a >= _certified_start(n, J, d, p):
+    if a >= certified_start_ref(n, J, d, p):
         return omitted
     La = log(a)
     weight = 2 * abs(bernoulli_mpf(2 * J + 2) / factorial(2 * J + 2))
-    roots = 2 * sum(g for hi, g in _root_table(n, J, d, p) if hi >= float(La))
+    roots = 2 * sum(g for hi, g in root_table_ref(n, J, d, p) if hi >= float(La))
     if d <= 0:
         return 2 * omitted + scale * weight * roots
     g_a = horner_mpf(log_poly_row(n, p, 2 * J + 1 + d), La)
@@ -511,6 +513,7 @@ def real_roots_ref(P) -> list[tuple[Fraction, Fraction]]:
     return [r for r in roots if r[1] > 0]
 
 
+@lru_cache(maxsize=None)
 def isolated_ref(n: int, k: int, p=1) -> tuple:
     """real_roots_ref of P_k with its denominators cleared."""
     P = log_poly_row(n, p, k)
@@ -518,6 +521,7 @@ def isolated_ref(n: int, k: int, p=1) -> tuple:
     return tuple(real_roots_ref([int(c * den) for c in P]))
 
 
+@lru_cache(maxsize=None)
 def root_table_ref(n: int, J: int, d: int = 0, p=1) -> tuple:
     """logpoly._root_table by Fraction Taylor coefficients at each root's
     lower end and 53-bit interval arithmetic in mpmath's iv."""
@@ -537,6 +541,14 @@ def root_table_ref(n: int, J: int, d: int = 0, p=1) -> tuple:
     finally:
         iv.prec = saved
     return tuple(table)
+
+
+def certified_start_ref(n: int, J: int, d: int = 0, p=1) -> mpf:
+    """logpoly._certified_start from isolated_ref: exp of the largest upper
+    end of the roots of P_(2J+2+d) and P_(2J+4+d), rounded up as a float."""
+    last = max((hi for k in (2 * J + 2 + d, 2 * J + 4 + d)
+                for _, hi in isolated_ref(n, k, p)), default=0)
+    return mp.make_mpf(from_float(math.exp(math.nextafter(float(last), math.inf)) * (1 + 1e-12)))
 
 
 def certificate_ref(n: int, J: int, d: int = 0, p=1) -> tuple:

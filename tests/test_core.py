@@ -7,8 +7,8 @@ from mpmath import fadd, mp, mpf, sqrt, workdps, workprec
 
 import oracles
 from stieltjes.core import (GUARD_DIGITS, DomainError, SeriesValue, accelerate_alternating,
-                            comp_sum, find_root_bisect, harmonic, tol_digits,
-                            working_dps)
+                            comp_sum, find_root_bisect, harmonic, rounding_floor,
+                            tail_claim, tol_digits, working_dps)
 from stieltjes.gamma import gamma_n, stieltjes_integral
 from stieltjes.related import (delta, digamma, dilcher_log_gamma_k, dilcher_power_series, eta,
                                log_gamma, mangoldt_gap_sums)
@@ -220,6 +220,25 @@ def test_tol_digits_of_a_tolerance_parsed_at_fifteen_digits():
             for d, tol in tols.items():
                 assert tol_digits(tol) == d, (dps, d)
                 assert working_dps(tol) == max(dps, 2 * d) + GUARD_DIGITS
+
+
+def test_tail_claim_and_rounding_floor_have_the_bits_of_the_mpf_formulas():
+    # values and remainder bounds wider and narrower than the precision,
+    # either sign for the value, zero, and exponents far from 0: the libmpf
+    # forms against (|v| + 1) 2^(6 - prec) and 5 err / 4 + that floor in mpf
+    # operators, bit for bit, at 15 to 108 digits
+    rng = random.Random(20190205)
+    for _ in range(8000):
+        with workdps(rng.randint(15, 108)):
+            v = mpf(rng.getrandbits(rng.randint(1, 3 * mp.prec))) * rng.choice((1, -1))
+            v = mp.ldexp(v, rng.randint(-400, 60))
+            err = mp.ldexp(mpf(rng.getrandbits(rng.randint(0, 3 * mp.prec))),
+                           rng.randint(-500, 0))
+            floor = (abs(v) + 1) * mpf(2) ** (-mp.prec + 6)
+            assert rounding_floor(v)._mpf_ == floor._mpf_, (mp.dps, v)
+            assert tail_claim(err, v)._mpf_ == (5 * err / 4 + floor)._mpf_, (mp.dps, err, v)
+    with workdps(34):
+        assert tail_claim(mp.inf, 1) == rounding_floor(mp.inf) == mp.inf
 
 
 def test_series_value_invariants():

@@ -20,16 +20,16 @@ from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import exp, ldexp, log, mp, mpf, workdps
+from mpmath import exp, ldexp, log, mp, mpf, workdps, workprec
 from mpmath.libmp import from_man_exp, to_fixed
 
 import stieltjes.fixedpoint as fixedpoint
 from oracles import (LogPoint, LogPolyRef, em_tail_error_mpf, em_tail_shifted_mpf, exact_p,
                      logpow_antiderivative_ref, pow_step_ref)
 from stieltjes.core import working_dps
-from stieltjes.fixedpoint import (INT_LOG_CAP, INT_LOG_GUARD, fixed_div, fixed_log,
-                                  fixed_log_ints, fixed_log_sum, fixed_pow, lattice_err,
-                                  lattice_sum)
+from stieltjes.fixedpoint import (INT_LOG_CAP, INT_LOG_GUARD, LOG_GUARD, LOG_PRODUCT_PRECS,
+                                  LOG_TAYLOR_PREC, fixed_div, fixed_log, fixed_log_ints,
+                                  fixed_log_sum, fixed_pow, lattice_err, lattice_sum)
 from stieltjes.gamma import (_coffey_sum, _incgamma_pair, _series_b_parts,
                              _series_c_parts, _step_parts)
 from stieltjes.logpoly import (DIRECT, J_PLAN_MAX, _certified_start, _log_ceil, _TailPoint,
@@ -179,6 +179,48 @@ def test_int_logs():
                     for n, L in zip(range(lo, hi), got):
                         ref = log(n) * mpf(2) ** wp
                         assert abs(L - ref) <= 3 * _m_pow((n,), 1), (lo, wp, n)
+
+
+def _rule1_points(wp):
+    """Rule (1)'s edges at wp: powers of two, points within 2^-100 of 1 on
+    both sides, points near 1e-7 and near 10^6 + x, and an exact product of
+    lattice points of about LOG_PRODUCT_PRECS wp bits, as fixed_log_sum
+    takes it."""
+    one = mpf(1)
+    yield from (ldexp(one, e) for e in (0, 1, -1, -40, 77))
+    yield from (mp.fadd(one, s * ldexp(one, -e), exact=True)
+                for s in (1, -1) for e in (100, wp + 30))
+    with workprec(wp):
+        tiny, big = mpf("1e-7"), mpf(10) ** 6 + mpf(XS[0])
+        yield from (tiny, tiny * (1 + ldexp(one, -60)), big, mp.fadd(big, 1, exact=True))
+    man, e2, j = 1, 0, 0
+    while man.bit_length() <= LOG_PRODUCT_PRECS * wp:
+        _, m, e, _ = mp.fadd(big, j, exact=True)._mpf_
+        man, e2, j = man * m, e2 + e, j + 1
+    yield mp.make_mpf(from_man_exp(man, e2))
+
+
+@pytest.mark.parametrize("wp", [DPS[0] * 4, DPS[-1] * 4, 1000]
+                         + [LOG_TAYLOR_PREC - LOG_GUARD + d for d in (-1, 0, 1)])
+def test_fixed_log_at_the_edges_of_rule_1(wp, monkeypatch):
+    # within 3M units of log u, and on mpmath's Taylor core (w = wp + 20 <=
+    # LOG_TAYLOR_PREC) within 1 + (2^9 + 2 + 3M) 2^-20; past it, and only
+    # there, on mpf_log
+    calls = []
+    real = fixedpoint.mpf_log
+    monkeypatch.setattr(fixedpoint, "mpf_log", lambda *a: calls.append(1) or real(*a))
+    points = list(_rule1_points(wp))
+    for u in points:
+        got = fixed_log(u._mpf_, wp)
+        with workprec(2 * wp + 70):
+            ref = log(u) * mpf(2) ** wp
+            M = max(1, int(mp.ceil(abs(log(u)))))
+            gap = abs(got - ref)
+            assert gap <= 3 * M, (wp, u)
+            if wp + LOG_GUARD <= LOG_TAYLOR_PREC:
+                assert gap <= 1 + mpf(2 ** 9 + 2 + 3 * M) / 2 ** 20, (wp, u)
+    assert len(calls) == (len(points) if wp + LOG_GUARD > LOG_TAYLOR_PREC else 0)
+    assert fixed_log(mpf(1)._mpf_, wp) == 0
 
 
 def test_series_b_terms():
@@ -338,16 +380,17 @@ def test_dilcher_summand():
 @pytest.mark.parametrize("x", ["500", "1e6"])
 def test_dilcher_takes_two_logarithms_a_term(x, monkeypatch):
     # shifts 0 and x far apart keep two streams: at most two logarithms per
-    # lattice term, the integer table's included, and no window spanning them
+    # lattice term, the integer table's included, and no window spanning them;
+    # every logarithm the kernel takes goes through fixed_log
     calls = []
-    real = fixedpoint.mpf_log
-    monkeypatch.setattr(fixedpoint, "mpf_log", lambda *a: calls.append(1) or real(*a))
+    real = fixedpoint.fixed_log
+    monkeypatch.setattr(fixedpoint, "fixed_log", lambda *a: calls.append(1) or real(*a))
     fixedpoint._INT_LOGS.clear()
     with workdps(DPS[1]):
         v = lattice_sum(_dilcher_parts(2, mpf(x)))
         v(1, K + 1)
         v(K, K + 1)
-    assert len(calls) <= 2 * (K + 1)
+    assert 0 < len(calls) <= 2 * (K + 1)
 
 
 def test_g_summand():
