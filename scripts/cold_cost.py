@@ -18,7 +18,11 @@ Rows (d digits asked for: tol = 10^-d at mp.dps = d + 10, unless stated):
   12, 20 and 30 digits (mp.dps = 2 d), as the benchmark's precision ladder
   makes them;
 - zeta_prime_int(s) and hurwitz_em(s, 0.7) at 30 digits, at a fresh 53-bit
-  s after a call at another one: the tables one new s builds.
+  s after a call at another one: the tables one new s builds;
+- digamma_rational(3/7) at tol 1e-15, eta(4) at 1e-12, and
+  gamma1_rational(p/7) at 1e-12 for p = 1..6 in one timed call, all at
+  mp.dps 34 as the benchmark's point mix asks them: the closed forms and
+  their x-free constants, which a warm call reads from the constants table.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/cold_cost.py
@@ -69,6 +73,17 @@ def _at_s(fn, s):
     return call
 
 
+def _closed_form(fn):
+    def call(S):
+        mp.dps = 34
+        if fn == "digamma_rational":
+            return S.digamma_rational(S.RationalArg(3, 7), mpf("1e-15"))
+        if fn == "eta":
+            return S.eta(4, tol=mpf("1e-12"))
+        return [S.gamma1_rational(S.RationalArg(p, 7), mpf("1e-12")) for p in range(1, 7)]
+    return call
+
+
 # name -> (label, set-up calls, the timed call)
 ROWS = {
     "zeta_deriv0_d50": ("zeta_deriv0_diff(6, 0.7), 50 digits", *_zeta_deriv0(50)),
@@ -82,6 +97,10 @@ ROWS = {
                          _at_s("zeta_prime_int", 2 + 1 / 7)),
     "hurwitz_em_s": ("hurwitz_em(s, 0.7), fresh s, 30 digits",
                      [_at_s("hurwitz_em", 2 + 1 / 3)], _at_s("hurwitz_em", 2 + 1 / 7)),
+    "digamma_rational": ("digamma_rational(3/7), 1e-15", [], _closed_form("digamma_rational")),
+    "eta4": ("eta(4), 1e-12", [], _closed_form("eta")),
+    "gamma1_rational_sweep": ("gamma1_rational(p/7), p = 1..6, 1e-12", [],
+                              _closed_form("gamma1_rational")),
 }
 
 

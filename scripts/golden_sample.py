@@ -48,14 +48,18 @@ infinite or nan value or abs_err is written and read back as inf, -inf or
 nan.  Write both samples with the same version of this script.
 
 --audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
-dilcher_log_gamma_k, hurwitz_em, zeta_prime_int, delta and em_tail entry
-against mpmath at 80 digits (40 past the claim where that is more), taken
-at the entry's binary arguments:
+dilcher_log_gamma_k, hurwitz_em, zeta_prime_int, delta, em_tail,
+gamma1_rational, digamma_rational and eta (from_gamma) entry, and of
+zeta_deriv0_const for n 0..2 at the three zeta tolerances (audited, not
+sampled), against mpmath at 80 digits (40 past the claim where that is
+more), taken at the entry's binary arguments:
 stieltjes for gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k
 [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1),
 zeta(s, x), zeta(s, 1, 1), (-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n),
-and for em_tail sum_{k>=0} f(a+k) - int_a^inf f: (-1)^m zeta(p, a, m) less
-the closed integral, or stieltjes(m, a) + log^(m+1) a/(m+1) for p = 1.
+for em_tail sum_{k>=0} f(a+k) - int_a^inf f: (-1)^m zeta(p, a, m) less
+the closed integral, or stieltjes(m, a) + log^(m+1) a/(m+1) for p = 1;
+stieltjes(1, p/q) and psi(0, p/q) at the exact p/q, -[w^n] F'/F by the
+power series of log F from stieltjes(j), and zeta(0, 1, n).
 em_tail's abs_err is the certified Euler-Maclaurin remainder bound with the
 fixed-point value's own bound, and no rounding floor: the value is the
 exact fixed-point sum.  It prints each entry whose gap |value - ref|
@@ -81,7 +85,8 @@ from mpmath.libmp import from_man_exp
 from stieltjes import (RationalArg, delta, digamma, digamma_rational,
                        dilcher_log_gamma_k, dilcher_power_series, em_tail, eta,
                        gamma1_alt, gamma1_rational, gamma_diff, gamma_n,
-                       hurwitz_em, log_gamma, zeta_deriv0_diff, zeta_prime_int)
+                       hurwitz_em, log_gamma, zeta_deriv0_const, zeta_deriv0_diff,
+                       zeta_prime_int)
 from stieltjes.cli import main as cli_main
 from stieltjes.verifier import _gamma_model, _gamma_roots, _unit_deriv_integral
 
@@ -262,17 +267,50 @@ def _zeta_entries():
     for x in ("-0.5", "0.3", "0.7", "1"):
         sv = dilcher_power_series(mpf(x), mpf("1e-12"))
         yield f"dilcher_power_series({x},1e-12)", _record(sv)
-    for p, q in RATIONALS:
-        sv = gamma1_rational(RationalArg(p, q), mpf("1e-12"))
-        yield f"gamma1_rational({p}/{q},1e-12)", _record(sv)
-        sv = digamma_rational(RationalArg(p, q), mpf("1e-12"))
-        yield f"digamma_rational({p}/{q},1e-12)", _record(sv)
-    for n in range(7):
-        yield f"eta({n},from_gamma,1e-12)", _record(eta(n, tol=mpf("1e-12")))
+    for key, sv, _ in _closed_form_values():
+        yield key, _record(sv)
     for n in (0, 1, 2):
         yield f"eta({n},series,K=1000)", _record(eta(n, "series", K=1000))
     for key, sv, _ in _delta_values():
         yield key, _record(sv)
+
+
+def _closed_form_values():
+    """(key, SeriesValue, reference) for the gamma1_rational,
+    digamma_rational and eta (from_gamma) entries at mp.dps 34, reference
+    being mpmath's stieltjes(1, p/q), psi(0, p/q) and _eta_ref(n)."""
+    mp.dps = 34
+    tol = mpf("1e-12")
+    for p, q in RATIONALS:
+        r = RationalArg(p, q)
+        yield (f"gamma1_rational({p}/{q},1e-12)", gamma1_rational(r, tol),
+               lambda p=p, q=q: stieltjes(1, mpf(p) / q))
+        yield (f"digamma_rational({p}/{q},1e-12)", digamma_rational(r, tol),
+               lambda p=p, q=q: psi(0, mpf(p) / q))
+    for n in range(7):
+        yield f"eta({n},from_gamma,1e-12)", eta(n, tol=tol), lambda n=n: _eta_ref(n)
+
+
+def _eta_ref(n):
+    """eta_n = -[w^n] F'/F = -(n+1) [w^(n+1)] log F, F(w) = 1 + h(w) with
+    h = sum_j (-1)^j gamma_j w^(j+1)/j! from mpmath's stieltjes, and log F
+    as the power series sum_k (-1)^(k+1) h^k / k, truncated past w^(n+1)."""
+    h = [mpf(0)] + [(-1) ** j * stieltjes(j) / mp_factorial(j) for j in range(n + 1)]
+    power, log_f = [mpf(1)] + [mpf(0)] * (n + 1), mpf(0)
+    for k in range(1, n + 2):
+        power = [sum(power[i] * h[m - i] for i in range(m + 1)) for m in range(n + 2)]
+        log_f += (-1) ** (k + 1) * power[n + 1] / k
+    return -(n + 1) * log_f
+
+
+def _zeta_const_values():
+    """(key, SeriesValue, reference) for zeta_deriv0_const, audited only:
+    n 0..2 at mp.dps 34 and tol in ZETA_TOLS, reference zeta(0, 1, n)."""
+    mp.dps = 34
+    for n in range(3):
+        for tol in ZETA_TOLS:
+            yield (f"zeta_deriv0_const({n},{tol})", zeta_deriv0_const(n, mpf(tol)),
+                   lambda n=n: zeta(0, 1, n))
 
 
 def _delta_values():
@@ -342,6 +380,8 @@ def _audited():
     yield from _delta_values()
     yield from _em_tail_values()
     yield from _high_values()
+    yield from _closed_form_values()
+    yield from _zeta_const_values()
 
 
 def audit() -> int:

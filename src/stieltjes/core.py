@@ -27,6 +27,10 @@ GUARD_DIGITS = 8
 # routes at a few working precisions (a gamma_1 ladder from 12 to 50 digits
 # uses seven); past the cap the least recently used precision is dropped.
 PREC_TABLES_MAX = 8
+# Entries PrecTable.get keeps per precision, the least recently used dropped
+# past it: a table of gamma_1(p/q) over p at one tolerance reads 2(q - 1)
+# nodes and four constants.
+PREC_TABLE_ENTRIES_MAX = 256
 
 
 class DomainError(ValueError):
@@ -143,7 +147,8 @@ class PrecTable:
     Callers fill the table of the current precision lazily, with the same
     computation at the same precision they would otherwise repeat, so a
     cached value has the bits of a fresh one.  Tables of at most
-    PREC_TABLES_MAX precisions are held.
+    PREC_TABLES_MAX precisions are held; get keeps at most
+    PREC_TABLE_ENTRIES_MAX entries in each.
     """
 
     __slots__ = ("_by_prec",)
@@ -160,6 +165,19 @@ class PrecTable:
                 del self._by_prec[next(iter(self._by_prec))]
         self._by_prec[mp.prec] = table
         return table
+
+    def get(self, key, compute):
+        """The value at key in the table of the current precision, compute()
+        (never None) on a miss.  Past PREC_TABLE_ENTRIES_MAX entries the
+        least recently used is dropped."""
+        table = self.at_prec()
+        value = table.pop(key, None)
+        if value is None:
+            value = compute()
+            if len(table) >= PREC_TABLE_ENTRIES_MAX:
+                del table[next(iter(table))]
+        table[key] = value
+        return value
 
     def clear(self) -> None:
         self._by_prec.clear()

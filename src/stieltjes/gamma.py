@@ -366,8 +366,28 @@ def gamma_recurrence_check(n: int, x, tol=None) -> VerifyReport:
     )
 
 
+# x-free values the closed forms and the verifier share, per working
+# precision: the Stieltjes constants gamma_n = gamma_n(1) and the rational
+# nodes zeta^(k+1)(0, j/q) - zeta^(k+1)(0), each keyed by all it reads
+_CONSTANTS = PrecTable()
+
+
+def stieltjes_const(n: int, tol) -> SeriesValue:
+    """gamma_n(1, "series_b", tol), computed once per (n, tol, mp.prec)."""
+    tol = mpf(tol)
+    return _CONSTANTS.get((n, tol._mpf_), lambda: gamma_n(n, 1, "series_b", tol))
+
+
+def rational_node(k: int, j: int, q: int, tol) -> SeriesValue:
+    """zeta_deriv0_diff(k, j/q, tol), computed once per (k, j, q, tol,
+    mp.prec); at k = 0 it is log Gamma(j/q)."""
+    tol = mpf(tol)
+    return _CONSTANTS.get((k, j, q, tol._mpf_),
+                          lambda: zeta_deriv0_diff(k, mpf(j) / q, tol))
+
+
 def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
-    """gamma_1(p/q) in closed form:
+    """gamma_1(p/q) in closed form (Blagouchine 2015):
 
         gamma_1 + [gamma + log(2 pi q)][gamma + psi(p/q)]
         + sum_{j<q} cos(2 pi j p/q) zeta''(0, j/q)
@@ -375,16 +395,18 @@ def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
         + log^2 q / 2 + log q log(2 pi)
 
     zeta''(0, j/q) routes through the s = 0 derivative series plus zeta''(0)
-    to stay independent of gamma_1 values at rationals.
+    to stay independent of gamma_1 values at rationals.  The constants and
+    the nodes at j/q come from the shared table, so a sweep over p computes
+    each once.
     """
     if not isinstance(r, RationalArg):
         r = RationalArg(*r)
     tol = default_tol() if tol is None else mpf(tol)
-    from .related import digamma, log_gamma
+    from .related import digamma
     p, q = r.p, r.q
     part = tol / (6 * q)
-    g0 = gamma_n(0, 1, "series_b", part)
-    g1 = gamma_n(1, 1, "series_b", part)
+    g0 = stieltjes_const(0, part)
+    g1 = stieltjes_const(1, part)
     zpp0 = zeta_deriv0_const(2, part)
     psi_pq = digamma(r.as_mpf(), part)
     with workdps(working_dps(tol)):
@@ -399,12 +421,12 @@ def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
             c = cospi(mpf(2 * j * p) / q)
             s = sinpi(mpf(2 * j * p) / q)
             if c:
-                zd = zeta_deriv0_diff(1, mpf(j) / q, part)
+                zd = rational_node(1, j, q, part)
                 value += c * (zd.value + zpp0.value)
                 err += abs(c) * (zd.abs_err + zpp0.abs_err)
                 terms += zd.terms_used
             if s:
-                lg = log_gamma(mpf(j) / q, part)
+                lg = rational_node(0, j, q, part)
                 value += pi * s * lg.value
                 err += pi * abs(s) * lg.abs_err
                 terms += lg.terms_used
@@ -437,13 +459,8 @@ def _gamma1_bracket(n: int, H: list, inner_tol) -> tuple[mpf, mpf]:
     zeta(n+1) and zeta'(n+1) do not depend on x, so gamma1_alt and
     dilcher_power_series share them through _BRACKETS.
     """
-    zetas = _BRACKETS.at_prec()
-    key = (n, inner_tol)
-    pair = zetas.get(key)
-    if pair is None:
-        pair = zetas[key] = (hurwitz_em(n + 1, 1, inner_tol).value,
-                             zeta_prime_int(n + 1, inner_tol).value)
-    z, zp = pair
+    z, zp = _BRACKETS.get((n, inner_tol), lambda: (hurwitz_em(n + 1, 1, inner_tol).value,
+                                                   zeta_prime_int(n + 1, inner_tol).value))
     hz = _harmonic_prefix(H, n) * z
     val = (hz + zp) / (n + 1)
     if not val > 0:

@@ -1,13 +1,15 @@
 """Constant families adjacent to the Stieltjes constants: digamma and
-log-gamma as the series they equal, the Gauss-type closed form for
-psi(p/q), the von Mangoldt function and the eta constants, the delta
-constants, and the generalized gamma functions whose logarithmic structure
-produces gamma_k the way log Gamma produces gamma.
+log-gamma as the series they equal, Gauss's digamma theorem for psi(p/q)
+in elementary terms, the von Mangoldt function and the eta constants, the
+delta constants, and the generalized gamma functions whose logarithmic
+structure produces gamma_k the way log Gamma produces gamma.
 
 Series used here and their tails:
 
   psi(x)         = -gamma_0(1+x) - 1/x          (series_b at n = 0)
   log Gamma(x)   = zeta'(0, x) - zeta'(0)       (zeta_deriv0_diff at k = 0)
+  psi(p/q)       = -gamma - log 2q - (pi/2) cot(pi p/q)
+                   + sum_{j<q} cos(2 pi j p/q) log sin(pi j/q)
   log Gamma_k(x+1) = -gamma_k x
         + sum_{j>=1} [x log^k j / j - (log^(k+1)(j+x) - log^(k+1) j)/(k+1)]
 
@@ -17,6 +19,10 @@ Series used here and their tails:
 
   delta_n = lim_N [sum_{k<=N} log^n k - int_1^N log^n - log^n N / 2],
             evaluated at finite N with Bernoulli endpoint corrections.
+
+eta (from gamma) and psi(p/q) read gamma_j = gamma_j(1) from gamma's table
+of x-free constants (gamma.stieltjes_const), computed once per tolerance
+and working precision.
 
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
 integrals over [K, inf), and every sum here of log-polynomial terms runs on
@@ -42,7 +48,7 @@ from .core import (GUARD_DIGITS, DomainError, SeriesValue, check_order, comp_sum
                    cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
                    tail_claim, working_dps)
 from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
-                    gamma_n)
+                    gamma_n, stieltjes_const)
 from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
 from .logpoly import K_CAP, em_series, em_tail, em_tail_shifted, ladder_start
 from .zeta import zeta_deriv0_diff
@@ -172,7 +178,7 @@ def _eta_coeff_from(gammas: list, n: int) -> mpf:
 
 def _eta_from_gamma(n: int, tol) -> SeriesValue:
     part = tol / (4 * (n + 3))
-    vals = [gamma_n(j, 1, "series_b", part) for j in range(n + 2)]
+    vals = [stieltjes_const(j, part) for j in range(n + 2)]
     with workdps(working_dps(tol)):
         gammas = [v.value for v in vals]
         value = _eta_coeff_from(gammas, n)
@@ -388,38 +394,48 @@ def log_gamma(x, tol=None) -> SeriesValue:
 
 
 def digamma_rational(r: RationalArg, tol=None) -> SeriesValue:
-    """psi(p/q) by the Gauss-type closed form
+    """psi(p/q) by Gauss's digamma theorem (DLMF 5.4.19) in elementary terms
 
-        -gamma - log(2 pi q) - (pi/2) cot(pi p/q)
-        - 2 sum_{j<q} cos(2 pi j p / q) log Gamma(j/q)
+        -gamma - log 2q - (pi/2) cot(pi p/q) + sum_{j<q} cos(2 pi j p/q) log sin(pi j/q),
 
-    cross-checked against the series route; disagreement beyond the combined
-    claimed error raises, since it would indict a claimed bound.
+    the Gauss-type form in -2 sum_{j<q} cos(2 pi j p/q) log Gamma(j/q) with
+    j paired with q - j by Gamma(t) Gamma(1 - t) = pi / sin(pi t).  Terms j
+    and q - j are equal and log sin(pi/2) = 0, so the sum runs over j < q/2
+    twice; the cosines and the cotangent take arguments reduced to [0, 2)
+    and [0, 1/2].
+
+    gamma is the shared constant at tol/(2q + 2).  The claim is gamma's plus
+    the rounding floor of log 2q, of (pi/2) cot and of each 2 log sin(pi
+    j/q), whose floor at |2 log sin| + 1 also covers the few units of its
+    cosine, and of the value: the terms are summed exactly and rounded once.
+    The value is cross-checked against the series route; disagreement
+    beyond the combined claimed error raises, since it would indict a
+    claimed bound.
     """
     if not isinstance(r, RationalArg):
         r = RationalArg(*r)
     tol = default_tol() if tol is None else mpf(tol)
     p, q = r.p, r.q
-    part = tol / (2 * q + 2)
-    g0 = gamma_n(0, 1, "series_b", part)
+    g0 = stieltjes_const(0, tol / (2 * q + 2))
     with workdps(working_dps(tol)):
-        value = -g0.value - log(2 * pi * q) - pi / 2 * _cot_pi(mpf(p) / q)
-        err = g0.abs_err
-        terms = g0.terms_used
-        for j in range(1, q):
-            c = cospi(mpf(2 * j * p) / q)
+        # cot(pi p/q) = -cot(pi (q - p)/q)
+        half_cot = pi / 2 * (_cot_pi(mpf(p) / q) if 2 * p <= q else -_cot_pi(mpf(q - p) / q))
+        terms = [-log(2 * q), -half_cot]
+        err = g0.abs_err + rounding_floor(terms[0]) + rounding_floor(half_cot)
+        for j in range(1, (q + 1) // 2):
+            c = cospi(mpf(2 * (j * p % q)) / q)
             if c:
-                lg = log_gamma(mpf(j) / q, part)
-                value -= 2 * c * lg.value
-                err += 2 * abs(c) * lg.abs_err
-                terms += lg.terms_used
+                log_sin = 2 * log(sinpi(mpf(j) / q))
+                terms.append(c * log_sin)
+                err += rounding_floor(log_sin)
+        value = comp_sum(terms) - g0.value
         err += rounding_floor(value)
         direct = digamma(r.as_mpf(), tol)
         if abs(value - direct.value) > err + direct.abs_err:
             raise ArithmeticError(
                 "digamma_rational: closed form and series route disagree beyond "
                 f"claimed bounds at {p}/{q}: gap {abs(value - direct.value)}")
-        return SeriesValue(value, err, terms, "gauss_closed_form")
+        return SeriesValue(value, err, g0.terms_used, "gauss_closed_form")
 
 
 # ---------------------------------------------------------------------------

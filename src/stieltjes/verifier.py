@@ -27,7 +27,7 @@ from mpmath import log, mp, mpf, pi, workdps
 
 from .core import (GUARD_DIGITS, DomainError, PrecTable, SeriesValue, check_order,
                    comp_sum, find_root_bisect, rounding_floor)
-from .gamma import gamma_n
+from .gamma import gamma_n, stieltjes_const
 from .fixedpoint import lattice_err, lattice_sum
 from .logpoly import em_series, em_tail
 from .quadrature import ChebyshevModel, chebyshev_model
@@ -300,8 +300,8 @@ def check_g_functions(x) -> VerifyReport:
         raise DomainError("check_g_functions: need x > 0")
     t0 = time.perf_counter()
     with workdps(mp.dps + GUARD_DIGITS):
-        g1c = gamma_n(1, 1, "series_b", CHECK_TOL)
-        g2c = gamma_n(2, 1, "series_b", CHECK_TOL)
+        g1c = stieltjes_const(1, CHECK_TOL)
+        g2c = stieltjes_const(2, CHECK_TOL)
         zd1 = zeta_deriv0_diff(1, x, CHECK_TOL)
         g1_closed = zd1.value / 2 - (x - 1) * g1c.value
         s1, e1 = _g_series(2, x, CHECK_TOL)

@@ -201,9 +201,9 @@ def zeta_deriv0_const(n: int, tol=None) -> SeriesValue:
         value = -log(2 * pi) / 2
         return SeriesValue(value, rounding_floor(value), 1, "closed_form")
     if n == 2:
-        from .gamma import gamma_n  # lazy: gamma imports this module
-        g0 = gamma_n(0, 1, tol=tol / 8)
-        g1 = gamma_n(1, 1, tol=tol / 8)
+        from .gamma import stieltjes_const  # lazy: gamma imports this module
+        g0 = stieltjes_const(0, tol / 8)
+        g1 = stieltjes_const(1, tol / 8)
         with workdps(working_dps(tol)):
             value = (g1.value + g0.value ** 2 / 2 - pi ** 2 / 24
                      - log(2 * pi) ** 2 / 2)

@@ -296,6 +296,56 @@ class TestDigammaRational:
                         closed.abs_err + direct.abs_err
 
 
+def _reduced(q_max):
+    return [(p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+class TestDigammaRationalElementary:
+    """Gauss's digamma theorem in elementary terms: gamma from the shared
+    table, then logarithms of sines and a cotangent, no log Gamma series."""
+
+    @pytest.mark.parametrize("dps", [15, 34])
+    def test_claims_bound_the_error_through_q40(self, dps):
+        mp.dps = dps
+        worst = mpf(0)
+        for p, q in _reduced(40):
+            with workdps(dps + 40):
+                ref = mp.psi(0, mpf(p) / q)
+            for tol in ("1e-12", "1e-20", "1e-30"):
+                sv = digamma_rational(RationalArg(p, q), mpf(tol))
+                assert sv.abs_err <= mpf(tol), (p, q, tol)
+                with workdps(dps + 40):
+                    gap = abs(sv.value - ref)
+                assert gap <= sv.abs_err, (p, q, tol, gap / sv.abs_err)
+                worst = max(worst, gap / sv.abs_err)
+        assert worst > mpf("0.01")  # the claim is a bound, not a wide guess
+
+    def test_no_log_gamma_series(self, monkeypatch):
+        import stieltjes.gamma as gamma_mod
+        import stieltjes.related as related_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("zeta_deriv0_diff called")
+
+        for module in (gamma_mod, related_mod):
+            monkeypatch.setattr(module, "zeta_deriv0_diff", refuse)
+        for p, q in ((1, 2), (2, 5), (3, 7), (5, 12)):
+            digamma_rational(RationalArg(p, q), mpf("1e-20"))
+
+    def test_a_perturbed_gamma_fails_the_cross_check(self, monkeypatch):
+        import stieltjes.related as related_mod
+
+        const = related_mod.stieltjes_const
+
+        def bumped(n, tol):
+            sv = const(n, tol)
+            return SeriesValue(sv.value + mpf("1e-9"), sv.abs_err, sv.terms_used, sv.method)
+
+        monkeypatch.setattr(related_mod, "stieltjes_const", bumped)
+        with pytest.raises(ArithmeticError):
+            digamma_rational(RationalArg(3, 7), mpf("1e-12"))
+
+
 class TestLogGamma:
     def test_at_one_and_two(self):
         assert abs(log_gamma(1, TOL).value) < TOL

@@ -1,6 +1,7 @@
 """The per-precision tables: the Euler-Maclaurin weights, the fixed-point
-logarithms of the integer lattice points, and gamma1_alt's x-independent
-brackets, which it shares with dilcher_power_series.  Each
+logarithms of the integer lattice points, gamma1_alt's x-independent
+brackets, which it shares with dilcher_power_series, and the x-free
+constants and rational nodes of the closed forms.  Each
 returns the bits a fresh computation returns.  Also the accuracy of the mpf
 log-power step the references take (oracles.pow_step_ref), and the coffey
 panel carry against fresh panels.  (The Euler-Maclaurin derivatives come from
@@ -10,12 +11,16 @@ test is in test_logpoly.)"""
 import pytest
 from mpmath import log, mp, mpf, workdps, workprec
 
-from stieltjes.core import PREC_TABLES_MAX, PrecTable, rounding_floor, working_dps
-from stieltjes.gamma import (_BRACKETS, _coffey_sum, _lattice_plan, gamma1_alt,
-                             gamma_diff, gamma_n, incgamma_int)
+from stieltjes import gamma
+from stieltjes.core import (PREC_TABLE_ENTRIES_MAX, PREC_TABLES_MAX, PrecTable,
+                            rounding_floor, working_dps)
+from stieltjes.gamma import (_BRACKETS, _CONSTANTS, RationalArg, _coffey_sum, _lattice_plan,
+                             gamma1_alt, gamma1_rational, gamma_diff, gamma_n, incgamma_int,
+                             rational_node, stieltjes_const)
 from stieltjes.fixedpoint import _INT_LOGS, INT_LOG_GUARD, fixed_log, lattice_err
 from oracles import LogPolyRef, pow_step_ref
-from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series
+from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, eta
+from stieltjes.verifier import run_suite
 from stieltjes.zeta import hurwitz_em, zeta_deriv0_diff, zeta_prime_int
 
 TOL = mpf("1e-15")
@@ -30,12 +35,15 @@ CALLS = {
     "dilcher_log_gamma_k": lambda x: dilcher_log_gamma_k(2, x, TOL),
     "gamma1_alt": lambda x: gamma1_alt(TOL),
     "dilcher_power_series": lambda x: dilcher_power_series(x / 8, TOL),
+    "gamma1_rational": lambda x: gamma1_rational(RationalArg(2, 7), TOL),
+    "eta": lambda x: eta(3, tol=TOL),
 }
 
 
 def _clear():
     _INT_LOGS.clear()
     _BRACKETS.clear()
+    _CONSTANTS.clear()
 
 
 def _bits(sv):
@@ -111,6 +119,73 @@ def test_gamma1_alt_fill_serves_dilcher_power_series():
     assert _bits(dilcher_power_series(x, TOL)) == cold
     with workdps(working_dps(TOL)):
         assert len(_BRACKETS.at_prec()) == max(filled, cold[2] + 1)
+
+
+def test_constants_and_nodes_are_the_fresh_computation():
+    const, node = stieltjes_const(1, TOL), rational_node(1, 2, 7, TOL)
+    assert stieltjes_const(1, TOL) is const
+    assert rational_node(1, 2, 7, TOL) is node
+    _clear()
+    assert _bits(stieltjes_const(1, TOL)) == _bits(const)
+    assert _bits(rational_node(1, 2, 7, TOL)) == _bits(node)
+    assert _bits(const) == _bits(gamma_n(1, 1, "series_b", TOL))
+    assert _bits(node) == _bits(zeta_deriv0_diff(1, mpf(2) / 7, TOL))
+
+
+def test_constants_are_keyed_by_precision():
+    at_34 = stieltjes_const(1, TOL), rational_node(0, 3, 7, TOL)
+    mp.dps = 50
+    at_50 = stieltjes_const(1, TOL), rational_node(0, 3, 7, TOL)
+    assert all(a is not b for a, b in zip(at_34, at_50))
+    assert _bits(at_50[0]) == _bits(gamma_n(1, 1, "series_b", TOL))
+    assert _bits(at_50[1]) == _bits(zeta_deriv0_diff(0, mpf(3) / 7, TOL))
+    mp.dps = 34
+    assert stieltjes_const(1, TOL) is at_34[0]
+
+
+def test_prec_table_get_drops_the_least_recently_used():
+    table = PrecTable()
+    computed = []
+
+    def value(key):
+        computed.append(key)
+        return key
+
+    for key in range(PREC_TABLE_ENTRIES_MAX):
+        table.get(key, lambda key=key: value(key))
+    table.get(0, lambda: value(0))  # a hit: 0 becomes the most recent
+    for key in range(PREC_TABLE_ENTRIES_MAX, PREC_TABLE_ENTRIES_MAX + 10):
+        table.get(key, lambda key=key: value(key))
+        assert len(table.at_prec()) == PREC_TABLE_ENTRIES_MAX
+    held = table.at_prec()
+    assert 0 in held and all(key not in held for key in range(1, 11))
+    assert computed == list(range(PREC_TABLE_ENTRIES_MAX + 10))
+
+
+def _counting(monkeypatch, module, name, keep):
+    """Wrap module.name so that each call's keep(args) is recorded."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(keep(args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_sweep_over_p_computes_each_node_once(monkeypatch):
+    calls = _counting(monkeypatch, gamma, "zeta_deriv0_diff", lambda a: (a[0], a[1]))
+    for p in range(1, 7):
+        gamma1_rational(RationalArg(p, 7), TOL)
+    # zeta''(0, j/7) and log Gamma(j/7) for j = 1..6, not once per p
+    assert len(calls) == 12 and len(set(calls)) == 12
+
+
+def test_g_functions_computes_each_constant_once(monkeypatch):
+    calls = _counting(monkeypatch, gamma, "gamma_n", lambda a: (a[0], a[1]))
+    run_suite(["g_functions"])
+    assert sorted(calls) == [(1, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 9])
