@@ -50,10 +50,14 @@ nan.  Write both samples with the same version of this script.
 --audit checks the claim of every gamma_n, gamma_diff, log_gamma, digamma,
 dilcher_log_gamma_k, hurwitz_em, zeta_prime_int, delta, em_tail,
 gamma1_rational, digamma_rational and eta (from_gamma) entry, and of
-zeta_deriv0_const for n 0..2 at the three zeta tolerances (audited, not
-sampled), against mpmath at 80 digits (40 past the claim where that is
-more), taken at the entry's binary arguments:
-stieltjes for gamma_n and gamma_diff, loggamma, psi(0, x), (-1)^k
+zeta_deriv0_const for n 0..2 at the three zeta tolerances and of gamma_n
+by the three routes at x in {1e-7, 1e-20, 1e-80}, n in {1, 4} and tol
+1e-12 and 1e-30 (tiny_x: entries; these two audited, not sampled, so that
+--compare against an older sample stays valid), against mpmath at 80
+digits (40 past the claim and the value's magnitude where that is more),
+taken at the entry's binary arguments:
+stieltjes for gamma_n and gamma_diff (stieltjes(n, 1 + x) + log^n x / x
+at a tiny x), loggamma, psi(0, x), (-1)^k
 [zeta^(k+1)(0, x+1) - zeta^(k+1)(0)]/(k+1) from zeta(0, x+1, k+1),
 zeta(s, x), zeta(s, 1, 1), (-1)^n [zeta^(n)(0) + n!] from zeta(0, 1, n),
 for em_tail sum_{k>=0} f(a+k) - int_a^inf f: (-1)^m zeta(p, a, m) less
@@ -100,6 +104,7 @@ ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
 RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
 DELTA_NS = (10, 97, 9973, 10 ** 5)
 EM_TAIL_STARTS = ("4.5", "12.25", "30.5", "100.75", "500.5")
+TINY_XS = ("1e-7", "1e-20", "1e-80")
 
 
 NONFINITE = ("inf", "-inf", "nan")
@@ -313,6 +318,29 @@ def _zeta_const_values():
                    lambda n=n: zeta(0, 1, n))
 
 
+def _tiny_x_values():
+    """(key, SeriesValue, reference) for gamma_n by the three routes at
+    x in TINY_XS, n in {1, 4} and tol 1e-30 and 1e-12 at mp.dps 34, audited
+    only; reference gamma_n(1 + x) + log^n x / x at the entry's binary x,
+    once per (n, x), at the precision of its 1e-30 entry."""
+    mp.dps = 34
+    refs = {}
+
+    def reference(n, x):
+        if (n, x) not in refs:
+            refs[n, x] = stieltjes(n, 1 + x) + log(x) ** n / x
+        return refs[n, x]
+
+    for x in TINY_XS:
+        for n in (1, 4):
+            for route in ROUTES:
+                for tol in ("1e-30", "1e-12"):
+                    x_ = mpf(x)
+                    yield (f"tiny_x:gamma_n({n},{x},{route},{tol})",
+                           gamma_n(n, x_, route, mpf(tol)),
+                           lambda n=n, x_=x_: reference(n, x_))
+
+
 def _delta_values():
     """(key, SeriesValue, reference) for the delta entries, reference being
     (-1)^n [zeta^(n)(0) + n!] from mpmath at the caller's precision."""
@@ -382,11 +410,13 @@ def _audited():
     yield from _high_values()
     yield from _closed_form_values()
     yield from _zeta_const_values()
+    yield from _tiny_x_values()
 
 
 def audit() -> int:
     """Check every audited entry against mpmath at 80 digits, or 40 digits
-    past its claim where that is more, at the entry's binary arguments;
+    past its claim and the value's magnitude where that is more, at the
+    entry's binary arguments;
     print each entry whose gap |value - ref| exceeds its abs_err, and the
     worst gap/claim of each function.  Returns 1 when any entry's does."""
     saved = mp.dps
@@ -395,7 +425,8 @@ def audit() -> int:
     try:
         for key, sv, reference in _audited():
             claim_digits = -int(mp.log10(sv.abs_err)) if 0 < sv.abs_err < mp.inf else 0
-            with workdps(max(80, claim_digits + 40)):
+            size = int(mp.log10(abs(sv.value))) if 1 < abs(sv.value) < mp.inf else 0
+            with workdps(max(80, claim_digits + size + 40)):
                 gap = abs(sv.value - reference())
                 ratio = gap / sv.abs_err if sv.abs_err else (mp.inf if gap else mpf(0))
             count += 1

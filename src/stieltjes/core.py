@@ -223,8 +223,8 @@ def comp_sum(terms) -> mpf:
 
 def harmonic(n: int) -> mpf:
     """H_n = sum_{k=1..n} 1/k, each 1/k rounded, then summed exactly."""
-    if n < 1:
-        raise DomainError("harmonic: n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise DomainError("harmonic: n must be an int >= 1")
     one = mpf(1)
     return comp_sum(one / k for k in range(1, n + 1))
 

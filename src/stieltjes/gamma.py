@@ -70,7 +70,6 @@ from .reporting import VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff, zeta_prime_int, hurwitz_em
 
 MAX_ORDER = 8
-SERIES_B_MIN_X = mpf("1e-6")
 
 METHODS = ("series_b", "series_c", "coffey")
 
@@ -101,7 +100,9 @@ def _validate(n: int, x) -> mpf:
 
 
 def gamma_n(n: int, x, method: str = "series_b", tol=None) -> SeriesValue:
-    """gamma_n(x) by the chosen representation.
+    """gamma_n(x) by the chosen representation, for every finite x > 0: at
+    a tiny x each route adds the guard digits of its largest term
+    (_head_dps).
 
     coffey at n = 0 delegates to series_b, since the order-0 incomplete gamma
     would be the exponential integral.
@@ -110,17 +111,11 @@ def gamma_n(n: int, x, method: str = "series_b", tol=None) -> SeriesValue:
     if method not in METHODS:
         raise DomainError(f"gamma_n: unknown method {method!r}")
     tol = default_tol() if tol is None else mpf(tol)
-    if method == "series_b":
-        if x < SERIES_B_MIN_X:
-            raise DomainError(
-                "gamma_n: series_b rejects x < 1e-6 (log^(n+1) x cancellation); "
-                "use series_c")
-        return _gamma_series_b(n, x, tol)
     if method == "series_c":
         return _gamma_series_c(n, x, tol)
-    if n == 0:
-        return _gamma_series_b(n, x, tol)
-    return _gamma_coffey(n, x, tol)
+    if method == "coffey" and n:
+        return _gamma_coffey(n, x, tol)
+    return _gamma_series_b(n, x, tol)
 
 
 def _lattice_plan(n: int, x, tol, staggered: bool = False) -> tuple[int, SeriesValue]:
@@ -194,11 +189,11 @@ def incgamma_int(n: int, t) -> mpf:
     """Gamma(n, t) = (n-1)! e^-t sum_{m<n} t^m/m! for integer n >= 1, t >= 0,
     by _incgamma_pair at _incgamma_wp(n, t): within 2^-prec of its value,
     relative, before the one rounding to prec."""
-    if n < 1:
-        raise DomainError("incgamma_int: order 0 would be the exponential integral")
+    if type(n) is not int or n < 1:
+        raise DomainError("incgamma_int: the order must be an int >= 1")
     t = mpf(t)
-    if t < 0:
-        raise DomainError("incgamma_int: t must be >= 0")
+    if not 0 <= t < mp.inf:
+        raise DomainError("incgamma_int: t must be finite and >= 0")
     wp = _incgamma_wp(n, t)
     G = _incgamma_pair(n, to_fixed(t._mpf_, wp), wp)[0]
     return mp.make_mpf(from_man_exp(G, -wp, *mp._prec_rounding))
@@ -397,7 +392,8 @@ def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
     zeta''(0, j/q) routes through the s = 0 derivative series plus zeta''(0)
     to stay independent of gamma_1 values at rationals.  The constants and
     the nodes at j/q come from the shared table, so a sweep over p computes
-    each once.
+    each once.  gamma and gamma_1 are read at part/8, the tolerance
+    zeta_deriv0_const(2, part) reads them at, so that the two share them.
     """
     if not isinstance(r, RationalArg):
         r = RationalArg(*r)
@@ -405,8 +401,8 @@ def gamma1_rational(r: RationalArg, tol=None) -> SeriesValue:
     from .related import digamma
     p, q = r.p, r.q
     part = tol / (6 * q)
-    g0 = stieltjes_const(0, part)
-    g1 = stieltjes_const(1, part)
+    g0 = stieltjes_const(0, part / 8)
+    g1 = stieltjes_const(1, part / 8)
     zpp0 = zeta_deriv0_const(2, part)
     psi_pq = digamma(r.as_mpf(), part)
     with workdps(working_dps(tol)):

@@ -369,6 +369,9 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
         e = p - 1 if integral else p
         at = (shift, e - math.floor(e))
         spec = specs.setdefault(at, [mpf_add(start, shift), e, 1])
+        if spec[0][0] or spec[0][2] + spec[0][3] < 2:  # negative, below 2, inf or nan
+            raise DomainError("em_tail_shifted: every point start + shift must be "
+                              "finite and >= 2")
         spec[1], spec[2] = min(spec[1], e), max(spec[2], m + 1)
         num, den = to_rational(c._mpf_) if type(c) is mpf else (c.numerator, c.denominator)
         parts.append((at, m, p, num, den))
@@ -377,8 +380,6 @@ def em_tail_shifted(v, start, J: int = 4, bound=None, key=None,
     terms = []  # (at, rows, integral row, k = p - e0, num, den) per part
     for at, m, p, num, den in parts:
         u, e0, _ = specs[at]
-        if u[0] or u[2] + u[3] < 2:
-            raise DomainError("em_tail_shifted: every point start + shift must be >= 2")
         rows, F, A = _tail_rows(m, p)
         terms.append((at, rows, F, int(p - e0), num, den))
         B += (16 * (m + 1) * (-(-abs(num) // den) + 1) * (A + 1)
@@ -617,10 +618,10 @@ def _rational(p):
 
 
 # entries each (m, p)-keyed cache holds: about twice the integer-keyed
-# entries that point_mix and verify --suite all read (68 of _log_polys, 73
-# of _root_table, 255 of _isolated, 213 of _certified_start).  Each rational
-# p, such as every s hurwitz_em and zeta_prime_int are called at, takes
-# entries of its own; past the cap the least recently used go.
+# entries that point_mix and verify --suite all read (68 of _log_polys, 255
+# of _isolated, 213 of _certified_start).  Each rational p, such as every s
+# hurwitz_em and zeta_prime_int are called at, takes entries of its own;
+# past the cap the least recently used go.
 POLY_CACHE_MAX = 128
 ROOT_CACHE_MAX = 512
 
@@ -760,7 +761,6 @@ def _certified_start(n: int, J: int, d: int = 0, p=1) -> mpf:
                                   * (1 + 1e-12)))
 
 
-@lru_cache(maxsize=POLY_CACHE_MAX)
 def _root_table(n: int, J: int, d: int = 0, p=1) -> tuple[tuple[float, mpf], ...]:
     """One entry (hi, g_max) per real root r > 1 of f^(2J+2+d),
     f = log^n t / t^p: log r <= hi, and g_max >= |f^(2J+1+d)| on the

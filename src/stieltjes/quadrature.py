@@ -51,10 +51,12 @@ class QuadratureError(ArithmeticError):
 
 
 def legendre_rule(n: int) -> tuple[tuple[mpf, mpf], ...]:
-    """Gauss-Legendre nodes and weights on [-1, 1] at the ambient precision."""
-    rules = _RULE_CACHE.at_prec()
-    if n in rules:
-        return rules[n]
+    """Gauss-Legendre nodes and weights on [-1, 1] at the ambient precision,
+    computed once per (n, precision)."""
+    return _RULE_CACHE.get(n, lambda: _newton_legendre(n))
+
+
+def _newton_legendre(n: int) -> tuple[tuple[mpf, mpf], ...]:
     pairs = []
     # at the ambient precision: Newton stalls above a stop taken inside
     stop = mpf(10) ** (-(mp.dps + 5))
@@ -73,8 +75,7 @@ def legendre_rule(n: int) -> tuple[tuple[mpf, mpf], ...]:
                     break
             w = 2 / ((1 - x * x) * dp * dp)
             pairs.append((x, w))
-    rule = rules[n] = tuple(pairs)
-    return rule
+    return tuple(pairs)
 
 
 def _panel_points(a, b, panels: int, singular_left: bool):
@@ -114,6 +115,8 @@ def quad_gl(f, a, b, panels: int = 8, nodes_per_panel: int = 24,
     a, b = mpf(a), mpf(b)
     if not a < b:
         raise DomainError("quad_gl: need a < b")
+    if not all(type(k) is int and k >= 1 for k in (panels, nodes_per_panel)):
+        raise DomainError("quad_gl: a panel or node count must be an int >= 1")
     rule = legendre_rule(nodes_per_panel)
     coarse = _composite(f, a, b, panels, rule, singular_left)
     fine = _composite(f, a, b, 2 * panels, rule, singular_left)
@@ -123,6 +126,11 @@ def quad_gl(f, a, b, panels: int = 8, nodes_per_panel: int = 24,
 
 
 def _chebyshev_rule(n: int) -> tuple:
+    """_fejer_rule(n), computed once per (n, precision)."""
+    return _CHEB_CACHE.get(n, lambda: _fejer_rule(n))
+
+
+def _fejer_rule(n: int) -> tuple:
     """Chebyshev points of the first kind x_j = cos(theta_j), theta_j =
     pi (2j+1)/(2n), the integer cosine rows of _chebyshev_coeffs, and
     Fejer's first-rule weights on [-1, 1].
@@ -134,9 +142,6 @@ def _chebyshev_rule(n: int) -> tuple:
     sum floor divisions of the cosines floored at WEIGHT_GUARD more bits
     than the rule's precision, and are rounded once to it.
     """
-    rules = _CHEB_CACHE.at_prec()
-    if n in rules:
-        return rules[n]
     wp = mp.prec + DCT_GUARD
     with workdps(mp.dps + 10):
         cosines = [mp.cos(pi * m / (2 * n)) for m in range(4 * n)]
@@ -154,8 +159,7 @@ def _chebyshev_rule(n: int) -> tuple:
                                 for k in range(1, n // 2 + 1))
         weights.append(mp.make_mpf(mpf_div(from_man_exp(w, 1 - ww), from_int(n),
                                            prec, rnd)))
-    rule = rules[n] = (nodes, rows, tuple(weights))
-    return rule
+    return nodes, rows, tuple(weights)
 
 
 def _chebyshev_coeffs(values) -> list[mpf]:

@@ -44,13 +44,13 @@ from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
 
-from .core import (GUARD_DIGITS, DomainError, SeriesValue, check_order, comp_sum,
-                   cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
+from .core import (GUARD_DIGITS, ConvergenceError, DomainError, SeriesValue, check_order,
+                   comp_sum, cvz_terms, default_tol, head_guard, log_abs, rounding_floor,
                    tail_claim, working_dps)
 from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
                     gamma_n, stieltjes_const)
 from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
-from .logpoly import K_CAP, em_series, em_tail, em_tail_shifted, ladder_start
+from .logpoly import K_CAP, em_series, em_start_for, em_tail, em_tail_shifted, ladder_start
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -118,8 +118,8 @@ def _sieve(N: int) -> bytearray:
 
 def von_mangoldt(N: int) -> VonMangoldtTable:
     """Sieve-built exact table of Lambda on 1..N."""
-    if N < 2:
-        raise DomainError("von_mangoldt: need N >= 2")
+    if type(N) is not int or N < 2:
+        raise DomainError("von_mangoldt: N must be an int >= 2")
     flags = _sieve(N)
     powers: dict[int, tuple[int, int]] = {}
     for p in range(2, N + 1):
@@ -213,12 +213,13 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
     Euler-Maclaurin tails of f at a and at N + 1, plus int_a^(N+1) f =
     [log^(n+1)(N+1) - log^(n+1) a]/(n+1), the lattice_sum of the telescoped
     pair over (a, N + 1), which takes a logarithm at its two ends only.
-    a is the first rung of 16 * 4^i at which em_tail, its order raised at
-    most to J_PLAN_MAX, certifies the tail below 2^-prec (prec: the working
-    bits), or the first past the last checkpoint, where every sum is direct.
-    The same J serves at N + 1 > a, whose remainder integral is part of
-    a's.  No gamma_n value enters, so these sums stay an independent check
-    on the eta and gamma routes.
+    a is logpoly.em_start_for's first rung from 16, factor 4, at which
+    em_tail, its order raised at most to J_PLAN_MAX, certifies the tail
+    below 2^-prec (prec: the working bits), or infinity where no rung up to
+    K_CAP does; every checkpoint N < a is summed directly.  The same J
+    serves at N + 1 > a, whose remainder integral is part of a's.  No
+    gamma_n value enters, so these sums stay an independent check on the
+    eta and gamma routes.
     """
     check_order(n, ETA_MAX_ORDER, "mangoldt_gap_sums")
     pending = set(checkpoints)
@@ -229,7 +230,8 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         raise DomainError("mangoldt_gap_sums: need at least one checkpoint")
     if pending[0] < 1:
         raise DomainError("mangoldt_gap_sums: checkpoints must be >= 1")
-    table = von_mangoldt(pending[-1])
+    # Lambda(1) = 0: on 1..1 the table is empty
+    table = von_mangoldt(pending[-1]) if pending[-1] > 1 else VonMangoldtTable(1, {})
     out: dict[int, mpf] = {}
     with workdps(mp.dps + GUARD_DIGITS):
         parts = [mpf(0)] * len(pending)
@@ -239,12 +241,10 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
         lam = accumulate(parts, lambda s, t: comp_sum([s, t]))
 
         bound = mpf(2) ** -mp.prec
-        a = 16
-        while a <= pending[-1]:
-            tail = em_tail(n, 1, a, 4, bound)
-            if tail.abs_err < bound:
-                break
-            a *= 4
+        try:
+            a, tail = em_start_for(lambda a: em_tail(n, 1, a, 4, bound), bound, 16)
+        except ConvergenceError:  # past about 600 digits no rung certifies 2^-prec
+            a = math.inf
         # sum_{k<e} f(k) at each end e = min(N + 1, a), in order
         f = lattice_sum([(1, 0, n, 1)])
         ends = sorted(set(min(N + 1, a) for N in pending))

@@ -57,11 +57,13 @@ def check_lemma31(n: int, x, N: int) -> VerifyReport:
     tolerance is the claims: each kernel sum's 2^(-prec-3) and the
     reference's own error.
     """
-    if N < 1:
-        raise DomainError("check_lemma31: need N >= 1")
+    if type(n) is not int or n < 0:
+        raise DomainError("check_lemma31: the order must be an int >= 0")
+    if type(N) is not int or N < 1:
+        raise DomainError("check_lemma31: N must be an int >= 1")
     x = mpf(x)
-    if x < 0:
-        raise DomainError("check_lemma31: need x >= 0")
+    if not 0 <= x < mp.inf:
+        raise DomainError("check_lemma31: x must be finite and >= 0")
     t0 = time.perf_counter()
     q, prec = n + 1, mp.prec
     telescoped, step = _lemma31_kernel(q, x, N)
@@ -140,12 +142,12 @@ def _unit_deriv_integral(order: int) -> SeriesValue:
     zeta(s, t) = t^-s + zeta(s, t+1), so zeta^(order)(0, t) - (-log t)^order
     is zeta^(order)(0, t+1), analytic on [0, 1].  The model integrates that
     difference of library values, and int_0^1 (-log t)^order dt = order! is
-    added back.
+    added back.  Computed once per (order, precision).
     """
-    integrals = _UNIT_INTEGRAL_CACHE.at_prec()
-    cached = integrals.get(order)
-    if cached is not None:
-        return cached
+    return _UNIT_INTEGRAL_CACHE.get(order, lambda: _unit_integral(order))
+
+
+def _unit_integral(order: int) -> SeriesValue:
     const = zeta_deriv0_const(order, mpf("1e-14"))
     tol = mpf("1e-12")
 
@@ -158,21 +160,14 @@ def _unit_deriv_integral(order: int) -> SeriesValue:
 
     q = chebyshev_model(regular, 0, 1).integral
     value = q.value + factorial(order)
-    result = SeriesValue(value, q.abs_err + rounding_floor(value), q.terms_used,
-                         q.method)
-    integrals[order] = result
-    return result
+    return SeriesValue(value, q.abs_err + rounding_floor(value), q.terms_used, q.method)
 
 
 def _gamma_model(n: int) -> ChebyshevModel:
-    """The shared Chebyshev model of gamma_n on [1, 2]."""
-    models = _GAMMA_MODELS.at_prec()
-    model = models.get(n)
-    if model is None:
-        model = chebyshev_model(
-            lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL), 1, 2)
-        models[n] = model
-    return model
+    """The shared Chebyshev model of gamma_n on [1, 2], built once per (n,
+    precision)."""
+    return _GAMMA_MODELS.get(n, lambda: chebyshev_model(
+        lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL), 1, 2))
 
 
 def check_vanishing_integrals(n: int) -> VerifyReport:

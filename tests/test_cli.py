@@ -25,6 +25,16 @@ def test_compute_gamma_text(capsys, gamma_ref):
     assert abs(shown - gamma_ref) <= claim <= mpf("1e-12")
 
 
+def test_compute_gamma_at_a_tiny_x(capsys):
+    # series_b, the default route, takes x below 1e-6 as the other routes do
+    code, out, _ = run_cli(capsys, "--format", "json",
+                           "compute", "gamma", "--n", "1", "--x", "1e-7")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "series_b"
+    assert mpf(payload["abs_err"]) <= mpf("1e-12")
+
+
 def test_compute_gamma_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "--format", "json",
                            "compute", "gamma", "--n", "0", "--x", "1")

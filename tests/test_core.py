@@ -9,9 +9,12 @@ import oracles
 from stieltjes.core import (GUARD_DIGITS, DomainError, SeriesValue, accelerate_alternating,
                             comp_sum, find_root_bisect, harmonic, rounding_floor,
                             tail_claim, tol_digits, working_dps)
-from stieltjes.gamma import gamma_n, stieltjes_integral
+from stieltjes.gamma import gamma_n, incgamma_int, stieltjes_integral
+from stieltjes.logpoly import em_tail
+from stieltjes.quadrature import quad_gl
 from stieltjes.related import (delta, digamma, dilcher_log_gamma_k, dilcher_power_series, eta,
-                               log_gamma, mangoldt_gap_sums)
+                               log_gamma, mangoldt_gap_sums, von_mangoldt)
+from stieltjes.verifier import check_lemma31
 from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_deriv0_diff, zeta_prime_int
 
 
@@ -269,6 +272,13 @@ BAD_CALLS = {
     "log_gamma(inf)": lambda: log_gamma(inf),
     "dilcher_log_gamma_k(1, inf)": lambda: dilcher_log_gamma_k(1, inf),
     "dilcher_power_series(nan)": lambda: dilcher_power_series(nan),
+    "check_lemma31(1.5, 1, 10)": lambda: check_lemma31(1.5, 1, 10),
+    "check_lemma31(-1, 1, 10)": lambda: check_lemma31(-1, 1, 10),
+    "check_lemma31(1, inf, 10)": lambda: check_lemma31(1, inf, 10),
+    "incgamma_int(1.5, 1)": lambda: incgamma_int(1.5, 1),
+    "incgamma_int(1, inf)": lambda: incgamma_int(1, inf),
+    "em_tail(1, 1, inf)": lambda: em_tail(1, 1, inf),
+    "em_tail(1, 1, nan)": lambda: em_tail(1, 1, nan),
 }
 
 
@@ -278,3 +288,19 @@ def test_entry_points_reject_a_bad_order_or_a_non_finite_input(call):
     # that is not finite, raise DomainError from the argument checks
     with pytest.raises(DomainError, match="order must be an int|finite"):
         BAD_CALLS[call]()
+
+
+BAD_COUNTS = {
+    "check_lemma31(1, 1, 2.5)": lambda: check_lemma31(1, 1, 2.5),
+    "harmonic(2.5)": lambda: harmonic(2.5),
+    "von_mangoldt(2.5)": lambda: von_mangoldt(2.5),
+    "quad_gl(f, 0, 1, panels=0)": lambda: quad_gl(lambda t: t, 0, 1, panels=0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_COUNTS))
+def test_entry_points_reject_a_count_that_is_not_a_positive_int(call):
+    # a float count raised TypeError or AttributeError, and zero panels
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match="must be an int"):
+        BAD_COUNTS[call]()

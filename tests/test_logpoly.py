@@ -652,9 +652,9 @@ def test_mp_keyed_caches_stay_bounded():
     # every fresh s of hurwitz_em and zeta_prime_int adds (m, p)-keyed
     # entries; after 200 of them each cache is at or below its cap, and a
     # value at an s whose entries were evicted has the bits of a cold call
-    caches = {_log_polys: POLY_CACHE_MAX, _root_table: POLY_CACHE_MAX,
-              _tail_rows: POLY_CACHE_MAX, _certificate: POLY_CACHE_MAX,
-              _isolated: ROOT_CACHE_MAX, _certified_start: ROOT_CACHE_MAX}
+    caches = {_log_polys: POLY_CACHE_MAX, _tail_rows: POLY_CACHE_MAX,
+              _certificate: POLY_CACHE_MAX, _isolated: ROOT_CACHE_MAX,
+              _certified_start: ROOT_CACHE_MAX}
     tol = mpf("1e-20")
     for cache in caches:
         cache.cache_clear()
@@ -719,8 +719,7 @@ def test_a_cold_1e12_tail_builds_todays_rows_at_todays_bits(monkeypatch):
     # _tail_rows that the cap of 13 built, and works at the bits it did:
     # prec + bitlen(B) + 7 with A the largest weight of rows 0..14 and the
     # integral (row 0: 1), computed here from the diff chain
-    for cache in (_log_polys, _tail_rows, _certificate, _root_table, _isolated,
-                  _certified_start):
+    for cache in (_log_polys, _tail_rows, _certificate, _isolated, _certified_start):
         cache.cache_clear()
     seen = []
     real = _TailPoint.__init__

@@ -125,6 +125,22 @@ class TestEta:
         assert abs(gaps[2]) < abs(gaps[1]) < abs(gaps[0])
         assert abs(gaps[2]) < mpf("0.05")
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_mangoldt_gap_sums_at_one_alone(self, n):
+        # Lambda(1) = 0 and log^n 1 / 1 = 0^n: the N = 1 sum is -1 at n = 0
+        # and 0 past it, alone as beside a later checkpoint
+        want = -1 if n == 0 else 0
+        assert mangoldt_gap_sums(n, [1])[1] == mangoldt_gap_sums(n, [1, 2])[1] == want
+
+    def test_mangoldt_gap_sums_past_every_rung(self):
+        # at 700 digits no rung up to K_CAP certifies a tail below 2^-prec,
+        # and every checkpoint is summed directly
+        with workdps(700):
+            got = mangoldt_gap_sums(0, [10])[10]
+            lam = fsum(log(p) / k for k, p in ((2, 2), (3, 3), (4, 2), (5, 5), (7, 7),
+                                               (8, 2), (9, 3)))
+            assert abs(got - (lam - fsum(mpf(1) / k for k in range(1, 11)))) < mpf(10) ** -690
+
     def test_mangoldt_gap_sums_needs_a_checkpoint(self):
         with pytest.raises(DomainError):
             mangoldt_gap_sums(0, [])
