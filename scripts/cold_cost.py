@@ -22,7 +22,11 @@ Rows (d digits asked for: tol = 10^-d at mp.dps = d + 10, unless stated):
 - digamma_rational(3/7) at tol 1e-15, eta(4) at 1e-12, and
   gamma1_rational(p/7) at 1e-12 for p = 1..6 in one timed call, all at
   mp.dps 34 as the benchmark's point mix asks them: the closed forms and
-  their x-free constants, which a warm call reads from the constants table.
+  their x-free constants, which a warm call reads from the constants table;
+- the six Chebyshev models of `stieltjes verify` at mp.dps 34 as the CLI
+  builds them (_gamma_model(0..3), _unit_deriv_integral(1) and (2)), the
+  verifier's model caches cleared before each call, so a warm call rebuilds
+  the models from warm library tables.
 
 Usage (from the root of a checkout):
     PYTHONPATH=src python scripts/cold_cost.py
@@ -84,6 +88,16 @@ def _closed_form(fn):
     return call
 
 
+def _verify_models(S):
+    from stieltjes import verifier
+
+    mp.dps = 34
+    verifier._GAMMA_MODELS.clear()
+    verifier._UNIT_INTEGRAL_CACHE.clear()
+    return ([verifier._gamma_model(n) for n in range(4)]
+            + [verifier._unit_deriv_integral(k) for k in (1, 2)])
+
+
 # name -> (label, set-up calls, the timed call)
 ROWS = {
     "zeta_deriv0_d50": ("zeta_deriv0_diff(6, 0.7), 50 digits", *_zeta_deriv0(50)),
@@ -101,6 +115,7 @@ ROWS = {
     "eta4": ("eta(4), 1e-12", [], _closed_form("eta")),
     "gamma1_rational_sweep": ("gamma1_rational(p/7), p = 1..6, 1e-12", [],
                               _closed_form("gamma1_rational")),
+    "verify_models": ("the six verifier models, mp.dps 34", [], _verify_models),
 }
 
 

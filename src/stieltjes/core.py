@@ -237,8 +237,15 @@ def find_root_bisect(f, lo, hi, tol) -> mpf:
     (quadrature.ChebyshevModel.sign): bisection on it takes the same
     midpoints and returns the same bits as bisection on any f with those
     signs.
+
+    tol must be finite and > 0, else DomainError.  A midpoint that rounds
+    to an end at the working precision would stop the bracket from
+    shrinking, so while its width is above tol that raises
+    ConvergenceError.
     """
     lo, hi, tol = mpf(lo), mpf(hi), mpf(tol)
+    if not 0 < tol < mp.inf:
+        raise DomainError("find_root_bisect: tol must be finite and > 0")
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo
@@ -248,6 +255,10 @@ def find_root_bisect(f, lo, hi, tol) -> mpf:
         raise DomainError("find_root_bisect: endpoints do not bracket a root")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            raise ConvergenceError(
+                f"find_root_bisect: the midpoint of [{lo}, {hi}] rounds to an "
+                f"end at mp.prec {mp.prec}, above tol {mp.nstr(tol, 3)}")
         fm = f(mid)
         if fm == 0:
             return mid

@@ -36,8 +36,13 @@ _RULE_CACHE = PrecTable()
 # Chebyshev points of a model.  An integrand analytic inside the Bernstein
 # ellipse of parameter rho has coefficients of order rho^-k; gamma_n on [1, 2]
 # and zeta^(k)(0, t+1) on [0, 1] have their singularity at u = -3 of the
-# reference interval, rho = 3 + sqrt 8, so 41 points resolve them to ~1e-30.
-MODEL_POINTS = 41
+# reference interval, rho = 3 + sqrt 8.  At n points the interpolation
+# remainder is at most 2 ((b - a)/4)^n max|f^(n)|/n!: at 30 it is 1.7e-18 to
+# 1.4e-16 for gamma_0..gamma_3 and 5.8e-20 and 5.4e-19 for the zeta'(0, .)
+# and zeta''(0, .) rows, at most 1/500 of each model's claim from its node
+# values (about 2e-14 to 2e-13), and 29 points miss that share
+# (test_quadrature's remainder test).
+MODEL_POINTS = 30
 # n -> (nodes, cosine rows, weights) of _chebyshev_rule
 _CHEB_CACHE = PrecTable()
 # guard bits of the integer cosine transform (_chebyshev_coeffs), and of
@@ -276,12 +281,12 @@ def chebyshev_model(f, a, b) -> ChebyshevModel:
     """Interpolate f -> SeriesValue at MODEL_POINTS Chebyshev points of the
     first kind on [a, b] and integrate it by Fejer's first rule.
 
-    The points are interior, so f is never evaluated at a or b.  The
-    integral's abs_err is sum_j w_j abs_err_j (the weights are positive), a
-    rounding floor, and the tail estimate (b - a)(|c_(n-2)| + |c_(n-1)|) of
-    the last two coefficients.  When that estimate exceeds the rest of the
-    claim the integrand is not resolved, and ConvergenceError is raised
-    instead of a claim.
+    The model has degree MODEL_POINTS - 1.  The points are interior, so f
+    is never evaluated at a or b.  The integral's abs_err is sum_j w_j
+    abs_err_j (the weights are positive), a rounding floor, and the tail
+    estimate (b - a)(|c_(n-2)| + |c_(n-1)|) of the last two coefficients.
+    When that estimate exceeds the rest of the claim the integrand is not
+    resolved, and ConvergenceError is raised instead of a claim.
     """
     a, b = mpf(a), mpf(b)
     if not a < b:

@@ -198,6 +198,15 @@ ALPHA_DIGAMMA_ZERO_ERR = mpf("5e-13") + mpf(2) ** -52
 ROOT_STEP = mpf("1e-11")
 # points of the grid on [1, 2] whose sign changes _gamma_roots bisects
 ROOT_GRID = 256
+# ROOT_GRID -> the grid points 1 + i/(ROOT_GRID - 1)
+_ROOT_GRIDS = PrecTable()
+
+
+def _root_grid() -> tuple[mpf, ...]:
+    """The ROOT_GRID points 1 + i/(ROOT_GRID - 1) on [1, 2], built once per
+    precision."""
+    return _ROOT_GRIDS.get(ROOT_GRID, lambda: tuple(
+        1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)))
 
 
 def _gamma_roots(n: int) -> list[mpf]:
@@ -208,7 +217,7 @@ def _gamma_roots(n: int) -> list[mpf]:
     the library values at r - ROOT_STEP and r + ROOT_STEP have opposite
     signs and each exceeds its claimed error in magnitude."""
     model = _gamma_model(n)
-    pts = [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
+    pts = _root_grid()
     signs = [model.sign(t) > 0 for t in pts]
     roots = []
     for i in range(ROOT_GRID - 1):

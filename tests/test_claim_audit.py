@@ -10,7 +10,8 @@ the first rung of each ladder (at 1e-12) and orders past 13 (at 1e-50, and
 for gamma_n, log-gamma and digamma at 1e-100 and 1e-200).  The log-lattice
 routes' plans stop at their first rung, ladder_start(tol), from 6 to 150
 digits, and a seeded random audit draws their inputs, tolerances and
-ambient precisions.
+ambient precisions; a second one does so for digamma, hurwitz_em,
+hurwitz_hasse, delta and em_tail.
 """
 
 import math
@@ -24,7 +25,8 @@ from mpmath import factorial, log, loggamma, mp, mpf, psi, stieltjes, workdps, z
 from stieltjes.core import ConvergenceError, DomainError, tol_digits, working_dps
 from stieltjes.gamma import gamma_diff, gamma_n
 from stieltjes.logpoly import em_tail, ladder_start
-from stieltjes.related import digamma, dilcher_log_gamma_k, dilcher_power_series, log_gamma
+from stieltjes.related import (delta, digamma, dilcher_log_gamma_k, dilcher_power_series,
+                               log_gamma)
 from stieltjes.zeta import hurwitz_em, hurwitz_hasse, zeta_deriv0_diff, zeta_prime_int
 
 TOLS = ("1e-12", "1e-30", "1e-50")
@@ -388,3 +390,64 @@ def test_random_claims_bound_the_true_error():
 
     audit()
     assert outcomes["audited"] == 6 * outcomes["examples"]
+
+
+# The seeded audit of the other claimed routes: digamma, hurwitz_em and
+# hurwitz_hasse at a drawn x and s, delta at a drawn order and term budget,
+# and em_tail of log^m t / t^p from a drawn start, p in EM_TAIL_PS (p = 1
+# needs mpmath's stieltjes at a general start, a few hundred ms per
+# reference; test_em_tail_claims audits it on the golden grid).  Each
+# reference is taken at the ambient digits plus those of the value and of
+# tol, and REF_MARGIN more.
+OTHER_EXAMPLES = 100
+EM_TAIL_PS = (mpf("1.5"), 2, mpf("2.5"), 3)
+DELTA_N_MAX = 10 ** 4
+
+
+def _other_calls(n, s, x, a, p, N, tol):
+    """A (text, call, reference, tol or None) quadruple per audited route;
+    None where the route takes no tol (delta) or reads it as the bound its
+    order rises to and may stop short of (em_tail, whose turning point
+    near a start of 2 allows only a few orders)."""
+    k = n % 3
+    return [("digamma(x, tol)", lambda: digamma(x, tol), lambda: psi(0, x), tol),
+            ("hurwitz_em(s, x, tol)", lambda: hurwitz_em(s, x, tol), lambda: zeta(s, x), tol),
+            ("hurwitz_hasse(s, x, tol)", lambda: hurwitz_hasse(s, x, tol),
+             lambda: zeta(s, x), tol),
+            (f"delta({k}, {N})", lambda: delta(k, N),
+             lambda: (-1) ** k * (zeta(0, 1, k) + factorial(k)), None),
+            (f"em_tail({n}, {p}, a, 4, tol)", lambda: em_tail(n, p, a, 4, tol),
+             lambda: _em_tail_reference(n, p, a), None)]
+
+
+def test_random_claims_of_the_other_routes():
+    # |value - reference| <= abs_err on every case, and abs_err <= tol where
+    # the route promises it; as in the audit above, a DomainError or a
+    # ConvergenceError is a finding
+    outcomes = Counter()
+
+    @settings(derandomize=True, max_examples=OTHER_EXAMPLES, deadline=None)
+    @given(st.integers(0, 8), st.floats(-10.5, 10.5).filter(lambda s: abs(s - 1) > 1e-3),
+           _log_uniform(1e-6, 1e3), _log_uniform(2, 1e4), st.sampled_from(EM_TAIL_PS),
+           _log_uniform(10, DELTA_N_MAX).map(int), st.floats(12, 32),
+           st.sampled_from(AUDIT_DPS))
+    def audit(n, sf, xf, af, p, N, digits, dps):
+        outcomes["examples"] += 1
+        with workdps(dps):
+            s, x, a, tol = mpf(sf), mpf(xf), mpf(af), mpf(10.0 ** -digits)
+            for text, call, reference, promised in _other_calls(n, s, x, a, p, N, tol):
+                repro = (f"s, x, a, tol = mpf({sf!r}), mpf({xf!r}), mpf({af!r}), "
+                         f"mpf({10.0 ** -digits!r}) at mp.dps {dps}: {text}")
+                try:
+                    sv = call()
+                except (DomainError, ConvergenceError) as exc:
+                    raise AssertionError(repro) from exc
+                outcomes["audited"] += 1
+                size = max(0, int(mp.log10(abs(sv.value) + 1)))
+                with workdps(dps + size + tol_digits(tol) + REF_MARGIN):
+                    gap = abs(sv.value - reference())
+                assert gap <= sv.abs_err, repro
+                assert promised is None or sv.abs_err <= promised, repro
+
+    audit()
+    assert outcomes["audited"] == 5 * outcomes["examples"]

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import fadd, mp, mpf, sqrt, workdps, workprec
 
 import oracles
-from stieltjes.core import (GUARD_DIGITS, DomainError, SeriesValue, accelerate_alternating,
-                            comp_sum, find_root_bisect, harmonic, rounding_floor,
-                            tail_claim, tol_digits, working_dps)
+from stieltjes.core import (GUARD_DIGITS, ConvergenceError, DomainError, SeriesValue,
+                            accelerate_alternating, comp_sum, find_root_bisect, harmonic,
+                            rounding_floor, tail_claim, tol_digits, working_dps)
 from stieltjes.gamma import gamma_n, incgamma_int, stieltjes_integral
 from stieltjes.logpoly import em_tail
 from stieltjes.quadrature import quad_gl
@@ -154,6 +154,15 @@ def test_bisect_requires_bracket():
         find_root_bisect(lambda t: t * t + 1, -1, 1, mpf("1e-10"))
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "1e-40"])
+def test_bisect_below_one_ulp_raises(tol):
+    # at 15 digits the bracket around sqrt 2 stops at two adjacent floats,
+    # 2.2e-16 apart, whose midpoint rounds to an end: bisection to a width
+    # below that used to loop forever
+    with workdps(15), pytest.raises(ConvergenceError, match="rounds to an end"):
+        find_root_bisect(lambda t: t * t - 2, 1, 2, mpf(tol))
+
+
 def test_accelerate_zero_terms():
     sv = accelerate_alternating(lambda k: mpf(0), 16)
     assert sv.value == 0
@@ -279,6 +288,9 @@ BAD_CALLS = {
     "incgamma_int(1, inf)": lambda: incgamma_int(1, inf),
     "em_tail(1, 1, inf)": lambda: em_tail(1, 1, inf),
     "em_tail(1, 1, nan)": lambda: em_tail(1, 1, nan),
+    **{f"find_root_bisect(f, 1, 2, {tol})": (
+        lambda tol=tol: find_root_bisect(lambda t: t * t - 2, 1, 2, tol))
+       for tol in (0, -1e-3, nan, inf)},
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,13 @@ import oracles
 from stieltjes.core import (ConvergenceError, DomainError, SeriesValue,
                             find_root_bisect, rounding_floor)
 from stieltjes.gamma import gamma_n
+from stieltjes.logpoly import _log_polys
 from stieltjes.quadrature import (DCT_GUARD, MODEL_POINTS, ChebyshevModel,
                                   QuadratureError, _chebyshev_coeffs,
                                   _chebyshev_rule, chebyshev_model, legendre_rule,
                                   quad_gl)
 from stieltjes.verifier import (GAMMA_MODEL_TOL, ROOT_GRID, ROOT_STEP, _gamma_model,
-                                _gamma_roots)
+                                _gamma_roots, _root_grid, _unit_deriv_integral)
 
 
 def test_polynomial_exact():
@@ -101,7 +103,7 @@ def _exact(f):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=MODEL_POINTS))
 def test_model_reproduces_polynomials(coeffs):
-    # degree <= 40 = MODEL_POINTS - 1: the interpolant is the polynomial and
+    # degree <= MODEL_POINTS - 1: the interpolant is the polynomial and
     # Fejer's first rule integrates it exactly; a per-node claim of 1e-9 sits
     # above the tail estimate, which reads the last two coefficients
     def p(x):
@@ -206,8 +208,54 @@ def test_model_rejects_bad_interval():
         chebyshev_model(_exact(lambda t: t), 1, 1)
 
 
-def _root_grid():
-    return [1 + mpf(i) / (ROOT_GRID - 1) for i in range(ROOT_GRID)]
+# terms of the remainder majorants summed directly; past them a closed tail
+MAJORANT_TERMS = 60
+
+
+def _majorant(row, power):
+    """sum_(j>=1) sum_i |c_i| log^i(j + 1)/j^power for the integer row c of
+    a _log_polys row, past MAJORANT_TERMS bounded by log(j + 1) <= j and
+    sum_(j>=K) j^-q <= (K - 1)^(1-q)/(q - 1)."""
+    K = MAJORANT_TERMS
+    head = sum(abs(c) * log(j + 1) ** i / mpf(j) ** power
+               for j in range(1, K) for i, c in enumerate(row))
+    return head + sum(abs(c) * mpf(K - 1) ** (1 + i - power) / (power - i - 1)
+                      for i, c in enumerate(row))
+
+
+def _remainder_bounds(N):
+    """2 ((b - a)/4)^N max|f^(N)|/N!, the remainder of interpolation at N
+    Chebyshev points, for the six verifier integrands, on intervals of width
+    1.  gamma_n on [1, 2] has f^(N)(x) = sum_(k>=0) P_N(log(k + x))/(k +
+    x)^(N+1), P_N from _log_polys(n, 1), majorised at j = k + 1 by log(j + 1)
+    and j^-(N+1); zeta^(k)(0, t + 1) on [0, 1] has the terms P_N(log(j +
+    t))/(j + t)^N over j >= 1, P_N from _log_polys(k, 0)."""
+    with workdps(40):
+        majorants = ([_majorant(_log_polys(n, 1)[N], N + 1) for n in range(4)]
+                     + [_majorant(_log_polys(k, 0)[N], N) for k in (1, 2)])
+        return [2 * mpf(4) ** -N * m / factorial(N) for m in majorants]
+
+
+def test_model_points_hold_the_remainder_below_the_claims():
+    # MODEL_POINTS is the fewest points whose remainder bound is at most
+    # 1/500 of every verifier model's claim: at 30 points the bounds read
+    # 1.7e-18 ... 1.4e-16 against claims of 2.3e-14 ... 2.0e-13 (gamma_3's
+    # share 1.1e-3), and one point fewer takes gamma_3's to 4.3e-3
+    claims = ([_gamma_model(n).integral.abs_err for n in range(4)]
+              + [_unit_deriv_integral(k).abs_err for k in (1, 2)])
+    shares = [b / c for b, c in zip(_remainder_bounds(MODEL_POINTS), claims)]
+    assert max(shares) <= mpf(1) / 500
+    fewer = [b / c for b, c in zip(_remainder_bounds(MODEL_POINTS - 1), claims)]
+    assert max(fewer) > mpf(1) / 500
+
+
+@pytest.mark.parametrize("dps", [15, 34])
+def test_root_grid_is_built_once_per_precision(dps):
+    with workdps(dps):
+        grid = _root_grid()
+        assert [t._mpf_ for t in grid] == [(1 + mpf(i) / (ROOT_GRID - 1))._mpf_
+                                           for i in range(ROOT_GRID)]
+        assert _root_grid() is grid
 
 
 def _count_model_calls(monkeypatch) -> list:
