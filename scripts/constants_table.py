@@ -46,7 +46,7 @@ def main():
         sv = eta(n, "from_gamma", tol=tol)
         print(f"eta_{n} = {nstr(sv.value, d)}")
     for n in range(3):
-        sv = delta(n)
+        sv = delta(n, tol)
         print(f"delta_{n} = {nstr(sv.value, d)}")
 
     print("\n# digamma / log gamma samples")

@@ -22,8 +22,8 @@ ambient digits and bit for bit:
   x in {0.0584302, 0.25, 1, 3.7, 8}, tol in {1e-12, 1e-20, 1e-30}, and
   zeta_prime_int, gamma1_alt, dilcher_power_series, gamma1_rational,
   digamma_rational and eta at mp.dps 34;
-- delta for n 0..2 at mp.dps 15, 34 and 50, at the default N and at
-  N in {10, 97, 9973, 10^5};
+- delta for n 0..2 at mp.dps 15, 34 and 50, at tol in {1e-12, 1e-30,
+  1e-50};
 - the verifier's Chebyshev models at mp.dps 34: the integral of the gamma_n
   model on [1, 2] for n 0..3 and the zeta'(0, x) and zeta''(0, x) rows of
   vanishing_integrals, as SeriesValues, and the roots _gamma_roots(n)
@@ -102,7 +102,7 @@ ZETA_S = ("-2.5", "-1", "0", "0.5", "1.5", "2", "3", "4.5", "10")
 ZETA_XS = ("0.0584302", "0.25", "1", "3.7", "8")
 ZETA_TOLS = ("1e-12", "1e-20", "1e-30")
 RATIONALS = ((1, 2), (1, 3), (2, 5), (3, 7))
-DELTA_NS = (10, 97, 9973, 10 ** 5)
+DELTA_TOLS = ("1e-12", "1e-30", "1e-50")
 EM_TAIL_STARTS = ("4.5", "12.25", "30.5", "100.75", "500.5")
 TINY_XS = ("1e-7", "1e-20", "1e-80")
 
@@ -349,9 +349,8 @@ def _delta_values():
         for n in range(3):
             def ref(n=n):
                 return (-1) ** n * (zeta(0, 1, n) + factorial(n))
-            yield f"delta({n})@{dps}", delta(n), ref
-            for N in DELTA_NS:
-                yield f"delta({n},{N})@{dps}", delta(n, N), ref
+            for tol in DELTA_TOLS:
+                yield f"delta({n},{tol})@{dps}", delta(n, mpf(tol)), ref
 
 
 def _model_entries():

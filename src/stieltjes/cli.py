@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="gamma: series-b|series-c|coffey; "
                            "eta: from-gamma|series")
     comp.add_argument("--terms", type=int, default=None,
-                      help="term budget: K of the eta series route, N of delta")
+                      help="term budget: K of the eta series route")
 
     ver = sub.add_parser("verify", help="run identity checks", parents=[common])
     ver.add_argument("--suite", default="all",
@@ -110,10 +110,9 @@ def _config_from(args) -> CliConfig:
 def _compute_one(constant: str, cfg: CliConfig, n, x, p, q, method, terms) -> tuple[dict, SeriesValue]:
     tol = cfg.tol
     params: dict = {}
-    if terms is not None and not (constant == "delta" or (
-            constant == "eta" and (method or "").replace("-", "_") == "series")):
-        raise UsageError("--terms sets K of eta --method series or N of delta; "
-                         f"{constant} does not read it")
+    if terms is not None and not (
+            constant == "eta" and (method or "").replace("-", "_") == "series"):
+        raise UsageError(f"--terms sets K of eta --method series; {constant} does not read it")
     if constant == "gamma":
         if p is not None or q is not None:
             if n not in (None, 1):
@@ -146,7 +145,7 @@ def _compute_one(constant: str, cfg: CliConfig, n, x, p, q, method, terms) -> tu
         if terms is not None:
             params["K"] = terms
     elif constant == "delta":
-        result = delta(n or 0, N=10000 if terms is None else terms)
+        result = delta(n or 0, tol)
         params = {"n": n or 0}
     elif constant == "digamma":
         if p is not None and q is not None:

@@ -130,9 +130,8 @@ def fixed_log_ints(lo: int, hi: int, wp: int):
         yield fixed_log(from_int(n), wp)
 
 
-# an exact product is taken to one logarithm once it passes this many times
-# the working bits: fixed_log_sum's lattice points, related._log_factorials'
-# consecutive integers
+# fixed_log_sum takes an exact product of lattice points to one logarithm
+# once it passes this many times the working bits
 LOG_PRODUCT_PRECS = 8
 
 

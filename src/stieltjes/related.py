@@ -18,7 +18,8 @@ Series used here and their tails:
   eta_n (from gamma) = -[w^n] d/dw log(1 + sum_j (-1)^j gamma_j w^(j+1)/j!)
 
   delta_n = lim_N [sum_{k<=N} log^n k - int_1^N log^n - log^n N / 2],
-            evaluated at finite N with Bernoulli endpoint corrections.
+            evaluated at an N planned from tol, with Bernoulli endpoint
+            corrections.
 
 eta (from gamma) and psi(p/q) read gamma_j = gamma_j(1) from gamma's table
 of x-free constants (gamma.stieltjes_const), computed once per tolerance
@@ -27,9 +28,10 @@ and working precision.
 All summand tails are Euler-Maclaurin lattice corrections with closed-form
 integrals over [K, inf), and every sum here of log-polynomial terms runs on
 the fixed-point kernel.  The Gamma_k series is logpoly.em_series on its
-parts (_dilcher_parts).  delta's tail of log^n t takes its own ends v(N)/2
-and -F(N).  mangoldt_gap_sums takes its direct terms and its closed
-integral from lattice_sum, the integral as the telescoped step
+parts (_dilcher_parts).  delta plans N on the same ladder, sums log^n k
+below N with lattice_sum, and its tail of log^n t takes its own ends
+v(N)/2 and -F(N).  mangoldt_gap_sums takes its direct terms and its
+closed integral from lattice_sum, the integral as the telescoped step
 (gamma._step_parts).
 """
 
@@ -39,7 +41,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, groupby
 from math import factorial, isqrt
 
 from mpmath import cospi, log, mp, mpf, pi, sinpi, workdps
@@ -49,8 +51,8 @@ from .core import (GUARD_DIGITS, ConvergenceError, DomainError, SeriesValue, che
                    tail_claim, working_dps)
 from .gamma import (RationalArg, _gamma1_bracket, _gamma_series_b, _step_parts, gamma1_alt,
                     gamma_n, stieltjes_const)
-from .fixedpoint import LOG_PRODUCT_PRECS, lattice_err, lattice_sum
-from .logpoly import K_CAP, em_series, em_start_for, em_tail, em_tail_shifted, ladder_start
+from .fixedpoint import lattice_err, lattice_sum
+from .logpoly import em_series, em_start_for, em_tail, em_tail_shifted, ladder_start
 from .zeta import zeta_deriv0_diff
 
 ETA_MAX_ORDER = 6
@@ -264,101 +266,33 @@ def mangoldt_gap_sums(n: int, checkpoints) -> dict[int, mpf]:
 # delta constants
 # ---------------------------------------------------------------------------
 
-def _log_factorials(ms) -> dict[int, mpf]:
-    """log M! for every M >= 1 in ms, from one ascending pass of exact
-    integer products of consecutive integers.
-
-    A product is rounded to the working precision and its logarithm taken
-    once it passes LOG_PRODUCT_PRECS * mp.prec bits, and at each M; the
-    logarithms are summed with comp_sum.  Each is within about an ulp of
-    itself, so log M! carries the rounding error of a sum of M rounded
-    logarithms, from far fewer of them.
-
-    The integers enter a product in blocks, each one math.perm (a product
-    tree in C), while the block cannot pass the limit, each of its n
-    factors adding at most the bits of the largest; near the limit they
-    enter one at a time.  So the products are those of one integer at a
-    time, exactly.
-    """
-    limit = LOG_PRODUCT_PRECS * mp.prec
-    out: dict[int, mpf] = {}
-    total = mpf(0)
-    start = 2
-    for M in sorted(set(ms)):
-        logs = []
-        prod = 1
-        k = start
-        while k <= M:
-            room = limit - prod.bit_length()
-            n = min(M + 1 - k, room // min(M, k + room).bit_length())
-            if n:  # k (k + 1) ... (k + n - 1)
-                prod *= math.perm(k + n - 1, n)
-                k += n
-                continue
-            prod *= k
-            k += 1
-            if prod.bit_length() > limit:
-                logs.append(log(prod))
-                prod = 1
-        start = M + 1
-        if prod > 1:
-            logs.append(log(prod))
-        total = comp_sum(chain([total], logs))
-        out[M] = total
-    return out
-
-
-def _log_power_sum(n: int, N: int) -> mpf:
-    """S_n(N) = sum_{k<=N} log^n k for n = 1 or 2, at the working precision.
-
-    S_1(N) = log N!.  For n = 2, log k = sum_{d | k} Lambda(d) gives
-    S_2(N) = sum over prime powers p^i <= N of log p (i M log p + log M!),
-    M = floor(N / p^i): log p is taken once per prime, and log M! at the
-    about 2 sqrt(N) distinct values of M from one pass of _log_factorials.
-    Every term is positive, so the sum keeps the relative accuracy of its
-    terms.
-    """
-    if n == 1:
-        return _log_factorials([N])[N]
-    table = von_mangoldt(N)
-    log_fact = _log_factorials(N // k for k in table.powers)
-    return comp_sum(lp * (m * (N // k) * lp + log_fact[N // k])
-                    for k, lp, m in table.iter_log_powers())
-
-
-def delta(n: int, N: int = 10000) -> SeriesValue:
+def delta(n: int, tol=None) -> SeriesValue:
     """delta_n = (-1)^n [zeta^(n)(0) + n!], by the endpoint-corrected
     evaluation of sum_{k<=N} log^n k - int_1^N log^n x dx - log^n N / 2.
 
     That is S_n(N-1) + F(1) + the tail of log^n t from N, F(u) = u sum_j
     (-1)^(n-j) n!/j! log^j u the antiderivative of log^n u, F(1) =
-    (-1)^n n!: the tail's own ends, v(N)/2 and -F(N), in fixed point, take
-    the rest.  The partial sum S_n(N-1) comes from exact integer products
-    and prime powers (_log_power_sum), not from N logarithms.  The endpoint
-    corrections take em_tail_shifted's order loop, J rising from 4 until
-    the certified remainder of em_tail_error is below the rounding floor of
-    the partial sum, which the claim adds anyway.
+    (-1)^n n!: the tail's own ends, v(N)/2 and -F(N), take the rest.
+    S_n(N-1) is a lattice_sum, and N is em_start_for's first rung from
+    ladder_start(tol) whose tail claims below tol/4, its order rising from
+    4: v = log^n t has v' = n f for f = log^(n-1) t / t, so em_tail_error's
+    key (n - 1, N, -1, n) certifies it.
     """
     check_order(n, 2, "delta")
-    if type(N) is not int:
-        raise DomainError("delta: the term budget N must be an int")
-    if N < 10:
-        raise DomainError("delta: need N >= 10")
-    if N > K_CAP:
-        raise DomainError(f"delta: N must be <= {K_CAP}")
-    with workdps(mp.dps + GUARD_DIGITS):
-        if n == 0:
-            # every term of the corrected form cancels identically
-            return SeriesValue(mpf(1) / 2, mpf(0), N, "em_corrected")
-        partial = _log_power_sum(n, N - 1)
-        # the partial sum is about N log^n N, and its terms' rounding, not
-        # the value's, sets the floor
-        floor = rounding_floor(partial)
-        # v = log^n t has v' = n f for f = log^(n-1) t / t: the key d = -1
-        tail = em_tail_shifted([(1, 0, n, 0)], N, bound=floor, key=(n - 1, N, -1, n))
+    tol = default_tol() if tol is None else mpf(tol)
+    with workdps(working_dps(tol)):
+        if n == 0:  # every term of the corrected form cancels identically
+            return SeriesValue(mpf(1) / 2, mpf(0), 1, "em_corrected")
+        v = [(1, 0, n, 0)]
+        N, tail = em_start_for(
+            lambda N: em_tail_shifted(v, N, 4, tol / 4, (n - 1, N, -1, n)),
+            tol / 4, ladder_start(tol))
+        partial = lattice_sum(v)(1, N)
         value = partial + (-1) ** n * factorial(n) + tail.value
-        return SeriesValue(value, tail_claim(tail.abs_err, value) + floor, N, "em_corrected",
-                           tail.order)
+        # the partial sum and the tail are each about N log^n N and cancel
+        # to O(1): their rounding, not the value's, sets the floor
+        return SeriesValue(value, tail_claim(tail.abs_err, abs(partial) + abs(tail.value))
+                           + lattice_err(), N, "em_corrected", tail.order)
 
 
 # ---------------------------------------------------------------------------

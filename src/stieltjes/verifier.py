@@ -36,7 +36,7 @@ from .reporting import SubCheck, VerifyReport
 from .zeta import zeta_deriv0_const, zeta_deriv0_diff
 
 LEMMA_SEED = 20190201
-# series tolerance of the values the cotangent and g-function checks compare
+# series tolerance of the values the checks compare and the models sample
 CHECK_TOL = mpf("1e-12")
 
 
@@ -131,9 +131,8 @@ def check_cotangent(x) -> VerifyReport:
 
 # order -> SeriesValue of int_0^1 zeta^(order)(0, t) dt
 _UNIT_INTEGRAL_CACHE = PrecTable()
-# n -> ChebyshevModel of gamma_n(n, t, "series_c", GAMMA_MODEL_TOL) on [1, 2]
+# n -> ChebyshevModel of gamma_n(n, t, "series_c", CHECK_TOL) on [1, 2]
 _GAMMA_MODELS = PrecTable()
-GAMMA_MODEL_TOL = mpf("1e-12")
 
 
 def _unit_deriv_integral(order: int) -> SeriesValue:
@@ -149,10 +148,9 @@ def _unit_deriv_integral(order: int) -> SeriesValue:
 
 def _unit_integral(order: int) -> SeriesValue:
     const = zeta_deriv0_const(order, mpf("1e-14"))
-    tol = mpf("1e-12")
 
     def regular(t):
-        d = zeta_deriv0_diff(order - 1, t, tol)
+        d = zeta_deriv0_diff(order - 1, t, CHECK_TOL)
         singular = (-log(t)) ** order
         return SeriesValue(d.value + const.value - singular,
                            d.abs_err + const.abs_err + rounding_floor(singular),
@@ -167,7 +165,7 @@ def _gamma_model(n: int) -> ChebyshevModel:
     """The shared Chebyshev model of gamma_n on [1, 2], built once per (n,
     precision)."""
     return _GAMMA_MODELS.get(n, lambda: chebyshev_model(
-        lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL), 1, 2))
+        lambda t: gamma_n(n, t, "series_c", CHECK_TOL), 1, 2))
 
 
 def check_vanishing_integrals(n: int) -> VerifyReport:
@@ -224,7 +222,7 @@ def _gamma_roots(n: int) -> list[mpf]:
         if signs[i] == signs[i + 1]:
             continue
         r = find_root_bisect(model.sign, pts[i], pts[i + 1], ROOT_STEP)
-        lo, hi = (gamma_n(n, r + s, "series_c", GAMMA_MODEL_TOL)
+        lo, hi = (gamma_n(n, r + s, "series_c", CHECK_TOL)
                   for s in (-ROOT_STEP, ROOT_STEP))
         if ((lo.value > 0) != (hi.value > 0) and abs(lo.value) > lo.abs_err
                 and abs(hi.value) > hi.abs_err):

@@ -567,28 +567,6 @@ def certificate_ref(n: int, J: int, d: int = 0, p=1) -> tuple:
             g_row)
 
 
-def log_factorials_ref(ms, limit: int) -> dict:
-    """related._log_factorials' products one integer at a time: log M! for
-    each M in ms, a product's logarithm taken once it passes limit bits and
-    at each M, the logarithms summed by comp_sum."""
-    from stieltjes.core import comp_sum
-
-    out, total, start = {}, mpf(0), 2
-    for M in sorted(set(ms)):
-        logs, prod = [], 1
-        for k in range(start, M + 1):
-            prod *= k
-            if prod.bit_length() > limit:
-                logs.append(log(prod))
-                prod = 1
-        start = M + 1
-        if prod > 1:
-            logs.append(log(prod))
-        total = comp_sum([total] + logs)
-        out[M] = total
-    return out
-
-
 # --- Lemma 3.1 in mpf operators ----------------------------------------------
 # The two sums verifier.check_lemma31 takes from the fixed-point kernel, by
 # mpmath operators at 40 more digits.

@@ -393,29 +393,29 @@ def test_random_claims_bound_the_true_error():
 
 
 # The seeded audit of the other claimed routes: digamma, hurwitz_em and
-# hurwitz_hasse at a drawn x and s, delta at a drawn order and term budget,
-# and em_tail of log^m t / t^p from a drawn start, p in EM_TAIL_PS (p = 1
-# needs mpmath's stieltjes at a general start, a few hundred ms per
-# reference; test_em_tail_claims audits it on the golden grid).  Each
-# reference is taken at the ambient digits plus those of the value and of
-# tol, and REF_MARGIN more.
+# hurwitz_hasse at a drawn x and s, delta at a drawn order, each at the
+# drawn tol, and em_tail of log^m t / t^p from a drawn start, p in
+# EM_TAIL_PS (p = 1 needs mpmath's stieltjes at a general start, a few
+# hundred ms per reference; test_em_tail_claims audits it on the golden
+# grid).  Each reference is taken at the ambient digits plus those of the
+# value and of tol or of the claim, whichever asks more, and REF_MARGIN
+# more.
 OTHER_EXAMPLES = 100
 EM_TAIL_PS = (mpf("1.5"), 2, mpf("2.5"), 3)
-DELTA_N_MAX = 10 ** 4
 
 
-def _other_calls(n, s, x, a, p, N, tol):
+def _other_calls(n, s, x, a, p, tol):
     """A (text, call, reference, tol or None) quadruple per audited route;
-    None where the route takes no tol (delta) or reads it as the bound its
-    order rises to and may stop short of (em_tail, whose turning point
-    near a start of 2 allows only a few orders)."""
+    None where the route reads tol as the bound its order rises to and may
+    stop short of (em_tail, whose turning point near a start of 2 allows
+    only a few orders)."""
     k = n % 3
     return [("digamma(x, tol)", lambda: digamma(x, tol), lambda: psi(0, x), tol),
             ("hurwitz_em(s, x, tol)", lambda: hurwitz_em(s, x, tol), lambda: zeta(s, x), tol),
             ("hurwitz_hasse(s, x, tol)", lambda: hurwitz_hasse(s, x, tol),
              lambda: zeta(s, x), tol),
-            (f"delta({k}, {N})", lambda: delta(k, N),
-             lambda: (-1) ** k * (zeta(0, 1, k) + factorial(k)), None),
+            (f"delta({k}, tol)", lambda: delta(k, tol),
+             lambda: (-1) ** k * (zeta(0, 1, k) + factorial(k)), tol),
             (f"em_tail({n}, {p}, a, 4, tol)", lambda: em_tail(n, p, a, 4, tol),
              lambda: _em_tail_reference(n, p, a), None)]
 
@@ -429,13 +429,12 @@ def test_random_claims_of_the_other_routes():
     @settings(derandomize=True, max_examples=OTHER_EXAMPLES, deadline=None)
     @given(st.integers(0, 8), st.floats(-10.5, 10.5).filter(lambda s: abs(s - 1) > 1e-3),
            _log_uniform(1e-6, 1e3), _log_uniform(2, 1e4), st.sampled_from(EM_TAIL_PS),
-           _log_uniform(10, DELTA_N_MAX).map(int), st.floats(12, 32),
-           st.sampled_from(AUDIT_DPS))
-    def audit(n, sf, xf, af, p, N, digits, dps):
+           st.floats(12, 32), st.sampled_from(AUDIT_DPS))
+    def audit(n, sf, xf, af, p, digits, dps):
         outcomes["examples"] += 1
         with workdps(dps):
             s, x, a, tol = mpf(sf), mpf(xf), mpf(af), mpf(10.0 ** -digits)
-            for text, call, reference, promised in _other_calls(n, s, x, a, p, N, tol):
+            for text, call, reference, promised in _other_calls(n, s, x, a, p, tol):
                 repro = (f"s, x, a, tol = mpf({sf!r}), mpf({xf!r}), mpf({af!r}), "
                          f"mpf({10.0 ** -digits!r}) at mp.dps {dps}: {text}")
                 try:
@@ -444,7 +443,11 @@ def test_random_claims_of_the_other_routes():
                     raise AssertionError(repro) from exc
                 outcomes["audited"] += 1
                 size = max(0, int(mp.log10(abs(sv.value) + 1)))
-                with workdps(dps + size + tol_digits(tol) + REF_MARGIN):
+                # a claim far below tol needs its own digits: hurwitz_hasse
+                # at s = 3.4e-72, x = 1 claims 4.4e-74 of a value 3.2e-72
+                # from -1/2
+                claim = tol_digits(sv.abs_err) if sv.abs_err else 0
+                with workdps(dps + size + max(tol_digits(tol), claim) + REF_MARGIN):
                     gap = abs(sv.value - reference())
                 assert gap <= sv.abs_err, repro
                 assert promised is None or sv.abs_err <= promised, repro

@@ -81,6 +81,7 @@ def test_compute_invalid_order_exits_2(capsys):
 
 
 def test_delta_term_budget_past_the_cap_exits_2(capsys):
+    # delta plans its own N and reads no --terms, past the cap or not
     code, _, err = run_cli(capsys, "compute", "delta", "--n", "1",
                            "--terms", str(K_CAP + 1))
     assert code == 2
@@ -88,10 +89,18 @@ def test_delta_term_budget_past_the_cap_exits_2(capsys):
 
 
 def test_delta_zero_terms_is_not_the_default_budget(capsys):
-    # --terms 0 is N = 0, below delta's least N, not a request for the default
+    # --terms 0 is a budget delta does not read, not the absence of one
     code, out, err = run_cli(capsys, "compute", "delta", "--n", "1", "--terms", "0")
     assert code == 2
-    assert "N >= 10" in err and out == ""
+    assert "--terms" in err and "delta" in err and out == ""
+
+
+def test_delta_reads_tol(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "--tol", "1e-15",
+                           "compute", "delta", "--n", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert mpf(payload["abs_err"]) <= mpf("1e-15") and payload["terms_used"] == 16
 
 
 def test_eta_series_zero_terms_names_its_budget(capsys):
@@ -106,6 +115,7 @@ def test_eta_series_zero_terms_names_its_budget(capsys):
     ("eta", "--n", "1"),
     ("eta", "--n", "1", "--method", "from-gamma"),
     ("digamma", "--x", "1"),
+    ("delta", "--n", "1"),
 ])
 def test_terms_on_a_constant_that_ignores_it_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "compute", *argv, "--terms", "5")
@@ -113,13 +123,9 @@ def test_terms_on_a_constant_that_ignores_it_exits_2(capsys, argv):
     assert "--terms" in err and out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ("eta", "--n", "0", "--method", "series"),
-    ("delta", "--n", "1"),
-])
-def test_terms_on_eta_series_and_delta_still_exits_0(capsys, argv):
-    code, out, _ = run_cli(capsys, "--format", "json", "compute", *argv,
-                           "--terms", "100")
+def test_terms_on_eta_series_still_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "compute", "eta", "--n", "0",
+                           "--method", "series", "--terms", "100")
     assert code == 0
     assert json.loads(out)["terms_used"] >= 1
 

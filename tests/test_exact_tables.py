@@ -2,24 +2,21 @@
 direct forms in Fraction and iv arithmetic (tests/oracles.py), bit for bit:
 the Bernoulli numbers, the log-polynomial rows, the tail weights, the root
 intervals, the root enclosures and the certificates.  Also the order loop's
-first-order test and related._log_factorials' block products."""
+first-order test."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 import stieltjes.logpoly as logpoly
 from oracles import (bernoulli_ref, certificate_ref, isolated_ref, log_poly_row,
-                     log_factorials_ref, real_roots_ref, root_table_ref, tail_integral_ref,
-                     tail_row_ref)
-from stieltjes.fixedpoint import LOG_PRODUCT_PRECS
+                     real_roots_ref, root_table_ref, tail_integral_ref, tail_row_ref)
 from stieltjes.logpoly import (J_PLAN_MAX, _below, _certificate, _isolated, _log_polys,
                                _real_roots, _root_table, _tail_rows, _tangent, bernoulli,
                                em_tail_shifted)
-from stieltjes.related import _log_factorials
 
 # a 53-bit dyadic s, as hurwitz_em and zeta_prime_int read a float s, and
 # a p that is not dyadic, whose enclosures round the denominators 3^k
@@ -176,13 +173,3 @@ def test_first_order_reads_the_omitted_correction_before_its_certificate(monkeyp
         want.value._mpf_, want.abs_err._mpf_, want.order)
     assert got.order > 4 and 4 not in calls and calls[-1] == got.order
 
-
-@pytest.mark.parametrize("dps", [15, 34, 50, 120])
-def test_log_factorials_are_the_one_at_a_time_products(dps):
-    rng = random.Random(dps)
-    with workdps(dps):
-        limit = LOG_PRODUCT_PRECS * mp.prec
-        for ms in ([10], [97], [9973], [10 ** 4], list(range(1, 120)),
-                   [rng.randint(1, 5000) for _ in range(40)]):
-            got, want = _log_factorials(ms), log_factorials_ref(ms, limit)
-            assert {M: v._mpf_ for M, v in got.items()} == {M: v._mpf_ for M, v in want.items()}

@@ -686,7 +686,7 @@ ORDER_ROUTES = {
     "dilcher_log_gamma_k": lambda tol: dilcher_log_gamma_k(1, mpf("0.7"), tol),
     "hurwitz_em": lambda tol: hurwitz_em(mpf("1.5"), mpf("0.7"), tol),
     "zeta_prime_int": lambda tol: zeta_prime_int(mpf("2.5"), tol),
-    "delta": lambda tol: delta(2, 97),
+    "delta": lambda tol: delta(2, tol),
 }
 
 

@@ -15,7 +15,7 @@ from stieltjes.quadrature import (DCT_GUARD, MODEL_POINTS, ChebyshevModel,
                                   QuadratureError, _chebyshev_coeffs,
                                   _chebyshev_rule, chebyshev_model, legendre_rule,
                                   quad_gl)
-from stieltjes.verifier import (GAMMA_MODEL_TOL, ROOT_GRID, ROOT_STEP, _gamma_model,
+from stieltjes.verifier import (CHECK_TOL, ROOT_GRID, ROOT_STEP, _gamma_model,
                                 _gamma_roots, _root_grid, _unit_deriv_integral)
 
 
@@ -315,7 +315,7 @@ def test_gamma_roots_match_direct_bisection(n):
     assert len(roots) == (1 if n == 0 else 2)
 
     def g(t):
-        return gamma_n(n, t, "series_c", GAMMA_MODEL_TOL).value
+        return gamma_n(n, t, "series_c", CHECK_TOL).value
 
     for r in roots:
         direct = find_root_bisect(g, r - mpf("1e-4"), r + mpf("1e-4"), mpf("1e-11"))
@@ -325,7 +325,7 @@ def test_gamma_roots_match_direct_bisection(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gamma_model_integral_agrees_with_gauss_legendre(n):
     sv = _gamma_model(n).integral
-    q = quad_gl(lambda t: gamma_n(n, t, "series_c", GAMMA_MODEL_TOL).value,
+    q = quad_gl(lambda t: gamma_n(n, t, "series_c", CHECK_TOL).value,
                 1, 2, panels=1, nodes_per_panel=24)
     assert abs(sv.value - q.value) <= sv.abs_err
 

@@ -7,11 +7,13 @@ from mpmath import (exp, factorial, fsum, log, mp, mpf, pi, stieltjes, taylor,
                     workdps, zeta)
 
 import oracles
-from stieltjes.core import DomainError, SeriesValue, rounding_floor
+from stieltjes.core import (ConvergenceError, DomainError, SeriesValue, default_tol,
+                            rounding_floor, tol_digits)
+from stieltjes.fixedpoint import lattice_err, lattice_sum
 from stieltjes.gamma import RationalArg
-from stieltjes.logpoly import K_CAP
+from stieltjes.logpoly import em_tail_shifted
 from stieltjes.quadrature import quad_gl
-from stieltjes.related import (_log_power_sum, delta, digamma,
+from stieltjes.related import (delta, digamma,
                                digamma_rational, dilcher_log_gamma_k,
                                dilcher_power_series, eta, log_gamma,
                                mangoldt_gap_sums, von_mangoldt)
@@ -184,43 +186,47 @@ class TestDelta:
     @pytest.mark.parametrize("dps", [15, 34, 50])
     @pytest.mark.parametrize("n", [1, 2])
     def test_claim_is_a_bound(self, n, dps):
-        # the partial sum and the integral are about 1e5; their rounding
-        # must be inside the claim, not just the value's
+        # at the default tol: the partial sum and the tail are each about
+        # N log^n N; their rounding must be inside the claim, not just the
+        # value's
         mp.dps = dps
-        sv = delta(n)
+        sv, tol = delta(n), default_tol()
         with workdps(dps + 40):
             ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
-            assert abs(sv.value - ref) <= sv.abs_err
-        assert abs(sv.value - ref) < mpf("1e-12")
+            assert abs(sv.value - ref) <= sv.abs_err <= tol
 
     @pytest.mark.parametrize("dps", [15, 34, 50])
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("N", [10, 9973, 10 ** 5])
-    def test_claim_is_a_bound_at_other_N(self, N, n, dps):
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-20", "1e-30", "1e-50", "1e-100"])
+    def test_claim_is_a_bound_at_tol(self, tol, n, dps):
+        # N and the order are planned from tol whatever the ambient digits
         mp.dps = dps
-        sv = delta(n, N)
-        with workdps(dps + 40):
+        tol = mpf(tol)
+        sv = delta(n, tol)
+        with workdps(dps + tol_digits(tol) + 20):
             ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
-            assert abs(sv.value - ref) <= sv.abs_err
+            assert abs(sv.value - ref) <= sv.abs_err <= tol
 
     def test_certified_term_alone_bounds_the_error(self):
-        # at N = 16 and order 4 the true error of delta(2), 1.37e-15, is
+        # at N = 16 and order 4 the true error of delta_2, 1.37e-15, is
         # above the first omitted correction, 1.34e-15, so the claim must
-        # be certified: at the order the loop reaches, the certified term,
-        # the claim less tail_claim's 5/4 pad, covers the error alone.
-        sv = delta(2, 16)
+        # be certified: the claim of the tail delta takes at N under its key
+        # (1, 16, -1, 2), before tail_claim's 5/4 pad, covers the error
+        # alone (the partial sum and the rounding add about 1e-31)
+        tail = em_tail_shifted([(1, 0, 2, 0)], 16, 4, key=(1, 16, -1, 2))
+        assert tail.order == 4
+        value = lattice_sum([(1, 0, 2, 0)])(1, 16) + 2 + tail.value
         with workdps(mp.dps + 40):
             ref = zeta(0, 1, 2) + 2
-            assert abs(sv.value - ref) <= 4 * sv.abs_err / 5
+            assert abs(value - ref) <= tail.abs_err
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_order_rises_to_the_fifty_digit_floor(self, n):
-        # at order 4 the remainder at N = 10^4 is about 1e-39, far above
-        # the 50-digit rounding floor of the partial sum and the integral;
-        # the order loop raises J until the remainder is below that floor
+        # 48 digits at mp.dps 50: the order loop raises J from 4, far past
+        # the turning point's cap of 13, until the remainder is below tol/4
         mp.dps = 50
-        sv = delta(n)
-        assert sv.abs_err < mpf("1e-48")
+        sv = delta(n, mpf("1e-48"))
+        assert sv.abs_err < mpf("1e-48") and sv.order > 13
         with workdps(90):
             ref = (-1) ** n * (zeta(0, 1, n) + factorial(n))
             assert abs(sv.value - ref) <= sv.abs_err
@@ -229,36 +235,43 @@ class TestDelta:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("N", [10, 11, 97, 128, 9973, REF_N])
     def test_log_power_sum_within_rounding_floor(self, N, n, dps):
-        # log N! from integer products, and the Lambda identity for n = 2,
-        # against sum log^n k term by term at 90 digits; N = 97 is a prime
-        # and N = 128 a prime power
+        # S_n(N) = sum log^n k, delta's partial sum, is a lattice_sum within
+        # 2^(-prec-3), far inside its rounding floor: against the sum term
+        # by term at 90 digits; N = 97 is a prime and N = 128 a prime power
         mp.dps = dps
         with workdps(dps + 8):
-            got = _log_power_sum(n, N)
-            floor = rounding_floor(got)
+            got = lattice_sum([(1, 0, n, 0)])(1, N + 1)
+            err = lattice_err() / 8
+            assert err < rounding_floor(got)
         logs = _ref_logs()
         with workdps(REF_DPS):
             ref = fsum(logs[k] ** n for k in range(2, N + 1))
-            assert abs(got - ref) <= floor
+            assert abs(got - ref) <= err
 
     def test_caps(self):
         with pytest.raises(DomainError):
             delta(3)
         with pytest.raises(DomainError):
-            delta(1, N=5)
+            delta(-1)
 
-    def test_term_budget_is_capped(self):
-        # past the budget it raises before summing a single logarithm
-        t0 = time.perf_counter()
-        with pytest.raises(DomainError):
-            delta(1, N=K_CAP + 1)
-        assert time.perf_counter() - t0 < 1
-        assert delta(0, N=K_CAP).value == mpf(1) / 2
+    def test_term_budget_is_capped(self, monkeypatch):
+        # a tol no rung up to K_CAP meets raises before the partial sum:
+        # with the cap at 16, the ladder for 1e-30 starts past it, at 32
+        import stieltjes.logpoly as logpoly_mod
+        monkeypatch.setattr(logpoly_mod, "K_CAP", 16)
+        with pytest.raises(ConvergenceError):
+            delta(1, mpf("1e-30"))
+        assert delta(0, mpf("1e-30")).value == mpf(1) / 2
+
+    @pytest.mark.parametrize("tol", [0, -1, math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_tol_that_is_not_positive_and_finite_raises(self, n, tol):
+        # delta_0 = 1/2 takes no terms, but its tol is checked all the same
+        with pytest.raises(DomainError, match="tolerance"):
+            delta(n, tol)
 
 
 BAD_BUDGETS = {
-    "delta(1, 10.5)": lambda: delta(1, 10.5),
-    "delta(1, '7')": lambda: delta(1, "7"),
     "eta(1, series, K=2.5)": lambda: eta(1, "series", K=2.5),
     "mangoldt_gap_sums(1, [inf])": lambda: mangoldt_gap_sums(1, [math.inf]),
     "mangoldt_gap_sums(1, [10.7])": lambda: mangoldt_gap_sums(1, [10.7]),
